@@ -213,9 +213,8 @@ type setup = {
 (* Flags override the environment fallbacks; the fast flag is sticky in
    the or-direction so REPRO_FAST=1 keeps working under any flags.
    [profile_default] is true only for the profile subcommand, which
-   collects phase totals even without --folded/--perfetto;
-   [vmstat_default] likewise for the vmstat subcommand. *)
-let build_setup profile_default vmstat_default trials ycsb_trials fast scale jobs faults
+   collects phase totals even without --folded/--perfetto. *)
+let build_setup profile_default trials ycsb_trials fast scale jobs faults
     audit_every_ms trace sample_every samples folded perfetto journal_path
     resume trial_timeout keep_going cgroups chaos =
   let base = Repro_core.Runner.profile_from_env () in
@@ -255,7 +254,7 @@ let build_setup profile_default vmstat_default trials ycsb_trials fast scale job
   let ctx =
     Repro_core.Runner.make_ctx ~profile ~fault_plan:faults
       ~audit_every_ns:(max 0 audit_every_ms * 1_000_000)
-      ~jobs ~obs ~prof ~vmstat:vmstat_default ~trial_timeout_s:trial_timeout
+      ~jobs ~obs ~prof ~trial_timeout_s:trial_timeout
       ?journal ?cgroups ?chaos:(Option.join chaos) ()
   in
   (* Resume notes go to stderr so stdout stays byte-identical to an
@@ -319,9 +318,9 @@ let finalize setup =
       exit 1
     end
 
-let setup_term ?(profile = false) ?(vmstat = false) () =
+let setup_term ?(profile = false) () =
   Term.(
-    const (build_setup profile vmstat) $ trials_arg $ ycsb_trials_arg $ fast_arg
+    const (build_setup profile) $ trials_arg $ ycsb_trials_arg $ fast_arg
     $ scale_arg $ jobs_arg $ faults_arg $ audit_every_arg $ trace_arg $ sample_every_arg
     $ samples_arg $ folded_arg $ perfetto_arg $ journal_arg $ resume_arg
     $ trial_timeout_arg $ keep_going_arg $ cgroups_arg $ chaos_arg)
@@ -445,14 +444,15 @@ let run_cmd =
       (fun trial o ->
         match o with
         | Repro_core.Runner.Done r ->
+          let n = Repro_core.Machine.count r in
           Printf.printf
             "  trial %2d: runtime %10s  major %9s  ins %9s  outs %9s  direct %6d\n%!"
             trial
             (Repro_core.Report.fsec (float_of_int r.Repro_core.Machine.runtime_ns /. 1e9))
             (Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.major_faults))
-            (Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.swap_ins))
-            (Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.swap_outs))
-            r.Repro_core.Machine.direct_reclaims;
+            (Repro_core.Report.fcount (float_of_int (n Obs.Vmstat.pswpin)))
+            (Repro_core.Report.fcount (float_of_int (n Obs.Vmstat.pswpout)))
+            (n Obs.Vmstat.direct_reclaims);
           if faults_on || audits_on then Repro_core.Report.fault_summary r;
           (match r.Repro_core.Machine.memcg with
           | Some s ->
@@ -878,7 +878,7 @@ let vmstat_cmd =
           Counting is always on and observation-only: results are \
           identical to an uncounted run, and output is byte-identical \
           for every $(b,--jobs) value.")
-    Term.(const run $ setup_term ~vmstat:true () $ workloads $ policies
+    Term.(const run $ setup_term () $ workloads $ policies
           $ ratios $ swap)
 
 (* ---------------- heatmap ---------------- *)

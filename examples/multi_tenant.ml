@@ -79,7 +79,8 @@ let () =
           Repro_core.Report.fsec (float_of_int (finish_of_tenant 1) /. 1e9);
           Repro_core.Report.fns p999;
           Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.major_faults);
-          string_of_int r.Repro_core.Machine.direct_reclaims;
+          string_of_int
+            (Repro_core.Machine.count r Obs.Vmstat.direct_reclaims);
         ])
       Policy.Registry.[ Clock; Mglru_default; Fifo ]
   in

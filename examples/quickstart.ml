@@ -34,8 +34,11 @@ let () =
   Printf.printf "virtual runtime   : %.3f s\n" (float_of_int result.runtime_ns /. 1e9);
   Printf.printf "major faults      : %d\n" result.major_faults;
   Printf.printf "minor faults      : %d (first touches)\n" result.minor_faults;
-  Printf.printf "swap reads/writes : %d / %d\n" result.swap_ins result.swap_outs;
-  Printf.printf "direct reclaims   : %d\n" result.direct_reclaims;
+  Printf.printf "swap reads/writes : %d / %d\n"
+    (count result Obs.Vmstat.pswpin)
+    (count result Obs.Vmstat.pswpout);
+  Printf.printf "direct reclaims   : %d\n"
+    (count result Obs.Vmstat.direct_reclaims);
   Printf.printf "resident at end   : %d pages\n" result.resident_at_end;
   print_newline ();
   print_endline "policy internals:";

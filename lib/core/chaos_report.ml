@@ -212,8 +212,8 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
                   fms
                     (recovery_ns ev ~w_end ~runtime:r.Machine.runtime_ns ~slice
                        ~pre_rate);
-                  string_of_int r.Machine.oom_kills;
-                  string_of_int r.Machine.poisoned_reads;
+                  string_of_int (Machine.count r Obs.Vmstat.oom_kill);
+                  string_of_int (Machine.count r Obs.Vmstat.poisoned_reads);
                 ]))
           cells
       in

@@ -158,7 +158,9 @@ let run ctx ~tenants ~hot ~policy ~ratio ~swap =
       (Printf.sprintf "mean runtime %s over %d trial(s); oom kills %d"
          (Report.fsec (Runner.mean_runtime_s results))
          (List.length results)
-         (List.fold_left (fun n x -> n + x.Machine.oom_kills) 0 results));
+         (List.fold_left
+            (fun n x -> n + Machine.count x Obs.Vmstat.oom_kill)
+            0 results));
     ignore r
   | [] -> ());
   outcomes

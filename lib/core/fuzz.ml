@@ -175,9 +175,9 @@ let check cfg =
     let results = run_all ctx1 in
     List.iter
       (fun (e, r) ->
-        if r.Machine.invariant_violations > 0 then
-          fail "invariants" "trial %d: %d violation(s)" e.Runner.trial
-            r.Machine.invariant_violations)
+        let v = Machine.count r Obs.Vmstat.invariant_violations in
+        if v > 0 then
+          fail "invariants" "trial %d: %d violation(s)" e.Runner.trial v)
       results;
     (* jobs 1-vs-4 identity: journal encodings and traced event streams *)
     let ctx4 = mk_ctx ~jobs:4 ~obs:traced cfg in

@@ -55,12 +55,7 @@ let stats_of_s s =
 let result_fields (r : Machine.result) =
   [
     ("runtime_ns", Obs.Int r.runtime_ns);
-    ("major_faults", Obs.Int r.major_faults);
-    ("minor_faults", Obs.Int r.minor_faults);
-    ("swap_ins", Obs.Int r.swap_ins);
-    ("swap_outs", Obs.Int r.swap_outs);
-    ("direct_reclaims", Obs.Int r.direct_reclaims);
-    ("direct_reclaim_ns", Obs.Int r.direct_reclaim_ns);
+    ("counters", Obs.Str (Obs.Vmstat.encode_capture r.counters));
     ("read_latencies", Obs.Str (floats_to_s r.read_latencies));
     ("write_latencies", Obs.Str (floats_to_s r.write_latencies));
     ("per_thread_finish", Obs.Str (ints_to_s r.per_thread_finish));
@@ -68,17 +63,6 @@ let result_fields (r : Machine.result) =
     ("policy_stats", Obs.Str (stats_to_s r.policy_stats));
     ("policy_name", Obs.Str r.policy_name);
     ("resident_at_end", Obs.Int r.resident_at_end);
-    ("io_retries", Obs.Int r.io_retries);
-    ("io_remaps", Obs.Int r.io_remaps);
-    ("injected_transient", Obs.Int r.injected_transient);
-    ("injected_permanent", Obs.Int r.injected_permanent);
-    ("injected_stalls", Obs.Int r.injected_stalls);
-    ("injected_tail_spikes", Obs.Int r.injected_tail_spikes);
-    ("poisoned_reads", Obs.Int r.poisoned_reads);
-    ("writeback_failures", Obs.Int r.writeback_failures);
-    ("oom_kills", Obs.Int r.oom_kills);
-    ("oom_discarded_pages", Obs.Int r.oom_discarded_pages);
-    ("invariant_violations", Obs.Int r.invariant_violations);
   ]
   (* Emitted only when present so profiler-off journals stay
      byte-identical to builds without the profiler.  Spans are dropped
@@ -90,18 +74,12 @@ let result_fields (r : Machine.result) =
   @ (match r.memcg with
     | None -> []
     | Some s -> [ ("cgroups", Obs.Str (Mem.Memcg.summary_to_string s)) ])
-  (* And for the chaos tallies: absent without [--chaos]. *)
+  (* And for the chaos tallies: absent without [--chaos].  The heatmap
+     is stripped like the trace — region rows are bulky and the runner
+     never warm-starts monitor-bearing runs. *)
   @ (match r.chaos with
     | None -> []
     | Some s -> [ ("chaos", Obs.Str (Chaos.summary_to_string s)) ])
-  (* And for the vmstat counters: absent unless [config.vmstat] was
-     set, so telemetry-off journals are byte-identical to builds
-     without the counter registry.  The heatmap is stripped like the
-     trace — region rows are bulky and the runner never warm-starts
-     monitor-bearing runs. *)
-  @ (match r.vmstat with
-    | None -> []
-    | Some cap -> [ ("vmstat", Obs.Str (Obs.Vmstat.encode_capture cap)) ])
 
 exception Decode of string
 
@@ -120,16 +98,24 @@ let req_str fields name =
   | Obs.Str s -> s
   | _ -> raise (Decode (Printf.sprintf "field %S is not a string" name))
 
-let result_of_fields fields : Machine.result =
+(* A record journaled before a counter existed has no [counters] field
+   (or a shorter one): replaying it would read the missing counters as
+   zero, so it decodes without a result and the runner recomputes the
+   trial. *)
+let counters_of_fields fields =
+  match Obs.field_string fields "counters" with
+  | None -> None
+  | Some s -> (
+    match Obs.Vmstat.decode_capture s with
+    | cap -> if Obs.Vmstat.complete cap then Some cap else None
+    | exception Failure msg -> raise (Decode msg))
+
+let result_of_fields fields counters : Machine.result =
   let int = req_int fields and str = req_str fields in
   {
     runtime_ns = int "runtime_ns";
-    major_faults = int "major_faults";
-    minor_faults = int "minor_faults";
-    swap_ins = int "swap_ins";
-    swap_outs = int "swap_outs";
-    direct_reclaims = int "direct_reclaims";
-    direct_reclaim_ns = int "direct_reclaim_ns";
+    major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
+    minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
     read_latencies = floats_of_s (str "read_latencies");
     write_latencies = floats_of_s (str "write_latencies");
     per_thread_finish = ints_of_s (str "per_thread_finish");
@@ -137,17 +123,7 @@ let result_of_fields fields : Machine.result =
     policy_stats = stats_of_s (str "policy_stats");
     policy_name = str "policy_name";
     resident_at_end = int "resident_at_end";
-    io_retries = int "io_retries";
-    io_remaps = int "io_remaps";
-    injected_transient = int "injected_transient";
-    injected_permanent = int "injected_permanent";
-    injected_stalls = int "injected_stalls";
-    injected_tail_spikes = int "injected_tail_spikes";
-    poisoned_reads = int "poisoned_reads";
-    writeback_failures = int "writeback_failures";
-    oom_kills = int "oom_kills";
-    oom_discarded_pages = int "oom_discarded_pages";
-    invariant_violations = int "invariant_violations";
+    counters;
     memcg =
       (match Obs.field_string fields "cgroups" with
       | None -> None
@@ -168,12 +144,6 @@ let result_of_fields fields : Machine.result =
       | None -> None
       | Some s -> (
         try Some (Obs.Prof.decode_capture s)
-        with Failure msg -> raise (Decode msg)));
-    vmstat =
-      (match Obs.field_string fields "vmstat" with
-      | None -> None
-      | Some s -> (
-        try Some (Obs.Vmstat.decode_capture s)
         with Failure msg -> raise (Decode msg)));
     heatmap = None;
   }
@@ -236,7 +206,8 @@ let record_of_line line =
         let reason = req_str fields "reason" in
         let result =
           match status with
-          | Trial_ok -> Some (result_of_fields fields)
+          | Trial_ok ->
+            Option.map (result_of_fields fields) (counters_of_fields fields)
           | Trial_failed | Trial_timeout -> None
         in
         Ok { key; status; reason; result }

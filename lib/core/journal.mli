@@ -40,7 +40,10 @@ type record = {
   status : status;
   reason : string;  (** empty for [Trial_ok] *)
   result : Machine.result option;
-      (** [Some] iff [Trial_ok]; its [trace] field is always [None] *)
+      (** [Some] only for [Trial_ok]; its [trace] field is always
+          [None].  [None] for a [Trial_ok] record journaled by a build
+          with fewer counters: it cannot be replayed and is recomputed
+          on resume *)
 }
 
 val status_name : status -> string

@@ -37,12 +37,6 @@ type config = {
   chaos : Chaos.spec option;
       (** runtime-transient injection schedule (None = no injectors,
           byte-identical to builds without the chaos layer) *)
-  vmstat : bool;
-      (** capture the vmstat counter registry into [result.vmstat].
-          Counters are maintained unconditionally (one int store per
-          bump); this flag only controls whether the capture rides the
-          result, so [false] keeps results byte-identical to builds
-          without the telemetry layer *)
   damon : Mem.Damon.config option;
       (** DAMON-style region access monitor (None = no monitor ticks,
           no capture, byte-identical results) *)
@@ -79,7 +73,6 @@ let default_config ~capacity_frames ~seed =
     cancel = Engine.Cancel.never;
     cgroups = None;
     chaos = None;
-    vmstat = false;
     damon = None;
   }
 
@@ -87,10 +80,6 @@ type result = {
   runtime_ns : int;
   major_faults : int;
   minor_faults : int;
-  swap_ins : int;
-  swap_outs : int;
-  direct_reclaims : int;
-  direct_reclaim_ns : int;
   read_latencies : float array;
   write_latencies : float array;
   per_thread_finish : int array;
@@ -98,25 +87,15 @@ type result = {
   policy_stats : (string * int) list;
   policy_name : string;
   resident_at_end : int;
-  (* Fault-injection and degradation accounting. *)
-  io_retries : int;
-  io_remaps : int;
-  injected_transient : int;
-  injected_permanent : int;
-  injected_stalls : int;
-  injected_tail_spikes : int;
-  poisoned_reads : int;
-  writeback_failures : int;
-  oom_kills : int;
-  oom_discarded_pages : int;
-  invariant_violations : int;
+  counters : Obs.Vmstat.capture;
   memcg : Mem.Memcg.summary option;
   chaos : Chaos.summary option;
   trace : Obs.capture option;
   profile : Obs.Prof.capture option;
-  vmstat : Obs.Vmstat.capture option;
   heatmap : Mem.Damon.capture option;
 }
+
+let count r i = Obs.Vmstat.count r.counters i
 
 type kthread_state = {
   kt : Policy.Policy_intf.kthread;
@@ -133,10 +112,9 @@ type t = {
   cfg : config;
   obs : Obs.t;
   prof : Obs.Prof.t;
-  (* Kernel-fidelity telemetry: the /proc/vmstat counter registry and
-     the workingset eviction clock.  Always live — a bump is one array
-     store — so the hot paths never branch on configuration; only the
-     end-of-run capture is gated by [cfg.vmstat]. *)
+  (* Every event counter (see Obs.Vmstat) and the workingset eviction
+     clock.  A bump is one array store, so the hot paths never branch
+     on configuration. *)
   vm : Obs.Vmstat.t;
   ws : Mem.Workingset.t;
   sim : Engine.Sim.t;
@@ -146,7 +124,6 @@ type t = {
   frames : Mem.Frame_table.t;
   mem : Mem.Phys_mem.t;
   swap : Swapdev.Swap_manager.t;
-  fault_counters : Swapdev.Faulty_device.counters;
   workload : Workload.Chunk.packed;
   mutable policy : Policy.Policy_intf.packed option;
   retained_slot : int array; (* vpn -> clean swap-cache slot, or -1 *)
@@ -164,11 +141,6 @@ type t = {
   mutable kthreads : kthread_state array;
   mutable restart_thread : int -> unit;
   mutable stopped : bool;
-  (* Fault accounting. *)
-  mutable major_faults : int;
-  mutable minor_faults : int;
-  mutable direct_reclaims : int;
-  mutable direct_reclaim_ns : int;
   read_lat : float Structures.Vec.t;
   write_lat : float Structures.Vec.t;
   (* Direct-reclaim context: reclaim_page behaves differently when the
@@ -203,11 +175,6 @@ type t = {
      ran the policy's force escalation (ignoring accessed bits) against
      unprotected memory only, so a second zero means nothing outside
      the protected cgroups is reclaimable *)
-  mutable poisoned_reads : int;
-  mutable writeback_failures : int;
-  mutable oom_kills : int;
-  mutable oom_discarded : int;
-  mutable invariant_violations : int;
   (* Chaos injector state: all zero/empty when [cfg.chaos] is [None], so
      the hot paths pay one int-array read and nothing else. *)
   chaos_stall_until : int array; (* tid -> burst-stalled until this time *)
@@ -373,7 +340,7 @@ let reclaim_page t ~pfn =
         (* Writeback failed for good: the page stays resident and
            becomes unreclaimable. *)
         t.pinned.(vpn) <- true;
-        t.writeback_failures <- t.writeback_failures + 1
+        Obs.Vmstat.incr t.vm Obs.Vmstat.writeback_failures
       end
       else begin
         Obs.Vmstat.incr t.vm Obs.Vmstat.pgsteal;
@@ -432,9 +399,8 @@ let oom_kill ?cg t =
   else begin
     let v = !victim in
     t.killed.(v) <- true;
-    t.oom_kills <- t.oom_kills + 1;
     Obs.Vmstat.incr t.vm Obs.Vmstat.oom_kill;
-    let discarded_before = t.oom_discarded in
+    let discarded = ref 0 in
     for vpn = 0 to Mem.Page_table.pages t.pt - 1 do
       if t.owner_tid.(vpn) = v then begin
         let pte = Mem.Page_table.get t.pt vpn in
@@ -452,7 +418,7 @@ let oom_kill ?cg t =
           (match t.mcg with
           | Some mg -> Mem.Memcg.uncharge mg ~vpn
           | None -> ());
-          t.oom_discarded <- t.oom_discarded + 1
+          incr discarded
         end
         else if Mem.Pte.swapped pte then begin
           (* The PR-1 killer leaked these: a victim's swapped-out pages
@@ -465,7 +431,7 @@ let oom_kill ?cg t =
              this vpn is a fresh minor fault, not a refault, so drop
              the pending shadow entry. *)
           Mem.Page_table.clear_shadow t.pt vpn;
-          t.oom_discarded <- t.oom_discarded + 1
+          incr discarded
         end;
         t.faulted_by.(vpn) <- -1;
         t.owner_tid.(vpn) <- -1
@@ -512,7 +478,8 @@ let oom_kill ?cg t =
       end
     end;
     Prof.mark t.prof ~tid:v ~now:(Engine.Sim.now t.sim) Prof.Oom_kill;
-    let discarded = t.oom_discarded - discarded_before in
+    let discarded = !discarded in
+    Obs.Vmstat.add t.vm Obs.Vmstat.oom_discarded_pages discarded;
     Obs.emit t.obs ~t_ns:(Engine.Sim.now t.sim)
       (Obs.Oom_kill { tid = v; discarded });
     (match t.mcg with
@@ -548,7 +515,7 @@ let alloc_frame t ~tid ~(cursor : int ref) =
         end
         else -1
       else begin
-        t.direct_reclaims <- t.direct_reclaims + 1;
+        Obs.Vmstat.incr t.vm Obs.Vmstat.direct_reclaims;
         t.in_direct <- true;
         t.reclaim_now <- !cursor;
         t.direct_stall_until <- !cursor;
@@ -573,7 +540,7 @@ let alloc_frame t ~tid ~(cursor : int ref) =
         (* The whole direct-reclaim episode is a memory stall, like the
            kernel's psi_memstall_enter around try_to_free_pages. *)
         mcg_stall t ~tid ~t0:before ~t1:!cursor;
-        t.direct_reclaim_ns <- t.direct_reclaim_ns + (!cursor - before);
+        Obs.Vmstat.add t.vm Obs.Vmstat.direct_reclaim_ns (!cursor - before);
         if Obs.enabled t.obs then
           Obs.emit t.obs ~t_ns:before
             (Obs.Reclaim
@@ -605,7 +572,7 @@ let alloc_frame t ~tid ~(cursor : int ref) =
    configurations).  Returns the pages freed. *)
 let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
-  t.direct_reclaims <- t.direct_reclaims + 1;
+  Obs.Vmstat.incr t.vm Obs.Vmstat.direct_reclaims;
   t.mcg_target <- Some cg;
   t.in_direct <- true;
   t.reclaim_now <- !cursor;
@@ -626,7 +593,7 @@ let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
   Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
     (!cursor - before - cpu_wall);
   mcg_stall t ~tid ~t0:before ~t1:!cursor;
-  t.direct_reclaim_ns <- t.direct_reclaim_ns + (!cursor - before);
+  Obs.Vmstat.add t.vm Obs.Vmstat.direct_reclaim_ns (!cursor - before);
   (match t.mcg with
   | Some mg ->
     Obs.emit t.obs ~t_ns:before
@@ -846,7 +813,6 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
       t.cfg.costs.Mem.Costs.fault_trap_ns;
     let pte = Mem.Page_table.get t.pt vpn in
     if Mem.Pte.swapped pte then begin
-      t.major_faults <- t.major_faults + 1;
       Obs.Vmstat.incr t.vm Obs.Vmstat.pgmajfault;
       mcg_vm t ~tid Mem.Memcg.st_pgmajfault;
       note_refault t ~tid ~vpn ~now:!cursor;
@@ -865,7 +831,7 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
         (* The stored copy is unrecoverable: poison the mapping.  The
            thread continues on a zero-filled page, and the loss is
            visible in [poisoned_reads]. *)
-        t.poisoned_reads <- t.poisoned_reads + 1;
+        Obs.Vmstat.incr t.vm Obs.Vmstat.poisoned_reads;
         Swapdev.Swap_manager.release t.swap ~slot;
         map_page t ~tid ~pfn ~vpn ~refault:false ~write ~demand:true
       end
@@ -877,7 +843,7 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
       end
     end
     else begin
-      t.minor_faults <- t.minor_faults + 1;
+      Obs.Vmstat.incr t.vm Obs.Vmstat.minor_faults;
       cpu_acc := !cpu_acc + t.cfg.minor_fault_ns;
       Prof.charge_phase t.prof Prof.Fault_handling t.cfg.minor_fault_ns;
       map_page t ~tid ~pfn ~vpn ~refault:false ~write ~demand:true
@@ -1225,7 +1191,7 @@ let apply_chaos t (cs : Chaos.summary) action =
          });
   (* Every injection is followed by a forced audit, independent of
      [audit_every_ns]. *)
-  t.invariant_violations <- t.invariant_violations + List.length (audit t)
+  Obs.Vmstat.add t.vm Obs.Vmstat.invariant_violations (List.length (audit t))
 
 let run cfg ~policy ~workload =
   if cfg.capacity_frames <= 0 then invalid_arg "Machine.run: capacity_frames";
@@ -1242,12 +1208,11 @@ let run cfg ~policy ~workload =
   in
   (* A disabled plan must not even split the RNG, so fault-free runs are
      bit-identical to builds that predate the fault layer. *)
-  let device, fault_counters =
-    if Swapdev.Faulty_device.is_none cfg.fault_plan then
-      (base_device, Swapdev.Faulty_device.fresh_counters ())
+  let device =
+    if Swapdev.Faulty_device.is_none cfg.fault_plan then base_device
     else
       Swapdev.Faulty_device.wrap ~plan:cfg.fault_plan
-        ~rng:(Engine.Rng.split rng) base_device
+        ~rng:(Engine.Rng.split rng) ~vmstat:vm base_device
   in
   (* Chaos device degradation: the wrapper exists only when the spec has
      a degrade window, with an RNG derived from the seed rather than
@@ -1323,7 +1288,6 @@ let run cfg ~policy ~workload =
         Swapdev.Swap_manager.create ~max_retries:cfg.io_max_retries
           ~backoff_ns:cfg.io_retry_backoff_ns ~obs ~vmstat:vm ~device
           ~seed:(Engine.Rng.int rng (1 lsl 30)) ();
-      fault_counters;
       workload;
       policy = None;
       retained_slot = Array.make footprint (-1);
@@ -1338,10 +1302,6 @@ let run cfg ~policy ~workload =
       kthreads = [||];
       restart_thread = (fun _ -> ());
       stopped = false;
-      major_faults = 0;
-      minor_faults = 0;
-      direct_reclaims = 0;
-      direct_reclaim_ns = 0;
       read_lat = Structures.Vec.create ~capacity:1024 ~dummy:0.0 ();
       write_lat = Structures.Vec.create ~capacity:1024 ~dummy:0.0 ();
       in_direct = false;
@@ -1361,11 +1321,6 @@ let run cfg ~policy ~workload =
       mcg_target = None;
       mcg_breach_low = false;
       mcg_unproductive = 0;
-      poisoned_reads = 0;
-      writeback_failures = 0;
-      oom_kills = 0;
-      oom_discarded = 0;
-      invariant_violations = 0;
       chaos_stall_until = Array.make nthreads 0;
       chaos_knobs;
       chaos_offlined = [];
@@ -1455,8 +1410,8 @@ let run cfg ~policy ~workload =
   if cfg.audit_every_ns > 0 then begin
     let rec tick _ =
       if not t.stopped && t.active_threads > 0 then begin
-        t.invariant_violations <-
-          t.invariant_violations + List.length (audit t);
+        Obs.Vmstat.add t.vm Obs.Vmstat.invariant_violations
+          (List.length (audit t));
         Engine.Sim.schedule t.sim ~delay:cfg.audit_every_ns tick
       end
     in
@@ -1531,22 +1486,24 @@ let run cfg ~policy ~workload =
        is the per-interval major-fault delta scaled to a rate. *)
     let last_major = ref 0 in
     let sample _ =
-      let d_major = t.major_faults - !last_major in
-      last_major := t.major_faults;
+      let count i = float_of_int (Obs.Vmstat.get t.vm i) in
+      let major = Obs.Vmstat.get t.vm Obs.Vmstat.pgmajfault in
+      let d_major = major - !last_major in
+      last_major := major;
       let metrics =
         [
           ("free_frames", float_of_int (Mem.Phys_mem.free_count t.mem));
           ("resident", float_of_int (Mem.Page_table.resident t.pt));
           ("swap_used_slots",
            float_of_int (Swapdev.Swap_manager.used_slots t.swap));
-          ("major_faults", float_of_int t.major_faults);
-          ("minor_faults", float_of_int t.minor_faults);
+          ("major_faults", float_of_int major);
+          ("minor_faults", count Obs.Vmstat.minor_faults);
           ("refault_rate_per_s",
            float_of_int d_major *. 1e9 /. float_of_int sample_every);
-          ("swap_ins", float_of_int (Swapdev.Swap_manager.swap_ins t.swap));
-          ("swap_outs", float_of_int (Swapdev.Swap_manager.swap_outs t.swap));
-          ("direct_reclaims", float_of_int t.direct_reclaims);
-          ("oom_kills", float_of_int t.oom_kills);
+          ("swap_ins", count Obs.Vmstat.pswpin);
+          ("swap_outs", count Obs.Vmstat.pswpout);
+          ("direct_reclaims", count Obs.Vmstat.direct_reclaims);
+          ("oom_kills", count Obs.Vmstat.oom_kill);
         ]
         @ List.map (fun (k, v) -> ("policy." ^ k, v)) (P.gauges p)
         @ (match t.mcg with
@@ -1579,18 +1536,15 @@ let run cfg ~policy ~workload =
     Engine.Sim.schedule t.sim ~delay:sample_every tick
   end;
   Engine.Sim.run ~until:cfg.max_runtime_ns ~cancel:cfg.cancel t.sim;
-  t.invariant_violations <- t.invariant_violations + List.length (audit t);
+  Obs.Vmstat.add vm Obs.Vmstat.invariant_violations (List.length (audit t));
   let runtime =
     Array.fold_left (fun acc f -> max acc f) (Engine.Sim.now t.sim) t.finish_ns
   in
+  let counters = Obs.Vmstat.capture vm in
   {
     runtime_ns = runtime;
-    major_faults = t.major_faults;
-    minor_faults = t.minor_faults;
-    swap_ins = Swapdev.Swap_manager.swap_ins t.swap;
-    swap_outs = Swapdev.Swap_manager.swap_outs t.swap;
-    direct_reclaims = t.direct_reclaims;
-    direct_reclaim_ns = t.direct_reclaim_ns;
+    major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
+    minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
     read_latencies = Structures.Vec.to_array t.read_lat;
     write_latencies = Structures.Vec.to_array t.write_lat;
     per_thread_finish = Array.copy t.finish_ns;
@@ -1598,21 +1552,10 @@ let run cfg ~policy ~workload =
     policy_stats = P.stats p;
     policy_name = P.policy_name;
     resident_at_end = Mem.Page_table.resident t.pt;
-    io_retries = Swapdev.Swap_manager.io_retries t.swap;
-    io_remaps = Swapdev.Swap_manager.io_remaps t.swap;
-    injected_transient = t.fault_counters.Swapdev.Faulty_device.transient_errors;
-    injected_permanent = t.fault_counters.Swapdev.Faulty_device.permanent_errors;
-    injected_stalls = t.fault_counters.Swapdev.Faulty_device.stalls;
-    injected_tail_spikes = t.fault_counters.Swapdev.Faulty_device.tail_spikes;
-    poisoned_reads = t.poisoned_reads;
-    writeback_failures = t.writeback_failures;
-    oom_kills = t.oom_kills;
-    oom_discarded_pages = t.oom_discarded;
-    invariant_violations = t.invariant_violations;
+    counters;
     memcg = Option.map (fun mg -> Mem.Memcg.summary mg ~now:runtime) t.mcg;
     chaos = chaos_summary;
     trace = Obs.capture obs;
     profile = Prof.capture prof;
-    vmstat = (if cfg.vmstat then Some (Obs.Vmstat.capture vm) else None);
     heatmap = Option.map Mem.Damon.capture damon;
   }

@@ -87,14 +87,6 @@ type config = {
           and is followed by a forced {!Invariants.audit}.  [None] (the
           default) schedules nothing and draws no randomness —
           byte-identical behaviour to builds without the chaos layer *)
-  vmstat : bool;
-      (** capture the kernel-style vmstat counter registry (pgfault,
-          pgsteal, pswpin/pswpout, workingset_*, mglru_*; see
-          {!Obs.Vmstat}) into [result.vmstat].  The counters themselves
-          are maintained unconditionally — a bump is one array store,
-          never a branch on configuration — so this flag only gates the
-          end-of-run capture, and [false] (the default) leaves results
-          byte-identical to builds without the telemetry layer *)
   damon : Mem.Damon.config option;
       (** DAMON-style adaptive region access monitor (see {!Mem.Damon}):
           a recurring aggregation tick that reads — never clears —
@@ -111,12 +103,11 @@ val default_config : capacity_frames:int -> seed:int -> config
 
 type result = {
   runtime_ns : int;
-  major_faults : int;        (** demand faults that required device reads *)
-  minor_faults : int;        (** zero-fill first touches *)
-  swap_ins : int;            (** successful device reads, incl. readahead *)
-  swap_outs : int;           (** successful device writes *)
-  direct_reclaims : int;
-  direct_reclaim_ns : int;   (** total fault-path reclaim latency *)
+  major_faults : int;
+      (** demand faults that required device reads; [counters]'
+          [pgmajfault] *)
+  minor_faults : int;
+      (** zero-fill first touches; [counters]' [minor_faults] *)
   read_latencies : float array;  (** per-request ns, latency class 0 *)
   write_latencies : float array; (** latency class 1 *)
   per_thread_finish : int array;
@@ -124,20 +115,12 @@ type result = {
   policy_stats : (string * int) list;
   policy_name : string;
   resident_at_end : int;
-  io_retries : int;          (** resubmissions after transient errors *)
-  io_remaps : int;           (** writes moved off a bad slot *)
-  injected_transient : int;  (** faults the injector produced *)
-  injected_permanent : int;
-  injected_stalls : int;
-  injected_tail_spikes : int;
-  poisoned_reads : int;      (** demand reads whose data was lost *)
-  writeback_failures : int;  (** evictions abandoned; page pinned *)
-  oom_kills : int;
-  oom_discarded_pages : int;
-      (** pages torn down by OOM kills: resident frames freed plus
-          swapped-out pages whose slots were released *)
-  invariant_violations : int;
-      (** total across periodic and end-of-run audits; 0 expected *)
+  counters : Obs.Vmstat.capture;
+      (** every event counter of the trial — the kernel vmstat rows
+          (swap traffic, OOM kills, ...) and the simulator's own
+          (reclaim, I/O recovery, fault injection, audit violations;
+          0 violations expected) — plus the refault-distance
+          histogram; read one with {!count} *)
   memcg : Mem.Memcg.summary option;
       (** per-cgroup usage, limits, throttle/OOM counters, PSI totals
           and per-tenant request latencies; [None] without [--cgroups] *)
@@ -152,13 +135,13 @@ type result = {
       (** per-phase CPU/wait totals (and, when [config.prof.spans] was
           set, the span timeline); [None] when [config.prof] was
           {!Obs.Prof.off} *)
-  vmstat : Obs.Vmstat.capture option;
-      (** final machine-wide vmstat counters plus the refault-distance
-          histogram; [None] when [config.vmstat] was [false] *)
   heatmap : Mem.Damon.capture option;
       (** the region monitor's aggregation rows in tick order; [None]
           when [config.damon] was [None] *)
 }
+
+val count : result -> int -> int
+(** [count r i]: counter [i] (an {!Obs.Vmstat} index) of [r.counters]. *)
 
 val run :
   config ->

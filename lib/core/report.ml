@@ -416,7 +416,7 @@ let vmstat_table cols =
     ~header:
       (("counter" :: List.map fst cols)
       @ match delta with Some _ -> [ "delta" ] | None -> [])
-    (List.init Obs.Vmstat.nr_counters (fun i ->
+    (List.init Obs.Vmstat.kernel_counters (fun i ->
          (Obs.Vmstat.name i
          :: List.map
               (fun (c : Obs.Vmstat.capture) ->
@@ -594,22 +594,26 @@ let memcg_summary ~runtime_ns (s : Mem.Memcg.summary) =
   end
 
 let fault_summary (r : Machine.result) =
-  let injected =
-    r.Machine.injected_transient + r.Machine.injected_permanent
-    + r.Machine.injected_stalls + r.Machine.injected_tail_spikes
-  in
+  let n = Machine.count r in
+  let transient = n Obs.Vmstat.injected_transient
+  and permanent = n Obs.Vmstat.injected_permanent
+  and stalls = n Obs.Vmstat.injected_stalls
+  and spikes = n Obs.Vmstat.injected_tail_spikes in
   Printf.printf
     "      injected %d (transient %d, permanent %d, stalls %d, tail spikes %d)\n"
-    injected r.Machine.injected_transient r.Machine.injected_permanent
-    r.Machine.injected_stalls r.Machine.injected_tail_spikes;
+    (transient + permanent + stalls + spikes)
+    transient permanent stalls spikes;
   Printf.printf
     "      recovery: retries %d, slot remaps %d, poisoned reads %d, pinned \
      writebacks %d\n"
-    r.Machine.io_retries r.Machine.io_remaps r.Machine.poisoned_reads
-    r.Machine.writeback_failures;
-  if r.Machine.oom_kills > 0 then
+    (n Obs.Vmstat.io_retries) (n Obs.Vmstat.io_remaps)
+    (n Obs.Vmstat.poisoned_reads)
+    (n Obs.Vmstat.writeback_failures);
+  if n Obs.Vmstat.oom_kill > 0 then
     Printf.printf "      oom: %d kill(s), %d page(s) discarded\n"
-      r.Machine.oom_kills r.Machine.oom_discarded_pages;
+      (n Obs.Vmstat.oom_kill)
+      (n Obs.Vmstat.oom_discarded_pages);
   Printf.printf "      invariants: %s\n"
-    (if r.Machine.invariant_violations = 0 then "ok"
-     else Printf.sprintf "%d violation(s)" r.Machine.invariant_violations)
+    (match n Obs.Vmstat.invariant_violations with
+    | 0 -> "ok"
+    | v -> Printf.sprintf "%d violation(s)" v)

@@ -54,7 +54,8 @@ val trace_summary : path:string -> unit
     misses, plus activated/restored verdicts among the hits. *)
 
 val vmstat_table : (string * Obs.Vmstat.capture) list -> unit
-(** One labelled column per capture, kernel counter names as rows.
+(** One labelled column per capture, the kernel counters (the first
+    {!Obs.Vmstat.kernel_counters} indices) as rows.
     With exactly two columns a [delta] column (second minus first) is
     appended — the shape the paper's Clock-vs-MG-LRU counter
     comparisons read. *)

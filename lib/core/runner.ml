@@ -102,7 +102,6 @@ type ctx = {
   journal : Journal.t option;
   cgroups : Mem.Memcg.spec option;
   chaos : Chaos.spec option;
-  vmstat : bool;
   damon : Mem.Damon.config option;
   cache : shard array;
   (* Bookkeeping: every requested experiment, in first-request program
@@ -119,7 +118,7 @@ type ctx = {
 let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
     ?(audit_every_ns = 0) ?(jobs = 1) ?(obs = Obs.off)
     ?(prof = Obs.Prof.off) ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos
-    ?(vmstat = false) ?damon () =
+    ?damon () =
   let profile =
     match profile with Some p -> p | None -> profile_from_env ()
   in
@@ -134,7 +133,6 @@ let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
     journal;
     cgroups;
     chaos;
-    vmstat;
     damon;
     cache =
       Array.init cache_shards (fun _ ->
@@ -161,8 +159,6 @@ let trial_timeout_s ctx = ctx.trial_timeout_s
 let cgroups ctx = ctx.cgroups
 
 let chaos ctx = ctx.chaos
-
-let vmstat ctx = ctx.vmstat
 
 let damon ctx = ctx.damon
 
@@ -448,7 +444,6 @@ let compute_exp ctx e =
       cancel = deadline_cancel ctx.trial_timeout_s;
       cgroups = ctx.cgroups;
       chaos = ctx.chaos;
-      vmstat = ctx.vmstat;
       damon = ctx.damon;
     }
   in
@@ -486,9 +481,9 @@ let journal_outcome ctx key outcome =
           status = Journal.Trial_ok;
           reason = "";
           (* Captures are not journaled (see Journal's docs); strip them
-             so the record is what a warm-started cache would hold.
-             Vmstat captures are the exception — they are compact and
-             encode losslessly, so they ride the record. *)
+             so the record is what a warm-started cache would hold.  The
+             counter capture is the exception — it is compact and
+             encodes losslessly, so it rides the record. *)
           result = Some { r with Machine.trace = None; heatmap = None };
         }
       | Failed { reason; timed_out } ->
@@ -558,20 +553,26 @@ let warm_start ctx records =
   else begin
     (* Under totals-only profiling, journaled results from an unprofiled
        run carry no phase totals; skip those so the resumed sweep
-       recomputes them with the profiler on.  Same for vmstat captures:
-       a record journaled with counters off is recomputed when this run
-       wants them. *)
+       recomputes them with the profiler on.  Ok records without a
+       result were journaled by a build with fewer counters. *)
     let want_profile = Obs.Prof.config_enabled ctx.prof in
-    List.fold_left
-      (fun n (r : Journal.record) ->
-        match (r.status, r.result) with
-        | Journal.Trial_ok, Some res
-          when ((not want_profile) || res.Machine.profile <> None)
-               && ((not ctx.vmstat) || res.Machine.vmstat <> None) ->
-          ignore (cache_store ctx r.key (Done res));
-          n + 1
-        | _ -> n)
-      0 records
+    let installed, stale =
+      List.fold_left
+        (fun (n, stale) (r : Journal.record) ->
+          match (r.status, r.result) with
+          | Journal.Trial_ok, Some res
+            when (not want_profile) || res.Machine.profile <> None ->
+            ignore (cache_store ctx r.key (Done res));
+            (n + 1, stale)
+          | Journal.Trial_ok, None -> (n, stale + 1)
+          | _ -> (n, stale))
+        (0, 0) records
+    in
+    if stale > 0 then
+      Printf.eprintf
+        "journal: %d record(s) lack this build's counters; recomputing them\n%!"
+        stale;
+    installed
   end
 
 let failures ctx =
@@ -823,28 +824,24 @@ let write_folded ctx ~path =
 (* heatmap CSV writer — both in the deterministic log order.           *)
 (* ------------------------------------------------------------------ *)
 
-let vmstatted ctx =
-  List.filter_map
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Done { Machine.vmstat = Some cap; _ }) -> Some (e, cap)
-      | _ -> None)
-    (traced_exps ctx)
-
 let vmstat_cells ctx =
   let order = ref [] in
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (e, cap) ->
-      (* Cell identity: the experiment minus its trial index. *)
-      let cell = { e with trial = 0 } in
-      let key = exp_key cell in
-      match Hashtbl.find_opt tbl key with
-      | Some caps -> Hashtbl.replace tbl key (cap :: caps)
-      | None ->
-        order := (key, cell) :: !order;
-        Hashtbl.add tbl key [ cap ])
-    (vmstatted ctx);
+    (fun e ->
+      match cache_find ctx (exp_key e) with
+      | Some (Done r) -> (
+        (* Cell identity: the experiment minus its trial index. *)
+        let cell = { e with trial = 0 } in
+        let key = exp_key cell in
+        let cap = r.Machine.counters in
+        match Hashtbl.find_opt tbl key with
+        | Some caps -> Hashtbl.replace tbl key (cap :: caps)
+        | None ->
+          order := (key, cell) :: !order;
+          Hashtbl.add tbl key [ cap ])
+      | _ -> ())
+    (traced_exps ctx);
   List.rev_map
     (fun (key, cell) ->
       (cell, Obs.Vmstat.merge (List.rev (Hashtbl.find tbl key))))

@@ -111,7 +111,6 @@ val make_ctx :
   ?journal:Journal.t ->
   ?cgroups:Mem.Memcg.spec ->
   ?chaos:Chaos.spec ->
-  ?vmstat:bool ->
   ?damon:Mem.Damon.config ->
   unit ->
   ctx
@@ -135,12 +134,8 @@ val make_ctx :
     way (see {!Chaos}); omitting it schedules nothing and keeps runs
     byte-identical to builds without the chaos layer.
 
-    [vmstat] makes every machine capture its kernel-style counter
-    registry into [result.vmstat] (the counters are always maintained;
-    the flag only gates the capture, so [false] — the default — keeps
-    results byte-identical to builds without the telemetry layer).
     [damon] installs a DAMON-style region access monitor whose
-    per-region rows land in [result.heatmap]; both are ctx-level like
+    per-region rows land in [result.heatmap]; it is ctx-level like
     [fault_plan] and not part of {!exp_key}. *)
 
 val profile : ctx -> profile
@@ -178,8 +173,6 @@ val with_chaos :
     (the resilience report needs traced derived runs whatever the parent
     context records). *)
 
-val vmstat : ctx -> bool
-
 val damon : ctx -> Mem.Damon.config option
 
 val with_damon : ctx -> Mem.Damon.config -> ctx
@@ -198,9 +191,11 @@ val warm_start : ctx -> Journal.record list -> int
     (journal records carry no traces), span profiling enabled (they
     carry no spans) or the region monitor enabled (they carry no
     heatmaps).  Under totals-only profiling, only records that carry
-    phase totals are installed; the rest recompute — and likewise, with
-    [vmstat] on, only records that carry counter captures.  Call once,
-    before running anything, on a fresh context. *)
+    phase totals are installed; the rest recompute.  Ok records without
+    a result (journaled by a build with fewer counters; see
+    {!Journal.record}) are recomputed too, with one stderr note giving
+    their count.  Call once, before running anything, on a fresh
+    context. *)
 
 (** {1 Running trials} *)
 
@@ -331,10 +326,6 @@ val write_perfetto : ctx -> path:string -> int
     Like the profiling readers: everything reads the deterministic
     experiment log, so outputs are byte-identical for every [jobs]
     value. *)
-
-val vmstatted : ctx -> (exp * Obs.Vmstat.capture) list
-(** Every experiment whose cached result carries a vmstat capture, in
-    deterministic first-request order. *)
 
 val vmstat_cells : ctx -> (exp * Obs.Vmstat.capture) list
 (** Per-cell counter totals: captures grouped by grid cell (the [exp]

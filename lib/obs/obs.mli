@@ -27,9 +27,10 @@ module Prof = Prof
 
 module Vmstat = Vmstat
 (** Deterministic [/proc/vmstat]-style counter registry (fault, scan,
-    steal, swap, workingset and MG-LRU counters plus a refault-distance
-    histogram); threaded through the machine and both builtin policies
-    alongside the trace sink. *)
+    steal, swap, workingset and MG-LRU counters, the simulator's own
+    reclaim, I/O-recovery, fault-injection, OOM and audit counters, plus
+    a refault-distance histogram); threaded through the machine, the
+    swap manager and the policies alongside the trace sink. *)
 
 (** Why a page moved toward the young end of its policy's structure. *)
 type promote_reason =

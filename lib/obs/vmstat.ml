@@ -1,10 +1,8 @@
 (* Deterministic /proc/vmstat-style counter registry.
 
-   One flat int array per machine: incrementing a counter is one array
-   store, so the hot fault/reclaim paths stay allocation-free whether or
-   not anyone reads the counters afterwards.  Captures are taken (and
-   serialized) only when the run asks for them, which is how vmstat-off
-   runs stay byte-identical to builds without this module. *)
+   One flat int array per machine, holding every integer event counter
+   the simulator keeps: incrementing a counter is one array store, so
+   the hot fault/reclaim paths stay allocation-free. *)
 
 (* Counter indices.  Order is the wire format ([encode_capture] joins
    the array in index order), so new counters append only. *)
@@ -25,7 +23,21 @@ let workingset_shadow_miss = 13
 let mglru_aging_passes = 14
 let mglru_promoted = 15
 let mglru_tier_protected = 16
-let nr_counters = 17
+let kernel_counters = 17
+let minor_faults = 17
+let direct_reclaims = 18
+let direct_reclaim_ns = 19
+let io_retries = 20
+let io_remaps = 21
+let injected_transient = 22
+let injected_permanent = 23
+let injected_stalls = 24
+let injected_tail_spikes = 25
+let poisoned_reads = 26
+let writeback_failures = 27
+let oom_discarded_pages = 28
+let invariant_violations = 29
+let nr_counters = 30
 
 let names =
   [|
@@ -33,7 +45,11 @@ let names =
     "pgactivate"; "pgdeactivate"; "pswpin"; "pswpout"; "oom_kill";
     "workingset_refault"; "workingset_activate"; "workingset_restore";
     "workingset_shadow_miss"; "mglru_aging_passes"; "mglru_promoted";
-    "mglru_tier_protected";
+    "mglru_tier_protected"; "minor_faults"; "direct_reclaims";
+    "direct_reclaim_ns"; "io_retries"; "io_remaps"; "injected_transient";
+    "injected_permanent"; "injected_stalls"; "injected_tail_spikes";
+    "poisoned_reads"; "writeback_failures"; "oom_discarded_pages";
+    "invariant_violations";
   |]
 
 let name i =
@@ -95,7 +111,13 @@ let merge caps =
     caps;
   { counters; refault_dist }
 
+let count cap i = cap.counters.(i)
+
 let refaults cap = Array.fold_left ( + ) 0 cap.refault_dist
+
+let complete cap =
+  Array.length cap.counters = nr_counters
+  && Array.length cap.refault_dist = dist_buckets
 
 (* Compact single-line codec for the journal: "v1:" then the counters
    ';'-joined in index order, '|', then the distance buckets. *)
@@ -103,19 +125,20 @@ let refaults cap = Array.fold_left ( + ) 0 cap.refault_dist
 let ints_to_string a =
   String.concat ";" (Array.to_list (Array.map string_of_int a))
 
+(* Shorter arrays (older records: counters append only) decode at
+   their own length, never zero-filled, so [complete] can tell them
+   apart; longer ones are a format error. *)
 let ints_of_string ~what ~len s =
   let parts = String.split_on_char ';' s in
-  let a = Array.make len 0 in
-  (* Tolerate shorter arrays from older records (counters append only);
-     longer ones are a format error. *)
-  List.iteri
-    (fun i p ->
-      if i >= len then failwith (Printf.sprintf "Vmstat: too many %s" what);
-      match int_of_string_opt p with
-      | Some v -> a.(i) <- v
-      | None -> failwith (Printf.sprintf "Vmstat: bad %s %S" what p))
-    parts;
-  a
+  if List.length parts > len then
+    failwith (Printf.sprintf "Vmstat: too many %s" what);
+  Array.of_list
+    (List.map
+       (fun p ->
+         match int_of_string_opt p with
+         | Some v -> v
+         | None -> failwith (Printf.sprintf "Vmstat: bad %s %S" what p))
+       parts)
 
 let encode_capture cap =
   "v1:" ^ ints_to_string cap.counters ^ "|" ^ ints_to_string cap.refault_dist

@@ -1,22 +1,24 @@
-(** Deterministic [/proc/vmstat]-style counter registry.
+(** Deterministic [/proc/vmstat]-style counter registry: the one store
+    for every integer event counter a simulated machine keeps.
 
-    One {!t} per simulated machine, with a fixed set of integer counters
-    mirroring the kernel names the paper reads: fault and reclaim
+    One {!t} per simulated machine.  The first {!kernel_counters}
+    indices mirror the kernel names the paper reads: fault and reclaim
     activity ([pgfault], [pgmajfault], [pgscan_kswapd]/[pgscan_direct],
     [pgsteal], [pgactivate]/[pgdeactivate]), swap traffic
     ([pswpin]/[pswpout]), OOM kills, the Linux workingset counters fed
     by shadow entries ([workingset_refault]/[activate]/[restore] plus a
     shadow-miss counter for refaults whose shadow was torn down), and
-    MG-LRU generation/tier counters.  A log2-bucketed refault-distance
-    histogram rides along.
+    MG-LRU generation/tier counters.  The indices after them are
+    simulator counters with no kernel row: zero-fill faults, direct
+    reclaim episodes and their latency, swap I/O recovery, fault
+    injection, OOM teardown and invariant-audit violations.  A
+    log2-bucketed refault-distance histogram rides along.
 
     {b Determinism and cost.}  Incrementing a counter is one array
     store — no allocation, no branching on configuration — so the
-    machine and the policies count unconditionally; whether the totals
-    ever leave the machine is decided by the run configuration
-    ({!Machine.config}'s [vmstat] flag), which is how vmstat-off runs
-    stay byte-identical to builds without this module.  Counting never
-    feeds back into any policy decision. *)
+    machine, the swap manager and the policies count unconditionally,
+    and every run ends with a {!capture}.  Counting never feeds back
+    into any policy decision. *)
 
 type t
 (** A live counter registry.  Not thread-safe: one per trial, written
@@ -46,6 +48,49 @@ val workingset_shadow_miss : int
 val mglru_aging_passes : int
 val mglru_promoted : int
 val mglru_tier_protected : int
+
+val kernel_counters : int
+(** Indices below this are the kernel rows above; [repro vmstat]
+    prints exactly these. *)
+
+(** {2 Simulator counters} *)
+
+val minor_faults : int
+(** Zero-fill first touches. *)
+
+val direct_reclaims : int
+(** Direct-reclaim episodes on a faulting thread, cgroup-targeted ones
+    included. *)
+
+val direct_reclaim_ns : int
+(** Total fault-path reclaim latency. *)
+
+val io_retries : int
+(** Swap I/O resubmissions after errors. *)
+
+val io_remaps : int
+(** Swap writes moved to a fresh slot after a permanent error. *)
+
+val injected_transient : int
+(** Faults the injector produced: transient and permanent errors,
+    stalls, tail-latency spikes. *)
+
+val injected_permanent : int
+val injected_stalls : int
+val injected_tail_spikes : int
+
+val poisoned_reads : int
+(** Demand reads whose data was lost. *)
+
+val writeback_failures : int
+(** Evictions abandoned because the write failed; the page is pinned. *)
+
+val oom_discarded_pages : int
+(** Pages torn down by OOM kills: resident frames freed plus
+    swapped-out pages whose slots were released. *)
+
+val invariant_violations : int
+(** Total across periodic, post-injection and end-of-run audits. *)
 
 val nr_counters : int
 
@@ -88,13 +133,21 @@ val merge : capture list -> capture
 (** Element-wise sum — per-cell totals across trials.  Deterministic for
     any grouping order (addition only). *)
 
+val count : capture -> int -> int
+(** One counter of a capture. *)
+
 val refaults : capture -> int
 (** Total refault-distance samples (= sum of the histogram). *)
+
+val complete : capture -> bool
+(** Whether the capture holds every counter and bucket of this build.
+    Only {!decode_capture} can produce an incomplete one. *)
 
 val encode_capture : capture -> string
 (** Compact single-line form for the result journal. *)
 
 val decode_capture : string -> capture
-(** Inverse of {!encode_capture}.  Decoding a capture encoded by an
-    older build with fewer counters zero-fills the tail.
+(** Inverse of {!encode_capture}.  A capture encoded by an older build
+    with fewer counters decodes with shorter arrays, never zero-filled:
+    check {!complete} before trusting it.
     @raise Failure on malformed input. *)

@@ -67,21 +67,7 @@ let plan_of_name = function
   | "heavy" -> Some heavy
   | _ -> None
 
-type counters = {
-  mutable transient_errors : int;
-  mutable permanent_errors : int;
-  mutable stalls : int;
-  mutable tail_spikes : int;
-}
-
-let fresh_counters () =
-  { transient_errors = 0; permanent_errors = 0; stalls = 0; tail_spikes = 0 }
-
-let injected c =
-  c.transient_errors + c.permanent_errors + c.stalls + c.tail_spikes
-
-let wrap ~plan ~rng inner =
-  let counters = fresh_counters () in
+let wrap ~plan ~rng ~vmstat inner =
   let ops = ref 0 in
   let in_burst seq =
     plan.burst_every_ops > 0 && plan.burst_len_ops > 0
@@ -111,9 +97,10 @@ let wrap ~plan ~rng inner =
     in
     match error with
     | Some kind ->
-      (match kind with
-      | Device.Transient -> counters.transient_errors <- counters.transient_errors + 1
-      | Device.Permanent -> counters.permanent_errors <- counters.permanent_errors + 1);
+      Obs.Vmstat.incr vmstat
+        (match kind with
+        | Device.Transient -> Obs.Vmstat.injected_transient
+        | Device.Permanent -> Obs.Vmstat.injected_permanent);
       { c with Device.status = Device.Failed kind }
     | None ->
       (* Stalls and tail spikes delay only this completion (host-visible
@@ -123,13 +110,13 @@ let wrap ~plan ~rng inner =
       if plan.stall_every_ops > 0 && plan.stall_ns > 0
          && seq mod plan.stall_every_ops = plan.stall_every_ops - 1
       then begin
-        counters.stalls <- counters.stalls + 1;
+        Obs.Vmstat.incr vmstat Obs.Vmstat.injected_stalls;
         finish := !finish + plan.stall_ns
       end;
       if plan.tail_prob > 0.0 && plan.tail_multiplier > 1.0
          && Engine.Rng.bool rng plan.tail_prob
       then begin
-        counters.tail_spikes <- counters.tail_spikes + 1;
+        Obs.Vmstat.incr vmstat Obs.Vmstat.injected_tail_spikes;
         let observed = max 1 (!finish - now) in
         finish :=
           now
@@ -137,11 +124,10 @@ let wrap ~plan ~rng inner =
       end;
       { c with Device.finish_ns = !finish }
   in
-  ( {
-      Device.name = inner.Device.name ^ "+faults";
-      submit;
-      reads = inner.Device.reads;
-      writes = inner.Device.writes;
-      busy_until = inner.Device.busy_until;
-    },
-    counters )
+  {
+    Device.name = inner.Device.name ^ "+faults";
+    submit;
+    reads = inner.Device.reads;
+    writes = inner.Device.writes;
+    busy_until = inner.Device.busy_until;
+  }

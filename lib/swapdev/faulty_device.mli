@@ -48,17 +48,8 @@ val heavy : plan
 val plan_of_name : string -> plan option
 (** ["none" | "light" | "heavy"]. *)
 
-type counters = {
-  mutable transient_errors : int;
-  mutable permanent_errors : int;
-  mutable stalls : int;
-  mutable tail_spikes : int;
-}
-
-val fresh_counters : unit -> counters
-
-val injected : counters -> int
-(** Total injected events of any kind. *)
-
-val wrap : plan:plan -> rng:Engine.Rng.t -> Device.t -> Device.t * counters
-(** Decorate a device; the returned counters are live. *)
+val wrap :
+  plan:plan -> rng:Engine.Rng.t -> vmstat:Obs.Vmstat.t -> Device.t -> Device.t
+(** Decorate a device.  Every injected event bumps one of [vmstat]'s
+    [injected_transient], [injected_permanent], [injected_stalls] or
+    [injected_tail_spikes] counters. *)

@@ -4,9 +4,8 @@ type t = {
   max_retries : int;
   backoff_ns : int;
   obs : Obs.t;
-  (* The machine's vmstat registry (a private throwaway when none is
-     passed): pswpin/pswpout count at the same points as [ins]/[outs],
-     unconditionally — one int store, never a branch on configuration. *)
+  (* The machine's vmstat registry (a private one when none is passed):
+     pswpin/pswpout, io_retries and io_remaps count here. *)
   vmstat : Obs.Vmstat.t;
   mutable ratios : float array; (* slot -> size fraction; nan = free *)
   mutable free : int list;
@@ -14,26 +13,13 @@ type t = {
   mutable used : int;
   mutable peak : int;
   mutable compressed : float; (* sum of in-use size fractions *)
-  mutable ins : int;
-  mutable outs : int;
-  mutable retries : int;
-  mutable remaps : int;
-  mutable read_failures : int;
-  mutable write_failures : int;
   (* Out-fields of the last swap_out_slot/swap_in_slot: the fault path
-     reads these instead of a freshly allocated [io] record. *)
+     reads these instead of a freshly allocated outcome record. *)
   mutable last_finish_ns : int;
   mutable last_cpu_ns : int;
   mutable last_retries : int;
   mutable last_failed : bool;
   mutable last_remapped : bool;
-}
-
-type io = {
-  finish_ns : int;
-  cpu_ns : int;
-  io_retries : int;
-  failed : bool;
 }
 
 let create ?(max_retries = 4) ?(backoff_ns = 100_000) ?(obs = Obs.disabled)
@@ -53,12 +39,6 @@ let create ?(max_retries = 4) ?(backoff_ns = 100_000) ?(obs = Obs.disabled)
     used = 0;
     peak = 0;
     compressed = 0.0;
-    ins = 0;
-    outs = 0;
-    retries = 0;
-    remaps = 0;
-    read_failures = 0;
-    write_failures = 0;
     last_finish_ns = 0;
     last_cpu_ns = 0;
     last_retries = 0;
@@ -118,7 +98,6 @@ let rec out_attempt t ratio slot now tries cpu =
   let cpu = cpu + c.Device.cpu_ns in
   match c.Device.status with
   | Device.Done ->
-    t.outs <- t.outs + 1;
     Obs.Vmstat.incr t.vmstat Obs.Vmstat.pswpout;
     t.last_finish_ns <- c.Device.finish_ns;
     t.last_cpu_ns <- cpu;
@@ -128,7 +107,6 @@ let rec out_attempt t ratio slot now tries cpu =
   | Device.Failed kind ->
     if tries >= t.max_retries then begin
       release t ~slot;
-      t.write_failures <- t.write_failures + 1;
       t.last_finish_ns <- c.Device.finish_ns;
       t.last_cpu_ns <- cpu;
       t.last_retries <- tries;
@@ -136,14 +114,14 @@ let rec out_attempt t ratio slot now tries cpu =
       -1
     end
     else begin
-      t.retries <- t.retries + 1;
+      Obs.Vmstat.incr t.vmstat Obs.Vmstat.io_retries;
       let slot =
         match kind with
         | Device.Transient -> slot
         | Device.Permanent ->
           (* The block is bad: remap the page to a fresh slot. *)
           release t ~slot;
-          t.remaps <- t.remaps + 1;
+          Obs.Vmstat.incr t.vmstat Obs.Vmstat.io_remaps;
           t.last_remapped <- true;
           take_slot t ratio
       in
@@ -168,37 +146,30 @@ let swap_out_slot t ~now ~klass ~page_key =
          });
   slot
 
-let swap_out t ~now ~klass ~page_key =
-  let slot = swap_out_slot t ~now ~klass ~page_key in
-  ( (if slot < 0 then None else Some slot),
-    { finish_ns = t.last_finish_ns; cpu_ns = t.last_cpu_ns;
-      io_retries = t.last_retries; failed = t.last_failed } )
-
 let rec in_attempt t ratio now tries cpu =
   let c = t.device.Device.submit ~now ~op:Device.Read ~size_fraction:ratio in
   let cpu = cpu + c.Device.cpu_ns in
   match c.Device.status with
   | Device.Done ->
-    t.ins <- t.ins + 1;
     Obs.Vmstat.incr t.vmstat Obs.Vmstat.pswpin;
     t.last_finish_ns <- c.Device.finish_ns;
     t.last_cpu_ns <- cpu;
     t.last_retries <- tries;
     t.last_failed <- false
   | Device.Failed Device.Transient when tries < t.max_retries ->
-    t.retries <- t.retries + 1;
+    Obs.Vmstat.incr t.vmstat Obs.Vmstat.io_retries;
     in_attempt t ratio (c.Device.finish_ns + backoff t tries) (tries + 1) cpu
   | Device.Failed _ ->
     (* Permanent, or transient retries exhausted: the stored page is
        unreachable — the caller must poison the mapping. *)
-    t.read_failures <- t.read_failures + 1;
     t.last_finish_ns <- c.Device.finish_ns;
     t.last_cpu_ns <- cpu;
     t.last_retries <- tries;
     t.last_failed <- true
 
 let swap_in_slot t ~now ~slot =
-  if not (slot_in_use t slot) then invalid_arg "Swap_manager.swap_in: slot not in use";
+  if not (slot_in_use t slot) then
+    invalid_arg "Swap_manager.swap_in_slot: slot not in use";
   in_attempt t t.ratios.(slot) now 0 0;
   if Obs.enabled t.obs then
     Obs.emit t.obs ~t_ns:now
@@ -209,11 +180,6 @@ let swap_in_slot t ~now ~slot =
            retries = t.last_retries;
            failed = t.last_failed;
          })
-
-let swap_in t ~now ~slot =
-  swap_in_slot t ~now ~slot;
-  { finish_ns = t.last_finish_ns; cpu_ns = t.last_cpu_ns;
-    io_retries = t.last_retries; failed = t.last_failed }
 
 let last_finish_ns t = t.last_finish_ns
 
@@ -228,15 +194,3 @@ let used_slots t = t.used
 let peak_slots t = t.peak
 
 let compressed_bytes t = t.compressed *. 4096.0
-
-let swap_ins t = t.ins
-
-let swap_outs t = t.outs
-
-let io_retries t = t.retries
-
-let io_remaps t = t.remaps
-
-let read_failures t = t.read_failures
-
-let write_failures t = t.write_failures

@@ -4,16 +4,16 @@
     compressed-size fraction (relevant for ZRAM service time and pool
     accounting), and forwards the I/O to the underlying device.
 
-    Slots survive {!swap_in} — the machine keeps them as a swap cache so
-    clean pages can be evicted again without a writeback (as the kernel
-    does) — and are freed explicitly with {!release}.
+    Slots survive {!swap_in_slot} — the machine keeps them as a swap
+    cache so clean pages can be evicted again without a writeback (as
+    the kernel does) — and are freed explicitly with {!release}.
 
     Device errors (see {!Device.status}) are absorbed here: transient
     errors are retried with exponential backoff in simulated time, a
     permanent write error remaps the page to a fresh slot, and a
     permanent read error (or transient retries exhausted) surfaces as
-    [failed = true] so the machine can poison the page.  The {!io}
-    result aggregates the timing and CPU of every attempt. *)
+    {!last_failed} so the machine can poison the page.  The [last_*]
+    getters aggregate the timing and CPU of every attempt. *)
 
 type t
 
@@ -26,54 +26,38 @@ val create :
     receives one [Swap_read]/[Swap_write] event per logical operation,
     stamped with the submission time and carrying the whole-operation
     latency including retries and backoff.  [vmstat] (default: a private
-    registry) takes a [pswpin]/[pswpout] bump per successful read/write,
-    at the same points as {!swap_ins}/{!swap_outs}. *)
+    registry) counts [pswpin]/[pswpout] per successful read/write,
+    [io_retries] per resubmission and [io_remaps] per write moved off a
+    bad slot. *)
 
 val device : t -> Device.t
 
-(** Outcome of one logical swap operation, including every retry. *)
-type io = {
-  finish_ns : int;  (** when the final attempt resolved *)
-  cpu_ns : int;     (** host CPU summed over all attempts *)
-  io_retries : int; (** resubmissions performed *)
-  failed : bool;    (** gave up: data unwritten (writes) or lost (reads) *)
-}
+val swap_out_slot : t -> now:int -> klass:Compress.klass -> page_key:int -> int
+(** Allocate a slot and write the page, returning the slot.  [-1] means
+    the write failed permanently even after retries and remapping — no
+    slot holds the page, and the caller must keep it resident.  The
+    outcome of the operation is read back through the [last_*] getters,
+    valid until the next operation on this manager. *)
 
-val swap_out :
-  t -> now:int -> klass:Compress.klass -> page_key:int -> int option * io
-(** Allocate a slot and write the page; returns [(Some slot, io)] on
-    success.  [(None, io)] means the write failed permanently even after
-    retries and remapping — no slot holds the page, and the caller must
-    keep it resident. *)
-
-val swap_in : t -> now:int -> slot:int -> io
-(** Read a slot's page back.  The slot stays allocated (swap cache).
-    [failed = true] means the data is unrecoverable; the caller should
+val swap_in_slot : t -> now:int -> slot:int -> unit
+(** Read a slot's page back; the slot stays allocated (swap cache).
+    {!last_failed} means the data is unrecoverable: the caller should
     {!release} the slot and poison the page.
     @raise Invalid_argument on a slot not currently in use. *)
 
-(** {2 Allocation-free variants}
-
-    The fault path's entry points: identical semantics to {!swap_out} /
-    {!swap_in}, but the per-operation outcome is written into out-fields
-    read back through [last_*] instead of a freshly allocated [io]
-    record.  The [last_*] values are valid until the next operation on
-    this manager. *)
-
-val swap_out_slot : t -> now:int -> klass:Compress.klass -> page_key:int -> int
-(** {!swap_out} returning the slot, or [-1] on permanent failure. *)
-
-val swap_in_slot : t -> now:int -> slot:int -> unit
-(** {!swap_in}; read the outcome from [last_*].
-    @raise Invalid_argument on a slot not currently in use. *)
+(** {2 Outcome of the last operation} *)
 
 val last_finish_ns : t -> int
+(** When the final attempt resolved. *)
 
 val last_cpu_ns : t -> int
+(** Host CPU summed over all attempts. *)
 
 val last_io_retries : t -> int
+(** Resubmissions performed. *)
 
 val last_failed : t -> bool
+(** Gave up: data unwritten (writes) or lost (reads). *)
 
 val release : t -> slot:int -> unit
 (** Free a slot without I/O (page dirtied or address space torn down).
@@ -88,21 +72,3 @@ val peak_slots : t -> int
 val compressed_bytes : t -> float
 (** Current compressed pool size assuming 4 KB pages; meaningful for
     ZRAM-style devices. *)
-
-val swap_ins : t -> int
-(** Successful page reads (failed attempts are not counted). *)
-
-val swap_outs : t -> int
-(** Successful page writes. *)
-
-val io_retries : t -> int
-(** Resubmissions after transient errors (reads and writes). *)
-
-val io_remaps : t -> int
-(** Writes moved to a fresh slot after a permanent error. *)
-
-val read_failures : t -> int
-(** Reads abandoned: page contents lost. *)
-
-val write_failures : t -> int
-(** Writes abandoned: page could not leave memory. *)

@@ -3,6 +3,7 @@ module I = Repro_core.Invariants
 module M = Repro_core.Machine
 module F = Repro_core.Fuzz
 module SM = Swapdev.Swap_manager
+module V = Obs.Vmstat
 
 (* ------------------------------------------------------------------ *)
 (* Spec grammar: qcheck round-trip over well-formed specs              *)
@@ -280,7 +281,7 @@ let test_machine_hotplug () =
   Alcotest.(check bool) "events fired" true (s.C.s_events >= 2);
   Alcotest.(check bool) "frames offlined" true (s.C.s_offlined > 0);
   Alcotest.(check int) "all back online" s.C.s_offlined s.C.s_onlined;
-  Alcotest.(check int) "audits clean" 0 r.M.invariant_violations
+  Alcotest.(check int) "audits clean" 0 (M.count r V.invariant_violations)
 
 let test_machine_degrade () =
   let at, dur = window () in
@@ -293,7 +294,7 @@ let test_machine_degrade () =
   let s = summary_of r in
   Alcotest.(check int) "one degraded phase" 1 s.C.s_device_phases;
   Alcotest.(check int) "set and clear both fired" 2 s.C.s_events;
-  Alcotest.(check int) "audits clean" 0 r.M.invariant_violations;
+  Alcotest.(check int) "audits clean" 0 (M.count r V.invariant_violations);
   let b = Lazy.force baseline in
   Alcotest.(check bool) "degradation costs simulated time" true
     (r.M.runtime_ns >= b.M.runtime_ns)
@@ -319,7 +320,7 @@ let test_machine_churn () =
   let r = run_cfg (base_cfg ~cgroups ~chaos:spec ()) in
   let s = summary_of r in
   Alcotest.(check int) "two limit rewrites" 2 s.C.s_limit_updates;
-  Alcotest.(check int) "audits clean" 0 r.M.invariant_violations
+  Alcotest.(check int) "audits clean" 0 (M.count r V.invariant_violations)
 
 let test_machine_burst () =
   let at, dur = window () in
@@ -331,7 +332,7 @@ let test_machine_burst () =
   let r = run_cfg (base_cfg ~chaos:spec ()) in
   let s = summary_of r in
   Alcotest.(check int) "the thread stalled" 1 s.C.s_stalled_threads;
-  Alcotest.(check int) "audits clean" 0 r.M.invariant_violations
+  Alcotest.(check int) "audits clean" 0 (M.count r V.invariant_violations)
 
 let test_machine_corrupt_detected () =
   let at, _ = window () in
@@ -339,7 +340,8 @@ let test_machine_corrupt_detected () =
   let r = run_cfg (base_cfg ~chaos:spec ()) in
   let s = summary_of r in
   Alcotest.(check int) "one frame corrupted" 1 s.C.s_corrupted;
-  Alcotest.(check bool) "forced audit caught it" true (r.M.invariant_violations > 0)
+  Alcotest.(check bool) "forced audit caught it" true
+    (M.count r V.invariant_violations > 0)
 
 let test_machine_chaos_traced () =
   let at, dur = window () in
@@ -374,9 +376,10 @@ let test_machine_future_chaos_inert () =
   Alcotest.(check int) "runtime" b.M.runtime_ns r.M.runtime_ns;
   Alcotest.(check int) "major faults" b.M.major_faults r.M.major_faults;
   Alcotest.(check int) "minor faults" b.M.minor_faults r.M.minor_faults;
-  Alcotest.(check int) "swap ins" b.M.swap_ins r.M.swap_ins;
-  Alcotest.(check int) "swap outs" b.M.swap_outs r.M.swap_outs;
-  Alcotest.(check int) "oom kills" b.M.oom_kills r.M.oom_kills;
+  Alcotest.(check int) "swap ins" (M.count b V.pswpin) (M.count r V.pswpin);
+  Alcotest.(check int) "swap outs" (M.count b V.pswpout) (M.count r V.pswpout);
+  Alcotest.(check int) "oom kills"
+    (M.count b V.oom_kill) (M.count r V.oom_kill);
   Alcotest.(check (array (float 0.0))) "read latencies"
     b.M.read_latencies r.M.read_latencies;
   Alcotest.(check int) "no events fired" 0 (summary_of r).C.s_events

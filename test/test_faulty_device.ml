@@ -1,12 +1,19 @@
 module D = Swapdev.Device
 module F = Swapdev.Faulty_device
+module V = Obs.Vmstat
 
 let inner () =
   let config = { Swapdev.Zram.default_config with Swapdev.Zram.jitter = 0.0 } in
   Swapdev.Zram.create ~config ~rng:(Engine.Rng.create 3) ()
 
+(* The wrapped device and the registry its injections count into. *)
 let wrap ?(seed = 42) plan =
-  F.wrap ~plan ~rng:(Engine.Rng.create seed) (inner ())
+  let vm = V.create () in
+  (F.wrap ~plan ~rng:(Engine.Rng.create seed) ~vmstat:vm (inner ()), vm)
+
+let injected vm =
+  V.get vm V.injected_transient + V.get vm V.injected_permanent
+  + V.get vm V.injected_stalls + V.get vm V.injected_tail_spikes
 
 let drive dev n =
   List.init n (fun i ->
@@ -24,7 +31,7 @@ let test_none_injects_nothing () =
       Alcotest.(check bool) "status ok" true (D.ok c);
       Alcotest.(check int) "timing untouched" p.D.finish_ns c.D.finish_ns)
     (drive dev 200) (drive plain 200);
-  Alcotest.(check int) "no injections" 0 (F.injected counters)
+  Alcotest.(check int) "no injections" 0 (injected counters)
 
 let test_deterministic_replay () =
   let summarize c =
@@ -37,7 +44,7 @@ let test_deterministic_replay () =
   let once () =
     let dev, counters = wrap F.heavy in
     let completions = List.map summarize (drive dev 500) in
-    (completions, F.injected counters)
+    (completions, injected counters)
   in
   let r1, n1 = once () in
   let r2, n2 = once () in
@@ -59,8 +66,9 @@ let test_burst_window () =
         expect_fail
         (status = D.Failed D.Permanent))
     statuses;
-  Alcotest.(check int) "permanent counter" 12 counters.F.permanent_errors;
-  Alcotest.(check int) "no transient" 0 counters.F.transient_errors
+  Alcotest.(check int) "permanent counter" 12
+    (V.get counters V.injected_permanent);
+  Alcotest.(check int) "no transient" 0 (V.get counters V.injected_transient)
 
 let test_stall_cadence () =
   let plan = { F.none with F.stall_every_ops = 8; stall_ns = 1_000_000 } in
@@ -75,7 +83,7 @@ let test_stall_cadence () =
         expect
         (f.D.finish_ns - p.D.finish_ns))
     (List.combine faulty plain);
-  Alcotest.(check int) "stalls counted" 4 counters.F.stalls
+  Alcotest.(check int) "stalls counted" 4 (V.get counters V.injected_stalls)
 
 let test_tail_spike_scales_latency () =
   let plan = { F.none with F.tail_prob = 1.0; tail_multiplier = 10.0 } in
@@ -85,19 +93,21 @@ let test_tail_spike_scales_latency () =
   Alcotest.(check int) "observed latency x10"
     ((p.D.finish_ns - 1_000) * 10)
     (c.D.finish_ns - 1_000);
-  Alcotest.(check int) "spike counted" 1 counters.F.tail_spikes
+  Alcotest.(check int) "spike counted" 1 (V.get counters V.injected_tail_spikes)
 
 let test_probabilistic_rates () =
   let plan = { F.none with F.read_error_prob = 0.2; write_error_prob = 0.2 } in
   let dev, counters = wrap plan in
   ignore (drive dev 2000);
-  let errors = counters.F.transient_errors + counters.F.permanent_errors in
+  let errors =
+    V.get counters V.injected_transient + V.get counters V.injected_permanent
+  in
   Alcotest.(check bool)
     (Printf.sprintf "error rate near 20%% (got %d/2000)" errors)
     true
     (errors > 300 && errors < 500);
   (* permanent_fraction = 0 -> every error is transient *)
-  Alcotest.(check int) "all transient" 0 counters.F.permanent_errors
+  Alcotest.(check int) "all transient" 0 (V.get counters V.injected_permanent)
 
 let test_failed_ops_occupy_channel () =
   (* Errors happen after the op ran: device counters and queueing state

@@ -8,19 +8,19 @@ module M = Repro_core.Machine
 
 let fast_profile = { R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 }
 
+let sample_exp =
+  {
+    R.workload = R.Ycsb Workload.Ycsb.A;
+    policy = Policy.Registry.Clock;
+    ratio = 0.5;
+    swap = R.Ssd;
+    trial = 0;
+  }
+
 (* One real trial result, so the round-trip test covers every field the
    simulator actually produces (latency arrays included). *)
 let sample_result =
-  lazy
-    (R.run_exp
-       (R.make_ctx ~profile:fast_profile ())
-       {
-         R.workload = R.Ycsb Workload.Ycsb.A;
-         policy = Policy.Registry.Clock;
-         ratio = 0.5;
-         swap = R.Ssd;
-         trial = 0;
-       })
+  lazy (R.run_exp (R.make_ctx ~profile:fast_profile ()) sample_exp)
 
 let ok_record () =
   let r = Lazy.force sample_result in
@@ -233,6 +233,58 @@ let test_open_without_resume_truncates () =
       Alcotest.(check int) "no records surfaced" 0 (List.length loaded);
       Alcotest.(check int) "file truncated" 0 (count_lines path))
 
+(* The 17-counter capture a build with fewer counters wrote. *)
+let short_capture = "\"v1:1;999;0;0;0;0;0;3;4;0;0;0;0;0;0;0;0|0\""
+
+(* A record as a build with fewer counters journaled it: the counters
+   as hand-listed ints, plus [extra] — by default the [vmstat] field
+   such a build wrote with counters on.  Every number is bogus, so
+   replaying it would show. *)
+let pre_counters_line ?(extra = ",\"vmstat\":" ^ short_capture) key =
+  let payload =
+    Printf.sprintf
+      "\"key\":%S,\"status\":\"ok\",\"reason\":\"\",\"runtime_ns\":7,\
+       \"major_faults\":999,\"minor_faults\":5,\"swap_ins\":3,\
+       \"swap_outs\":4,\"direct_reclaims\":2,\"direct_reclaim_ns\":9,\
+       \"read_latencies\":\"0x1p+0\",\"write_latencies\":\"\",\
+       \"per_thread_finish\":\"7\",\"cpu_busy_ns\":1,\
+       \"policy_stats\":\"evictions=1\",\"policy_name\":\"clock\",\
+       \"resident_at_end\":1,\"io_retries\":0,\"io_remaps\":0,\
+       \"injected_transient\":0,\"injected_permanent\":0,\
+       \"injected_stalls\":0,\"injected_tail_spikes\":0,\
+       \"poisoned_reads\":0,\"writeback_failures\":0,\"oom_kills\":0,\
+       \"oom_discarded_pages\":0,\"invariant_violations\":0%s}"
+      key extra
+  in
+  "{\"sum\":\"" ^ Digest.to_hex (Digest.string payload) ^ "\"," ^ payload
+
+let test_pre_counters_record_not_replayed () =
+  (* Counters off, counters on, and a [counters] field one build short. *)
+  List.iter
+    (fun extra ->
+      match J.record_of_line (pre_counters_line ?extra "k") with
+      | Error msg -> Alcotest.failf "framing rejected: %s" msg
+      | Ok r ->
+        Alcotest.(check string) "still an ok record" "ok"
+          (J.status_name r.J.status);
+        Alcotest.(check bool) "no replayable result" true (r.J.result = None))
+    [ Some ""; None; Some (",\"counters\":" ^ short_capture) ];
+  with_temp_journal (fun path ->
+      append_raw path (pre_counters_line (R.exp_key sample_exp) ^ "\n");
+      let t, records = J.open_ ~path ~resume:true in
+      let ctx = R.make_ctx ~profile:fast_profile ~journal:t () in
+      Alcotest.(check int) "nothing warm-started" 0 (R.warm_start ctx records);
+      let resumed = R.run_exp ctx sample_exp in
+      J.close t;
+      Alcotest.(check bool) "resumed result equals a fresh run" true
+        (resumed = Lazy.force sample_result);
+      (* The recomputed record supersedes the stale one. *)
+      match J.load ~path with
+      | [ { J.result = Some r; _ } ] ->
+        Alcotest.(check bool) "journal now replays the fresh result" true
+          (r = { resumed with M.trace = None })
+      | _ -> Alcotest.fail "expected one replayable record")
+
 let test_load_missing_file () =
   Alcotest.(check int) "missing file loads empty" 0
     (List.length (J.load ~path:"/nonexistent/journal.jsonl"))
@@ -300,6 +352,8 @@ let () =
           Alcotest.test_case "fresh open truncates" `Quick
             test_open_without_resume_truncates;
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
+          Alcotest.test_case "pre-counters record recomputed" `Quick
+            test_pre_counters_record_not_replayed;
         ] );
       ( "atomic io",
         [

@@ -1,5 +1,6 @@
 module M = Repro_core.Machine
 module C = Workload.Chunk
+module V = Obs.Vmstat
 
 (* A tiny deterministic workload: one thread touching an explicit page
    sequence. *)
@@ -26,7 +27,7 @@ let test_minor_faults_only () =
   let r = run ~capacity:32 ~policy:Policy.Registry.Clock [ Array.init 16 (fun i -> i) ] in
   Alcotest.(check int) "minor faults" 16 r.M.minor_faults;
   Alcotest.(check int) "no major faults" 0 r.M.major_faults;
-  Alcotest.(check int) "no swap" 0 r.M.swap_ins;
+  Alcotest.(check int) "no swap" 0 (M.count r V.pswpin);
   Alcotest.(check int) "all resident" 16 r.M.resident_at_end;
   Alcotest.(check bool) "time advanced" true (r.M.runtime_ns > 0)
 
@@ -36,7 +37,7 @@ let test_thrash_counts_faults () =
   let r = run ~capacity:16 ~policy:Policy.Registry.Clock [ pass; pass ] in
   Alcotest.(check int) "first pass minor" 32 r.M.minor_faults;
   Alcotest.(check bool) "second pass majors" true (r.M.major_faults >= 16);
-  Alcotest.(check bool) "swap outs happened" true (r.M.swap_outs > 0);
+  Alcotest.(check bool) "swap outs happened" true (M.count r V.pswpout > 0);
   Alcotest.(check bool) "residency bounded by capacity" true (r.M.resident_at_end <= 16)
 
 let test_determinism () =
@@ -60,10 +61,10 @@ let test_swap_cache_avoids_clean_writeback () =
   let r = run ~capacity:16 ~policy:Policy.Registry.Fifo [ pass; pass; pass; pass ] in
   (* Every page is written at most once (its contents never change). *)
   Alcotest.(check bool)
-    (Printf.sprintf "outs %d bounded by footprint" r.M.swap_outs)
+    (Printf.sprintf "outs %d bounded by footprint" (M.count r V.pswpout))
     true
-    (r.M.swap_outs <= 32 + 4);
-  Alcotest.(check bool) "ins keep happening" true (r.M.swap_ins > 40)
+    (M.count r V.pswpout <= 32 + 4);
+  Alcotest.(check bool) "ins keep happening" true (M.count r V.pswpin > 40)
 
 let test_dirty_pages_rewritten () =
   let pass = Array.init 32 (fun i -> i) in
@@ -89,9 +90,9 @@ let test_dirty_pages_rewritten () =
   in
   (* Dirty pages must be written back on every eviction cycle. *)
   Alcotest.(check bool)
-    (Printf.sprintf "outs %d track evictions" r.M.swap_outs)
+    (Printf.sprintf "outs %d track evictions" (M.count r V.pswpout))
     true
-    (r.M.swap_outs > 64)
+    (M.count r V.pswpout > 64)
 
 let test_readahead_helps_sequential () =
   let pass = Array.init 48 (fun i -> i) in
@@ -195,10 +196,11 @@ let test_zero_plan_identical () =
   Alcotest.(check int) "same runtime" base.M.runtime_ns zeroed.M.runtime_ns;
   Alcotest.(check int) "same majors" base.M.major_faults zeroed.M.major_faults;
   Alcotest.(check int) "nothing injected" 0
-    (zeroed.M.injected_transient + zeroed.M.injected_permanent
-    + zeroed.M.injected_stalls + zeroed.M.injected_tail_spikes);
-  Alcotest.(check int) "no oom" 0 zeroed.M.oom_kills;
-  Alcotest.(check int) "invariants hold" 0 zeroed.M.invariant_violations
+    (M.count zeroed V.injected_transient + M.count zeroed V.injected_permanent
+    + M.count zeroed V.injected_stalls + M.count zeroed V.injected_tail_spikes);
+  Alcotest.(check int) "no oom" 0 (M.count zeroed V.oom_kill);
+  Alcotest.(check int) "invariants hold" 0
+    (M.count zeroed V.invariant_violations)
 
 let test_transient_errors_retried () =
   let plan =
@@ -209,11 +211,13 @@ let test_transient_errors_retried () =
     run_plan ~plan ~audit_every_ns:1_000_000 ~policy:Policy.Registry.Clock
       (thrash_lists 48)
   in
-  Alcotest.(check bool) "errors injected" true (r.M.injected_transient > 0);
-  Alcotest.(check bool) "retries absorbed them" true (r.M.io_retries > 0);
+  Alcotest.(check bool) "errors injected" true
+    (M.count r V.injected_transient > 0);
+  Alcotest.(check bool) "retries absorbed them" true
+    (M.count r V.io_retries > 0);
   Alcotest.(check bool) "every thread finished" true
     (Array.for_all (fun f -> f >= 0) r.M.per_thread_finish);
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations)
 
 let test_permanent_reads_poison () =
   let plan =
@@ -221,11 +225,11 @@ let test_permanent_reads_poison () =
       Swapdev.Faulty_device.read_error_prob = 1.0; permanent_fraction = 1.0 }
   in
   let r = run_plan ~plan ~policy:Policy.Registry.Clock (thrash_lists 48) in
-  Alcotest.(check bool) "reads poisoned" true (r.M.poisoned_reads > 0);
+  Alcotest.(check bool) "reads poisoned" true (M.count r V.poisoned_reads > 0);
   Alcotest.(check bool) "run completed" true
     (Array.for_all (fun f -> f >= 0) r.M.per_thread_finish);
-  Alcotest.(check int) "no oom needed" 0 r.M.oom_kills;
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations
+  Alcotest.(check int) "no oom needed" 0 (M.count r V.oom_kill);
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations)
 
 let test_permanent_writes_pin_then_oom () =
   (* Nothing can ever be written out, so reclaim pins page after page
@@ -238,12 +242,14 @@ let test_permanent_writes_pin_then_oom () =
     run_plan ~plan ~audit_every_ns:1_000_000 ~policy:Policy.Registry.Clock
       (thrash_lists 64)
   in
-  Alcotest.(check bool) "writebacks failed" true (r.M.writeback_failures > 0);
-  Alcotest.(check bool) "oom killer fired" true (r.M.oom_kills >= 1);
-  Alcotest.(check bool) "pages discarded" true (r.M.oom_discarded_pages > 0);
+  Alcotest.(check bool) "writebacks failed" true
+    (M.count r V.writeback_failures > 0);
+  Alcotest.(check bool) "oom killer fired" true (M.count r V.oom_kill >= 1);
+  Alcotest.(check bool) "pages discarded" true
+    (M.count r V.oom_discarded_pages > 0);
   Alcotest.(check bool) "run completed" true
     (Array.for_all (fun f -> f >= 0) r.M.per_thread_finish);
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations)
 
 let test_oom_spares_survivors () =
   (* Two threads on disjoint ranges; the fatter one is sacrificed and
@@ -264,10 +270,10 @@ let test_oom_spares_survivors () =
       ~policy:(Policy.Registry.create Policy.Registry.Clock)
       ~workload:(Workload.Chunk.Packed ((module Workload.Trace), w))
   in
-  Alcotest.(check bool) "oom fired" true (r.M.oom_kills >= 1);
+  Alcotest.(check bool) "oom fired" true (M.count r V.oom_kill >= 1);
   Alcotest.(check bool) "both threads terminated" true
     (Array.for_all (fun f -> f >= 0) r.M.per_thread_finish);
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations)
 
 let test_heavy_plan_deterministic () =
   let go () =
@@ -277,11 +283,13 @@ let test_heavy_plan_deterministic () =
   let r1 = go () in
   let r2 = go () in
   Alcotest.(check int) "same runtime" r1.M.runtime_ns r2.M.runtime_ns;
-  Alcotest.(check int) "same poisons" r1.M.poisoned_reads r2.M.poisoned_reads;
-  Alcotest.(check int) "same retries" r1.M.io_retries r2.M.io_retries;
+  Alcotest.(check int) "same poisons"
+    (M.count r1 V.poisoned_reads) (M.count r2 V.poisoned_reads);
+  Alcotest.(check int) "same retries"
+    (M.count r1 V.io_retries) (M.count r2 V.io_retries);
   Alcotest.(check bool) "faults actually injected" true
-    (r1.M.injected_transient + r1.M.injected_permanent > 0);
-  Alcotest.(check int) "invariants hold" 0 r1.M.invariant_violations
+    (M.count r1 V.injected_transient + M.count r1 V.injected_permanent > 0);
+  Alcotest.(check int) "invariants hold" 0 (M.count r1 V.invariant_violations)
 
 let () =
   Alcotest.run "machine"

@@ -6,6 +6,7 @@ module M = Repro_core.Machine
 module Mcg = Mem.Memcg
 module R = Repro_core.Runner
 module C = Workload.Chunk
+module V = Obs.Vmstat
 
 (* ---------------- spec parsing ---------------- *)
 
@@ -164,7 +165,7 @@ let test_low_protects () =
     M.run cfg ~policy:(Policy.Registry.create Policy.Registry.Clock)
       ~workload:(multi_trace ~footprint:48 per_thread)
   in
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations;
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations);
   Alcotest.(check int) "protected pages all resident" 8
     (report_of r "quiet").Mcg.r_usage;
   Alcotest.(check bool) "noisy group did the faulting" true
@@ -198,7 +199,7 @@ let test_high_throttles () =
   Alcotest.(check bool) "usage above high (pinned pages)" true
     (app.Mcg.r_usage > 8);
   Alcotest.(check int) "no OOM without memory.max" 0 app.Mcg.r_oom_kills;
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations;
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations);
   (* Throttle stalls are memory stalls: PSI must have seen them. *)
   Alcotest.(check bool) "psi some covers the stalls" true
     (app.Mcg.r_psi_some_ns >= app.Mcg.r_throttled_ns);
@@ -253,7 +254,7 @@ let scoped_oom_run () =
 
 let test_scoped_oom_confined () =
   let r = scoped_oom_run () in
-  Alcotest.(check bool) "oom fired" true (r.M.oom_kills >= 1);
+  Alcotest.(check bool) "oom fired" true (M.count r V.oom_kill >= 1);
   Alcotest.(check bool) "hot group took the kills" true
     ((report_of r "hot").Mcg.r_oom_kills >= 1);
   Alcotest.(check int) "bg group untouched" 0 (report_of r "bg").Mcg.r_oom_kills;
@@ -268,10 +269,12 @@ let test_oom_releases_swap_slots () =
      page ownership (owner-killed) right after the kill: a victim slot
      leak or surviving rmap entry fails the run. *)
   let r = scoped_oom_run () in
-  Alcotest.(check bool) "victim had swapped pages" true (r.M.swap_outs > 0);
-  Alcotest.(check int) "no leaks across audits" 0 r.M.invariant_violations;
+  Alcotest.(check bool) "victim had swapped pages" true
+    (M.count r V.pswpout > 0);
+  Alcotest.(check int) "no leaks across audits" 0
+    (M.count r V.invariant_violations);
   Alcotest.(check bool) "teardown covered swapped pages" true
-    (r.M.oom_discarded_pages > 0)
+    (M.count r V.oom_discarded_pages > 0)
 
 let test_machine_wide_oom_releases_slots () =
   (* Same leak regression without cgroups: the machine-wide killer's
@@ -294,9 +297,10 @@ let test_machine_wide_oom_releases_slots () =
         (multi_trace ~footprint:72
            [ [ big; big; big; big; big ]; [ small; small; small ] ])
   in
-  Alcotest.(check bool) "oom fired" true (r.M.oom_kills >= 1);
-  Alcotest.(check bool) "swap was in use" true (r.M.swap_outs > 0);
-  Alcotest.(check int) "no slot leaks across audits" 0 r.M.invariant_violations
+  Alcotest.(check bool) "oom fired" true (M.count r V.oom_kill >= 1);
+  Alcotest.(check bool) "swap was in use" true (M.count r V.pswpout > 0);
+  Alcotest.(check int) "no slot leaks across audits" 0
+    (M.count r V.invariant_violations)
 
 (* ---------------- PSI ---------------- *)
 
@@ -503,7 +507,7 @@ let test_fleet_confines_runaway () =
     (Array.length bg.Mcg.r_read_latencies > 0);
   Alcotest.(check bool) "neighbour p99 bounded by device latency" true
     (Stats.Percentile.quantile bg.Mcg.r_read_latencies 0.99 < 1e9);
-  Alcotest.(check int) "invariants hold" 0 r.M.invariant_violations
+  Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations)
 
 let test_fleet_workload_shape () =
   let ctx = R.make_ctx ~profile:fast_profile () in

@@ -1,5 +1,7 @@
 module O = Obs
 module R = Repro_core.Runner
+module M = Repro_core.Machine
+module V = Obs.Vmstat
 
 (* ------------------------------------------------------------------ *)
 (* Sink basics                                                         *)
@@ -205,10 +207,10 @@ let test_tracing_does_not_perturb () =
     plain.Repro_core.Machine.major_faults
     traced.Repro_core.Machine.major_faults;
   Alcotest.(check int) "swap outs identical"
-    plain.Repro_core.Machine.swap_outs traced.Repro_core.Machine.swap_outs;
+    (M.count plain V.pswpout) (M.count traced V.pswpout);
   Alcotest.(check int) "direct reclaims identical"
-    plain.Repro_core.Machine.direct_reclaims
-    traced.Repro_core.Machine.direct_reclaims
+    (M.count plain V.direct_reclaims)
+    (M.count traced V.direct_reclaims)
 
 let test_capture_contents () =
   let ctx =
@@ -258,7 +260,6 @@ let test_capture_contents () =
 (* counter-consistent telemetry                                        *)
 (* ------------------------------------------------------------------ *)
 
-module M = Repro_core.Machine
 
 let traced_fault_run ~plan =
   let lists =
@@ -299,17 +300,19 @@ let test_oom_killed_trial_still_traced () =
       Swapdev.Faulty_device.write_error_prob = 1.0; permanent_fraction = 1.0 }
   in
   let r = traced_fault_run ~plan in
-  Alcotest.(check bool) "oom killer fired" true (r.M.oom_kills >= 1);
+  Alcotest.(check bool) "oom killer fired" true (M.count r V.oom_kill >= 1);
   Alcotest.(check bool) "degraded run completed" true
     (Array.for_all (fun f -> f >= 0) r.M.per_thread_finish);
   match r.M.trace with
   | None -> Alcotest.fail "OOM-killed trial lost its capture"
   | Some c ->
     let _, _, failed_writes, oom_events = swap_event_counters c.O.events in
-    Alcotest.(check int) "every oom kill traced" r.M.oom_kills oom_events;
-    Alcotest.(check bool) "writebacks failed" true (r.M.writeback_failures > 0);
+    Alcotest.(check int) "every oom kill traced"
+      (M.count r V.oom_kill) oom_events;
+    Alcotest.(check bool) "writebacks failed" true
+      (M.count r V.writeback_failures > 0);
     Alcotest.(check int) "failed-write events match counter"
-      r.M.writeback_failures failed_writes
+      (M.count r V.writeback_failures) failed_writes
 
 let test_fault_counters_match_trace () =
   (* Under the heavy preset, the result's aggregate I/O counters must
@@ -317,19 +320,20 @@ let test_fault_counters_match_trace () =
      one stream of truth. *)
   let r = traced_fault_run ~plan:Swapdev.Faulty_device.heavy in
   Alcotest.(check bool) "faults injected" true
-    (r.M.injected_transient + r.M.injected_permanent > 0);
+    (M.count r V.injected_transient + M.count r V.injected_permanent > 0);
   match r.M.trace with
   | None -> Alcotest.fail "expected a capture"
   | Some c ->
     let retries, failed_reads, failed_writes, _ =
       swap_event_counters c.O.events
     in
-    Alcotest.(check bool) "retries happened" true (r.M.io_retries > 0);
-    Alcotest.(check int) "retry sum matches counter" r.M.io_retries retries;
+    Alcotest.(check bool) "retries happened" true (M.count r V.io_retries > 0);
+    Alcotest.(check int) "retry sum matches counter"
+      (M.count r V.io_retries) retries;
     Alcotest.(check int) "poisoned reads match failed read events"
-      r.M.poisoned_reads failed_reads;
+      (M.count r V.poisoned_reads) failed_reads;
     Alcotest.(check int) "writeback failures match failed write events"
-      r.M.writeback_failures failed_writes
+      (M.count r V.writeback_failures) failed_writes
 
 (* ------------------------------------------------------------------ *)
 (* Runner-level determinism: --jobs N traces byte-identical to serial  *)

@@ -4,6 +4,8 @@
    with and without fault injection. *)
 
 module R = Repro_core.Runner
+module M = Repro_core.Machine
+module V = Obs.Vmstat
 
 let fast_profile = { R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
 
@@ -15,9 +17,9 @@ let result_fingerprint (r : Repro_core.Machine.result) =
   ( r.Repro_core.Machine.runtime_ns,
     r.Repro_core.Machine.major_faults,
     r.Repro_core.Machine.minor_faults,
-    r.Repro_core.Machine.swap_ins,
-    r.Repro_core.Machine.swap_outs,
-    r.Repro_core.Machine.direct_reclaims )
+    M.count r V.pswpin,
+    M.count r V.pswpout,
+    M.count r V.direct_reclaims )
 
 let check_cell_equal name c_serial c_parallel ~workload ~policy ~ratio ~swap =
   let rs = R.run_cell c_serial ~workload ~policy ~ratio ~swap in

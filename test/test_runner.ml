@@ -1,4 +1,6 @@
 module R = Repro_core.Runner
+module M = Repro_core.Machine
+module V = Obs.Vmstat
 
 (* Fast, explicit profile: no environment round-trips. *)
 let fast_profile = { R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
@@ -98,9 +100,9 @@ let test_ctx_caches_isolated () =
   let r_faulty = R.run_exp faulty e in
   Alcotest.(check bool) "distinct results" true (r_clean != r_faulty);
   let injected r =
-    r.Repro_core.Machine.injected_transient + r.Repro_core.Machine.injected_permanent
-    + r.Repro_core.Machine.injected_stalls
-    + r.Repro_core.Machine.injected_tail_spikes
+    M.count r V.injected_transient + M.count r V.injected_permanent
+    + M.count r V.injected_stalls
+    + M.count r V.injected_tail_spikes
   in
   Alcotest.(check bool) "faults only under the faulty plan" true
     (injected r_clean = 0 && injected r_faulty > 0)

@@ -1,50 +1,58 @@
 module SM = Swapdev.Swap_manager
 
-let make () =
-  let dev = Swapdev.Zram.create ~rng:(Engine.Rng.create 1) () in
-  SM.create ~device:dev ~seed:9 ()
+module V = Obs.Vmstat
 
-(* swap_out on a fault-free device always yields a slot. *)
+let make ?vmstat () =
+  let dev = Swapdev.Zram.create ~rng:(Engine.Rng.create 1) () in
+  SM.create ?vmstat ~device:dev ~seed:9 ()
+
+(* swap_out_slot on a fault-free device always yields a slot. *)
 let out_exn m ~now ~klass ~page_key =
-  match SM.swap_out m ~now ~klass ~page_key with
-  | Some slot, io -> (slot, io)
-  | None, _ -> Alcotest.fail "swap_out failed on a fault-free device"
+  let slot = SM.swap_out_slot m ~now ~klass ~page_key in
+  if slot < 0 then Alcotest.fail "swap_out_slot failed on a fault-free device";
+  slot
 
 let test_out_in_release () =
-  let m = make () in
-  let slot, io = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:5 in
-  Alcotest.(check bool) "write completion in future" true (io.SM.finish_ns > 0);
-  Alcotest.(check bool) "no retries needed" true (io.SM.io_retries = 0 && not io.SM.failed);
+  let vm = V.create () in
+  let m = make ~vmstat:vm () in
+  let slot = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:5 in
+  Alcotest.(check bool) "write completion in future" true
+    (SM.last_finish_ns m > 0);
+  Alcotest.(check bool) "no retries needed" true
+    (SM.last_io_retries m = 0 && not (SM.last_failed m));
   Alcotest.(check bool) "slot in use" true (SM.slot_in_use m slot);
   Alcotest.(check int) "used" 1 (SM.used_slots m);
-  (* swap_in keeps the slot (swap cache) *)
-  let io2 = SM.swap_in m ~now:100 ~slot in
-  Alcotest.(check bool) "read succeeded" false io2.SM.failed;
+  (* swap_in_slot keeps the slot (swap cache) *)
+  SM.swap_in_slot m ~now:100 ~slot;
+  Alcotest.(check bool) "read succeeded" false (SM.last_failed m);
+  Alcotest.(check bool) "read completes after submission" true
+    (SM.last_finish_ns m > 100);
   Alcotest.(check bool) "still in use" true (SM.slot_in_use m slot);
-  Alcotest.(check int) "ins" 1 (SM.swap_ins m);
+  Alcotest.(check int) "ins" 1 (V.get vm V.pswpin);
+  Alcotest.(check int) "outs" 1 (V.get vm V.pswpout);
   SM.release m ~slot;
   Alcotest.(check bool) "released" false (SM.slot_in_use m slot);
   Alcotest.(check int) "used back to zero" 0 (SM.used_slots m)
 
 let test_slot_reuse () =
   let m = make () in
-  let s1, _ = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:1 in
+  let s1 = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:1 in
   SM.release m ~slot:s1;
-  let s2, _ = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:2 in
+  let s2 = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:2 in
   Alcotest.(check int) "freed slot reused" s1 s2
 
 let test_bad_slot_ops () =
   let m = make () in
   Alcotest.check_raises "swap_in bad slot"
-    (Invalid_argument "Swap_manager.swap_in: slot not in use") (fun () ->
-      ignore (SM.swap_in m ~now:0 ~slot:3));
+    (Invalid_argument "Swap_manager.swap_in_slot: slot not in use") (fun () ->
+      SM.swap_in_slot m ~now:0 ~slot:3);
   Alcotest.check_raises "release bad slot"
     (Invalid_argument "Swap_manager.release: slot not in use") (fun () ->
       SM.release m ~slot:3)
 
 let test_double_release () =
   let m = make () in
-  let slot, _ = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:1 in
+  let slot = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:1 in
   SM.release m ~slot;
   Alcotest.check_raises "double release rejected"
     (Invalid_argument "Swap_manager.release: slot not in use") (fun () ->
@@ -54,7 +62,7 @@ let test_peak_tracking () =
   let m = make () in
   let slots =
     List.init 5 (fun i ->
-        fst (out_exn m ~now:0 ~klass:Swapdev.Compress.Kv_item ~page_key:i))
+        out_exn m ~now:0 ~klass:Swapdev.Compress.Kv_item ~page_key:i)
   in
   List.iter (fun slot -> SM.release m ~slot) slots;
   Alcotest.(check int) "peak" 5 (SM.peak_slots m);
@@ -62,19 +70,21 @@ let test_peak_tracking () =
 
 let test_compressed_accounting () =
   let m = make () in
-  let slot, _ = out_exn m ~now:0 ~klass:Swapdev.Compress.Columnar ~page_key:7 in
+  let slot = out_exn m ~now:0 ~klass:Swapdev.Compress.Columnar ~page_key:7 in
   let bytes = SM.compressed_bytes m in
   Alcotest.(check bool) "positive and under a page" true (bytes > 0.0 && bytes < 4096.0);
   SM.release m ~slot;
   Alcotest.(check (float 1e-6)) "empty pool" 0.0 (SM.compressed_bytes m)
 
 let test_many_slots_grow () =
-  let m = make () in
+  let vm = V.create () in
+  let m = make ~vmstat:vm () in
   for i = 0 to 4999 do
-    ignore (SM.swap_out m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i)
+    ignore
+      (SM.swap_out_slot m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i)
   done;
   Alcotest.(check int) "all live" 5000 (SM.used_slots m);
-  Alcotest.(check int) "outs counted" 5000 (SM.swap_outs m)
+  Alcotest.(check int) "outs counted" 5000 (V.get vm V.pswpout)
 
 (* The slot array starts at 1024 entries; crossing the boundary must not
    lose or corrupt accounting for slots on either side. *)
@@ -82,7 +92,7 @@ let test_grow_boundary () =
   let m = make () in
   let slots =
     Array.init 1025 (fun i ->
-        fst (out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i))
+        out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i)
   in
   Alcotest.(check int) "1025 live across the boundary" 1025 (SM.used_slots m);
   Alcotest.(check bool) "slot 1023 live" true (SM.slot_in_use m slots.(1023));
@@ -93,8 +103,8 @@ let test_grow_boundary () =
   Alcotest.(check bool) "1024 released" false (SM.slot_in_use m slots.(1024));
   Alcotest.(check int) "used tracks releases" 1023 (SM.used_slots m);
   (* both freed slots come back before the array grows again *)
-  let s1, _ = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:2000 in
-  let s2, _ = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:2001 in
+  let s1 = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:2000 in
+  let s2 = out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:2001 in
   Alcotest.(check bool) "freed boundary slots reused" true
     (List.sort compare [ s1; s2 ] = List.sort compare [ slots.(1023); slots.(1024) ])
 
@@ -108,7 +118,7 @@ let prop_used_never_negative =
         (fun out ->
           if out then
             live :=
-              fst (out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:0)
+              out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:0
               :: !live
           else
             match !live with

@@ -33,8 +33,15 @@ let test_registry_basics () =
             V.oom_kill; V.workingset_refault; V.workingset_activate;
             V.workingset_restore; V.workingset_shadow_miss;
             V.mglru_aging_passes; V.mglru_promoted; V.mglru_tier_protected;
+            V.minor_faults; V.direct_reclaims; V.direct_reclaim_ns;
+            V.io_retries; V.io_remaps; V.injected_transient;
+            V.injected_permanent; V.injected_stalls; V.injected_tail_spikes;
+            V.poisoned_reads; V.writeback_failures; V.oom_discarded_pages;
+            V.invariant_violations;
           ])
-    = V.nr_counters)
+    = V.nr_counters);
+  Alcotest.(check int) "kernel rows end at the MG-LRU counters"
+    (V.mglru_tier_protected + 1) V.kernel_counters
 
 let test_dist_buckets () =
   Alcotest.(check int) "0 in bucket 0" 0 (V.dist_bucket 0);
@@ -73,12 +80,14 @@ let test_codec () =
   Alcotest.(check (array int)) "counters roundtrip" c.V.counters c'.V.counters;
   Alcotest.(check (array int)) "buckets roundtrip" c.V.refault_dist
     c'.V.refault_dist;
-  (* A capture from an older build with fewer counters zero-fills. *)
+  Alcotest.(check bool) "round trip is complete" true (V.complete c');
+  (* A capture from an older build with fewer counters decodes short,
+     never zero-filled, so callers can refuse it. *)
   let old = V.decode_capture "v1:4;2|1;1" in
-  Alcotest.(check int) "old first counter" 4 old.V.counters.(0);
-  Alcotest.(check int) "tail zero-filled" 0
-    old.V.counters.(V.nr_counters - 1);
+  Alcotest.(check (array int)) "old counters kept as encoded" [| 4; 2 |]
+    old.V.counters;
   Alcotest.(check int) "old buckets kept" 2 (V.refaults old);
+  Alcotest.(check bool) "old capture incomplete" false (V.complete old);
   List.iter
     (fun s ->
       match V.decode_capture s with
@@ -170,12 +179,11 @@ let trace_workload ?(footprint = 64) lists =
   let w = Workload.Trace.of_page_lists ~footprint lists in
   C.Packed ((module Workload.Trace), w)
 
-let run ?(vmstat = false) ?damon ?(capacity = 16) ~policy lists =
+let run ?damon ?(capacity = 16) ~policy lists =
   M.run
     {
       (M.default_config ~capacity_frames:capacity ~seed:7) with
       M.kthread_jitter_ns = 0;
-      vmstat;
       damon;
     }
     ~policy:(Policy.Registry.create policy)
@@ -183,37 +191,28 @@ let run ?(vmstat = false) ?damon ?(capacity = 16) ~policy lists =
 
 let thrash = [ Array.init 32 (fun i -> i); Array.init 32 (fun i -> i) ]
 
-let test_machine_capture_gating () =
-  let off = run ~policy:Policy.Registry.Clock thrash in
-  Alcotest.(check bool) "off: no capture" true (off.M.vmstat = None);
-  Alcotest.(check bool) "off: no heatmap" true (off.M.heatmap = None);
-  let on = run ~vmstat:true ~policy:Policy.Registry.Clock thrash in
-  match on.M.vmstat with
-  | None -> Alcotest.fail "on: capture missing"
-  | Some c ->
-    (* Observation only: the simulation is unchanged. *)
-    Alcotest.(check int) "same runtime" off.M.runtime_ns on.M.runtime_ns;
-    Alcotest.(check int) "same majors" off.M.major_faults on.M.major_faults;
-    Alcotest.(check int) "pgmajfault mirrors the result" on.M.major_faults
-      c.V.counters.(V.pgmajfault);
-    Alcotest.(check bool) "faults include minors" true
-      (c.V.counters.(V.pgfault)
-      >= on.M.minor_faults + on.M.major_faults);
-    Alcotest.(check bool) "thrash steals pages" true
-      (c.V.counters.(V.pgsteal) > 0);
-    (* Every classified refault lands one histogram sample. *)
-    Alcotest.(check int) "histogram mass = workingset_refault"
-      c.V.counters.(V.workingset_refault)
-      (V.refaults c);
-    Alcotest.(check int) "shadows never torn down here" 0
-      c.V.counters.(V.workingset_shadow_miss)
+let test_machine_capture () =
+  let r = run ~policy:Policy.Registry.Clock thrash in
+  Alcotest.(check bool) "no monitor: no heatmap" true (r.M.heatmap = None);
+  let c = r.M.counters in
+  Alcotest.(check bool) "capture complete" true (V.complete c);
+  Alcotest.(check int) "pgmajfault mirrors the result" r.M.major_faults
+    c.V.counters.(V.pgmajfault);
+  Alcotest.(check int) "minor_faults mirrors the result" r.M.minor_faults
+    c.V.counters.(V.minor_faults);
+  Alcotest.(check bool) "faults include minors" true
+    (c.V.counters.(V.pgfault) >= r.M.minor_faults + r.M.major_faults);
+  Alcotest.(check bool) "thrash steals pages" true
+    (c.V.counters.(V.pgsteal) > 0);
+  (* Every classified refault lands one histogram sample. *)
+  Alcotest.(check int) "histogram mass = workingset_refault"
+    c.V.counters.(V.workingset_refault)
+    (V.refaults c);
+  Alcotest.(check int) "shadows never torn down here" 0
+    c.V.counters.(V.workingset_shadow_miss)
 
 let test_machine_policy_split () =
-  let cap policy =
-    match (run ~vmstat:true ~policy thrash).M.vmstat with
-    | Some c -> c
-    | None -> Alcotest.fail "capture missing"
-  in
+  let cap policy = (run ~policy thrash).M.counters in
   let clock = cap Policy.Registry.Clock in
   let mglru = cap Policy.Registry.Mglru_default in
   (* The paper's split: Clock churns the active/inactive boundary
@@ -270,7 +269,7 @@ let test_machine_damon () =
 let fast_profile = { R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
 
 let cell_caps ~jobs =
-  let ctx = R.make_ctx ~profile:fast_profile ~jobs ~vmstat:true () in
+  let ctx = R.make_ctx ~profile:fast_profile ~jobs () in
   ignore
     (R.try_cell ctx ~workload:R.Tpch ~policy:Policy.Registry.Clock ~ratio:0.5
        ~swap:R.Ssd);
@@ -308,8 +307,8 @@ let () =
         ] );
       ( "machine",
         [
-          Alcotest.test_case "capture gating" `Quick
-            test_machine_capture_gating;
+          Alcotest.test_case "capture" `Quick
+            test_machine_capture;
           Alcotest.test_case "clock/mglru counter split" `Quick
             test_machine_policy_split;
           Alcotest.test_case "damon heatmap" `Quick test_machine_damon;
