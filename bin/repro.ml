@@ -214,26 +214,25 @@ type setup = {
    the or-direction so REPRO_FAST=1 keeps working under any flags.
    [profile_default] is true only for the profile subcommand, which
    collects phase totals even without --folded/--perfetto. *)
+let profile_of_flags ?trials ?ycsb_trials ~fast ~scale () =
+  let base = Repro_core.Runner.profile_from_env () in
+  let flag v default = match v with Some n -> max 1 n | None -> default in
+  {
+    Repro_core.Runner.trials = flag trials base.Repro_core.Runner.trials;
+    ycsb_trials = flag ycsb_trials base.Repro_core.Runner.ycsb_trials;
+    fast = fast || base.Repro_core.Runner.fast;
+    scale = flag scale base.Repro_core.Runner.scale;
+  }
+
+let jobs_of_flag = function
+  | Some n -> max 1 n
+  | None -> Engine.Pool.default_jobs ()
+
 let build_setup profile_default trials ycsb_trials fast scale jobs faults
     audit_every_ms trace sample_every samples folded perfetto journal_path
     resume trial_timeout keep_going cgroups chaos =
-  let base = Repro_core.Runner.profile_from_env () in
-  let profile =
-    {
-      Repro_core.Runner.trials =
-        (match trials with Some n -> max 1 n | None -> base.Repro_core.Runner.trials);
-      ycsb_trials =
-        (match ycsb_trials with
-        | Some n -> max 1 n
-        | None -> base.Repro_core.Runner.ycsb_trials);
-      fast = fast || base.Repro_core.Runner.fast;
-      scale =
-        (match scale with Some n -> max 1 n | None -> base.Repro_core.Runner.scale);
-    }
-  in
-  let jobs =
-    match jobs with Some n -> max 1 n | None -> Engine.Pool.default_jobs ()
-  in
+  let profile = profile_of_flags ?trials ?ycsb_trials ~fast ~scale () in
+  let jobs = jobs_of_flag jobs in
   let sample_every = max 0 sample_every in
   let obs = { Obs.trace = trace <> None; sample_every_ns = sample_every } in
   let prof =
@@ -244,19 +243,26 @@ let build_setup profile_default trials ycsb_trials fast scale jobs faults
   in
   if resume && journal_path = None then
     prerr_endline "repro: warning: --resume has no effect without --journal";
-  let journal, records =
-    match journal_path with
-    | None -> (None, [])
-    | Some path ->
-      let j, records = Repro_core.Journal.open_ ~path ~resume in
-      (Some j, records)
-  in
-  let ctx =
+  let make_ctx journal =
     Repro_core.Runner.make_ctx ~profile ~fault_plan:faults
       ~audit_every_ns:(max 0 audit_every_ms * 1_000_000)
       ~jobs ~obs ~prof ~trial_timeout_s:trial_timeout
       ?journal ?cgroups ?chaos:(Option.join chaos) ()
   in
+  (* The journal's header is the fingerprint of this run's context; a
+     resume under any other configuration stops before a trial runs. *)
+  let journal, records =
+    match journal_path with
+    | None -> (None, [])
+    | Some path -> (
+      let fingerprint = Repro_core.Runner.fingerprint (make_ctx None) in
+      match Repro_core.Journal.open_ ~path ~resume ~fingerprint with
+      | j, records -> (Some j, records)
+      | exception Repro_core.Journal.Mismatch msg ->
+        prerr_endline ("repro: " ^ msg);
+        exit 2)
+  in
+  let ctx = make_ctx journal in
   (* Resume notes go to stderr so stdout stays byte-identical to an
      uninterrupted run. *)
   if resume then begin
@@ -662,14 +668,20 @@ let tier_cmd =
   let tier_trials =
     Arg.(value & opt int 3 & info [ "tier-trials" ] ~docv:"N" ~doc:"Trials per cell.")
   in
-  let run setup fast_frac tier_trials =
-    Repro_core.Tier_study.study ~fast_frac ~trials:tier_trials setup.ctx ();
-    finalize setup
+  (* The study runs its own grid outside the result cache, so it takes
+     only the flags it honours. *)
+  let run fast scale jobs fast_frac tier_trials =
+    let ctx =
+      Repro_core.Runner.make_ctx
+        ~profile:(profile_of_flags ~fast ~scale ())
+        ~jobs:(jobs_of_flag jobs) ()
+    in
+    Repro_core.Tier_study.study ~fast_frac ~trials:tier_trials ctx ()
   in
   Cmd.v
     (Cmd.info "tier"
        ~doc:"Compare page-migration policies (TPP/Thermostat/AutoNUMA) on tiered memory.")
-    Term.(const run $ setup_term () $ fast_frac $ tier_trials)
+    Term.(const run $ fast_arg $ scale_arg $ jobs_arg $ fast_frac $ tier_trials)
 
 (* ---------------- export ---------------- *)
 

@@ -503,9 +503,6 @@ let resolve capacity = function
 let has_degrade spec =
   List.exists (function Degrade _ -> true | _ -> false) spec.injectors
 
-let has_churn spec =
-  List.exists (function Churn _ -> true | _ -> false) spec.injectors
-
 let churn_cgs spec =
   List.filter_map
     (function Churn c -> Some c.c_cg | _ -> None)

@@ -96,8 +96,6 @@ val events : spec -> capacity:int -> nthreads:int -> (int * action) list
 val has_degrade : spec -> bool
 (** Whether the machine needs to interpose {!Swapdev.Degraded_device}. *)
 
-val has_churn : spec -> bool
-
 val churn_cgs : spec -> string list
 (** Cgroup names referenced by churn segments, in segment order. *)
 

@@ -200,9 +200,6 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
   | Some lc ->
     List.map (fun x -> { x with detail = x.detail ^ "; last chaos: " ^ lc }) vs
 
-let pp_violation fmt x =
-  Format.fprintf fmt "[%s] subject %d: %s" x.check x.subject x.detail
-
 let report violations =
   match violations with
   | [] -> "invariants: ok"

@@ -48,7 +48,5 @@ val audit :
     chaos is active) is appended to every failure's detail so a
     violation names its likely trigger. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val report : violation list -> string
 (** Multi-line human-readable summary. *)

@@ -98,20 +98,16 @@ let req_str fields name =
   | Obs.Str s -> s
   | _ -> raise (Decode (Printf.sprintf "field %S is not a string" name))
 
-(* A record journaled before a counter existed has no [counters] field
-   (or a shorter one): replaying it would read the missing counters as
-   zero, so it decodes without a result and the runner recomputes the
-   trial. *)
-let counters_of_fields fields =
-  match Obs.field_string fields "counters" with
-  | None -> None
-  | Some s -> (
-    match Obs.Vmstat.decode_capture s with
-    | cap -> if Obs.Vmstat.complete cap then Some cap else None
-    | exception Failure msg -> raise (Decode msg))
-
-let result_of_fields fields counters : Machine.result =
+(* A capture with fewer counters than this build's would read the
+   missing ones as zero: the record is invalid, and its trial reruns. *)
+let result_of_fields fields : Machine.result =
   let int = req_int fields and str = req_str fields in
+  let counters =
+    match Obs.Vmstat.decode_capture (str "counters") with
+    | cap when Obs.Vmstat.complete cap -> cap
+    | _ -> raise (Decode "counters from a build with a different counter set")
+    | exception Failure msg -> raise (Decode msg)
+  in
   {
     runtime_ns = int "runtime_ns";
     major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
@@ -159,7 +155,10 @@ let frame_prefix_len = String.length frame_prefix (* 8 *)
 let digest_hex_len = 32
 let payload_start = frame_prefix_len + digest_hex_len + 2 (* quote+comma = 42 *)
 
-let frame payload =
+let frame fields =
+  let obj = Obs.json_object fields in
+  (* Drop the opening brace: the frame supplies it ahead of "sum". *)
+  let payload = String.sub obj 1 (String.length obj - 1) in
   let sum = Digest.to_hex (Digest.string payload) in
   String.concat "" [ frame_prefix; sum; "\","; payload ]
 
@@ -179,15 +178,11 @@ let unframe line =
     else Ok payload
 
 let record_to_line r =
-  let fields =
-    ("key", Obs.Str r.key)
+  frame
+    (("key", Obs.Str r.key)
     :: ("status", Obs.Str (status_name r.status))
     :: ("reason", Obs.Str r.reason)
-    :: (match r.result with Some res -> result_fields res | None -> [])
-  in
-  let obj = Obs.json_object fields in
-  (* Drop the opening brace: the frame supplies it ahead of "sum". *)
-  frame (String.sub obj 1 (String.length obj - 1))
+    :: (match r.result with Some res -> result_fields res | None -> []))
 
 let record_of_line line =
   match unframe line with
@@ -206,12 +201,52 @@ let record_of_line line =
         let reason = req_str fields "reason" in
         let result =
           match status with
-          | Trial_ok ->
-            Option.map (result_of_fields fields) (counters_of_fields fields)
+          | Trial_ok -> Some (result_of_fields fields)
           | Trial_failed | Trial_timeout -> None
         in
         Ok { key; status; reason; result }
       with Decode msg -> Error msg))
+
+(* ------------------------------------------------------------------ *)
+(* Header: the first line, framed like a record, holds the fingerprint *)
+(* of the run configuration that produced every record below it.      *)
+(* ------------------------------------------------------------------ *)
+
+let header_tag = ("journal", Obs.Str "header")
+
+let header_to_line fingerprint =
+  frame (header_tag :: List.map (fun (k, v) -> (k, Obs.Str v)) fingerprint)
+
+let header_of_line line =
+  match (unframe line, Obs.parse_line line) with
+  | Ok _, Ok (_sum :: tag :: fields) when tag = header_tag ->
+    Some (List.map (function k, Obs.Str v -> (k, v) | k, _ -> (k, "?")) fields)
+  | _ -> None
+
+exception Mismatch of string
+
+(* Refuse a missing header, or one naming another run configuration:
+   list every differing field with both values. *)
+let check_header ~path ~fingerprint header =
+  let refuse why =
+    raise (Mismatch (Printf.sprintf "journal %s %s; refusing to resume" path why))
+  in
+  match header with
+  | None -> refuse "has no run-configuration header (written by an older build)"
+  | Some header -> (
+    let value fp k = Option.value (List.assoc_opt k fp) ~default:"absent" in
+    let keys = List.sort_uniq compare (List.map fst (header @ fingerprint)) in
+    match List.filter (fun k -> value header k <> value fingerprint k) keys with
+    | [] -> ()
+    | differ ->
+      refuse
+        ("was written under another run configuration: "
+        ^ String.concat "; "
+            (List.map
+               (fun k ->
+                 Printf.sprintf "%s (journal %s, this run %s)" k (value header k)
+                   (value fingerprint k))
+               differ)))
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -247,6 +282,7 @@ let load ~path =
             incr lineno;
             (match record_of_line line with
             | Ok r -> records := r :: !records
+            | Error _ when !lineno = 1 && header_of_line line <> None -> ()
             | Error msg ->
               Printf.eprintf
                 "journal: %s: skipping invalid record at line %d (byte \
@@ -265,13 +301,27 @@ let load ~path =
 
 type t = { oc : out_channel; lock : Mutex.t; mutable closed : bool }
 
-let open_ ~path ~resume =
-  let records = if resume then load ~path else [] in
+let open_ ~path ~resume ~fingerprint =
+  let first =
+    if resume && Sys.file_exists path then
+      In_channel.with_open_bin path In_channel.input_line
+    else None
+  in
+  (* A missing or empty file has nothing to resume: start it afresh. *)
+  let records =
+    match first with
+    | None -> []
+    | Some line ->
+      check_header ~path ~fingerprint (header_of_line line);
+      load ~path
+  in
   (* Rewrite the compacted segment atomically, then append to it: the
      file on disk is wholly valid (no torn tail, no duplicates) from the
-     first new append on.  A fresh / non-resume open writes an empty
-     segment, replacing any previous journal. *)
+     first new append on.  A fresh / non-resume open writes a segment
+     holding only the header, replacing any previous journal. *)
   Atomic_io.replace ~path (fun oc ->
+      output_string oc (header_to_line fingerprint);
+      output_char oc '\n';
       List.iter
         (fun r ->
           output_string oc (record_to_line r);

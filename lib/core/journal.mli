@@ -20,6 +20,13 @@
     number and byte offset, then skipped — a corrupt record costs one
     re-run, never the whole journal.
 
+    {b Header.}  The first line, framed the same way, is the
+    fingerprint of the run configuration the records belong to
+    ({!Runner.fingerprint}: model version, fast/scale profile, fault
+    plan, audit cadence, cgroup and chaos specs).  A journal is resumed
+    only under an identical fingerprint, so a record is never replayed
+    for inputs other than the ones that produced it.
+
     {b Rotation.}  Opening a journal for resume compacts it: the valid
     records are rewritten through {!Atomic_io.replace} (temp file,
     fsync, rename), so torn tails and duplicate keys are dropped
@@ -40,10 +47,8 @@ type record = {
   status : status;
   reason : string;  (** empty for [Trial_ok] *)
   result : Machine.result option;
-      (** [Some] only for [Trial_ok]; its [trace] field is always
-          [None].  [None] for a [Trial_ok] record journaled by a build
-          with fewer counters: it cannot be replayed and is recomputed
-          on resume *)
+      (** [Some] exactly for [Trial_ok]; its [trace] field is always
+          [None] *)
 }
 
 val status_name : status -> string
@@ -53,16 +58,25 @@ type t
 (** An open journal.  Appends are mutex-protected and fsynced, so any
     domain may record a finished trial directly. *)
 
-val open_ : path:string -> resume:bool -> t * record list
-(** [open_ ~path ~resume] opens (creating if needed) the journal at
-    [path] for appending and returns the surviving records.
+exception Mismatch of string
+(** A resumed journal belongs to another run configuration; the message
+    names every differing fingerprint field with both values. *)
 
-    With [resume = true], existing records are loaded first: invalid
-    lines are logged and skipped, duplicate keys keep the {e last}
-    occurrence (a retried trial supersedes its earlier failure), and the
-    compacted segment is atomically rewritten before the handle is
-    returned.  With [resume = false] any existing file is replaced by an
-    empty journal and the record list is empty. *)
+val open_ :
+  path:string -> resume:bool -> fingerprint:(string * string) list ->
+  t * record list
+(** [open_ ~path ~resume ~fingerprint] opens (creating if needed) the
+    journal at [path] for appending and returns the surviving records.
+
+    With [resume = true], an existing non-empty journal must carry a
+    header equal to [fingerprint], else {!Mismatch} is raised and the
+    file is left untouched.  Its records are loaded: invalid lines
+    (including records whose counter set differs from this build's) are
+    logged and skipped, duplicate keys keep the {e last} occurrence (a
+    retried trial supersedes its earlier failure), and the compacted
+    segment is atomically rewritten under the header before the handle
+    is returned.  With [resume = false] any existing file is replaced by
+    a journal holding only the header, and the record list is empty. *)
 
 val append : t -> record -> unit
 (** Serialize, checksum, append and fsync one record.  Durable when this
@@ -73,8 +87,8 @@ val close : t -> unit
 
 val load : path:string -> record list
 (** Read-only variant of the [resume] load: the surviving records of
-    [path] (empty if the file does not exist), without rewriting or
-    opening anything. *)
+    [path] (empty if the file does not exist), without checking the
+    header, rewriting or opening anything. *)
 
 (**/**)
 

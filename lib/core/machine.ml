@@ -1,4 +1,5 @@
 module Prof = Obs.Prof
+module Driver = Workload.Driver
 
 type swap_kind =
   | Ssd_swap of Swapdev.Ssd.config
@@ -97,17 +98,6 @@ type result = {
 
 let count r i = Obs.Vmstat.count r.counters i
 
-type kthread_state = {
-  kt : Policy.Policy_intf.kthread;
-  ktid : int; (* profiler thread id: nthreads + index *)
-  kphase : Obs.Prof.phase; (* default attribution phase / span label *)
-  mutable sleeping : bool;
-  (* Pre-allocated driver and wake event: waking a kthread schedules a
-     reused closure instead of building a fresh driver per wakeup. *)
-  mutable kdrive : unit -> unit;
-  mutable kwake : Engine.Sim.t -> unit;
-}
-
 type t = {
   cfg : config;
   obs : Obs.t;
@@ -119,7 +109,7 @@ type t = {
   ws : Mem.Workingset.t;
   sim : Engine.Sim.t;
   cpu : Engine.Cpu.t;
-  rng : Engine.Rng.t;
+  drv : Driver.t; (* threads, barriers, kthreads; see Workload.Driver *)
   pt : Mem.Page_table.t;
   frames : Mem.Frame_table.t;
   mem : Mem.Phys_mem.t;
@@ -127,26 +117,13 @@ type t = {
   workload : Workload.Chunk.packed;
   mutable policy : Policy.Policy_intf.packed option;
   retained_slot : int array; (* vpn -> clean swap-cache slot, or -1 *)
-  groups : int array;        (* tid -> barrier group *)
-  group_size : int array;
-  group_arrived : int array;
-  group_waiters : int list array;
-  waiting : bool array;
-      (* tid -> parked at a barrier; keys the waiter set by thread id so
-         the OOM killer's membership check is O(1) instead of a
-         structural [List.mem] scan *)
-  barrier_arrive_ns : int array; (* tid -> when it reached the barrier *)
-  finish_ns : int array;
-  mutable active_threads : int;
-  mutable kthreads : kthread_state array;
-  mutable restart_thread : int -> unit;
-  mutable stopped : bool;
   read_lat : float Structures.Vec.t;
   write_lat : float Structures.Vec.t;
   (* Direct-reclaim context: reclaim_page behaves differently when the
-     eviction runs synchronously on a faulting thread. *)
+     eviction runs synchronously on a faulting thread, at the thread's
+     [direct_now] rather than the event's time. *)
   mutable in_direct : bool;
-  mutable reclaim_now : int;
+  mutable direct_now : int;
   mutable direct_stall_until : int;
   mutable direct_cpu_extra : int;
   (* Success-adaptive swap readahead, like the kernel's per-VMA scheme:
@@ -164,7 +141,6 @@ type t = {
                               the OOM killer can release the victim's
                               swap slots, not just its resident frames *)
   thread_rss : int array;  (* tid -> resident pages it faulted in *)
-  killed : bool array;
   (* Memory cgroups; None = no containment, zero behavioural change. *)
   mcg : Mem.Memcg.t option;
   mutable mcg_target : int option; (* reclaim scoped to this cgroup *)
@@ -175,9 +151,7 @@ type t = {
      ran the policy's force escalation (ignoring accessed bits) against
      unprotected memory only, so a second zero means nothing outside
      the protected cgroups is reclaimable *)
-  (* Chaos injector state: all zero/empty when [cfg.chaos] is [None], so
-     the hot paths pay one int-array read and nothing else. *)
-  chaos_stall_until : int array; (* tid -> burst-stalled until this time *)
+  (* Chaos injector state: empty when [cfg.chaos] is [None]. *)
   chaos_knobs : Swapdev.Degraded_device.knobs option;
   mutable chaos_offlined : int list; (* offlined pfns, most recent first *)
   mutable chaos_last : string; (* last applied injection, for audit context *)
@@ -226,18 +200,9 @@ let on_touched t ~pfn ~write =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
   P.on_page_touched p ~pfn ~write
 
-(* Wake every sleeping kthread in one pass.  Scheduling reuses each
-   kthread's pre-allocated wake closure, and the flattened event queue
-   stores it without boxing, so a wakeup burst allocates nothing. *)
-let wake_kthreads t =
-  let ks_arr = t.kthreads in
-  for i = 0 to Array.length ks_arr - 1 do
-    let ks = ks_arr.(i) in
-    if ks.sleeping then begin
-      ks.sleeping <- false;
-      Engine.Sim.schedule t.sim ~delay:0 ks.kwake
-    end
-  done
+let wake_kthreads t = Driver.wake_kthreads t.drv
+
+let killed t tid = Driver.killed t.drv tid
 
 let rss_page_mapped t ~tid ~vpn =
   t.faulted_by.(vpn) <- tid;
@@ -309,7 +274,7 @@ let reclaim_page t ~pfn =
     let pte = Mem.Page_table.get t.pt vpn in
     if Mem.Pte.present pte && not t.pinned.(vpn) then begin
       let retained = t.retained_slot.(vpn) in
-      let now = t.reclaim_now in
+      let now = if t.in_direct then t.direct_now else Engine.Sim.now t.sim in
       let needs_writeback = Mem.Pte.dirty pte || retained < 0 in
       let slot =
         if needs_writeback then begin
@@ -389,16 +354,14 @@ let oom_kill ?cg t =
     | _ -> true
   in
   let victim = ref (-1) in
-  Array.iteri
-    (fun tid finish ->
-      if finish < 0 && not t.killed.(tid) && eligible tid then
-        if !victim < 0 || t.thread_rss.(tid) > t.thread_rss.(!victim) then
-          victim := tid)
-    t.finish_ns;
+  for tid = 0 to Driver.threads t.drv - 1 do
+    if Driver.live t.drv tid && eligible tid then
+      if !victim < 0 || t.thread_rss.(tid) > t.thread_rss.(!victim) then
+        victim := tid
+  done;
   if !victim < 0 then false
   else begin
     let v = !victim in
-    t.killed.(v) <- true;
     Obs.Vmstat.incr t.vm Obs.Vmstat.oom_kill;
     let discarded = ref 0 in
     for vpn = 0 to Mem.Page_table.pages t.pt - 1 do
@@ -438,45 +401,7 @@ let oom_kill ?cg t =
       end
     done;
     t.thread_rss.(v) <- 0;
-    (* Future barriers must not wait for the dead thread; if its group
-       is already assembled at one, release the survivors. *)
-    let g = t.groups.(v) in
-    if t.waiting.(v) then begin
-      let rec remove = function
-        | [] -> []
-        | w :: rest -> if w = v then rest else w :: remove rest
-      in
-      t.group_waiters.(g) <- remove t.group_waiters.(g);
-      t.waiting.(v) <- false;
-      t.group_arrived.(g) <- t.group_arrived.(g) - 1
-    end;
-    t.group_size.(g) <- t.group_size.(g) - 1;
-    if
-      t.group_size.(g) > 0
-      && t.group_arrived.(g) >= t.group_size.(g)
-      && t.group_waiters.(g) <> []
-    then begin
-      let waiters = t.group_waiters.(g) in
-      t.group_arrived.(g) <- 0;
-      t.group_waiters.(g) <- [];
-      List.iter (fun w -> t.waiting.(w) <- false) waiters;
-      Engine.Sim.schedule t.sim ~delay:t.cfg.costs.Mem.Costs.barrier_ns (fun _ ->
-          let now = Engine.Sim.now t.sim in
-          List.iter
-            (fun w ->
-              Prof.wait t.prof ~tid:w ~now Prof.Barrier_wait
-                (now - t.barrier_arrive_ns.(w));
-              t.restart_thread w)
-            waiters)
-    end;
-    if t.finish_ns.(v) < 0 then begin
-      t.finish_ns.(v) <- Engine.Sim.now t.sim;
-      t.active_threads <- t.active_threads - 1;
-      if t.active_threads <= 0 then begin
-        t.stopped <- true;
-        Engine.Sim.stop t.sim
-      end
-    end;
+    Driver.kill t.drv v;
     Prof.mark t.prof ~tid:v ~now:(Engine.Sim.now t.sim) Prof.Oom_kill;
     let discarded = !discarded in
     Obs.Vmstat.add t.vm Obs.Vmstat.oom_discarded_pages discarded;
@@ -493,11 +418,43 @@ let oom_kill ?cg t =
     true
   end
 
-(* Allocation slow path: run the policy synchronously and charge its CPU
-   and writeback stalls to the faulting thread.  When reclaim cannot
-   free memory, degrade through the OOM killer rather than aborting the
-   trial; [None] means the faulting thread itself was chosen and its
-   fault must unwind. *)
+(* One synchronous reclaim episode on a faulting thread: run the policy
+   for [want] frames and charge its CPU, plus any writeback it waits on,
+   to the thread by advancing [cursor].  The whole episode is a memory
+   stall, like the kernel's psi_memstall_enter around
+   try_to_free_pages.  Returns the policy's stats. *)
+let direct_reclaim t ~tid ~want ~(cursor : int ref) =
+  let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
+  Obs.Vmstat.incr t.vm Obs.Vmstat.direct_reclaims;
+  t.in_direct <- true;
+  t.direct_now <- !cursor;
+  t.direct_stall_until <- !cursor;
+  t.direct_cpu_extra <- 0;
+  (* Scope the episode: attribution accrued inside it is consumed by its
+     own aggregate charge below, not by the segment-end flush (and vice
+     versa). *)
+  let saved_pending = Prof.suspend_pending t.prof in
+  Prof.begin_phase t.prof ~now:!cursor Prof.Evict_scan;
+  let stats = P.direct_reclaim p ~want in
+  t.in_direct <- false;
+  let cpu = stats.Policy.Policy_intf.cpu_ns + t.direct_cpu_extra in
+  Engine.Cpu.charge t.cpu cpu;
+  Prof.resume_pending t.prof saved_pending;
+  let before = !cursor in
+  let cpu_wall = Engine.Cpu.scale t.cpu cpu in
+  cursor := max (!cursor + cpu_wall) t.direct_stall_until;
+  Prof.end_phase t.prof ~now:(before + cpu_wall);
+  Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
+    (!cursor - before - cpu_wall);
+  mcg_stall t ~tid ~t0:before ~t1:!cursor;
+  Obs.Vmstat.add t.vm Obs.Vmstat.direct_reclaim_ns (!cursor - before);
+  wake_kthreads t;
+  stats
+
+(* Allocation slow path: reclaim synchronously on the faulting thread.
+   When reclaim cannot free memory, degrade through the OOM killer
+   rather than aborting the trial; [-1] means the faulting thread itself
+   was chosen and its fault must unwind. *)
 let alloc_frame t ~tid ~(cursor : int ref) =
   let pfn = Mem.Phys_mem.alloc_pfn t.mem in
   if pfn >= 0 then begin
@@ -505,52 +462,28 @@ let alloc_frame t ~tid ~(cursor : int ref) =
     pfn
   end
   else begin
-    let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
     let rec retry attempts =
-      if t.killed.(tid) then -1
+      if killed t tid then -1
       else if attempts > 64 then
-        if oom_kill t && not t.killed.(tid) then begin
+        if oom_kill t && not (killed t tid) then begin
           let pfn = Mem.Phys_mem.alloc_pfn t.mem in
           if pfn >= 0 then pfn else retry 0
         end
         else -1
       else begin
-        Obs.Vmstat.incr t.vm Obs.Vmstat.direct_reclaims;
-        t.in_direct <- true;
-        t.reclaim_now <- !cursor;
-        t.direct_stall_until <- !cursor;
-        t.direct_cpu_extra <- 0;
-        (* Scope the episode: attribution accrued inside it is consumed
-           by its own aggregate charge below, not by the segment-end
-           flush (and vice versa). *)
-        let saved_pending = Prof.suspend_pending t.prof in
-        Prof.begin_phase t.prof ~now:!cursor Prof.Evict_scan;
         if t.mcg <> None then t.mcg_breach_low <- t.mcg_unproductive >= 2;
-        let stats = P.direct_reclaim p ~want:t.cfg.direct_reclaim_batch in
-        t.in_direct <- false;
-        let cpu = stats.Policy.Policy_intf.cpu_ns + t.direct_cpu_extra in
-        Engine.Cpu.charge t.cpu cpu;
-        Prof.resume_pending t.prof saved_pending;
         let before = !cursor in
-        let cpu_wall = Engine.Cpu.scale t.cpu cpu in
-        cursor := max (!cursor + cpu_wall) t.direct_stall_until;
-        Prof.end_phase t.prof ~now:(before + cpu_wall);
-        Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
-          (!cursor - before - cpu_wall);
-        (* The whole direct-reclaim episode is a memory stall, like the
-           kernel's psi_memstall_enter around try_to_free_pages. *)
-        mcg_stall t ~tid ~t0:before ~t1:!cursor;
-        Obs.Vmstat.add t.vm Obs.Vmstat.direct_reclaim_ns (!cursor - before);
+        let want = t.cfg.direct_reclaim_batch in
+        let stats = direct_reclaim t ~tid ~want ~cursor in
         if Obs.enabled t.obs then
           Obs.emit t.obs ~t_ns:before
             (Obs.Reclaim
                {
-                 want = t.cfg.direct_reclaim_batch;
+                 want;
                  freed = stats.Policy.Policy_intf.freed;
                  scanned = stats.Policy.Policy_intf.scanned;
                  latency_ns = !cursor - before;
                });
-        wake_kthreads t;
         if t.mcg <> None then
           t.mcg_unproductive <-
             (if stats.Policy.Policy_intf.freed = 0 then t.mcg_unproductive + 1
@@ -565,35 +498,14 @@ let alloc_frame t ~tid ~(cursor : int ref) =
     frame
   end
 
-(* One synchronous cgroup-targeted reclaim pass on a faulting thread:
-   the same episode shape as the allocation slow path, but scoped to
-   [cg] through [mcg_target] and reported as a [Cgroup_reclaim] trace
-   event (so untargeted Reclaim telemetry stays comparable across
-   configurations).  Returns the pages freed. *)
+(* A reclaim episode scoped to [cg] through [mcg_target] and reported as
+   a [Cgroup_reclaim] trace event (so untargeted Reclaim telemetry stays
+   comparable across configurations).  Returns the pages freed. *)
 let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
-  let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
-  Obs.Vmstat.incr t.vm Obs.Vmstat.direct_reclaims;
-  t.mcg_target <- Some cg;
-  t.in_direct <- true;
-  t.reclaim_now <- !cursor;
-  t.direct_stall_until <- !cursor;
-  t.direct_cpu_extra <- 0;
-  let saved_pending = Prof.suspend_pending t.prof in
-  Prof.begin_phase t.prof ~now:!cursor Prof.Evict_scan;
-  let stats = P.direct_reclaim p ~want in
-  t.in_direct <- false;
-  t.mcg_target <- None;
-  let cpu = stats.Policy.Policy_intf.cpu_ns + t.direct_cpu_extra in
-  Engine.Cpu.charge t.cpu cpu;
-  Prof.resume_pending t.prof saved_pending;
   let before = !cursor in
-  let cpu_wall = Engine.Cpu.scale t.cpu cpu in
-  cursor := max (!cursor + cpu_wall) t.direct_stall_until;
-  Prof.end_phase t.prof ~now:(before + cpu_wall);
-  Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
-    (!cursor - before - cpu_wall);
-  mcg_stall t ~tid ~t0:before ~t1:!cursor;
-  Obs.Vmstat.add t.vm Obs.Vmstat.direct_reclaim_ns (!cursor - before);
+  t.mcg_target <- Some cg;
+  let stats = direct_reclaim t ~tid ~want ~cursor in
+  t.mcg_target <- None;
   (match t.mcg with
   | Some mg ->
     Obs.emit t.obs ~t_ns:before
@@ -606,7 +518,6 @@ let memcg_direct_reclaim t ~tid ~cg ~want ~(cursor : int ref) =
            latency_ns = !cursor - before;
          })
   | None -> ());
-  wake_kthreads t;
   stats.Policy.Policy_intf.freed
 
 (* memory.max: a charge may not cross the hard cap.  Reclaim inside the
@@ -621,7 +532,7 @@ let memcg_enforce_max t ~tid ~(cursor : int ref) =
   | Some mg ->
     let cg = Mem.Memcg.cg_of_thread mg tid in
     let rec enforce stalled_passes =
-      if (not t.killed.(tid)) && Mem.Memcg.over_max mg cg ~extra:1 then begin
+      if (not (killed t tid)) && Mem.Memcg.over_max mg cg ~extra:1 then begin
         if stalled_passes >= 8 then begin
           if oom_kill t ~cg then enforce 0
           (* else: nothing left to kill in the group; let the charge
@@ -683,7 +594,6 @@ let memcg_after_charge t ~tid ~(cursor : int ref) =
 let memcg_background_reclaim t ~cg ~want ~now =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
   t.mcg_target <- Some cg;
-  t.reclaim_now <- now;
   let stats = P.direct_reclaim p ~want in
   t.mcg_target <- None;
   Engine.Cpu.charge
@@ -803,7 +713,7 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
      sacrifice one of its own) no matter how much global memory is
      free.  May kill [tid]. *)
   memcg_enforce_max t ~tid ~cursor;
-  let pfn = if t.killed.(tid) then -1 else alloc_frame t ~tid ~cursor in
+  let pfn = if killed t tid then -1 else alloc_frame t ~tid ~cursor in
   (* pfn < 0: the faulting thread lost the OOM lottery *)
   if pfn >= 0 then begin
     (* Attribute the trap cost after the allocation so the pending
@@ -852,12 +762,6 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
   end;
   Prof.end_phase t.prof ~now:!cursor
 
-let page_at pages i =
-  match pages with
-  | Workload.Chunk.Range { start; stride; _ } -> start + (i * stride)
-  | Workload.Chunk.Pages a -> a.(i)
-  | Workload.Chunk.Single p -> p
-
 (* Touch one page: fast path sets the accessed (and dirty) bits exactly
    like the hardware walker; misses enter the fault path. *)
 let touch t ~tid ~cursor ~cpu_acc ~vpn ~write =
@@ -882,141 +786,22 @@ let record_latency t ~tid (c : Workload.Chunk.t) ns =
   | Some mg -> Mem.Memcg.note_latency mg ~tid ~cls (float_of_int ns)
   | None -> ()
 
-let rec run_thread t tid =
-  if not t.stopped && not t.killed.(tid) then begin
-    let su = t.chaos_stall_until.(tid) in
-    if su > Engine.Sim.now t.sim then
-      (* Burst storm: the thread is descheduled until the pulse ends. *)
-      Engine.Sim.schedule_at t.sim ~time:su (fun _ -> run_thread t tid)
-    else
-      match Workload.Chunk.packed_next t.workload ~tid with
-      | Workload.Chunk.Chunk c ->
-        process_segment t tid c ~index:0 ~chunk_start:(Engine.Sim.now t.sim)
-      | Workload.Chunk.Barrier -> barrier_arrive t tid
-      | Workload.Chunk.Finished -> thread_finished t tid
-  end
-
-(* Process up to [segment_pages] of a chunk atomically, then yield to the
-   event loop so kernel threads interleave with large chunks. *)
-and process_segment t tid c ~index ~chunk_start =
-  let open Workload.Chunk in
-  let total = page_count c.pages in
-  let seg_len = min t.cfg.segment_pages (total - index) in
-  let t0 = Engine.Sim.now t.sim in
-  Engine.Cpu.run_begin t.cpu;
-  Prof.enter_thread t.prof ~tid;
-  t.reclaim_now <- t0;
-  let cursor = ref t0 in
-  let cpu_acc =
-    ref (if total = 0 then c.cpu_ns else c.cpu_ns * seg_len / total)
-  in
-  for i = index to index + seg_len - 1 do
-    if not t.killed.(tid) then begin
-      let write = c.write && i >= c.read_prefix in
-      touch t ~tid ~cursor ~cpu_acc ~vpn:(page_at c.pages i) ~write
+(* The driver's per-segment hook: touch pages [first .. last - 1] until
+   the thread dies. *)
+let segment t ~tid (c : Workload.Chunk.t) ~first ~last ~cursor ~cpu_acc =
+  for i = first to last - 1 do
+    if not (killed t tid) then begin
+      let write = c.Workload.Chunk.write && i >= c.Workload.Chunk.read_prefix in
+      touch t ~tid ~cursor ~cpu_acc
+        ~vpn:(Workload.Chunk.page_at c.Workload.Chunk.pages i)
+        ~write
     end
-  done;
-  Engine.Cpu.charge t.cpu !cpu_acc;
-  let cpu_wall =
-    int_of_float
-      (float_of_int (Engine.Cpu.scale t.cpu !cpu_acc) *. Engine.Rng.jitter t.rng 0.02)
-  in
-  Prof.span t.prof ~tid Prof.App_compute ~t0 ~t1:(t0 + cpu_wall);
-  let io_wait = !cursor - t0 in
-  Engine.Sim.schedule t.sim ~delay:cpu_wall (fun _ -> Engine.Cpu.run_end t.cpu);
-  if Mem.Phys_mem.below_low t.mem then wake_kthreads t;
-  let next_index = index + seg_len in
-  Engine.Sim.schedule t.sim ~delay:(cpu_wall + io_wait) (fun _ ->
-      if not t.stopped && not t.killed.(tid) then begin
-        if next_index >= total then begin
-          if c.latency_class >= 0 then
-            record_latency t ~tid c (Engine.Sim.now t.sim - chunk_start);
-          run_thread t tid
-        end
-        else begin
-          let su = t.chaos_stall_until.(tid) in
-          if su > Engine.Sim.now t.sim then
-            Engine.Sim.schedule_at t.sim ~time:su (fun _ ->
-                if not t.stopped && not t.killed.(tid) then
-                  process_segment t tid c ~index:next_index ~chunk_start)
-          else process_segment t tid c ~index:next_index ~chunk_start
-        end
-      end)
-
-and barrier_arrive t tid =
-  let g = t.groups.(tid) in
-  t.barrier_arrive_ns.(tid) <- Engine.Sim.now t.sim;
-  t.group_arrived.(g) <- t.group_arrived.(g) + 1;
-  t.group_waiters.(g) <- tid :: t.group_waiters.(g);
-  t.waiting.(tid) <- true;
-  if t.group_arrived.(g) >= t.group_size.(g) then begin
-    let waiters = t.group_waiters.(g) in
-    t.group_arrived.(g) <- 0;
-    t.group_waiters.(g) <- [];
-    List.iter (fun w -> t.waiting.(w) <- false) waiters;
-    Engine.Sim.schedule t.sim ~delay:t.cfg.costs.Mem.Costs.barrier_ns (fun _ ->
-        let now = Engine.Sim.now t.sim in
-        List.iter
-          (fun w ->
-            Prof.wait t.prof ~tid:w ~now Prof.Barrier_wait
-              (now - t.barrier_arrive_ns.(w));
-            run_thread t w)
-          waiters)
-  end
-
-and thread_finished t tid =
-  if t.finish_ns.(tid) < 0 then begin
-    t.finish_ns.(tid) <- Engine.Sim.now t.sim;
-    (match t.mcg with
-    | Some mg -> Mem.Memcg.thread_exit mg ~tid ~now:(Engine.Sim.now t.sim)
-    | None -> ());
-    t.active_threads <- t.active_threads - 1;
-    if t.active_threads <= 0 then begin
-      t.stopped <- true;
-      Engine.Sim.stop t.sim
-    end
-  end
-
-let make_driver t ks =
-  (* Run-queue latency before a kernel thread gets back on a CPU; grows
-     with contention.  This is the scheduling noise the paper holds
-     responsible for scan-timing variance (§VI-A). *)
-  let sched_delay () =
-    if t.cfg.kthread_jitter_ns <= 0 then 0
-    else begin
-      let mean = float_of_int t.cfg.kthread_jitter_ns *. Engine.Cpu.load t.cpu in
-      int_of_float (Engine.Rng.exponential t.rng ~mean)
-    end
-  in
-  (* The continuation closures are allocated once per kthread, not once
-     per step: a steady-state reclaim cycle schedules only reused
-     values. *)
-  let rec drive () =
-    if not t.stopped then begin
-      t.reclaim_now <- Engine.Sim.now t.sim;
-      Prof.enter_thread t.prof ~tid:ks.ktid;
-      match ks.kt.Policy.Policy_intf.kstep () with
-      | Policy.Policy_intf.Work w ->
-        Engine.Cpu.run_begin t.cpu;
-        Engine.Cpu.charge t.cpu w;
-        let wall = Engine.Cpu.scale t.cpu w in
-        let n0 = Engine.Sim.now t.sim in
-        Prof.span t.prof ~tid:ks.ktid ks.kphase ~t0:n0 ~t1:(n0 + wall);
-        Engine.Sim.schedule t.sim ~delay:(wall + sched_delay ()) work_cont
-      | Policy.Policy_intf.Sleep d ->
-        Engine.Sim.schedule t.sim ~delay:(d + sched_delay ()) sleep_cont
-      | Policy.Policy_intf.Sleep_until_woken -> ks.sleeping <- true
-    end
-  and work_cont _ =
-    Engine.Cpu.run_end t.cpu;
-    drive ()
-  and sleep_cont _ = drive () in
-  drive
+  done
 
 let audit t =
   Invariants.audit ~memcg:t.mcg
     ~last_chaos:(if t.chaos_last = "" then None else Some t.chaos_last)
-    ~owners:(Some (t.owner_tid, t.killed))
+    ~owners:(Some (t.owner_tid, Driver.killed_threads t.drv))
     ~pt:t.pt ~frames:t.frames ~mem:t.mem ~swap:t.swap
     ~retained_slot:t.retained_slot
 
@@ -1051,7 +836,7 @@ let chaos_migrate t ~src ~vpn =
    memory-hotplug style: free frames come straight off the free stack,
    mapped ones are migrated to lower frames (or evicted when no
    destination exists), and pinned pages keep their frame online. *)
-let chaos_offline t ~want ~now ~(cs : Chaos.summary) =
+let chaos_offline t ~want ~(cs : Chaos.summary) =
   let offlined = ref 0 in
   let pfn = ref (Mem.Phys_mem.frames t.mem - 1) in
   while !offlined < want && !pfn >= 0 do
@@ -1073,7 +858,6 @@ let chaos_offline t ~want ~now ~(cs : Chaos.summary) =
           end
           else begin
             (* No free destination anywhere: evict the page instead. *)
-            t.reclaim_now <- now;
             reclaim_page t ~pfn:p;
             if Mem.Phys_mem.is_free t.mem p then begin
               Mem.Phys_mem.offline_free t.mem p;
@@ -1124,7 +908,7 @@ let apply_chaos t (cs : Chaos.summary) action =
   let arg =
     match action with
     | Chaos.Offline want ->
-      chaos_offline t ~want ~now ~cs;
+      chaos_offline t ~want ~cs;
       want
     | Chaos.Online want ->
       chaos_online t ~want ~cs;
@@ -1167,9 +951,9 @@ let apply_chaos t (cs : Chaos.summary) action =
             | None -> Option.value low ~default:0))))
     | Chaos.Stall { lo; hi; until } ->
       let n = ref 0 in
-      for tid = lo to min hi (Array.length t.chaos_stall_until - 1) do
-        if (not t.killed.(tid)) && t.finish_ns.(tid) < 0 then begin
-          t.chaos_stall_until.(tid) <- max t.chaos_stall_until.(tid) until;
+      for tid = lo to min hi (Driver.threads t.drv - 1) do
+        if Driver.live t.drv tid then begin
+          Driver.stall t.drv ~tid ~until;
           incr n
         end
       done;
@@ -1192,6 +976,16 @@ let apply_chaos t (cs : Chaos.summary) action =
   (* Every injection is followed by a forced audit, independent of
      [audit_every_ns]. *)
   Obs.Vmstat.add t.vm Obs.Vmstat.invariant_violations (List.length (audit t))
+
+(* A recurring tick every [ns] simulated ns while threads run. *)
+let every t ns f =
+  let rec tick _ =
+    if Driver.running t.drv then begin
+      f ();
+      Engine.Sim.schedule t.sim ~delay:ns tick
+    end
+  in
+  Engine.Sim.schedule t.sim ~delay:ns tick
 
 let run cfg ~policy ~workload =
   if cfg.capacity_frames <= 0 then invalid_arg "Machine.run: capacity_frames";
@@ -1233,16 +1027,6 @@ let run cfg ~policy ~workload =
            ~rng:(Engine.Rng.create (cfg.seed lxor 0x5EED0C4A))
            device)
   in
-  let groups =
-    match cfg.barrier_groups with
-    | Some g ->
-      if Array.length g <> nthreads then invalid_arg "Machine.run: barrier_groups size";
-      g
-    | None -> Array.make nthreads 0
-  in
-  let ngroups = 1 + Array.fold_left max 0 groups in
-  let group_size = Array.make ngroups 0 in
-  Array.iter (fun g -> group_size.(g) <- group_size.(g) + 1) groups;
   let mcg =
     Option.map
       (fun spec ->
@@ -1269,6 +1053,14 @@ let run cfg ~policy ~workload =
                 --cgroups set?)"
                cgn))
       (Chaos.churn_cgs spec));
+  let sim = Engine.Sim.create () in
+  let cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads in
+  let drv =
+    Driver.create ~sim ~cpu ~rng ~prof ~segment_pages:cfg.segment_pages
+      ~barrier_ns:cfg.costs.Mem.Costs.barrier_ns
+      ~kthread_jitter_ns:cfg.kthread_jitter_ns ~barrier_groups:cfg.barrier_groups
+      workload
+  in
   let t =
     {
       cfg;
@@ -1276,9 +1068,9 @@ let run cfg ~policy ~workload =
       prof;
       vm;
       ws = Mem.Workingset.create ~capacity:cfg.capacity_frames;
-      sim = Engine.Sim.create ();
-      cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads;
-      rng;
+      sim;
+      cpu;
+      drv;
       pt =
         Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size ~asid:0
           ~pages:footprint ();
@@ -1291,21 +1083,10 @@ let run cfg ~policy ~workload =
       workload;
       policy = None;
       retained_slot = Array.make footprint (-1);
-      groups;
-      group_size;
-      group_arrived = Array.make ngroups 0;
-      group_waiters = Array.make ngroups [];
-      waiting = Array.make nthreads false;
-      barrier_arrive_ns = Array.make nthreads 0;
-      finish_ns = Array.make nthreads (-1);
-      active_threads = nthreads;
-      kthreads = [||];
-      restart_thread = (fun _ -> ());
-      stopped = false;
       read_lat = Structures.Vec.create ~capacity:1024 ~dummy:0.0 ();
       write_lat = Structures.Vec.create ~capacity:1024 ~dummy:0.0 ();
       in_direct = false;
-      reclaim_now = 0;
+      direct_now = 0;
       direct_stall_until = 0;
       direct_cpu_extra = 0;
       ra_pending = Array.make footprint false;
@@ -1316,12 +1097,10 @@ let run cfg ~policy ~workload =
       faulted_by = Array.make footprint (-1);
       owner_tid = Array.make footprint (-1);
       thread_rss = Array.make nthreads 0;
-      killed = Array.make nthreads false;
       mcg;
       mcg_target = None;
       mcg_breach_low = false;
       mcg_unproductive = 0;
-      chaos_stall_until = Array.make nthreads 0;
       chaos_knobs;
       chaos_offlined = [];
       chaos_last = "";
@@ -1349,50 +1128,25 @@ let run cfg ~policy ~workload =
       vmstat = vm;
     }
   in
-  if Prof.enabled prof then begin
+  if Prof.enabled prof then
     Engine.Cpu.set_hook t.cpu (fun phase ns -> Prof.on_cpu_charge prof phase ns);
-    for tid = 0 to nthreads - 1 do
-      Prof.register_thread prof ~tid
-        ~name:(Printf.sprintf "app%d" tid)
-        ~klass:Prof.App ~default:Prof.App_compute
-    done
-  end;
   let packed = policy env in
   t.policy <- Some packed;
   let (Policy.Policy_intf.Packed ((module P), p)) = packed in
-  t.kthreads <-
-    Array.of_list
-      (List.mapi
-         (fun i kt ->
-           let ktid = nthreads + i in
-           let kname = kt.Policy.Policy_intf.kname in
-           (* Aging walkers default to the linear-walk phase; everything
-              else (kswapd and kin) defaults to eviction scanning. *)
-           let kphase =
-             if kname = "lru_gen_aging" then Prof.Aging_walk
-             else Prof.Evict_scan
-           in
-           Prof.register_thread prof ~tid:ktid ~name:kname ~klass:Prof.Kthread
-             ~default:kphase;
-           {
-             kt;
-             ktid;
-             kphase;
-             sleeping = false;
-             kdrive = (fun () -> ());
-             kwake = ignore;
-           })
-         (P.kthreads p));
-  Array.iter
-    (fun ks ->
-      ks.kdrive <- make_driver t ks;
-      ks.kwake <- (fun _ -> ks.kdrive ()))
-    t.kthreads;
-  t.restart_thread <- (fun tid -> run_thread t tid);
-  Array.iter (fun ks -> Engine.Sim.schedule t.sim ~delay:0 ks.kwake) t.kthreads;
-  for tid = 0 to nthreads - 1 do
-    Engine.Sim.schedule t.sim ~delay:0 (fun _ -> run_thread t tid)
-  done;
+  Driver.start drv
+    {
+      Driver.segment =
+        (fun ~tid c ~first ~last ~cursor ~cpu_acc ->
+          segment t ~tid c ~first ~last ~cursor ~cpu_acc);
+      low_memory = (fun () -> Mem.Phys_mem.below_low t.mem);
+      request_done = (fun ~tid c ~latency_ns -> record_latency t ~tid c latency_ns);
+      thread_exit =
+        (fun ~tid ->
+          match t.mcg with
+          | Some mg -> Mem.Memcg.thread_exit mg ~tid ~now:(Engine.Sim.now t.sim)
+          | None -> ());
+    }
+    (P.kthreads p);
   (* Compile and schedule the chaos timeline.  [None] schedules nothing
      at all — zero extra events, zero extra RNG draws. *)
   let chaos_summary =
@@ -1403,20 +1157,14 @@ let run cfg ~policy ~workload =
       List.iter
         (fun (time, action) ->
           Engine.Sim.schedule_at t.sim ~time (fun _ ->
-              if not t.stopped then apply_chaos t cs action))
+              if not (Driver.stopped drv) then apply_chaos t cs action))
         (Chaos.events spec ~capacity:cfg.capacity_frames ~nthreads);
       Some cs
   in
-  if cfg.audit_every_ns > 0 then begin
-    let rec tick _ =
-      if not t.stopped && t.active_threads > 0 then begin
+  if cfg.audit_every_ns > 0 then
+    every t cfg.audit_every_ns (fun () ->
         Obs.Vmstat.add t.vm Obs.Vmstat.invariant_violations
-          (List.length (audit t));
-        Engine.Sim.schedule t.sim ~delay:cfg.audit_every_ns tick
-      end
-    in
-    Engine.Sim.schedule t.sim ~delay:cfg.audit_every_ns tick
-  end;
+          (List.length (audit t)));
   (* PSI tick: fold stall intervals forward, publish per-cgroup Psi
      trace events, and drive the proactive (Senpai-style) probe.  Only
      scheduled when cgroups are on — a plain run has no extra events,
@@ -1424,11 +1172,10 @@ let run cfg ~policy ~workload =
   (match t.mcg with
   | None -> ()
   | Some mg ->
-    let every = Mem.Memcg.psi_interval_ns mg in
+    let interval = Mem.Memcg.psi_interval_ns mg in
     let n = Mem.Memcg.ncgroups mg in
     let last_some = Array.make n 0 and last_full = Array.make n 0 in
-    let rec tick _ =
-      if not t.stopped && t.active_threads > 0 then begin
+    every t interval (fun () ->
         let now = Engine.Sim.now t.sim in
         Mem.Memcg.advance mg ~now;
         for cg = 0 to n - 1 do
@@ -1443,7 +1190,7 @@ let run cfg ~policy ~workload =
                  cg = Mem.Memcg.name mg cg;
                  some_ns = s - last_some.(cg);
                  full_ns = f - last_full.(cg);
-                 window_ns = every;
+                 window_ns = interval;
                  limit;
                });
           last_some.(cg) <- s;
@@ -1453,11 +1200,7 @@ let run cfg ~policy ~workload =
           for cg = 1 to n - 1 do
             let want, _pressure_ppm = Mem.Memcg.proactive_step mg cg in
             if want > 0 then memcg_background_reclaim t ~cg ~want ~now
-          done;
-        Engine.Sim.schedule t.sim ~delay:every tick
-      end
-    in
-    Engine.Sim.schedule t.sim ~delay:every tick);
+          done));
   (* DAMON-style region monitor: a recurring aggregation tick that
      reads (never clears) accessed bits and adapts its region layout.
      Pure observation on the simulated clock — it charges no CPU and
@@ -1469,14 +1212,8 @@ let run cfg ~policy ~workload =
     | Some dcfg ->
       let d = Mem.Damon.create dcfg in
       let tables = [| t.pt |] in
-      let every = Mem.Damon.aggregate_every_ns d in
-      let rec tick _ =
-        if not t.stopped && t.active_threads > 0 then begin
-          Mem.Damon.tick d ~now:(Engine.Sim.now t.sim) ~tables;
-          Engine.Sim.schedule t.sim ~delay:every tick
-        end
-      in
-      Engine.Sim.schedule t.sim ~delay:every tick;
+      every t (Mem.Damon.aggregate_every_ns d) (fun () ->
+          Mem.Damon.tick d ~now:(Engine.Sim.now t.sim) ~tables);
       Some d
   in
   let sample_every = Obs.sample_every_ns obs in
@@ -1485,7 +1222,7 @@ let run cfg ~policy ~workload =
        *_faults/swap_*/direct_reclaims are cumulative; refault_rate_per_s
        is the per-interval major-fault delta scaled to a rate. *)
     let last_major = ref 0 in
-    let sample _ =
+    let sample () =
       let count i = float_of_int (Obs.Vmstat.get t.vm i) in
       let major = Obs.Vmstat.get t.vm Obs.Vmstat.pgmajfault in
       let d_major = major - !last_major in
@@ -1527,19 +1264,11 @@ let run cfg ~policy ~workload =
       in
       Obs.push_sample obs ~t_ns:(Engine.Sim.now t.sim) metrics
     in
-    let rec tick _ =
-      if not t.stopped && t.active_threads > 0 then begin
-        sample ();
-        Engine.Sim.schedule t.sim ~delay:sample_every tick
-      end
-    in
-    Engine.Sim.schedule t.sim ~delay:sample_every tick
+    every t sample_every sample
   end;
   Engine.Sim.run ~until:cfg.max_runtime_ns ~cancel:cfg.cancel t.sim;
   Obs.Vmstat.add vm Obs.Vmstat.invariant_violations (List.length (audit t));
-  let runtime =
-    Array.fold_left (fun acc f -> max acc f) (Engine.Sim.now t.sim) t.finish_ns
-  in
+  let runtime = Driver.runtime_ns drv in
   let counters = Obs.Vmstat.capture vm in
   {
     runtime_ns = runtime;
@@ -1547,7 +1276,7 @@ let run cfg ~policy ~workload =
     minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
     read_latencies = Structures.Vec.to_array t.read_lat;
     write_latencies = Structures.Vec.to_array t.write_lat;
-    per_thread_finish = Array.copy t.finish_ns;
+    per_thread_finish = Driver.per_thread_finish drv;
     cpu_busy_ns = Engine.Cpu.busy_ns t.cpu;
     policy_stats = P.stats p;
     policy_name = P.policy_name;

@@ -42,6 +42,9 @@ let default_ratios = [ 0.5; 0.9 ]
 (* ------------------------------------------------------------------ *)
 (* Reference trace                                                     *)
 
+(* Dry-run a fresh workload instance into a page-reference string:
+   threads interleaved round-robin at chunk granularity, rendezvousing
+   at barriers.  Consumes the instance. *)
 let reference_trace (w : Workload.Chunk.packed) =
   let threads = Workload.Chunk.packed_threads w in
   let finished = Array.make threads false in

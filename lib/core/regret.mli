@@ -28,15 +28,6 @@ val default_workloads : Runner.workload_kind list
 val default_ratios : float list
 (** 50% and 90% memory pressure. *)
 
-val reference_trace : Workload.Chunk.packed -> int array
-(** Dry-run a fresh workload instance into a page-reference string:
-    threads interleaved round-robin at chunk granularity, rendezvousing
-    at barriers.  Consumes the instance — pass a freshly made one. *)
-
-val capacity_for : footprint:int -> ratio:float -> int
-(** The machine-sizing formula the runner uses, exposed so Belady runs
-    against exactly the cell's frame count. *)
-
 val compute :
   Runner.ctx ->
   workloads:Runner.workload_kind list ->

@@ -142,6 +142,11 @@ let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
     log_lock = Mutex.create ();
   }
 
+(* [ctx] with a private result cache, experiment log and dedup table. *)
+let fresh_cache ctx =
+  let { cache; logged; log; log_lock; _ } = make_ctx ~profile:ctx.profile () in
+  { ctx with cache; logged; log; log_lock }
+
 let profile ctx = ctx.profile
 
 let fault_plan ctx = ctx.fault_plan
@@ -166,50 +171,51 @@ let damon ctx = ctx.damon
    dedup tables are fresh: [cgroups] is ctx-level (like [fault_plan])
    and deliberately not part of {!exp_key}, so sharing the parent's
    cache would alias runs computed under different specs. *)
-let with_cgroups ctx spec =
-  {
-    ctx with
-    cgroups = Some spec;
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
-  }
+let with_cgroups ctx spec = fresh_cache { ctx with cgroups = Some spec }
 
 (* Same derivation for chaos specs ([None] = strip any installed spec);
    [?cgroups] lets a chaos class that needs a cgroup (limit churn)
    install one in the same derived context. *)
 let with_chaos ?cgroups ?obs ctx chaos =
-  {
-    ctx with
-    chaos;
-    cgroups = (match cgroups with Some _ as c -> c | None -> ctx.cgroups);
-    obs = (match obs with Some o -> o | None -> ctx.obs);
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
-  }
+  fresh_cache
+    {
+      ctx with
+      chaos;
+      cgroups = (match cgroups with Some _ as c -> c | None -> ctx.cgroups);
+      obs = Option.value obs ~default:ctx.obs;
+    }
 
 (* Same derivation for the DAMON region monitor: monitored results
    carry heatmap captures, so they must never alias a cache populated
    without the monitor (results are otherwise identical — the monitor
    observes without perturbing — but the capture field differs). *)
-let with_damon ctx config =
-  {
-    ctx with
-    damon = Some config;
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
-  }
+let with_damon ctx config = fresh_cache { ctx with damon = Some config }
+
+(* Bump whenever a change alters some trial's result for the same
+   inputs: journals written before it are then refused on resume. *)
+let model_version = 1
+
+let fingerprint ctx =
+  let plan =
+    let p = ctx.fault_plan in
+    match
+      List.find_opt
+        (fun n -> Swapdev.Faulty_device.plan_of_name n = Some p)
+        [ "none"; "light"; "heavy" ]
+    with
+    | Some name -> name
+    | None -> "custom-" ^ Digest.to_hex (Digest.string (Marshal.to_string p []))
+  in
+  let spec to_string = Option.fold ~none:"none" ~some:to_string in
+  [
+    ("model", string_of_int model_version);
+    ("fast", string_of_bool ctx.profile.fast);
+    ("scale", string_of_int ctx.profile.scale);
+    ("faults", plan);
+    ("audit_every_ns", string_of_int ctx.audit_every_ns);
+    ("cgroups", spec Mem.Memcg.spec_to_string ctx.cgroups);
+    ("chaos", spec Chaos.spec_to_string ctx.chaos);
+  ]
 
 let log_exp ctx e key =
   Mutex.lock ctx.log_lock;
@@ -553,26 +559,17 @@ let warm_start ctx records =
   else begin
     (* Under totals-only profiling, journaled results from an unprofiled
        run carry no phase totals; skip those so the resumed sweep
-       recomputes them with the profiler on.  Ok records without a
-       result were journaled by a build with fewer counters. *)
+       recomputes them with the profiler on. *)
     let want_profile = Obs.Prof.config_enabled ctx.prof in
-    let installed, stale =
-      List.fold_left
-        (fun (n, stale) (r : Journal.record) ->
-          match (r.status, r.result) with
-          | Journal.Trial_ok, Some res
-            when (not want_profile) || res.Machine.profile <> None ->
-            ignore (cache_store ctx r.key (Done res));
-            (n + 1, stale)
-          | Journal.Trial_ok, None -> (n, stale + 1)
-          | _ -> (n, stale))
-        (0, 0) records
-    in
-    if stale > 0 then
-      Printf.eprintf
-        "journal: %d record(s) lack this build's counters; recomputing them\n%!"
-        stale;
-    installed
+    List.fold_left
+      (fun n (r : Journal.record) ->
+        match (r.status, r.result) with
+        | Journal.Trial_ok, Some res
+          when (not want_profile) || res.Machine.profile <> None ->
+          ignore (cache_store ctx r.key (Done res));
+          n + 1
+        | _ -> n)
+      0 records
   end
 
 let failures ctx =

@@ -180,6 +180,13 @@ val with_damon : ctx -> Mem.Damon.config -> ctx
     cache/log, like {!with_cgroups} (monitored results carry heatmap
     captures, so they must not alias an unmonitored cache). *)
 
+val fingerprint : ctx -> (string * string) list
+(** Every ctx-level input that changes a trial's result, as named
+    canonical strings: a model-version constant (bumped whenever results
+    change for the same inputs), [fast], [scale], the fault plan,
+    [audit_every_ns], and the cgroup and chaos specs.  Journals carry it
+    in their header ({!Journal.open_}). *)
+
 val cached_results : ctx -> int
 (** Number of trial outcomes currently memoized in this context. *)
 
@@ -191,11 +198,9 @@ val warm_start : ctx -> Journal.record list -> int
     (journal records carry no traces), span profiling enabled (they
     carry no spans) or the region monitor enabled (they carry no
     heatmaps).  Under totals-only profiling, only records that carry
-    phase totals are installed; the rest recompute.  Ok records without
-    a result (journaled by a build with fewer counters; see
-    {!Journal.record}) are recomputed too, with one stderr note giving
-    their count.  Call once, before running anything, on a fresh
-    context. *)
+    phase totals are installed; the rest recompute.  Call once, before
+    running anything, on a fresh context whose {!fingerprint} matched
+    the journal's header. *)
 
 (** {1 Running trials} *)
 

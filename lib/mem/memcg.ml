@@ -474,7 +474,6 @@ let uncharge t ~vpn =
     t.cgs.(cg).cg_usage <- t.cgs.(cg).cg_usage - 1
   end
 
-
 let over_high t cg =
   let g = t.cgs.(cg) in
   g.cg_high < max_int && g.cg_usage > g.cg_high
@@ -641,8 +640,6 @@ let vm_bump t ~tid i = vm_bump_cg t (cg_of_thread t tid) i
 let vm_bump_page t ~vpn i =
   let cg = t.page_cg.(vpn) in
   vm_bump_cg t (if cg >= 0 then cg else 0) i
-
-let vm_count t cg i = t.cgs.(cg).cg_stats.st_vm.(i)
 
 type report = {
   r_name : string;

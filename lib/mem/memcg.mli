@@ -212,9 +212,6 @@ val vm_bump_page : t -> vpn:int -> int -> unit
 (** Bump for the cgroup currently charged for page [vpn] (root when
     uncharged) — reclaim-side attribution, like [pgsteal]. *)
 
-val vm_count : t -> int -> int -> int
-(** [vm_count t cg i] reads counter [i] of cgroup [cg]. *)
-
 type report = {
   r_name : string;
   r_usage : int;          (** resident pages at end of run *)

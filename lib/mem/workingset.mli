@@ -38,9 +38,6 @@ val note_eviction : t -> was_active:bool -> int
 
 val shadow_was_active : int -> bool
 
-val shadow_eviction : int -> int
-(** The clock snapshot packed in a token (exposed for the tests). *)
-
 (** {1 Refault classification} *)
 
 type refault = {

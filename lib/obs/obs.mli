@@ -106,8 +106,6 @@ type event =
 val kind_name : event -> string
 (** Stable lowercase kind tag used in the JSONL [kind] field. *)
 
-val promote_reason_name : promote_reason -> string
-
 (** {1 Sink configuration} *)
 
 type config = {

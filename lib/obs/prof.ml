@@ -146,8 +146,6 @@ let create cfg =
 
 let enabled = function None -> false | Some _ -> true
 
-let spans_on = function None -> false | Some s -> s.cfg.spans
-
 let class_index s name =
   let n = Array.length s.classes in
   let rec find i =
@@ -233,13 +231,6 @@ let end_phase t ~now =
               ti.t_path <- ti.t_path / 16;
               if s.cfg.spans then
                 s.spans <- (s.cur, i, t0, max t0 now) :: s.spans))
-
-let with_phase t ~now phase f =
-  match t with
-  | None -> f ()
-  | Some _ ->
-      begin_phase t ~now:(now ()) phase;
-      Fun.protect ~finally:(fun () -> end_phase t ~now:(now ())) f
 
 let charge t ?phase ns =
   match t with

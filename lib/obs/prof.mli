@@ -97,8 +97,6 @@ val create : config -> t
 
 val enabled : t -> bool
 
-val spans_on : t -> bool
-
 (** {1 Thread registry}
 
     Threads are registered once before the simulation starts.  App
@@ -132,10 +130,6 @@ val begin_phase : t -> now:int -> phase -> unit
 val end_phase : t -> now:int -> unit
 (** Pop the innermost phase (no-op on an empty stack) and, when spans
     are on, record it as [[begin, max begin now]]. *)
-
-val with_phase : t -> now:(unit -> int) -> phase -> (unit -> 'a) -> 'a
-(** [with_phase t ~now phase f] brackets [f] with
-    {!begin_phase}/{!end_phase}, reading [now] at entry and exit. *)
 
 (** {1 Attribution} *)
 

@@ -144,10 +144,6 @@ let slot t seq = seq mod t.config.max_gens
 
 let gen_size t seq = Structures.Dlist.size t.lists (slot t seq)
 
-let protected_tiers t = t.protected_tiers
-
-let config_of t = t.config
-
 let costs t = t.env.Policy_intf.costs
 
 let vm t = t.env.Policy_intf.vmstat

@@ -68,8 +68,3 @@ val nr_gens : t -> int
 
 val gen_size : t -> int -> int
 (** Population of the generation with the given sequence number. *)
-
-val protected_tiers : t -> int
-(** Current PID-controlled tier shield level. *)
-
-val config_of : t -> config

@@ -66,13 +66,13 @@ type reclaim_stats = {
 let fresh_stats () =
   { freed = 0; scanned = 0; promoted = 0; rmap_walks = 0; pte_scans = 0; cpu_ns = 0 }
 
-type kstep =
-  | Work of int  (** consumed this many ns of CPU; re-step when it elapses *)
-  | Sleep of int (** idle; re-step after this many ns *)
+(* One definition, in {!Engine.Kthread}, shared with the thread driver. *)
+type kstep = Engine.Kthread.kstep =
+  | Work of int
+  | Sleep of int
   | Sleep_until_woken
-      (** idle until the machine signals memory pressure *)
 
-type kthread = {
+type kthread = Engine.Kthread.t = {
   kname : string;
   kstep : unit -> kstep;
 }

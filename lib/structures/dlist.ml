@@ -80,8 +80,6 @@ let tail t l = opt t.tails.(l)
 
 (* Unboxed accessors for policy scan loops: [nil] (-1) instead of None,
    so a per-page candidate probe allocates nothing. *)
-let head_node t l = t.heads.(l)
-
 let tail_node t l = t.tails.(l)
 
 let pop_tail_node t l =
@@ -91,13 +89,6 @@ let pop_tail_node t l =
 
 let pop_tail t l =
   match tail t l with
-  | None -> None
-  | Some node ->
-    remove t ~node;
-    Some node
-
-let pop_head t l =
-  match head t l with
   | None -> None
   | Some node ->
     remove t ~node;

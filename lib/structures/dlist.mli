@@ -47,11 +47,6 @@ val tail : t -> int -> int option
 val pop_tail : t -> int -> int option
 (** Remove and return the tail node. *)
 
-val pop_head : t -> int -> int option
-
-val head_node : t -> int -> int
-(** Allocation-free {!head}: the head node, or [-1] when empty. *)
-
 val tail_node : t -> int -> int
 (** Allocation-free {!tail}: the tail node, or [-1] when empty. *)
 

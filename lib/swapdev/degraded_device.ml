@@ -27,9 +27,6 @@ type knobs = {
 
 let neutral () = { latency_mult = 1.0; error_prob = 0.0; wear_prob = 0.0 }
 
-let is_neutral k =
-  k.latency_mult = 1.0 && k.error_prob = 0.0 && k.wear_prob = 0.0
-
 type counters = {
   mutable slow_ops : int;
   mutable degraded_transient : int;

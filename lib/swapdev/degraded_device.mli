@@ -17,8 +17,6 @@ type knobs = {
 val neutral : unit -> knobs
 (** Fresh identity knobs: [latency_mult = 1.0], both probabilities 0. *)
 
-val is_neutral : knobs -> bool
-
 type counters = {
   mutable slow_ops : int;            (** completions stretched by latency *)
   mutable degraded_transient : int;  (** transient failures injected *)

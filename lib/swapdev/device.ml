@@ -18,8 +18,4 @@ type t = {
   busy_until : unit -> int;
 }
 
-let op_name = function Read -> "read" | Write -> "write"
-
-let error_name = function Transient -> "transient" | Permanent -> "permanent"
-
 let ok completion = completion.status = Done

@@ -41,9 +41,5 @@ type t = {
           probe for tests *)
 }
 
-val op_name : op -> string
-
-val error_name : error -> string
-
 val ok : completion -> bool
 (** [status = Done]. *)

@@ -43,9 +43,10 @@ type env = {
   unpoison : vpn:int -> unit;
 }
 
-type kstep = Work of int | Sleep of int | Sleep_until_woken
+(* One definition, in {!Engine.Kthread}, shared with the thread driver. *)
+type kstep = Engine.Kthread.kstep = Work of int | Sleep of int | Sleep_until_woken
 
-type kthread = {
+type kthread = Engine.Kthread.t = {
   kname : string;
   kstep : unit -> kstep;
 }

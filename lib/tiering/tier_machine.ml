@@ -52,32 +52,16 @@ let slow_fraction r =
   let warm = r.fast_touches + r.slow_touches in
   if warm = 0 then 0.0 else float_of_int r.slow_touches /. float_of_int warm
 
-type kthread_state = {
-  kt : Migration_intf.kthread;
-  mutable sleeping : bool;
-}
-
 type t = {
   cfg : config;
   sim : Engine.Sim.t;
-  cpu : Engine.Cpu.t;
-  rng : Engine.Rng.t;
+  drv : Workload.Driver.t;
   pt : Mem.Page_table.t;
   tier_of : int array; (* vpn -> 0 fast, 1 slow, -1 untouched *)
   poisoned : Bytes.t;
   mutable fast_used : int;
   mutable slow_used : int;
-  workload : Workload.Chunk.packed;
   mutable policy : Migration_intf.packed option;
-  groups : int array;
-  group_size : int array;
-  group_arrived : int array;
-  group_waiters : int list array;
-  finish_ns : int array;
-  mutable active_threads : int;
-  mutable kthreads : kthread_state array;
-  mutable drive : kthread_state -> unit;
-  mutable stopped : bool;
   mutable fast_touches : int;
   mutable slow_touches : int;
   mutable cold_touches : int;
@@ -95,15 +79,6 @@ let policy_of t =
 let is_poisoned t vpn = Bytes.get t.poisoned vpn = '\001'
 
 let set_poisoned t vpn v = Bytes.set t.poisoned vpn (if v then '\001' else '\000')
-
-let wake_kthreads t =
-  Array.iter
-    (fun ks ->
-      if ks.sleeping then begin
-        ks.sleeping <- false;
-        Engine.Sim.schedule t.sim ~delay:0 (fun _ -> t.drive ks)
-      end)
-    t.kthreads
 
 (* Map a page for the first time: ask the policy where it wants it, fall
    back to whichever tier has room. *)
@@ -131,7 +106,7 @@ let place_cold t vpn =
   P.on_placed p ~vpn
     (if tier = 0 then Migration_intf.Fast else Migration_intf.Slow);
   (* Fast tier filling up is this machine's memory-pressure signal. *)
-  if t.fast_used >= t.cfg.fast_frames then wake_kthreads t
+  if t.fast_used >= t.cfg.fast_frames then Workload.Driver.wake_kthreads t.drv
 
 let touch t ~(cpu_acc : int ref) ~vpn ~write =
   (match t.tier_of.(vpn) with
@@ -158,109 +133,32 @@ let touch t ~(cpu_acc : int ref) ~vpn ~write =
   let pte = if write then Mem.Pte.set_dirty pte else pte in
   Mem.Page_table.set t.pt vpn pte
 
-let page_at pages i =
-  match pages with
-  | Workload.Chunk.Range { start; stride; _ } -> start + (i * stride)
-  | Workload.Chunk.Pages a -> a.(i)
-  | Workload.Chunk.Single p -> p
-
-let rec run_thread t tid =
-  if not t.stopped then
-    match Workload.Chunk.packed_next t.workload ~tid with
-    | Workload.Chunk.Chunk c -> process_segment t tid c ~index:0
-    | Workload.Chunk.Barrier -> barrier_arrive t tid
-    | Workload.Chunk.Finished -> thread_finished t tid
-
-and process_segment t tid c ~index =
-  let open Workload.Chunk in
-  let total = page_count c.pages in
-  let seg_len = min t.cfg.segment_pages (total - index) in
-  Engine.Cpu.run_begin t.cpu;
-  let cpu_acc = ref (if total = 0 then c.cpu_ns else c.cpu_ns * seg_len / total) in
-  for i = index to index + seg_len - 1 do
-    let write = c.write && i >= c.read_prefix in
-    touch t ~cpu_acc ~vpn:(page_at c.pages i) ~write
-  done;
-  Engine.Cpu.charge t.cpu !cpu_acc;
-  let wall =
-    int_of_float
-      (float_of_int (Engine.Cpu.scale t.cpu !cpu_acc) *. Engine.Rng.jitter t.rng 0.02)
-  in
-  let next_index = index + seg_len in
-  Engine.Sim.schedule t.sim ~delay:wall (fun _ ->
-      Engine.Cpu.run_end t.cpu;
-      if not t.stopped then
-        if next_index >= total then run_thread t tid
-        else process_segment t tid c ~index:next_index)
-
-and barrier_arrive t tid =
-  let g = t.groups.(tid) in
-  t.group_arrived.(g) <- t.group_arrived.(g) + 1;
-  t.group_waiters.(g) <- tid :: t.group_waiters.(g);
-  if t.group_arrived.(g) >= t.group_size.(g) then begin
-    let waiters = t.group_waiters.(g) in
-    t.group_arrived.(g) <- 0;
-    t.group_waiters.(g) <- [];
-    Engine.Sim.schedule t.sim ~delay:t.cfg.costs.Mem.Costs.barrier_ns (fun _ ->
-        List.iter (fun w -> run_thread t w) waiters)
-  end
-
-and thread_finished t tid =
-  if t.finish_ns.(tid) < 0 then begin
-    t.finish_ns.(tid) <- Engine.Sim.now t.sim;
-    t.active_threads <- t.active_threads - 1;
-    if t.active_threads <= 0 then begin
-      t.stopped <- true;
-      Engine.Sim.stop t.sim
-    end
-  end
-
-let make_driver t ks =
-  let sched_delay () =
-    if t.cfg.kthread_jitter_ns <= 0 then 0
-    else begin
-      let mean = float_of_int t.cfg.kthread_jitter_ns *. Engine.Cpu.load t.cpu in
-      int_of_float (Engine.Rng.exponential t.rng ~mean)
-    end
-  in
-  let rec drive () =
-    if not t.stopped then
-      match ks.kt.Migration_intf.kstep () with
-      | Migration_intf.Work w ->
-        Engine.Cpu.run_begin t.cpu;
-        Engine.Cpu.charge t.cpu w;
-        let wall = Engine.Cpu.scale t.cpu w in
-        Engine.Sim.schedule t.sim ~delay:(wall + sched_delay ()) (fun _ ->
-            Engine.Cpu.run_end t.cpu;
-            drive ())
-      | Migration_intf.Sleep d ->
-        Engine.Sim.schedule t.sim ~delay:(d + sched_delay ()) (fun _ -> drive ())
-      | Migration_intf.Sleep_until_woken -> ks.sleeping <- true
-  in
-  drive
+(* The driver's per-segment hook; this machine never blocks a thread. *)
+let segment t (c : Workload.Chunk.t) ~first ~last ~cpu_acc =
+  for i = first to last - 1 do
+    let write = c.Workload.Chunk.write && i >= c.Workload.Chunk.read_prefix in
+    touch t ~cpu_acc ~vpn:(Workload.Chunk.page_at c.Workload.Chunk.pages i) ~write
+  done
 
 let run cfg ~policy ~workload =
   let footprint = Workload.Chunk.packed_footprint workload in
   if cfg.fast_frames + cfg.slow_frames < footprint then
     invalid_arg "Tier_machine.run: tiers smaller than the footprint";
-  let nthreads = Workload.Chunk.packed_threads workload in
   let rng = Engine.Rng.create cfg.seed in
-  let groups =
-    match cfg.barrier_groups with
-    | Some g ->
-      if Array.length g <> nthreads then invalid_arg "Tier_machine: barrier_groups size";
-      g
-    | None -> Array.make nthreads 0
+  let sim = Engine.Sim.create () in
+  let drv =
+    Workload.Driver.create ~sim
+      ~cpu:(Engine.Cpu.create ~hw_threads:cfg.hw_threads)
+      ~rng ~segment_pages:cfg.segment_pages
+      ~barrier_ns:cfg.costs.Mem.Costs.barrier_ns
+      ~kthread_jitter_ns:cfg.kthread_jitter_ns ~barrier_groups:cfg.barrier_groups
+      workload
   in
-  let ngroups = 1 + Array.fold_left max 0 groups in
-  let group_size = Array.make ngroups 0 in
-  Array.iter (fun g -> group_size.(g) <- group_size.(g) + 1) groups;
   let t =
     {
       cfg;
-      sim = Engine.Sim.create ();
-      cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads;
-      rng;
+      sim;
+      drv;
       pt =
         Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size ~asid:0
           ~pages:footprint ();
@@ -268,17 +166,7 @@ let run cfg ~policy ~workload =
       poisoned = Bytes.make footprint '\000';
       fast_used = 0;
       slow_used = 0;
-      workload;
       policy = None;
-      groups;
-      group_size;
-      group_arrived = Array.make ngroups 0;
-      group_waiters = Array.make ngroups [];
-      finish_ns = Array.make nthreads (-1);
-      active_threads = nthreads;
-      kthreads = [||];
-      drive = (fun _ -> ());
-      stopped = false;
       fast_touches = 0;
       slow_touches = 0;
       cold_touches = 0;
@@ -336,21 +224,19 @@ let run cfg ~policy ~workload =
   let packed = policy env in
   t.policy <- Some packed;
   let (Migration_intf.Packed ((module P), p)) = packed in
-  t.kthreads <-
-    Array.of_list (List.map (fun kt -> { kt; sleeping = false }) (P.kthreads p));
-  t.drive <- (fun ks -> (make_driver t ks) ());
-  Array.iter
-    (fun ks -> Engine.Sim.schedule t.sim ~delay:0 (fun _ -> t.drive ks))
-    t.kthreads;
-  for tid = 0 to nthreads - 1 do
-    Engine.Sim.schedule t.sim ~delay:0 (fun _ -> run_thread t tid)
-  done;
+  Workload.Driver.start drv
+    {
+      Workload.Driver.segment =
+        (fun ~tid:_ c ~first ~last ~cursor:_ ~cpu_acc ->
+          segment t c ~first ~last ~cpu_acc);
+      low_memory = (fun () -> false);
+      request_done = (fun ~tid:_ _ ~latency_ns:_ -> ());
+      thread_exit = (fun ~tid:_ -> ());
+    }
+    (P.kthreads p);
   Engine.Sim.run ~until:cfg.max_runtime_ns t.sim;
-  let runtime =
-    Array.fold_left (fun acc f -> max acc f) (Engine.Sim.now t.sim) t.finish_ns
-  in
   {
-    runtime_ns = runtime;
+    runtime_ns = Workload.Driver.runtime_ns drv;
     fast_touches = t.fast_touches;
     slow_touches = t.slow_touches;
     cold_touches = t.cold_touches;
@@ -360,7 +246,7 @@ let run cfg ~policy ~workload =
     failed_promotions = t.failed_promotions;
     fast_resident = t.fast_used;
     slow_resident = t.slow_used;
-    per_thread_finish = Array.copy t.finish_ns;
+    per_thread_finish = Workload.Driver.per_thread_finish drv;
     policy_stats = P.stats p;
     policy_name = P.policy_name;
   }

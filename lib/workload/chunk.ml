@@ -46,6 +46,13 @@ let page_count = function
   | Pages a -> Array.length a
   | Single _ -> 1
 
+(* The [i]th page of a chunk's page set. *)
+let page_at pages i =
+  match pages with
+  | Range { start; stride; _ } -> start + (i * stride)
+  | Pages a -> a.(i)
+  | Single p -> p
+
 let iter_pages f = function
   | Range { start; len; stride } ->
     for i = 0 to len - 1 do

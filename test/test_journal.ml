@@ -1,12 +1,15 @@
 (* Journal unit tests: record framing and checksums, bit-exact result
-   round-trips, torn-tail detection, last-wins dedup and resume-time
-   compaction. *)
+   round-trips, torn-tail detection, last-wins dedup, resume-time
+   compaction, and the run-configuration header. *)
 
 module J = Repro_core.Journal
 module R = Repro_core.Runner
 module M = Repro_core.Machine
+module A = Repro_core.Atomic_io
 
 let fast_profile = { R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 }
+
+let fingerprint = R.fingerprint (R.make_ctx ~profile:fast_profile ())
 
 let sample_exp =
   {
@@ -148,7 +151,7 @@ let failed_record key =
 
 let test_append_load_cycle () =
   with_temp_journal (fun path ->
-      let t, loaded = J.open_ ~path ~resume:false in
+      let t, loaded = J.open_ ~path ~resume:false ~fingerprint in
       Alcotest.(check int) "fresh journal empty" 0 (List.length loaded);
       J.append t (ok_record ());
       J.append t (failed_record "a");
@@ -164,7 +167,7 @@ let test_append_load_cycle () =
 
 let test_torn_tail_skipped () =
   with_temp_journal (fun path ->
-      let t, _ = J.open_ ~path ~resume:false in
+      let t, _ = J.open_ ~path ~resume:false ~fingerprint in
       J.append t (failed_record "a");
       J.append t (ok_record ());
       J.close t;
@@ -179,7 +182,7 @@ let test_torn_tail_skipped () =
 
 let test_dedup_last_wins () =
   with_temp_journal (fun path ->
-      let t, _ = J.open_ ~path ~resume:false in
+      let t, _ = J.open_ ~path ~resume:false ~fingerprint in
       J.append t (failed_record "x");
       J.append t (failed_record "y");
       (* The retried trial supersedes its earlier failure. *)
@@ -205,33 +208,33 @@ let count_lines path =
 
 let test_resume_compacts_segment () =
   with_temp_journal (fun path ->
-      let t, _ = J.open_ ~path ~resume:false in
+      let t, _ = J.open_ ~path ~resume:false ~fingerprint in
       J.append t (failed_record "x");
       J.append t (failed_record "x");
       (* duplicate *)
       J.append t (failed_record "y");
       J.close t;
       append_raw path "garbage that is not a record\n";
-      Alcotest.(check int) "dirty segment has 4 lines" 4 (count_lines path);
-      let t, loaded = J.open_ ~path ~resume:true in
+      Alcotest.(check int) "header plus 4 dirty lines" 5 (count_lines path);
+      let t, loaded = J.open_ ~path ~resume:true ~fingerprint in
       J.close t;
       Alcotest.(check (list string))
         "survivors" [ "x"; "y" ]
         (List.map (fun r -> r.J.key) loaded);
       (* The on-disk segment was rewritten: duplicates and garbage gone,
          every remaining line valid. *)
-      Alcotest.(check int) "compacted to 2 lines" 2 (count_lines path);
+      Alcotest.(check int) "compacted to header plus 2" 3 (count_lines path);
       Alcotest.(check int) "all lines valid" 2 (List.length (J.load ~path)))
 
 let test_open_without_resume_truncates () =
   with_temp_journal (fun path ->
-      let t, _ = J.open_ ~path ~resume:false in
+      let t, _ = J.open_ ~path ~resume:false ~fingerprint in
       J.append t (failed_record "old");
       J.close t;
-      let t, loaded = J.open_ ~path ~resume:false in
+      let t, loaded = J.open_ ~path ~resume:false ~fingerprint in
       J.close t;
       Alcotest.(check int) "no records surfaced" 0 (List.length loaded);
-      Alcotest.(check int) "file truncated" 0 (count_lines path))
+      Alcotest.(check int) "truncated to the header" 1 (count_lines path))
 
 (* The 17-counter capture a build with fewer counters wrote. *)
 let short_capture = "\"v1:1;999;0;0;0;0;0;3;4;0;0;0;0;0;0;0;0|0\""
@@ -258,32 +261,112 @@ let pre_counters_line ?(extra = ",\"vmstat\":" ^ short_capture) key =
   in
   "{\"sum\":\"" ^ Digest.to_hex (Digest.string payload) ^ "\"," ^ payload
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let refused ~fingerprint path =
+  match J.open_ ~path ~resume:true ~fingerprint with
+  | t, _ ->
+    J.close t;
+    Alcotest.fail "resumed a journal of another configuration"
+  | exception J.Mismatch msg -> msg
+
 let test_pre_counters_record_not_replayed () =
-  (* Counters off, counters on, and a [counters] field one build short. *)
+  (* Counters off, counters on, and a [counters] field one build short:
+     none decodes, so none can be replayed. *)
   List.iter
     (fun extra ->
       match J.record_of_line (pre_counters_line ?extra "k") with
-      | Error msg -> Alcotest.failf "framing rejected: %s" msg
-      | Ok r ->
-        Alcotest.(check string) "still an ok record" "ok"
-          (J.status_name r.J.status);
-        Alcotest.(check bool) "no replayable result" true (r.J.result = None))
+      | Ok _ -> Alcotest.fail "decoded a record with the wrong counter set"
+      | Error _ -> ())
     [ Some ""; None; Some (",\"counters\":" ^ short_capture) ];
+  (* Such records come from a build that wrote no header: refused. *)
   with_temp_journal (fun path ->
       append_raw path (pre_counters_line (R.exp_key sample_exp) ^ "\n");
-      let t, records = J.open_ ~path ~resume:true in
+      Alcotest.(check bool) "names the missing header" true
+        (contains (refused ~fingerprint path) "no run-configuration header"));
+  (* Under a matching header the stale record is skipped and rerun. *)
+  with_temp_journal (fun path ->
+      J.close (fst (J.open_ ~path ~resume:false ~fingerprint));
+      append_raw path (pre_counters_line (R.exp_key sample_exp) ^ "\n");
+      let t, records = J.open_ ~path ~resume:true ~fingerprint in
+      Alcotest.(check int) "nothing to warm-start" 0 (List.length records);
       let ctx = R.make_ctx ~profile:fast_profile ~journal:t () in
-      Alcotest.(check int) "nothing warm-started" 0 (R.warm_start ctx records);
       let resumed = R.run_exp ctx sample_exp in
       J.close t;
       Alcotest.(check bool) "resumed result equals a fresh run" true
         (resumed = Lazy.force sample_result);
-      (* The recomputed record supersedes the stale one. *)
       match J.load ~path with
       | [ { J.result = Some r; _ } ] ->
         Alcotest.(check bool) "journal now replays the fresh result" true
           (r = { resumed with M.trace = None })
       | _ -> Alcotest.fail "expected one replayable record")
+
+let test_header_mismatch_refused () =
+  (* The stale-resume repro: a --fast, fault-free journal resumed
+     without --fast under --faults heavy. *)
+  with_temp_journal (fun path ->
+      let t, _ = J.open_ ~path ~resume:false ~fingerprint in
+      J.append t (ok_record ());
+      J.close t;
+      let before = count_lines path in
+      let other =
+        R.fingerprint
+          (R.make_ctx
+             ~profile:{ fast_profile with R.fast = false }
+             ~fault_plan:Swapdev.Faulty_device.heavy ())
+      in
+      let msg = refused ~fingerprint:other path in
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) ("names " ^ field) true (contains msg (field ^ " (")))
+        [ "fast"; "faults" ];
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) ("does not name " ^ field) false
+            (contains msg (field ^ " (")))
+        [ "scale"; "cgroups"; "chaos"; "model" ];
+      Alcotest.(check int) "refused journal untouched" before (count_lines path);
+      (* The matching configuration still resumes it. *)
+      let t, records = J.open_ ~path ~resume:true ~fingerprint in
+      J.close t;
+      Alcotest.(check int) "matching resume keeps the record" 1
+        (List.length records))
+
+let test_fingerprint_covers_inputs () =
+  let base = R.make_ctx ~profile:fast_profile () in
+  let differs name ctx =
+    Alcotest.(check bool) (name ^ " changes the fingerprint") true
+      (R.fingerprint ctx <> R.fingerprint base)
+  in
+  differs "scale" (R.make_ctx ~profile:{ fast_profile with R.scale = 2 } ());
+  differs "audit cadence" (R.make_ctx ~profile:fast_profile ~audit_every_ns:5 ());
+  differs "fault plan"
+    (R.make_ctx ~profile:fast_profile ~fault_plan:Swapdev.Faulty_device.light ());
+  differs "cgroups"
+    (R.with_cgroups base
+       (Result.get_ok (Mem.Memcg.parse_spec "a:threads=0-3,max=40%")));
+  differs "chaos"
+    (R.with_chaos base
+       (Some (Result.get_ok (Repro_core.Chaos.parse_spec "burst:at=2s,for=3s,threads=0-3"))));
+  Alcotest.(check bool) "jobs and trial counts do not" true
+    (R.fingerprint
+       (R.make_ctx ~profile:{ fast_profile with R.trials = 9 } ~jobs:4 ())
+    = R.fingerprint base)
+
+let test_resume_missing_or_empty_starts_fresh () =
+  with_temp_journal (fun path ->
+      Sys.remove path;
+      let t, records = J.open_ ~path ~resume:true ~fingerprint in
+      J.close t;
+      Alcotest.(check int) "missing: no records" 0 (List.length records);
+      A.replace ~path ignore;
+      let t, records = J.open_ ~path ~resume:true ~fingerprint in
+      J.close t;
+      Alcotest.(check int) "empty: no records" 0 (List.length records);
+      Alcotest.(check int) "header written" 1 (count_lines path))
 
 let test_load_missing_file () =
   Alcotest.(check int) "missing file loads empty" 0
@@ -293,7 +376,6 @@ let test_load_missing_file () =
 (* Atomic_io: the primitive under every writer in the repo             *)
 (* ------------------------------------------------------------------ *)
 
-module A = Repro_core.Atomic_io
 
 let read_file path =
   let ic = open_in_bin path in
@@ -354,6 +436,14 @@ let () =
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
           Alcotest.test_case "pre-counters record recomputed" `Quick
             test_pre_counters_record_not_replayed;
+        ] );
+      ( "header",
+        [
+          Alcotest.test_case "mismatch refused" `Quick test_header_mismatch_refused;
+          Alcotest.test_case "fingerprint covers inputs" `Quick
+            test_fingerprint_covers_inputs;
+          Alcotest.test_case "missing or empty starts fresh" `Quick
+            test_resume_missing_or_empty_starts_fresh;
         ] );
       ( "atomic io",
         [

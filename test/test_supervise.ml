@@ -9,6 +9,8 @@ module C = Engine.Cancel
 
 let fast_profile = { R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 }
 
+let fingerprint = R.fingerprint (R.make_ctx ~profile:fast_profile ())
+
 let exp_of policy =
   { R.workload = R.Tpch; policy; ratio = 0.5; swap = R.Ssd; trial = 0 }
 
@@ -155,7 +157,7 @@ let with_temp_path f =
 
 let test_outcomes_journaled () =
   with_temp_path (fun path ->
-      let journal, _ = J.open_ ~path ~resume:false in
+      let journal, _ = J.open_ ~path ~resume:false ~fingerprint in
       let ctx = R.make_ctx ~profile:fast_profile ~journal () in
       let ok = R.try_exp ctx (exp_of Policy.Registry.Clock) in
       ignore (R.try_exp ctx (exp_of Policy.Registry.Crash_test));
@@ -182,7 +184,7 @@ let test_outcomes_journaled () =
 let test_warm_start_resumes () =
   with_temp_path (fun path ->
       (* First run: journal one success and one failure. *)
-      let journal, _ = J.open_ ~path ~resume:false in
+      let journal, _ = J.open_ ~path ~resume:false ~fingerprint in
       let ctx = R.make_ctx ~profile:fast_profile ~journal () in
       let first =
         match R.try_exp ctx (exp_of Policy.Registry.Clock) with
@@ -192,7 +194,7 @@ let test_warm_start_resumes () =
       ignore (R.try_exp ctx (exp_of Policy.Registry.Crash_test));
       J.close journal;
       (* Resume: only the success warm-starts; the failure is retried. *)
-      let journal, records = J.open_ ~path ~resume:true in
+      let journal, records = J.open_ ~path ~resume:true ~fingerprint in
       let ctx2 = R.make_ctx ~profile:fast_profile ~journal () in
       Alcotest.(check int) "one record installed" 1 (R.warm_start ctx2 records);
       Alcotest.(check int) "cache warm" 1 (R.cached_results ctx2);
@@ -207,7 +209,7 @@ let test_warm_start_resumes () =
 
 let test_warm_start_skipped_under_tracing () =
   with_temp_path (fun path ->
-      let journal, _ = J.open_ ~path ~resume:false in
+      let journal, _ = J.open_ ~path ~resume:false ~fingerprint in
       let ctx = R.make_ctx ~profile:fast_profile ~journal () in
       ignore (R.try_exp ctx (exp_of Policy.Registry.Clock));
       J.close journal;
