@@ -265,14 +265,11 @@ let build_setup profile_default trials ycsb_trials fast scale jobs faults
   let ctx = make_ctx journal in
   (* Resume notes go to stderr so stdout stays byte-identical to an
      uninterrupted run. *)
-  if resume then begin
-    match journal_path with
-    | Some path ->
-      let n = Repro_core.Runner.warm_start ctx records in
-      Printf.eprintf "journal: warm-started %d trial result(s) from %s\n%!" n
-        path
-    | None -> ()
-  end;
+  (match journal_path with
+  | Some path when resume ->
+    let n = Repro_core.Runner.warm_start ctx records in
+    Printf.eprintf "journal: warm-started %d trial result(s) from %s\n%!" n path
+  | _ -> ());
   { ctx; trace_file = trace; samples_file = (if sample_every > 0 then Some samples else None);
     folded_file = folded; perfetto_file = perfetto; journal; keep_going }
 
@@ -948,7 +945,7 @@ let heatmap_cmd =
           max Mem.Damon.default_config.Mem.Damon.min_regions max_regions;
       }
     in
-    let ctx = Repro_core.Runner.with_damon setup.ctx config in
+    let ctx = Repro_core.Runner.derive ~damon:(Some config) setup.ctx in
     Repro_core.Runner.prefetch ctx
       (List.concat_map
          (fun policy ->
@@ -981,7 +978,7 @@ let heatmap_cmd =
         out Repro_core.Runner.heatmap_csv_header out;
       close_out oc;
       Printf.printf "wrote gnuplot script to %s\n" script);
-    finalize { setup with ctx }
+    finalize setup
   in
   Cmd.v
     (Cmd.info "heatmap"
@@ -1194,7 +1191,8 @@ let fuzz_cmd =
          "Config-fuzz soak: run short random configurations (workload, \
           policy, ratio, swap, faults, cgroups, chaos) against the \
           machine's oracles — completion, invariant audits, $(b,--jobs) \
-          1-vs-4 byte-identity, journal round-trip/resume identity — and \
+          1-vs-4 byte-identity, journal round-trip/resume identity, resume \
+          isolation under a changed input — and \
           shrink any failure to a minimal deterministic $(b,--config) \
           repro line.  Exits non-zero if any configuration fails.")
     Term.(const run $ iterations $ seed $ with_corrupt $ config)

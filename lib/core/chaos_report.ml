@@ -141,7 +141,7 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
         raise (Invalid_argument (Printf.sprintf "no chaos class %S" klass)))
     classes;
   (* Baseline trials calibrate R per cell; shared across classes. *)
-  let base_ctx = Runner.with_chaos ~obs:traced_obs ctx None in
+  let base_ctx = Runner.derive ~obs:traced_obs ~chaos:None ctx in
   let cells =
     List.concat_map
       (fun w -> List.map (fun p -> (w, p)) policies)
@@ -181,10 +181,10 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
                     (app_cgroups
                        (Workload.Chunk.packed_threads
                           (Runner.make_workload ctx workload ~trial:0)))
-                else None
+                else Runner.cgroups ctx
               in
               let cctx =
-                Runner.with_chaos ?cgroups ~obs:traced_obs ctx (Some spec)
+                Runner.derive ~obs:traced_obs ~cgroups ~chaos:(Some spec) ctx
               in
               (match Runner.try_exp cctx exp with
               | Runner.Failed { reason; _ } ->

@@ -105,7 +105,7 @@ let run ctx ~tenants ~hot ~policy ~ratio ~swap =
   let ctx =
     match Runner.cgroups ctx with
     | Some _ -> ctx
-    | None -> Runner.with_cgroups ctx (default_spec ~tenants ~hot)
+    | None -> Runner.derive ~cgroups:(Some (default_spec ~tenants ~hot)) ctx
   in
   let workload = Runner.Fleet { fl_tenants = tenants; fl_hot = hot } in
   Report.section

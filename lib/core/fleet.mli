@@ -27,5 +27,5 @@ val run :
   Runner.trial_outcome list
 (** Run (and print) the cell; returns the per-trial outcomes so callers
     can exit non-zero on failures.  When the context has no cgroup spec
-    installed, {!default_spec} is applied via {!Runner.with_cgroups}.
+    installed, {!default_spec} is applied via {!Runner.derive}.
     @raise Invalid_argument on [tenants < 2] or [hot] out of range. *)

@@ -1,9 +1,10 @@
 (* The [repro fuzz] soak driver.  Configurations are derived from the
    iteration-seeded RNG, run through the oracles (completion, invariant
-   audits, jobs 1-vs-4 identity, journal round-trip + warm start), and
-   failures shrink greedily to a minimal deterministic repro line.  The
-   driver itself never consults wall time or a global RNG: iteration i
-   of seed s is the same configuration and verdict everywhere. *)
+   audits, jobs 1-vs-4 identity, journal round-trip + warm start, resume
+   isolation), and failures shrink greedily to a minimal deterministic
+   repro line.  The driver itself never consults wall time or a global
+   RNG: iteration i of seed s is the same configuration and verdict
+   everywhere. *)
 
 type config = {
   fz_workload : Runner.workload_kind;
@@ -111,30 +112,22 @@ let profile = { Runner.trials = 2; ycsb_trials = 2; fast = true; scale = 1 }
 
 let traced = { Obs.trace = true; sample_every_ns = 0 }
 
-let mk_ctx ~jobs ~obs cfg =
+let mk_ctx ?(audit_every_ns = 25_000_000) ~jobs ~obs cfg =
   let fault_plan =
     match Swapdev.Faulty_device.plan_of_name cfg.fz_faults with
     | Some p -> p
     | None -> failwith (Printf.sprintf "unknown fault plan %S" cfg.fz_faults)
   in
-  let cgroups =
-    Option.map
-      (fun s ->
-        match Mem.Memcg.parse_spec s with
+  let parse what p =
+    Option.map (fun s ->
+        match p s with
         | Ok v -> v
-        | Error e -> failwith ("bad cgroups spec: " ^ e))
-      cfg.fz_cgroups
+        | Error e -> failwith ("bad " ^ what ^ " spec: " ^ e))
   in
-  let chaos =
-    Option.map
-      (fun s ->
-        match Chaos.parse_spec s with
-        | Ok v -> v
-        | Error e -> failwith ("bad chaos spec: " ^ e))
-      cfg.fz_chaos
-  in
-  Runner.make_ctx ~profile ~fault_plan ~audit_every_ns:25_000_000 ~jobs ~obs
-    ?cgroups ?chaos ()
+  let cgroups = parse "cgroups" Mem.Memcg.parse_spec cfg.fz_cgroups in
+  let chaos = parse "chaos" Chaos.parse_spec cfg.fz_chaos in
+  Runner.make_ctx ~profile ~fault_plan ~audit_every_ns ~jobs ~obs ?cgroups
+    ?chaos ()
 
 let exps_of cfg =
   List.map
@@ -148,14 +141,38 @@ let exps_of cfg =
       })
     [ 0; 1 ]
 
-let record_line e (r : Machine.result) =
+let record_line ctx e (r : Machine.result) =
   Journal.record_to_line
     {
-      Journal.key = Runner.exp_key e;
+      Journal.key = Runner.record_key ctx e;
       status = Journal.Trial_ok;
       reason = "";
       result = Some r;
     }
+
+(* [cfg] with one input changed, and the audit cadence to run it at:
+   the fault plan, the chaos spec, the cgroup spec (its [app] group
+   kept, which churn segments name) or the audit cadence.  Which one is
+   a function of [cfg], so a soak covers all four and every verdict
+   replays from the config line alone. *)
+let mutant cfg =
+  let flip a b v = if v = a then b else a in
+  let audit = 25_000_000 in
+  match Hashtbl.hash (config_to_string cfg) mod 4 with
+  | 0 ->
+    let f = flip "light" "none" cfg.fz_faults in
+    ("fault plan", { cfg with fz_faults = f }, audit)
+  | 1 ->
+    let ch =
+      if cfg.fz_chaos = None then Some "degrade:at=1s,for=4s,latency=8x"
+      else None
+    in
+    ("chaos spec", { cfg with fz_chaos = ch }, audit)
+  | 2 ->
+    let cg = Option.value cfg.fz_cgroups ~default:"" in
+    let cg = flip "app:threads=0-1,max=45%" "app:threads=0-1,max=55%" cg in
+    ("cgroup spec", { cfg with fz_cgroups = Some cg }, audit)
+  | _ -> ("audit cadence", cfg, audit / 2)
 
 let check cfg =
   let exps = exps_of cfg in
@@ -184,7 +201,7 @@ let check cfg =
     let results4 = run_all ctx4 in
     List.iter2
       (fun (e, r1) (_, r4) ->
-        if record_line e r1 <> record_line e r4 then
+        if record_line ctx1 e r1 <> record_line ctx1 e r4 then
           fail "jobs-identity" "trial %d: results differ between --jobs 1 and 4"
             e.Runner.trial;
         if r1.Machine.trace <> r4.Machine.trace then
@@ -196,7 +213,7 @@ let check cfg =
     let records =
       List.map
         (fun (e, r) ->
-          let line = record_line e r in
+          let line = record_line ctx1 e r in
           match Journal.record_of_line line with
           | Error msg -> fail "journal-roundtrip" "decode failed: %s" msg
           | Ok rec2 ->
@@ -207,16 +224,15 @@ let check cfg =
         results
     in
     let ctxw = mk_ctx ~jobs:1 ~obs:Obs.off cfg in
-    let installed =
-      Runner.warm_start ctxw (List.map (fun (_, _, r) -> r) records)
-    in
+    let journaled = List.map (fun (_, _, r) -> r) records in
+    let installed = Runner.warm_start ctxw journaled in
     if installed <> List.length records then
       fail "journal-roundtrip" "warm start installed %d of %d record(s)"
         installed (List.length records);
     List.iter
       (fun (e, line, _) ->
         match Runner.try_exp ctxw e with
-        | Runner.Done r when record_line e r = line -> ()
+        | Runner.Done r when record_line ctxw e r = line -> ()
         | Runner.Done _ ->
           fail "journal-roundtrip" "trial %d: resumed record differs"
             e.Runner.trial
@@ -224,6 +240,27 @@ let check cfg =
           fail "journal-roundtrip" "trial %d: resume failed: %s" e.Runner.trial
             reason)
       records;
+    if Runner.cached_results ctxw <> installed then
+      fail "journal-roundtrip" "resume recomputed instead of serving the journal";
+    (* resume isolation: the same records, installed into a context with
+       one input changed, must never be served — each trial there equals
+       a fresh compute under that context *)
+    let input, mcfg, audit_every_ns = mutant cfg in
+    let mk () = mk_ctx ~audit_every_ns ~jobs:1 ~obs:Obs.off mcfg in
+    let resumed = mk () and fresh = mk () in
+    ignore (Runner.warm_start resumed journaled);
+    List.iter
+      (fun e ->
+        let outcome ctx =
+          match Runner.try_exp ctx e with
+          | Runner.Done r -> record_line fresh e r
+          | Runner.Failed { reason; _ } -> reason
+        in
+        if outcome resumed <> outcome fresh then
+          fail "resume-isolation"
+            "trial %d: a record of this config was served under another %s"
+            e.Runner.trial input)
+      exps;
     None
   with Fail (oracle, detail) -> Some (oracle, detail)
 

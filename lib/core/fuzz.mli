@@ -4,7 +4,7 @@
 
     Each iteration derives a configuration (workload, policy, ratio,
     swap medium, fault plan, optional cgroup spec, optional chaos spec)
-    from the iteration-seeded RNG and runs it through four oracles, in
+    from the iteration-seeded RNG and runs it through five oracles, in
     order:
 
     + {b complete} — the trial finishes without raising;
@@ -15,7 +15,11 @@
     + {b journal-roundtrip} — every result survives
       encode/decode/re-encode through {!Journal} byte-identically, and
       a warm-started fresh context serves back the identical record (the
-      kill/resume path).
+      kill/resume path);
+    + {b resume-isolation} — the same records, warm-started into a
+      context with one input changed (fault plan, chaos spec, cgroup
+      spec or audit cadence), are never served: every trial there equals
+      a fresh compute under that context.
 
     A failing configuration is shrunk greedily — drop chaos segments one
     at a time, then the chaos spec, the cgroup spec, the fault plan,

@@ -66,7 +66,7 @@ let result_fields (r : Machine.result) =
   ]
   (* Emitted only when present so profiler-off journals stay
      byte-identical to builds without the profiler.  Spans are dropped
-     by the encoding (the runner never warm-starts span-bearing runs). *)
+     by the encoding (a record's key says it holds phase totals only). *)
   @ (match r.profile with
     | None -> []
     | Some cap -> [ ("profile", Obs.Str (Obs.Prof.encode_capture cap)) ])
@@ -75,8 +75,8 @@ let result_fields (r : Machine.result) =
     | None -> []
     | Some s -> [ ("cgroups", Obs.Str (Mem.Memcg.summary_to_string s)) ])
   (* And for the chaos tallies: absent without [--chaos].  The heatmap
-     is stripped like the trace — region rows are bulky and the runner
-     never warm-starts monitor-bearing runs. *)
+     is stripped like the trace — region rows are bulky, and a record's
+     key says it holds none. *)
   @ (match r.chaos with
     | None -> []
     | Some s -> [ ("chaos", Obs.Str (Chaos.summary_to_string s)) ])

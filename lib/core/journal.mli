@@ -12,7 +12,7 @@
     {b Record framing.}  Each line is one flat JSON object whose first
     field is an MD5 checksum of the rest of the line:
 
-    {v {"sum":"<32 hex>","key":"tpch/lru/0.2/ssd/t0","status":"ok",...} v}
+    {v {"sum":"<32 hex>","key":"tpch/lru/0.2/ssd/t0@<16 hex>","status":"ok",...} v}
 
     The checksum makes torn writes (a crash mid-append) and bit rot
     detectable per record: on load, any line that fails framing,
@@ -24,8 +24,10 @@
     fingerprint of the run configuration the records belong to
     ({!Runner.fingerprint}: model version, fast/scale profile, fault
     plan, audit cadence, cgroup and chaos specs).  A journal is resumed
-    only under an identical fingerprint, so a record is never replayed
-    for inputs other than the ones that produced it.
+    only under an identical fingerprint.  Each record's key also names
+    the configuration that produced it ({!Runner.record_key}), so the
+    records of contexts derived from the root (other chaos or cgroup
+    specs) are found only by contexts with those same inputs.
 
     {b Rotation.}  Opening a journal for resume compacts it: the valid
     records are rewritten through {!Atomic_io.replace} (temp file,
@@ -33,9 +35,10 @@
     atomically and the segment on disk is always wholly valid before new
     appends begin.
 
-    {b What is not journaled.}  Telemetry captures ([result.trace]) are
-    too large and are rebuilt by re-running; the runner skips journal
-    warm-start when tracing is enabled. *)
+    {b What is not journaled.}  Telemetry captures ([result.trace]),
+    profiler spans and heatmaps are too large and are rebuilt by
+    re-running: a context that wants them has another key than any
+    record, so it recomputes. *)
 
 type status =
   | Trial_ok
@@ -43,7 +46,7 @@ type status =
   | Trial_timeout  (** the trial exceeded its wall-clock deadline *)
 
 type record = {
-  key : string;  (** injective trial key ({!Runner.exp_key}) *)
+  key : string;  (** injective trial and configuration key ({!Runner.record_key}) *)
   status : status;
   reason : string;  (** empty for [Trial_ok] *)
   result : Machine.result option;

@@ -91,6 +91,22 @@ type shard = {
   tbl : (string, trial_outcome) Hashtbl.t;
 }
 
+(* One store per root context, shared by every context derived from it.
+   Keys carry the tag of the configuration that produced the outcome,
+   so derived contexts cannot alias each other's results. *)
+type store = {
+  cache : shard array;
+  (* Bookkeeping: every requested (experiment, cache key), once, in
+     first-request program order.  Appended only from the dispatching
+     domain (prefetch logs its whole batch before any worker starts;
+     direct [run_exp] misses happen in the callers' serial read-back),
+     so the order — and hence the trace files and the end-of-run
+     failure summary — is identical for every [jobs] value. *)
+  logged : (string, unit) Hashtbl.t;
+  log : (exp * string) list ref;
+  log_lock : Mutex.t;
+}
+
 type ctx = {
   profile : profile;
   fault_plan : Swapdev.Faulty_device.plan;
@@ -103,97 +119,15 @@ type ctx = {
   cgroups : Mem.Memcg.spec option;
   chaos : Chaos.spec option;
   damon : Mem.Damon.config option;
-  cache : shard array;
-  (* Bookkeeping: every requested experiment, in first-request program
-     order.  Appended only from the dispatching domain (prefetch logs
-     its whole deduplicated todo list before any worker starts; direct
-     [run_exp] misses happen in the callers' serial read-back), so the
-     order — and hence the trace files and the end-of-run failure
-     summary — is identical for every [jobs] value. *)
-  logged : (string, unit) Hashtbl.t;
-  log : exp list ref;
-  log_lock : Mutex.t;
+  tag : string;  (* cache-key suffix: every input plus the capture set *)
+  record_tag : string;  (* journal-record key suffix: captures reduced *)
+  store : store;
 }
 
-let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
-    ?(audit_every_ns = 0) ?(jobs = 1) ?(obs = Obs.off)
-    ?(prof = Obs.Prof.off) ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos
-    ?damon () =
-  let profile =
-    match profile with Some p -> p | None -> profile_from_env ()
-  in
-  {
-    profile;
-    fault_plan;
-    audit_every_ns = max 0 audit_every_ns;
-    jobs = max 1 jobs;
-    obs;
-    prof;
-    trial_timeout_s = (if trial_timeout_s > 0.0 then trial_timeout_s else 0.0);
-    journal;
-    cgroups;
-    chaos;
-    damon;
-    cache =
-      Array.init cache_shards (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-    logged = Hashtbl.create 64;
-    log = ref [];
-    log_lock = Mutex.create ();
-  }
-
-(* [ctx] with a private result cache, experiment log and dedup table. *)
-let fresh_cache ctx =
-  let { cache; logged; log; log_lock; _ } = make_ctx ~profile:ctx.profile () in
-  { ctx with cache; logged; log; log_lock }
-
-let profile ctx = ctx.profile
-
-let fault_plan ctx = ctx.fault_plan
-
-let audit_every_ns ctx = ctx.audit_every_ns
-
-let jobs ctx = ctx.jobs
-
-let obs ctx = ctx.obs
-
-let prof ctx = ctx.prof
-
-let trial_timeout_s ctx = ctx.trial_timeout_s
-
-let cgroups ctx = ctx.cgroups
-
-let chaos ctx = ctx.chaos
-
-let damon ctx = ctx.damon
-
-(* A derived context with a cgroup spec installed.  The cache, log and
-   dedup tables are fresh: [cgroups] is ctx-level (like [fault_plan])
-   and deliberately not part of {!exp_key}, so sharing the parent's
-   cache would alias runs computed under different specs. *)
-let with_cgroups ctx spec = fresh_cache { ctx with cgroups = Some spec }
-
-(* Same derivation for chaos specs ([None] = strip any installed spec);
-   [?cgroups] lets a chaos class that needs a cgroup (limit churn)
-   install one in the same derived context. *)
-let with_chaos ?cgroups ?obs ctx chaos =
-  fresh_cache
-    {
-      ctx with
-      chaos;
-      cgroups = (match cgroups with Some _ as c -> c | None -> ctx.cgroups);
-      obs = Option.value obs ~default:ctx.obs;
-    }
-
-(* Same derivation for the DAMON region monitor: monitored results
-   carry heatmap captures, so they must never alias a cache populated
-   without the monitor (results are otherwise identical — the monitor
-   observes without perturbing — but the capture field differs). *)
-let with_damon ctx config = fresh_cache { ctx with damon = Some config }
-
 (* Bump whenever a change alters some trial's result for the same
-   inputs: journals written before it are then refused on resume. *)
-let model_version = 1
+   inputs, or the format of journal record keys: journals written
+   before it are then refused on resume. *)
+let model_version = 2
 
 let fingerprint ctx =
   let plan =
@@ -217,22 +151,109 @@ let fingerprint ctx =
     ("chaos", spec Chaos.spec_to_string ctx.chaos);
   ]
 
-let log_exp ctx e key =
-  Mutex.lock ctx.log_lock;
-  if not (Hashtbl.mem ctx.logged key) then begin
-    Hashtbl.add ctx.logged key ();
-    ctx.log := e :: !(ctx.log)
-  end;
-  Mutex.unlock ctx.log_lock
+(* What a result carries beyond the simulation's outcome.  A cached
+   result holds its captures, so they are part of its key. *)
+let captures (obs : Obs.config) (prof : Obs.Prof.config) damon =
+  [
+    ("trace", string_of_bool obs.Obs.trace);
+    ("sample_every_ns", string_of_int obs.Obs.sample_every_ns);
+    ( "prof",
+      if not (Obs.Prof.config_enabled prof) then "off"
+      else if prof.Obs.Prof.spans then "spans"
+      else "totals" );
+    ("damon", Digest.to_hex (Digest.string (Marshal.to_string damon [])));
+  ]
 
-let traced_exps ctx =
-  Mutex.lock ctx.log_lock;
-  let l = List.rev !(ctx.log) in
-  Mutex.unlock ctx.log_lock;
-  l
+let digest_tag fields =
+  String.sub
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) fields))))
+    0 16
+
+(* A journal record keeps the counters and phase totals, never traces,
+   samples, spans or heatmaps: its tag is the context's with those
+   captures off, so a context that wants them never finds it. *)
+let with_tags ctx =
+  let fp = fingerprint ctx in
+  {
+    ctx with
+    tag = digest_tag (fp @ captures ctx.obs ctx.prof ctx.damon);
+    record_tag =
+      digest_tag
+        (fp @ captures Obs.off { ctx.prof with Obs.Prof.spans = false } None);
+  }
+
+let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
+    ?(audit_every_ns = 0) ?(jobs = 1) ?(obs = Obs.off)
+    ?(prof = Obs.Prof.off) ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos
+    ?damon () =
+  let profile =
+    match profile with Some p -> p | None -> profile_from_env ()
+  in
+  with_tags
+    {
+      profile;
+      fault_plan;
+      audit_every_ns = max 0 audit_every_ns;
+      jobs = max 1 jobs;
+      obs;
+      prof;
+      trial_timeout_s = (if trial_timeout_s > 0.0 then trial_timeout_s else 0.0);
+      journal;
+      cgroups;
+      chaos;
+      damon;
+      tag = "";
+      record_tag = "";
+      store =
+        {
+          cache =
+            Array.init cache_shards (fun _ ->
+                { lock = Mutex.create (); tbl = Hashtbl.create 32 });
+          logged = Hashtbl.create 64;
+          log = ref [];
+          log_lock = Mutex.create ();
+        };
+    }
+
+let derive ?obs ?cgroups ?chaos ?damon ctx =
+  with_tags
+    {
+      ctx with
+      obs = Option.value obs ~default:ctx.obs;
+      cgroups = Option.value cgroups ~default:ctx.cgroups;
+      chaos = Option.value chaos ~default:ctx.chaos;
+      damon = Option.value damon ~default:ctx.damon;
+    }
+
+let profile ctx = ctx.profile
+
+let fault_plan ctx = ctx.fault_plan
+
+let audit_every_ns ctx = ctx.audit_every_ns
+
+let jobs ctx = ctx.jobs
+
+let obs ctx = ctx.obs
+
+let cgroups ctx = ctx.cgroups
+
+let cache_key ctx e = exp_key e ^ "@" ^ ctx.tag
+
+let record_key ctx e = exp_key e ^ "@" ^ ctx.record_tag
+
+let log_exp ctx e key =
+  let s = ctx.store in
+  Mutex.lock s.log_lock;
+  if not (Hashtbl.mem s.logged key) then begin
+    Hashtbl.add s.logged key ();
+    s.log := (e, key) :: !(s.log)
+  end;
+  Mutex.unlock s.log_lock
 
 let shard_of ctx key =
-  ctx.cache.(Hashtbl.hash key land (cache_shards - 1))
+  ctx.store.cache.(Hashtbl.hash key land (cache_shards - 1))
 
 let cache_find ctx key =
   let s = shard_of ctx key in
@@ -264,7 +285,19 @@ let cached_results ctx =
       let n = acc + Hashtbl.length s.tbl in
       Mutex.unlock s.lock;
       n)
-    0 ctx.cache
+    0 ctx.store.cache
+
+(* The one walk of the experiment log: every logged experiment with its
+   cache key and outcome, in log order.  Shared by the failure summary
+   and every capture reader. *)
+let outcomes ctx =
+  let s = ctx.store in
+  Mutex.lock s.log_lock;
+  let log = List.rev !(s.log) in
+  Mutex.unlock s.log_lock;
+  List.filter_map
+    (fun (e, key) -> Option.map (fun o -> (e, key, o)) (cache_find ctx key))
+    log
 
 (* ------------------------------------------------------------------ *)
 
@@ -475,36 +508,33 @@ let compute_exp ctx e =
   in
   Machine.run cfg ~policy:(Policy.Registry.create e.policy) ~workload
 
-let journal_outcome ctx key outcome =
-  match ctx.journal with
-  | None -> ()
-  | Some j ->
-    let record =
-      match outcome with
-      | Done r ->
-        {
-          Journal.key;
-          status = Journal.Trial_ok;
-          reason = "";
-          (* Captures are not journaled (see Journal's docs); strip them
-             so the record is what a warm-started cache would hold.  The
-             counter capture is the exception — it is compact and
-             encodes losslessly, so it rides the record. *)
-          result = Some { r with Machine.trace = None; heatmap = None };
-        }
-      | Failed { reason; timed_out } ->
-        {
-          Journal.key;
-          status =
-            (if timed_out then Journal.Trial_timeout else Journal.Trial_failed);
-          reason;
-          result = None;
-        }
-    in
-    Journal.append j record
+let journal_outcome ctx e outcome =
+  let key = record_key ctx e in
+  let record =
+    match outcome with
+    | Done r ->
+      {
+        Journal.key;
+        status = Journal.Trial_ok;
+        reason = "";
+        (* Traces and heatmaps are not journaled (see Journal's docs),
+           and the encoding drops spans: the record holds what its key's
+           reduced capture set promises. *)
+        result = Some { r with Machine.trace = None; heatmap = None };
+      }
+    | Failed { reason; timed_out } ->
+      {
+        Journal.key;
+        status =
+          (if timed_out then Journal.Trial_timeout else Journal.Trial_failed);
+        reason;
+        result = None;
+      }
+  in
+  Option.iter (fun j -> Journal.append j record) ctx.journal
 
 let try_exp ctx e =
-  let key = exp_key e in
+  let key = cache_key ctx e in
   (* Log before the cache probe: a warm-started (journal-installed)
      record is a hit that was never computed here, and the telemetry
      and profile writers replay the log. *)
@@ -523,7 +553,7 @@ let try_exp ctx e =
     let kept = cache_store ctx key outcome in
     (* Journal only the outcome that won the (theoretical) publication
        race, so the segment mirrors the cache. *)
-    if kept == outcome then journal_outcome ctx key kept;
+    if kept == outcome then journal_outcome ctx e kept;
     kept
 
 let run_exp ctx e =
@@ -532,53 +562,28 @@ let run_exp ctx e =
   | Failed { reason; _ } ->
     failwith (Printf.sprintf "trial %s failed: %s" (exp_name e) reason)
 
-(* Install journal records into the cache so a resumed sweep recomputes
-   only what is missing.  Failure records are deliberately not
-   installed: a resumed run retries them (the retry's record supersedes
-   the old one at the next load).  Skipped under telemetry, because
-   journal records carry no captures. *)
+(* Install journal records into the store, each under its own key, so
+   a resumed sweep recomputes only what is missing.  A record's key
+   names the configuration and reduced capture set that produced it, so
+   only a context asking for exactly that finds it.  Failure records are
+   deliberately not installed: a resumed run retries them (the retry's
+   record supersedes the old one at the next load). *)
 let warm_start ctx records =
-  if Obs.config_enabled ctx.obs then begin
-    prerr_endline
-      "journal: telemetry enabled; skipping warm-start (journaled results \
-       carry no traces)";
-    0
-  end
-  else if ctx.prof.Obs.Prof.spans then begin
-    prerr_endline
-      "journal: span profiling enabled; skipping warm-start (journaled \
-       results carry no spans)";
-    0
-  end
-  else if ctx.damon <> None then begin
-    prerr_endline
-      "journal: region monitor enabled; skipping warm-start (journaled \
-       results carry no heatmaps)";
-    0
-  end
-  else begin
-    (* Under totals-only profiling, journaled results from an unprofiled
-       run carry no phase totals; skip those so the resumed sweep
-       recomputes them with the profiler on. *)
-    let want_profile = Obs.Prof.config_enabled ctx.prof in
-    List.fold_left
-      (fun n (r : Journal.record) ->
-        match (r.status, r.result) with
-        | Journal.Trial_ok, Some res
-          when (not want_profile) || res.Machine.profile <> None ->
-          ignore (cache_store ctx r.key (Done res));
-          n + 1
-        | _ -> n)
-      0 records
-  end
+  List.fold_left
+    (fun n (r : Journal.record) ->
+      match (r.status, r.result) with
+      | Journal.Trial_ok, Some res ->
+        ignore (cache_store ctx r.key (Done res));
+        n + 1
+      | _ -> n)
+    0 records
 
 let failures ctx =
   List.filter_map
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Failed { reason; timed_out }) -> Some (e, reason, timed_out)
-      | _ -> None)
-    (traced_exps ctx)
+    (function
+      | e, _, Failed { reason; timed_out } -> Some (e, reason, timed_out)
+      | _, _, Done _ -> None)
+    (outcomes ctx)
 
 (* Parallel fill of the cache.  Uncached experiments are deduplicated,
    then sharded across a transient domain pool; the results land in the
@@ -586,26 +591,24 @@ let failures ctx =
    exactly what a serial run would have computed.  [jobs = 1] runs them
    in the calling domain. *)
 let prefetch ctx exps =
-  let seen = Hashtbl.create 64 in
-  let fresh =
-    List.filter
-      (fun e ->
-        let key = exp_key e in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      exps
-  in
   (* Log the whole batch here, in list order, before any domain starts:
      workers then find every key already logged, so the trace order and
      the failure summary never depend on completion order.  Cache hits
      are logged too — a warm-started record was never computed in this
      process, yet must appear in the log, in the same position as in an
      uninterrupted run, for the writers that replay it. *)
-  List.iter (fun e -> log_exp ctx e (exp_key e)) fresh;
-  let todo = List.filter (fun e -> cache_find ctx (exp_key e) = None) fresh in
+  List.iter (fun e -> log_exp ctx e (cache_key ctx e)) exps;
+  (* The uncached experiments, deduplicated. *)
+  let seen = Hashtbl.create 64 in
+  let todo =
+    List.filter
+      (fun e ->
+        let key = cache_key ctx e in
+        let fresh = (not (Hashtbl.mem seen key)) && cache_find ctx key = None in
+        Hashtbl.replace seen key ();
+        fresh)
+      exps
+  in
   match todo with
   | [] -> ()
   | [ e ] -> ignore (try_exp ctx e)
@@ -619,20 +622,17 @@ let prefetch ctx exps =
       Engine.Pool.with_pool
         ~jobs:(min ctx.jobs (List.length todo))
         (fun pool ->
-          let outcomes =
-            Engine.Pool.map_supervised pool
-              (fun e -> ignore (try_exp ctx e))
-              (Array.of_list todo)
-          in
           let todo = Array.of_list todo in
+          let outcomes =
+            Engine.Pool.map_supervised pool (fun e -> ignore (try_exp ctx e)) todo
+          in
           Array.iteri
-            (fun i o ->
-              match o with
+            (fun i -> function
               | Engine.Pool.Ok () -> ()
               | Engine.Pool.Error { exn; _ } ->
                 ignore
                   (cache_store ctx
-                     (exp_key todo.(i))
+                     (cache_key ctx todo.(i))
                      (Failed
                         { reason = Printexc.to_string exn; timed_out = false })))
             outcomes)
@@ -641,15 +641,14 @@ let cell_exps ctx ~workload ~policy ~ratio ~swap =
   List.init (trials_for ctx workload) (fun trial ->
       { workload; policy; ratio; swap; trial })
 
-let run_cell ctx ~workload ~policy ~ratio ~swap =
+let cell run ctx ~workload ~policy ~ratio ~swap =
   let exps = cell_exps ctx ~workload ~policy ~ratio ~swap in
   prefetch ctx exps;
-  List.map (run_exp ctx) exps
+  List.map (run ctx) exps
 
-let try_cell ctx ~workload ~policy ~ratio ~swap =
-  let exps = cell_exps ctx ~workload ~policy ~ratio ~swap in
-  prefetch ctx exps;
-  List.map (try_exp ctx) exps
+let run_cell = cell run_exp
+
+let try_cell = cell try_exp
 
 let runtimes_s results =
   Array.of_list
@@ -678,13 +677,16 @@ let mean_read_latency_ns results = mean (pooled_read_latencies results)
 (* experiment, in the deterministic log order.                          *)
 (* ------------------------------------------------------------------ *)
 
-let captured ctx =
+(* The logged experiments whose result carries the capture [pick]
+   selects, with their keys, in log order. *)
+let with_capture pick ctx =
   List.filter_map
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Done { Machine.trace = Some cap; _ }) -> Some (e, cap)
-      | _ -> None)
-    (traced_exps ctx)
+    (function
+      | e, key, Done r -> Option.map (fun cap -> (e, key, cap)) (pick r)
+      | _, _, Failed _ -> None)
+    (outcomes ctx)
+
+let captured = with_capture (fun r -> r.Machine.trace)
 
 let cell_fields e =
   [
@@ -699,7 +701,7 @@ let write_trace ctx ~path =
   Atomic_io.replace ~path (fun oc ->
       let written = ref 0 in
       List.iter
-        (fun (e, cap) ->
+        (fun (e, _, cap) ->
           let cell = cell_fields e in
           Array.iter
             (fun (t_ns, ev) ->
@@ -710,6 +712,13 @@ let write_trace ctx ~path =
         (captured ctx);
       !written)
 
+(* The cell columns every per-trial CSV row starts with. *)
+let csv_prefix e =
+  Printf.sprintf "%s,%s,%.9g,%s,%d,"
+    (workload_kind_name e.workload)
+    (Policy.Registry.name e.policy)
+    e.ratio (swap_name e.swap) e.trial
+
 let sample_csv_header = "workload,policy,ratio,swap,trial,t_ns,metric,value"
 
 let write_samples ctx ~path =
@@ -718,13 +727,8 @@ let write_samples ctx ~path =
       output_string oc sample_csv_header;
       output_char oc '\n';
       List.iter
-        (fun (e, cap) ->
-          let prefix =
-            Printf.sprintf "%s,%s,%.9g,%s,%d,"
-              (workload_kind_name e.workload)
-              (Policy.Registry.name e.policy)
-              e.ratio (swap_name e.swap) e.trial
-          in
+        (fun (e, _, cap) ->
+          let prefix = csv_prefix e in
           Array.iter
             (fun (t_ns, metrics) ->
               List.iter
@@ -738,53 +742,53 @@ let write_samples ctx ~path =
         (captured ctx);
       !written)
 
-let merged_reclaim_hists ctx =
-  let order = ref [] in
+(* [items] grouped by [key]: groups in first-appearance order, items in
+   list order within each. *)
+let group_by key items =
   let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e, cap) ->
-      let pname = Policy.Registry.name e.policy in
-      match Hashtbl.find_opt tbl pname with
-      | Some h ->
-        Hashtbl.replace tbl pname
-          (Stats.Histogram.merge h cap.Obs.reclaim_hist)
-      | None ->
-        order := pname :: !order;
-        Hashtbl.add tbl pname cap.Obs.reclaim_hist)
-    (captured ctx);
-  List.rev_map (fun p -> (p, Hashtbl.find tbl p)) !order
+  let firsts =
+    List.filter
+      (fun x ->
+        let k = key x in
+        let seen = Hashtbl.find_opt tbl k in
+        Hashtbl.replace tbl k (x :: Option.value seen ~default:[]);
+        Option.is_none seen)
+      items
+  in
+  List.map (fun x -> List.rev (Hashtbl.find tbl (key x))) firsts
+
+let merged_reclaim_hists ctx =
+  List.map
+    (fun group ->
+      let hists = List.map (fun (_, _, cap) -> cap.Obs.reclaim_hist) group in
+      let e, _, _ = List.hd group in
+      ( Policy.Registry.name e.policy,
+        List.fold_left Stats.Histogram.merge (List.hd hists) (List.tl hists) ))
+    (group_by (fun (e, _, _) -> Policy.Registry.name e.policy) (captured ctx))
 
 (* ------------------------------------------------------------------ *)
 (* Profiling: per-cell merges of the per-trial phase captures, in the  *)
 (* same deterministic log order as the telemetry writers.              *)
 (* ------------------------------------------------------------------ *)
 
-let profiled ctx =
-  List.filter_map
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Done { Machine.profile = Some cap; _ }) -> Some (e, cap)
-      | _ -> None)
-    (traced_exps ctx)
+let profiled = with_capture (fun r -> r.Machine.profile)
 
-let profile_cells ctx =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e, cap) ->
-      (* Cell identity: the experiment minus its trial index. *)
-      let cell = { e with trial = 0 } in
-      let key = exp_key cell in
-      match Hashtbl.find_opt tbl key with
-      | Some caps -> Hashtbl.replace tbl key (cap :: caps)
-      | None ->
-        order := (key, cell) :: !order;
-        Hashtbl.add tbl key [ cap ])
-    (profiled ctx);
-  List.rev_map
-    (fun (key, cell) ->
-      (cell, Obs.Prof.merge (List.rev (Hashtbl.find tbl key))))
-    !order
+(* Per-cell merge of per-trial captures, cells in first-appearance
+   order, each merged in trial order.  Cell identity is the experiment
+   minus its trial index, under one configuration tag: derived contexts
+   sharing the log never pool their trials. *)
+let by_cell merge picked =
+  let cell_of (e, key, _) =
+    let at = String.rindex key '@' in
+    (exp_key { e with trial = 0 }, String.sub key at (String.length key - at))
+  in
+  List.map
+    (fun group ->
+      let e, _, _ = List.hd group in
+      ({ e with trial = 0 }, merge (List.map (fun (_, _, cap) -> cap) group)))
+    (group_by cell_of picked)
+
+let profile_cells ctx = by_cell Obs.Prof.merge (profiled ctx)
 
 let cell_label e =
   Printf.sprintf "%s/%s/%.0f%%/%s"
@@ -822,27 +826,8 @@ let write_folded ctx ~path =
 (* ------------------------------------------------------------------ *)
 
 let vmstat_cells ctx =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match cache_find ctx (exp_key e) with
-      | Some (Done r) -> (
-        (* Cell identity: the experiment minus its trial index. *)
-        let cell = { e with trial = 0 } in
-        let key = exp_key cell in
-        let cap = r.Machine.counters in
-        match Hashtbl.find_opt tbl key with
-        | Some caps -> Hashtbl.replace tbl key (cap :: caps)
-        | None ->
-          order := (key, cell) :: !order;
-          Hashtbl.add tbl key [ cap ])
-      | _ -> ())
-    (traced_exps ctx);
-  List.rev_map
-    (fun (key, cell) ->
-      (cell, Obs.Vmstat.merge (List.rev (Hashtbl.find tbl key))))
-    !order
+  by_cell Obs.Vmstat.merge
+    (with_capture (fun r -> Some r.Machine.counters) ctx)
 
 let heatmap_csv_header =
   "workload,policy,ratio,swap,trial,t_ns,asid,start_vpn,pages,accessed"
@@ -853,26 +838,18 @@ let write_heatmap ctx ~path =
       output_string oc heatmap_csv_header;
       output_char oc '\n';
       List.iter
-        (fun e ->
-          match cache_find ctx (exp_key e) with
-          | Some (Done { Machine.heatmap = Some cap; _ }) ->
-            let prefix =
-              Printf.sprintf "%s,%s,%.9g,%s,%d,"
-                (workload_kind_name e.workload)
-                (Policy.Registry.name e.policy)
-                e.ratio (swap_name e.swap) e.trial
-            in
-            Array.iter
-              (fun (row : Mem.Damon.row) ->
-                output_string oc prefix;
-                output_string oc
-                  (Printf.sprintf "%d,%d,%d,%d,%d\n" row.Mem.Damon.w_t_ns
-                     row.Mem.Damon.w_asid row.Mem.Damon.w_start
-                     row.Mem.Damon.w_pages row.Mem.Damon.w_accessed);
-                incr written)
-              cap.Mem.Damon.rows
-          | _ -> ())
-        (traced_exps ctx);
+        (fun (e, _, cap) ->
+          let prefix = csv_prefix e in
+          Array.iter
+            (fun (row : Mem.Damon.row) ->
+              output_string oc prefix;
+              output_string oc
+                (Printf.sprintf "%d,%d,%d,%d,%d\n" row.Mem.Damon.w_t_ns
+                   row.Mem.Damon.w_asid row.Mem.Damon.w_start
+                   row.Mem.Damon.w_pages row.Mem.Damon.w_accessed);
+              incr written)
+            cap.Mem.Damon.rows)
+        (with_capture (fun r -> r.Machine.heatmap) ctx);
       !written)
 
 (* Chrome trace-event JSON ("X" complete events, ts/dur in µs) from the
@@ -890,7 +867,7 @@ let write_perfetto ctx ~path =
       in
       output_string oc "{\"traceEvents\":[";
       List.iteri
-        (fun i (e, (cap : Obs.Prof.capture)) ->
+        (fun i (e, _, (cap : Obs.Prof.capture)) ->
           let pid = i + 1 in
           emit
             (Printf.sprintf

@@ -10,10 +10,13 @@
     Every run happens under an explicit {!ctx}: the scaling profile,
     fault-injection plan, invariant-audit cadence and parallelism are
     fields of a value threaded through the drivers, not process-global
-    state.  Each [ctx] owns its own result cache (keyed by a stable
-    string, sharded and mutex-protected), so figures that share cells
-    (1 and 2, 4 and 5, 9-11) do not recompute them, and two contexts
-    with different fault plans can never serve each other stale results.
+    state.  Results live in a store (sharded and mutex-protected) that a
+    root context shares with every context {!derive}d from it.  A result
+    is keyed by its {!exp_key} plus a tag of everything else that
+    produced it: the {!fingerprint} and the capture set (trace, sample
+    cadence, profiler mode, region monitor).  Figures that share cells
+    (1 and 2, 4 and 5, 9-11) do not recompute them, and no context is
+    ever served a result computed under other inputs.
 
     {b Parallelism and determinism.}  Trials are embarrassingly
     parallel: each owns its seeded RNG, workload instance and simulated
@@ -71,8 +74,8 @@ type profile = {
           (the default experiments run at 1/256 of the paper's page
           counts; [N = 256] reaches the native 3-4M-page footprints).
           [1] is byte-identical to the historical profile.  Like
-          [fast], this is ctx-level and not part of {!exp_key}: never
-          mix journals or caches across scales. *)
+          [fast], this is ctx-level and part of the {!fingerprint}, so
+          results at one scale are never served at another. *)
 }
 
 val default_profile : profile
@@ -90,7 +93,7 @@ val profile_from_env : unit -> profile
 type ctx
 (** An immutable run context: profile, fault plan, audit cadence,
     parallelism, per-trial deadline and optional result journal, plus
-    this context's private result cache. *)
+    the result store it shares with the contexts derived from it. *)
 
 (** What became of one trial.  Failures are first-class: a raising or
     deadline-hit trial is cached and journaled as [Failed] and rendered
@@ -127,16 +130,11 @@ val make_ctx :
     re-journaled.
 
     [cgroups] installs a memory-cgroup spec into every machine this
-    context runs.  Like [fault_plan] it is ctx-level and not part of
-    {!exp_key}, so never mix journals or caches across specs.
-
-    [chaos] installs a runtime-transient injection schedule the same
-    way (see {!Chaos}); omitting it schedules nothing and keeps runs
-    byte-identical to builds without the chaos layer.
-
-    [damon] installs a DAMON-style region access monitor whose
-    per-region rows land in [result.heatmap]; it is ctx-level like
-    [fault_plan] and not part of {!exp_key}. *)
+    context runs, [chaos] a runtime-transient schedule (see {!Chaos};
+    omitting it schedules nothing, byte-identical to builds without the
+    chaos layer), and [damon] a DAMON-style region access monitor whose
+    rows land in [result.heatmap].  The context gets a fresh, empty
+    result store. *)
 
 val profile : ctx -> profile
 
@@ -148,59 +146,45 @@ val jobs : ctx -> int
 
 val obs : ctx -> Obs.config
 
-val prof : ctx -> Obs.Prof.config
-(** The profiler configuration passed to every machine this context
-    runs; {!Obs.Prof.off} by default. *)
-
-val trial_timeout_s : ctx -> float
-(** The per-trial wall-clock deadline in seconds; 0 when disabled. *)
-
 val cgroups : ctx -> Mem.Memcg.spec option
 
-val with_cgroups : ctx -> Mem.Memcg.spec -> ctx
-(** A derived context with [cgroups] installed and a {e fresh} result
-    cache and experiment log (the spec is not part of {!exp_key}, so
-    sharing the parent's cache would alias results across specs). *)
-
-val chaos : ctx -> Chaos.spec option
-
-val with_chaos :
-  ?cgroups:Mem.Memcg.spec -> ?obs:Obs.config -> ctx -> Chaos.spec option -> ctx
-(** A derived context with [chaos] replaced ([None] strips any installed
-    spec) and a fresh cache/log, like {!with_cgroups}.  [?cgroups]
-    additionally replaces the cgroup spec in the same derivation — the
-    limit-churn chaos class needs one — and [?obs] the telemetry config
-    (the resilience report needs traced derived runs whatever the parent
-    context records). *)
-
-val damon : ctx -> Mem.Damon.config option
-
-val with_damon : ctx -> Mem.Damon.config -> ctx
-(** A derived context with the region monitor installed and a fresh
-    cache/log, like {!with_cgroups} (monitored results carry heatmap
-    captures, so they must not alias an unmonitored cache). *)
+val derive :
+  ?obs:Obs.config ->
+  ?cgroups:Mem.Memcg.spec option ->
+  ?chaos:Chaos.spec option ->
+  ?damon:Mem.Damon.config option ->
+  ctx ->
+  ctx
+(** [ctx] with the given fields replaced ([Some None] strips a spec or
+    monitor), sharing [ctx]'s result store, experiment log and journal:
+    its outcomes reach {!failures} and the writers called on [ctx].
+    Results are keyed by their inputs, so two contexts share a result
+    only when their inputs and capture sets are identical. *)
 
 val fingerprint : ctx -> (string * string) list
 (** Every ctx-level input that changes a trial's result, as named
     canonical strings: a model-version constant (bumped whenever results
     change for the same inputs), [fast], [scale], the fault plan,
     [audit_every_ns], and the cgroup and chaos specs.  Journals carry it
-    in their header ({!Journal.open_}). *)
+    in their header ({!Journal.open_}), and every result key carries a
+    digest of it. *)
+
+val record_key : ctx -> exp -> string
+(** The key of [ctx]'s journal record for [e]: {!exp_key} plus a tag of
+    the {!fingerprint} and of the captures a record keeps (counters and
+    phase totals; no traces, samples, spans or heatmaps). *)
 
 val cached_results : ctx -> int
-(** Number of trial outcomes currently memoized in this context. *)
+(** Number of trial outcomes currently memoized in this context's store
+    (shared with every context derived from the same root). *)
 
 val warm_start : ctx -> Journal.record list -> int
-(** Install the successful records of a loaded journal into the cache,
-    returning how many were installed.  Failure records are skipped (a
-    resumed run retries them), and the whole warm-start is skipped —
-    with a stderr note — when the context has telemetry enabled
-    (journal records carry no traces), span profiling enabled (they
-    carry no spans) or the region monitor enabled (they carry no
-    heatmaps).  Under totals-only profiling, only records that carry
-    phase totals are installed; the rest recompute.  Call once, before
-    running anything, on a fresh context whose {!fingerprint} matched
-    the journal's header. *)
+(** Install every successful record of a loaded journal into the store
+    under its own key, returning how many were installed.  Failure
+    records are skipped (a resumed run retries them).  A context whose
+    inputs or capture set differ from a record's never finds it.  Call
+    once, before running anything, on a fresh context whose
+    {!fingerprint} matched the journal's header. *)
 
 (** {1 Running trials} *)
 
@@ -244,9 +228,10 @@ val try_cell :
     trial order. *)
 
 val failures : ctx -> (exp * string * bool) list
-(** Every failed trial this context has seen — [(exp, reason,
-    timed_out)] — in deterministic first-request order, the same for
-    every [jobs] value.  Empty after a clean sweep. *)
+(** Every failed trial this context's store has seen, derived contexts'
+    included — [(exp, reason, timed_out)] — in deterministic
+    first-request order, the same for every [jobs] value.  Empty after a
+    clean sweep. *)
 
 (** {1 Aggregation helpers} *)
 
@@ -269,18 +254,15 @@ val pooled_write_latencies : Machine.result list -> float array
 (** {1 Telemetry}
 
     When the context's {!Obs.config} enables tracing or sampling, every
-    computed trial's capture is kept (attached to its cached result) and
-    the experiment is appended to an ordered log.  The log is written
+    computed trial's capture is kept (attached to its cached result).
+    Every requested experiment is appended, with its result key, to an
+    ordered log shared by the store's contexts.  The log is written
     only from the dispatching domain — {!prefetch} records its whole
     deduplicated batch in list order before any worker starts, and
     direct {!run_exp} misses occur in the drivers' serial read-back — so
     the files these writers produce are byte-identical for every
-    [jobs] value. *)
-
-val traced_exps : ctx -> exp list
-(** Every experiment this context has been asked to run, in
-    deterministic first-request order.  The telemetry writers serialize
-    the captures of these, in this order. *)
+    [jobs] value.  The writers and {!failures} read the whole log, so
+    called on a root context they cover its derived contexts too. *)
 
 val write_trace : ctx -> path:string -> int
 (** Write every captured event as JSON Lines (one flat object per event:
@@ -304,14 +286,10 @@ val merged_reclaim_hists : ctx -> (string * Stats.Histogram.t) list
     writers, everything below reads the deterministic experiment log,
     so outputs are byte-identical for every [jobs] value. *)
 
-val profiled : ctx -> (exp * Obs.Prof.capture) list
-(** Every experiment whose cached result carries a profile capture, in
-    deterministic first-request order. *)
-
 val profile_cells : ctx -> (exp * Obs.Prof.merged) list
-(** Per-cell phase totals: captures grouped by grid cell (the [exp]
-    returned has [trial = 0]) and merged across trials in trial order,
-    cells in first-appearance order. *)
+(** Per-cell phase totals: captures grouped by grid cell and
+    configuration tag (the [exp] returned has [trial = 0]) and merged
+    across trials in trial order, cells in first-appearance order. *)
 
 val write_folded : ctx -> path:string -> int
 (** Write merged per-cell phase totals as folded stacks
@@ -333,9 +311,8 @@ val write_perfetto : ctx -> path:string -> int
     value. *)
 
 val vmstat_cells : ctx -> (exp * Obs.Vmstat.capture) list
-(** Per-cell counter totals: captures grouped by grid cell (the [exp]
-    returned has [trial = 0]) and summed across trials, cells in
-    first-appearance order. *)
+(** Per-cell counter totals: captures grouped like {!profile_cells} and
+    summed across trials, cells in first-appearance order. *)
 
 val heatmap_csv_header : string
 (** [workload,policy,ratio,swap,trial,t_ns,asid,start_vpn,pages,accessed] *)

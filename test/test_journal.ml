@@ -346,11 +346,14 @@ let test_fingerprint_covers_inputs () =
   differs "fault plan"
     (R.make_ctx ~profile:fast_profile ~fault_plan:Swapdev.Faulty_device.light ());
   differs "cgroups"
-    (R.with_cgroups base
-       (Result.get_ok (Mem.Memcg.parse_spec "a:threads=0-3,max=40%")));
+    (R.derive
+       ~cgroups:(Some (Result.get_ok (Mem.Memcg.parse_spec "a:threads=0-3,max=40%")))
+       base);
   differs "chaos"
-    (R.with_chaos base
-       (Some (Result.get_ok (Repro_core.Chaos.parse_spec "burst:at=2s,for=3s,threads=0-3"))));
+    (R.derive
+       ~chaos:
+         (Some (Result.get_ok (Repro_core.Chaos.parse_spec "burst:at=2s,for=3s,threads=0-3")))
+       base);
   Alcotest.(check bool) "jobs and trial counts do not" true
     (R.fingerprint
        (R.make_ctx ~profile:{ fast_profile with R.trials = 9 } ~jobs:4 ())

@@ -107,6 +107,34 @@ let test_ctx_caches_isolated () =
   Alcotest.(check bool) "faults only under the faulty plan" true
     (injected r_clean = 0 && injected r_faulty > 0)
 
+let test_derived_share_store () =
+  (* A chaos derivation shares its parent's store but never its results;
+     an identical second derivation finds the first one's. *)
+  let e = { R.workload = R.Tpch; policy = Policy.Registry.Clock; ratio = 0.5;
+            swap = R.Ssd; trial = 0 } in
+  let spec =
+    Result.get_ok
+      (Repro_core.Chaos.parse_spec "hotplug:at=20s,shrink=40%,restore=40s")
+  in
+  let parent = R.make_ctx ~profile:fast_profile () in
+  let derived = R.derive ~chaos:(Some spec) parent in
+  let r_parent = R.run_exp parent e in
+  let r_derived = R.run_exp derived e in
+  Alcotest.(check bool) "parent result is chaos-free" true
+    (r_parent.M.chaos = None);
+  Alcotest.(check bool) "derived result ran the chaos spec" true
+    (r_derived.M.chaos <> None);
+  Alcotest.(check bool) "results differ" true
+    (r_parent.M.runtime_ns <> r_derived.M.runtime_ns);
+  Alcotest.(check int) "both in one store" 2 (R.cached_results parent);
+  let again = R.derive ~chaos:(Some spec) parent in
+  Alcotest.(check bool) "identical derivation hits the shared cache" true
+    (R.run_exp again e == r_derived);
+  let stripped = R.derive ~chaos:None derived in
+  Alcotest.(check bool) "stripping the spec finds the parent's result" true
+    (R.run_exp stripped e == r_parent);
+  Alcotest.(check int) "nothing recomputed" 2 (R.cached_results parent)
+
 let test_run_cell () =
   let results =
     R.run_cell ctx ~workload:R.Tpch ~policy:Policy.Registry.Clock ~ratio:0.5
@@ -163,6 +191,8 @@ let () =
           Alcotest.test_case "paired seeds" `Quick test_workload_seeds_paired;
           Alcotest.test_case "cache" `Quick test_run_exp_cached;
           Alcotest.test_case "ctx caches isolated" `Quick test_ctx_caches_isolated;
+          Alcotest.test_case "derived contexts share one store" `Quick
+            test_derived_share_store;
           Alcotest.test_case "run_cell" `Quick test_run_cell;
           Alcotest.test_case "prefetch dedupes" `Quick test_prefetch_dedupes;
           Alcotest.test_case "ratio scaling" `Quick test_capacity_scales_with_ratio;

@@ -167,15 +167,18 @@ let test_outcomes_journaled () =
       let records = J.load ~path in
       Alcotest.(check int) "one record per computed trial" 2
         (List.length records);
-      let find key = List.find (fun r -> r.J.key = key) records in
-      let okr = find (R.exp_key (exp_of Policy.Registry.Clock)) in
+      (* Records are keyed by the configuration that produced them. *)
+      let find policy =
+        List.find (fun r -> r.J.key = R.record_key ctx (exp_of policy)) records
+      in
+      let okr = find Policy.Registry.Clock in
       Alcotest.(check string) "success recorded" "ok" (J.status_name okr.J.status);
       (match (ok, okr.J.result) with
       | R.Done want, Some got ->
         Alcotest.(check int) "journaled runtime matches" want.M.runtime_ns
           got.M.runtime_ns
       | _ -> Alcotest.fail "expected Done + journaled result");
-      let bad = find (R.exp_key (exp_of Policy.Registry.Crash_test)) in
+      let bad = find Policy.Registry.Crash_test in
       Alcotest.(check string) "failure recorded" "failed"
         (J.status_name bad.J.status);
       Alcotest.(check bool) "failure carries no result" true
@@ -207,23 +210,26 @@ let test_warm_start_resumes () =
         (List.length (R.failures ctx2));
       J.close journal)
 
-let test_warm_start_skipped_under_tracing () =
+let test_traced_resume_recomputes () =
   with_temp_path (fun path ->
       let journal, _ = J.open_ ~path ~resume:false ~fingerprint in
       let ctx = R.make_ctx ~profile:fast_profile ~journal () in
-      ignore (R.try_exp ctx (exp_of Policy.Registry.Clock));
+      let first = R.run_exp ctx (exp_of Policy.Registry.Clock) in
       J.close journal;
       let records = J.load ~path in
-      (* Journal records carry no captures, so a tracing context must
-         recompute rather than serve capture-less results. *)
+      (* Journal records carry no traces, so a tracing context must
+         recompute rather than serve a trace-less result. *)
       let traced =
         R.make_ctx ~profile:fast_profile
           ~obs:{ Obs.trace = true; sample_every_ns = 0 }
           ()
       in
-      Alcotest.(check int) "tracing skips warm start" 0
-        (R.warm_start traced records);
-      Alcotest.(check int) "cache stays cold" 0 (R.cached_results traced))
+      Alcotest.(check int) "record installed" 1 (R.warm_start traced records);
+      let r = R.run_exp traced (exp_of Policy.Registry.Clock) in
+      Alcotest.(check bool) "traced result carries a trace" true
+        (r.M.trace <> None);
+      Alcotest.(check int) "same simulated runtime" first.M.runtime_ns
+        r.M.runtime_ns)
 
 let () =
   Alcotest.run "supervise"
@@ -251,7 +257,7 @@ let () =
         [
           Alcotest.test_case "outcomes journaled" `Quick test_outcomes_journaled;
           Alcotest.test_case "warm start resumes" `Quick test_warm_start_resumes;
-          Alcotest.test_case "warm start skipped under tracing" `Quick
-            test_warm_start_skipped_under_tracing;
+          Alcotest.test_case "traced resume recomputes" `Quick
+            test_traced_resume_recomputes;
         ] );
     ]
