@@ -198,14 +198,21 @@ let chaos_arg =
            ~doc:
              "Inject deterministic runtime transients, e.g.               $(b,hotplug:at=5s,shrink=40%,restore=15s;degrade:at=20s,for=8s,latency=8x).               Segments: $(b,hotplug:) (offline/online capacity),               $(b,degrade:) (swap-device latency/error/wear windows),               $(b,churn:) (rewrite a cgroup's low/high/max; needs               $(b,--cgroups)), $(b,burst:) (thread stall pulses), and the               test-only $(b,corrupt:).  Times take ns/us/ms/s suffixes,               amounts are pages or % of capacity.  Every injection forces an               invariant audit and lands in the $(b,--trace) stream.  With               $(b,none) (or unset) output is byte-identical to builds without               the chaos layer.")
 
+(* One requested output file: where it goes, what its count counts, the
+   writer that fills it from the experiment log after the run, and the
+   capture it needs recorded. *)
+type output = {
+  path : string;
+  noun : string;
+  write : Repro_core.Runner.ctx -> path:string -> int;
+  needs : Obs.config -> Obs.config;
+}
+
 (* Everything a subcommand needs: the run context plus where to flush
    its telemetry afterwards and how to treat failed trials at exit. *)
 type setup = {
   ctx : Repro_core.Runner.ctx;
-  trace_file : string option;
-  samples_file : string option;
-  folded_file : string option;
-  perfetto_file : string option;
+  outputs : output list;
   journal : Repro_core.Journal.t option;
   keep_going : bool;
 }
@@ -234,19 +241,35 @@ let build_setup profile_default trials ycsb_trials fast scale jobs faults
   let profile = profile_of_flags ?trials ?ycsb_trials ~fast ~scale () in
   let jobs = jobs_of_flag jobs in
   let sample_every = max 0 sample_every in
-  let obs = { Obs.trace = trace <> None; sample_every_ns = sample_every } in
-  let prof =
-    {
-      Obs.Prof.enabled = profile_default || folded <> None || perfetto <> None;
-      spans = perfetto <> None;
-    }
+  let outputs =
+    List.filter_map
+      (fun (path, noun, write, needs) ->
+        Option.map (fun path -> { path; noun; write; needs }) path)
+      [
+        ( trace, "trace event(s)", Repro_core.Runner.write_trace,
+          fun c -> { c with Obs.trace = true } );
+        ( (if sample_every > 0 then Some samples else None), "sample row(s)",
+          Repro_core.Runner.write_samples,
+          fun c -> { c with Obs.sample_every_ns = sample_every } );
+        ( folded, "folded stack line(s)", Repro_core.Runner.write_folded,
+          fun c -> { c with Obs.prof = max c.Obs.prof Obs.Prof.Totals } );
+        ( perfetto, "span event(s)", Repro_core.Runner.write_perfetto,
+          fun c -> { c with Obs.prof = Obs.Prof.Spans } );
+      ]
+  in
+  (* The capture set is exactly what the requested outputs need. *)
+  let obs =
+    List.fold_left
+      (fun c o -> o.needs c)
+      { Obs.off with prof = (if profile_default then Totals else Off) }
+      outputs
   in
   if resume && journal_path = None then
     prerr_endline "repro: warning: --resume has no effect without --journal";
   let make_ctx journal =
     Repro_core.Runner.make_ctx ~profile ~fault_plan:faults
       ~audit_every_ns:(max 0 audit_every_ms * 1_000_000)
-      ~jobs ~obs ~prof ~trial_timeout_s:trial_timeout
+      ~jobs ~obs ~trial_timeout_s:trial_timeout
       ?journal ?cgroups ?chaos:(Option.join chaos) ()
   in
   (* The journal's header is the fingerprint of this run's context; a
@@ -270,33 +293,16 @@ let build_setup profile_default trials ycsb_trials fast scale jobs faults
     let n = Repro_core.Runner.warm_start ctx records in
     Printf.eprintf "journal: warm-started %d trial result(s) from %s\n%!" n path
   | _ -> ());
-  { ctx; trace_file = trace; samples_file = (if sample_every > 0 then Some samples else None);
-    folded_file = folded; perfetto_file = perfetto; journal; keep_going }
+  { ctx; outputs; journal; keep_going }
 
 (* Flush the telemetry recorded under [setup.ctx], close the journal,
    and report failed trials; called by every subcommand after its own
    output.  Exits non-zero on failures unless --keep-going. *)
 let finalize setup =
-  (match setup.trace_file with
-  | None -> ()
-  | Some path ->
-    let n = Repro_core.Runner.write_trace setup.ctx ~path in
-    Printf.printf "wrote %d trace event(s) to %s\n" n path);
-  (match setup.samples_file with
-  | None -> ()
-  | Some path ->
-    let n = Repro_core.Runner.write_samples setup.ctx ~path in
-    Printf.printf "wrote %d sample row(s) to %s\n" n path);
-  (match setup.folded_file with
-  | None -> ()
-  | Some path ->
-    let n = Repro_core.Runner.write_folded setup.ctx ~path in
-    Printf.printf "wrote %d folded stack line(s) to %s\n" n path);
-  (match setup.perfetto_file with
-  | None -> ()
-  | Some path ->
-    let n = Repro_core.Runner.write_perfetto setup.ctx ~path in
-    Printf.printf "wrote %d span event(s) to %s\n" n path);
+  List.iter
+    (fun { path; noun; write; _ } ->
+      Printf.printf "wrote %d %s to %s\n" (write setup.ctx ~path) noun path)
+    setup.outputs;
   (match setup.journal with
   | Some j -> Repro_core.Journal.close j
   | None -> ());
@@ -507,21 +513,21 @@ let run_cmd =
       Format.printf "  write latency: %a@."
         Stats.Percentile.pp_tail
         (Stats.Percentile.tail_of writes);
-    (* Telemetry-only digest: printed only when tracing is on, so
-       untraced output stays byte-identical to pre-telemetry builds. *)
-    if Obs.config_enabled (Repro_core.Runner.obs ctx) then
-      List.iter
-        (fun (pname, h) ->
-          if Stats.Histogram.count h > 0 then
-            Printf.printf
-              "  direct-reclaim latency [%s]: n=%s p50=%s p90=%s p99=%s max=%s\n"
-              pname
-              (Repro_core.Report.fcount (float_of_int (Stats.Histogram.count h)))
-              (Repro_core.Report.fns (Stats.Histogram.quantile h 0.5))
-              (Repro_core.Report.fns (Stats.Histogram.quantile h 0.9))
-              (Repro_core.Report.fns (Stats.Histogram.quantile h 0.99))
-              (Repro_core.Report.fns (Stats.Histogram.max_seen h)))
-        (Repro_core.Runner.merged_reclaim_hists ctx);
+    (* Telemetry-only digest: only traced or sampled trials carry a
+       histogram, so untraced output stays byte-identical to
+       pre-telemetry builds. *)
+    List.iter
+      (fun (pname, h) ->
+        if Stats.Histogram.count h > 0 then
+          Printf.printf
+            "  direct-reclaim latency [%s]: n=%s p50=%s p90=%s p99=%s max=%s\n"
+            pname
+            (Repro_core.Report.fcount (float_of_int (Stats.Histogram.count h)))
+            (Repro_core.Report.fns (Stats.Histogram.quantile h 0.5))
+            (Repro_core.Report.fns (Stats.Histogram.quantile h 0.9))
+            (Repro_core.Report.fns (Stats.Histogram.quantile h 0.99))
+            (Repro_core.Report.fns (Stats.Histogram.max_seen h)))
+      (Repro_core.Runner.merged_reclaim_hists ctx);
     finalize setup
   in
   Cmd.v
@@ -752,10 +758,6 @@ let profile_cmd =
            Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
          cells);
     List.iter
-      (fun (workload, policy, ratio) ->
-        ignore (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio ~swap))
-      cells;
-    List.iter
       (fun (cell, m) ->
         Repro_core.Report.section
           (Printf.sprintf "Profile: %s / %s / %.0f%% / %s"
@@ -829,18 +831,6 @@ let vmstat_cmd =
                  ratios)
              policies)
          workloads);
-    List.iter
-      (fun workload ->
-        List.iter
-          (fun policy ->
-            List.iter
-              (fun ratio ->
-                ignore
-                  (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio
-                     ~swap))
-              ratios)
-          policies)
-      workloads;
     let captured = Repro_core.Runner.vmstat_cells ctx in
     (* One section per (workload, ratio), policies as columns: the
        counters line up side by side and the two-policy delta column is
@@ -945,16 +935,16 @@ let heatmap_cmd =
           max Mem.Damon.default_config.Mem.Damon.min_regions max_regions;
       }
     in
-    let ctx = Repro_core.Runner.derive ~damon:(Some config) setup.ctx in
+    let ctx =
+      Repro_core.Runner.derive
+        ~obs:{ (Repro_core.Runner.obs setup.ctx) with Obs.damon = Some config }
+        setup.ctx
+    in
     Repro_core.Runner.prefetch ctx
       (List.concat_map
          (fun policy ->
            Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
          policies);
-    List.iter
-      (fun policy ->
-        ignore (Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio ~swap))
-      policies;
     let n = Repro_core.Runner.write_heatmap ctx ~path:out in
     Printf.printf "wrote %d heatmap row(s) to %s\n" n out;
     (match gnuplot with

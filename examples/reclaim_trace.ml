@@ -21,7 +21,7 @@ let () =
   let base = Repro_core.Machine.default_config ~capacity_frames:512 ~seed:42 in
   let config =
     { base with Repro_core.Machine.obs =
-        { Obs.trace = true; sample_every_ns = 20_000_000 } }
+        { Obs.off with trace = true; sample_every_ns = 20_000_000 } }
   in
   let result =
     Repro_core.Machine.run config

@@ -12,8 +12,6 @@ let ms = 1_000_000
    report stay readable ("12ms", not "12345678ns"). *)
 let round_to_ms t = max ms (t / ms * ms)
 
-let traced_obs = { Obs.trace = true; sample_every_ns = 0 }
-
 (* The limit-churn class needs a cgroup to churn: one group covering
    every thread of the workload, initially unlimited. *)
 let app_cgroups nthreads : Mem.Memcg.spec =
@@ -140,8 +138,10 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
       if not (List.mem klass default_classes) then
         raise (Invalid_argument (Printf.sprintf "no chaos class %S" klass)))
     classes;
-  (* Baseline trials calibrate R per cell; shared across classes. *)
-  let base_ctx = Runner.derive ~obs:traced_obs ~chaos:None ctx in
+  (* Every trial is traced; the ctx's other captures ride along.
+     Baseline trials calibrate R per cell; shared across classes. *)
+  let obs = { (Runner.obs ctx) with Obs.trace = true; sample_every_ns = 0 } in
+  let base_ctx = Runner.derive ~obs ~chaos:None ctx in
   let cells =
     List.concat_map
       (fun w -> List.map (fun p -> (w, p)) policies)
@@ -184,7 +184,7 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
                 else Runner.cgroups ctx
               in
               let cctx =
-                Runner.derive ~obs:traced_obs ~cgroups ~chaos:(Some spec) ctx
+                Runner.derive ~obs ~cgroups ~chaos:(Some spec) ctx
               in
               (match Runner.try_exp cctx exp with
               | Runner.Failed { reason; _ } ->

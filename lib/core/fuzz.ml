@@ -110,8 +110,6 @@ let fail oracle fmt = Printf.ksprintf (fun s -> raise (Fail (oracle, s))) fmt
 (* Short trials: 2 per cell, fast workloads, 25 ms audit cadence. *)
 let profile = { Runner.trials = 2; ycsb_trials = 2; fast = true; scale = 1 }
 
-let traced = { Obs.trace = true; sample_every_ns = 0 }
-
 let mk_ctx ?(audit_every_ns = 25_000_000) ~jobs ~obs cfg =
   let fault_plan =
     match Swapdev.Faulty_device.plan_of_name cfg.fz_faults with
@@ -188,6 +186,7 @@ let check cfg =
   in
   try
     (* complete + invariants, at jobs 1 *)
+    let traced = { Obs.off with Obs.trace = true } in
     let ctx1 = mk_ctx ~jobs:1 ~obs:traced cfg in
     let results = run_all ctx1 in
     List.iter

@@ -64,9 +64,10 @@ let result_fields (r : Machine.result) =
     ("policy_name", Obs.Str r.policy_name);
     ("resident_at_end", Obs.Int r.resident_at_end);
   ]
-  (* Emitted only when present so profiler-off journals stay
-     byte-identical to builds without the profiler.  Spans are dropped
-     by the encoding (a record's key says it holds phase totals only). *)
+  (* Only what [Obs.kept] keeps is written: the counters above, and the
+     phase totals below (without spans), emitted only when present so
+     profiler-off journals stay byte-identical to builds without the
+     profiler.  No trace, samples or heatmap. *)
   @ (match r.profile with
     | None -> []
     | Some cap -> [ ("profile", Obs.Str (Obs.Prof.encode_capture cap)) ])
@@ -74,9 +75,7 @@ let result_fields (r : Machine.result) =
   @ (match r.memcg with
     | None -> []
     | Some s -> [ ("cgroups", Obs.Str (Mem.Memcg.summary_to_string s)) ])
-  (* And for the chaos tallies: absent without [--chaos].  The heatmap
-     is stripped like the trace — region rows are bulky, and a record's
-     key says it holds none. *)
+  (* And for the chaos tallies: absent without [--chaos]. *)
   @ (match r.chaos with
     | None -> []
     | Some s -> [ ("chaos", Obs.Str (Chaos.summary_to_string s)) ])

@@ -35,10 +35,13 @@
     atomically and the segment on disk is always wholly valid before new
     appends begin.
 
-    {b What is not journaled.}  Telemetry captures ([result.trace]),
-    profiler spans and heatmaps are too large and are rebuilt by
-    re-running: a context that wants them has another key than any
-    record, so it recomputes. *)
+    {b What is journaled.}  One rule, {!Obs.kept}: a record keeps the
+    counters and, when the profiler was on, its phase totals.  Telemetry
+    captures ([result.trace]), profiler spans and heatmaps are too large
+    and are rebuilt by re-running: the encoding writes none of them, and
+    a record's key ({!Runner.record_key}) names the kept set, so a
+    context that wants them has another key than any record and
+    recomputes. *)
 
 type status =
   | Trial_ok
@@ -50,8 +53,9 @@ type record = {
   status : status;
   reason : string;  (** empty for [Trial_ok] *)
   result : Machine.result option;
-      (** [Some] exactly for [Trial_ok]; its [trace] field is always
-          [None] *)
+      (** [Some] exactly for [Trial_ok].  Encoding writes only what
+          {!Obs.kept} keeps, so a decoded result has no [trace] or
+          [heatmap] and no profiler spans *)
 }
 
 val status_name : status -> string

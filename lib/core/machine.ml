@@ -30,7 +30,8 @@ type config = {
   io_retry_backoff_ns : int;
   audit_every_ns : int;
   obs : Obs.config;
-  prof : Obs.Prof.config;
+      (** every telemetry channel (trace, samples, profiler, region
+          monitor); Obs.off records nothing, byte-identical results *)
   cancel : Engine.Cancel.t;
   cgroups : Mem.Memcg.spec option;
       (** memory cgroups (None = single global pool, the pre-cgroup
@@ -38,9 +39,6 @@ type config = {
   chaos : Chaos.spec option;
       (** runtime-transient injection schedule (None = no injectors,
           byte-identical to builds without the chaos layer) *)
-  damon : Mem.Damon.config option;
-      (** DAMON-style region access monitor (None = no monitor ticks,
-          no capture, byte-identical results) *)
 }
 
 let default_config ~capacity_frames ~seed =
@@ -70,11 +68,9 @@ let default_config ~capacity_frames ~seed =
     io_retry_backoff_ns = 100_000;
     audit_every_ns = 0;
     obs = Obs.off;
-    prof = Obs.Prof.off;
     cancel = Engine.Cancel.never;
     cgroups = None;
     chaos = None;
-    damon = None;
   }
 
 type result = {
@@ -992,7 +988,7 @@ let run cfg ~policy ~workload =
   let footprint = Workload.Chunk.packed_footprint workload in
   let nthreads = Workload.Chunk.packed_threads workload in
   let obs = Obs.create cfg.obs in
-  let prof = Prof.create cfg.prof in
+  let prof = Prof.create cfg.obs.prof in
   let vm = Obs.Vmstat.create () in
   let rng = Engine.Rng.create cfg.seed in
   let base_device =
@@ -1207,7 +1203,7 @@ let run cfg ~policy ~workload =
      draws no randomness, so results with the monitor on are identical
      to results with it off, and [None] schedules nothing at all. *)
   let damon =
-    match cfg.damon with
+    match cfg.obs.damon with
     | None -> None
     | Some dcfg ->
       let d = Mem.Damon.create dcfg in

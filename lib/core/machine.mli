@@ -55,17 +55,19 @@ type config = {
       (** run {!Invariants.audit} every this many simulated ns; 0 =
           end-of-run only *)
   obs : Obs.config;
-      (** telemetry: trace events and/or periodic machine-state samples
-          into a per-trial sink, returned as [result.trace].  {!Obs.off}
-          keeps runs bit-identical to a build without the layer *)
-  prof : Obs.Prof.config;
-      (** simulated-time CPU profiler: per-phase attribution of every
-          nanosecond charged through [Engine.Cpu.charge], plus modeled
-          waits (swap, writeback, barriers), returned as
-          [result.profile].  The profiler only observes — it never draws
-          randomness, schedules events, or charges CPU — so
-          {!Obs.Prof.off} and an enabled profiler produce identical
-          simulation results *)
+      (** the capture set, every telemetry channel in one value: trace
+          events and periodic machine-state samples into a per-trial
+          sink ([result.trace]); the simulated-time CPU profiler, which
+          attributes every nanosecond charged through
+          [Engine.Cpu.charge] plus modeled waits (swap, writeback,
+          barriers) to a phase ([result.profile]); and the DAMON-style
+          region access monitor (see {!Mem.Damon}), a recurring tick
+          that reads — never clears — accessed bits
+          ([result.heatmap]).  Every channel only observes: none draws
+          randomness, charges CPU or changes what the simulation
+          schedules, so results equal an unobserved run's, and
+          {!Obs.off} keeps runs bit-identical to a build without the
+          layers *)
   cancel : Engine.Cancel.t;
       (** cooperative cancellation, checked between simulation events;
           {!Engine.Cancel.never} (the default) never fires.  A firing
@@ -87,13 +89,6 @@ type config = {
           and is followed by a forced {!Invariants.audit}.  [None] (the
           default) schedules nothing and draws no randomness —
           byte-identical behaviour to builds without the chaos layer *)
-  damon : Mem.Damon.config option;
-      (** DAMON-style adaptive region access monitor (see {!Mem.Damon}):
-          a recurring aggregation tick that reads — never clears —
-          accessed bits and records per-region access counts into
-          [result.heatmap].  Pure observation: no CPU charges, no
-          randomness, so a monitored run's metrics equal an unmonitored
-          one's.  [None] (the default) schedules nothing *)
 }
 
 val default_config : capacity_frames:int -> seed:int -> config
@@ -129,15 +124,14 @@ type result = {
           pages migrated/evicted off offlining frames, limit rewrites,
           device phases, stalled threads); [None] without [--chaos] *)
   trace : Obs.capture option;
-      (** everything the trial's telemetry sink recorded; [None] when
-          [config.obs] was {!Obs.off} *)
+      (** everything the trial's event/sample sink recorded; [None]
+          when [config.obs] neither traced nor sampled *)
   profile : Obs.Prof.capture option;
-      (** per-phase CPU/wait totals (and, when [config.prof.spans] was
-          set, the span timeline); [None] when [config.prof] was
-          {!Obs.Prof.off} *)
+      (** per-phase CPU/wait totals (and, under [Spans], the span
+          timeline); [None] when [config.obs.prof] was [Off] *)
   heatmap : Mem.Damon.capture option;
       (** the region monitor's aggregation rows in tick order; [None]
-          when [config.damon] was [None] *)
+          when [config.obs.damon] was [None] *)
 }
 
 val count : result -> int -> int

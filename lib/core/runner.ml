@@ -113,12 +113,10 @@ type ctx = {
   audit_every_ns : int;
   jobs : int;
   obs : Obs.config;
-  prof : Obs.Prof.config;
   trial_timeout_s : float;
   journal : Journal.t option;
   cgroups : Mem.Memcg.spec option;
   chaos : Chaos.spec option;
-  damon : Mem.Damon.config option;
   tag : string;  (* cache-key suffix: every input plus the capture set *)
   record_tag : string;  (* journal-record key suffix: captures reduced *)
   store : store;
@@ -151,19 +149,6 @@ let fingerprint ctx =
     ("chaos", spec Chaos.spec_to_string ctx.chaos);
   ]
 
-(* What a result carries beyond the simulation's outcome.  A cached
-   result holds its captures, so they are part of its key. *)
-let captures (obs : Obs.config) (prof : Obs.Prof.config) damon =
-  [
-    ("trace", string_of_bool obs.Obs.trace);
-    ("sample_every_ns", string_of_int obs.Obs.sample_every_ns);
-    ( "prof",
-      if not (Obs.Prof.config_enabled prof) then "off"
-      else if prof.Obs.Prof.spans then "spans"
-      else "totals" );
-    ("damon", Digest.to_hex (Digest.string (Marshal.to_string damon [])));
-  ]
-
 let digest_tag fields =
   String.sub
     (Digest.to_hex
@@ -171,23 +156,21 @@ let digest_tag fields =
           (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) fields))))
     0 16
 
-(* A journal record keeps the counters and phase totals, never traces,
-   samples, spans or heatmaps: its tag is the context's with those
-   captures off, so a context that wants them never finds it. *)
+(* A cached result holds its captures, so they are part of its key.  A
+   journal record holds only the captures {!Obs.kept} names: its tag is
+   the context's under that set, so a context that wants more never
+   finds it. *)
 let with_tags ctx =
   let fp = fingerprint ctx in
   {
     ctx with
-    tag = digest_tag (fp @ captures ctx.obs ctx.prof ctx.damon);
-    record_tag =
-      digest_tag
-        (fp @ captures Obs.off { ctx.prof with Obs.Prof.spans = false } None);
+    tag = digest_tag (fp @ Obs.config_key ctx.obs);
+    record_tag = digest_tag (fp @ Obs.config_key (Obs.kept ctx.obs));
   }
 
 let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
     ?(audit_every_ns = 0) ?(jobs = 1) ?(obs = Obs.off)
-    ?(prof = Obs.Prof.off) ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos
-    ?damon () =
+    ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos () =
   let profile =
     match profile with Some p -> p | None -> profile_from_env ()
   in
@@ -198,12 +181,10 @@ let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
       audit_every_ns = max 0 audit_every_ns;
       jobs = max 1 jobs;
       obs;
-      prof;
       trial_timeout_s = (if trial_timeout_s > 0.0 then trial_timeout_s else 0.0);
       journal;
       cgroups;
       chaos;
-      damon;
       tag = "";
       record_tag = "";
       store =
@@ -217,14 +198,13 @@ let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
         };
     }
 
-let derive ?obs ?cgroups ?chaos ?damon ctx =
+let derive ?obs ?cgroups ?chaos ctx =
   with_tags
     {
       ctx with
       obs = Option.value obs ~default:ctx.obs;
       cgroups = Option.value cgroups ~default:ctx.cgroups;
       chaos = Option.value chaos ~default:ctx.chaos;
-      damon = Option.value damon ~default:ctx.damon;
     }
 
 let profile ctx = ctx.profile
@@ -479,11 +459,9 @@ let compute_exp ctx e =
       fault_plan = ctx.fault_plan;
       audit_every_ns = ctx.audit_every_ns;
       obs = ctx.obs;
-      prof = ctx.prof;
       cancel = deadline_cancel ctx.trial_timeout_s;
       cgroups = ctx.cgroups;
       chaos = ctx.chaos;
-      damon = ctx.damon;
     }
   in
   (* Under --scale N the per-page cost factor shrinks as the footprint
@@ -513,15 +491,7 @@ let journal_outcome ctx e outcome =
   let record =
     match outcome with
     | Done r ->
-      {
-        Journal.key;
-        status = Journal.Trial_ok;
-        reason = "";
-        (* Traces and heatmaps are not journaled (see Journal's docs),
-           and the encoding drops spans: the record holds what its key's
-           reduced capture set promises. *)
-        result = Some { r with Machine.trace = None; heatmap = None };
-      }
+      { Journal.key; status = Journal.Trial_ok; reason = ""; result = Some r }
     | Failed { reason; timed_out } ->
       {
         Journal.key;

@@ -109,20 +109,22 @@ val make_ctx :
   ?audit_every_ns:int ->
   ?jobs:int ->
   ?obs:Obs.config ->
-  ?prof:Obs.Prof.config ->
   ?trial_timeout_s:float ->
   ?journal:Journal.t ->
   ?cgroups:Mem.Memcg.spec ->
   ?chaos:Chaos.spec ->
-  ?damon:Mem.Damon.config ->
   unit ->
   ctx
 (** Defaults: [profile_from_env ()], no fault injection, end-of-run
-    audits only, [jobs = 1] (serial), telemetry off ({!Obs.off} keeps
-    runs bit-identical to a build without the obs layer), no per-trial
-    deadline, no journal.  [jobs] is clamped to at least 1;
-    [audit_every_ns] to at least 0; [trial_timeout_s <= 0] means no
+    audits only, [jobs = 1] (serial), every capture off ({!Obs.off}
+    keeps runs bit-identical to a build without the telemetry layers),
+    no per-trial deadline, no journal.  [jobs] is clamped to at least
+    1; [audit_every_ns] to at least 0; [trial_timeout_s <= 0] means no
     deadline.
+
+    [obs] is the capture set every trial of this context records: trace
+    events, machine-state samples, the profiler mode and the region
+    monitor (whose rows land in [result.heatmap]).
 
     With a [journal], every freshly computed trial outcome — success or
     failure — is appended (checksummed, fsynced) the moment it
@@ -130,11 +132,10 @@ val make_ctx :
     re-journaled.
 
     [cgroups] installs a memory-cgroup spec into every machine this
-    context runs, [chaos] a runtime-transient schedule (see {!Chaos};
-    omitting it schedules nothing, byte-identical to builds without the
-    chaos layer), and [damon] a DAMON-style region access monitor whose
-    rows land in [result.heatmap].  The context gets a fresh, empty
-    result store. *)
+    context runs, and [chaos] a runtime-transient schedule (see
+    {!Chaos}; omitting it schedules nothing, byte-identical to builds
+    without the chaos layer).  The context gets a fresh, empty result
+    store. *)
 
 val profile : ctx -> profile
 
@@ -152,11 +153,10 @@ val derive :
   ?obs:Obs.config ->
   ?cgroups:Mem.Memcg.spec option ->
   ?chaos:Chaos.spec option ->
-  ?damon:Mem.Damon.config option ->
   ctx ->
   ctx
-(** [ctx] with the given fields replaced ([Some None] strips a spec or
-    monitor), sharing [ctx]'s result store, experiment log and journal:
+(** [ctx] with the given fields replaced ([obs] is the whole capture
+    set; [Some None] strips a spec), sharing [ctx]'s result store, experiment log and journal:
     its outcomes reach {!failures} and the writers called on [ctx].
     Results are keyed by their inputs, so two contexts share a result
     only when their inputs and capture sets are identical. *)
@@ -171,8 +171,10 @@ val fingerprint : ctx -> (string * string) list
 
 val record_key : ctx -> exp -> string
 (** The key of [ctx]'s journal record for [e]: {!exp_key} plus a tag of
-    the {!fingerprint} and of the captures a record keeps (counters and
-    phase totals; no traces, samples, spans or heatmaps). *)
+    the {!fingerprint} and of [Obs.kept (obs ctx)], the captures a
+    record keeps (counters always, phase totals when profiling; no
+    traces, samples, spans or heatmaps).  Contexts whose capture sets
+    keep the same set share record keys. *)
 
 val cached_results : ctx -> int
 (** Number of trial outcomes currently memoized in this context's store
@@ -253,7 +255,7 @@ val pooled_write_latencies : Machine.result list -> float array
 
 (** {1 Telemetry}
 
-    When the context's {!Obs.config} enables tracing or sampling, every
+    When the context's capture set enables tracing or sampling, every
     computed trial's capture is kept (attached to its cached result).
     Every requested experiment is appended, with its result key, to an
     ordered log shared by the store's contexts.  The log is written
@@ -281,7 +283,7 @@ val merged_reclaim_hists : ctx -> (string * Stats.Histogram.t) list
 
 (** {1 Profiling}
 
-    When the context's {!Obs.Prof.config} is enabled, every computed
+    When the context's capture set turns the profiler on, every computed
     trial carries a phase-attribution capture.  Like the telemetry
     writers, everything below reads the deterministic experiment log,
     so outputs are byte-identical for every [jobs] value. *)
@@ -301,8 +303,8 @@ val write_perfetto : ctx -> path:string -> int
 (** Write the per-trial span timelines as Chrome trace-event JSON
     (loadable in Perfetto / chrome://tracing): one trace process per
     profiled trial, thread-name metadata, and one "X" event per span.
-    Returns the number of span events.  Requires the profiler's [spans]
-    flag to record anything.  Atomic like {!write_trace}. *)
+    Returns the number of span events.  Requires the profiler's [Spans]
+    mode to record anything.  Atomic like {!write_trace}. *)
 
 (** {1 Vmstat and heatmaps}
 

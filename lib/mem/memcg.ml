@@ -759,26 +759,20 @@ let report_dec s =
   with
   | ( Some name, Some usage, Some low, Some high, Some max_, Some limit,
       Some throttles, Some throttled_ns, Some ooms, Some some, Some full ) ->
-    let lat k =
-      match str k with None -> Some [||] | Some v -> floats_dec v
-    in
+    (* Strict, like [Obs.Vmstat.complete]: a record missing a field, or
+       from a build with another [nr_stats], is invalid, never read as
+       zeros. *)
     let vm =
-      (* Older records have no vm= field; zero-fill so they decode. *)
-      let a = Array.make nr_stats 0 in
-      (match str "vm" with
-       | None -> ()
-       | Some v ->
-         List.iteri
-           (fun i p ->
-             if i < nr_stats then
-               match int_of_string_opt p with
-               | Some n -> a.(i) <- n
-               | None -> ())
-           (split_on ' ' v));
-      a
+      Option.bind (str "vm") (fun v ->
+          let parts = split_on ' ' v in
+          let ns = List.filter_map int_of_string_opt parts in
+          if List.length parts = nr_stats && List.length ns = nr_stats then
+            Some (Array.of_list ns)
+          else None)
     in
-    (match (lat "rlat", lat "wlat") with
-     | Some rlat, Some wlat ->
+    let lat k = Option.bind (str k) floats_dec in
+    (match (lat "rlat", lat "wlat", vm) with
+     | Some rlat, Some wlat, Some vm ->
        Some
          {
            r_name = name;

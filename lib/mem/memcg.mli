@@ -243,3 +243,6 @@ val summary_to_string : summary -> string
     result journal; inverse of {!summary_of_string}. *)
 
 val summary_of_string : string -> summary option
+(** [None] on any malformed group: a missing field (including [rlat],
+    [wlat] and [vm]), a non-number, or a [vm] list that is not exactly
+    {!nr_stats} integers long. *)

@@ -72,11 +72,28 @@ let promote_reason_name = function
 type config = {
   trace : bool;
   sample_every_ns : int;
+  prof : Prof.mode;
+  damon : Mem.Damon.config option;
 }
 
-let off = { trace = false; sample_every_ns = 0 }
+let off = { trace = false; sample_every_ns = 0; prof = Prof.Off; damon = None }
 
-let config_enabled c = c.trace || c.sample_every_ns > 0
+let kept c =
+  { off with prof = (if c.prof = Prof.Off then Prof.Off else Prof.Totals) }
+
+(* The capture set's part of a result key.  These strings are persisted
+   in every journal record key: changing one orphans existing journals. *)
+let config_key c =
+  [
+    ("trace", string_of_bool c.trace);
+    ("sample_every_ns", string_of_int c.sample_every_ns);
+    ( "prof",
+      match c.prof with
+      | Prof.Off -> "off"
+      | Prof.Totals -> "totals"
+      | Prof.Spans -> "spans" );
+    ("damon", Digest.to_hex (Digest.string (Marshal.to_string c.damon [])));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
@@ -104,7 +121,7 @@ type t = sink option
 let disabled : t = None
 
 let create config =
-  if not (config_enabled config) then None
+  if not (config.trace || config.sample_every_ns > 0) then None
   else
     Some
       {

@@ -106,16 +106,34 @@ type event =
 val kind_name : event -> string
 (** Stable lowercase kind tag used in the JSONL [kind] field. *)
 
-(** {1 Sink configuration} *)
+(** {1 Capture set}
+
+    Every telemetry channel a trial can record, as one value: the
+    machine creates each recorder from it, and a result's key names it,
+    so a result is only ever served to a context asking for the same
+    captures. *)
 
 type config = {
   trace : bool;           (** record events *)
   sample_every_ns : int;  (** machine-state sample cadence; 0 = off *)
+  prof : Prof.mode;       (** simulated-time CPU profiler *)
+  damon : Mem.Damon.config option;  (** region access monitor; [None] = off *)
 }
 
 val off : config
+(** Every channel off: runs are bit-identical to a build without the
+    telemetry layers. *)
 
-val config_enabled : config -> bool
+val kept : config -> config
+(** The capture set a journal record of a trial run under [c] keeps:
+    profiler [Totals] if [c]'s profiler is on, every other channel off.
+    Traces, samples, spans and region rows are rebuilt by re-running. *)
+
+val config_key : config -> (string * string) list
+(** The capture set as named canonical strings ([trace],
+    [sample_every_ns], [prof] = [off|totals|spans], [damon] = a digest
+    of the monitor config), digested into every result and journal
+    record key. *)
 
 (** {1 Sinks} *)
 
@@ -128,7 +146,8 @@ val disabled : t
     [None]. *)
 
 val create : config -> t
-(** A fresh sink per {!config}; [create off] is {!disabled}. *)
+(** A fresh event/sample sink per the [trace] and [sample_every_ns]
+    fields of {!config}; {!disabled} when both are off. *)
 
 val enabled : t -> bool
 

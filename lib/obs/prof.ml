@@ -100,11 +100,7 @@ let path_phases code =
   in
   go code []
 
-type config = { enabled : bool; spans : bool }
-
-let off = { enabled = false; spans = false }
-
-let config_enabled c = c.enabled
+type mode = Off | Totals | Spans
 
 type thread_class = App | Kthread
 
@@ -117,7 +113,7 @@ type tinfo = {
 }
 
 type sink = {
-  cfg : config;
+  record_spans : bool;
   mutable classes : string array;
   mutable threads : tinfo option array; (* indexed by tid *)
   mutable cur : int;
@@ -130,12 +126,12 @@ type t = sink option
 
 let disabled = None
 
-let create cfg =
-  if not cfg.enabled then None
-  else
+let create = function
+  | Off -> None
+  | (Totals | Spans) as mode ->
     Some
       {
-        cfg;
+        record_spans = mode = Spans;
         classes = [| "app" |];
         threads = Array.make 8 None;
         cur = 0;
@@ -229,7 +225,7 @@ let end_phase t ~now =
           | (i, t0) :: rest ->
               ti.t_stack <- rest;
               ti.t_path <- ti.t_path / 16;
-              if s.cfg.spans then
+              if s.record_spans then
                 s.spans <- (s.cur, i, t0, max t0 now) :: s.spans))
 
 let charge t ?phase ns =
@@ -307,13 +303,13 @@ let wait t ~tid ~now phase ns =
         | Some ti ->
             let i = phase_index phase in
             add s ti.t_class (i + 1) ns;
-            if s.cfg.spans then s.spans <- (tid, i, now - ns, now) :: s.spans
+            if s.record_spans then s.spans <- (tid, i, now - ns, now) :: s.spans
 
 let span t ~tid phase ~t0 ~t1 =
   match t with
   | None -> ()
   | Some s ->
-      if s.cfg.spans && t1 >= t0 then
+      if s.record_spans && t1 >= t0 then
         s.spans <- (tid, phase_index phase, t0, t1) :: s.spans
 
 let mark t ~tid ~now phase = span t ~tid phase ~t0:now ~t1:now
@@ -351,8 +347,8 @@ let capture (t : t) =
 (* Journal encoding: three '|'-separated sections — comma-separated
    class names, then semicolon-separated [tid:name:class] threads,
    then semicolon-separated [class:path-hex:ns] totals.  Spans are
-   deliberately dropped: they exist only for --perfetto, which
-   disables warm-starting instead.  Names ("app3", "kswapd",
+   not encoded: a journal record keeps [Totals] ({!Obs.kept}),
+   so its key is never a [Spans] context's.  Names ("app3", "kswapd",
    "lru_gen_aging") contain none of the delimiters. *)
 
 let encode_capture c =

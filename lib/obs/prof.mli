@@ -76,14 +76,10 @@ val path_phases : int -> phase list
 
 (** {1 Configuration} *)
 
-type config = { enabled : bool; spans : bool }
-(** [spans] additionally records the per-thread span timeline (needed
-    only for [--perfetto]); phase totals are always collected when
-    [enabled]. *)
-
-val off : config
-
-val config_enabled : config -> bool
+type mode =
+  | Off     (** no sink: {!create} returns {!disabled} *)
+  | Totals  (** per-class, per-stack phase totals *)
+  | Spans   (** totals plus the per-thread span timeline ([--perfetto]) *)
 
 (** {1 Sinks} *)
 
@@ -92,8 +88,8 @@ type t
 val disabled : t
 (** Every operation on [disabled] is a no-op. *)
 
-val create : config -> t
-(** [create cfg] is {!disabled} when [cfg.enabled] is false. *)
+val create : mode -> t
+(** [create Off] is {!disabled}. *)
 
 val enabled : t -> bool
 
@@ -186,9 +182,8 @@ val capture : t -> capture option
 (** [None] iff the sink is {!disabled}. *)
 
 val encode_capture : capture -> string
-(** Compact single-line encoding for the result journal.  Spans are
-    dropped: they exist only for [--perfetto], which disables
-    warm-starting instead. *)
+(** Compact single-line encoding for the result journal.  Spans are not
+    encoded: a journal record keeps [Totals] (see {!Obs.kept}). *)
 
 val decode_capture : string -> capture
 (** Inverse of {!encode_capture} (with [spans = [||]]).

@@ -349,7 +349,7 @@ let test_machine_chaos_traced () =
     { C.injectors =
         [ C.Hotplug { h_at = at; h_shrink = C.Frac 0.3; h_restore = Some (at + dur) } ] }
   in
-  let obs = { Obs.trace = true; sample_every_ns = 0 } in
+  let obs = { Obs.off with trace = true; sample_every_ns = 0 } in
   let r = run_cfg (base_cfg ~obs ~chaos:spec ()) in
   match r.M.trace with
   | None -> Alcotest.fail "trace capture missing"

@@ -236,6 +236,10 @@ let test_open_without_resume_truncates () =
       Alcotest.(check int) "no records surfaced" 0 (List.length loaded);
       Alcotest.(check int) "truncated to the header" 1 (count_lines path))
 
+(* A journal line around [payload], checksummed as {!J.append} does. *)
+let frame payload =
+  "{\"sum\":\"" ^ Digest.to_hex (Digest.string payload) ^ "\"," ^ payload
+
 (* The 17-counter capture a build with fewer counters wrote. *)
 let short_capture = "\"v1:1;999;0;0;0;0;0;3;4;0;0;0;0;0;0;0;0|0\""
 
@@ -259,7 +263,7 @@ let pre_counters_line ?(extra = ",\"vmstat\":" ^ short_capture) key =
        \"oom_discarded_pages\":0,\"invariant_violations\":0%s}"
       key extra
   in
-  "{\"sum\":\"" ^ Digest.to_hex (Digest.string payload) ^ "\"," ^ payload
+  frame payload
 
 let contains s sub =
   let n = String.length sub in
@@ -375,6 +379,140 @@ let test_load_missing_file () =
   Alcotest.(check int) "missing file loads empty" 0
     (List.length (J.load ~path:"/nonexistent/journal.jsonl"))
 
+let replace_first s ~sub ~by =
+  let n = String.length sub and len = String.length s in
+  let rec at i =
+    if i + n > len then Alcotest.failf "%S not in the line" sub
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (len - i - n)
+    else at (i + 1)
+  in
+  at 0
+
+(* A cgroup summary with a field missing, or a [memory.stat] list from a
+   build with another [nr_stats], must not decode as zeros: the record
+   is skipped as invalid and its trial reruns. *)
+let test_cgroups_summary_strict () =
+  let vm_field =
+    ";vm=" ^ String.concat " " (List.init Mem.Memcg.nr_stats string_of_int)
+  in
+  let summary =
+    {
+      Mem.Memcg.s_groups =
+        [
+          {
+            Mem.Memcg.r_name = "app";
+            r_usage = 10;
+            r_low = 0;
+            r_high = -1;
+            r_max = 40;
+            r_limit = -1;
+            r_throttles = 1;
+            r_throttled_ns = 2;
+            r_oom_kills = 0;
+            r_psi_some_ns = 3;
+            r_psi_full_ns = 4;
+            r_read_latencies = [| 1.5 |];
+            r_write_latencies = [||];
+            r_vm = Array.init Mem.Memcg.nr_stats Fun.id;
+          };
+        ];
+      s_some_ns = 3;
+      s_full_ns = 4;
+    }
+  in
+  let result = { (Lazy.force sample_result) with M.memcg = Some summary } in
+  let line key edit =
+    let l =
+      J.record_to_line
+        { J.key; status = J.Trial_ok; reason = ""; result = Some result }
+    in
+    frame (edit (String.sub l 42 (String.length l - 42)))
+  in
+  with_temp_journal (fun path ->
+      J.close (fst (J.open_ ~path ~resume:false ~fingerprint));
+      List.iter
+        (fun (key, edit) -> append_raw path (line key edit ^ "\n"))
+        [
+          ("whole", Fun.id);
+          ("short vm", replace_first ~sub:vm_field ~by:";vm=0 1 2");
+          ("no vm", replace_first ~sub:vm_field ~by:"");
+          ("long vm", replace_first ~sub:vm_field ~by:(vm_field ^ " 8"));
+          ("non-integer vm", replace_first ~sub:";vm=0 " ~by:";vm=x ");
+          ("no rlat", replace_first ~sub:";rlat=0x1.8p+0" ~by:"");
+          ("no wlat", replace_first ~sub:";wlat=;" ~by:";");
+        ];
+      match J.load ~path with
+      | [ { J.key = "whole"; result = Some r; _ } ] ->
+        Alcotest.(check bool) "whole summary round-trips" true
+          (r.M.memcg = Some summary)
+      | records ->
+        Alcotest.failf "loaded %s; want only the whole record"
+          (String.concat ", " (List.map (fun r -> r.J.key) records)))
+
+let tpch_exp = { sample_exp with R.workload = R.Tpch }
+
+let at obs = R.make_ctx ~profile:fast_profile ~obs ()
+
+(* What a journal record keeps must be what its key says it keeps: for
+   every capture set, the record of a result computed under it decodes
+   to the result computed under [Obs.kept], and both sets share one
+   record key. *)
+let test_record_tag_matches_content () =
+  let damon = Some Mem.Damon.default_config in
+  let kept_results = ref [] in
+  let under obs = R.run_exp (at obs) tpch_exp in
+  let kept_result kept =
+    match List.assoc_opt kept !kept_results with
+    | Some r -> r
+    | None ->
+      let r = under kept in
+      kept_results := (kept, r) :: !kept_results;
+      r
+  in
+  List.iter
+    (fun (name, c) ->
+      let kept = Obs.kept c in
+      Alcotest.(check string) (name ^ ": record key")
+        (R.record_key (at kept) tpch_exp)
+        (R.record_key (at c) tpch_exp);
+      let record =
+        {
+          J.key = R.record_key (at c) tpch_exp;
+          status = J.Trial_ok;
+          reason = "";
+          result = Some (under c);
+        }
+      in
+      match J.record_of_line (J.record_to_line record) with
+      | Ok { J.result = Some got; _ } ->
+        Alcotest.(check bool) (name ^ ": record holds the kept set's result")
+          true (got = kept_result kept)
+      | _ -> Alcotest.failf "%s: record did not decode" name)
+    [
+      ("off", Obs.off);
+      ("trace", { Obs.off with trace = true });
+      ("samples", { Obs.off with sample_every_ns = 10_000_000 });
+      ("totals", { Obs.off with prof = Obs.Prof.Totals });
+      ("spans", { Obs.off with prof = Obs.Prof.Spans });
+      ("damon", { Obs.off with damon });
+      ( "all-on",
+        {
+          Obs.trace = true;
+          sample_every_ns = 10_000_000;
+          prof = Obs.Prof.Spans;
+          damon;
+        } );
+    ]
+
+(* Journals on disk are found by these strings: a drift silently orphans
+   every existing record. *)
+let test_record_keys_pinned () =
+  Alcotest.(check string) "off" "tpch/clock/0.5/ssd/t0@45fff4e1c1bcd876"
+    (R.record_key (at Obs.off) tpch_exp);
+  Alcotest.(check string) "totals" "tpch/clock/0.5/ssd/t0@c3d8e3f67204948e"
+    (R.record_key (at { Obs.off with prof = Obs.Prof.Totals }) tpch_exp)
+
 (* ------------------------------------------------------------------ *)
 (* Atomic_io: the primitive under every writer in the repo             *)
 (* ------------------------------------------------------------------ *)
@@ -439,6 +577,14 @@ let () =
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
           Alcotest.test_case "pre-counters record recomputed" `Quick
             test_pre_counters_record_not_replayed;
+          Alcotest.test_case "cgroup summary strict" `Quick
+            test_cgroups_summary_strict;
+        ] );
+      ( "record keys",
+        [
+          Alcotest.test_case "tag matches content" `Quick
+            test_record_tag_matches_content;
+          Alcotest.test_case "pinned" `Quick test_record_keys_pinned;
         ] );
       ( "header",
         [

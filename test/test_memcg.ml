@@ -186,7 +186,7 @@ let throttled_run () =
   let cfg =
     { (config ~capacity:64 ()) with
       M.cgroups = Some spec; fault_plan = plan; audit_every_ns = 1_000_000;
-      obs = { Obs.trace = true; sample_every_ns = 0 } }
+      obs = { Obs.off with trace = true; sample_every_ns = 0 } }
   in
   M.run cfg ~policy:(Policy.Registry.create Policy.Registry.Clock)
     ~workload:(trace_workload ~footprint:32 [ Array.concat [ pages; pages ] ])
@@ -355,7 +355,7 @@ let test_proactive_tightens () =
     { (config ~capacity:64 ()) with
       M.swap = M.zram;
       cgroups = Some spec;
-      obs = { Obs.trace = true; sample_every_ns = 0 } }
+      obs = { Obs.off with trace = true; sample_every_ns = 0 } }
   in
   let r =
     M.run cfg ~policy:(Policy.Registry.create Policy.Registry.Clock)
@@ -407,7 +407,7 @@ let test_parallel_identical () =
     { Swapdev.Faulty_device.none with
       Swapdev.Faulty_device.write_error_prob = 0.3; permanent_fraction = 0.5 }
   in
-  let obs = { Obs.trace = true; sample_every_ns = 100_000_000 } in
+  let obs = { Obs.off with trace = true; sample_every_ns = 100_000_000 } in
   let run jobs =
     let ctx =
       R.make_ctx ~profile:fast_profile ~fault_plan:plan ~jobs ~obs ~cgroups:spec ()

@@ -17,7 +17,7 @@ let test_disabled_sink () =
   Alcotest.(check bool) "create off = disabled" true (O.capture (O.create O.off) = None)
 
 let test_enabled_sink_records () =
-  let s = O.create { O.trace = true; sample_every_ns = 10 } in
+  let s = O.create { O.off with trace = true; sample_every_ns = 10 } in
   O.emit s ~t_ns:5 (O.Evict { vpn = 42; dirty = true });
   O.emit s ~t_ns:9
     (O.Reclaim { want = 32; freed = 30; scanned = 64; latency_ns = 1234 });
@@ -37,7 +37,7 @@ let test_enabled_sink_records () =
 
 let test_sampling_only_config () =
   (* sample_every_ns > 0 with trace = false: samples kept, events dropped. *)
-  let s = O.create { O.trace = false; sample_every_ns = 100 } in
+  let s = O.create { O.off with trace = false; sample_every_ns = 100 } in
   Alcotest.(check bool) "enabled" true (O.enabled s);
   Alcotest.(check bool) "not tracing" false (O.tracing s);
   O.emit s ~t_ns:1 (O.Demote { pfn = 1 });
@@ -193,7 +193,7 @@ let test_tracing_does_not_perturb () =
   let plain = R.run_exp (R.make_ctx ~profile:fast_profile ()) tpch_exp in
   let traced_ctx =
     R.make_ctx ~profile:fast_profile
-      ~obs:{ O.trace = true; sample_every_ns = 10_000_000 }
+      ~obs:{ O.off with trace = true; sample_every_ns = 10_000_000 }
       ()
   in
   let traced = R.run_exp traced_ctx tpch_exp in
@@ -215,7 +215,7 @@ let test_tracing_does_not_perturb () =
 let test_capture_contents () =
   let ctx =
     R.make_ctx ~profile:fast_profile
-      ~obs:{ O.trace = true; sample_every_ns = 10_000_000 }
+      ~obs:{ O.off with trace = true; sample_every_ns = 10_000_000 }
       ()
   in
   let r = R.run_exp ctx tpch_exp in
@@ -272,7 +272,7 @@ let traced_fault_run ~plan =
       (M.default_config ~capacity_frames:16 ~seed:7) with
       M.fault_plan = plan;
       kthread_jitter_ns = 0;
-      obs = { O.trace = true; sample_every_ns = 0 };
+      obs = { O.off with trace = true; sample_every_ns = 0 };
     }
   in
   M.run cfg
@@ -350,7 +350,7 @@ let trace_everything jobs =
     R.make_ctx
       ~profile:{ R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
       ~jobs
-      ~obs:{ O.trace = true; sample_every_ns = 25_000_000 }
+      ~obs:{ O.off with trace = true; sample_every_ns = 25_000_000 }
       ()
   in
   let exps =
@@ -383,7 +383,7 @@ let test_parallel_trace_deterministic () =
 let test_merged_reclaim_hists () =
   let ctx =
     R.make_ctx ~profile:{ R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
-      ~obs:{ O.trace = true; sample_every_ns = 0 }
+      ~obs:{ O.off with trace = true; sample_every_ns = 0 }
       ()
   in
   let exps =

@@ -70,7 +70,7 @@ let test_path_codes () =
 (* Sink attribution semantics                                          *)
 (* ------------------------------------------------------------------ *)
 
-let totals_only = { P.enabled = true; spans = false }
+let totals_only = P.Totals
 
 let total cap ~cls ~code =
   Array.fold_left
@@ -97,7 +97,7 @@ let test_disabled_noops () =
   P.end_phase t ~now:1;
   Alcotest.(check bool) "no capture" true (P.capture t = None);
   Alcotest.(check bool) "create off = disabled" true
-    (P.capture (P.create P.off) = None)
+    (P.capture (P.create P.Off) = None)
 
 let test_untagged_lands_in_enclosing_span () =
   let t = app_sink () in
@@ -201,7 +201,7 @@ let test_spans_recorded_only_when_on () =
   P.end_phase quiet ~now:30;
   Alcotest.(check int) "totals-only: no spans" 0
     (Array.length (Option.get (P.capture quiet)).P.spans);
-  let t = P.create { P.enabled = true; spans = true } in
+  let t = P.create P.Spans in
   P.register_thread t ~tid:0 ~name:"app0" ~klass:P.App ~default:P.App_compute;
   P.enter_thread t ~tid:0;
   P.begin_phase t ~now:10 P.Fault_handling;
@@ -222,7 +222,7 @@ let test_spans_recorded_only_when_on () =
 (* ------------------------------------------------------------------ *)
 
 let test_encode_decode_round_trip () =
-  let t = P.create { P.enabled = true; spans = true } in
+  let t = P.create P.Spans in
   P.register_thread t ~tid:0 ~name:"app0" ~klass:P.App ~default:P.App_compute;
   P.register_thread t ~tid:1 ~name:"kswapd" ~klass:P.Kthread
     ~default:P.Evict_scan;
@@ -303,7 +303,7 @@ let exp_for policy =
   { R.workload = R.Tpch; policy; ratio = 0.5; swap = R.Ssd; trial = 0 }
 
 let profiled_result policy =
-  let ctx = R.make_ctx ~profile:fast_profile ~prof:totals_only () in
+  let ctx = R.make_ctx ~profile:fast_profile ~obs:{ Obs.off with prof = totals_only } () in
   R.run_exp ctx (exp_for policy)
 
 let test_profiling_does_not_perturb () =
@@ -409,7 +409,7 @@ let test_merge_matches_parallel_merge () =
      two contexts at different --jobs agree byte-for-byte. *)
   let cells jobs =
     let ctx = R.make_ctx ~profile:{ R.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
-        ~jobs ~prof:totals_only ()
+        ~jobs ~obs:{ Obs.off with prof = totals_only } ()
     in
     R.prefetch ctx
       (List.concat_map

@@ -221,7 +221,7 @@ let test_traced_resume_recomputes () =
          recompute rather than serve a trace-less result. *)
       let traced =
         R.make_ctx ~profile:fast_profile
-          ~obs:{ Obs.trace = true; sample_every_ns = 0 }
+          ~obs:{ Obs.off with trace = true; sample_every_ns = 0 }
           ()
       in
       Alcotest.(check int) "record installed" 1 (R.warm_start traced records);

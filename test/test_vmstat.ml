@@ -184,7 +184,7 @@ let run ?damon ?(capacity = 16) ~policy lists =
     {
       (M.default_config ~capacity_frames:capacity ~seed:7) with
       M.kthread_jitter_ns = 0;
-      damon;
+      obs = { Obs.off with damon };
     }
     ~policy:(Policy.Registry.create policy)
     ~workload:(trace_workload lists)
