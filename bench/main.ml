@@ -1,13 +1,11 @@
 (* Benchmark harness.
 
-   Part 1 — Bechamel microbenchmarks: one Test.make per paper figure,
-   timing the core simulation path that figure exercises at reduced
-   scale, plus calibration benches for the hot data structures (zipf
-   sampling, bloom filter, generation lists, event queue).
-
-   Part 2 — the full figure reproduction: prints every series of
-   Figures 1-12 exactly as EXPERIMENTS.md records them.  Scale is
-   controlled by REPRO_TRIALS / REPRO_YCSB_TRIALS / REPRO_FAST. *)
+   Bechamel microbenchmarks for the hot data structures (zipf sampling,
+   bloom filter, generation lists, event queue, PTEs, RNG), the
+   policy-SDK hook dispatch costs (BENCH_policy_sdk.json), and the
+   engine wall-clock harness (BENCH_engine.json).  The per-workload
+   simulation layers are timed by perfbench/layers; the figures
+   themselves are produced by `repro fig`. *)
 
 open Bechamel
 open Toolkit
@@ -62,62 +60,6 @@ let bench_pte =
 let bench_rng =
   let rng = Engine.Rng.create 2 in
   Test.make ~name:"rng-int" (Staged.stage (fun () -> Engine.Rng.int rng 1_000_000))
-
-(* ------------------------------------------------------------------ *)
-(* One Test.make per figure: a micro-scale version of the simulation   *)
-(* each figure rests on (full-scale series are printed afterwards).    *)
-(* ------------------------------------------------------------------ *)
-
-let micro_trace ~pages ~passes =
-  List.init passes (fun _ -> Array.init pages (fun i -> i))
-
-let micro_run ~policy ~swap ~capacity ~pages ~passes () =
-  let w = Workload.Trace.of_page_lists ~footprint:pages (micro_trace ~pages ~passes) in
-  let cfg =
-    {
-      (Repro_core.Machine.default_config ~capacity_frames:capacity ~seed:5) with
-      Repro_core.Machine.swap;
-      kthread_jitter_ns = 0;
-    }
-  in
-  let r =
-    Repro_core.Machine.run cfg
-      ~policy:(Policy.Registry.create policy)
-      ~workload:(Workload.Chunk.Packed ((module Workload.Trace), w))
-  in
-  Sys.opaque_identity r.Repro_core.Machine.major_faults
-
-let fig_micro name ~policy ~swap =
-  Test.make ~name
-    (Staged.stage (micro_run ~policy ~swap ~capacity:64 ~pages:128 ~passes:2))
-
-let figure_micro_tests =
-  [
-    fig_micro "fig01-mglru-vs-clock-ssd" ~policy:Policy.Registry.Mglru_default
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig02-joint-distribution" ~policy:Policy.Registry.Clock
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig03-tail-latency-ssd" ~policy:Policy.Registry.Mglru_default
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig04-variant-gen14" ~policy:Policy.Registry.Gen14
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig05-variant-scan-all" ~policy:Policy.Registry.Scan_all
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig06-capacity-75" ~policy:Policy.Registry.Scan_none
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig07-fault-distribution" ~policy:(Policy.Registry.Scan_rand 0.5)
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig08-tails-by-capacity" ~policy:Policy.Registry.Clock
-      ~swap:Repro_core.Machine.ssd;
-    fig_micro "fig09-zram-performance" ~policy:Policy.Registry.Mglru_default
-      ~swap:Repro_core.Machine.zram;
-    fig_micro "fig10-zram-faults" ~policy:Policy.Registry.Clock
-      ~swap:Repro_core.Machine.zram;
-    fig_micro "fig11-zram-vs-ssd" ~policy:Policy.Registry.Mglru_default
-      ~swap:Repro_core.Machine.zram;
-    fig_micro "fig12-zram-tails" ~policy:Policy.Registry.Clock
-      ~swap:Repro_core.Machine.zram;
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Policy-SDK hook dispatch overhead.                                  *)
@@ -489,8 +431,7 @@ let run_benchmarks () =
   in
   let tests =
     Test.make_grouped ~name:"pagerepl"
-      ([ bench_zipf; bench_bloom; bench_dlist; bench_event_queue; bench_pte; bench_rng ]
-      @ figure_micro_tests)
+      [ bench_zipf; bench_bloom; bench_dlist; bench_event_queue; bench_pte; bench_rng ]
   in
   let raw = Benchmark.all cfg [ instance ] tests in
   let results = Analyze.all ols instance raw in
@@ -512,31 +453,10 @@ let run_benchmarks () =
 let () =
   (* `bench/main.exe engine` runs only the engine harness (CI's bench
      smoke step); no argument runs everything. *)
-  if Array.exists (fun a -> a = "engine") Sys.argv then run_engine_harness ()
-  else begin
-  (match Sys.getenv_opt "REPRO_SKIP_MICRO" with
-  | Some _ -> print_endline "(skipping bechamel microbenchmarks)"
-  | None ->
+  if not (Array.exists (fun a -> a = "engine") Sys.argv) then begin
     run_benchmarks ();
     print_newline ();
-    run_sdk_benchmarks ());
-  print_newline ();
-  run_engine_harness ();
-  print_newline ();
-  print_endline "=== Full figure reproduction ===";
-  let profile = Repro_core.Runner.profile_from_env () in
-  (* Figure timings default to the serial path so numbers stay
-     comparable across machines; REPRO_JOBS opts into the pool. *)
-  let jobs =
-    match Sys.getenv_opt "REPRO_JOBS" with
-    | Some s -> (match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
-    | None -> 1
-  in
-  let ctx = Repro_core.Runner.make_ctx ~profile ~jobs () in
-  Printf.printf "profile: trials=%d ycsb_trials=%d fast=%b jobs=%d\n"
-    profile.Repro_core.Runner.trials profile.Repro_core.Runner.ycsb_trials
-    profile.Repro_core.Runner.fast jobs;
-  let t0 = Unix.gettimeofday () in
-  Repro_core.Figures.run_all ctx;
-  Printf.printf "\n(total figure time: %.1fs)\n" (Unix.gettimeofday () -. t0)
-  end
+    run_sdk_benchmarks ();
+    print_newline ()
+  end;
+  run_engine_harness ()

@@ -1,6 +1,6 @@
 (* Command-line interface to the characterization harness.
 
-   repro fig 1 .. 12 | all    reproduce the paper's figures
+   repro fig 1 .. 12 | all    reproduce the paper's figures (--csv DIR too)
    repro run ...              run one experiment cell
    repro list                 show available workloads and policies
    repro sweep ...            capacity-ratio sweep for one workload
@@ -379,31 +379,44 @@ let swap_conv =
 (* ---------------- fig ---------------- *)
 
 let fig_cmd =
+  let figure_conv =
+    let parse s =
+      if s = "all" then Ok Repro_core.Figures.all_figures
+      else
+        match int_of_string_opt s with
+        | Some n when List.mem n Repro_core.Figures.all_figures -> Ok [ n ]
+        | Some _ | None -> Error (`Msg (Printf.sprintf "no figure %S" s))
+    in
+    Arg.conv (parse, fun fmt _ -> Format.pp_print_string fmt "<figure>")
+  in
   let figures =
     Arg.(
       non_empty
-      & pos_all string []
+      & pos_all figure_conv []
       & info [] ~docv:"FIGURE" ~doc:"Figure numbers (1-12) or $(b,all).")
   in
-  let run setup figures =
-    let ctx = setup.ctx in
-    try
-      if List.mem "all" figures then Repro_core.Figures.run_all ctx
-      else
-        List.iter
-          (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 && n <= 12 -> Repro_core.Figures.run ctx n
-            | Some _ | None ->
-              raise (Invalid_argument (Printf.sprintf "no figure %S" s)))
-          figures;
-      finalize setup;
-      `Ok ()
-    with Invalid_argument msg -> `Error (false, msg)
+  let csv =
+    Arg.(value & opt (some string) None
+         & info [ "csv" ] ~docv:"DIR"
+             ~doc:
+               "Also write each figure's tables as CSV into DIR (created if \
+                missing): one file per table stem, the subsection path as \
+                leading columns, plus the per-trial points of Figures 2 and 5.  \
+                Stdout is unchanged; the confirmation goes to stderr.")
+  in
+  let run setup figures csv =
+    let built = Repro_core.Figures.build setup.ctx (List.concat figures) in
+    List.iter Repro_core.Report.print_figure built;
+    Option.iter
+      (fun dir ->
+        let paths = List.concat_map (Repro_core.Csv_export.write_figure ~dir) built in
+        Printf.eprintf "wrote %d CSV files to %s/\n" (List.length paths) dir)
+      csv;
+    finalize setup
   in
   Cmd.v
     (Cmd.info "fig" ~doc:"Reproduce one or more of the paper's figures (1-12).")
-    Term.(ret (const run $ setup_term () $ figures))
+    Term.(const run $ setup_term () $ figures $ csv)
 
 (* ---------------- run ---------------- *)
 
@@ -685,22 +698,6 @@ let tier_cmd =
     (Cmd.info "tier"
        ~doc:"Compare page-migration policies (TPP/Thermostat/AutoNUMA) on tiered memory.")
     Term.(const run $ fast_arg $ scale_arg $ jobs_arg $ fast_frac $ tier_trials)
-
-(* ---------------- export ---------------- *)
-
-let export_cmd =
-  let dir =
-    Arg.(value & opt string "figures-csv"
-         & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Output directory for CSV files.")
-  in
-  let run setup dir =
-    Repro_core.Csv_export.export_all setup.ctx ~dir;
-    Printf.printf "wrote figure CSVs to %s/\n" dir;
-    finalize setup
-  in
-  Cmd.v
-    (Cmd.info "export" ~doc:"Export every figure's underlying data as CSV.")
-    Term.(const run $ setup_term () $ dir)
 
 (* ---------------- profile ---------------- *)
 
@@ -1236,7 +1233,7 @@ let main =
   Cmd.group ~default
     (Cmd.info "repro" ~version:"1.0.0" ~doc)
     [
-      fig_cmd; run_cmd; list_cmd; sweep_cmd; ablate_cmd; tier_cmd; export_cmd;
+      fig_cmd; run_cmd; list_cmd; sweep_cmd; ablate_cmd; tier_cmd;
       profile_cmd; vmstat_cmd; heatmap_cmd; regret_cmd; trace_summary_cmd;
       fleet_cmd; chaos_cmd; fuzz_cmd;
     ]

@@ -13,213 +13,32 @@ let write ~path ~header rows =
 
 (* NaN marks a cell with failed trials; export it explicitly rather
    than as the platform's "nan" spelling. *)
-let f x = if Float.is_nan x then Report.failed_marker else Printf.sprintf "%.6g" x
+let number fmt x = if Float.is_nan x then Report.failed_marker else Printf.sprintf fmt x
 
-let wname = Runner.workload_kind_name
+let field = function
+  | Report.Text s -> s
+  | Report.Dash -> "-"
+  | Report.Count x -> number "%.0f" x
+  | Report.Ratio x | Report.Seconds x | Report.Ns x | Report.Fixed (_, x) -> number "%.6g" x
 
-let pname = Policy.Registry.name
-
-let specs = Policy.Registry.all_paper_specs
-
-let norm_file ctx ~path ~metric ~base_policy ~ratio ~swap =
-  let rows =
-    List.concat_map
-      (fun workload ->
-        let base =
-          Figures.cell ctx ~workload ~policy:base_policy ~ratio ~swap
-        in
-        List.map
-          (fun policy ->
-            let c = Figures.cell ctx ~workload ~policy ~ratio ~swap in
-            [
-              wname workload;
-              pname policy;
-              f (metric c /. Float.max 1e-9 (metric base));
-            ])
-          specs)
-      Runner.all_workloads
-  in
-  write ~path ~header:[ "workload"; "policy"; "normalized" ] rows
-
-let points_file ctx ~path ~policies =
-  let rows =
-    List.concat_map
-      (fun workload ->
-        List.concat_map
-          (fun policy ->
-            let c = Figures.cell ctx ~workload ~policy ~ratio:0.5 ~swap:Runner.Ssd in
-            List.mapi
-              (fun trial o ->
-                match o with
-                | Runner.Done r ->
-                  [
-                    wname workload;
-                    pname policy;
-                    string_of_int trial;
-                    f (float_of_int r.Machine.runtime_ns /. 1e9);
-                    string_of_int r.Machine.major_faults;
-                  ]
-                | Runner.Failed _ ->
-                  [
-                    wname workload;
-                    pname policy;
-                    string_of_int trial;
-                    Report.failed_marker;
-                    Report.failed_marker;
-                  ])
-              c.Figures.outcomes)
-          policies)
-      [ Runner.Tpch; Runner.Pagerank ]
-  in
-  write ~path
-    ~header:[ "workload"; "policy"; "trial"; "runtime_s"; "major_faults" ]
-    rows
-
-let tails_file ctx ~path ~ratio ~swap =
-  let rows =
-    List.concat_map
-      (fun variant ->
-        let workload = Runner.Ycsb variant in
-        List.concat_map
-          (fun policy ->
-            let c = Figures.cell ctx ~workload ~policy ~ratio ~swap in
-            if c.Figures.failed > 0 then
-              List.map
-                (fun op ->
-                  wname workload :: pname policy :: op
-                  :: List.init 6 (fun _ -> Report.failed_marker))
-                [ "read"; "write" ]
-            else begin
-              let row op lat =
-                if Array.length lat = 0 then []
-                else begin
-                  let t = Stats.Percentile.tail_of lat in
-                  [
-                    [
-                      wname workload; pname policy; op;
-                      f t.Stats.Percentile.p50; f t.Stats.Percentile.p90;
-                      f t.Stats.Percentile.p99; f t.Stats.Percentile.p999;
-                      f t.Stats.Percentile.p9999; f t.Stats.Percentile.max;
-                    ];
-                  ]
-                end
-              in
-              row "read" (Runner.pooled_read_latencies c.Figures.results)
-              @ row "write" (Runner.pooled_write_latencies c.Figures.results)
-            end)
-          Policy.Registry.[ Clock; Mglru_default ])
-      Workload.Ycsb.[ A; B; C ]
-  in
-  write ~path
-    ~header:
-      [ "workload"; "policy"; "op"; "p50_ns"; "p90_ns"; "p99_ns"; "p999_ns";
-        "p9999_ns"; "max_ns" ]
-    rows
-
-let box_file ctx ~path =
-  let rows =
-    List.concat_map
-      (fun ratio ->
-        List.concat_map
-          (fun workload ->
-            let base =
-              Figures.cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio
-                ~swap:Runner.Ssd
-            in
-            let norm = Float.max 1e-9 base.Figures.mean_faults in
-            List.map
-              (fun policy ->
-                let c = Figures.cell ctx ~workload ~policy ~ratio ~swap:Runner.Ssd in
-                if base.Figures.failed > 0 || c.Figures.failed > 0 then
-                  f ratio :: wname workload :: pname policy
-                  :: List.init 5 (fun _ -> Report.failed_marker)
-                else begin
-                  let fl = Array.map (fun x -> x /. norm) (Runner.faults c.Figures.results) in
-                  let q1, q2, q3 = Stats.Percentile.quartiles fl in
-                  let s = Stats.Summary.of_array fl in
-                  [
-                    f ratio; wname workload; pname policy;
-                    f s.Stats.Summary.min; f q1; f q2; f q3; f s.Stats.Summary.max;
-                  ]
-                end)
-              specs)
-          [ Runner.Tpch; Runner.Pagerank ])
-      [ 0.5; 0.75; 0.9 ]
-  in
-  write ~path
-    ~header:[ "ratio"; "workload"; "policy"; "min"; "q1"; "median"; "q3"; "max" ]
-    rows
-
-let ratio_file ctx ~path =
-  let rows =
-    List.concat_map
-      (fun ratio ->
-        List.concat_map
-          (fun workload ->
-            let base =
-              Figures.cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio
-                ~swap:Runner.Ssd
-            in
-            List.map
-              (fun policy ->
-                let c = Figures.cell ctx ~workload ~policy ~ratio ~swap:Runner.Ssd in
-                [
-                  f ratio; wname workload; pname policy;
-                  f (c.Figures.perf /. Float.max 1e-9 base.Figures.perf);
-                ])
-              specs)
-          Runner.all_workloads)
-      [ 0.75; 0.9 ]
-  in
-  write ~path ~header:[ "ratio"; "workload"; "policy"; "normalized_perf" ] rows
-
-let zram_vs_ssd_file ctx ~path =
-  let rows =
-    List.map
-      (fun workload ->
-        let ssd =
-          Figures.cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:0.5
-            ~swap:Runner.Ssd
-        in
-        let zr =
-          Figures.cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:0.5
-            ~swap:Runner.Zram
-        in
-        [
-          wname workload;
-          f (Figures.cell_mean_runtime zr
-             /. Float.max 1e-9 (Figures.cell_mean_runtime ssd));
-          f (zr.Figures.mean_faults /. Float.max 1e-9 ssd.Figures.mean_faults);
-        ])
-      Runner.all_workloads
-  in
-  write ~path
-    ~header:[ "workload"; "runtime_zram_over_ssd"; "faults_zram_over_ssd" ]
-    rows
-
-let export_all ctx ~dir =
+let write_figure ~dir (f : Report.figure) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  (* One bulk parallel prefetch of every figure's grid; the writers
-     below then read the warm cache serially. *)
-  Figures.prefetch ctx (List.init 12 (fun i -> i + 1));
-  let p name = Filename.concat dir name in
-  (* fig1: vs clock at ssd/50 *)
-  norm_file ctx ~path:(p "fig1.csv") ~metric:(fun c -> c.Figures.perf)
-    ~base_policy:Policy.Registry.Clock ~ratio:0.5 ~swap:Runner.Ssd;
-  points_file ctx ~path:(p "fig2_points.csv")
-    ~policies:Policy.Registry.[ Clock; Mglru_default ];
-  tails_file ctx ~path:(p "fig3_tails.csv") ~ratio:0.5 ~swap:Runner.Ssd;
-  norm_file ctx ~path:(p "fig4.csv") ~metric:(fun c -> c.Figures.perf)
-    ~base_policy:Policy.Registry.Mglru_default ~ratio:0.5 ~swap:Runner.Ssd;
-  points_file ctx ~path:(p "fig5_points.csv")
-    ~policies:
-      Policy.Registry.[ Mglru_default; Gen14; Scan_all; Scan_none; Scan_rand 0.5 ];
-  ratio_file ctx ~path:(p "fig6.csv");
-  box_file ctx ~path:(p "fig7_box.csv");
-  tails_file ctx ~path:(p "fig8_tails.csv") ~ratio:0.75 ~swap:Runner.Ssd;
-  norm_file ctx ~path:(p "fig9.csv") ~metric:(fun c -> c.Figures.perf)
-    ~base_policy:Policy.Registry.Mglru_default ~ratio:0.5 ~swap:Runner.Zram;
-  norm_file ctx ~path:(p "fig10.csv") ~metric:(fun c -> c.Figures.mean_faults)
-    ~base_policy:Policy.Registry.Mglru_default ~ratio:0.5 ~swap:Runner.Zram;
-  zram_vs_ssd_file ctx ~path:(p "fig11.csv");
-  tails_file ctx ~path:(p "fig12_tails.csv") ~ratio:0.5 ~swap:Runner.Zram
+  let columns (t : Report.table) = List.map fst t.caption @ t.header in
+  let lines (t : Report.table) =
+    List.map (fun row -> List.map snd t.caption @ List.map field row) t.rows
+  in
+  let stems =
+    List.fold_left
+      (fun acc (t : Report.table) -> if List.mem t.stem acc then acc else t.stem :: acc)
+      [] f.tables
+  in
+  List.map
+    (fun stem ->
+      let tables = List.filter (fun (t : Report.table) -> t.stem = stem) f.tables in
+      let header = columns (List.hd tables) in
+      if List.exists (fun t -> columns t <> header) tables then
+        invalid_arg (Printf.sprintf "Csv_export.write_figure: %s: tables disagree on columns" stem);
+      let path = Filename.concat dir (stem ^ ".csv") in
+      write ~path ~header (List.concat_map lines tables);
+      path)
+    (List.rev stems)

@@ -1,30 +1,19 @@
-(** CSV export of every figure's underlying data, for external plotting.
+(** CSV rendering of {!Report.figure} values, for external plotting.
 
-    [export_all ctx ~dir] writes one file per figure family into [dir]
-    (created if missing):
-
-    - [fig1.csv], [fig4.csv], [fig6.csv], [fig9.csv], [fig10.csv],
-      [fig11.csv] — normalized means;
-    - [fig2_points.csv], [fig5_points.csv] — per-trial (runtime, faults)
-      joint-distribution points;
-    - [fig3_tails.csv], [fig8_tails.csv], [fig12_tails.csv] — tail
-      latency landmarks;
-    - [fig7_box.csv] — per-policy fault-count quartile boxes.
-
-    Cells come from the context's trial cache — [export_all] first
-    prefetches every figure's grid through the domain pool
-    ([Runner.jobs ctx] wide), and exporting after a figure run on the
-    same ctx reuses its results.  The bytes written are identical for
-    every [jobs] value. *)
+    One generic rule, with no knowledge of any figure: the tables of a
+    figure that share a stem go to [DIR/STEM.csv], whose header is the
+    caption column names followed by the table header, and whose lines
+    are one per row, prefixed by that table's caption titles.  A number
+    is written [%.6g] — a count [%.0f], so it stays exact — NaN as
+    ["failed"], and {!Report.Dash} as ["-"].  Export-only tables are
+    written like the printed ones. *)
 
 val write : path:string -> header:string list -> string list list -> unit
-(** Minimal CSV writer with quoting of commas/quotes/newlines. *)
+(** Atomic (temp + fsync + rename) CSV write, quoting fields that
+    contain commas, quotes or newlines. *)
 
-val norm_file :
-  Runner.ctx -> path:string -> metric:(Figures.cell -> float) ->
-  base_policy:Policy.Registry.spec -> ratio:float -> swap:Runner.swap_medium ->
-  unit
-(** One normalized-means family (workload x policy, metric normalized to
-    [base_policy]) — the fig 1/4/9/10 format. *)
-
-val export_all : Runner.ctx -> dir:string -> unit
+val write_figure : dir:string -> Report.figure -> string list
+(** Write every table of the figure under [dir] (created if missing) and
+    return the paths written, in order of first appearance.
+    @raise Invalid_argument if two tables sharing a stem disagree on
+    their columns. *)

@@ -49,12 +49,12 @@ let cell ctx ~workload ~policy ~ratio ~swap =
       (if failed > 0 then Float.nan else Runner.mean_faults results);
   }
 
-let cell_mean_runtime c =
-  if c.failed > 0 then Float.nan else Runner.mean_runtime_s c.results
-
-(* Full table row for a cell whose statistics cannot be computed. *)
-let failed_row label ncols =
-  label :: List.init ncols (fun _ -> Report.failed_marker)
+type lookup =
+  workload:Runner.workload_kind ->
+  policy:Policy.Registry.spec ->
+  ratio:float ->
+  swap:Runner.swap_medium ->
+  cell
 
 let wname = Runner.workload_kind_name
 
@@ -70,44 +70,454 @@ let clock_vs_mglru = Policy.Registry.[ Clock; Mglru_default ]
 
 let batch_workloads = [ Runner.Tpch; Runner.Pagerank ]
 
-let ycsb_workloads =
-  List.map (fun v -> Runner.Ycsb v) Workload.Ycsb.[ A; B; C ]
+let norm x base = x /. Float.max 1e-9 base
+
+(* Full table row for a cell whose statistics cannot be computed. *)
+let failed_row label ncols =
+  Report.Text label :: List.init ncols (fun _ -> Report.Text Report.failed_marker)
+
+let table ?(caption = []) ?(export_only = false) ~stem ~header rows =
+  { Report.caption; stem; header; rows; export_only }
+
+let by_workload workload = ("workload", wname workload)
+
+let by_ratio title ratio =
+  ("ratio", Printf.sprintf "%s %.0f%%" title (ratio *. 100.0))
 
 (* ------------------------------------------------------------------ *)
-(* Grid enumeration: which cells a figure touches.  [run] prefetches   *)
-(* them through the domain pool before the serial printing pass, so a  *)
-(* parallel run computes exactly the cells a serial run would, then    *)
-(* prints from the cache.                                              *)
+
+let fig1 (get : lookup) =
+  let rows =
+    List.map
+      (fun workload ->
+        let at policy = get ~workload ~policy ~ratio:ratio_default ~swap:Runner.Ssd in
+        let clock = at Policy.Registry.Clock in
+        let mglru = at Policy.Registry.Mglru_default in
+        let base = Report.Ratio (if clock.failed > 0 then Float.nan else 1.0) in
+        Report.
+          [
+            Text (wname workload);
+            base;
+            Ratio (norm mglru.perf clock.perf);
+            base;
+            Ratio (norm mglru.mean_faults clock.mean_faults);
+          ])
+      Runner.all_workloads
+  in
+  {
+    Report.title = "Figure 1: MG-LRU vs Clock, SSD swap, 50% capacity-footprint";
+    before = [ "Mean performance and faults normalized to Clock-LRU (lower is better)." ];
+    tables =
+      [
+        table ~stem:"fig1"
+          ~header:[ "workload"; "clock perf"; "mglru perf"; "clock faults"; "mglru faults" ]
+          rows;
+      ];
+    after =
+      [
+        "Paper shape: MG-LRU matches or outperforms Clock on every workload here,";
+        "via a reduction in swapping (fewer faults).";
+      ];
+  }
+
 (* ------------------------------------------------------------------ *)
 
-let cross workloads policies ratios swaps =
+(* A regression needs two points: with one trial r2 renders "-". *)
+let joint_row c =
+  if c.failed > 0 then failed_row (pname c.policy) 7
+  else begin
+    let rt = Runner.runtimes_s c.results in
+    let fl = Runner.faults c.results in
+    let srt = Stats.Summary.of_array rt in
+    let sfl = Stats.Summary.of_array fl in
+    let r2 =
+      if Array.length rt < 2 then Report.Dash
+      else Report.Fixed (3, (Stats.Regression.fit ~x:fl ~y:rt).Stats.Regression.r2)
+    in
+    Report.
+      [
+        Text (pname c.policy);
+        Seconds srt.Stats.Summary.mean;
+        Seconds srt.Stats.Summary.min;
+        Seconds srt.Stats.Summary.max;
+        Ratio (Stats.Summary.spread srt);
+        Count sfl.Stats.Summary.mean;
+        Fixed (3, Stats.Summary.cv sfl);
+        r2;
+      ]
+  end
+
+(* The per-trial (runtime, faults) points the paper scatters. *)
+let point_rows c =
+  List.mapi
+    (fun trial o ->
+      let runtime_s, faults =
+        match o with
+        | Runner.Done r ->
+          (float_of_int r.Machine.runtime_ns /. 1e9, float_of_int r.Machine.major_faults)
+        | Runner.Failed _ -> (Float.nan, Float.nan)
+      in
+      Report.
+        [ Text (pname c.policy); Text (string_of_int trial); Seconds runtime_s; Count faults ])
+    c.outcomes
+
+let joint_tables (get : lookup) ~stem ~policies =
   List.concat_map
     (fun workload ->
-      List.concat_map
-        (fun policy ->
-          List.concat_map
-            (fun ratio -> List.map (fun swap -> (workload, policy, ratio, swap)) swaps)
-            ratios)
-        policies)
-    workloads
+      let cells =
+        List.map
+          (fun policy -> get ~workload ~policy ~ratio:ratio_default ~swap:Runner.Ssd)
+          policies
+      in
+      let caption = [ by_workload workload ] in
+      [
+        table ~caption ~stem
+          ~header:
+            [ "policy"; "mean rt"; "min rt"; "max rt"; "spread"; "mean faults"; "fault CV";
+              "r2(rt~faults)" ]
+          (List.map joint_row cells);
+        table ~caption ~export_only:true ~stem:(stem ^ "_points")
+          ~header:[ "policy"; "trial"; "runtime_s"; "major_faults" ]
+          (List.concat_map point_rows cells);
+      ])
+    batch_workloads
 
-let cells_of_figure = function
-  | 1 -> cross Runner.all_workloads clock_vs_mglru [ ratio_default ] [ Runner.Ssd ]
-  | 2 -> cross batch_workloads clock_vs_mglru [ ratio_default ] [ Runner.Ssd ]
-  | 3 -> cross ycsb_workloads clock_vs_mglru [ ratio_default ] [ Runner.Ssd ]
-  | 4 -> cross Runner.all_workloads variants [ ratio_default ] [ Runner.Ssd ]
-  | 5 -> cross batch_workloads variants [ ratio_default ] [ Runner.Ssd ]
-  | 6 -> cross Runner.all_workloads all_specs [ 0.75; 0.9 ] [ Runner.Ssd ]
-  | 7 -> cross batch_workloads all_specs [ 0.5; 0.75; 0.9 ] [ Runner.Ssd ]
-  | 8 -> cross ycsb_workloads clock_vs_mglru [ 0.75; 0.9 ] [ Runner.Ssd ]
-  | 9 | 10 -> cross Runner.all_workloads all_specs [ ratio_default ] [ Runner.Zram ]
-  | 11 ->
-    cross Runner.all_workloads
-      [ Policy.Registry.Mglru_default ]
-      [ ratio_default ]
-      [ Runner.Ssd; Runner.Zram ]
-  | 12 -> cross ycsb_workloads clock_vs_mglru [ ratio_default ] [ Runner.Zram ]
-  | n -> invalid_arg (Printf.sprintf "Figures.cells_of_figure: no figure %d" n)
+let fig2 get =
+  {
+    Report.title = "Figure 2: joint runtime/fault distributions (SSD, 50%)";
+    before = [];
+    tables = joint_tables get ~stem:"fig2" ~policies:clock_vs_mglru;
+    after =
+      [
+        "Paper shape: TPC-H runtime is a nearly perfect linear function of its";
+        "fault count (r2 > 0.98) with a ~3x fastest-to-slowest spread; PageRank";
+        "runtime decorrelates from faults, and MG-LRU adds variance that Clock";
+        "does not show.";
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let tail_rows label lat =
+  if Array.length lat = 0 then [ Report.Text label :: List.init 6 (fun _ -> Report.Dash) ]
+  else begin
+    let t = Stats.Percentile.tail_of lat in
+    Report.
+      [
+        [
+          Text label;
+          Ns t.Stats.Percentile.p50;
+          Ns t.Stats.Percentile.p90;
+          Ns t.Stats.Percentile.p99;
+          Ns t.Stats.Percentile.p999;
+          Ns t.Stats.Percentile.p9999;
+          Ns t.Stats.Percentile.max;
+        ];
+      ]
+  end
+
+let tail_tables (get : lookup) ?(caption = []) ~stem ~swap ~ratio () =
+  List.map
+    (fun variant ->
+      let workload = Runner.Ycsb variant in
+      let rows =
+        List.concat_map
+          (fun policy ->
+            let c = get ~workload ~policy ~ratio ~swap in
+            let read = pname policy ^ " read" and write = pname policy ^ " write" in
+            if c.failed > 0 then [ failed_row read 6; failed_row write 6 ]
+            else
+              tail_rows read (Runner.pooled_read_latencies c.results)
+              @ tail_rows write (Runner.pooled_write_latencies c.results))
+          clock_vs_mglru
+      in
+      table ~caption:(caption @ [ by_workload workload ]) ~stem
+        ~header:[ "policy/op"; "p50"; "p90"; "p99"; "p99.9"; "p99.99"; "max" ]
+        rows)
+    Workload.Ycsb.[ A; B; C ]
+
+let fig3 get =
+  {
+    Report.title = "Figure 3: YCSB tail latencies (SSD, 50%)";
+    before = [];
+    tables = tail_tables get ~stem:"fig3_tails" ~swap:Runner.Ssd ~ratio:ratio_default ();
+    after =
+      [
+        "Paper shape: MG-LRU trades higher read tails (20-40% at p99.99) for";
+        "lower write tails (Clock 10-50% higher past p99).";
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let fig4 (get : lookup) =
+  let tables =
+    List.map
+      (fun workload ->
+        let at policy = get ~workload ~policy ~ratio:ratio_default ~swap:Runner.Ssd in
+        let base = at Policy.Registry.Mglru_default in
+        let rows =
+          List.map
+            (fun policy ->
+              let c = at policy in
+              Report.
+                [
+                  Text (pname policy);
+                  Ratio (norm c.perf base.perf);
+                  Ratio (norm c.mean_faults base.mean_faults);
+                ])
+            variants
+        in
+        table ~caption:[ by_workload workload ] ~stem:"fig4"
+          ~header:[ "variant"; "perf"; "faults" ] rows)
+      Runner.all_workloads
+  in
+  {
+    Report.title = "Figure 4: MG-LRU parameter variants (SSD, 50%)";
+    before = [ "Mean performance and faults normalized to default MG-LRU." ];
+    tables;
+    after =
+      [
+        "Paper shape: on TPC-H, Scan-None improves on default MG-LRU by >20%";
+        "while Scan-All degrades it by >60%; the ordering roughly inverts on";
+        "PageRank; all variants tie on YCSB's zipfian traffic.";
+      ];
+  }
+
+let fig5 get =
+  {
+    Report.title = "Figure 5: variant joint runtime/fault distributions (SSD, 50%)";
+    before = [];
+    tables = joint_tables get ~stem:"fig5" ~policies:variants;
+    after =
+      [
+        "Paper shape: TPC-H keeps its linear faults->runtime relation for every";
+        "variant, with Scan-All on a steeper slope (straggler threads); PageRank";
+        "stays decorrelated.";
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let fig6 (get : lookup) =
+  let tables =
+    List.map
+      (fun ratio ->
+        let rows =
+          List.map
+            (fun workload ->
+              let at policy = get ~workload ~policy ~ratio ~swap:Runner.Ssd in
+              let base = at Policy.Registry.Mglru_default in
+              let per_spec =
+                List.map (fun policy -> Report.Ratio (norm (at policy).perf base.perf)) all_specs
+              in
+              let p_value =
+                match workload with
+                | Runner.Tpch | Runner.Pagerank ->
+                  let clock = at Policy.Registry.Clock in
+                  if clock.failed > 0 || base.failed > 0 then Report.Fixed (3, Float.nan)
+                  else begin
+                    let a = Runner.runtimes_s clock.results in
+                    let b = Runner.runtimes_s base.results in
+                    if Array.length a > 1 && Array.length b > 1 then
+                      Report.Fixed (3, (Stats.Ttest.welch a b).Stats.Ttest.p_value)
+                    else Report.Dash
+                  end
+                | Runner.Ycsb _ | Runner.Fleet _ -> Report.Dash
+              in
+              (Report.Text (wname workload) :: per_spec) @ [ p_value ])
+            Runner.all_workloads
+        in
+        table ~caption:[ by_ratio "capacity-footprint ratio" ratio ] ~stem:"fig6"
+          ~header:(("workload" :: List.map pname all_specs) @ [ "p(clock=mglru)" ])
+          rows)
+      [ 0.75; 0.9 ]
+  in
+  {
+    Report.title = "Figure 6: mean performance at 75% and 90% capacity (SSD)";
+    before = [ "Normalized to default MG-LRU at the same ratio; Welch p-value vs MG-LRU." ];
+    tables;
+    after =
+      [
+        "Paper shape: every policy lands within a few percent; Clock beats";
+        "MG-LRU by a small (2-5%) but statistically significant margin in some";
+        "cells, inverting the 50% result.";
+      ];
+  }
+
+let fig7 (get : lookup) =
+  let tables =
+    List.concat_map
+      (fun ratio ->
+        List.map
+          (fun workload ->
+            let at policy = get ~workload ~policy ~ratio ~swap:Runner.Ssd in
+            let base = at Policy.Registry.Mglru_default in
+            let rows =
+              List.map
+                (fun policy ->
+                  let c = at policy in
+                  if base.failed > 0 || c.failed > 0 then failed_row (pname policy) 5
+                  else begin
+                    let fl =
+                      Array.map (fun x -> norm x base.mean_faults) (Runner.faults c.results)
+                    in
+                    let q1, q2, q3 = Stats.Percentile.quartiles fl in
+                    let s = Stats.Summary.of_array fl in
+                    Report.Text (pname policy)
+                    :: List.map
+                         (fun x -> Report.Fixed (2, x))
+                         [ s.Stats.Summary.min; q1; q2; q3; s.Stats.Summary.max ]
+                  end)
+                all_specs
+            in
+            table
+              ~caption:[ by_ratio "ratio" ratio; by_workload workload ]
+              ~stem:"fig7_box"
+              ~header:[ "policy"; "min"; "q1"; "median"; "q3"; "max" ]
+              rows)
+          batch_workloads)
+      [ 0.5; 0.75; 0.9 ]
+  in
+  {
+    Report.title = "Figure 7: fault distributions across capacities (SSD)";
+    before =
+      [
+        "Quartiles/min/max of per-trial fault counts, normalized to the mean of";
+        "default MG-LRU at the same ratio.";
+      ];
+    tables;
+    after =
+      [
+        "Paper shape: at 75% PageRank shows rare outlier executions with up to";
+        "~6x the mean fault count under every MG-LRU configuration, while the";
+        "interquartile range stays tight; Clock's distribution stays narrow.";
+      ];
+  }
+
+let fig8 get =
+  {
+    Report.title = "Figure 8: YCSB tail latencies at 75% and 90% capacity (SSD)";
+    before = [];
+    tables =
+      List.concat_map
+        (fun ratio ->
+          tail_tables get ~caption:[ by_ratio "ratio" ratio ] ~stem:"fig8_tails"
+            ~swap:Runner.Ssd ~ratio ())
+        [ 0.75; 0.9 ];
+    after =
+      [
+        "Paper shape: Clock keeps lower read tails; write-tail comparisons become";
+        "workload-dependent as capacity grows and read tails converge.";
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let zram_norm_table (get : lookup) ~stem ~metric =
+  let rows =
+    List.map
+      (fun workload ->
+        let at policy = get ~workload ~policy ~ratio:ratio_default ~swap:Runner.Zram in
+        let base = metric (at Policy.Registry.Mglru_default) in
+        Report.Text (wname workload)
+        :: List.map (fun policy -> Report.Ratio (norm (metric (at policy)) base)) all_specs)
+      Runner.all_workloads
+  in
+  table ~stem ~header:("workload" :: List.map pname all_specs) rows
+
+let fig9 get =
+  {
+    Report.title = "Figure 9: mean performance with ZRAM swap (50%)";
+    before = [ "Performance normalized to default MG-LRU (ZRAM, 50%)." ];
+    tables = [ zram_norm_table get ~stem:"fig9" ~metric:(fun c -> c.perf) ];
+    after = [ "Paper shape: Clock matches MG-LRU on every workload except PageRank." ];
+  }
+
+let fig10 get =
+  {
+    Report.title = "Figure 10: mean faults with ZRAM swap (50%)";
+    before = [ "Faults normalized to default MG-LRU (ZRAM, 50%)." ];
+    tables = [ zram_norm_table get ~stem:"fig10" ~metric:(fun c -> c.mean_faults) ];
+    after =
+      [
+        "Paper shape: fault counts track the runtime result - Clock faults as";
+        "much as MG-LRU everywhere but PageRank.";
+      ];
+  }
+
+let fig11 (get : lookup) =
+  let mean_runtime c =
+    if c.failed > 0 then Float.nan else Runner.mean_runtime_s c.results
+  in
+  let rows =
+    List.map
+      (fun workload ->
+        let at swap =
+          get ~workload ~policy:Policy.Registry.Mglru_default ~ratio:ratio_default ~swap
+        in
+        let ssd = at Runner.Ssd in
+        let zram = at Runner.Zram in
+        Report.
+          [
+            Text (wname workload);
+            Ratio (norm (mean_runtime zram) (mean_runtime ssd));
+            Ratio (norm zram.mean_faults ssd.mean_faults);
+          ])
+      Runner.all_workloads
+  in
+  {
+    Report.title = "Figure 11: ZRAM vs SSD - change in runtime and faults (MG-LRU, 50%)";
+    before = [];
+    tables =
+      [ table ~stem:"fig11" ~header:[ "workload"; "runtime zram/ssd"; "faults zram/ssd" ] rows ];
+    after =
+      [
+        "Paper shape: regular-access workloads run several times faster on ZRAM";
+        "yet fault substantially more (PageRank ~5x faster, ~3x the faults);";
+        "YCSB fault counts stay roughly flat.";
+      ];
+  }
+
+let fig12 get =
+  {
+    Report.title = "Figure 12: YCSB tail latencies with ZRAM swap (50%)";
+    before = [];
+    tables = tail_tables get ~stem:"fig12_tails" ~swap:Runner.Zram ~ratio:ratio_default ();
+    after =
+      [
+        "Paper shape: MG-LRU's p99.99 tails inflate 2-5x over Clock for both";
+        "reads and writes - Clock strictly wins the tail in this configuration.";
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let builders = [| fig1; fig2; fig3; fig4; fig5; fig6; fig7; fig8; fig9; fig10; fig11; fig12 |]
+
+let all_figures = List.init (Array.length builders) (fun i -> i + 1)
+
+let builder fn n =
+  if n < 1 || n > Array.length builders then
+    invalid_arg (Printf.sprintf "Figures.%s: no figure %d" fn n);
+  builders.(n - 1)
+
+(* The grid is whatever the builder reads: run it once against a lookup
+   that records each key and answers with a failed stub, so no
+   simulation runs.  Sorting into registry order keeps the experiment
+   log — and the trace files and failure summary replayed from it —
+   independent of the order a builder reads its cells. *)
+let grid n =
+  let seen = ref [] in
+  let record ~workload ~policy ~ratio ~swap =
+    seen := (workload, policy, ratio, swap) :: !seen;
+    { workload; policy; ratio; swap; outcomes = []; results = []; failed = 1;
+      perf = Float.nan; mean_faults = Float.nan }
+  in
+  ignore (builder "grid" n record);
+  let rank l x = Option.value (List.find_index (( = ) x) l) ~default:max_int in
+  let key ((w, p, r, s) as c) = ((rank Runner.all_workloads w, rank all_specs p, r, s), c) in
+  List.sort_uniq (fun a b -> compare (key a) (key b)) !seen
 
 let prefetch ctx figures =
   Runner.prefetch ctx
@@ -116,383 +526,13 @@ let prefetch ctx figures =
          List.concat_map
            (fun (workload, policy, ratio, swap) ->
              Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-           (cells_of_figure n))
+           (grid n))
        figures)
 
-(* ------------------------------------------------------------------ *)
-
-let fig1 ctx =
-  Report.section "Figure 1: MG-LRU vs Clock, SSD swap, 50% capacity-footprint";
-  Report.note "Mean performance and faults normalized to Clock-LRU (lower is better).";
-  let rows, data =
-    List.fold_left
-      (fun (rows, data) workload ->
-        let clock = cell ctx ~workload ~policy:Policy.Registry.Clock ~ratio:ratio_default ~swap:Runner.Ssd in
-        let mglru =
-          cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:ratio_default ~swap:Runner.Ssd
-        in
-        let p = mglru.perf /. Float.max 1e-9 clock.perf in
-        let f = mglru.mean_faults /. Float.max 1e-9 clock.mean_faults in
-        let base =
-          if clock.failed > 0 then Report.failed_marker else "1.00x"
-        in
-        ( rows
-          @ [
-              [ wname workload; base; Report.fnorm p; base; Report.fnorm f ];
-            ],
-          data @ [ (wname workload, p, f) ] ))
-      ([], []) Runner.all_workloads
-  in
-  Report.table
-    ~header:[ "workload"; "clock perf"; "mglru perf"; "clock faults"; "mglru faults" ]
-    rows;
-  Report.note
-    "Paper shape: MG-LRU matches or outperforms Clock on every workload here,";
-  Report.note "via a reduction in swapping (fewer faults).";
-  data
-
-(* ------------------------------------------------------------------ *)
-
-let joint_summary c =
-  let rt = Runner.runtimes_s c.results in
-  let fl = Runner.faults c.results in
-  let srt = Stats.Summary.of_array rt in
-  let sfl = Stats.Summary.of_array fl in
-  let fit = Stats.Regression.fit ~x:fl ~y:rt in
-  (srt, sfl, fit)
-
-let joint_rows cells =
-  List.map
-    (fun c ->
-      if c.failed > 0 then failed_row (pname c.policy) 7
-      else begin
-        let srt, sfl, fit = joint_summary c in
-        [
-          pname c.policy;
-          Report.fsec srt.Stats.Summary.mean;
-          Report.fsec srt.Stats.Summary.min;
-          Report.fsec srt.Stats.Summary.max;
-          Report.fnorm (Stats.Summary.spread srt);
-          Report.fcount sfl.Stats.Summary.mean;
-          Report.f3 (Stats.Summary.cv sfl);
-          Report.f3 fit.Stats.Regression.r2;
-        ]
-      end)
-    cells
-
-let joint_header =
-  [ "policy"; "mean rt"; "min rt"; "max rt"; "spread"; "mean faults"; "fault CV"; "r2(rt~faults)" ]
-
-let fig2 ctx =
-  Report.section "Figure 2: joint runtime/fault distributions (SSD, 50%)";
-  List.iter
-    (fun workload ->
-      Report.subsection (wname workload);
-      let cells =
-        List.map
-          (fun policy -> cell ctx ~workload ~policy ~ratio:ratio_default ~swap:Runner.Ssd)
-          clock_vs_mglru
-      in
-      Report.table ~header:joint_header (joint_rows cells))
-    batch_workloads;
-  Report.note "Paper shape: TPC-H runtime is a nearly perfect linear function of its";
-  Report.note "fault count (r2 > 0.98) with a ~3x fastest-to-slowest spread; PageRank";
-  Report.note "runtime decorrelates from faults, and MG-LRU adds variance that Clock";
-  Report.note "does not show."
-
-(* ------------------------------------------------------------------ *)
-
-let tail_rows label lat =
-  if Array.length lat = 0 then [ [ label; "-"; "-"; "-"; "-"; "-"; "-" ] ]
-  else begin
-    let t = Stats.Percentile.tail_of lat in
-    [
-      [
-        label;
-        Report.fns t.Stats.Percentile.p50;
-        Report.fns t.Stats.Percentile.p90;
-        Report.fns t.Stats.Percentile.p99;
-        Report.fns t.Stats.Percentile.p999;
-        Report.fns t.Stats.Percentile.p9999;
-        Report.fns t.Stats.Percentile.max;
-      ];
-    ]
-  end
-
-let tail_header = [ "policy/op"; "p50"; "p90"; "p99"; "p99.9"; "p99.99"; "max" ]
-
-let tail_figure ctx ~swap ~ratio =
-  List.iter
-    (fun variant ->
-      let workload = Runner.Ycsb variant in
-      Report.subsection (wname workload);
-      let rows =
-        List.concat_map
-          (fun policy ->
-            let c = cell ctx ~workload ~policy ~ratio ~swap in
-            if c.failed > 0 then
-              [
-                failed_row (pname policy ^ " read") 6;
-                failed_row (pname policy ^ " write") 6;
-              ]
-            else begin
-              let reads = Runner.pooled_read_latencies c.results in
-              let writes = Runner.pooled_write_latencies c.results in
-              tail_rows (pname policy ^ " read") reads
-              @ tail_rows (pname policy ^ " write") writes
-            end)
-          clock_vs_mglru
-      in
-      Report.table ~header:tail_header rows)
-    Workload.Ycsb.[ A; B; C ]
-
-let fig3 ctx =
-  Report.section "Figure 3: YCSB tail latencies (SSD, 50%)";
-  tail_figure ctx ~swap:Runner.Ssd ~ratio:ratio_default;
-  Report.note "Paper shape: MG-LRU trades higher read tails (20-40% at p99.99) for";
-  Report.note "lower write tails (Clock 10-50% higher past p99)."
-
-(* ------------------------------------------------------------------ *)
-
-let fig4 ctx =
-  Report.section "Figure 4: MG-LRU parameter variants (SSD, 50%)";
-  Report.note "Mean performance and faults normalized to default MG-LRU.";
-  let data = ref [] in
-  List.iter
-    (fun workload ->
-      let base =
-        cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:ratio_default
-          ~swap:Runner.Ssd
-      in
-      let rows =
-        List.map
-          (fun policy ->
-            let c = cell ctx ~workload ~policy ~ratio:ratio_default ~swap:Runner.Ssd in
-            let p = c.perf /. Float.max 1e-9 base.perf in
-            let f = c.mean_faults /. Float.max 1e-9 base.mean_faults in
-            data := (wname workload, pname policy, p, f) :: !data;
-            [ pname policy; Report.fnorm p; Report.fnorm f ])
-          variants
-      in
-      Report.subsection (wname workload);
-      Report.table ~header:[ "variant"; "perf"; "faults" ] rows)
-    Runner.all_workloads;
-  Report.note "Paper shape: on TPC-H, Scan-None improves on default MG-LRU by >20%";
-  Report.note "while Scan-All degrades it by >60%; the ordering roughly inverts on";
-  Report.note "PageRank; all variants tie on YCSB's zipfian traffic.";
-  List.rev !data
-
-let fig5 ctx =
-  Report.section "Figure 5: variant joint runtime/fault distributions (SSD, 50%)";
-  List.iter
-    (fun workload ->
-      Report.subsection (wname workload);
-      let cells =
-        List.map
-          (fun policy -> cell ctx ~workload ~policy ~ratio:ratio_default ~swap:Runner.Ssd)
-          variants
-      in
-      Report.table ~header:joint_header (joint_rows cells))
-    batch_workloads;
-  Report.note "Paper shape: TPC-H keeps its linear faults->runtime relation for every";
-  Report.note "variant, with Scan-All on a steeper slope (straggler threads); PageRank";
-  Report.note "stays decorrelated."
-
-(* ------------------------------------------------------------------ *)
-
-let fig6 ctx =
-  Report.section "Figure 6: mean performance at 75% and 90% capacity (SSD)";
-  Report.note "Normalized to default MG-LRU at the same ratio; Welch p-value vs MG-LRU.";
-  List.iter
-    (fun ratio ->
-      Report.subsection (Printf.sprintf "capacity-footprint ratio %.0f%%" (ratio *. 100.0));
-      let header = "workload" :: List.map pname all_specs @ [ "p(clock=mglru)" ] in
-      let rows =
-        List.map
-          (fun workload ->
-            let base = cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio ~swap:Runner.Ssd in
-            let per_spec =
-              List.map
-                (fun policy ->
-                  let c = cell ctx ~workload ~policy ~ratio ~swap:Runner.Ssd in
-                  Report.fnorm (c.perf /. Float.max 1e-9 base.perf))
-                all_specs
-            in
-            let p_value =
-              match workload with
-              | Runner.Tpch | Runner.Pagerank ->
-                let clock = cell ctx ~workload ~policy:Policy.Registry.Clock ~ratio ~swap:Runner.Ssd in
-                if clock.failed > 0 || base.failed > 0 then
-                  Report.failed_marker
-                else begin
-                  let a = Runner.runtimes_s clock.results in
-                  let b = Runner.runtimes_s base.results in
-                  if Array.length a > 1 && Array.length b > 1 then
-                    Report.f3 (Stats.Ttest.welch a b).Stats.Ttest.p_value
-                  else "-"
-                end
-              | Runner.Ycsb _ | Runner.Fleet _ -> "-"
-            in
-            (wname workload :: per_spec) @ [ p_value ])
-          Runner.all_workloads
-      in
-      Report.table ~header rows)
-    [ 0.75; 0.9 ];
-  Report.note "Paper shape: every policy lands within a few percent; Clock beats";
-  Report.note "MG-LRU by a small (2-5%) but statistically significant margin in some";
-  Report.note "cells, inverting the 50% result."
-
-let fig7 ctx =
-  Report.section "Figure 7: fault distributions across capacities (SSD)";
-  Report.note "Quartiles/min/max of per-trial fault counts, normalized to the mean of";
-  Report.note "default MG-LRU at the same ratio.";
-  List.iter
-    (fun ratio ->
-      Report.subsection (Printf.sprintf "ratio %.0f%%" (ratio *. 100.0));
-      List.iter
-        (fun workload ->
-          let base = cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio ~swap:Runner.Ssd in
-          let norm = Float.max 1e-9 base.mean_faults in
-          let rows =
-            List.map
-              (fun policy ->
-                let c = cell ctx ~workload ~policy ~ratio ~swap:Runner.Ssd in
-                if base.failed > 0 || c.failed > 0 then
-                  failed_row (pname policy) 5
-                else begin
-                  let fl = Array.map (fun x -> x /. norm) (Runner.faults c.results) in
-                  let q1, q2, q3 = Stats.Percentile.quartiles fl in
-                  let s = Stats.Summary.of_array fl in
-                  [
-                    pname policy;
-                    Report.f2 s.Stats.Summary.min;
-                    Report.f2 q1;
-                    Report.f2 q2;
-                    Report.f2 q3;
-                    Report.f2 s.Stats.Summary.max;
-                  ]
-                end)
-              all_specs
-          in
-          Report.subsection (wname workload);
-          Report.table ~header:[ "policy"; "min"; "q1"; "median"; "q3"; "max" ] rows)
-        batch_workloads)
-    [ 0.5; 0.75; 0.9 ];
-  Report.note "Paper shape: at 75% PageRank shows rare outlier executions with up to";
-  Report.note "~6x the mean fault count under every MG-LRU configuration, while the";
-  Report.note "interquartile range stays tight; Clock's distribution stays narrow."
-
-let fig8 ctx =
-  Report.section "Figure 8: YCSB tail latencies at 75% and 90% capacity (SSD)";
-  List.iter
-    (fun ratio ->
-      Report.subsection (Printf.sprintf "ratio %.0f%%" (ratio *. 100.0));
-      tail_figure ctx ~swap:Runner.Ssd ~ratio)
-    [ 0.75; 0.9 ];
-  Report.note "Paper shape: Clock keeps lower read tails; write-tail comparisons become";
-  Report.note "workload-dependent as capacity grows and read tails converge."
-
-(* ------------------------------------------------------------------ *)
-
-let zram_norm_figure ctx ~metric ~metric_name =
-  Report.note (Printf.sprintf "%s normalized to default MG-LRU (ZRAM, 50%%)." metric_name);
-  let data = ref [] in
-  let header = "workload" :: List.map pname all_specs in
-  let rows =
-    List.map
-      (fun workload ->
-        let base =
-          cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:ratio_default
-            ~swap:Runner.Zram
-        in
-        let cols =
-          List.map
-            (fun policy ->
-              let c = cell ctx ~workload ~policy ~ratio:ratio_default ~swap:Runner.Zram in
-              let v = metric c /. Float.max 1e-9 (metric base) in
-              data := (wname workload, pname policy, v) :: !data;
-              Report.fnorm v)
-            all_specs
-        in
-        wname workload :: cols)
-      Runner.all_workloads
-  in
-  Report.table ~header rows;
-  List.rev !data
-
-let fig9 ctx =
-  Report.section "Figure 9: mean performance with ZRAM swap (50%)";
-  let data = zram_norm_figure ctx ~metric:(fun c -> c.perf) ~metric_name:"Performance" in
-  Report.note "Paper shape: Clock matches MG-LRU on every workload except PageRank.";
-  data
-
-let fig10 ctx =
-  Report.section "Figure 10: mean faults with ZRAM swap (50%)";
-  let data = zram_norm_figure ctx ~metric:(fun c -> c.mean_faults) ~metric_name:"Faults" in
-  Report.note "Paper shape: fault counts track the runtime result - Clock faults as";
-  Report.note "much as MG-LRU everywhere but PageRank.";
-  data
-
-let fig11 ctx =
-  Report.section "Figure 11: ZRAM vs SSD - change in runtime and faults (MG-LRU, 50%)";
-  let data = ref [] in
-  let rows =
-    List.map
-      (fun workload ->
-        let ssd =
-          cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:ratio_default
-            ~swap:Runner.Ssd
-        in
-        let zr =
-          cell ctx ~workload ~policy:Policy.Registry.Mglru_default ~ratio:ratio_default
-            ~swap:Runner.Zram
-        in
-        let rt =
-          cell_mean_runtime zr /. Float.max 1e-9 (cell_mean_runtime ssd)
-        in
-        let fl = zr.mean_faults /. Float.max 1e-9 ssd.mean_faults in
-        data := (wname workload, rt, fl) :: !data;
-        [ wname workload; Report.fnorm rt; Report.fnorm fl ])
-      Runner.all_workloads
-  in
-  Report.table ~header:[ "workload"; "runtime zram/ssd"; "faults zram/ssd" ] rows;
-  Report.note "Paper shape: regular-access workloads run several times faster on ZRAM";
-  Report.note "yet fault substantially more (PageRank ~5x faster, ~3x the faults);";
-  Report.note "YCSB fault counts stay roughly flat.";
-  List.rev !data
-
-let fig12 ctx =
-  Report.section "Figure 12: YCSB tail latencies with ZRAM swap (50%)";
-  tail_figure ctx ~swap:Runner.Zram ~ratio:ratio_default;
-  Report.note "Paper shape: MG-LRU's p99.99 tails inflate 2-5x over Clock for both";
-  Report.note "reads and writes - Clock strictly wins the tail in this configuration."
-
-(* ------------------------------------------------------------------ *)
-
-let run ctx n =
-  if n < 1 || n > 12 then
-    invalid_arg (Printf.sprintf "Figures.run: no figure %d" n);
-  prefetch ctx [ n ];
-  match n with
-  | 1 -> ignore (fig1 ctx)
-  | 2 -> fig2 ctx
-  | 3 -> fig3 ctx
-  | 4 -> ignore (fig4 ctx)
-  | 5 -> fig5 ctx
-  | 6 -> fig6 ctx
-  | 7 -> fig7 ctx
-  | 8 -> fig8 ctx
-  | 9 -> ignore (fig9 ctx)
-  | 10 -> ignore (fig10 ctx)
-  | 11 -> ignore (fig11 ctx)
-  | 12 -> fig12 ctx
-  | _ -> assert false
-
-let all_figures = List.init 12 (fun i -> i + 1)
-
-let run_all ctx =
-  (* One bulk prefetch across the union of every figure's grid keeps the
-     domain pool saturated instead of draining at each figure boundary
-     (prefetch deduplicates shared cells). *)
-  prefetch ctx all_figures;
-  List.iter (run ctx) all_figures
+let build ctx figures =
+  let builders = List.map (builder "build") figures in
+  (* One bulk prefetch across the union of the figures' grids keeps the
+     domain pool saturated instead of draining at each figure boundary;
+     the builders then read the warm cache serially. *)
+  prefetch ctx figures;
+  List.map (fun b -> b (cell ctx)) builders

@@ -1,18 +1,18 @@
 (** Reproductions of the paper's Figures 1-12.
 
-    Each [figN] runs (or fetches from the {!Runner.ctx} trial cache) the
-    grid cells the corresponding figure needs and prints the same series
-    the paper plots: normalized means, joint runtime/fault
-    distributions, tail latencies, quartile boxes.  [run_all]
-    regenerates the entire evaluation section.  EXPERIMENTS.md records
-    the paper-vs-measured comparison for every figure.
+    Each figure is built once as a {!Report.figure}: the same series the
+    paper plots (normalized means, joint runtime/fault distributions,
+    tail latencies, quartile boxes) as typed table cells.
+    {!Report.print_figure} renders it as text and
+    {!Csv_export.write_figure} as CSV.  EXPERIMENTS.md records the
+    paper-vs-measured comparison for every figure.
 
-    {!run} first {!prefetch}es the figure's whole grid through the
-    context's domain pool, then prints serially from the cache — so the
-    bytes a figure emits are identical for every [Runner.jobs] value.
-
-    Numeric data is also returned so tests and the bench harness can
-    assert the paper's qualitative shapes without re-parsing text. *)
+    A builder reads its cells through one lookup.  The figure's grid is
+    what the builder reads, recorded by running it once against a lookup
+    that runs no simulation, so each grid is stated in exactly one
+    place.  {!build} first {!prefetch}es the grids through the context's
+    domain pool, then builds serially from the cache — so a figure's
+    value is identical for every [Runner.jobs] value. *)
 
 type cell = {
   workload : Runner.workload_kind;
@@ -28,7 +28,7 @@ type cell = {
       (** mean runtime (s) for TPC-H/PageRank; mean request latency (ns)
           for YCSB — the metric Figure 1 normalizes.  NaN if any trial
           failed: arithmetic on a failed cell stays NaN and the
-          formatters render it as "failed", so a failure can never hide
+          renderers show it as "failed", so a failure can never hide
           inside a partial mean *)
   mean_faults : float;  (** NaN if any trial failed, like [perf] *)
 }
@@ -40,56 +40,22 @@ val cell :
     ({!Runner.try_cell}): failed trials surface in [outcomes]/[failed],
     never as an exception. *)
 
-val cell_mean_runtime : cell -> float
-(** Mean runtime over the cell's trials; NaN if any trial failed. *)
-
 val all_figures : int list
 (** [1; 2; ...; 12]. *)
 
-val cells_of_figure :
+val grid :
   int ->
   (Runner.workload_kind * Policy.Registry.spec * float * Runner.swap_medium) list
-(** The grid cells figure [n] reads, in deterministic order.
+(** The cells figure [n] reads, deduplicated, in registry order
+    (workload, then policy, ratio, swap).  Runs no simulation.
     @raise Invalid_argument outside 1-12. *)
 
 val prefetch : Runner.ctx -> int list -> unit
 (** Compute every listed figure's uncached cells through the context's
     domain pool (deduplicated across figures). *)
 
-val fig1 : Runner.ctx -> (string * float * float) list
-(** [(workload, mglru_perf/clock_perf, mglru_faults/clock_faults)] —
-    SSD, 50 % ratio. *)
-
-val fig2 : Runner.ctx -> unit
-
-val fig3 : Runner.ctx -> unit
-
-val fig4 : Runner.ctx -> (string * string * float * float) list
-(** [(workload, variant, perf/default, faults/default)]. *)
-
-val fig5 : Runner.ctx -> unit
-
-val fig6 : Runner.ctx -> unit
-
-val fig7 : Runner.ctx -> unit
-
-val fig8 : Runner.ctx -> unit
-
-val fig9 : Runner.ctx -> (string * string * float) list
-(** [(workload, policy, perf/mglru)] under ZRAM at 50 %. *)
-
-val fig10 : Runner.ctx -> (string * string * float) list
-
-val fig11 : Runner.ctx -> (string * float * float) list
-(** [(workload, runtime_zram/runtime_ssd, faults_zram/faults_ssd)] for
-    default MG-LRU. *)
-
-val fig12 : Runner.ctx -> unit
-
-val run : Runner.ctx -> int -> unit
-(** Prefetch and run one figure by number.
-    @raise Invalid_argument outside 1-12. *)
-
-val run_all : Runner.ctx -> unit
-(** Bulk-prefetch the union of every figure's grid, then print all 12
-    figures in order. *)
+val build : Runner.ctx -> int list -> Report.figure list
+(** Prefetch the union of the listed figures' grids, then build each
+    figure from the cache, in list order.
+    @raise Invalid_argument if a number is outside 1-12, before any
+    cell runs. *)

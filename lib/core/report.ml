@@ -79,6 +79,66 @@ let fns =
 let note s = Printf.printf "  %s\n" s
 
 (* ------------------------------------------------------------------ *)
+(* The figure model: one typed value per figure, rendered here as text *)
+(* and by Csv_export as CSV.                                            *)
+(* ------------------------------------------------------------------ *)
+
+type cell =
+  | Text of string
+  | Ratio of float
+  | Seconds of float
+  | Count of float
+  | Ns of float
+  | Fixed of int * float
+  | Dash
+
+type table = {
+  caption : (string * string) list;
+  stem : string;
+  header : string list;
+  rows : cell list list;
+  export_only : bool;
+}
+
+type figure = {
+  title : string;
+  before : string list;
+  tables : table list;
+  after : string list;
+}
+
+let render = function
+  | Text s -> s
+  | Ratio x -> fnorm x
+  | Seconds x -> fsec x
+  | Count x -> fcount x
+  | Ns x -> fns x
+  | Fixed (digits, x) -> unless_failed (Printf.sprintf "%.*f" digits) x
+  | Dash -> "-"
+
+(* Each table prints the subsection titles its caption path does not
+   share with the previous printed table's. *)
+let print_figure f =
+  section f.title;
+  List.iter note f.before;
+  ignore
+    (List.fold_left
+       (fun prev t ->
+         if t.export_only then prev
+         else begin
+           let rec fresh prev caption =
+             match (prev, caption) with
+             | p :: prev, c :: caption when p = c -> fresh prev caption
+             | _, caption -> caption
+           in
+           List.iter (fun (_, title) -> subsection title) (fresh prev t.caption);
+           table ~header:t.header (List.map (List.map render) t.rows);
+           t.caption
+         end)
+       [] f.tables);
+  List.iter note f.after
+
+(* ------------------------------------------------------------------ *)
 (* Trace summary: aggregate a JSONL trace file back into tables.       *)
 (* ------------------------------------------------------------------ *)
 

@@ -33,6 +33,45 @@ val fns : float -> string
 val note : string -> unit
 (** Indented free-form commentary line. *)
 
+(** {1 Figures}
+
+    A figure is built once as a typed value; {!print_figure} renders it
+    as text and {!Csv_export.write_figure} as CSV. *)
+
+type cell =
+  | Text of string
+  | Ratio of float  (** ["1.00x"] *)
+  | Seconds of float  (** adaptive precision, as {!fsec} *)
+  | Count of float  (** thousands separators, as {!fcount} *)
+  | Ns of float  (** adaptive unit, as {!fns} *)
+  | Fixed of int * float  (** that many decimals *)
+  | Dash  (** ["-"]: no value — an empty sample, or a statistic the
+              cell's trial count cannot support *)
+(** A table cell.  A NaN number renders as {!failed_marker}. *)
+
+type table = {
+  caption : (string * string) list;
+      (** the subsection path, outermost first, as (CSV column name,
+          subsection title) pairs — e.g. [[("ratio", "ratio 75%");
+          ("workload", "tpch")]] *)
+  stem : string;  (** CSV file stem; tables sharing a stem share a file *)
+  header : string list;
+  rows : cell list list;
+  export_only : bool;  (** written as CSV, never printed *)
+}
+
+type figure = {
+  title : string;
+  before : string list;  (** notes printed before the tables *)
+  tables : table list;
+  after : string list;  (** notes printed after them *)
+}
+
+val print_figure : figure -> unit
+(** Banner, leading notes, every printed table under the subsection
+    titles its caption path does not share with the previous printed
+    table, then the trailing notes. *)
+
 val trace_summary : path:string -> unit
 (** Parse a JSONL trace (as written by {!Runner.write_trace}) and print
     per-cell event-kind counts plus latency quantiles rebuilt from the

@@ -74,9 +74,12 @@ let capture f =
   Sys.remove path;
   s
 
+let print_fig1 ctx () =
+  List.iter Repro_core.Report.print_figure (Repro_core.Figures.build ctx [ 1 ])
+
 let test_figure_output_identical () =
-  let out_serial = capture (fun () -> Repro_core.Figures.run (serial_ctx ()) 1) in
-  let out_parallel = capture (fun () -> Repro_core.Figures.run (parallel_ctx ()) 1) in
+  let out_serial = capture (print_fig1 (serial_ctx ())) in
+  let out_parallel = capture (print_fig1 (parallel_ctx ())) in
   Alcotest.(check bool) "figure 1 printed something" true
     (String.length out_serial > 0);
   Alcotest.(check string) "fig1 stdout byte-identical" out_serial out_parallel
@@ -90,18 +93,23 @@ let read_file path =
 
 let test_csv_bytes_identical () =
   let export ctx =
-    let path = Filename.temp_file "fig1" ".csv" in
-    Repro_core.Csv_export.norm_file ctx ~path
-      ~metric:(fun c -> c.Repro_core.Figures.perf)
-      ~base_policy:Policy.Registry.Clock ~ratio:0.5 ~swap:R.Ssd;
-    let bytes = read_file path in
-    Sys.remove path;
+    let dir = Filename.temp_file "fig1" ".csv.d" in
+    Sys.remove dir;
+    let paths =
+      List.concat_map
+        (Repro_core.Csv_export.write_figure ~dir)
+        (Repro_core.Figures.build ctx [ 1 ])
+    in
+    let bytes = List.map read_file paths in
+    List.iter Sys.remove paths;
+    Sys.rmdir dir;
     bytes
   in
   let b_serial = export (serial_ctx ()) in
   let b_parallel = export (parallel_ctx ()) in
-  Alcotest.(check bool) "csv non-empty" true (String.length b_serial > 0);
-  Alcotest.(check string) "csv byte-identical" b_serial b_parallel
+  Alcotest.(check bool) "csv non-empty" true
+    (b_serial <> [] && List.for_all (fun b -> String.length b > 0) b_serial);
+  Alcotest.(check (list string)) "csv byte-identical" b_serial b_parallel
 
 let test_prefetch_fills_cache () =
   let ctx = parallel_ctx () in
