@@ -116,6 +116,12 @@ let render = function
   | Fixed (digits, x) -> unless_failed (Printf.sprintf "%.*f" digits) x
   | Dash -> "-"
 
+(* The part of [caption] past its common prefix with [prev]. *)
+let rec unshared prev caption =
+  match (prev, caption) with
+  | p :: prev, c :: caption when p = c -> unshared prev caption
+  | _, caption -> caption
+
 (* Each table prints the subsection titles its caption path does not
    share with the previous printed table's. *)
 let print_figure f =
@@ -126,12 +132,7 @@ let print_figure f =
        (fun prev t ->
          if t.export_only then prev
          else begin
-           let rec fresh prev caption =
-             match (prev, caption) with
-             | p :: prev, c :: caption when p = c -> fresh prev caption
-             | _, caption -> caption
-           in
-           List.iter (fun (_, title) -> subsection title) (fresh prev t.caption);
+           List.iter (fun (_, title) -> subsection title) (unshared prev t.caption);
            table ~header:t.header (List.map (List.map render) t.rows);
            t.caption
          end)
