@@ -116,6 +116,85 @@ let test_split_independent () =
   let c2 = R.split parent in
   Alcotest.(check bool) "children differ" true (R.bits64 c1 <> R.bits64 c2)
 
+(* The draw sequence is part of every golden: a trial seed must keep
+   producing the same stream whatever the generator's representation.
+   These literals were recorded from the four-field record version. *)
+let pinned_bits64 =
+  [
+    ( 0,
+      [ 0x53175d61490b23dfL; 0x61da6f3dc380d507L; 0x5c0fdf91ec9a7bfcL; 0x02eebf8c3bbe5e1aL;
+        0x7eca04ebaf4a5eeaL; 0x0543c37757f08d9aL; 0xdb7490c75ab5026eL; 0xd87343e6464bc959L ] );
+    ( 1,
+      [ 0xcfc5d07f6f03c29bL; 0xbf424132963fe08dL; 0x19a37d5757aaf520L; 0xbf08119f05cd56d6L;
+        0x2f47184b86186fa4L; 0x97299fcae7202345L; 0xfca3c79508f41507L; 0x85fea5c90363f221L ] );
+    ( 42,
+      [ 0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL; 0xb37d9f600cd835b8L;
+        0xcb231c3874846a73L; 0x968d9f004e50de7dL; 0x201718ff221a3556L; 0x9ae94e070ed8cb46L ] );
+    ( max_int,
+      [ 0x45fb48efb1c2c1c2L; 0xc3add3a798906624L; 0x1f94c7639c6d4438L; 0x24ca4178d9f00c1fL;
+        0x0403dd39f8ea9b43L; 0xc72e8c5a7b6b1b76L; 0x4e17136fd11e4c40L; 0x1789e5f2dec9dae6L ] );
+  ]
+
+let draws n f = List.init n (fun _ -> f ())
+
+let hex xs = List.map (Printf.sprintf "%h") xs
+
+let test_pinned_bits64 () =
+  List.iter
+    (fun (seed, expected) ->
+      let rng = R.create seed in
+      Alcotest.(check (list int64))
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (draws 8 (fun () -> R.bits64 rng)))
+    pinned_bits64
+
+let test_pinned_split_copy () =
+  let parent = R.create 7 in
+  let child = R.split parent in
+  Alcotest.(check (list int64))
+    "split child"
+    [ 0xdf2112aa11904c98L; 0xc9d3c2df3e1e78adL; 0xa3ac1e1fa1dd2e7cL; 0xdce8b50c835caec5L ]
+    (draws 4 (fun () -> R.bits64 child));
+  let dup = R.copy parent in
+  let expected =
+    [ 0x2c0fc8ddfa4e9e14L; 0xb7b311b3b0d45872L; 0x6d5d9f6a6318013cL; 0xf6b263f2f5790376L ]
+  in
+  Alcotest.(check (list int64)) "copy" expected (draws 4 (fun () -> R.bits64 dup));
+  Alcotest.(check (list int64)) "parent after split" expected
+    (draws 4 (fun () -> R.bits64 parent))
+
+let test_pinned_derived () =
+  let rng = R.create 2024 in
+  Alcotest.(check (list int))
+    "int 1_000_003"
+    [ 47143; 755338; 265895; 580049; 933524; 816254; 471717; 123725 ]
+    (draws 8 (fun () -> R.int rng 1_000_003));
+  Alcotest.(check (list string))
+    "float 1.0"
+    [ "0x1.852834bb3b128p-4"; "0x1.878de5bbf11d6p-2"; "0x1.2e4615437c218p-1";
+      "0x1.a228a13811e3bp-1"; "0x1.13a9373c1e9ebp-1"; "0x1.fd750641c037p-2";
+      "0x1.6b2fda3af34dap-2"; "0x1.bc924e875289fp-1" ]
+    (hex (draws 8 (fun () -> R.float rng 1.0)));
+  Alcotest.(check (list string))
+    "gaussian"
+    [ "-0x1.19b2cae7b8672p-3"; "-0x1.0a2b49c0b3a62p-4"; "-0x1.cc16e00029d1p-1";
+      "-0x1.47f9b25f243d8p-4" ]
+    (hex (draws 4 (fun () -> R.gaussian rng ~mu:0.0 ~sigma:1.0)));
+  Alcotest.(check (list string))
+    "exponential"
+    [ "0x1.9113dcc411677p-1"; "0x1.05818ce0b51c8p+0"; "0x1.7fa6c8206d732p+2";
+      "0x1.5e72a688289e1p-1" ]
+    (hex (draws 4 (fun () -> R.exponential rng ~mean:1.0)))
+
+let test_pinned_zipf () =
+  let z = Workload.Zipf.create ~n:28_000 ~exponent:0.99 in
+  let rng = R.create 99 in
+  Alcotest.(check (list int))
+    "ranks"
+    [ 4629; 4; 162; 17974; 24; 112; 0; 5; 16; 3; 492; 182; 6755; 1081; 1280; 22 ]
+    (draws 16 (fun () -> Workload.Zipf.sample z rng))
+
 let prop_int_nonnegative =
   QCheck.Test.make ~name:"int is in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -142,6 +221,13 @@ let () =
           Alcotest.test_case "jitter bounds" `Quick test_jitter_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "split independent" `Quick test_split_independent;
+        ] );
+      ( "pinned stream",
+        [
+          Alcotest.test_case "bits64" `Quick test_pinned_bits64;
+          Alcotest.test_case "split and copy" `Quick test_pinned_split_copy;
+          Alcotest.test_case "int float gaussian exponential" `Quick test_pinned_derived;
+          Alcotest.test_case "zipf ranks" `Quick test_pinned_zipf;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_int_nonnegative ]);
     ]
