@@ -10,7 +10,15 @@
     A thread's stream is a sequence of {!step}s: [Chunk] to execute,
     [Barrier] to rendezvous with every other thread of the workload (how
     PageRank iterations and Spark stages synchronize), [Finished] when
-    the thread is done. *)
+    the thread is done.
+
+    A chunk's page array belongs to the workload and is valid only until
+    the next {!WORKLOAD.next} call for the same thread: YCSB rewrites one
+    array per thread for every request.  Every consumer (the thread
+    driver, both machines' segment hooks, [Regret.reference_trace]) reads
+    a chunk's pages before it asks for that thread's next step, and one
+    that keeps pages longer copies them ([Multi] shifts them into a fresh
+    array). *)
 
 type pages =
   | Range of { start : int; len : int; stride : int }

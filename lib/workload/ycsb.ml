@@ -33,6 +33,9 @@ type thread_state = {
   slice_lo : int;
   slice_hi : int; (* exclusive *)
   rng : Engine.Rng.t;
+  req_pages : int array; (* [| meta page; item page |] of the current request *)
+  read_step : Chunk.step; (* both request steps touch [req_pages] *)
+  update_step : Chunk.step;
 }
 
 type t = {
@@ -56,12 +59,23 @@ let create ?(config = default_config) ~variant ~rng () =
         let slice_hi =
           if tid = config.threads - 1 then config.items else slice_lo + per_thread
         in
+        let req_pages = [| 0; 0 |] in
+        (* An update rewrites the item in place but only reads the hash
+           page. *)
+        let request ~write ~latency_class =
+          Chunk.Chunk
+            (Chunk.chunk ~write ~read_prefix:1 ~cpu_ns:config.request_cpu_ns
+               ~latency_class (Chunk.Pages req_pages))
+        in
         {
           phase = Loading slice_lo;
           remaining = req_per_thread;
           slice_lo;
           slice_hi;
           rng = Engine.Rng.split rng;
+          req_pages;
+          read_step = request ~write:false ~latency_class:Chunk.read_class;
+          update_step = request ~write:true ~latency_class:Chunk.write_class;
         })
   in
   { config; variant; store; zipf; states }
@@ -79,32 +93,37 @@ let page_klass t page =
 let file_backed _t _page = false
 
 (* One load chunk: insert a batch of consecutive items (slab append) and
-   touch their metadata pages. *)
+   touch their metadata and item pages, each once, in page order. *)
 let load_chunk t st next_item =
   let batch = min t.config.load_batch (st.slice_hi - next_item) in
-  let pages = Hashtbl.create 16 in
-  for i = next_item to next_item + batch - 1 do
-    Hashtbl.replace pages (Kv_store.item_page t.store i) ();
-    Hashtbl.replace pages (Kv_store.meta_page t.store ~key:i) ()
+  let pages = Array.make (2 * batch) 0 in
+  for j = 0 to batch - 1 do
+    pages.(2 * j) <- Kv_store.item_page t.store (next_item + j);
+    pages.((2 * j) + 1) <- Kv_store.meta_page t.store ~key:(next_item + j)
   done;
-  let page_list = Hashtbl.fold (fun p () acc -> p :: acc) pages [] in
+  Array.sort Int.compare pages;
+  let distinct = ref 1 in
+  for i = 1 to Array.length pages - 1 do
+    if pages.(i) <> pages.(!distinct - 1) then begin
+      pages.(!distinct) <- pages.(i);
+      incr distinct
+    end
+  done;
   st.phase <- Loading (next_item + batch);
   Chunk.chunk ~write:true
     ~cpu_ns:(batch * t.config.request_cpu_ns / 4)
-    (Chunk.Pages (Array.of_list (List.sort compare page_list)))
+    (Chunk.Pages (Array.sub pages 0 !distinct))
 
-let request_chunk t st =
+(* One request: fills the thread's [req_pages] and returns its prebuilt
+   read or update step (see the lifetime rule in {!Chunk}). *)
+let request_step t st =
   let item = Zipf.sample t.zipf st.rng in
   let is_update = Engine.Rng.bool st.rng (update_fraction t.variant) in
   st.remaining <- st.remaining - 1;
   if st.remaining <= 0 then st.phase <- Done;
-  let pages =
-    [| Kv_store.meta_page t.store ~key:item; Kv_store.item_page t.store item |]
-  in
-  (* An update rewrites the item in place but only reads the hash page. *)
-  Chunk.chunk ~write:is_update ~read_prefix:1 ~cpu_ns:t.config.request_cpu_ns
-    ~latency_class:(if is_update then Chunk.write_class else Chunk.read_class)
-    (Chunk.Pages pages)
+  st.req_pages.(0) <- Kv_store.meta_page t.store ~key:item;
+  st.req_pages.(1) <- Kv_store.item_page t.store item;
+  if is_update then st.update_step else st.read_step
 
 let next t ~tid =
   let st = t.states.(tid) in
@@ -121,5 +140,5 @@ let next t ~tid =
       st.phase <- Done;
       Chunk.Finished
     end
-    else Chunk.Chunk (request_chunk t st)
+    else request_step t st
   | Done -> Chunk.Finished

@@ -8,7 +8,7 @@ type t = {
 }
 
 (* H(x) = integral of 1/t^e from 1 to x, shifted per Hörmann's paper. *)
-let h_integral ~e x =
+let[@inline] h_integral ~e x =
   let log_x = log x in
   if Float.abs (e -. 1.0) < 1e-12 then log_x
   else begin
@@ -17,9 +17,9 @@ let h_integral ~e x =
     Float.expm1 t /. (1.0 -. e)
   end
 
-let h ~e x = exp (-.e *. log x)
+let[@inline] h ~e x = exp (-.e *. log x)
 
-let h_integral_inverse ~e x =
+let[@inline] h_integral_inverse ~e x =
   if Float.abs (e -. 1.0) < 1e-12 then exp x
   else begin
     let t = x *. (1.0 -. e) in
@@ -49,20 +49,19 @@ let exponent t = t.exponent
 
 let sample t rng =
   let e = t.exponent in
-  let rec draw () =
+  let n = float_of_int t.n in
+  (* Rejection loop: draw until a candidate rank [k] is accepted. *)
+  let k = ref 0.0 and accepted = ref false in
+  while not !accepted do
     let u =
       t.h_integral_n
       +. (Engine.Rng.float rng 1.0 *. (t.h_integral_x1 -. t.h_integral_n))
     in
     let x = h_integral_inverse ~e u in
-    let k = Float.max 1.0 (Float.min (float_of_int t.n) (Float.round x)) in
-    if
-      k -. x <= t.s
-      || u >= h_integral ~e (k +. 0.5) -. h ~e k
-    then int_of_float k - 1
-    else draw ()
-  in
-  draw ()
+    k := Float.max 1.0 (Float.min n (Float.round x));
+    accepted := !k -. x <= t.s || u >= h_integral ~e (!k +. 0.5) -. h ~e !k
+  done;
+  int_of_float !k - 1
 
 let probability t k =
   if k < 0 || k >= t.n then invalid_arg "Zipf.probability: rank out of range";

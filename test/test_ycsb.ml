@@ -113,6 +113,48 @@ let test_all_pages_in_footprint () =
     go ()
   done
 
+let test_load_batches_sorted_distinct () =
+  (* Each load chunk touches its batch's item and metadata pages once,
+     in increasing page order; together they cover the thread's slice. *)
+  let w = make Y.A in
+  let store = Y.store w in
+  let seen = Hashtbl.create 256 in
+  let rec go () =
+    match Y.next w ~tid:1 with
+    | C.Chunk ({ C.pages = C.Pages a; _ } as c) when c.C.latency_class < 0 ->
+      Array.iteri
+        (fun i p ->
+          if i > 0 && a.(i - 1) >= p then Alcotest.fail "load pages not strictly increasing";
+          Hashtbl.replace seen p ())
+        a;
+      go ()
+    | C.Chunk _ -> Alcotest.fail "load phase emits explicit page lists"
+    | C.Barrier | C.Finished -> ()
+  in
+  go ();
+  let per_thread = small_config.Y.items / small_config.Y.threads in
+  let expected = Hashtbl.create 256 in
+  for i = per_thread to (2 * per_thread) - 1 do
+    Hashtbl.replace expected (Workload.Kv_store.item_page store i) ();
+    Hashtbl.replace expected (Workload.Kv_store.meta_page store ~key:i) ()
+  done;
+  let sorted h = List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) h []) in
+  Alcotest.(check (list int)) "slice pages" (sorted expected) (sorted seen)
+
+let test_request_pages_reused () =
+  (* A request's page array is the thread's own buffer, rewritten by the
+     next request: consumers read it before asking for the next step. *)
+  let w = make Y.A in
+  let rec request () =
+    match Y.next w ~tid:0 with
+    | C.Chunk ({ C.pages = C.Pages a; _ } as c) when c.C.latency_class >= 0 -> a
+    | C.Finished -> failwith "no requests"
+    | _ -> request ()
+  in
+  let a1 = request () in
+  let a2 = request () in
+  Alcotest.(check bool) "one array per thread" true (a1 == a2)
+
 let () =
   Alcotest.run "ycsb"
     [
@@ -124,5 +166,7 @@ let () =
           Alcotest.test_case "request pages" `Quick test_requests_touch_meta_then_item;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew_in_requests;
           Alcotest.test_case "pages in footprint" `Quick test_all_pages_in_footprint;
+          Alcotest.test_case "load batches" `Quick test_load_batches_sorted_distinct;
+          Alcotest.test_case "request pages reused" `Quick test_request_pages_reused;
         ] );
     ]
