@@ -376,6 +376,83 @@ let swap_conv =
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Repro_core.Runner.swap_name s))
 
+(* A capacity ratio sizes memory as a fraction of the footprint: it must
+   be a positive finite number (above 1 leaves memory to spare). *)
+let ratio_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when Float.is_finite r && r > 0.0 -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "ratio %S is not a positive finite number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* ---------------- grid flags: one definition each ---------------- *)
+
+let workload_doc = "tpch | pagerank | ycsb-a | ycsb-b | ycsb-c"
+
+let policy_doc =
+  "clock | mglru | gen14 | scan-all | scan-none | scan-rand | fifo | random | \
+   lru-exact | crash-test (always fails; exercises failure isolation) | \
+   s3-fifo | sieve | perceptron (hook-API guests; see $(b,repro \
+   --list-policies))"
+
+let ratio_doc = "Memory capacity / footprint, a positive number"
+
+(* Cmdliner shows the default of a single-valued flag itself; a
+   repeatable flag's default goes into its doc. *)
+let repeatable doc show default =
+  Printf.sprintf "%s (repeatable; default: %s)." doc (String.concat ", " (List.map show default))
+
+let workload_arg =
+  Arg.(value & opt workload_conv Repro_core.Runner.Tpch
+       & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc:workload_doc)
+
+let workloads_arg ~default =
+  Arg.(value & opt_all workload_conv default
+       & info [ "w"; "workload" ] ~docv:"WORKLOAD"
+           ~doc:(repeatable workload_doc Repro_core.Runner.workload_kind_name default))
+
+let policy_arg =
+  Arg.(value & opt policy_conv Policy.Registry.Mglru_default
+       & info [ "p"; "policy" ] ~docv:"POLICY" ~doc:policy_doc)
+
+let policies_arg ~default =
+  Arg.(value & opt_all policy_conv default
+       & info [ "p"; "policy" ] ~docv:"POLICY"
+           ~doc:(repeatable policy_doc Policy.Registry.name default))
+
+let ratio_arg =
+  Arg.(value & opt ratio_conv 0.5 & info [ "r"; "ratio" ] ~docv:"R" ~doc:(ratio_doc ^ "."))
+
+let ratios_arg ~default =
+  Arg.(value & opt_all ratio_conv default
+       & info [ "r"; "ratio" ] ~docv:"R" ~doc:(repeatable ratio_doc string_of_float default))
+
+let swap_arg =
+  Arg.(value & opt swap_conv Repro_core.Runner.Ssd
+       & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
+
+(* Every table command ends the same way: print its figures, then flush
+   telemetry and report failures. *)
+let print_figures setup figures =
+  List.iter Repro_core.Report.print_figure figures;
+  finalize setup
+
+(* Fill the cache for a workload x policy x ratio grid through the pool,
+   in that order: commands that read captures back from the experiment
+   log print in this order. *)
+let prefetch_grid ctx ~workloads ~policies ~ratios ~swap =
+  Repro_core.Runner.prefetch ctx
+    (List.concat_map
+       (fun workload ->
+         List.concat_map
+           (fun policy ->
+             List.concat_map
+               (fun ratio -> Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
+               ratios)
+           policies)
+       workloads)
+
 (* ---------------- fig ---------------- *)
 
 let fig_cmd =
@@ -405,7 +482,10 @@ let fig_cmd =
                 Stdout is unchanged; the confirmation goes to stderr.")
   in
   let run setup figures csv =
-    let built = Repro_core.Figures.build setup.ctx (List.concat figures) in
+    let built =
+      Repro_core.Figures.build setup.ctx
+        (List.map Repro_core.Figures.paper (List.concat figures))
+    in
     List.iter Repro_core.Report.print_figure built;
     Option.iter
       (fun dir ->
@@ -421,28 +501,6 @@ let fig_cmd =
 (* ---------------- run ---------------- *)
 
 let run_cmd =
-  let workload =
-    Arg.(value & opt workload_conv Repro_core.Runner.Tpch
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-             ~doc:"tpch | pagerank | ycsb-a | ycsb-b | ycsb-c")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Policy.Registry.Mglru_default
-         & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:
-               "clock | mglru | gen14 | scan-all | scan-none | scan-rand | fifo | \
-                random | lru-exact | crash-test (always fails; exercises \
-                failure isolation) | s3-fifo | sieve | perceptron (hook-API \
-                guests; see $(b,repro --list-policies))")
-  in
-  let ratio =
-    Arg.(value & opt float 0.5
-         & info [ "r"; "ratio" ] ~docv:"R" ~doc:"Memory capacity / footprint.")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print per-policy internal counters.")
   in
@@ -545,23 +603,27 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment cell and print its metrics.")
-    Term.(const run $ setup_term () $ workload $ policy $ ratio $ swap $ verbose)
+    Term.(const run $ setup_term () $ workload_arg $ policy_arg $ ratio_arg $ swap_arg
+          $ verbose)
 
 (* ---------------- list ---------------- *)
 
 let policy_table () =
-  Repro_core.Report.table
-    ~header:[ "policy"; "kind"; "doc"; "default knobs" ]
-    (List.map
-       (fun d ->
-         [
-           d.Policy.Registry.d_name;
-           Policy.Registry.kind_label d.Policy.Registry.d_kind;
-           d.Policy.Registry.d_doc;
-           String.concat " "
-             (List.map (fun (k, v) -> k ^ "=" ^ v) d.Policy.Registry.d_knobs);
-         ])
-       Policy.Registry.descriptors)
+  Repro_core.Report.(
+    print_table
+      (make_table ~stem:"policies"
+         ~header:[ "policy"; "kind"; "doc"; "default knobs" ]
+         (List.map
+            (fun d ->
+              [
+                Text d.Policy.Registry.d_name;
+                Text (Policy.Registry.kind_label d.Policy.Registry.d_kind);
+                Text d.Policy.Registry.d_doc;
+                Text
+                  (String.concat " "
+                     (List.map (fun (k, v) -> k ^ "=" ^ v) d.Policy.Registry.d_knobs));
+              ])
+            Policy.Registry.descriptors)))
 
 let list_cmd =
   let run () =
@@ -581,97 +643,31 @@ let list_cmd =
 (* ---------------- sweep ---------------- *)
 
 let sweep_cmd =
-  let workload =
-    Arg.(value & opt workload_conv Repro_core.Runner.Tpch
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc:"Workload to sweep.")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let run setup workload swap =
-    let ctx = setup.ctx in
-    let ratios = [ 0.5; 0.75; 0.9 ] in
-    (* Fan the whole policy x ratio grid out through the pool at once. *)
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun policy ->
-           List.concat_map
-             (fun ratio ->
-               Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-             ratios)
-         Policy.Registry.all_paper_specs);
-    let header =
-      ("policy"
-      :: List.map (fun r -> Printf.sprintf "%.0f%% rt" (r *. 100.0)) ratios)
-      @ List.map (fun r -> Printf.sprintf "%.0f%% faults" (r *. 100.0)) ratios
-    in
-    (* A cell with any failed trial renders as "failed" (NaN through the
-       formatters) instead of a silently partial mean. *)
-    let cell_means policy ratio =
-      let outcomes = Repro_core.Runner.try_cell ctx ~workload ~policy ~ratio ~swap in
-      let results =
-        List.filter_map
-          (function
-            | Repro_core.Runner.Done r -> Some r
-            | Repro_core.Runner.Failed _ -> None)
-          outcomes
-      in
-      if List.length results < List.length outcomes then (Float.nan, Float.nan)
-      else
-        ( Repro_core.Runner.mean_runtime_s results,
-          Repro_core.Runner.mean_faults results )
-    in
-    let rows =
-      List.map
-        (fun policy ->
-          let cells = List.map (cell_means policy) ratios in
-          (Policy.Registry.name policy
-          :: List.map (fun (rt, _) -> Repro_core.Report.fsec rt) cells)
-          @ List.map (fun (_, fl) -> Repro_core.Report.fcount fl) cells)
-        Policy.Registry.all_paper_specs
-    in
-    Repro_core.Report.section
-      (Printf.sprintf "Capacity sweep: %s on %s"
-         (Repro_core.Runner.workload_kind_name workload)
-         (Repro_core.Runner.swap_name swap));
-    Repro_core.Report.table ~header rows;
-    finalize setup
+    print_figures setup
+      (Repro_core.Figures.build setup.ctx
+         [ Repro_core.Figures.capacity_sweep ~workload ~swap ])
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep capacity ratios for every paper policy.")
-    Term.(const run $ setup_term () $ workload $ swap)
+    Term.(const run $ setup_term () $ workload_arg $ swap_arg)
 
 (* ---------------- ablate ---------------- *)
 
 let ablate_cmd =
   let studies =
+    let names = Repro_core.Ablation.names in
     Arg.(
-      value & pos_all string [ "all" ]
-      & info [] ~docv:"STUDY"
-          ~doc:
-            "generations | bloom | spatial | readahead | scan-rand | all")
+      value
+      & pos_all (enum (("all", names) :: List.map (fun n -> (n, [ n ])) names)) [ names ]
+      & info [] ~docv:"STUDY" ~doc:(String.concat " | " (names @ [ "all" ])))
   in
   let run setup studies =
-    let ctx = setup.ctx in
-    let dispatch = function
-      | "generations" -> Repro_core.Ablation.generations ctx
-      | "bloom" -> Repro_core.Ablation.bloom_density ctx
-      | "spatial" -> Repro_core.Ablation.spatial_scan ctx
-      | "readahead" -> Repro_core.Ablation.readahead ctx
-      | "scan-rand" -> Repro_core.Ablation.scan_probability ctx
-      | "all" -> Repro_core.Ablation.run_all ctx
-      | s -> raise (Invalid_argument (Printf.sprintf "no ablation study %S" s))
-    in
-    try
-      List.iter dispatch studies;
-      finalize setup;
-      `Ok ()
-    with Invalid_argument msg -> `Error (false, msg)
+    print_figures setup (Repro_core.Ablation.build setup.ctx (List.concat studies))
   in
   Cmd.v
-    (Cmd.info "ablate" ~doc:"Ablate MG-LRU/machine design choices (DESIGN.md \\S5).")
-    Term.(ret (const run $ setup_term () $ studies))
+    (Cmd.info "ablate" ~doc:"Ablate MG-LRU/machine design choices (DESIGN.md section 5).")
+    Term.(const run $ setup_term () $ studies)
 
 (* ---------------- tier ---------------- *)
 
@@ -692,79 +688,34 @@ let tier_cmd =
         ~profile:(profile_of_flags ~fast ~scale ())
         ~jobs:(jobs_of_flag jobs) ()
     in
-    Repro_core.Tier_study.study ~fast_frac ~trials:tier_trials ctx ()
+    Repro_core.Report.print_figure
+      (Repro_core.Tier_study.study ~fast_frac ~trials:tier_trials ctx ())
   in
   Cmd.v
     (Cmd.info "tier"
        ~doc:"Compare page-migration policies (TPP/Thermostat/AutoNUMA) on tiered memory.")
     Term.(const run $ fast_arg $ scale_arg $ jobs_arg $ fast_frac $ tier_trials)
-
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
-  let workloads =
-    Arg.(value & opt_all workload_conv []
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-             ~doc:
-               "Workload to profile (repeatable; default: tpch and \
-                pagerank).")
-  in
-  let policies =
-    Arg.(value & opt_all policy_conv []
-         & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:"Policy to profile (repeatable; default: clock and mglru).")
-  in
-  let ratios =
-    Arg.(value & opt_all float []
-         & info [ "r"; "ratio" ] ~docv:"R"
-             ~doc:
-               "Memory capacity / footprint (repeatable; default: 0.5 and \
-                0.9).")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let run setup workloads policies ratios swap =
     let ctx = setup.ctx in
-    let workloads =
-      match workloads with
-      | [] -> [ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
-      | ws -> ws
-    in
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
-    let ratios = match ratios with [] -> [ 0.5; 0.9 ] | rs -> rs in
-    let cells =
-      List.concat_map
-        (fun workload ->
-          List.concat_map
-            (fun policy ->
-              List.map (fun ratio -> (workload, policy, ratio)) ratios)
-            policies)
-        workloads
-    in
-    (* Fan the whole grid out through the pool, then read back serially:
-       the per-cell tables below print from the cache in grid order. *)
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun (workload, policy, ratio) ->
-           Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-         cells);
-    List.iter
-      (fun (cell, m) ->
-        Repro_core.Report.section
-          (Printf.sprintf "Profile: %s / %s / %.0f%% / %s"
-             (Repro_core.Runner.workload_kind_name cell.Repro_core.Runner.workload)
-             (Policy.Registry.name cell.Repro_core.Runner.policy)
-             (cell.Repro_core.Runner.ratio *. 100.0)
-             (Repro_core.Runner.swap_name cell.Repro_core.Runner.swap));
-        Repro_core.Report.profile_table m)
-      (Repro_core.Runner.profile_cells ctx);
-    finalize setup
+    prefetch_grid ctx ~workloads ~policies ~ratios ~swap;
+    print_figures setup
+      (List.map
+         (fun ((cell : Repro_core.Runner.exp), m) ->
+           {
+             Repro_core.Report.title =
+               Printf.sprintf "Profile: %s / %s / %.0f%% / %s"
+                 (Repro_core.Runner.workload_kind_name cell.workload)
+                 (Policy.Registry.name cell.policy)
+                 (cell.ratio *. 100.0)
+                 (Repro_core.Runner.swap_name cell.swap);
+             before = [];
+             tables = [ Repro_core.Report.profile_table m ];
+             after = [];
+           })
+         (Repro_core.Runner.profile_cells ctx))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -776,92 +727,50 @@ let profile_cmd =
           unprofiled run, and output is byte-identical for every \
           $(b,--jobs) value.  Combine with $(b,--folded) and \
           $(b,--perfetto) for flamegraph and timeline exports.")
-    Term.(const run $ setup_term ~profile:true () $ workloads $ policies
-          $ ratios $ swap)
+    Term.(const run $ setup_term ~profile:true ()
+          $ workloads_arg ~default:[ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
+          $ policies_arg ~default:Policy.Registry.[ Clock; Mglru_default ]
+          $ ratios_arg ~default:[ 0.5; 0.9 ] $ swap_arg)
 
 (* ---------------- vmstat ---------------- *)
 
 let vmstat_cmd =
-  let workloads =
-    Arg.(value & opt_all workload_conv []
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-             ~doc:"Workload to count (repeatable; default: tpch and pagerank).")
-  in
-  let policies =
-    Arg.(value & opt_all policy_conv []
-         & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:
-               "Policy to count (repeatable; default: clock and mglru, which \
-                prints the paper's counter deltas).")
-  in
-  let ratios =
-    Arg.(value & opt_all float []
-         & info [ "r"; "ratio" ] ~docv:"R"
-             ~doc:"Memory capacity / footprint (repeatable; default: 0.5).")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let run setup workloads policies ratios swap =
     let ctx = setup.ctx in
-    let workloads =
-      match workloads with
-      | [] -> [ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
-      | ws -> ws
-    in
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
-    let ratios = match ratios with [] -> [ 0.5 ] | rs -> rs in
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun workload ->
-           List.concat_map
-             (fun policy ->
-               List.concat_map
-                 (fun ratio ->
-                   Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio
-                     ~swap)
-                 ratios)
-             policies)
-         workloads);
+    prefetch_grid ctx ~workloads ~policies ~ratios ~swap;
     let captured = Repro_core.Runner.vmstat_cells ctx in
-    (* One section per (workload, ratio), policies as columns: the
+    (* One figure per (workload, ratio), policies as columns: the
        counters line up side by side and the two-policy delta column is
        exactly the Clock-vs-MG-LRU comparison the paper reads. *)
-    List.iter
-      (fun workload ->
-        List.iter
-          (fun ratio ->
-            let cols =
-              List.filter_map
-                (fun policy ->
-                  List.find_opt
-                    (fun ((e : Repro_core.Runner.exp), _) ->
-                      e.Repro_core.Runner.workload = workload
-                      && e.Repro_core.Runner.policy = policy
-                      && e.Repro_core.Runner.ratio = ratio
-                      && e.Repro_core.Runner.swap = swap)
-                    captured
-                  |> Option.map (fun (_, cap) ->
-                         (Policy.Registry.name policy, cap)))
-                policies
-            in
-            if cols <> [] then begin
-              Repro_core.Report.section
-                (Printf.sprintf "Vmstat: %s / %.0f%% / %s"
-                   (Repro_core.Runner.workload_kind_name workload)
-                   (ratio *. 100.0)
-                   (Repro_core.Runner.swap_name swap));
-              Repro_core.Report.vmstat_table cols;
-              Repro_core.Report.vmstat_refault_hist cols
-            end)
-          ratios)
-      workloads;
-    finalize setup
+    let figure workload ratio =
+      let cols =
+        List.filter_map
+          (fun policy ->
+            List.find_opt
+              (fun ((e : Repro_core.Runner.exp), _) ->
+                e.workload = workload && e.policy = policy && e.ratio = ratio && e.swap = swap)
+              captured
+            |> Option.map (fun (_, cap) -> (Policy.Registry.name policy, cap)))
+          policies
+      in
+      if cols = [] then None
+      else
+        Some
+          {
+            Repro_core.Report.title =
+              Printf.sprintf "Vmstat: %s / %.0f%% / %s"
+                (Repro_core.Runner.workload_kind_name workload)
+                (ratio *. 100.0)
+                (Repro_core.Runner.swap_name swap);
+            before = [];
+            tables =
+              Repro_core.Report.vmstat_table cols
+              :: Option.to_list (Repro_core.Report.vmstat_refault_hist cols);
+            after = [];
+          }
+    in
+    print_figures setup
+      (List.concat_map (fun w -> List.filter_map (figure w) ratios) workloads)
   in
   Cmd.v
     (Cmd.info "vmstat"
@@ -874,29 +783,14 @@ let vmstat_cmd =
           Counting is always on and observation-only: results are \
           identical to an uncounted run, and output is byte-identical \
           for every $(b,--jobs) value.")
-    Term.(const run $ setup_term () $ workloads $ policies
-          $ ratios $ swap)
+    Term.(const run $ setup_term ()
+          $ workloads_arg ~default:[ Repro_core.Runner.Tpch; Repro_core.Runner.Pagerank ]
+          $ policies_arg ~default:Policy.Registry.[ Clock; Mglru_default ]
+          $ ratios_arg ~default:[ 0.5 ] $ swap_arg)
 
 (* ---------------- heatmap ---------------- *)
 
 let heatmap_cmd =
-  let workload =
-    Arg.(value & opt workload_conv Repro_core.Runner.Tpch
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc:"Workload to monitor.")
-  in
-  let policies =
-    Arg.(value & opt_all policy_conv []
-         & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:"Policy to monitor (repeatable; default: clock and mglru).")
-  in
-  let ratio =
-    Arg.(value & opt float 0.5
-         & info [ "r"; "ratio" ] ~docv:"R" ~doc:"Memory capacity / footprint.")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let interval =
     Arg.(value & opt int 100
          & info [ "interval" ] ~docv:"MS"
@@ -919,11 +813,6 @@ let heatmap_cmd =
                 time-vs-address heatmap.")
   in
   let run setup workload policies ratio swap interval max_regions out gnuplot =
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
     let config =
       {
         Mem.Damon.default_config with
@@ -937,11 +826,7 @@ let heatmap_cmd =
         ~obs:{ (Repro_core.Runner.obs setup.ctx) with Obs.damon = Some config }
         setup.ctx
     in
-    Repro_core.Runner.prefetch ctx
-      (List.concat_map
-         (fun policy ->
-           Repro_core.Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-         policies);
+    prefetch_grid ctx ~workloads:[ workload ] ~policies ~ratios:[ ratio ] ~swap;
     let n = Repro_core.Runner.write_heatmap ctx ~path:out in
     Printf.printf "wrote %d heatmap row(s) to %s\n" n out;
     (match gnuplot with
@@ -978,8 +863,9 @@ let heatmap_cmd =
           Monitoring is observation-only (the access bits are read, \
           never cleared) and the CSV is byte-identical for every \
           $(b,--jobs) value.")
-    Term.(const run $ setup_term () $ workload $ policies $ ratio $ swap
-          $ interval $ max_regions $ out $ gnuplot)
+    Term.(const run $ setup_term () $ workload_arg
+          $ policies_arg ~default:Policy.Registry.[ Clock; Mglru_default ]
+          $ ratio_arg $ swap_arg $ interval $ max_regions $ out $ gnuplot)
 
 (* ---------------- fleet ---------------- *)
 
@@ -994,72 +880,29 @@ let fleet_cmd =
          & info [ "hot" ] ~docv:"I"
              ~doc:"Index of the hot (runaway) tenant: zipf 1.1, double requests.")
   in
-  let policy =
-    Arg.(value & opt policy_conv Policy.Registry.Mglru_default
-         & info [ "p"; "policy" ] ~docv:"POLICY" ~doc:"Replacement policy.")
-  in
-  let ratio =
-    Arg.(value & opt float 0.5
-         & info [ "r"; "ratio" ] ~docv:"R" ~doc:"Memory capacity / footprint.")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let run setup tenants hot policy ratio swap =
-    try
-      ignore
-        (Repro_core.Fleet.run setup.ctx ~tenants ~hot ~policy ~ratio ~swap);
-      finalize setup;
+    (* The tenant flags are checked by the library. *)
+    match Repro_core.Fleet.run setup.ctx ~tenants ~hot ~policy ~ratio ~swap with
+    | figure ->
+      print_figures setup [ figure ];
       `Ok ()
-    with Invalid_argument msg -> `Error (false, msg)
+    | exception Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Run N YCSB tenants of different temperatures under per-tenant           memory cgroups and report per-tenant latency tails, PSI,           throttling and scoped OOM kills.  Without $(b,--cgroups), a           default containment spec is applied: the hot tenant throttled           at 30% and hard-capped at 40% of capacity, neighbours           protected by memory.low, proactive reclaim on.")
-    Term.(ret (const run $ setup_term () $ tenants $ hot $ policy $ ratio $ swap))
+    Term.(ret (const run $ setup_term () $ tenants $ hot $ policy_arg $ ratio_arg $ swap_arg))
 
 (* ---------------- regret ---------------- *)
 
 let regret_cmd =
-  let workloads =
-    Arg.(value & opt_all workload_conv []
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-             ~doc:"Workload to score (repeatable; default: tpch and pagerank).")
-  in
-  let policies =
-    Arg.(value & opt_all policy_conv []
-         & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:
-               "Policy to score (repeatable; default: clock, mglru, s3-fifo, \
-                sieve, perceptron).")
-  in
-  let ratios =
-    Arg.(value & opt_all float []
-         & info [ "r"; "ratio" ] ~docv:"R"
-             ~doc:
-               "Memory capacity / footprint (repeatable; default: 0.5 and \
-                0.9).")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
-  in
   let run setup workloads policies ratios swap =
-    let ctx = setup.ctx in
-    let workloads =
-      match workloads with [] -> Repro_core.Regret.default_workloads | ws -> ws
-    in
-    let policies =
-      match policies with [] -> Repro_core.Regret.default_policies | ps -> ps
-    in
-    let ratios =
-      match ratios with [] -> Repro_core.Regret.default_ratios | rs -> rs
-    in
-    let cells = Repro_core.Regret.compute ctx ~workloads ~policies ~ratios ~swap in
-    Repro_core.Regret.print ~swap cells;
-    finalize setup
+    print_figures setup
+      [
+        Repro_core.Regret.figure ~swap
+          (Repro_core.Regret.compute setup.ctx ~workloads ~policies ~ratios ~swap);
+      ]
   in
   Cmd.v
     (Cmd.info "regret"
@@ -1070,58 +913,32 @@ let regret_cmd =
           reference trace.  The standing scoreboard every policy — \
           builtin or hook-API guest — lands on.  Output is byte-identical \
           for every $(b,--jobs) value.")
-    Term.(const run $ setup_term () $ workloads $ policies $ ratios $ swap)
+    Term.(const run $ setup_term ()
+          $ workloads_arg ~default:Repro_core.Regret.default_workloads
+          $ policies_arg ~default:Repro_core.Regret.default_policies
+          $ ratios_arg ~default:Repro_core.Regret.default_ratios $ swap_arg)
 
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
   let classes =
-    Arg.(value & opt_all string []
+    let class_conv =
+      let parse s =
+        let k = String.lowercase_ascii s in
+        if List.mem k Repro_core.Chaos_report.default_classes then Ok k
+        else Error (`Msg (Printf.sprintf "no chaos class %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_string)
+    in
+    Arg.(value & opt_all class_conv Repro_core.Chaos_report.default_classes
          & info [ "class" ] ~docv:"CLASS"
              ~doc:
-               "Transient class to report (repeatable): hotplug | degrade | \
-                churn.  Default: all three.")
-  in
-  let workloads =
-    Arg.(value & opt_all workload_conv []
-         & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-             ~doc:"Workload to stress (repeatable; default: tpch and ycsb-a).")
-  in
-  let policies =
-    Arg.(value & opt_all policy_conv []
-         & info [ "p"; "policy" ] ~docv:"POLICY"
-             ~doc:"Policy to stress (repeatable; default: clock and mglru).")
-  in
-  let ratio =
-    Arg.(value & opt float 0.5
-         & info [ "r"; "ratio" ] ~docv:"R" ~doc:"Memory capacity / footprint.")
-  in
-  let swap =
-    Arg.(value & opt swap_conv Repro_core.Runner.Ssd
-         & info [ "s"; "swap" ] ~docv:"MEDIUM" ~doc:"ssd | zram")
+               (repeatable "Transient class to report: hotplug | degrade | churn" Fun.id
+                  Repro_core.Chaos_report.default_classes))
   in
   let run setup classes workloads policies ratio swap =
-    let classes =
-      match classes with
-      | [] -> Repro_core.Chaos_report.default_classes
-      | cs -> List.map String.lowercase_ascii cs
-    in
-    let workloads =
-      match workloads with
-      | [] -> [ Repro_core.Runner.Tpch; Repro_core.Runner.Ycsb Workload.Ycsb.A ]
-      | ws -> ws
-    in
-    let policies =
-      match policies with
-      | [] -> [ Policy.Registry.Clock; Policy.Registry.Mglru_default ]
-      | ps -> ps
-    in
-    try
-      Repro_core.Chaos_report.run setup.ctx ~classes ~workloads ~policies
-        ~ratio ~swap;
-      finalize setup;
-      `Ok ()
-    with Invalid_argument msg -> `Error (false, msg)
+    print_figures setup
+      (Repro_core.Chaos_report.run setup.ctx ~classes ~workloads ~policies ~ratio ~swap)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1133,8 +950,11 @@ let chaos_cmd =
           vs after the disturbance, time-to-recover to the steady-state \
           fault rate, and OOM/poison counts.  Deterministic: \
           byte-identical for every $(b,--jobs) value.")
-    Term.(ret (const run $ setup_term () $ classes $ workloads $ policies
-               $ ratio $ swap))
+    Term.(const run $ setup_term () $ classes
+          $ workloads_arg
+              ~default:[ Repro_core.Runner.Tpch; Repro_core.Runner.Ycsb Workload.Ycsb.A ]
+          $ policies_arg ~default:Policy.Registry.[ Clock; Mglru_default ]
+          $ ratio_arg $ swap_arg)
 
 (* ---------------- fuzz ---------------- *)
 

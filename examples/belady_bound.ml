@@ -13,9 +13,6 @@ let () =
   let zipf = Workload.Zipf.create ~n:n_pages ~exponent:0.9 in
   let rng = Engine.Rng.create 17 in
   let trace = Array.init accesses (fun _ -> Workload.Zipf.sample zipf rng) in
-  Repro_core.Report.section
-    (Printf.sprintf "Belady bound: zipf(0.9) over %d pages, capacity %d" n_pages
-       capacity);
   let opt = Policy.Belady.simulate ~capacity ~trace in
   let lru = Policy.Belady.lru_simulate ~capacity ~trace in
   let fifo = Policy.Belady.fifo_simulate ~capacity ~trace in
@@ -25,17 +22,30 @@ let () =
   let rows =
     List.map
       (fun (name, r) ->
-        [
-          name;
-          Repro_core.Report.fcount (float_of_int r.Policy.Belady.faults);
-          Printf.sprintf "%.2f%%" (100.0 *. miss r);
-          Repro_core.Report.fnorm (miss r /. miss opt);
-        ])
+        Repro_core.Report.
+          [
+            Text name;
+            Count (float_of_int r.Policy.Belady.faults);
+            Text (Printf.sprintf "%.2f%%" (100.0 *. miss r));
+            Ratio (miss r /. miss opt);
+          ])
       [ ("belady-opt", opt); ("lru", lru); ("fifo", fifo) ]
   in
-  Repro_core.Report.table ~header:[ "policy"; "faults"; "miss rate"; "vs OPT" ] rows;
-  Repro_core.Report.note
-    "On stationary zipfian traffic LRU buys little over FIFO - the";
-  Repro_core.Report.note
-    "observation behind the paper's remark (SV-B) that KV caches ship FIFO";
-  Repro_core.Report.note "variants, and why every MG-LRU variant ties on YCSB."
+  Repro_core.Report.print_figure
+    {
+      Repro_core.Report.title =
+        Printf.sprintf "Belady bound: zipf(0.9) over %d pages, capacity %d" n_pages capacity;
+      before = [];
+      tables =
+        [
+          Repro_core.Report.make_table ~stem:"belady_bound"
+            ~header:[ "policy"; "faults"; "miss rate"; "vs OPT" ]
+            rows;
+        ];
+      after =
+        [
+          "On stationary zipfian traffic LRU buys little over FIFO - the";
+          "observation behind the paper's remark (SV-B) that KV caches ship FIFO";
+          "variants, and why every MG-LRU variant ties on YCSB.";
+        ];
+    }

@@ -57,7 +57,6 @@ let run policy =
   (tenants, r)
 
 let () =
-  Repro_core.Report.section "Multi-tenant: YCSB-B cache + TPC-H batch, 50% memory";
   let rows =
     List.map
       (fun policy ->
@@ -73,22 +72,31 @@ let () =
         let p999 =
           if Array.length reads = 0 then 0.0 else Stats.Percentile.quantile reads 0.999
         in
-        [
-          Policy.Registry.name policy;
-          Repro_core.Report.fsec (float_of_int (finish_of_tenant 0) /. 1e9);
-          Repro_core.Report.fsec (float_of_int (finish_of_tenant 1) /. 1e9);
-          Repro_core.Report.fns p999;
-          Repro_core.Report.fcount (float_of_int r.Repro_core.Machine.major_faults);
-          string_of_int
-            (Repro_core.Machine.count r Obs.Vmstat.direct_reclaims);
-        ])
+        Repro_core.Report.
+          [
+            Text (Policy.Registry.name policy);
+            Seconds (float_of_int (finish_of_tenant 0) /. 1e9);
+            Seconds (float_of_int (finish_of_tenant 1) /. 1e9);
+            Ns p999;
+            Count (float_of_int r.Repro_core.Machine.major_faults);
+            Int (Repro_core.Machine.count r Obs.Vmstat.direct_reclaims);
+          ])
       Policy.Registry.[ Clock; Mglru_default; Fifo ]
   in
-  Repro_core.Report.table
-    ~header:[ "policy"; "cache done"; "batch done"; "cache p99.9"; "faults"; "direct" ]
-    rows;
-  Repro_core.Report.note
-    "The batch tenant's table streams compete with the cache tenant's hot";
-  Repro_core.Report.note
-    "items inside one set of generations/lists - the isolation problem the";
-  Repro_core.Report.note "paper leaves to future work."
+  Repro_core.Report.print_figure
+    {
+      Repro_core.Report.title = "Multi-tenant: YCSB-B cache + TPC-H batch, 50% memory";
+      before = [];
+      tables =
+        [
+          Repro_core.Report.make_table ~stem:"multi_tenant"
+            ~header:[ "policy"; "cache done"; "batch done"; "cache p99.9"; "faults"; "direct" ]
+            rows;
+        ];
+      after =
+        [
+          "The batch tenant's table streams compete with the cache tenant's hot";
+          "items inside one set of generations/lists - the isolation problem the";
+          "paper leaves to future work.";
+        ];
+    }

@@ -14,33 +14,41 @@ let () =
   let policies =
     List.filter_map Policy.Registry.of_name Policy.Registry.known_names
   in
-  Repro_core.Report.section "Policy shootout: TPC-H, SSD swap, 50% capacity";
+  (* A failed cell (crash-test always fails) has NaN means: it renders
+     "failed" and sorts last. *)
   let rows =
     List.map
       (fun policy ->
-        let results =
-          Repro_core.Runner.run_cell ctx ~workload:Repro_core.Runner.Tpch
-            ~policy ~ratio:0.5 ~swap:Repro_core.Runner.Ssd
+        let c =
+          Repro_core.Figures.cell ctx ~workload:Repro_core.Runner.Tpch ~policy ~ratio:0.5
+            ~swap:Repro_core.Runner.Ssd
         in
-        let rt = Repro_core.Runner.mean_runtime_s results in
-        let faults = Repro_core.Runner.mean_faults results in
-        (Policy.Registry.name policy, rt, faults))
+        (Policy.Registry.name policy, Repro_core.Figures.mean_runtime c,
+         c.Repro_core.Figures.mean_faults))
       policies
   in
   let best_rt =
-    List.fold_left (fun acc (_, rt, _) -> Float.min acc rt) infinity rows
+    List.fold_left (fun acc (_, rt, _) -> Float.min_num acc rt) infinity rows
   in
-  Repro_core.Report.table
-    ~header:[ "policy"; "mean runtime"; "vs best"; "mean faults" ]
-    (List.map
-       (fun (name, rt, faults) ->
-         [
-           name;
-           Repro_core.Report.fsec rt;
-           Repro_core.Report.fnorm (rt /. best_rt);
-           Repro_core.Report.fcount faults;
-         ])
-       (List.sort (fun (_, a, _) (_, b, _) -> compare a b) rows));
-  Repro_core.Report.note
-    "lru-exact uses a per-access oracle no hardware policy gets; fifo and";
-  Repro_core.Report.note "random bound the value of recency information from below."
+  Repro_core.Report.print_figure
+    {
+      Repro_core.Report.title = "Policy shootout: TPC-H, SSD swap, 50% capacity";
+      before = [];
+      tables =
+        [
+          Repro_core.Report.make_table ~stem:"policy_shootout"
+            ~header:[ "policy"; "mean runtime"; "vs best"; "mean faults" ]
+            (List.map
+               (fun (name, rt, faults) ->
+                 Repro_core.Report.
+                   [ Text name; Seconds rt; Ratio (rt /. best_rt); Count faults ])
+               (List.sort
+                  (fun (_, a, _) (_, b, _) -> compare (Float.is_nan a, a) (Float.is_nan b, b))
+                  rows));
+        ];
+      after =
+        [
+          "lru-exact uses a per-access oracle no hardware policy gets; fifo and";
+          "random bound the value of recency information from below.";
+        ];
+    }

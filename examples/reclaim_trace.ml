@@ -45,24 +45,31 @@ let () =
   Printf.printf "%d event(s) over %.3f simulated seconds:\n"
     (Array.length capture.Obs.events)
     (float_of_int result.Repro_core.Machine.runtime_ns /. 1e9);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-  |> List.iter (fun (k, v) -> Printf.printf "  %-12s %6d\n" k v);
+  Repro_core.Report.(
+    print_table
+      (make_table ~stem:"events" ~header:[ "kind"; "events" ]
+         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+         |> List.sort (fun (_, a) (_, b) -> compare b a)
+         |> List.map (fun (k, v) -> [ Text k; Int v ]))));
   print_newline ();
 
   (* 2. Generation occupancy over time: the MG-LRU gauges sampled every
      20 simulated ms.  gen_age0 is the youngest generation. *)
   print_endline "time series (youngest three generations, pages):";
-  Printf.printf "  %10s  %8s  %8s  %8s  %8s\n" "t_ms" "gen_age0" "gen_age1"
-    "gen_age2" "resident";
-  Array.iter
-    (fun (t_ns, metrics) ->
-      let get k = try List.assoc k metrics with Not_found -> 0.0 in
-      Printf.printf "  %10.1f  %8.0f  %8.0f  %8.0f  %8.0f\n"
-        (float_of_int t_ns /. 1e6)
-        (get "policy.gen_age0") (get "policy.gen_age1") (get "policy.gen_age2")
-        (get "resident"))
-    capture.Obs.samples;
+  Repro_core.Report.(
+    print_table
+      (make_table ~stem:"samples"
+         ~header:[ "t_ms"; "gen_age0"; "gen_age1"; "gen_age2"; "resident" ]
+         (Array.to_list capture.Obs.samples
+         |> List.map (fun (t_ns, metrics) ->
+                let get k = Fixed (0, try List.assoc k metrics with Not_found -> 0.0) in
+                [
+                  Fixed (1, float_of_int t_ns /. 1e6);
+                  get "policy.gen_age0";
+                  get "policy.gen_age1";
+                  get "policy.gen_age2";
+                  get "resident";
+                ]))));
   print_newline ();
 
   (* 3. Direct-reclaim episode latency (log-binned histogram). *)

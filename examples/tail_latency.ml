@@ -9,7 +9,6 @@ let () =
       ~profile:{ Repro_core.Runner.trials = 2; ycsb_trials = 1; fast = true; scale = 1 }
       ()
   in
-  Repro_core.Report.section "YCSB-B tail latencies (SSD, 50% capacity)";
   let rows =
     List.concat_map
       (fun policy ->
@@ -22,22 +21,35 @@ let () =
           if Array.length lat = 0 then []
           else begin
             let t = Stats.Percentile.tail_of lat in
-            [
+            Repro_core.Report.
               [
-                Policy.Registry.name policy ^ " " ^ kind;
-                Repro_core.Report.fns t.Stats.Percentile.p50;
-                Repro_core.Report.fns t.Stats.Percentile.p99;
-                Repro_core.Report.fns t.Stats.Percentile.p999;
-                Repro_core.Report.fns t.Stats.Percentile.p9999;
-              ];
-            ]
+                [
+                  Text (Policy.Registry.name policy ^ " " ^ kind);
+                  Ns t.Stats.Percentile.p50;
+                  Ns t.Stats.Percentile.p99;
+                  Ns t.Stats.Percentile.p999;
+                  Ns t.Stats.Percentile.p9999;
+                ];
+              ]
           end
         in
         row "read" (Repro_core.Runner.pooled_read_latencies results)
         @ row "write" (Repro_core.Runner.pooled_write_latencies results))
       Policy.Registry.[ Clock; Mglru_default ]
   in
-  Repro_core.Report.table ~header:[ "policy/op"; "p50"; "p99"; "p99.9"; "p99.99" ] rows;
-  Repro_core.Report.note
-    "The paper's point: mean throughput hides the policy choice; the tails";
-  Repro_core.Report.note "expose it, and which policy wins depends on the op mix."
+  Repro_core.Report.print_figure
+    {
+      Repro_core.Report.title = "YCSB-B tail latencies (SSD, 50% capacity)";
+      before = [];
+      tables =
+        [
+          Repro_core.Report.make_table ~stem:"tail_latency"
+            ~header:[ "policy/op"; "p50"; "p99"; "p99.9"; "p99.99" ]
+            rows;
+        ];
+      after =
+        [
+          "The paper's point: mean throughput hides the policy choice; the tails";
+          "expose it, and which policy wins depends on the op mix.";
+        ];
+    }

@@ -1,119 +1,79 @@
 let workloads = [ Runner.Tpch; Runner.Pagerank ]
 
-(* Warm the trial cache for every (config-derived) policy in one pool
-   batch, so a sweep's cells compute in parallel while the tables below
-   still print in deterministic serial order. *)
-let prefetch_policies ctx policies =
-  Runner.prefetch ctx
-    (List.concat_map
-       (fun policy ->
-         List.concat_map
-           (fun workload ->
-             Runner.cell_exps ctx ~workload ~policy ~ratio:0.5 ~swap:Runner.Ssd)
-           workloads)
-       policies)
+let header =
+  "configuration"
+  :: List.concat_map
+       (fun w ->
+         [ Runner.workload_kind_name w ^ " rt"; Runner.workload_kind_name w ^ " faults" ])
+       workloads
+
+(* One row: a label, then (mean runtime, mean faults) per workload. *)
+let row label cells =
+  Report.Text label
+  :: List.concat_map (fun (rt, faults) -> [ Report.Seconds rt; Report.Count faults ]) cells
+
+let figure ~title ~stem rows after =
+  { Report.title; before = []; tables = [ Report.make_table ~stem ~header rows ]; after }
 
 (* A failed trial turns the cell's means into NaN, which the formatters
-   in [row_of] render as "failed" — the sweep's other cells still
-   print. *)
-let cells ctx ~policy =
-  List.map
-    (fun workload ->
-      let outcomes =
-        Runner.try_cell ctx ~workload ~policy ~ratio:0.5 ~swap:Runner.Ssd
-      in
-      let results =
-        List.filter_map
-          (function Runner.Done r -> Some r | Runner.Failed _ -> None)
-          outcomes
-      in
-      if List.length results < List.length outcomes then
-        (workload, Float.nan, Float.nan)
-      else (workload, Runner.mean_runtime_s results, Runner.mean_faults results))
-    workloads
+   render as "failed" — the sweep's other cells still print. *)
+let policy_row (get : Figures.lookup) label policy =
+  row label
+    (List.map
+       (fun workload ->
+         let c = get ~workload ~policy ~ratio:0.5 ~swap:Runner.Ssd in
+         (Figures.mean_runtime c, c.Figures.mean_faults))
+       workloads)
 
-let sweep_table ~rows =
-  let header =
-    "configuration"
-    :: List.concat_map
-         (fun w ->
-           [ Runner.workload_kind_name w ^ " rt"; Runner.workload_kind_name w ^ " faults" ])
-         workloads
-  in
-  Report.table ~header rows
+let mglru_rows get ~label_of configs =
+  List.map (fun c -> policy_row get (label_of c) (Policy.Registry.Mglru_custom c)) configs
 
-let row_of label cell_list =
-  label
-  :: List.concat_map
-       (fun (_w, rt, faults) -> [ Report.fsec rt; Report.fcount faults ])
-       cell_list
-
-let mglru_sweep ctx ~label_of configs =
-  let policies = List.map (fun c -> Policy.Registry.Mglru_custom c) configs in
-  prefetch_policies ctx policies;
-  List.map2
-    (fun config policy -> row_of (label_of config) (cells ctx ~policy))
-    configs policies
-
-let generations ctx =
-  Report.section "Ablation: generation-window cap (SSD, 50%)";
+let generations get =
   let configs =
     List.map
       (fun max_gens -> { Policy.Mglru.default_config with Policy.Mglru.max_gens })
       [ 2; 4; 8; 16; 1 lsl 14 ]
   in
-  prefetch_policies ctx
-    (Policy.Registry.Clock
-    :: List.map (fun c -> Policy.Registry.Mglru_custom c) configs);
-  sweep_table
-    ~rows:
-      (row_of "clock (2 lists)" (cells ctx ~policy:Policy.Registry.Clock)
-      :: mglru_sweep ctx
-           ~label_of:(fun c ->
-             Printf.sprintf "mglru max_gens=%d" c.Policy.Mglru.max_gens)
-           configs);
-  Report.note "Paper SV-B: the cap barely moves the means because promotion and";
-  Report.note "eviction rules are unchanged - only the recency resolution grows."
+  figure ~title:"Ablation: generation-window cap (SSD, 50%)" ~stem:"ablate_generations"
+    (policy_row get "clock (2 lists)" Policy.Registry.Clock
+    :: mglru_rows get
+         ~label_of:(fun c -> Printf.sprintf "mglru max_gens=%d" c.Policy.Mglru.max_gens)
+         configs)
+    [
+      "Paper SV-B: the cap barely moves the means because promotion and";
+      "eviction rules are unchanged - only the recency resolution grows.";
+    ]
 
-let bloom_density ctx =
-  Report.section "Ablation: Bloom-filter admission density (SSD, 50%)";
+let bloom_density get =
   let configs =
     List.map
       (fun shift ->
         { Policy.Mglru.default_config with Policy.Mglru.bloom_density_shift = shift })
       [ 0; 1; 3; 5 ]
   in
-  sweep_table
-    ~rows:
-      (mglru_sweep ctx
-         ~label_of:(fun c ->
-           Printf.sprintf "density >= 1/%d of region"
-             (1 lsl c.Policy.Mglru.bloom_density_shift))
-         configs);
-  Report.note "Shift 0 admits only fully-accessed regions (filter nearly empty);";
-  Report.note "large shifts admit everything (converging on Scan-All behaviour)."
-
-let spatial_scan ctx =
-  Report.section "Ablation: eviction-side spatial scan (SSD, 50%)";
-  let configs =
+  figure ~title:"Ablation: Bloom-filter admission density (SSD, 50%)" ~stem:"ablate_bloom"
+    (mglru_rows get
+       ~label_of:(fun c ->
+         Printf.sprintf "density >= 1/%d of region" (1 lsl c.Policy.Mglru.bloom_density_shift))
+       configs)
     [
-      ("look-around on", { Policy.Mglru.default_config with Policy.Mglru.spatial_scan = true });
-      ("look-around off", { Policy.Mglru.default_config with Policy.Mglru.spatial_scan = false });
+      "Shift 0 admits only fully-accessed regions (filter nearly empty);";
+      "large shifts admit everything (converging on Scan-All behaviour).";
     ]
-  in
-  prefetch_policies ctx
-    (List.map (fun (_, config) -> Policy.Registry.Mglru_custom config) configs);
-  sweep_table
-    ~rows:
-      (List.map
-         (fun (label, config) ->
-           row_of label (cells ctx ~policy:(Policy.Registry.Mglru_custom config)))
-         configs);
-  Report.note "Without the look-around, every rescue costs a full rmap walk - the";
-  Report.note "Clock cost structure the paper says MG-LRU amortizes (SIII-C)."
+
+let spatial_scan get =
+  figure ~title:"Ablation: eviction-side spatial scan (SSD, 50%)" ~stem:"ablate_spatial"
+    (List.map
+       (fun (label, spatial_scan) ->
+         policy_row get label
+           (Policy.Registry.Mglru_custom { Policy.Mglru.default_config with spatial_scan }))
+       [ ("look-around on", true); ("look-around off", false) ])
+    [
+      "Without the look-around, every rescue costs a full rmap walk - the";
+      "Clock cost structure the paper says MG-LRU amortizes (SIII-C).";
+    ]
 
 let readahead ctx =
-  Report.section "Ablation: swap readahead window (machine-level, SSD, 50%)";
   (* Readahead is a machine knob, so bypass the cached runner.  The
      (window, workload) grid still runs through the domain pool: results
      come back in input order, so the table is schedule-independent. *)
@@ -140,9 +100,7 @@ let readahead ctx =
         ~policy:(Policy.Registry.create Policy.Registry.Mglru_default)
         ~workload
     in
-    ( kind,
-      float_of_int r.Machine.runtime_ns /. 1e9,
-      float_of_int r.Machine.major_faults )
+    (float_of_int r.Machine.runtime_ns /. 1e9, float_of_int r.Machine.major_faults)
   in
   let results =
     Engine.Pool.with_pool
@@ -150,39 +108,59 @@ let readahead ctx =
       (fun pool -> Engine.Pool.map_list pool run_one grid)
   in
   let per_window = List.length workloads in
-  let rows =
-    List.mapi
-      (fun i window ->
-        let cells = List.filteri (fun j _ -> j / per_window = i) results in
-        row_of (Printf.sprintf "window=%d" window) cells)
-      windows
-  in
-  sweep_table ~rows;
-  Report.note "Sequential regions benefit; the per-zone success heuristic keeps";
-  Report.note "random regions from being polluted even at large windows."
+  figure ~title:"Ablation: swap readahead window (machine-level, SSD, 50%)"
+    ~stem:"ablate_readahead"
+    (List.mapi
+       (fun i window ->
+         row (Printf.sprintf "window=%d" window)
+           (List.filteri (fun j _ -> j / per_window = i) results))
+       windows)
+    [
+      "Sequential regions benefit; the per-zone success heuristic keeps";
+      "random regions from being polluted even at large windows.";
+    ]
 
-let scan_probability ctx =
-  Report.section "Ablation: Scan-Rand probability (SSD, 50%)";
+let scan_probability get =
   let configs =
     List.map
-      (fun p ->
-        Policy.Mglru.with_mode (Policy.Mglru.Scan_rand p) Policy.Mglru.default_config)
+      (fun p -> Policy.Mglru.with_mode (Policy.Mglru.Scan_rand p) Policy.Mglru.default_config)
       [ 0.1; 0.25; 0.5; 0.75; 0.9 ]
   in
-  sweep_table
-    ~rows:
-      (mglru_sweep ctx
-         ~label_of:(fun c ->
-           match c.Policy.Mglru.scan_mode with
-           | Policy.Mglru.Scan_rand p -> Printf.sprintf "p=%.2f" p
-           | _ -> "?")
-         configs);
-  Report.note "The paper fixes p=0.5 and asks (SVI-C) whether principled randomness";
-  Report.note "can replace the Bloom filter outright."
+  figure ~title:"Ablation: Scan-Rand probability (SSD, 50%)" ~stem:"ablate_scan_rand"
+    (mglru_rows get
+       ~label_of:(fun c ->
+         match c.Policy.Mglru.scan_mode with
+         | Policy.Mglru.Scan_rand p -> Printf.sprintf "p=%.2f" p
+         | _ -> "?")
+       configs)
+    [
+      "The paper fixes p=0.5 and asks (SVI-C) whether principled randomness";
+      "can replace the Bloom filter outright.";
+    ]
 
-let run_all ctx =
-  generations ctx;
-  bloom_density ctx;
-  spatial_scan ctx;
-  readahead ctx;
-  scan_probability ctx
+type study = Cached of Figures.builder | Direct of (Runner.ctx -> Report.figure)
+
+let studies =
+  [
+    ("generations", Cached generations);
+    ("bloom", Cached bloom_density);
+    ("spatial", Cached spatial_scan);
+    ("readahead", Direct readahead);
+    ("scan-rand", Cached scan_probability);
+  ]
+
+let names = List.map fst studies
+
+let build ctx names =
+  let chosen =
+    List.map
+      (fun name ->
+        match List.assoc_opt name studies with
+        | Some s -> s
+        | None -> invalid_arg (Printf.sprintf "Ablation.build: no study %S" name))
+      names
+  in
+  (* One prefetch over every cached study's grid, as for the figures;
+     the direct studies run their own pool when reached. *)
+  Figures.prefetch ctx (List.filter_map (function Cached b -> Some b | Direct _ -> None) chosen);
+  List.map (function Cached b -> b (Figures.cell ctx) | Direct run -> run ctx) chosen

@@ -4,29 +4,27 @@
     paper's defaults, on TPC-H and PageRank at SSD/50 % — the regime
     where replacement decisions matter most:
 
-    - {!generations}: the generation-window cap (Clock's 2 lists → the
+    - [generations]: the generation-window cap (Clock's 2 lists → the
       default 4 → Gen-14's 2¹⁴), §V-B's first knob;
-    - {!bloom_density}: the accessed-PTE density a region needs to enter
-      the aging Bloom filter (the kernel's "one per cache line");
-    - {!spatial_scan}: the eviction walker's page-table look-around, the
+    - [bloom]: the accessed-PTE density a region needs to enter the
+      aging Bloom filter (the kernel's "one per cache line");
+    - [spatial]: the eviction walker's page-table look-around, the
       mechanism §V-B credits for Scan-None beating Clock;
-    - {!readahead}: the machine's swap readahead window (not a policy
+    - [readahead]: the machine's swap readahead window (not a policy
       knob, but it interacts with every policy's fault counts);
-    - {!scan_probability}: Scan-Rand's probability, which the paper
-      fixes at 50 % (§VI-C asks whether other points are better).
+    - [scan-rand]: Scan-Rand's probability, which the paper fixes at
+      50 % (§VI-C asks whether other points are better).
 
-    Every study prefetches its sweep through the context's domain pool
-    and prints from the cache, so output does not depend on
-    [Runner.jobs].  [run_all] prints every study. *)
+    Every study but [readahead] is a {!Figures.builder}, so its cells
+    come from the cached runner through {!Figures.cell}; [readahead]
+    runs its own machines through the domain pool.  Output does not
+    depend on [Runner.jobs]. *)
 
-val generations : Runner.ctx -> unit
+val names : string list
+(** The study names above, in that order. *)
 
-val bloom_density : Runner.ctx -> unit
-
-val spatial_scan : Runner.ctx -> unit
-
-val readahead : Runner.ctx -> unit
-
-val scan_probability : Runner.ctx -> unit
-
-val run_all : Runner.ctx -> unit
+val build : Runner.ctx -> string list -> Report.figure list
+(** One figure per named study, in list order, after one prefetch of
+    every cached study's grid.
+    @raise Invalid_argument on a name outside {!names}, before any
+    trial runs. *)

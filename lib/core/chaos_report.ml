@@ -130,13 +130,13 @@ let recovery_ns events ~w_end ~runtime ~slice ~pre_rate =
   scan 0
 
 let fms ns =
-  if Float.is_nan ns then "failed" else Printf.sprintf "%.1fms" (ns /. 1e6)
+  Report.Text (if Float.is_nan ns then Report.failed_marker else Printf.sprintf "%.1fms" (ns /. 1e6))
 
 let run ctx ~classes ~workloads ~policies ~ratio ~swap =
   List.iter
     (fun klass ->
       if not (List.mem klass default_classes) then
-        raise (Invalid_argument (Printf.sprintf "no chaos class %S" klass)))
+        invalid_arg (Printf.sprintf "no chaos class %S" klass))
     classes;
   (* Every trial is traced; the ctx's other captures ride along.
      Baseline trials calibrate R per cell; shared across classes. *)
@@ -152,76 +152,74 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
        (fun (workload, policy) ->
          { Runner.workload; policy; ratio; swap; trial = 0 })
        cells);
-  List.iter
-    (fun klass ->
-      Report.section
-        (Printf.sprintf "Chaos: %s transients at %.0f%% / %s" klass
-           (ratio *. 100.0) (Runner.swap_name swap));
-      let rows =
-        List.map
-          (fun (workload, policy) ->
-            let exp = { Runner.workload; policy; ratio; swap; trial = 0 } in
-            let name =
-              Printf.sprintf "%s/%s"
-                (Runner.workload_kind_name workload)
-                (Policy.Registry.name policy)
-            in
-            match Runner.try_exp base_ctx exp with
-            | Runner.Failed { reason; _ } ->
-              Report.note (Printf.sprintf "%s: baseline failed: %s" name reason);
-              [ name; "failed"; "-"; "-"; "-"; "-"; "-"; "-" ]
-            | Runner.Done base ->
-              let runtime = base.Machine.runtime_ns in
-              let w_start = round_to_ms (runtime * 3 / 10) in
-              let w_end = max (w_start + ms) (round_to_ms (runtime * 55 / 100)) in
-              let spec = spec_for ~klass ~w_start ~w_end in
-              let cgroups =
-                if klass = "churn" then
-                  Some
-                    (app_cgroups
-                       (Workload.Chunk.packed_threads
-                          (Runner.make_workload ctx workload ~trial:0)))
-                else Runner.cgroups ctx
-              in
-              let cctx =
-                Runner.derive ~obs ~cgroups ~chaos:(Some spec) ctx
-              in
-              (match Runner.try_exp cctx exp with
-              | Runner.Failed { reason; _ } ->
-                Report.note
-                  (Printf.sprintf "%s under %s: failed: %s" name
-                     (Chaos.spec_to_string spec) reason);
-                [ name; "failed"; "-"; "-"; "-"; "-"; "-"; "-" ]
-              | Runner.Done r ->
-                Report.note
-                  (Printf.sprintf "%s: --chaos '%s'%s" name
-                     (Chaos.spec_to_string spec)
-                     (match r.Machine.chaos with
-                     | Some s ->
-                       Printf.sprintf "  (%s)" (Chaos.summary_to_string s)
-                     | None -> ""));
-                let ev = fault_events r in
-                let pre_rate = rate ev ~lo:0 ~hi:w_start in
-                let slice = max ms (runtime / 64) in
-                [
-                  name;
-                  Report.fns (p ev ~lo:0 ~hi:w_start 0.99);
-                  Report.fns (p ev ~lo:w_start ~hi:w_end 0.99);
-                  Report.fns (p ev ~lo:w_start ~hi:w_end 0.999);
-                  Report.fns (p ev ~lo:w_end ~hi:r.Machine.runtime_ns 0.99);
-                  fms
-                    (recovery_ns ev ~w_end ~runtime:r.Machine.runtime_ns ~slice
-                       ~pre_rate);
-                  string_of_int (Machine.count r Obs.Vmstat.oom_kill);
-                  string_of_int (Machine.count r Obs.Vmstat.poisoned_reads);
-                ]))
-          cells
+  (* Each cell contributes one note (its spec, or why it failed) and
+     one row. *)
+  let measure klass (workload, policy) =
+    let exp = { Runner.workload; policy; ratio; swap; trial = 0 } in
+    let name =
+      Printf.sprintf "%s/%s" (Runner.workload_kind_name workload) (Policy.Registry.name policy)
+    in
+    let failed_row =
+      Report.Text name :: Report.Text Report.failed_marker :: List.init 6 (fun _ -> Report.Dash)
+    in
+    match Runner.try_exp base_ctx exp with
+    | Runner.Failed { reason; _ } ->
+      (Printf.sprintf "%s: baseline failed: %s" name reason, failed_row)
+    | Runner.Done base -> (
+      let runtime = base.Machine.runtime_ns in
+      let w_start = round_to_ms (runtime * 3 / 10) in
+      let w_end = max (w_start + ms) (round_to_ms (runtime * 55 / 100)) in
+      let spec = spec_for ~klass ~w_start ~w_end in
+      let cgroups =
+        if klass = "churn" then
+          Some
+            (app_cgroups
+               (Workload.Chunk.packed_threads (Runner.make_workload ctx workload ~trial:0)))
+        else Runner.cgroups ctx
       in
-      Report.table
-        ~header:
+      let cctx = Runner.derive ~obs ~cgroups ~chaos:(Some spec) ctx in
+      match Runner.try_exp cctx exp with
+      | Runner.Failed { reason; _ } ->
+        ( Printf.sprintf "%s under %s: failed: %s" name (Chaos.spec_to_string spec) reason,
+          failed_row )
+      | Runner.Done r ->
+        let ev = fault_events r in
+        let pre_rate = rate ev ~lo:0 ~hi:w_start in
+        let slice = max ms (runtime / 64) in
+        let q ~lo ~hi x = Report.Ns (p ev ~lo ~hi x) in
+        ( Printf.sprintf "%s: --chaos '%s'%s" name (Chaos.spec_to_string spec)
+            (match r.Machine.chaos with
+            | Some s -> Printf.sprintf "  (%s)" (Chaos.summary_to_string s)
+            | None -> ""),
           [
-            "cell"; "pre p99"; "during p99"; "during p999"; "post p99";
-            "recovery"; "oom"; "poison";
-          ]
-        rows)
+            Report.Text name;
+            q ~lo:0 ~hi:w_start 0.99;
+            q ~lo:w_start ~hi:w_end 0.99;
+            q ~lo:w_start ~hi:w_end 0.999;
+            q ~lo:w_end ~hi:r.Machine.runtime_ns 0.99;
+            fms (recovery_ns ev ~w_end ~runtime:r.Machine.runtime_ns ~slice ~pre_rate);
+            Report.Int (Machine.count r Obs.Vmstat.oom_kill);
+            Report.Int (Machine.count r Obs.Vmstat.poisoned_reads);
+          ] ))
+  in
+  List.map
+    (fun klass ->
+      let notes, rows = List.split (List.map (measure klass) cells) in
+      {
+        Report.title =
+          Printf.sprintf "Chaos: %s transients at %.0f%% / %s" klass (ratio *. 100.0)
+            (Runner.swap_name swap);
+        before = notes;
+        tables =
+          [
+            Report.make_table ~stem:("chaos_" ^ klass)
+              ~header:
+                [
+                  "cell"; "pre p99"; "during p99"; "during p999"; "post p99";
+                  "recovery"; "oom"; "poison";
+                ]
+              rows;
+          ];
+        after = [];
+      })
     classes

@@ -26,6 +26,8 @@ val run :
   policies:Policy.Registry.spec list ->
   ratio:float ->
   swap:Runner.swap_medium ->
-  unit
-(** Print one section per class.  Raises [Invalid_argument] on an
-    unknown class name. *)
+  Report.figure list
+(** One figure per class: each cell's synthesized spec (or why it
+    failed) as a leading note, then one row per cell.
+    @raise Invalid_argument on a class outside {!default_classes},
+    before any trial runs. *)

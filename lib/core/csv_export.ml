@@ -18,8 +18,10 @@ let number fmt x = if Float.is_nan x then Report.failed_marker else Printf.sprin
 let field = function
   | Report.Text s -> s
   | Report.Dash -> "-"
+  | Report.Int n -> string_of_int n
   | Report.Count x -> number "%.0f" x
-  | Report.Ratio x | Report.Seconds x | Report.Ns x | Report.Fixed (_, x) -> number "%.6g" x
+  | Report.Ratio x | Report.Seconds x | Report.Ns x | Report.Fixed (_, x) | Report.Percent x ->
+    number "%.6g" x
 
 let write_figure ~dir (f : Report.figure) =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

@@ -56,6 +56,10 @@ type lookup =
   swap:Runner.swap_medium ->
   cell
 
+type builder = lookup -> Report.figure
+
+let mean_runtime c = if c.failed > 0 then Float.nan else Runner.mean_runtime_s c.results
+
 let wname = Runner.workload_kind_name
 
 let pname = Policy.Registry.name
@@ -76,8 +80,7 @@ let norm x base = x /. Float.max 1e-9 base
 let failed_row label ncols =
   Report.Text label :: List.init ncols (fun _ -> Report.Text Report.failed_marker)
 
-let table ?(caption = []) ?(export_only = false) ~stem ~header rows =
-  { Report.caption; stem; header; rows; export_only }
+let table = Report.make_table
 
 let by_workload workload = ("workload", wname workload)
 
@@ -447,9 +450,6 @@ let fig10 get =
   }
 
 let fig11 (get : lookup) =
-  let mean_runtime c =
-    if c.failed > 0 then Float.nan else Runner.mean_runtime_s c.results
-  in
   let rows =
     List.map
       (fun workload ->
@@ -493,13 +493,42 @@ let fig12 get =
 
 (* ------------------------------------------------------------------ *)
 
+(* Not a paper figure: every paper policy's mean runtime and faults at
+   each capacity ratio, for one workload and swap medium. *)
+let capacity_sweep ~workload ~swap (get : lookup) =
+  let ratios = [ 0.5; 0.75; 0.9 ] in
+  let percent r = Printf.sprintf "%.0f%%" (r *. 100.0) in
+  let rows =
+    List.map
+      (fun policy ->
+        let cells = List.map (fun ratio -> get ~workload ~policy ~ratio ~swap) ratios in
+        (Report.Text (pname policy) :: List.map (fun c -> Report.Seconds (mean_runtime c)) cells)
+        @ List.map (fun c -> Report.Count c.mean_faults) cells)
+      all_specs
+  in
+  {
+    Report.title = Printf.sprintf "Capacity sweep: %s on %s" (wname workload) (Runner.swap_name swap);
+    before = [];
+    tables =
+      [
+        table ~stem:"sweep"
+          ~header:
+            (("policy" :: List.map (fun r -> percent r ^ " rt") ratios)
+            @ List.map (fun r -> percent r ^ " faults") ratios)
+          rows;
+      ];
+    after = [];
+  }
+
+(* ------------------------------------------------------------------ *)
+
 let builders = [| fig1; fig2; fig3; fig4; fig5; fig6; fig7; fig8; fig9; fig10; fig11; fig12 |]
 
 let all_figures = List.init (Array.length builders) (fun i -> i + 1)
 
-let builder fn n =
+let paper n =
   if n < 1 || n > Array.length builders then
-    invalid_arg (Printf.sprintf "Figures.%s: no figure %d" fn n);
+    invalid_arg (Printf.sprintf "Figures.paper: no figure %d" n);
   builders.(n - 1)
 
 (* The grid is whatever the builder reads: run it once against a lookup
@@ -507,32 +536,31 @@ let builder fn n =
    simulation runs.  Sorting into registry order keeps the experiment
    log — and the trace files and failure summary replayed from it —
    independent of the order a builder reads its cells. *)
-let grid n =
+let grid (build : builder) =
   let seen = ref [] in
   let record ~workload ~policy ~ratio ~swap =
     seen := (workload, policy, ratio, swap) :: !seen;
     { workload; policy; ratio; swap; outcomes = []; results = []; failed = 1;
       perf = Float.nan; mean_faults = Float.nan }
   in
-  ignore (builder "grid" n record);
+  ignore (build record);
   let rank l x = Option.value (List.find_index (( = ) x) l) ~default:max_int in
   let key ((w, p, r, s) as c) = ((rank Runner.all_workloads w, rank all_specs p, r, s), c) in
   List.sort_uniq (fun a b -> compare (key a) (key b)) !seen
 
-let prefetch ctx figures =
+let prefetch ctx builders =
   Runner.prefetch ctx
     (List.concat_map
-       (fun n ->
+       (fun b ->
          List.concat_map
            (fun (workload, policy, ratio, swap) ->
              Runner.cell_exps ctx ~workload ~policy ~ratio ~swap)
-           (grid n))
-       figures)
+           (grid b))
+       builders)
 
-let build ctx figures =
-  let builders = List.map (builder "build") figures in
+let build ctx builders =
   (* One bulk prefetch across the union of the figures' grids keeps the
      domain pool saturated instead of draining at each figure boundary;
      the builders then read the warm cache serially. *)
-  prefetch ctx figures;
+  prefetch ctx builders;
   List.map (fun b -> b (cell ctx)) builders

@@ -10,7 +10,9 @@
     A builder reads its cells through one lookup.  The figure's grid is
     what the builder reads, recorded by running it once against a lookup
     that runs no simulation, so each grid is stated in exactly one
-    place.  {!build} first {!prefetch}es the grids through the context's
+    place.  [repro sweep] and the cached ablation studies are builders
+    too, and {!cell} is the one place a cell's trials are split into
+    results and failures.  {!build} first {!prefetch}es the grids through the context's
     domain pool, then builds serially from the cache — so a figure's
     value is identical for every [Runner.jobs] value. *)
 
@@ -40,22 +42,41 @@ val cell :
     ({!Runner.try_cell}): failed trials surface in [outcomes]/[failed],
     never as an exception. *)
 
+val mean_runtime : cell -> float
+(** Mean runtime (s) of the cell's trials, for any workload; NaN if any
+    trial failed, like [perf]. *)
+
+type lookup =
+  workload:Runner.workload_kind ->
+  policy:Policy.Registry.spec ->
+  ratio:float ->
+  swap:Runner.swap_medium ->
+  cell
+
+type builder = lookup -> Report.figure
+(** A figure built from the cells it reads through the lookup. *)
+
+val paper : int -> builder
+(** The builder of the paper's figure [n].
+    @raise Invalid_argument outside 1-12. *)
+
 val all_figures : int list
 (** [1; 2; ...; 12]. *)
 
+val capacity_sweep : workload:Runner.workload_kind -> swap:Runner.swap_medium -> builder
+(** [repro sweep]: every paper policy's mean runtime and faults at 50%,
+    75% and 90% capacity.  A failed cell renders as "failed". *)
+
 val grid :
-  int ->
+  builder ->
   (Runner.workload_kind * Policy.Registry.spec * float * Runner.swap_medium) list
-(** The cells figure [n] reads, deduplicated, in registry order
-    (workload, then policy, ratio, swap).  Runs no simulation.
-    @raise Invalid_argument outside 1-12. *)
+(** The cells the builder reads, deduplicated, in registry order
+    (workload, then policy, ratio, swap).  Runs no simulation. *)
 
-val prefetch : Runner.ctx -> int list -> unit
-(** Compute every listed figure's uncached cells through the context's
-    domain pool (deduplicated across figures). *)
+val prefetch : Runner.ctx -> builder list -> unit
+(** Compute every listed builder's uncached cells through the context's
+    domain pool (deduplicated across builders). *)
 
-val build : Runner.ctx -> int list -> Report.figure list
-(** Prefetch the union of the listed figures' grids, then build each
-    figure from the cache, in list order.
-    @raise Invalid_argument if a number is outside 1-12, before any
-    cell runs. *)
+val build : Runner.ctx -> builder list -> Report.figure list
+(** Prefetch the union of the builders' grids, then build each figure
+    from the cache, in list order. *)

@@ -108,59 +108,64 @@ let run ctx ~tenants ~hot ~policy ~ratio ~swap =
     | None -> Runner.derive ~cgroups:(Some (default_spec ~tenants ~hot)) ctx
   in
   let workload = Runner.Fleet { fl_tenants = tenants; fl_hot = hot } in
-  Report.section
-    (Printf.sprintf "Fleet: %d tenants (hot=%d) / %s / %.0f%% / %s" tenants hot
-       (Policy.Registry.name policy) (ratio *. 100.0) (Runner.swap_name swap));
-  let outcomes = Runner.try_cell ctx ~workload ~policy ~ratio ~swap in
-  let results =
-    List.filter_map
-      (function Runner.Done r -> Some r | Runner.Failed _ -> None)
-      outcomes
-  in
-  let failed = List.length outcomes - List.length results in
-  if failed > 0 then
-    Report.note (Printf.sprintf "%d of %d trial(s) failed" failed (List.length outcomes));
+  let c = Figures.cell ctx ~workload ~policy ~ratio ~swap in
+  let results = c.Figures.results in
   let aggs, runtime_ns = aggregate results in
   let psi stall =
-    if runtime_ns <= 0 then "-"
-    else
-      Printf.sprintf "%.1f%%" (100.0 *. float_of_int stall /. float_of_int runtime_ns)
+    if runtime_ns <= 0 then Report.Dash
+    else Report.Percent (100.0 *. float_of_int stall /. float_of_int runtime_ns)
   in
   let q reads p =
     let pooled = Array.concat reads in
-    if Array.length pooled = 0 then "-"
-    else Report.fns (Stats.Percentile.quantile pooled p)
+    if Array.length pooled = 0 then Report.Dash
+    else Report.Ns (Stats.Percentile.quantile pooled p)
   in
-  Report.table
-    ~header:
-      [
-        "cgroup"; "usage"; "p50"; "p99"; "p999"; "throttles"; "throttled";
-        "oom"; "psi_some"; "psi_full";
-      ]
-    (List.map
-       (fun a ->
+  let rows =
+    List.map
+      (fun a ->
+        Report.
+          [
+            Text a.a_name;
+            Int (a.a_usage / max 1 (List.length results));
+            q a.a_reads 0.5;
+            q a.a_reads 0.99;
+            q a.a_reads 0.999;
+            Int a.a_throttles;
+            Ns (float_of_int a.a_throttled_ns);
+            Int a.a_ooms;
+            psi a.a_some_ns;
+            psi a.a_full_ns;
+          ])
+      aggs
+  in
+  {
+    Report.title =
+      Printf.sprintf "Fleet: %d tenants (hot=%d) / %s / %.0f%% / %s" tenants hot
+        (Policy.Registry.name policy) (ratio *. 100.0) (Runner.swap_name swap);
+    before =
+      (if c.Figures.failed > 0 then
          [
-           a.a_name;
-           string_of_int (a.a_usage / max 1 (List.length results));
-           q a.a_reads 0.5;
-           q a.a_reads 0.99;
-           q a.a_reads 0.999;
-           string_of_int a.a_throttles;
-           Report.fns (float_of_int a.a_throttled_ns);
-           string_of_int a.a_ooms;
-           psi a.a_some_ns;
-           psi a.a_full_ns;
-         ])
-       aggs);
-  (match results with
-  | r :: _ ->
-    Report.note
-      (Printf.sprintf "mean runtime %s over %d trial(s); oom kills %d"
-         (Report.fsec (Runner.mean_runtime_s results))
-         (List.length results)
-         (List.fold_left
-            (fun n x -> n + Machine.count x Obs.Vmstat.oom_kill)
-            0 results));
-    ignore r
-  | [] -> ());
-  outcomes
+           Printf.sprintf "%d of %d trial(s) failed" c.Figures.failed
+             (List.length c.Figures.outcomes);
+         ]
+       else []);
+    tables =
+      [
+        Report.make_table ~stem:"fleet"
+          ~header:
+            [
+              "cgroup"; "usage"; "p50"; "p99"; "p999"; "throttles"; "throttled";
+              "oom"; "psi_some"; "psi_full";
+            ]
+          rows;
+      ];
+    after =
+      (if results = [] then []
+       else
+         [
+           Printf.sprintf "mean runtime %s over %d trial(s); oom kills %d"
+             (Report.fsec (Runner.mean_runtime_s results))
+             (List.length results)
+             (List.fold_left (fun n x -> n + Machine.count x Obs.Vmstat.oom_kill) 0 results);
+         ]);
+  }

@@ -2,7 +2,7 @@
 
     Runs a {!Runner.Fleet} cell — [tenants] YCSB instances sharing one
     machine, tenant [hot] a runaway — under per-tenant memory cgroups,
-    and prints a per-cgroup table: mean resident usage, pooled request
+    and builds a per-cgroup table: mean resident usage, pooled request
     latency tail (p50/p99/p999), throttle and scoped-OOM counters, and
     PSI some/full as shares of total simulated time. *)
 
@@ -24,8 +24,9 @@ val run :
   policy:Policy.Registry.spec ->
   ratio:float ->
   swap:Runner.swap_medium ->
-  Runner.trial_outcome list
-(** Run (and print) the cell; returns the per-trial outcomes so callers
-    can exit non-zero on failures.  When the context has no cgroup spec
-    installed, {!default_spec} is applied via {!Runner.derive}.
+  Report.figure
+(** Run the cell and build its per-cgroup figure; failed trials are
+    counted in a leading note and reported by the context like any
+    other.  When the context has no cgroup spec installed,
+    {!default_spec} is applied via {!Runner.derive}.
     @raise Invalid_argument on [tenants < 2] or [hot] out of range. *)

@@ -137,26 +137,13 @@ let compute ctx ~workloads ~policies ~ratios ~swap =
         (fun ratio ->
           List.map
             (fun policy ->
-              let outcomes =
-                Runner.try_cell ctx ~workload ~policy ~ratio ~swap
-              in
-              let done_ =
-                List.filter_map
-                  (function
-                    | Runner.Done r -> Some r
-                    | Runner.Failed _ -> None)
-                  outcomes
-              in
-              let trials = List.length outcomes in
-              let failed = trials - List.length done_ in
+              let c = Figures.cell ctx ~workload ~policy ~ratio ~swap in
+              let trials = List.length c.Figures.outcomes in
+              (* A partial mean: the trials column shows how many
+                 failed. *)
               let policy_faults =
-                if done_ = [] then Float.nan
-                else
-                  List.fold_left
-                    (fun acc (r : Machine.result) ->
-                      acc +. float_of_int r.Machine.major_faults)
-                    0.0 done_
-                  /. float_of_int (List.length done_)
+                if c.Figures.results = [] then Float.nan
+                else Runner.mean_faults c.Figures.results
               in
               let belady_faults =
                 let sum = ref 0.0 in
@@ -170,7 +157,7 @@ let compute ctx ~workloads ~policies ~ratios ~swap =
                 c_policy = policy;
                 c_ratio = ratio;
                 c_trials = trials;
-                c_failed = failed;
+                c_failed = c.Figures.failed;
                 c_policy_faults = policy_faults;
                 c_belady_faults = belady_faults;
                 c_regret =
@@ -181,32 +168,46 @@ let compute ctx ~workloads ~policies ~ratios ~swap =
         ratios)
     workloads
 
-let print ~swap cells =
-  Report.section
-    (Printf.sprintf "Belady regret scoreboard (swap=%s)"
-       (Runner.swap_name swap));
-  Report.note
-    "regret = mean demand faults / mean Belady refetches on the same \
-     reference trace; 1.00 is optimal";
+(* Without a Belady refetch the ratio has no value: a clean cell shows
+   "-", a cell with failed trials stays "failed". *)
+let regret_cell c =
+  if c.c_belady_faults = 0.0 && c.c_failed = 0 then Report.Dash
+  else Report.Fixed (2, c.c_regret)
+
+let figure ~swap cells =
   let rows =
     List.map
       (fun c ->
-        [
-          Runner.workload_kind_name c.c_workload;
-          Printf.sprintf "%.2f" c.c_ratio;
-          Policy.Registry.name c.c_policy;
-          Policy.Registry.kind_label
-            (Policy.Registry.describe c.c_policy).Policy.Registry.d_kind;
-          Report.fcount c.c_policy_faults;
-          Report.fcount c.c_belady_faults;
-          Report.f2 c.c_regret;
-          (if c.c_failed = 0 then string_of_int c.c_trials
-           else Printf.sprintf "%d(-%d)" c.c_trials c.c_failed);
-        ])
+        Report.
+          [
+            Text (Runner.workload_kind_name c.c_workload);
+            Fixed (2, c.c_ratio);
+            Text (Policy.Registry.name c.c_policy);
+            Text
+              (Policy.Registry.kind_label
+                 (Policy.Registry.describe c.c_policy).Policy.Registry.d_kind);
+            Count c.c_policy_faults;
+            Count c.c_belady_faults;
+            regret_cell c;
+            Text
+              (if c.c_failed = 0 then string_of_int c.c_trials
+               else Printf.sprintf "%d(-%d)" c.c_trials c.c_failed);
+          ])
       cells
   in
-  Report.table
-    ~header:
-      [ "workload"; "ratio"; "policy"; "kind"; "faults"; "belady"; "regret";
-        "trials" ]
-    rows
+  {
+    Report.title = Printf.sprintf "Belady regret scoreboard (swap=%s)" (Runner.swap_name swap);
+    before =
+      [
+        "regret = mean demand faults / mean Belady refetches on the same \
+         reference trace; 1.00 is optimal";
+      ];
+    tables =
+      [
+        Report.make_table ~stem:"regret"
+          ~header:
+            [ "workload"; "ratio"; "policy"; "kind"; "faults"; "belady"; "regret"; "trials" ]
+          rows;
+      ];
+    after = [];
+  }

@@ -14,9 +14,13 @@ type cell = {
   c_ratio : float;
   c_trials : int;
   c_failed : int;  (** trials that raised or timed out *)
-  c_policy_faults : float;  (** mean major faults; NaN if all failed *)
+  c_policy_faults : float;
+      (** mean major faults over the successful trials; NaN if all
+          failed *)
   c_belady_faults : float;  (** mean Belady refetches (faults - cold) *)
-  c_regret : float;  (** [c_policy_faults /. c_belady_faults] *)
+  c_regret : float;
+      (** [c_policy_faults /. c_belady_faults]; NaN when Belady needs no
+          refetch *)
 }
 
 val default_policies : Policy.Registry.spec list
@@ -39,4 +43,9 @@ val compute :
     serially (workload-major, then ratio, then policy) — deterministic
     for every [jobs] value. *)
 
-val print : swap:Runner.swap_medium -> cell list -> unit
+val figure : swap:Runner.swap_medium -> cell list -> Report.figure
+(** The scoreboard, one row per cell.  The regret column shows ["-"]
+    for a cell whose trials all succeeded but whose Belady bound needs
+    no refetch (the ratio has no value), and ["failed"] when it cannot
+    be computed because trials failed.  The trials column reads
+    [n(-k)] when [k] of [n] trials failed. *)

@@ -1,36 +1,3 @@
-let section title =
-  let line = String.make (String.length title + 8) '=' in
-  Printf.printf "\n%s\n=== %s ===\n%s\n" line title line
-
-let subsection title = Printf.printf "\n--- %s ---\n" title
-
-let table ~header rows =
-  let all = header :: rows in
-  let cols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
-  let width c =
-    List.fold_left
-      (fun acc row ->
-        match List.nth_opt row c with
-        | Some cell -> max acc (String.length cell)
-        | None -> acc)
-      0 all
-  in
-  let widths = List.init cols width in
-  let print_row row =
-    List.iteri
-      (fun c w ->
-        let cell = match List.nth_opt row c with Some s -> s | None -> "" in
-        if c = 0 then Printf.printf "%-*s" w cell else Printf.printf "  %*s" w cell)
-      widths;
-    print_newline ()
-  in
-  print_row header;
-  List.iteri
-    (fun c w -> if c = 0 then print_string (String.make w '-') else Printf.printf "  %s" (String.make w '-'))
-    widths;
-  print_newline ();
-  List.iter print_row rows
-
 (* Failed cells flow through aggregation as NaN (any arithmetic with a
    failed trial poisons the derived value), and every formatter renders
    NaN as the explicit "failed" marker.  Clean runs never produce NaN,
@@ -76,8 +43,6 @@ let fns =
       else if Float.abs x >= 1e3 then Printf.sprintf "%.1fus" (x /. 1e3)
       else Printf.sprintf "%.0fns" x)
 
-let note s = Printf.printf "  %s\n" s
-
 (* ------------------------------------------------------------------ *)
 (* The figure model: one typed value per figure, rendered here as text *)
 (* and by Csv_export as CSV.                                            *)
@@ -90,6 +55,8 @@ type cell =
   | Count of float
   | Ns of float
   | Fixed of int * float
+  | Int of int
+  | Percent of float
   | Dash
 
 type table = {
@@ -114,7 +81,50 @@ let render = function
   | Count x -> fcount x
   | Ns x -> fns x
   | Fixed (digits, x) -> unless_failed (Printf.sprintf "%.*f" digits) x
+  | Int n -> string_of_int n
+  | Percent x -> unless_failed (Printf.sprintf "%.1f%%") x
   | Dash -> "-"
+
+let make_table ?(caption = []) ?(export_only = false) ~stem ~header rows =
+  { caption; stem; header; rows; export_only }
+
+let section title =
+  let line = String.make (String.length title + 8) '=' in
+  Printf.printf "\n%s\n=== %s ===\n%s\n" line title line
+
+let subsection title = Printf.printf "\n--- %s ---\n" title
+
+let note s = Printf.printf "  %s\n" s
+
+(* Fixed-width aligned rows of already-rendered strings. *)
+let print_rows ~header rows =
+  let all = header :: rows in
+  let cols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
+  let width c =
+    List.fold_left
+      (fun acc row ->
+        match List.nth_opt row c with
+        | Some cell -> max acc (String.length cell)
+        | None -> acc)
+      0 all
+  in
+  let widths = List.init cols width in
+  let print_row row =
+    List.iteri
+      (fun c w ->
+        let cell = match List.nth_opt row c with Some s -> s | None -> "" in
+        if c = 0 then Printf.printf "%-*s" w cell else Printf.printf "  %*s" w cell)
+      widths;
+    print_newline ()
+  in
+  print_row header;
+  List.iteri
+    (fun c w -> if c = 0 then print_string (String.make w '-') else Printf.printf "  %s" (String.make w '-'))
+    widths;
+  print_newline ();
+  List.iter print_row rows
+
+let print_table t = print_rows ~header:t.header (List.map (List.map render) t.rows)
 
 (* The part of [caption] past its common prefix with [prev]. *)
 let rec unshared prev caption =
@@ -133,7 +143,7 @@ let print_figure f =
          if t.export_only then prev
          else begin
            List.iter (fun (_, title) -> subsection title) (unshared prev t.caption);
-           table ~header:t.header (List.map (List.map render) t.rows);
+           print_table t;
            t.caption
          end)
        [] f.tables);
@@ -333,7 +343,7 @@ let trace_summary ~path =
   let cells = List.rev !order in
   section (Printf.sprintf "Trace summary: %s" path);
   let kind_count g k = Option.value ~default:0 (Hashtbl.find_opt g.g_kinds k) in
-  table
+  print_rows
     ~header:("cell" :: "trials" :: "events" :: trace_kinds)
     (List.map
        (fun key ->
@@ -350,7 +360,7 @@ let trace_summary ~path =
   in
   if with_reclaims <> [] then begin
     subsection "direct-reclaim episode latency";
-    table
+    print_rows
       ~header:[ "cell"; "episodes"; "p50"; "p90"; "p99"; "max"; "mean" ]
       (List.map
          (fun key ->
@@ -389,7 +399,7 @@ let trace_summary ~path =
   in
   if swap_rows <> [] then begin
     subsection "swap I/O latency";
-    table
+    print_rows
       ~header:[ "cell"; "op"; "ops"; "p50"; "p90"; "p99"; "max"; "mean" ]
       swap_rows
   end;
@@ -422,7 +432,7 @@ let trace_summary ~path =
   in
   if cg_rows <> [] then begin
     subsection "cgroups";
-    table
+    print_rows
       ~header:
         [
           "cell"; "cgroup"; "oom_kills"; "throttles"; "throttled";
@@ -443,7 +453,7 @@ let trace_summary ~path =
   in
   if ws_cells <> [] then begin
     subsection "workingset refaults";
-    table
+    print_rows
       ~header:
         [ "cell"; "shadow_hits"; "shadow_misses"; "activated"; "restored" ]
       (List.map
@@ -473,20 +483,15 @@ let vmstat_table cols =
       Some (fun i -> b.Obs.Vmstat.counters.(i) - a.Obs.Vmstat.counters.(i))
     | _ -> None
   in
-  table
+  let count n = Count (float_of_int n) in
+  make_table ~stem:"vmstat"
     ~header:
       (("counter" :: List.map fst cols)
       @ match delta with Some _ -> [ "delta" ] | None -> [])
     (List.init Obs.Vmstat.kernel_counters (fun i ->
-         (Obs.Vmstat.name i
-         :: List.map
-              (fun (c : Obs.Vmstat.capture) ->
-                fcount (float_of_int c.Obs.Vmstat.counters.(i)))
-              caps)
-         @
-         match delta with
-         | Some d -> [ fcount (float_of_int (d i)) ]
-         | None -> []))
+         (Text (Obs.Vmstat.name i)
+         :: List.map (fun (c : Obs.Vmstat.capture) -> count c.Obs.Vmstat.counters.(i)) caps)
+         @ match delta with Some d -> [ count (d i) ] | None -> []))
 
 let vmstat_refault_hist cols =
   let caps = List.map snd cols in
@@ -500,22 +505,26 @@ let vmstat_refault_hist cols =
         max acc !m)
       (-1) caps
   in
-  if last >= 0 then begin
-    subsection "refault distance (pages evicted between eviction and refault)";
+  if last < 0 then None
+  else begin
     let label i =
       if i = 0 then "0-1"
       else if i = Obs.Vmstat.dist_buckets - 1 then
         Printf.sprintf ">=%d" (1 lsl i)
       else Printf.sprintf "%d-%d" (1 lsl i) ((1 lsl (i + 1)) - 1)
     in
-    table
-      ~header:("distance" :: List.map fst cols)
-      (List.init (last + 1) (fun i ->
-           label i
-           :: List.map
-                (fun (c : Obs.Vmstat.capture) ->
-                  fcount (float_of_int c.Obs.Vmstat.refault_dist.(i)))
-                caps))
+    Some
+      (make_table
+         ~caption:
+           [ ("histogram", "refault distance (pages evicted between eviction and refault)") ]
+         ~stem:"refault_dist"
+         ~header:("distance" :: List.map fst cols)
+         (List.init (last + 1) (fun i ->
+              Text (label i)
+              :: List.map
+                   (fun (c : Obs.Vmstat.capture) ->
+                     Count (float_of_int c.Obs.Vmstat.refault_dist.(i)))
+                   caps)))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -567,24 +576,23 @@ let profile_table (m : Obs.Prof.merged) =
         (not (Obs.Prof.guest_phase p)) || self_total i > 0 || incl.(i) > 0)
       (Array.to_list Obs.Prof.all_phases)
   in
+  let ns n = Ns (float_of_int n) in
   let rows =
     List.map
       (fun p ->
         let i = Obs.Prof.phase_index p in
         let st = self_total i in
-        Obs.Prof.phase_name p
-        :: List.init ncls (fun c -> fns (float_of_int self.(c).(i)))
+        Text (Obs.Prof.phase_name p)
+        :: List.init ncls (fun c -> ns self.(c).(i))
         @ [
-            fns (float_of_int st);
-            fns (float_of_int incl.(i));
-            (if Obs.Prof.wait_phase p || !cpu_total = 0 then "-"
-             else
-               Printf.sprintf "%.1f%%"
-                 (100.0 *. float_of_int st /. float_of_int !cpu_total));
+            ns st;
+            ns incl.(i);
+            (if Obs.Prof.wait_phase p || !cpu_total = 0 then Dash
+             else Percent (100.0 *. float_of_int st /. float_of_int !cpu_total));
           ])
       visible
   in
-  table
+  make_table ~stem:"profile"
     ~header:
       (("phase" :: Array.to_list m.Obs.Prof.m_classes)
       @ [ "self"; "total"; "cpu%" ])
@@ -595,43 +603,42 @@ let profile_table (m : Obs.Prof.merged) =
    run, and the read-latency tail where the group recorded requests. *)
 let memcg_summary ~runtime_ns (s : Mem.Memcg.summary) =
   let psi stall =
-    if runtime_ns <= 0 then "-"
-    else
-      Printf.sprintf "%.1f%%"
-        (100.0 *. float_of_int stall /. float_of_int runtime_ns)
+    if runtime_ns <= 0 then Dash
+    else Percent (100.0 *. float_of_int stall /. float_of_int runtime_ns)
   in
-  let lim v = if v < 0 then "-" else string_of_int v in
+  let lim v = if v < 0 then Dash else Int v in
   let p99 lats =
-    if Array.length lats = 0 then "-"
-    else fns (Stats.Percentile.quantile lats 0.99)
+    if Array.length lats = 0 then Dash else Ns (Stats.Percentile.quantile lats 0.99)
   in
   subsection "cgroups";
-  table
-    ~header:
-      [
-        "cgroup"; "usage"; "low"; "high"; "max"; "limit"; "throttles";
-        "throttled"; "oom"; "psi_some"; "psi_full"; "p99_read";
-      ]
-    (List.map
-       (fun (g : Mem.Memcg.report) ->
+  print_table
+    (make_table ~stem:"cgroups"
+       ~header:
          [
-           g.Mem.Memcg.r_name;
-           string_of_int g.Mem.Memcg.r_usage;
-           string_of_int g.Mem.Memcg.r_low;
-           lim g.Mem.Memcg.r_high;
-           lim g.Mem.Memcg.r_max;
-           lim g.Mem.Memcg.r_limit;
-           string_of_int g.Mem.Memcg.r_throttles;
-           fns (float_of_int g.Mem.Memcg.r_throttled_ns);
-           string_of_int g.Mem.Memcg.r_oom_kills;
-           psi g.Mem.Memcg.r_psi_some_ns;
-           psi g.Mem.Memcg.r_psi_full_ns;
-           p99 g.Mem.Memcg.r_read_latencies;
-         ])
-       s.Mem.Memcg.s_groups);
+           "cgroup"; "usage"; "low"; "high"; "max"; "limit"; "throttles";
+           "throttled"; "oom"; "psi_some"; "psi_full"; "p99_read";
+         ]
+       (List.map
+          (fun (g : Mem.Memcg.report) ->
+            [
+              Text g.Mem.Memcg.r_name;
+              Int g.Mem.Memcg.r_usage;
+              Int g.Mem.Memcg.r_low;
+              lim g.Mem.Memcg.r_high;
+              lim g.Mem.Memcg.r_max;
+              lim g.Mem.Memcg.r_limit;
+              Int g.Mem.Memcg.r_throttles;
+              Ns (float_of_int g.Mem.Memcg.r_throttled_ns);
+              Int g.Mem.Memcg.r_oom_kills;
+              psi g.Mem.Memcg.r_psi_some_ns;
+              psi g.Mem.Memcg.r_psi_full_ns;
+              p99 g.Mem.Memcg.r_read_latencies;
+            ])
+          s.Mem.Memcg.s_groups));
   note
     (Printf.sprintf "machine-wide psi: some %s, full %s"
-       (psi s.Mem.Memcg.s_some_ns) (psi s.Mem.Memcg.s_full_ns));
+       (render (psi s.Mem.Memcg.s_some_ns))
+       (render (psi s.Mem.Memcg.s_full_ns)));
   (* memory.stat: stat names as rows, one column per cgroup.  Root's
      column is the hierarchical total (every bump lands there too). *)
   let any_stat =
@@ -641,17 +648,18 @@ let memcg_summary ~runtime_ns (s : Mem.Memcg.summary) =
   in
   if any_stat then begin
     subsection "memory.stat";
-    table
-      ~header:
-        ("counter"
-        :: List.map (fun (g : Mem.Memcg.report) -> g.Mem.Memcg.r_name)
-             s.Mem.Memcg.s_groups)
-      (List.init Mem.Memcg.nr_stats (fun i ->
-           Mem.Memcg.stat_names.(i)
-           :: List.map
-                (fun (g : Mem.Memcg.report) ->
-                  fcount (float_of_int g.Mem.Memcg.r_vm.(i)))
-                s.Mem.Memcg.s_groups))
+    print_table
+      (make_table ~stem:"memory_stat"
+         ~header:
+           ("counter"
+           :: List.map (fun (g : Mem.Memcg.report) -> g.Mem.Memcg.r_name)
+                s.Mem.Memcg.s_groups)
+         (List.init Mem.Memcg.nr_stats (fun i ->
+              Text Mem.Memcg.stat_names.(i)
+              :: List.map
+                   (fun (g : Mem.Memcg.report) ->
+                     Count (float_of_int g.Mem.Memcg.r_vm.(i)))
+                   s.Mem.Memcg.s_groups)))
   end
 
 let fault_summary (r : Machine.result) =

@@ -1,12 +1,9 @@
-(** Plain-text table rendering for the figure harness. *)
+(** Plain-text rendering for every table command.
 
-val section : string -> unit
-(** Print a figure banner. *)
-
-val subsection : string -> unit
-
-val table : header:string list -> string list list -> unit
-(** Fixed-width aligned table with a separator under the header. *)
+    Every table the CLI prints is a typed {!table} inside a {!figure},
+    printed by {!print_figure} (or, for a bare listing, {!print_table}).
+    Only [repro run]'s per-trial lines ({!memcg_summary},
+    {!fault_summary}) and {!trace_summary} print directly. *)
 
 val failed_marker : string
 (** ["failed"] — how every formatter renders NaN, the sentinel that
@@ -30,9 +27,6 @@ val fcount : float -> string
 val fns : float -> string
 (** Nanoseconds rendered with an adaptive unit (ns/us/ms/s). *)
 
-val note : string -> unit
-(** Indented free-form commentary line. *)
-
 (** {1 Figures}
 
     A figure is built once as a typed value; {!print_figure} renders it
@@ -45,6 +39,8 @@ type cell =
   | Count of float  (** thousands separators, as {!fcount} *)
   | Ns of float  (** adaptive unit, as {!fns} *)
   | Fixed of int * float  (** that many decimals *)
+  | Int of int  (** plain decimal, no separators *)
+  | Percent of float  (** a percentage, one decimal: ["12.5%"] *)
   | Dash  (** ["-"]: no value — an empty sample, or a statistic the
               cell's trial count cannot support *)
 (** A table cell.  A NaN number renders as {!failed_marker}. *)
@@ -66,6 +62,16 @@ type figure = {
   tables : table list;
   after : string list;  (** notes printed after them *)
 }
+
+val make_table :
+  ?caption:(string * string) list -> ?export_only:bool -> stem:string ->
+  header:string list -> cell list list -> table
+(** A table; [caption] defaults to [[]], [export_only] to [false]. *)
+
+val print_table : table -> unit
+(** Fixed-width aligned rows under the header and a dashed separator;
+    the first column left-aligned, the rest right-aligned.  Rows
+    narrower than the header are padded.  The caption is not printed. *)
 
 val print_figure : figure -> unit
 (** Banner, leading notes, every printed table under the subsection
@@ -92,19 +98,19 @@ val trace_summary : path:string -> unit
     "workingset refaults" subsection: per-cell shadow-entry hits and
     misses, plus activated/restored verdicts among the hits. *)
 
-val vmstat_table : (string * Obs.Vmstat.capture) list -> unit
+val vmstat_table : (string * Obs.Vmstat.capture) list -> table
 (** One labelled column per capture, the kernel counters (the first
     {!Obs.Vmstat.kernel_counters} indices) as rows.
     With exactly two columns a [delta] column (second minus first) is
     appended — the shape the paper's Clock-vs-MG-LRU counter
     comparisons read. *)
 
-val vmstat_refault_hist : (string * Obs.Vmstat.capture) list -> unit
+val vmstat_refault_hist : (string * Obs.Vmstat.capture) list -> table option
 (** Log2-bucketed refault-distance histogram, one labelled column per
-    capture, trailing all-zero buckets trimmed.  Prints nothing when no
-    capture recorded a refault. *)
+    capture, trailing all-zero buckets trimmed, captioned as its own
+    subsection.  [None] when no capture recorded a refault. *)
 
-val profile_table : Obs.Prof.merged -> unit
+val profile_table : Obs.Prof.merged -> table
 (** Perf-style phase table for one grid cell: rows in taxonomy order,
     one self-time column per aggregation class ("app", "kswapd", ...),
     then total self, inclusive time, and the phase's share of

@@ -14,12 +14,6 @@ let run_one ctx ~workload ~policy ~fast_frac ~trial =
 let study_workloads = [ Runner.Tpch; Runner.Pagerank; Runner.Ycsb Workload.Ycsb.B ]
 
 let study ?(fast_frac = 0.5) ?(trials = 3) ctx () =
-  Report.section
-    (Printf.sprintf "Tiered memory study: fast tier = %.0f%% of footprint"
-       (fast_frac *. 100.0));
-  Report.note
-    "Runtime, slow-tier access share and migration traffic per policy; no";
-  Report.note "swap device - every touch completes, slow ones just cost more.";
   (* The whole workload x policy x trial grid runs through the domain
      pool in one batch; each trial builds its own workload and tier
      machine, so cells are independent.  Results come back in input
@@ -57,46 +51,51 @@ let study ?(fast_frac = 0.5) ?(trials = 3) ctx () =
       | Some rs -> rs
       | None -> []
   in
-  List.iter
-    (fun workload ->
-      Report.subsection (Runner.workload_kind_name workload);
-      let rows =
-        List.map
-          (fun policy ->
-            let results = results_of workload policy in
-            let mean f =
-              List.fold_left (fun acc r -> acc +. f r) 0.0 results
-              /. float_of_int trials
-            in
+  let table workload =
+    let rows =
+      List.map
+        (fun policy ->
+          let results = results_of workload policy in
+          let mean f =
+            List.fold_left (fun acc r -> acc +. f r) 0.0 results /. float_of_int trials
+          in
+          let count f = Report.Count (mean (fun r -> float_of_int (f r))) in
+          Report.
             [
-              Tiering.Tier_registry.name policy;
-              Report.fsec
-                (mean (fun r ->
-                     float_of_int r.Tiering.Tier_machine.runtime_ns /. 1e9));
-              Printf.sprintf "%.1f%%"
-                (100.0 *. mean Tiering.Tier_machine.slow_fraction);
-              Report.fcount
-                (mean (fun r -> float_of_int r.Tiering.Tier_machine.promotions));
-              Report.fcount
-                (mean (fun r -> float_of_int r.Tiering.Tier_machine.demotions));
-              Report.fcount
-                (mean (fun r -> float_of_int r.Tiering.Tier_machine.hint_faults));
-              Report.fcount
-                (mean (fun r ->
-                     float_of_int r.Tiering.Tier_machine.failed_promotions));
+              Text (Tiering.Tier_registry.name policy);
+              Seconds
+                (mean (fun r -> float_of_int r.Tiering.Tier_machine.runtime_ns /. 1e9));
+              Percent (100.0 *. mean Tiering.Tier_machine.slow_fraction);
+              count (fun r -> r.Tiering.Tier_machine.promotions);
+              count (fun r -> r.Tiering.Tier_machine.demotions);
+              count (fun r -> r.Tiering.Tier_machine.hint_faults);
+              count (fun r -> r.Tiering.Tier_machine.failed_promotions);
             ])
-          Tiering.Tier_registry.all
-      in
-      Report.table
-        ~header:
-          [ "policy"; "runtime"; "slow touches"; "promotions"; "demotions";
-            "hint faults"; "failed promo" ]
-        rows)
-    study_workloads;
-  Report.note
-    "Expected shape (paper SII-C): static pins whatever loaded first;";
-  Report.note
-    "autonuma promotes but cannot demote, so it stalls once the fast tier";
-  Report.note
-    "fills (failed promotions); thermostat and tpp keep migrating and hold";
-  Report.note "the lowest slow-touch share."
+        Tiering.Tier_registry.all
+    in
+    Report.make_table
+      ~caption:[ ("workload", Runner.workload_kind_name workload) ]
+      ~stem:"tier"
+      ~header:
+        [ "policy"; "runtime"; "slow touches"; "promotions"; "demotions";
+          "hint faults"; "failed promo" ]
+      rows
+  in
+  {
+    Report.title =
+      Printf.sprintf "Tiered memory study: fast tier = %.0f%% of footprint"
+        (fast_frac *. 100.0);
+    before =
+      [
+        "Runtime, slow-tier access share and migration traffic per policy; no";
+        "swap device - every touch completes, slow ones just cost more.";
+      ];
+    tables = List.map table study_workloads;
+    after =
+      [
+        "Expected shape (paper SII-C): static pins whatever loaded first;";
+        "autonuma promotes but cannot demote, so it stalls once the fast tier";
+        "fills (failed promotions); thermostat and tpp keep migrating and hold";
+        "the lowest slow-touch share.";
+      ];
+  }

@@ -23,6 +23,7 @@ val run_one :
 (** One trial: fast tier sized at [fast_frac] of the footprint, the slow
     tier holding the rest (plus slack). *)
 
-val study : ?fast_frac:float -> ?trials:int -> Runner.ctx -> unit -> unit
-(** Print the full comparison table for TPC-H, PageRank and YCSB-B at
-    [fast_frac] (default 0.5) of the footprint in the fast tier. *)
+val study : ?fast_frac:float -> ?trials:int -> Runner.ctx -> unit -> Report.figure
+(** The full comparison, one table per workload (TPC-H, PageRank,
+    YCSB-B), at [fast_frac] (default 0.5) of the footprint in the fast
+    tier. *)

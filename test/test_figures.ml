@@ -10,7 +10,7 @@ module Rep = Repro_core.Report
 let ctx =
   R.make_ctx ~profile:{ R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 } ()
 
-let build n = List.hd (F.build ctx [ n ])
+let build n = List.hd (F.build ctx [ F.paper n ])
 
 let ratio = function Rep.Ratio x -> x | _ -> Alcotest.fail "expected a ratio cell"
 
@@ -168,7 +168,7 @@ let test_grid_matches_pinned () =
       Alcotest.(check (list string))
         (Printf.sprintf "figure %d grid" n)
         (List.map key (pinned_grid n))
-        (List.map key (F.grid n)))
+        (List.map key (F.grid (F.paper n))))
     F.all_figures
 
 (* The recorded grid covers every cell the builder reads: once it is
@@ -176,7 +176,7 @@ let test_grid_matches_pinned () =
 let test_grid_covers_build () =
   List.iter
     (fun n ->
-      F.prefetch ctx [ n ];
+      F.prefetch ctx [ F.paper n ];
       let before = R.cached_results ctx in
       ignore (build n);
       Alcotest.(check int)
@@ -186,10 +186,10 @@ let test_grid_covers_build () =
 
 let test_build_bounds () =
   let before = R.cached_results ctx in
-  Alcotest.check_raises "figure 0" (Invalid_argument "Figures.build: no figure 0")
-    (fun () -> ignore (F.build ctx [ 1; 0 ]));
-  Alcotest.check_raises "figure 13" (Invalid_argument "Figures.build: no figure 13")
-    (fun () -> ignore (F.build ctx [ 13 ]));
+  Alcotest.check_raises "figure 0" (Invalid_argument "Figures.paper: no figure 0")
+    (fun () -> ignore (F.build ctx (List.map F.paper [ 1; 0 ])));
+  Alcotest.check_raises "figure 13" (Invalid_argument "Figures.paper: no figure 13")
+    (fun () -> ignore (F.build ctx (List.map F.paper [ 13 ])));
   Alcotest.(check int) "nothing ran" before (R.cached_results ctx)
 
 let read_lines path =

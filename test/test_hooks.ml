@@ -189,6 +189,35 @@ let test_regret_jobs_identical () =
         (Float.is_finite c.Regret.c_regret))
     serial
 
+(* At ratio 1.0 the whole footprint fits: Belady needs no refetch, so
+   the ratio has no value.  A clean cell renders "-", never "failed". *)
+let test_regret_without_belady_refetches () =
+  let ctx =
+    R.make_ctx ~profile:{ R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 } ()
+  in
+  let cells =
+    Regret.compute ctx ~workloads:[ R.Tpch ] ~policies:[ Policy.Registry.Clock ]
+      ~ratios:[ 1.0 ] ~swap:R.Ssd
+  in
+  let c =
+    match cells with [ c ] -> c | _ -> Alcotest.fail "expected one cell"
+  in
+  Alcotest.(check int) "no failed trials" 0 c.Regret.c_failed;
+  Alcotest.(check (float 0.0)) "belady needs no refetch" 0.0 c.Regret.c_belady_faults;
+  Alcotest.(check bool) "policy faults measured" true
+    (Float.is_finite c.Regret.c_policy_faults);
+  let module Rep = Repro_core.Report in
+  match (Regret.figure ~swap:R.Ssd cells).Rep.tables with
+  | [ t ] ->
+    let regret =
+      match List.find_index (( = ) "regret") t.Rep.header with
+      | Some i -> i
+      | None -> Alcotest.fail "no regret column"
+    in
+    Alcotest.(check bool) "regret cell is a dash" true
+      (List.map (fun row -> List.nth row regret) t.Rep.rows = [ Rep.Dash ])
+  | _ -> Alcotest.fail "the scoreboard is one table"
+
 let () =
   Alcotest.run "hooks"
     [
@@ -214,5 +243,7 @@ let () =
         [
           Alcotest.test_case "jobs 1 vs 4 identical" `Quick
             test_regret_jobs_identical;
+          Alcotest.test_case "no belady refetches" `Quick
+            test_regret_without_belady_refetches;
         ] );
     ]

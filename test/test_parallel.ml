@@ -75,7 +75,7 @@ let capture f =
   s
 
 let print_fig1 ctx () =
-  List.iter Repro_core.Report.print_figure (Repro_core.Figures.build ctx [ 1 ])
+  List.iter Repro_core.Report.print_figure (Repro_core.Figures.build ctx [ Repro_core.Figures.paper 1 ])
 
 let test_figure_output_identical () =
   let out_serial = capture (print_fig1 (serial_ctx ())) in
@@ -98,7 +98,7 @@ let test_csv_bytes_identical () =
     let paths =
       List.concat_map
         (Repro_core.Csv_export.write_figure ~dir)
-        (Repro_core.Figures.build ctx [ 1 ])
+        (Repro_core.Figures.build ctx [ Repro_core.Figures.paper 1 ])
     in
     let bytes = List.map read_file paths in
     List.iter Sys.remove paths;

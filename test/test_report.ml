@@ -19,7 +19,7 @@ let test_fns_units () =
   Alcotest.(check string) "ms" "7.50ms" (R.fns 7.5e6);
   Alcotest.(check string) "s" "1.20s" (R.fns 1.2e9)
 
-(* The table renderer goes to stdout; capture it via a temp redirect. *)
+(* The renderers go to stdout; capture them via a temp redirect. *)
 let capture f =
   let path = Filename.temp_file "report" ".txt" in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -39,10 +39,16 @@ let capture f =
   Sys.remove path;
   s
 
+let table ?caption ?export_only header rows =
+  R.make_table ?caption ?export_only ~stem:"t" ~header rows
+
+let figure ?(before = []) ?(after = []) title tables = { R.title; before; tables; after }
+
 let test_table_alignment () =
   let out =
     capture (fun () ->
-        R.table ~header:[ "name"; "value" ] [ [ "a"; "1" ]; [ "longer"; "22" ] ])
+        R.print_table
+          (table [ "name"; "value" ] [ [ R.Text "a"; R.Int 1 ]; [ R.Text "longer"; R.Int 22 ] ]))
   in
   let lines = String.split_on_char '\n' (String.trim out) in
   (match lines with
@@ -50,11 +56,16 @@ let test_table_alignment () =
     Alcotest.(check int) "separator width matches header" (String.length header)
       (String.length sep)
   | _ -> Alcotest.fail "expected at least header + separator");
-  Alcotest.(check int) "four lines" 4 (List.length lines)
+  Alcotest.(check int) "four lines" 4 (List.length lines);
+  Alcotest.(check (list string)) "first column left, the rest right"
+    [ "name    value"; "------  -----"; "a           1"; "longer     22" ]
+    lines
 
 let test_table_ragged_rows () =
   (* Rows narrower than the header must not crash. *)
-  let out = capture (fun () -> R.table ~header:[ "a"; "b"; "c" ] [ [ "x" ] ]) in
+  let out =
+    capture (fun () -> R.print_table (table [ "a"; "b"; "c" ] [ [ R.Text "x" ] ]))
+  in
   Alcotest.(check bool) "rendered" true (String.length out > 0)
 
 let contains_substring haystack needle =
@@ -63,9 +74,29 @@ let contains_substring haystack needle =
   go 0
 
 let test_section_banner () =
-  let out = capture (fun () -> R.section "Hello") in
+  let out = capture (fun () -> R.print_figure (figure "Hello" [])) in
   Alcotest.(check bool) "contains title" true
     (contains_substring out "=== Hello ===")
+
+(* Notes around the tables; a subsection title only where the caption
+   path changes; export-only tables never print. *)
+let test_figure_layout () =
+  let row = [ [ R.Text "x"; R.Percent 12.345 ] ] in
+  let out =
+    capture (fun () ->
+        R.print_figure
+          (figure "F" ~before:[ "lead" ] ~after:[ "tail" ]
+             [
+               table ~caption:[ ("w", "tpch") ] [ "k"; "v" ] row;
+               table ~caption:[ ("w", "tpch") ] [ "k"; "v" ] row;
+               table ~caption:[ ("w", "tpch") ] ~export_only:true [ "hidden"; "v" ] row;
+               table ~caption:[ ("w", "pagerank") ] [ "k"; "v" ] [ [ R.Text "y"; R.Dash ] ];
+             ]))
+  in
+  Alcotest.(check string) "layout"
+    "\n=========\n=== F ===\n=========\n  lead\n\n--- tpch ---\nk      v\n-  -----\nx  12.3%\n\
+     k      v\n-  -----\nx  12.3%\n\n--- pagerank ---\nk  v\n-  -\ny  -\n  tail\n"
+    out
 
 let () =
   Alcotest.run "report"
@@ -78,5 +109,6 @@ let () =
           Alcotest.test_case "table alignment" `Quick test_table_alignment;
           Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows;
           Alcotest.test_case "section banner" `Quick test_section_banner;
+          Alcotest.test_case "figure layout" `Quick test_figure_layout;
         ] );
     ]
