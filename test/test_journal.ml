@@ -135,6 +135,129 @@ let test_checksum_detects_corruption () =
       | Error _ -> ())
     [ 0; 1; 10; 41; 42; 60; String.length line - 1 ]
 
+(* A hand-built record touching every payload layout: latencies a
+   decimal printer would mangle, two cgroups with latencies, profile
+   totals and chaos tallies. *)
+let pinned_record =
+  let module V = Obs.Vmstat in
+  let counters =
+    {
+      V.counters = Array.init V.nr_counters (fun i -> i * 7);
+      refault_dist = Array.init V.dist_buckets (fun i -> i * i);
+    }
+  in
+  let group name ~rlat ~wlat =
+    {
+      Mem.Memcg.r_name = name;
+      r_usage = 254;
+      r_low = 0;
+      r_high = 421;
+      r_max = -1;
+      r_limit = -1;
+      r_throttles = 3;
+      r_throttled_ns = 12_345;
+      r_oom_kills = 1;
+      r_psi_some_ns = 61_948_191_879;
+      r_psi_full_ns = 33_013_171_182;
+      r_read_latencies = rlat;
+      r_write_latencies = wlat;
+      r_vm = Array.init Mem.Memcg.nr_stats (fun i -> 1000 + i);
+    }
+  in
+  let chaos = Repro_core.Chaos.fresh_summary () in
+  chaos.s_events <- 2;
+  chaos.s_offlined <- 168;
+  chaos.s_onlined <- 168;
+  chaos.s_migrated <- 5;
+  chaos.s_corrupted <- 1;
+  {
+    J.key = "tpch/mglru/0.5/ssd/t0@0123456789abcdef";
+    status = J.Trial_ok;
+    reason = "";
+    result =
+      Some
+        {
+          M.runtime_ns = 77_831_637_081;
+          major_faults = V.count counters V.pgmajfault;
+          minor_faults = V.count counters V.minor_faults;
+          read_latencies =
+            [| 1.5; Float.nan; Float.infinity; -0.0; Int64.float_of_bits 1L; 0.1 |];
+          write_latencies = [| Float.neg_infinity; 2.5e9 |];
+          per_thread_finish = [| 77_831_637_081; 5; 0 |];
+          cpu_busy_ns = 295_029_579_632;
+          policy_stats = [ ("evictions", 18_771); ("refaults", 17_066) ];
+          policy_name = "mglru";
+          resident_at_end = 1670;
+          counters;
+          memcg =
+            Some
+              {
+                Mem.Memcg.s_groups =
+                  [
+                    group "app" ~rlat:[| 250.0; 1e-300 |] ~wlat:[| 3.0 |];
+                    group "bg" ~rlat:[| Float.nan |] ~wlat:[| 0.5; -0.0 |];
+                  ];
+                s_some_ns = 69_889_748_818;
+                s_full_ns = 1_018_743_621;
+              };
+          chaos = Some chaos;
+          trace = None;
+          profile =
+            Some
+              {
+                Obs.Prof.classes = [| "app"; "kswapd" |];
+                threads = [| (0, "app0", 0); (12, "kswapd", 1) |];
+                totals = [| (0, 0x1, 289_764_422_720); (0, 0x126, 28_308_360); (1, 0x63, 7) |];
+                spans = [||];
+              };
+          heatmap = None;
+        };
+  }
+
+let pinned_line =
+  String.concat ""
+    [
+      {|{"sum":"1c8b147481d28badf496b867206dcf3c"|};
+      {|,"key":"tpch/mglru/0.5/ssd/t0@0123456789abcdef"|};
+      {|,"status":"ok"|};
+      {|,"reason":""|};
+      {|,"runtime_ns":77831637081|};
+      {|,"counters":"v1:0;7;14;21;28;35;42;49;56;63;70;77;84;91;98;105|};
+      {|;112;119;126;133;140;147;154;161;168;175;182;189;196;203|0;1;4;9|};
+      {|;16;25;36;49;64;81;100;121;144;169;196;225;256;289;324;361;400|};
+      {|;441;484;529"|};
+      {|,"read_latencies":"0x1.8p+0 nan infinity -0x0p+0|};
+      {| 0x0.0000000000001p-1022 0x1.999999999999ap-4"|};
+      {|,"write_latencies":"-infinity 0x1.2a05f2p+31"|};
+      {|,"per_thread_finish":"77831637081 5 0"|};
+      {|,"cpu_busy_ns":295029579632|};
+      {|,"policy_stats":"evictions=18771;refaults=17066"|};
+      {|,"policy_name":"mglru"|};
+      {|,"resident_at_end":1670|};
+      {|,"profile":"app,kswapd|0:app0:0;12:kswapd:1|0:1:289764422720|};
+      {|;0:126:28308360;1:63:7"|};
+      {|,"cgroups":"some=69889748818,full=1018743621|name=app;usage=254|};
+      {|;low=0;high=421;max=-1;limit=-1;throttles=3;throttled_ns=12345|};
+      {|;oom_kills=1;psi_some_ns=61948191879;psi_full_ns=33013171182|};
+      {|;rlat=0x1.f4p+7 0x1.56e1fc2f8f359p-997;wlat=0x1.8p+1;vm=1000 1001|};
+      {| 1002 1003 1004 1005 1006 1007|name=bg;usage=254;low=0;high=421|};
+      {|;max=-1;limit=-1;throttles=3;throttled_ns=12345;oom_kills=1|};
+      {|;psi_some_ns=61948191879;psi_full_ns=33013171182;rlat=nan|};
+      {|;wlat=0x1p-1 -0x0p+0;vm=1000 1001 1002 1003 1004 1005 1006 1007"|};
+      {|,"chaos":"ev=2,off=168,on=168,mig=5,evi=0,skip=0,lim=0,dev=0,stall|};
+      {|=0,corr=1"}|};
+    ]
+
+(* The bytes of every payload layout, recorded from the codec that wrote
+   the first journals: a change here orphans every journal on disk. *)
+let test_pinned_line () =
+  let line = J.record_to_line pinned_record in
+  Alcotest.(check string) "record bytes" pinned_line line;
+  match J.record_of_line line with
+  | Ok got ->
+    Alcotest.(check bool) "decodes to the record" true (compare got pinned_record = 0)
+  | Error msg -> Alcotest.failf "pinned line rejected: %s" msg
+
 let with_temp_journal f =
   let path = Filename.temp_file "journal_test" ".jsonl" in
   Fun.protect
@@ -564,6 +687,7 @@ let () =
             test_failure_round_trips;
           Alcotest.test_case "checksum detects corruption" `Quick
             test_checksum_detects_corruption;
+          Alcotest.test_case "pinned line" `Quick test_pinned_line;
         ] );
       ( "segments",
         [
