@@ -611,35 +611,3 @@ let summary_to_string s =
   Printf.sprintf "ev=%d,off=%d,on=%d,mig=%d,evi=%d,skip=%d,lim=%d,dev=%d,stall=%d,corr=%d"
     s.s_events s.s_offlined s.s_onlined s.s_migrated s.s_evicted s.s_skipped
     s.s_limit_updates s.s_device_phases s.s_stalled_threads s.s_corrupted
-
-let summary_of_string str =
-  let fields = String.split_on_char ',' str in
-  let get k =
-    List.find_map
-      (fun f ->
-        match String.index_opt f '=' with
-        | Some i when String.sub f 0 i = k ->
-          int_of_string_opt (String.sub f (i + 1) (String.length f - i - 1))
-        | _ -> None)
-      fields
-  in
-  match
-    ( get "ev", get "off", get "on", get "mig", get "evi", get "skip",
-      get "lim", get "dev", get "stall", get "corr" )
-  with
-  | ( Some ev, Some off, Some on_, Some mig, Some evi, Some skip, Some lim,
-      Some dev, Some stall, Some corr ) ->
-    Some
-      {
-        s_events = ev;
-        s_offlined = off;
-        s_onlined = on_;
-        s_migrated = mig;
-        s_evicted = evi;
-        s_skipped = skip;
-        s_limit_updates = lim;
-        s_device_phases = dev;
-        s_stalled_threads = stall;
-        s_corrupted = corr;
-      }
-  | _ -> None

@@ -123,7 +123,5 @@ type summary = {
 val fresh_summary : unit -> summary
 
 val summary_to_string : summary -> string
-(** Compact single-line encoding for the result journal; inverse of
-    {!summary_of_string}. *)
-
-val summary_of_string : string -> summary option
+(** One-line display of the tallies, [ev=2,off=168,...], as the chaos
+    report prints it. *)

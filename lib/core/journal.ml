@@ -19,127 +19,296 @@ let status_of_name = function
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Result (de)serialization.  Scalars are JSON ints; arrays are space- *)
-(* joined strings — floats in %h (hex) form so latencies round-trip    *)
-(* bit-exactly and a resumed sweep stays byte-identical to an          *)
-(* uninterrupted one.  policy_stats keys are identifier-like by        *)
-(* convention, so "k=v;k=v" needs no quoting.                          *)
+(* Record format.  This section owns every byte of a record's payload. *)
+(* Scalars are JSON ints; everything else is a JSON string:            *)
+(*                                                                     *)
+(*   counters           v1:<counter;...>|<bucket;...>  in index order, *)
+(*                      exactly this build's counters and buckets      *)
+(*   read_latencies,    %h floats joined by ' ', so latencies round-   *)
+(*   write_latencies    trip bit-exactly and a resumed sweep stays     *)
+(*                      byte-identical to an uninterrupted one         *)
+(*   per_thread_finish  ints joined by ' '                             *)
+(*   policy_stats       k=v;k=v                                        *)
+(*   profile            classes joined by ',' | tid:name:class;... |   *)
+(*                      class:path-hex:ns;...   (phase totals only)    *)
+(*   cgroups            some=N,full=N, then |k=v;... per group (fixed  *)
+(*                      keys; rlat/wlat as latencies, vm as exactly    *)
+(*                      nr_stats ints joined by ' ')                   *)
+(*   chaos              ev=N,off=N,on=N,mig=N,evi=N,skip=N,lim=N,      *)
+(*                      dev=N,stall=N,corr=N                           *)
+(*                                                                     *)
+(* profile, cgroups and chaos are written only when present, so runs   *)
+(* without them journal the same bytes as builds that predate them.    *)
+(* Names (policy-stat keys, threads, classes, cgroups) contain none of *)
+(* the separators by construction.  Decoding is strict: a value of the *)
+(* wrong shape raises [Decode], the record is skipped and its trial    *)
+(* reruns; nothing is zero-filled or read in any other order.          *)
 (* ------------------------------------------------------------------ *)
-
-let floats_to_s a =
-  String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a))
-
-let floats_of_s s =
-  if s = "" then [||]
-  else Array.of_list (List.map float_of_string (String.split_on_char ' ' s))
-
-let ints_to_s a = String.concat " " (List.map string_of_int (Array.to_list a))
-
-let ints_of_s s =
-  if s = "" then [||]
-  else Array.of_list (List.map int_of_string (String.split_on_char ' ' s))
-
-let stats_to_s l =
-  String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) l)
-
-let stats_of_s s =
-  if s = "" then []
-  else
-    List.map
-      (fun kv ->
-        let i = String.index kv '=' in
-        ( String.sub kv 0 i,
-          int_of_string (String.sub kv (i + 1) (String.length kv - i - 1)) ))
-      (String.split_on_char ';' s)
-
-let result_fields (r : Machine.result) =
-  [
-    ("runtime_ns", Obs.Int r.runtime_ns);
-    ("counters", Obs.Str (Obs.Vmstat.encode_capture r.counters));
-    ("read_latencies", Obs.Str (floats_to_s r.read_latencies));
-    ("write_latencies", Obs.Str (floats_to_s r.write_latencies));
-    ("per_thread_finish", Obs.Str (ints_to_s r.per_thread_finish));
-    ("cpu_busy_ns", Obs.Int r.cpu_busy_ns);
-    ("policy_stats", Obs.Str (stats_to_s r.policy_stats));
-    ("policy_name", Obs.Str r.policy_name);
-    ("resident_at_end", Obs.Int r.resident_at_end);
-  ]
-  (* Only what [Obs.kept] keeps is written: the counters above, and the
-     phase totals below (without spans), emitted only when present so
-     profiler-off journals stay byte-identical to builds without the
-     profiler.  No trace, samples or heatmap. *)
-  @ (match r.profile with
-    | None -> []
-    | Some cap -> [ ("profile", Obs.Str (Obs.Prof.encode_capture cap)) ])
-  (* Same pattern for the cgroup summary: absent without [--cgroups]. *)
-  @ (match r.memcg with
-    | None -> []
-    | Some s -> [ ("cgroups", Obs.Str (Mem.Memcg.summary_to_string s)) ])
-  (* And for the chaos tallies: absent without [--chaos]. *)
-  @ (match r.chaos with
-    | None -> []
-    | Some s -> [ ("chaos", Obs.Str (Chaos.summary_to_string s)) ])
 
 exception Decode of string
 
-let req fields name =
-  match Obs.field fields name with
-  | Some v -> v
-  | None -> raise (Decode (Printf.sprintf "missing field %S" name))
+let fail fmt = Printf.ksprintf (fun msg -> raise (Decode msg)) fmt
+
+(* Encoding *)
+
+let join sep enc a = String.concat sep (List.map enc (Array.to_list a))
+let ints_s = join " " string_of_int
+let floats_s = join " " (Printf.sprintf "%h")
+
+let pairs_s sep kvs =
+  String.concat sep (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
+
+(* Decoding: five strict primitives, raising only [Decode].  Integers
+   take [string_of_int]'s shape only ([int_of_string] alone would also
+   read "0x10", "1_0" or "+1"). *)
+
+let int_of s =
+  let n = String.length s in
+  let digits = if n > 0 && s.[0] = '-' then String.sub s 1 (n - 1) else s in
+  let digit c = c >= '0' && c <= '9' in
+  match int_of_string_opt s with
+  | Some v when digits <> "" && String.for_all digit digits -> v
+  | _ -> fail "malformed integer %S" s
+
+let hex_of s =
+  let hex_digit = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+  match int_of_string_opt ("0x" ^ s) with
+  | Some n when s <> "" && String.for_all hex_digit s -> n
+  | _ -> fail "malformed hex integer %S" s
+
+(* Latencies are the bulk of every record and resume decodes them all,
+   so floats get no shape check beyond [float_of_string]'s own. *)
+let float_of s =
+  try float_of_string s with Failure _ -> fail "malformed float %S" s
+
+let list sep dec s =
+  if s = "" then [] else List.map dec (String.split_on_char sep s)
+
+let kv s =
+  match String.index_opt s '=' with
+  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | None -> fail "expected k=v, got %S" s
+
+(* The values of a [k=v] list holding exactly [keys], in that order. *)
+let fields_of sep keys s =
+  let got = list sep kv s in
+  if List.map fst got <> keys then
+    fail "want the fields %s in %S" (String.concat "," keys) s;
+  List.map snd got
+
+let array sep dec s = Array.of_list (list sep dec s)
+let ints_of = array ' ' int_of
+let floats_of = array ' ' float_of
+
+let exactly what n a =
+  if Array.length a <> n then
+    fail "%d %s, want %d" (Array.length a) what n;
+  a
+
+(* Layouts *)
+
+let counters_s (c : Obs.Vmstat.capture) =
+  String.concat "|"
+    [ "v1:" ^ join ";" string_of_int c.counters;
+      join ";" string_of_int c.refault_dist ]
+
+let counters_of s : Obs.Vmstat.capture =
+  match String.split_on_char '|' s with
+  | [ v1; dist ] when String.starts_with ~prefix:"v1:" v1 ->
+    let counters = String.sub v1 3 (String.length v1 - 3) in
+    {
+      counters =
+        exactly "counters" Obs.Vmstat.nr_counters (array ';' int_of counters);
+      refault_dist =
+        exactly "refault buckets" Obs.Vmstat.dist_buckets
+          (array ';' int_of dist);
+    }
+  | _ -> fail "malformed counters"
+
+let profile_s (c : Obs.Prof.capture) =
+  String.concat "|"
+    [
+      String.concat "," (Array.to_list c.classes);
+      join ";"
+        (fun (tid, name, cls) -> Printf.sprintf "%d:%s:%d" tid name cls)
+        c.threads;
+      join ";"
+        (fun (cls, path, ns) -> Printf.sprintf "%d:%x:%d" cls path ns)
+        c.totals;
+    ]
+
+let profile_of s : Obs.Prof.capture =
+  match String.split_on_char '|' s with
+  | [ classes; threads; totals ] ->
+    let classes = array ',' Fun.id classes in
+    let cls s =
+      let i = int_of s in
+      if i < 0 || i >= Array.length classes then
+        fail "profile class %d out of range" i;
+      i
+    in
+    let path s =
+      let p = hex_of s in
+      match Obs.Prof.path_phases p with
+      | _ -> p
+      | exception Invalid_argument _ -> fail "malformed phase path %S" s
+    in
+    let entry dec item =
+      match String.split_on_char ':' item with
+      | [ a; b; c ] -> dec a b c
+      | _ -> fail "malformed profile entry %S" item
+    in
+    {
+      classes;
+      threads =
+        array ';' (entry (fun tid name c -> (int_of tid, name, cls c))) threads;
+      totals =
+        array ';' (entry (fun c p ns -> (cls c, path p, int_of ns))) totals;
+      spans = [||];
+    }
+  | _ -> fail "malformed profile"
+
+let cgroup_keys =
+  [ "name"; "usage"; "low"; "high"; "max"; "limit"; "throttles";
+    "throttled_ns"; "oom_kills"; "psi_some_ns"; "psi_full_ns"; "rlat"; "wlat";
+    "vm" ]
+
+let cgroups_s (s : Mem.Memcg.summary) =
+  let group (r : Mem.Memcg.report) =
+    pairs_s ";"
+      (List.combine cgroup_keys
+         ((r.r_name
+          :: List.map string_of_int
+               [ r.r_usage; r.r_low; r.r_high; r.r_max; r.r_limit;
+                 r.r_throttles; r.r_throttled_ns; r.r_oom_kills;
+                 r.r_psi_some_ns; r.r_psi_full_ns ])
+         @ [ floats_s r.r_read_latencies; floats_s r.r_write_latencies;
+             ints_s r.r_vm ]))
+  in
+  String.concat "|"
+    (pairs_s ","
+       [ ("some", string_of_int s.s_some_ns);
+         ("full", string_of_int s.s_full_ns) ]
+    :: List.map group s.s_groups)
+
+let cgroups_of s : Mem.Memcg.summary =
+  let group g : Mem.Memcg.report =
+    match fields_of ';' cgroup_keys g with
+    | [ name; usage; low; high; max; limit; throttles; throttled_ns; ooms;
+        some; full; rlat; wlat; vm ] ->
+      {
+        r_name = name;
+        r_usage = int_of usage;
+        r_low = int_of low;
+        r_high = int_of high;
+        r_max = int_of max;
+        r_limit = int_of limit;
+        r_throttles = int_of throttles;
+        r_throttled_ns = int_of throttled_ns;
+        r_oom_kills = int_of ooms;
+        r_psi_some_ns = int_of some;
+        r_psi_full_ns = int_of full;
+        r_read_latencies = floats_of rlat;
+        r_write_latencies = floats_of wlat;
+        r_vm = exactly "memory.stat counters" Mem.Memcg.nr_stats (ints_of vm);
+      }
+    | _ -> fail "malformed cgroup %S" g
+  in
+  match String.split_on_char '|' s with
+  | head :: groups -> (
+    match List.map int_of (fields_of ',' [ "some"; "full" ] head) with
+    | [ some; full ] ->
+      { s_groups = List.map group groups; s_some_ns = some; s_full_ns = full }
+    | _ -> fail "malformed cgroups %S" head)
+  | [] -> fail "empty cgroups"
+
+let chaos_keys =
+  [ "ev"; "off"; "on"; "mig"; "evi"; "skip"; "lim"; "dev"; "stall"; "corr" ]
+
+let chaos_s (s : Chaos.summary) =
+  pairs_s ","
+    (List.combine chaos_keys
+       (List.map string_of_int
+          [ s.s_events; s.s_offlined; s.s_onlined; s.s_migrated; s.s_evicted;
+            s.s_skipped; s.s_limit_updates; s.s_device_phases;
+            s.s_stalled_threads; s.s_corrupted ]))
+
+let chaos_of s : Chaos.summary =
+  match List.map int_of (fields_of ',' chaos_keys s) with
+  | [ ev; off; on_; mig; evi; skip; lim; dev; stall; corr ] ->
+    {
+      s_events = ev;
+      s_offlined = off;
+      s_onlined = on_;
+      s_migrated = mig;
+      s_evicted = evi;
+      s_skipped = skip;
+      s_limit_updates = lim;
+      s_device_phases = dev;
+      s_stalled_threads = stall;
+      s_corrupted = corr;
+    }
+  | _ -> fail "malformed chaos tallies %S" s
+
+(* Only what [Obs.kept] keeps is written: the counters and the phase
+   totals.  No trace, samples, spans or heatmap. *)
+let result_fields (r : Machine.result) =
+  let opt name enc v =
+    Option.to_list (Option.map (fun v -> (name, Obs.Str (enc v))) v)
+  in
+  [
+    ("runtime_ns", Obs.Int r.runtime_ns);
+    ("counters", Obs.Str (counters_s r.counters));
+    ("read_latencies", Obs.Str (floats_s r.read_latencies));
+    ("write_latencies", Obs.Str (floats_s r.write_latencies));
+    ("per_thread_finish", Obs.Str (ints_s r.per_thread_finish));
+    ("cpu_busy_ns", Obs.Int r.cpu_busy_ns);
+    ( "policy_stats",
+      Obs.Str
+        (pairs_s ";"
+           (List.map (fun (k, v) -> (k, string_of_int v)) r.policy_stats)) );
+    ("policy_name", Obs.Str r.policy_name);
+    ("resident_at_end", Obs.Int r.resident_at_end);
+  ]
+  @ opt "profile" profile_s r.profile
+  @ opt "cgroups" cgroups_s r.memcg
+  @ opt "chaos" chaos_s r.chaos
 
 let req_int fields name =
   match Obs.field_int fields name with
   | Some v -> v
-  | None -> raise (Decode (Printf.sprintf "missing int field %S" name))
+  | None -> fail "missing int field %S" name
 
 let req_str fields name =
-  match req fields name with
-  | Obs.Str s -> s
-  | _ -> raise (Decode (Printf.sprintf "field %S is not a string" name))
+  match Obs.field_string fields name with
+  | Some s -> s
+  | None -> fail "missing string field %S" name
 
-(* A capture with fewer counters than this build's would read the
-   missing ones as zero: the record is invalid, and its trial reruns. *)
 let result_of_fields fields : Machine.result =
   let int = req_int fields and str = req_str fields in
-  let counters =
-    match Obs.Vmstat.decode_capture (str "counters") with
-    | cap when Obs.Vmstat.complete cap -> cap
-    | _ -> raise (Decode "counters from a build with a different counter set")
-    | exception Failure msg -> raise (Decode msg)
-  in
+  let opt name dec = Option.map dec (Obs.field_string fields name) in
+  let counters = counters_of (str "counters") in
   {
     runtime_ns = int "runtime_ns";
     major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
     minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
-    read_latencies = floats_of_s (str "read_latencies");
-    write_latencies = floats_of_s (str "write_latencies");
-    per_thread_finish = ints_of_s (str "per_thread_finish");
+    read_latencies = floats_of (str "read_latencies");
+    write_latencies = floats_of (str "write_latencies");
+    per_thread_finish = ints_of (str "per_thread_finish");
     cpu_busy_ns = int "cpu_busy_ns";
-    policy_stats = stats_of_s (str "policy_stats");
+    policy_stats =
+      list ';'
+        (fun item ->
+          let k, v = kv item in
+          (k, int_of v))
+        (str "policy_stats");
     policy_name = str "policy_name";
     resident_at_end = int "resident_at_end";
     counters;
-    memcg =
-      (match Obs.field_string fields "cgroups" with
-      | None -> None
-      | Some s -> (
-        match Mem.Memcg.summary_of_string s with
-        | Some _ as sm -> sm
-        | None -> raise (Decode "malformed cgroups summary")));
-    chaos =
-      (match Obs.field_string fields "chaos" with
-      | None -> None
-      | Some s -> (
-        match Chaos.summary_of_string s with
-        | Some _ as cs -> cs
-        | None -> raise (Decode "malformed chaos summary")));
+    memcg = opt "cgroups" cgroups_of;
+    chaos = opt "chaos" chaos_of;
     trace = None;
-    profile =
-      (match Obs.field_string fields "profile" with
-      | None -> None
-      | Some s -> (
-        try Some (Obs.Prof.decode_capture s)
-        with Failure msg -> raise (Decode msg)));
+    profile = opt "profile" profile_of;
     heatmap = None;
   }
 

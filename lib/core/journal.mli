@@ -35,6 +35,20 @@
     atomically and the segment on disk is always wholly valid before new
     appends begin.
 
+    {b Record format.}  This module owns every byte of a record: no
+    other module encodes or decodes a payload.  Scalars are JSON ints;
+    the counters ([v1:] then counters and refault buckets), latencies
+    ([%h] floats, so they round-trip bit-exactly), per-thread finish
+    times, policy stats ([k=v;k=v]), profile totals, cgroup summary and
+    chaos tallies are JSON strings, the last three written only when
+    present.  Decoding is strict and total: an array of the wrong
+    length (another build's counter or [memory.stat] set), a missing,
+    extra or reordered key in the cgroup or chaos [k=v] lists, or a
+    malformed number makes the record invalid, so it is skipped and its
+    trial reruns.  Nothing is
+    zero-filled, and no input line makes {!load}, {!open_} or
+    {!record_of_line} raise.
+
     {b What is journaled.}  One rule, {!Obs.kept}: a record keeps the
     counters and, when the profiler was on, its phase totals.  Telemetry
     captures ([result.trace]), profiler spans and heatmaps are too large
@@ -78,11 +92,11 @@ val open_ :
     With [resume = true], an existing non-empty journal must carry a
     header equal to [fingerprint], else {!Mismatch} is raised and the
     file is left untouched.  Its records are loaded: invalid lines
-    (including records whose counter set differs from this build's) are
-    logged and skipped, duplicate keys keep the {e last} occurrence (a
-    retried trial supersedes its earlier failure), and the compacted
-    segment is atomically rewritten under the header before the handle
-    is returned.  With [resume = false] any existing file is replaced by
+    (torn, corrupt, or any payload the record format refuses) are
+    logged to stderr and skipped, duplicate keys keep the {e last}
+    occurrence (a retried trial supersedes its earlier failure), and the
+    compacted segment is atomically rewritten under the header before
+    the handle is returned.  With [resume = false] any existing file is replaced by
     a journal holding only the header, and the record list is empty. *)
 
 val append : t -> record -> unit
@@ -104,5 +118,5 @@ val record_to_line : record -> string
     tests. *)
 
 val record_of_line : string -> (record, string) result
-(** Validate framing + checksum and decode one line — exposed for
-    tests. *)
+(** Validate framing + checksum and decode one line; [Error] names what
+    was malformed.  Never raises.  Exposed for tests. *)

@@ -689,138 +689,3 @@ let summary t ~now =
          t.cgs)
   in
   { s_groups = groups; s_some_ns = t.global.some_ns; s_full_ns = t.global.full_ns }
-
-(* Journal encoding.  Groups joined with '|', fields with ';', each
-   field 'k=v'; latency arrays are space-separated hex floats so the
-   round-trip is bit-exact.  Cgroup names are [A-Za-z0-9_-]+ by
-   construction, so the separators are safe. *)
-
-let floats_enc a =
-  String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
-
-let floats_dec s =
-  if String.trim s = "" then Some [||]
-  else
-    let parts = split_on ' ' s in
-    let out = Array.make (List.length parts) 0.0 in
-    let ok = ref true in
-    List.iteri
-      (fun i p ->
-        match float_of_string_opt p with
-        | Some f -> out.(i) <- f
-        | None -> ok := false)
-      parts;
-    if !ok then Some out else None
-
-let report_enc r =
-  String.concat ";"
-    [
-      "name=" ^ r.r_name;
-      Printf.sprintf "usage=%d" r.r_usage;
-      Printf.sprintf "low=%d" r.r_low;
-      Printf.sprintf "high=%d" r.r_high;
-      Printf.sprintf "max=%d" r.r_max;
-      Printf.sprintf "limit=%d" r.r_limit;
-      Printf.sprintf "throttles=%d" r.r_throttles;
-      Printf.sprintf "throttled_ns=%d" r.r_throttled_ns;
-      Printf.sprintf "oom_kills=%d" r.r_oom_kills;
-      Printf.sprintf "psi_some_ns=%d" r.r_psi_some_ns;
-      Printf.sprintf "psi_full_ns=%d" r.r_psi_full_ns;
-      "rlat=" ^ floats_enc r.r_read_latencies;
-      "wlat=" ^ floats_enc r.r_write_latencies;
-      "vm="
-      ^ String.concat " "
-          (Array.to_list (Array.map string_of_int r.r_vm));
-    ]
-
-let summary_to_string s =
-  Printf.sprintf "some=%d,full=%d%s" s.s_some_ns s.s_full_ns
-    (String.concat ""
-       (List.map (fun r -> "|" ^ report_enc r) s.s_groups))
-
-let report_dec s =
-  let fields =
-    List.filter_map
-      (fun f ->
-        match String.index_opt f '=' with
-        | None -> None
-        | Some i ->
-          Some
-            ( String.sub f 0 i,
-              String.sub f (i + 1) (String.length f - i - 1) ))
-      (String.split_on_char ';' s)
-  in
-  let str k = List.assoc_opt k fields in
-  let int k = Option.bind (str k) int_of_string_opt in
-  match
-    ( str "name", int "usage", int "low", int "high", int "max", int "limit",
-      int "throttles", int "throttled_ns", int "oom_kills", int "psi_some_ns",
-      int "psi_full_ns" )
-  with
-  | ( Some name, Some usage, Some low, Some high, Some max_, Some limit,
-      Some throttles, Some throttled_ns, Some ooms, Some some, Some full ) ->
-    (* Strict, like [Obs.Vmstat.complete]: a record missing a field, or
-       from a build with another [nr_stats], is invalid, never read as
-       zeros. *)
-    let vm =
-      Option.bind (str "vm") (fun v ->
-          let parts = split_on ' ' v in
-          let ns = List.filter_map int_of_string_opt parts in
-          if List.length parts = nr_stats && List.length ns = nr_stats then
-            Some (Array.of_list ns)
-          else None)
-    in
-    let lat k = Option.bind (str k) floats_dec in
-    (match (lat "rlat", lat "wlat", vm) with
-     | Some rlat, Some wlat, Some vm ->
-       Some
-         {
-           r_name = name;
-           r_usage = usage;
-           r_low = low;
-           r_high = high;
-           r_max = max_;
-           r_limit = limit;
-           r_throttles = throttles;
-           r_throttled_ns = throttled_ns;
-           r_oom_kills = ooms;
-           r_psi_some_ns = some;
-           r_psi_full_ns = full;
-           r_read_latencies = rlat;
-           r_write_latencies = wlat;
-           r_vm = vm;
-         }
-     | _ -> None)
-  | _ -> None
-
-let summary_of_string s =
-  match String.split_on_char '|' s with
-  | [] -> None
-  | head :: groups ->
-    let kv =
-      List.filter_map
-        (fun f ->
-          match String.index_opt f '=' with
-          | None -> None
-          | Some i ->
-            Some
-              ( String.sub f 0 i,
-                String.sub f (i + 1) (String.length f - i - 1) ))
-        (String.split_on_char ',' head)
-    in
-    (match
-       ( Option.bind (List.assoc_opt "some" kv) int_of_string_opt,
-         Option.bind (List.assoc_opt "full" kv) int_of_string_opt )
-     with
-     | Some some, Some full ->
-       let rec decode acc = function
-         | [] -> Some (List.rev acc)
-         | g :: rest ->
-           (match report_dec g with
-            | Some r -> decode (r :: acc) rest
-            | None -> None)
-       in
-       Option.map
-         (fun gs -> { s_groups = gs; s_some_ns = some; s_full_ns = full })
-         (decode [] groups)
-     | _ -> None)

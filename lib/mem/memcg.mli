@@ -237,12 +237,3 @@ type summary = {
 
 val summary : t -> now:int -> summary
 (** Advances PSI to [now] first. *)
-
-val summary_to_string : summary -> string
-(** Compact single-line encoding (hex floats for latencies) for the
-    result journal; inverse of {!summary_of_string}. *)
-
-val summary_of_string : string -> summary option
-(** [None] on any malformed group: a missing field (including [rlat],
-    [wlat] and [vm]), a non-number, or a [vm] list that is not exactly
-    {!nr_stats} integers long. *)

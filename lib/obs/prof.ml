@@ -344,97 +344,6 @@ let capture (t : t) =
           spans = Array.of_list (List.rev s.spans);
         }
 
-(* Journal encoding: three '|'-separated sections — comma-separated
-   class names, then semicolon-separated [tid:name:class] threads,
-   then semicolon-separated [class:path-hex:ns] totals.  Spans are
-   not encoded: a journal record keeps [Totals] ({!Obs.kept}),
-   so its key is never a [Spans] context's.  Names ("app3", "kswapd",
-   "lru_gen_aging") contain none of the delimiters. *)
-
-let encode_capture c =
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b name)
-    c.classes;
-  Buffer.add_char b '|';
-  Array.iteri
-    (fun i (tid, name, cls) ->
-      if i > 0 then Buffer.add_char b ';';
-      Printf.bprintf b "%d:%s:%d" tid name cls)
-    c.threads;
-  Buffer.add_char b '|';
-  Array.iteri
-    (fun i (cls, path, ns) ->
-      if i > 0 then Buffer.add_char b ';';
-      Printf.bprintf b "%d:%x:%d" cls path ns)
-    c.totals;
-  Buffer.contents b
-
-let decode_failure what = failwith ("Prof.decode_capture: malformed " ^ what)
-
-let strict_int what str =
-  (* [int_of_string] alone would accept "0x10" or "1_0". *)
-  if str = "" then decode_failure what;
-  String.iter (fun ch -> if ch < '0' || ch > '9' then decode_failure what) str;
-  match int_of_string_opt str with
-  | Some n -> n
-  | None -> decode_failure what
-
-let strict_hex what str =
-  if str = "" then decode_failure what;
-  String.iter
-    (fun ch ->
-      match ch with
-      | '0' .. '9' | 'a' .. 'f' -> ()
-      | _ -> decode_failure what)
-    str;
-  match int_of_string_opt ("0x" ^ str) with
-  | Some n -> n
-  | None -> decode_failure what
-
-let decode_capture str =
-  match String.split_on_char '|' str with
-  | [ classes_s; threads_s; totals_s ] ->
-      let classes =
-        if classes_s = "" then [||]
-        else Array.of_list (String.split_on_char ',' classes_s)
-      in
-      let split_items s =
-        if s = "" then [] else String.split_on_char ';' s
-      in
-      let class_index what i =
-        if i >= Array.length classes then decode_failure what else i
-      in
-      let threads =
-        split_items threads_s
-        |> List.map (fun item ->
-               match String.split_on_char ':' item with
-               | [ tid; name; cls ] ->
-                   ( strict_int "thread tid" tid,
-                     name,
-                     class_index "thread class" (strict_int "thread class" cls) )
-               | _ -> decode_failure "thread")
-        |> Array.of_list
-      in
-      let totals =
-        split_items totals_s
-        |> List.map (fun item ->
-               match String.split_on_char ':' item with
-               | [ cls; path; ns ] ->
-                   let path = strict_hex "total path" path in
-                   (try ignore (path_phases path)
-                    with Invalid_argument _ -> decode_failure "total path");
-                   ( class_index "total class" (strict_int "total class" cls),
-                     path,
-                     strict_int "total ns" ns )
-               | _ -> decode_failure "total")
-        |> Array.of_list
-      in
-      { classes; threads; totals; spans = [||] }
-  | _ -> decode_failure "capture"
-
 type merged = {
   m_classes : string array;
   m_totals : (int * int * int) array;

@@ -181,14 +181,6 @@ type capture = {
 val capture : t -> capture option
 (** [None] iff the sink is {!disabled}. *)
 
-val encode_capture : capture -> string
-(** Compact single-line encoding for the result journal.  Spans are not
-    encoded: a journal record keeps [Totals] (see {!Obs.kept}). *)
-
-val decode_capture : string -> capture
-(** Inverse of {!encode_capture} (with [spans = [||]]).
-    @raise Failure on malformed input. *)
-
 type merged = {
   m_classes : string array;
   m_totals : (int * int * int) array;

@@ -4,7 +4,7 @@
    the simulator keeps: incrementing a counter is one array store, so
    the hot fault/reclaim paths stay allocation-free. *)
 
-(* Counter indices.  Order is the wire format ([encode_capture] joins
+(* Counter indices.  Order is the wire format (the journal joins
    the array in index order), so new counters append only. *)
 let pgfault = 0
 let pgmajfault = 1
@@ -114,50 +114,3 @@ let merge caps =
 let count cap i = cap.counters.(i)
 
 let refaults cap = Array.fold_left ( + ) 0 cap.refault_dist
-
-let complete cap =
-  Array.length cap.counters = nr_counters
-  && Array.length cap.refault_dist = dist_buckets
-
-(* Compact single-line codec for the journal: "v1:" then the counters
-   ';'-joined in index order, '|', then the distance buckets. *)
-
-let ints_to_string a =
-  String.concat ";" (Array.to_list (Array.map string_of_int a))
-
-(* Shorter arrays (older records: counters append only) decode at
-   their own length, never zero-filled, so [complete] can tell them
-   apart; longer ones are a format error. *)
-let ints_of_string ~what ~len s =
-  let parts = String.split_on_char ';' s in
-  if List.length parts > len then
-    failwith (Printf.sprintf "Vmstat: too many %s" what);
-  Array.of_list
-    (List.map
-       (fun p ->
-         match int_of_string_opt p with
-         | Some v -> v
-         | None -> failwith (Printf.sprintf "Vmstat: bad %s %S" what p))
-       parts)
-
-let encode_capture cap =
-  "v1:" ^ ints_to_string cap.counters ^ "|" ^ ints_to_string cap.refault_dist
-
-let decode_capture s =
-  let body =
-    match String.index_opt s ':' with
-    | Some i when String.sub s 0 i = "v1" ->
-      String.sub s (i + 1) (String.length s - i - 1)
-    | _ -> failwith "Vmstat: unknown capture version"
-  in
-  match String.index_opt body '|' with
-  | None -> failwith "Vmstat: missing distance section"
-  | Some i ->
-    let counters =
-      ints_of_string ~what:"counter" ~len:nr_counters (String.sub body 0 i)
-    in
-    let refault_dist =
-      ints_of_string ~what:"bucket" ~len:dist_buckets
-        (String.sub body (i + 1) (String.length body - i - 1))
-    in
-    { counters; refault_dist }

@@ -28,8 +28,8 @@ val create : unit -> t
 
 (** {1 Counter indices}
 
-    Stable indices into the registry; {!encode_capture} serializes in
-    index order, so new counters must only append. *)
+    Stable indices into the registry; the result journal stores a
+    capture in index order, so new counters must only append. *)
 
 val pgfault : int
 val pgmajfault : int
@@ -138,16 +138,3 @@ val count : capture -> int -> int
 
 val refaults : capture -> int
 (** Total refault-distance samples (= sum of the histogram). *)
-
-val complete : capture -> bool
-(** Whether the capture holds every counter and bucket of this build.
-    Only {!decode_capture} can produce an incomplete one. *)
-
-val encode_capture : capture -> string
-(** Compact single-line form for the result journal. *)
-
-val decode_capture : string -> capture
-(** Inverse of {!encode_capture}.  A capture encoded by an older build
-    with fewer counters decodes with shorter arrays, never zero-filled:
-    check {!complete} before trusting it.
-    @raise Failure on malformed input. *)

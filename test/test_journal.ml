@@ -248,8 +248,8 @@ let pinned_line =
       {|=0,corr=1"}|};
     ]
 
-(* The bytes of every payload layout, recorded from the codec that wrote
-   the first journals: a change here orphans every journal on disk. *)
+(* The bytes of every payload layout.  Journals on disk hold exactly
+   these, so a change here orphans every one of them. *)
 let test_pinned_line () =
   let line = J.record_to_line pinned_record in
   Alcotest.(check string) "record bytes" pinned_line line;
@@ -637,6 +637,287 @@ let test_record_keys_pinned () =
     (R.record_key (at { Obs.off with prof = Obs.Prof.Totals }) tpch_exp)
 
 (* ------------------------------------------------------------------ *)
+(* Record format: strict decoding, no exception escapes                *)
+(* ------------------------------------------------------------------ *)
+
+(* [pinned_record]'s line with field [name] set to the string [value],
+   checksummed: only the decoder can refuse it. *)
+let with_field name value =
+  match Obs.parse_line (J.record_to_line pinned_record) with
+  | Ok (_sum :: fields) ->
+    let obj =
+      Obs.json_object
+        (List.map (fun (k, v) -> if k = name then (k, Obs.Str value) else (k, v)) fields)
+    in
+    frame (String.sub obj 1 (String.length obj - 1))
+  | _ -> Alcotest.fail "pinned line does not parse"
+
+let counters_of_length n b =
+  let ones k v = String.concat ";" (List.init k (fun _ -> v)) in
+  "v1:" ^ ones n "1" ^ "|" ^ ones b "0"
+
+let chaos_without_corr = "ev=2,off=168,on=168,mig=5,evi=0,skip=0,lim=0,dev=0,stall=0"
+
+(* Payload values the decoder must refuse: malformed profiles and
+   counters, captures of a build with another counter set, and chaos
+   tallies with a missing, hex or duplicate value. *)
+let malformed =
+  let module V = Obs.Vmstat in
+  List.map (fun s -> ("profile", s))
+    [
+      ""; "garbage"; "app"; "app|0:app0:0"; "app|0:app0:0|0:1g:5";
+      "app|0:app0:0|0:12:x"; "app|zero:app0:0|"; "app|0:app0:9|";
+      "app|0:app0:0|1:12:5";
+    ]
+  @ List.map (fun s -> ("counters", s))
+      [
+        ""; "v2:1|1"; "v1:1;2;3"; "v1:1;x|2";
+        (* a build with fewer counters *)
+        "v1:4;2|1;1";
+        counters_of_length (V.nr_counters - 1) V.dist_buckets;
+        (* a build with more counters *)
+        counters_of_length (V.nr_counters + 1) V.dist_buckets;
+        counters_of_length V.nr_counters (V.dist_buckets - 1);
+      ]
+  @ List.map (fun s -> ("chaos", s))
+      [
+        (* missing key *)
+        chaos_without_corr;
+        "ev=0x10,off=168,on=168,mig=5,evi=0,skip=0,lim=0,dev=0,stall=0,corr=1";
+        (* duplicate key *)
+        chaos_without_corr ^ ",corr=1,corr=1";
+      ]
+
+let test_malformed_rejected () =
+  List.iter
+    (fun (name, value) ->
+      match J.record_of_line (with_field name value) with
+      | Ok _ -> Alcotest.failf "decoded %s = %S" name value
+      | Error _ -> ())
+    malformed
+
+(* Run [f] with stderr sent to a file: its result and what it printed. *)
+let with_stderr f =
+  let path = Filename.temp_file "journal_test" ".err" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let err = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (v, err)
+
+(* A checksummed record whose array does not parse is one invalid
+   record: loading and resuming skip it with a note and keep the rest. *)
+let test_malformed_record_skipped () =
+  let keys records = List.map (fun r -> r.J.key) records in
+  let noted err =
+    Alcotest.(check bool) "stderr notes the skipped line" true
+      (contains err "skipping invalid record at line 3")
+  in
+  List.iter
+    (fun (name, value) ->
+      let bad = with_field name value in
+      (match J.record_of_line bad with
+      | Ok _ -> Alcotest.failf "decoded %s = %S" name value
+      | Error _ -> ());
+      with_temp_journal (fun path ->
+          let t, _ = J.open_ ~path ~resume:false ~fingerprint in
+          J.append t (failed_record "a");
+          J.close t;
+          append_raw path (bad ^ "\n");
+          append_raw path (J.record_to_line (failed_record "b") ^ "\n");
+          let loaded, err = with_stderr (fun () -> J.load ~path) in
+          Alcotest.(check (list string)) (name ^ ": load keeps the rest") [ "a"; "b" ]
+            (keys loaded);
+          noted err;
+          let (t, resumed), err =
+            with_stderr (fun () -> J.open_ ~path ~resume:true ~fingerprint)
+          in
+          J.close t;
+          Alcotest.(check (list string)) (name ^ ": resume keeps the rest")
+            [ "a"; "b" ] (keys resumed);
+          noted err;
+          Alcotest.(check int) (name ^ ": compacted") 3 (count_lines path)))
+    [
+      ("per_thread_finish", "7 x");
+      ("policy_stats", "evictions");
+      ("read_latencies", "zz");
+    ]
+
+(* The captures a record never holds, from one trial with all of them
+   on. *)
+let unkept =
+  lazy
+    (R.run_exp
+       (at
+          {
+            Obs.trace = true;
+            sample_every_ns = 10_000_000;
+            prof = Obs.Prof.Spans;
+            damon = Some Mem.Damon.default_config;
+          })
+       tpch_exp)
+
+(* Results with every capture kind present or absent and arbitrary
+   numbers; names avoid the separators, as they do by construction. *)
+let gen_result =
+  let open QCheck.Gen in
+  let module V = Obs.Vmstat in
+  let name = string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '0'; '7'; '_' ]) (int_range 1 6) in
+  let latency =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
+              Int64.float_of_bits 1L ] );
+        (3, map Int64.float_of_bits ui64);
+        (2, float);
+      ]
+  in
+  let latencies = array_size (int_bound 4) latency in
+  let counters =
+    let+ counters = array_repeat V.nr_counters int
+    and+ refault_dist = array_repeat V.dist_buckets int in
+    { V.counters; refault_dist }
+  in
+  let profile =
+    let* classes = array_size (int_range 1 3) name in
+    let cls = int_bound (Array.length classes - 1) in
+    let path =
+      map
+        (fun l -> Obs.Prof.path_code (List.map Obs.Prof.phase_of_index l))
+        (list_size (int_range 1 3) (int_bound (Obs.Prof.n_phases - 1)))
+    in
+    let+ threads = array_size (int_bound 3) (triple int name cls)
+    and+ totals = array_size (int_bound 3) (triple cls path int)
+    and+ spans = array_size (int_bound 2) (quad int int int int) in
+    { Obs.Prof.classes; threads; totals; spans }
+  in
+  let group =
+    let+ r_name = name
+    and+ n = array_repeat 10 int
+    and+ r_read_latencies = latencies
+    and+ r_write_latencies = latencies
+    and+ r_vm = array_repeat Mem.Memcg.nr_stats int in
+    {
+      Mem.Memcg.r_name;
+      r_usage = n.(0);
+      r_low = n.(1);
+      r_high = n.(2);
+      r_max = n.(3);
+      r_limit = n.(4);
+      r_throttles = n.(5);
+      r_throttled_ns = n.(6);
+      r_oom_kills = n.(7);
+      r_psi_some_ns = n.(8);
+      r_psi_full_ns = n.(9);
+      r_read_latencies;
+      r_write_latencies;
+      r_vm;
+    }
+  in
+  let memcg =
+    let+ s_groups = list_size (int_bound 3) group
+    and+ s_some_ns = int
+    and+ s_full_ns = int in
+    { Mem.Memcg.s_groups; s_some_ns; s_full_ns }
+  in
+  let chaos =
+    let+ n = array_repeat 10 int in
+    {
+      Repro_core.Chaos.s_events = n.(0);
+      s_offlined = n.(1);
+      s_onlined = n.(2);
+      s_migrated = n.(3);
+      s_evicted = n.(4);
+      s_skipped = n.(5);
+      s_limit_updates = n.(6);
+      s_device_phases = n.(7);
+      s_stalled_threads = n.(8);
+      s_corrupted = n.(9);
+    }
+  in
+  let+ runtime_ns = int
+  and+ counters = counters
+  and+ read_latencies = latencies
+  and+ write_latencies = latencies
+  and+ per_thread_finish = array_size (int_bound 4) int
+  and+ cpu_busy_ns = int
+  and+ policy_stats = list_size (int_bound 4) (pair name int)
+  and+ policy_name = name
+  and+ resident_at_end = int
+  and+ memcg = opt memcg
+  and+ chaos = opt chaos
+  and+ profile = opt profile
+  and+ trace = bool
+  and+ heatmap = bool in
+  let unkept = Lazy.force unkept in
+  {
+    M.runtime_ns;
+    major_faults = V.count counters V.pgmajfault;
+    minor_faults = V.count counters V.minor_faults;
+    read_latencies;
+    write_latencies;
+    per_thread_finish;
+    cpu_busy_ns;
+    policy_stats;
+    policy_name;
+    resident_at_end;
+    counters;
+    memcg;
+    chaos;
+    trace = (if trace then unkept.M.trace else None);
+    profile;
+    heatmap = (if heatmap then unkept.M.heatmap else None);
+  }
+
+let ok_with result = { J.key = "k"; status = J.Trial_ok; reason = ""; result = Some result }
+
+let arb_result = QCheck.make ~print:(fun r -> J.record_to_line (ok_with r)) gen_result
+
+(* A record keeps what [Obs.kept] keeps: no trace, heatmap or spans.
+   [compare] makes [nan] equal to itself. *)
+let round_trip_prop =
+  QCheck.Test.make ~count:300 ~name:"every result round-trips through a record"
+    arb_result (fun r ->
+      let journaled =
+        {
+          r with
+          M.trace = None;
+          heatmap = None;
+          profile = Option.map (fun p -> { p with Obs.Prof.spans = [||] }) r.M.profile;
+        }
+      in
+      match J.record_of_line (J.record_to_line (ok_with r)) with
+      | Ok got -> compare got (ok_with journaled) = 0
+      | Error _ -> false)
+
+(* Any one byte of a valid payload changed, checksum recomputed: the
+   record decodes or is refused, never raises. *)
+let mutation_prop =
+  QCheck.Test.make ~count:1000 ~name:"a re-checksummed byte change never raises"
+    (QCheck.triple
+       (QCheck.oneof [ QCheck.always pinned_record; QCheck.map ok_with arb_result ])
+       (QCheck.int_bound 1_000_000) QCheck.char)
+    (fun (record, pos, c) ->
+      let line = J.record_to_line record in
+      let payload = Bytes.of_string (String.sub line 42 (String.length line - 42)) in
+      Bytes.set payload (pos mod Bytes.length payload) c;
+      match J.record_of_line (frame (Bytes.to_string payload)) with
+      | Ok _ | Error _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* Atomic_io: the primitive under every writer in the repo             *)
 (* ------------------------------------------------------------------ *)
 
@@ -709,6 +990,15 @@ let () =
           Alcotest.test_case "tag matches content" `Quick
             test_record_tag_matches_content;
           Alcotest.test_case "pinned" `Quick test_record_keys_pinned;
+        ] );
+      ( "format",
+        [
+          Alcotest.test_case "malformed payloads rejected" `Quick
+            test_malformed_rejected;
+          Alcotest.test_case "malformed record skipped" `Quick
+            test_malformed_record_skipped;
+          QCheck_alcotest.to_alcotest round_trip_prop;
+          QCheck_alcotest.to_alcotest mutation_prop;
         ] );
       ( "header",
         [

@@ -217,9 +217,8 @@ let test_high_throttles () =
 let test_throttle_deterministic () =
   let r1 = throttled_run () and r2 = throttled_run () in
   Alcotest.(check int) "same runtime" r1.M.runtime_ns r2.M.runtime_ns;
-  Alcotest.(check string) "same memcg summary"
-    (Mcg.summary_to_string (summary_of r1))
-    (Mcg.summary_to_string (summary_of r2))
+  Alcotest.(check bool) "same memcg summary" true
+    (summary_of r1 = summary_of r2)
 
 (* ---------------- scoped OOM ---------------- *)
 
@@ -430,9 +429,8 @@ let test_parallel_identical () =
   List.iter2
     (fun (a : M.result) (b : M.result) ->
       Alcotest.(check int) "same runtime" a.M.runtime_ns b.M.runtime_ns;
-      Alcotest.(check string) "same memcg summary"
-        (Mcg.summary_to_string (summary_of a))
-        (Mcg.summary_to_string (summary_of b)))
+      Alcotest.(check bool) "same memcg summary" true
+        (summary_of a = summary_of b))
     r1 r4;
   Alcotest.(check bool) "throttling actually exercised" true
     (List.exists (fun r -> (report_of r "app").Mcg.r_throttles > 0) r1);
@@ -448,19 +446,17 @@ let test_parallel_identical () =
 (* ---------------- summary round-trip ---------------- *)
 
 let test_summary_round_trip () =
+  let module J = Repro_core.Journal in
   let r = throttled_run () in
-  let s = summary_of r in
-  let enc = Mcg.summary_to_string s in
-  match Mcg.summary_of_string enc with
-  | None -> Alcotest.fail "decode failed"
-  | Some s2 ->
-    Alcotest.(check string) "re-encode identical" enc (Mcg.summary_to_string s2);
-    Alcotest.(check int) "groups preserved"
-      (List.length s.Mcg.s_groups) (List.length s2.Mcg.s_groups);
-    let app = List.find (fun g -> g.Mcg.r_name = "app") s2.Mcg.s_groups in
-    Alcotest.(check bool) "latencies bit-exact" true
-      (app.Mcg.r_read_latencies
-      = (List.find (fun g -> g.Mcg.r_name = "app") s.Mcg.s_groups).Mcg.r_read_latencies)
+  let record =
+    { J.key = "k"; status = J.Trial_ok; reason = ""; result = Some { r with M.trace = None } }
+  in
+  match J.record_of_line (J.record_to_line record) with
+  | Ok { J.result = Some got; _ } ->
+    Alcotest.(check bool) "summary survives the journal" true
+      (got.M.memcg = r.M.memcg)
+  | Ok _ -> Alcotest.fail "lost the result"
+  | Error msg -> Alcotest.failf "decode failed: %s" msg
 
 (* ---------------- multi-tenant fleet containment ---------------- *)
 

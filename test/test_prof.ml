@@ -218,40 +218,8 @@ let test_spans_recorded_only_when_on () =
       |])
 
 (* ------------------------------------------------------------------ *)
-(* Encode / decode / merge                                             *)
+(* Merge                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_encode_decode_round_trip () =
-  let t = P.create P.Spans in
-  P.register_thread t ~tid:0 ~name:"app0" ~klass:P.App ~default:P.App_compute;
-  P.register_thread t ~tid:1 ~name:"kswapd" ~klass:P.Kthread
-    ~default:P.Evict_scan;
-  P.enter_thread t ~tid:0;
-  P.begin_phase t ~now:0 P.Fault_handling;
-  P.on_cpu_charge t (-1) 123;
-  P.end_phase t ~now:5;
-  P.enter_thread t ~tid:1;
-  P.charge t ~phase:P.Rmap_walk 7;
-  P.on_cpu_charge t (-1) 7;
-  P.wait t ~tid:0 ~now:50 P.Barrier_wait 9;
-  let cap = Option.get (P.capture t) in
-  let cap' = P.decode_capture (P.encode_capture cap) in
-  Alcotest.(check bool) "classes survive" true (cap'.P.classes = cap.P.classes);
-  Alcotest.(check bool) "threads survive" true (cap'.P.threads = cap.P.threads);
-  Alcotest.(check bool) "totals survive" true (cap'.P.totals = cap.P.totals);
-  Alcotest.(check int) "spans dropped" 0 (Array.length cap'.P.spans)
-
-let test_decode_rejects_malformed () =
-  List.iter
-    (fun s ->
-      match P.decode_capture s with
-      | _ -> Alcotest.failf "accepted malformed %S" s
-      | exception Failure _ -> ())
-    [
-      ""; "garbage"; "app"; "app|0:app0:0"; "app|0:app0:0|0:1g:5";
-      "app|0:app0:0|0:12:x"; "app|zero:app0:0|"; "app|0:app0:9|";
-      "app|0:app0:0|1:12:5";
-    ]
 
 let test_merge_sums_and_unifies_classes () =
   let mk names_charges =
@@ -448,9 +416,6 @@ let () =
         ] );
       ( "serialization",
         [
-          Alcotest.test_case "encode/decode" `Quick test_encode_decode_round_trip;
-          Alcotest.test_case "rejects malformed" `Quick
-            test_decode_rejects_malformed;
           Alcotest.test_case "merge" `Quick test_merge_sums_and_unifies_classes;
         ] );
       ( "machine",

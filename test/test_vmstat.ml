@@ -70,42 +70,6 @@ let test_capture_merge_refaults () =
   Alcotest.(check int) "merge sums buckets" 4 (V.refaults m);
   Alcotest.(check int) "empty merge" 0 (V.refaults (V.merge []))
 
-let test_codec () =
-  let v = V.create () in
-  V.incr v V.pgfault;
-  V.add v V.mglru_promoted 123456;
-  V.note_refault_distance v 7;
-  let c = V.capture v in
-  let c' = V.decode_capture (V.encode_capture c) in
-  Alcotest.(check (array int)) "counters roundtrip" c.V.counters c'.V.counters;
-  Alcotest.(check (array int)) "buckets roundtrip" c.V.refault_dist
-    c'.V.refault_dist;
-  Alcotest.(check bool) "round trip is complete" true (V.complete c');
-  (* A capture from an older build with fewer counters decodes short,
-     never zero-filled, so callers can refuse it. *)
-  let old = V.decode_capture "v1:4;2|1;1" in
-  Alcotest.(check (array int)) "old counters kept as encoded" [| 4; 2 |]
-    old.V.counters;
-  Alcotest.(check int) "old buckets kept" 2 (V.refaults old);
-  Alcotest.(check bool) "old capture incomplete" false (V.complete old);
-  List.iter
-    (fun s ->
-      match V.decode_capture s with
-      | _ -> Alcotest.failf "decoded malformed %S" s
-      | exception Failure _ -> ())
-    [ ""; "v2:1|1"; "v1:1;2;3"; "v1:1;x|2" ]
-
-let codec_roundtrip_prop =
-  QCheck.Test.make ~count:200 ~name:"vmstat codec roundtrips any capture"
-    QCheck.(
-      pair
-        (array_of_size (QCheck.Gen.return V.nr_counters) (int_bound 1_000_000))
-        (array_of_size (QCheck.Gen.return V.dist_buckets) (int_bound 1_000)))
-    (fun (counters, refault_dist) ->
-      let c = { V.counters; refault_dist } in
-      let c' = V.decode_capture (V.encode_capture c) in
-      c.V.counters = c'.V.counters && c.V.refault_dist = c'.V.refault_dist)
-
 (* ------------------------------------------------------------------ *)
 (* Workingset shadow entries                                           *)
 (* ------------------------------------------------------------------ *)
@@ -195,7 +159,8 @@ let test_machine_capture () =
   let r = run ~policy:Policy.Registry.Clock thrash in
   Alcotest.(check bool) "no monitor: no heatmap" true (r.M.heatmap = None);
   let c = r.M.counters in
-  Alcotest.(check bool) "capture complete" true (V.complete c);
+  Alcotest.(check int) "capture holds every counter" V.nr_counters
+    (Array.length c.V.counters);
   Alcotest.(check int) "pgmajfault mirrors the result" r.M.major_faults
     c.V.counters.(V.pgmajfault);
   Alcotest.(check int) "minor_faults mirrors the result" r.M.minor_faults
@@ -274,7 +239,7 @@ let cell_caps ~jobs =
     (R.try_cell ctx ~workload:R.Tpch ~policy:Policy.Registry.Clock ~ratio:0.5
        ~swap:R.Ssd);
   List.map
-    (fun (e, c) -> (R.exp_name e, V.encode_capture c))
+    (fun (e, c) -> (R.exp_name e, c))
     (R.vmstat_cells ctx)
 
 let test_runner_jobs_identity () =
@@ -282,9 +247,8 @@ let test_runner_jobs_identity () =
   let parallel = cell_caps ~jobs:4 in
   Alcotest.(check int) "one cell" 1 (List.length serial);
   Alcotest.(check bool) "captures non-trivial" true
-    (V.refaults (V.decode_capture (snd (List.hd serial))) > 0);
-  Alcotest.(check (list (pair string string))) "jobs=1 == jobs=4" serial
-    parallel
+    (V.refaults (snd (List.hd serial)) > 0);
+  Alcotest.(check bool) "jobs=1 == jobs=4" true (serial = parallel)
 
 let () =
   Alcotest.run "vmstat"
@@ -295,8 +259,6 @@ let () =
           Alcotest.test_case "distance buckets" `Quick test_dist_buckets;
           Alcotest.test_case "capture/merge/refaults" `Quick
             test_capture_merge_refaults;
-          Alcotest.test_case "codec" `Quick test_codec;
-          QCheck_alcotest.to_alcotest codec_roundtrip_prop;
         ] );
       ( "workingset",
         [
