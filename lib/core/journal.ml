@@ -93,7 +93,9 @@ let kv s =
 let fields_of sep keys s =
   let got = list sep kv s in
   if List.map fst got <> keys then
-    fail "want the fields %s in %S" (String.concat "," keys) s;
+    fail "fields %s, want %s"
+      (String.concat "," (List.map fst got))
+      (String.concat "," keys);
   List.map snd got
 
 let array sep dec s = Array.of_list (list sep dec s)
@@ -212,7 +214,7 @@ let cgroups_of s : Mem.Memcg.summary =
         r_write_latencies = floats_of wlat;
         r_vm = exactly "memory.stat counters" Mem.Memcg.nr_stats (ints_of vm);
       }
-    | _ -> fail "malformed cgroup %S" g
+    | _ -> fail "malformed cgroup"
   in
   match String.split_on_char '|' s with
   | head :: groups -> (
