@@ -176,6 +176,61 @@ let test_registry_variants_construct () =
         (String.length (PI.packed_name packed) > 0))
     Policy.Registry.all_paper_specs
 
+(* No paper workload maps file-backed pages, so no golden reaches the
+   tier half of the refault token.  Eight sequential passes over 4096
+   pages, every even page file-backed, at a third of the footprint:
+   file pages refault up the tiers and the PID shield engages.  The
+   literals were recorded before the refault store changed shape. *)
+let test_file_backed_tiers_pinned () =
+  let pages = 4096 in
+  let pass =
+    Workload.Chunk.Chunk
+      (Workload.Chunk.chunk (Workload.Chunk.Pages (Array.init pages Fun.id)))
+  in
+  let w =
+    Workload.Trace.create
+      {
+        Workload.Trace.steps = [| Array.make 8 pass |];
+        footprint = pages;
+        klass = (fun _ -> Swapdev.Compress.Numeric);
+        file_backed_pages = (fun p -> p mod 2 = 0);
+      }
+  in
+  let r =
+    Repro_core.Machine.run
+      (Repro_core.Machine.default_config ~capacity_frames:(pages / 3) ~seed:42)
+      ~policy:(Policy.Registry.create Policy.Registry.Mglru_default)
+      ~workload:(Workload.Chunk.Packed ((module Workload.Trace), w))
+  in
+  let stats = r.Repro_core.Machine.policy_stats in
+  Alcotest.(check bool) "tier shield saved pages" true
+    (List.assoc "tier_protected_saves" stats > 0);
+  Alcotest.(check bool) "tiers protected" true (List.assoc "protected_tiers" stats > 0);
+  Alcotest.(check int) "runtime" 133016573975 r.Repro_core.Machine.runtime_ns;
+  Alcotest.(check int) "major faults" 16269 r.Repro_core.Machine.major_faults;
+  Alcotest.(check int) "minor faults" 4096 r.Repro_core.Machine.minor_faults;
+  Alcotest.(check (list (pair string int)))
+    "policy stats"
+    [
+      ("max_seq", 259);
+      ("min_seq", 256);
+      ("nr_gens", 4);
+      ("aging_passes", 421);
+      ("regions_scanned", 664);
+      ("regions_skipped", 26280);
+      ("ptes_scanned", 76608);
+      ("aging_promotions", 2361);
+      ("evict_promotions", 533);
+      ("spatial_promotions", 29842);
+      ("evictions", 28913);
+      ("refaults", 26157);
+      ("forced_evictions", 1264);
+      ("tier_protected_saves", 261176);
+      ("stuck_full_window", 163);
+      ("protected_tiers", 3);
+    ]
+    stats
+
 let () =
   Alcotest.run "mglru"
     [
@@ -195,5 +250,6 @@ let () =
           Alcotest.test_case "refault distance" `Quick test_refault_distance_placement;
           Alcotest.test_case "spatial scan" `Quick test_spatial_scan_promotes_neighbors;
           Alcotest.test_case "registry variants" `Quick test_registry_variants_construct;
+          Alcotest.test_case "file-backed tiers pinned" `Quick test_file_backed_tiers_pinned;
         ] );
     ]
