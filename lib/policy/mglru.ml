@@ -64,8 +64,11 @@ type t = {
   mutable walk_pos : int;
   mutable aging_active : bool;
   mutable aging_requested : bool;
-  (* Refault bookkeeping for tiers. *)
-  refault_table : (int, int * int) Hashtbl.t; (* key -> (evict seq, tier) *)
+  (* Refault tokens, asid -> vpn -> token: 0 for none, otherwise
+     [evict_seq * tiers + tier + 1] left by the page's last eviction.
+     A space's array is allocated on its first eviction ([||] before);
+     a refault consumes its token, a re-eviction overwrites it. *)
+  mutable tokens : int array array;
   pid : Structures.Pid.t;
   mutable protected_tiers : int;
   tier_evictions : int array;
@@ -90,6 +93,7 @@ let policy_name = "mglru"
 let create_with ?(config = default_config) (env : Policy_intf.env) =
   if config.max_gens < config.min_gens then invalid_arg "Mglru: max_gens < min_gens";
   if config.min_gens < 1 then invalid_arg "Mglru: min_gens < 1";
+  if config.tiers < 1 then invalid_arg "Mglru: tiers < 1";
   let nodes = env.Policy_intf.total_frames in
   let mk_bloom () =
     Structures.Bloom.create ~hashes:config.bloom_hashes ~bits:config.bloom_bits
@@ -113,7 +117,7 @@ let create_with ?(config = default_config) (env : Policy_intf.env) =
     walk_pos = 0;
     aging_active = false;
     aging_requested = false;
-    refault_table = Hashtbl.create 4096;
+    tokens = [||];
     pid = Structures.Pid.create ~kp:0.5 ~ki:0.2 ~integral_limit:10.0 ~setpoint:0.0 ();
     protected_tiers = 0;
     tier_evictions = Array.make config.tiers 0;
@@ -148,7 +152,30 @@ let costs t = t.env.Policy_intf.costs
 
 let vm t = t.env.Policy_intf.vmstat
 
-let refault_key ~asid ~vpn = (asid lsl 44) lor vpn
+(* The token array of [pt]'s address space, allocated on first use. *)
+let tokens_of t ~asid pt =
+  if asid >= Array.length t.tokens then begin
+    let grown = Array.make (asid + 1) [||] in
+    Array.blit t.tokens 0 grown 0 (Array.length t.tokens);
+    t.tokens <- grown
+  end;
+  if Array.length t.tokens.(asid) = 0 then
+    t.tokens.(asid) <- Array.make (Mem.Page_table.pages pt) 0;
+  t.tokens.(asid)
+
+let pack_token t ~seq ~tier = (seq * t.config.tiers) + tier + 1
+let token_seq t token = (token - 1) / t.config.tiers
+let token_tier t token = (token - 1) mod t.config.tiers
+
+(* Read and clear a page's token; 0 when it has none. *)
+let take_token t ~asid ~vpn =
+  if asid >= Array.length t.tokens || vpn >= Array.length t.tokens.(asid) then 0
+  else begin
+    let tokens = t.tokens.(asid) in
+    let token = tokens.(vpn) in
+    tokens.(vpn) <- 0;
+    token
+  end
 
 (* Attach a frame to a generation list (detaching it first if needed). *)
 let place t ~pfn ~seq ~tier =
@@ -161,21 +188,18 @@ let promote_to_youngest t ~pfn =
   else Structures.Dlist.move_head t.lists ~list:(slot t t.max_seq) ~node:pfn
 
 let on_page_mapped t ~pfn ~asid ~vpn ~refault ~file_backed ~speculative =
-  let tier, distance =
-    if not refault then (0, None)
+  let token =
+    if not refault then 0
     else begin
       t.refaults <- t.refaults + 1;
-      match Hashtbl.find_opt t.refault_table (refault_key ~asid ~vpn) with
-      | None -> (0, None)
-      | Some (evict_seq, old_tier) ->
-        Hashtbl.remove t.refault_table (refault_key ~asid ~vpn);
-        let tier =
-          if file_backed then min (old_tier + 1) (t.config.tiers - 1) else 0
-        in
-        t.tier_refaults.(tier) <- t.tier_refaults.(tier) + 1;
-        (tier, Some (t.max_seq - evict_seq))
+      take_token t ~asid ~vpn
     end
   in
+  let tier =
+    if token = 0 || not file_backed then 0
+    else Int.min (token_tier t token + 1) (t.config.tiers - 1)
+  in
+  if token <> 0 then t.tier_refaults.(tier) <- t.tier_refaults.(tier) + 1;
   (* Workingset detection: pages refaulting within one generation window
      of their eviction are working set and start young; pages that
      stayed out longer — and speculative readahead and fresh file pages
@@ -185,10 +209,8 @@ let on_page_mapped t ~pfn ~asid ~vpn ~refault ~file_backed ~speculative =
   let old_seq = min (t.min_seq + 1) t.max_seq in
   let seq =
     if file_backed || speculative then old_seq
-    else
-      match distance with
-      | Some d when d > t.config.max_gens -> old_seq
-      | Some _ | None -> t.max_seq
+    else if token <> 0 && t.max_seq - token_seq t token > t.config.max_gens then old_seq
+    else t.max_seq
   in
   place t ~pfn ~seq ~tier
 
@@ -477,11 +499,8 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
         else begin
           Structures.Dlist.remove t.lists ~node:pfn;
           t.gen_of.(pfn) <- -1;
-          t.tier_evictions.(min tier (t.config.tiers - 1)) <-
-            t.tier_evictions.(min tier (t.config.tiers - 1)) + 1;
-          Hashtbl.replace t.refault_table
-            (refault_key ~asid ~vpn)
-            (t.max_seq, tier);
+          t.tier_evictions.(tier) <- t.tier_evictions.(tier) + 1;
+          (tokens_of t ~asid pt).(vpn) <- pack_token t ~seq:t.max_seq ~tier;
           t.env.Policy_intf.reclaim_page ~pfn;
           t.evictions <- t.evictions + 1;
           if force then t.forced_evictions <- t.forced_evictions + 1;

@@ -42,7 +42,7 @@ type config = {
       (** a region enters the filter when it has at least
           [region_size lsr shift] accessed PTEs; 3 matches the kernel's
           "one accessed PTE per cache line" *)
-  tiers : int;
+  tiers : int;                  (** access tiers, at least 1; 4 *)
   tier_protection : bool;       (** enable the PID-driven tier shield *)
   evict_batch : int;            (** candidates per kswapd step *)
   aging_regions_per_step : int; (** regions walked per aging step *)

@@ -176,6 +176,132 @@ let test_registry_variants_construct () =
         (String.length (PI.packed_name packed) > 0))
     Policy.Registry.all_paper_specs
 
+let test_rejects_zero_tiers () =
+  let world = Testsupport.Harness.make_world () in
+  Alcotest.check_raises "tiers = 0" (Invalid_argument "Mglru: tiers < 1") (fun () ->
+      ignore (M.create_with ~config:{ M.default_config with M.tiers = 0 } world.env))
+
+(* Hand-driven refault tokens.  Frames are ample, so only explicit
+   [direct_reclaim] calls evict; [Scan_none] aging only rotates
+   generations; every mapped page is made cold, so eviction takes the
+   tail of the oldest generation.  Tracked pages are vpns 0-3; churn
+   uses vpns from 100 up. *)
+type hand = {
+  world : Testsupport.Harness.world;
+  policy : M.t;
+  packed : PI.packed;
+  mutable fresh : int;
+}
+
+let hand () =
+  let config = { M.default_config with M.scan_mode = M.Scan_none } in
+  let world, policy, packed = make ~config ~frames:64 ~pages:256 () in
+  { world; policy; packed; fresh = 100 }
+
+let map_cold h vpn =
+  ignore (Testsupport.Harness.map_page h.world h.packed vpn);
+  let pt = h.world.Testsupport.Harness.pt in
+  Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed (Mem.Page_table.get pt vpn))
+
+let last_evicted h = List.hd h.world.Testsupport.Harness.reclaimed_vpns
+
+(* Map a fresh cold page and evict one page.  Each time this drains the
+   oldest generation, the window at its bottom ages by one. *)
+let churn h =
+  map_cold h h.fresh;
+  h.fresh <- h.fresh + 1;
+  ignore (M.direct_reclaim h.policy ~want:1)
+
+(* Map vpns 0-3 and evict vpn 0; returns its eviction sequence. *)
+let evict_first h =
+  for vpn = 0 to 3 do
+    map_cold h vpn
+  done;
+  ignore (M.direct_reclaim h.policy ~want:1);
+  Alcotest.(check int) "vpn 0 evicted" 0 (last_evicted h);
+  M.max_seq h.policy
+
+(* Churn until [max_seq = seq - 2], then let one reclaim with nothing
+   to free run two aging passes.  The window is then wider than two
+   generations, so a refault placed one above the oldest generation is
+   not placed in the youngest. *)
+let age_to h seq =
+  while M.max_seq h.policy < seq - 2 do
+    churn h
+  done;
+  ignore (M.direct_reclaim h.policy ~want:0);
+  Alcotest.(check int) "max_seq" seq (M.max_seq h.policy);
+  Alcotest.(check bool) "window wider than two" true (M.nr_gens h.policy > 2)
+
+(* Whether [f] mapped one page into the youngest generation. *)
+let placed_young h f =
+  let before = M.gen_size h.policy (M.max_seq h.policy) in
+  f ();
+  M.check_invariants h.policy;
+  M.gen_size h.policy (M.max_seq h.policy) = before + 1
+
+let refault_young h vpn =
+  placed_young h (fun () -> ignore (Testsupport.Harness.map_page h.world h.packed vpn))
+
+(* An anonymous refault lands young up to a distance of [max_gens]
+   generations, and one above the oldest generation past it: the
+   distance is [max_seq] at the refault minus [max_seq] at the
+   eviction. *)
+let test_token_distance () =
+  let max_gens = M.default_config.M.max_gens in
+  List.iter
+    (fun (distance, young) ->
+      let h = hand () in
+      let evict_seq = evict_first h in
+      age_to h (evict_seq + distance);
+      Alcotest.(check bool) (Printf.sprintf "distance %d young" distance) young
+        (refault_young h 0))
+    [ (max_gens, true); (max_gens + 1, false) ]
+
+(* A refault consumes the token: announced again with no eviction in
+   between (a page migrated off an offlined frame, as chaos hotplug
+   does), the page is a cold fault and lands young. *)
+let test_token_consumed () =
+  let h = hand () in
+  let evict_seq = evict_first h in
+  age_to h (evict_seq + M.default_config.M.max_gens + 1);
+  Alcotest.(check bool) "far refault placed old" false (refault_young h 0);
+  let w = h.world in
+  let pte = Mem.Page_table.get w.Testsupport.Harness.pt 0 in
+  let dst = Option.get (Mem.Phys_mem.alloc w.Testsupport.Harness.mem) in
+  Mem.Page_table.set w.Testsupport.Harness.pt 0 (Mem.Pte.to_mapped pte ~pfn:dst);
+  Mem.Frame_table.clear_owner w.Testsupport.Harness.frames ~pfn:(Mem.Pte.pfn pte);
+  Mem.Frame_table.set_owner w.Testsupport.Harness.frames ~pfn:dst ~asid:0 ~vpn:0;
+  Alcotest.(check bool) "second refault is cold" true
+    (placed_young h (fun () ->
+         M.on_page_mapped h.policy ~pfn:dst ~asid:0 ~vpn:0 ~refault:true
+           ~file_backed:false ~speculative:false));
+  Alcotest.(check int) "both counted as refaults" 2
+    (List.assoc "refaults" (M.stats h.policy))
+
+(* A re-eviction overwrites the token.  The page's swap copy is dropped
+   in between (as an OOM kill's teardown does), so it comes back as a
+   fresh fault that leaves the first token in place. *)
+let test_token_overwritten () =
+  let h = hand () in
+  let first = evict_first h in
+  while M.max_seq h.policy < first + 3 do
+    churn h
+  done;
+  Mem.Page_table.set h.world.Testsupport.Harness.pt 0 Mem.Pte.empty;
+  map_cold h 0;
+  let guard = ref 100 in
+  while last_evicted h <> 0 && !guard > 0 do
+    churn h;
+    decr guard
+  done;
+  Alcotest.(check int) "vpn 0 evicted again" 0 (last_evicted h);
+  let second = M.max_seq h.policy in
+  age_to h (second + 2);
+  Alcotest.(check bool) "first token would place it old" true
+    (M.max_seq h.policy - first > M.default_config.M.max_gens);
+  Alcotest.(check bool) "refault uses the second token" true (refault_young h 0)
+
 (* No paper workload maps file-backed pages, so no golden reaches the
    tier half of the refault token.  Eight sequential passes over 4096
    pages, every even page file-backed, at a third of the footprint:
@@ -251,5 +377,9 @@ let () =
           Alcotest.test_case "spatial scan" `Quick test_spatial_scan_promotes_neighbors;
           Alcotest.test_case "registry variants" `Quick test_registry_variants_construct;
           Alcotest.test_case "file-backed tiers pinned" `Quick test_file_backed_tiers_pinned;
+          Alcotest.test_case "rejects zero tiers" `Quick test_rejects_zero_tiers;
+          Alcotest.test_case "token distance" `Quick test_token_distance;
+          Alcotest.test_case "token consumed" `Quick test_token_consumed;
+          Alcotest.test_case "token overwritten" `Quick test_token_overwritten;
         ] );
     ]

@@ -17,7 +17,9 @@
    - allocs-per-draw: words per call of the RNG and Zipf draws every
      request makes.  Counts are deterministic; ceilings are exact.
    - allocs-per-workload: one --fast YCSB-A trial (per request) and one
-     --fast TPC-H trial (per fault) under Clock, ceilings ~1.5x.
+     --fast TPC-H trial (per fault) under Clock, ceilings ~1.5x, and one
+     --fast TPC-H trial under MG-LRU, whose ceiling (~1.3x) is below
+     what the boxed refault map it replaced cost (39.4 words/fault).
 
    All numbers are for the dev profile `dune runtest` builds, whose
    [-opaque] stops cross-module inlining; a release build allocates
@@ -68,8 +70,9 @@ let words_per_fault policy =
 
 (* The flattened builtins measure ~22 words/fault on this burst (nearly
    all of it amortized machine/workload setup — the scan loops proper
-   are allocation-free); the MG-LRU variants add the aging walk (~37);
-   random samples candidate sets (~40).  The SDK guests (s3-fifo,
+   are allocation-free); the MG-LRU variants add the aging walk and one
+   refault-token array (~23.6; ~37 with the boxed refault map they had
+   before); random samples candidate sets (~40).  The SDK guests (s3-fifo,
    sieve, perceptron) funnel through the Guest_host trampoline whose V1
    hook API returns eviction batches as lists by design, so they get a
    wider — but still bounded — budget (~1190 measured).  Every ceiling
@@ -80,10 +83,10 @@ let budgets =
     (Policy.Registry.Fifo, 70.);
     (Policy.Registry.Lru_exact, 70.);
     (Policy.Registry.Random, 120.);
-    (Policy.Registry.Mglru_default, 115.);
-    (Policy.Registry.Gen14, 115.);
-    (Policy.Registry.Scan_all, 115.);
-    (Policy.Registry.Scan_none, 115.);
+    (Policy.Registry.Mglru_default, 70.);
+    (Policy.Registry.Gen14, 70.);
+    (Policy.Registry.Scan_all, 70.);
+    (Policy.Registry.Scan_none, 70.);
     (Policy.Registry.S3_fifo, 3600.);
     (Policy.Registry.Sieve, 3600.);
     (Policy.Registry.Perceptron, 3600.);
@@ -120,7 +123,7 @@ let draw_cases =
 module Runner = Repro_core.Runner
 module Machine = Repro_core.Machine
 
-let trial_words kind =
+let trial_words ?(policy = Policy.Registry.Clock) kind =
   let ctx =
     Runner.make_ctx
       ~profile:
@@ -134,7 +137,7 @@ let trial_words kind =
       ~seed:1000
   in
   let mw0 = Gc.minor_words () in
-  let r = Machine.run cfg ~policy:(Policy.Registry.create Policy.Registry.Clock) ~workload in
+  let r = Machine.run cfg ~policy:(Policy.Registry.create policy) ~workload in
   (r, Gc.minor_words () -. mw0)
 
 let per_request (r, words) =
@@ -149,7 +152,8 @@ let per_fault (r, words) =
   Alcotest.(check bool) "trial faulted" true (faults > 0);
   words /. float_of_int faults
 
-(* Measured: ~10.4 words/request and ~20.1 words/fault. *)
+(* Measured: ~10.4 words/request, ~20.1 words/fault under Clock and
+   ~25.7 under MG-LRU. *)
 let workload_cases =
   [
     ( "ycsb-a clock",
@@ -157,6 +161,10 @@ let workload_cases =
       15.,
       fun () -> per_request (trial_words (Runner.Ycsb Workload.Ycsb.A)) );
     ("tpch clock", "fault", 30., fun () -> per_fault (trial_words Runner.Tpch));
+    ( "tpch mglru",
+      "fault",
+      33.,
+      fun () -> per_fault (trial_words ~policy:Policy.Registry.Mglru_default Runner.Tpch) );
   ]
 
 let () =
