@@ -160,9 +160,9 @@ let ra_zone vpn = vpn / ra_zone_pages
 let ra_adapt t z =
   if t.ra_hits.(z) + t.ra_misses.(z) >= 32 then begin
     if t.ra_hits.(z) > 2 * t.ra_misses.(z) then
-      t.ra_window.(z) <- min t.cfg.readahead (t.ra_window.(z) + 1)
+      t.ra_window.(z) <- Int.min t.cfg.readahead (t.ra_window.(z) + 1)
     else if t.ra_misses.(z) > t.ra_hits.(z) then
-      t.ra_window.(z) <- max 1 (t.ra_window.(z) / 2);
+      t.ra_window.(z) <- Int.max 1 (t.ra_window.(z) / 2);
     t.ra_hits.(z) <- 0;
     t.ra_misses.(z) <- 0
   end
@@ -285,7 +285,7 @@ let reclaim_page t ~pfn =
           let io_cpu = Swapdev.Swap_manager.last_cpu_ns t.swap in
           if t.in_direct then begin
             t.direct_stall_until <-
-              max t.direct_stall_until
+              Int.max t.direct_stall_until
                 (Swapdev.Swap_manager.last_finish_ns t.swap);
             t.direct_cpu_extra <- t.direct_cpu_extra + io_cpu;
             Prof.charge_phase t.prof Prof.Evict_scan io_cpu
@@ -438,7 +438,7 @@ let direct_reclaim t ~tid ~want ~(cursor : int ref) =
   Prof.resume_pending t.prof saved_pending;
   let before = !cursor in
   let cpu_wall = Engine.Cpu.scale t.cpu cpu in
-  cursor := max (!cursor + cpu_wall) t.direct_stall_until;
+  cursor := Int.max (!cursor + cpu_wall) t.direct_stall_until;
   Prof.end_phase t.prof ~now:(before + cpu_wall);
   Prof.wait t.prof ~tid ~now:!cursor Prof.Writeback_wait
     (!cursor - before - cpu_wall);
@@ -562,7 +562,7 @@ let memcg_after_charge t ~tid ~(cursor : int ref) =
     let cg = Mem.Memcg.cg_of_thread mg tid in
     if Mem.Memcg.over_high mg cg then begin
       let want =
-        min (Mem.Memcg.high_overage mg cg) t.cfg.direct_reclaim_batch
+        Int.min (Mem.Memcg.high_overage mg cg) t.cfg.direct_reclaim_batch
       in
       if want > 0 then
         ignore (memcg_direct_reclaim t ~tid ~cg ~want ~cursor)
@@ -660,10 +660,10 @@ let note_refault t ~tid ~vpn ~now =
    like the kernel's swap readahead cluster.  Only when memory is easy:
    readahead must never trigger reclaim. *)
 let readahead t ~tid ~(cursor : int ref) vpn =
-  let n = min t.cfg.readahead t.ra_window.(ra_zone vpn) in
+  let n = Int.min t.cfg.readahead t.ra_window.(ra_zone vpn) in
   if n > 1 && Mem.Phys_mem.free_count t.mem > n + Mem.Phys_mem.low_watermark t.mem
   then begin
-    let limit = min (vpn + n - 1) (Mem.Page_table.pages t.pt - 1) in
+    let limit = Int.min (vpn + n - 1) (Mem.Page_table.pages t.pt - 1) in
     let stop = ref false in
     for v = vpn + 1 to limit do
       if not !stop then begin
@@ -730,7 +730,7 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
       cpu_acc := !cpu_acc + io_cpu;
       Prof.charge_phase t.prof Prof.Fault_handling io_cpu;
       let before_wait = !cursor in
-      cursor := max !cursor io_finish;
+      cursor := Int.max !cursor io_finish;
       Prof.wait t.prof ~tid ~now:!cursor Prof.Swap_wait (!cursor - before_wait);
       mcg_stall t ~tid ~t0:before_wait ~t1:!cursor;
       if io_failed then begin

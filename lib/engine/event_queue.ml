@@ -26,38 +26,56 @@ let size t = t.len
 
 let is_empty t = t.len = 0
 
-let before t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
-
-let swap t i j =
-  let time = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- time;
-  let seq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- seq;
-  let payload = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- payload
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Both sifts move a hole instead of swapping entries: the entry being
+   placed travels in arguments while parents (or children) shift into
+   the hole, and it is written once, at its final slot.  A swap would
+   store every payload twice per level, each store paying the write
+   barrier. *)
+let rec sift_up t hole time seq payload =
+  let parent = (hole - 1) / 2 in
+  if
+    hole > 0
+    &&
+    let pt = t.times.(parent) in
+    time < pt || (time = pt && seq < t.seqs.(parent))
+  then begin
+    t.times.(hole) <- t.times.(parent);
+    t.seqs.(hole) <- t.seqs.(parent);
+    t.payloads.(hole) <- t.payloads.(parent);
+    sift_up t parent time seq payload
+  end
+  else begin
+    t.times.(hole) <- time;
+    t.seqs.(hole) <- seq;
+    t.payloads.(hole) <- payload
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && before t l !smallest then smallest := l;
-  if r < t.len && before t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+let rec sift_down t hole time seq payload =
+  let l = (2 * hole) + 1 in
+  let c =
+    if l >= t.len then -1
+    else
+      let r = l + 1 in
+      if r < t.len then
+        let lt = t.times.(l) and rt = t.times.(r) in
+        if rt < lt || (rt = lt && t.seqs.(r) < t.seqs.(l)) then r else l
+      else l
+  in
+  if
+    c >= 0
+    &&
+    let ct = t.times.(c) in
+    ct < time || (ct = time && t.seqs.(c) < seq)
+  then begin
+    t.times.(hole) <- t.times.(c);
+    t.seqs.(hole) <- t.seqs.(c);
+    t.payloads.(hole) <- t.payloads.(c);
+    sift_down t c time seq payload
+  end
+  else begin
+    t.times.(hole) <- time;
+    t.seqs.(hole) <- seq;
+    t.payloads.(hole) <- payload
   end
 
 let grow t payload =
@@ -77,27 +95,21 @@ let add t ~time payload =
   if time < 0 then invalid_arg "Event_queue.add: negative time";
   (match t.dummy with None -> t.dummy <- Some payload | Some _ -> ());
   if t.len = Array.length t.times then grow t payload;
-  t.times.(t.len) <- time;
-  t.seqs.(t.len) <- t.next_seq;
-  t.payloads.(t.len) <- payload;
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  sift_up t (t.len - 1) time seq payload
 
-(* Remove the root: move the last element up, then blank the vacated
-   slot so its payload is not kept alive by the spare capacity. *)
+(* Remove the root: sift the last entry down from the root's slot, then
+   blank the vacated slot so its payload is not kept alive by the spare
+   capacity. *)
 let drop_min t =
   let last = t.len - 1 in
   t.len <- last;
-  if last > 0 then begin
-    t.times.(0) <- t.times.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    t.payloads.(0) <- t.payloads.(last)
-  end;
-  (match t.dummy with
+  if last > 0 then sift_down t 0 t.times.(last) t.seqs.(last) t.payloads.(last);
+  match t.dummy with
   | Some d -> t.payloads.(last) <- d
-  | None -> ());
-  if last > 1 then sift_down t 0
+  | None -> ()
 
 let next_time t = if t.len = 0 then -1 else t.times.(0)
 

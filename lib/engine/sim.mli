@@ -22,6 +22,11 @@ val schedule_at : t -> time:int -> (t -> unit) -> unit
 val pending : t -> int
 (** Number of scheduled events not yet executed. *)
 
+val events : t -> int
+(** Number of events {!run} has executed so far, over every call.  A
+    diagnostic for tuning the event count per request; no result or
+    output reads it. *)
+
 val run : ?until:int -> ?cancel:Cancel.t -> t -> unit
 (** Execute events until the queue drains or virtual time would exceed
     [until].  Safe to call again after it returns.

@@ -11,9 +11,48 @@ let quantile_sorted xs q =
     xs.(lo) +. (frac *. (xs.(hi) -. xs.(lo)))
   end
 
+(* Heap sort in place, specialised to [float array] in [Float.compare]
+   order.  [Array.sort] boxes every float it reads and calls its
+   comparison through a closure; [Array.stable_sort] allocates half the
+   array as scratch, which raises the peak RSS of a run that sorts a few
+   hundred thousand latencies.  [sift] loops instead of recursing
+   because a float passed as an argument is boxed.  Only elements
+   [Float.compare] calls equal (NaNs; [0.] and [-0.]) may end up in
+   another order than a stable sort's. *)
+let sort_in_place (a : float array) =
+  let sift len i =
+    let x = a.(i) in
+    let hole = ref i and continue = ref true in
+    while !continue do
+      let l = (2 * !hole) + 1 in
+      if l >= len then continue := false
+      else begin
+        let c =
+          if l + 1 < len && Float.compare a.(l + 1) a.(l) > 0 then l + 1 else l
+        in
+        if Float.compare a.(c) x > 0 then begin
+          a.(!hole) <- a.(c);
+          hole := c
+        end
+        else continue := false
+      end
+    done;
+    a.(!hole) <- x
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift n i
+  done;
+  for len = n - 1 downto 1 do
+    let top = a.(0) in
+    a.(0) <- a.(len);
+    a.(len) <- top;
+    sift len 0
+  done
+
 let sorted_copy xs =
   let ys = Array.copy xs in
-  Array.sort Float.compare ys;
+  sort_in_place ys;
   ys
 
 let quantile xs q = quantile_sorted (sorted_copy xs) q

@@ -48,7 +48,7 @@ let create ?(config = default_config) ~rng () =
         (float_of_int base *. size_scale *. Engine.Rng.jitter rng config.jitter)
     in
     let ch = earliest_channel () in
-    let start = max now free_at.(ch) in
+    let start = Int.max now free_at.(ch) in
     let finish = start + service in
     free_at.(ch) <- finish;
     { Device.finish_ns = finish; cpu_ns = config.cpu_per_op_ns; status = Device.Done }

@@ -46,6 +46,7 @@ type t = {
   chunk_start : int array;
   step_k : (Sim.t -> unit) array; (* take the next step *)
   segment_k : (Sim.t -> unit) array; (* a segment's compute and waits elapsed *)
+  compute_done_k : (Sim.t -> unit) array; (* [run_end], then [segment_k] *)
   resume_k : (Sim.t -> unit) array; (* a mid-chunk stall ended *)
   run_end : Sim.t -> unit;
   cursor : int ref;
@@ -61,7 +62,7 @@ let killed_threads d = d.killed
 let live d tid = d.finish_ns.(tid) < 0 && not d.killed.(tid)
 let stopped d = d.stopped
 let running d = (not d.stopped) && d.active > 0
-let stall d ~tid ~until = d.stall_until.(tid) <- max d.stall_until.(tid) until
+let stall d ~tid ~until = d.stall_until.(tid) <- Int.max d.stall_until.(tid) until
 let per_thread_finish d = Array.copy d.finish_ns
 let runtime_ns d = Array.fold_left max (Sim.now d.sim) d.finish_ns
 
@@ -103,11 +104,13 @@ let rec run_thread d tid =
 
 (* Process up to [segment_pages] of the chunk atomically, then yield to
    the event loop.  The CPU is released once the compute has elapsed;
-   the thread continues once its blocked time has too. *)
+   the thread continues once its blocked time has too.  A segment that
+   did not block ends with one event that does both: nothing can be
+   scheduled between the two (DESIGN §4). *)
 and process_segment d tid ~index =
   let c = d.chunk.(tid) in
   let total = Chunk.page_count c.Chunk.pages in
-  let seg_len = min d.segment_pages (total - index) in
+  let seg_len = Int.min d.segment_pages (total - index) in
   let t0 = Sim.now d.sim in
   Cpu.run_begin d.cpu;
   Prof.enter_thread d.prof ~tid;
@@ -122,10 +125,14 @@ and process_segment d tid ~index =
   in
   Prof.span d.prof ~tid Prof.App_compute ~t0 ~t1:(t0 + cpu_wall);
   let io_wait = !(d.cursor) - t0 in
-  Sim.schedule d.sim ~delay:cpu_wall d.run_end;
+  (* With [cpu_wall = 0] the kthreads woken below would run between the
+     release and the continuation, so only a positive compute fuses. *)
+  let fused = io_wait = 0 && cpu_wall > 0 in
+  if not fused then Sim.schedule d.sim ~delay:cpu_wall d.run_end;
   if d.hooks.low_memory () then wake_kthreads d;
   d.next_index.(tid) <- index + seg_len;
-  Sim.schedule d.sim ~delay:(cpu_wall + io_wait) d.segment_k.(tid)
+  Sim.schedule d.sim ~delay:(cpu_wall + io_wait)
+    (if fused then d.compute_done_k.(tid) else d.segment_k.(tid))
 
 and segment_done d tid =
   if (not d.stopped) && not d.killed.(tid) then begin
@@ -247,6 +254,7 @@ let create ~sim ~cpu ~rng ?(prof = Prof.disabled) ~segment_pages ~barrier_ns
       chunk_start = Array.make n 0;
       step_k = Array.make n no_k;
       segment_k = Array.make n no_k;
+      compute_done_k = Array.make n no_k;
       resume_k = Array.make n no_k;
       run_end = (fun _ -> Cpu.run_end cpu);
       cursor = ref 0;
@@ -259,6 +267,10 @@ let create ~sim ~cpu ~rng ?(prof = Prof.disabled) ~segment_pages ~barrier_ns
   for tid = 0 to n - 1 do
     d.step_k.(tid) <- (fun _ -> run_thread d tid);
     d.segment_k.(tid) <- (fun _ -> segment_done d tid);
+    d.compute_done_k.(tid) <-
+      (fun _ ->
+        Cpu.run_end cpu;
+        segment_done d tid);
     d.resume_k.(tid) <-
       (fun _ ->
         if (not d.stopped) && not d.killed.(tid) then

@@ -4,7 +4,6 @@ type t = {
   h_integral_x1 : float;
   h_integral_n : float;
   s : float;
-  norm : float; (* normalization for [probability] *)
 }
 
 (* H(x) = integral of 1/t^e from 1 to x, shifted per Hörmann's paper. *)
@@ -35,13 +34,7 @@ let create ~n ~exponent =
   let h_integral_x1 = h_integral ~e 1.5 -. 1.0 in
   let h_integral_n = h_integral ~e (float_of_int n +. 0.5) in
   let s = 2.0 -. h_integral_inverse ~e (h_integral ~e 2.5 -. h ~e 2.0) in
-  (* Eager: a [t] can be shared across domains through the PageRank plan
-     cache, so there must be no mutation after [create]. *)
-  let norm = ref 0.0 in
-  for i = 1 to n do
-    norm := !norm +. (1.0 /. (float_of_int i ** exponent))
-  done;
-  { n; exponent; h_integral_x1; h_integral_n; s; norm = !norm }
+  { n; exponent; h_integral_x1; h_integral_n; s }
 
 let n t = t.n
 
@@ -63,6 +56,8 @@ let sample t rng =
   done;
   int_of_float !k - 1
 
-let probability t k =
-  if k < 0 || k >= t.n then invalid_arg "Zipf.probability: rank out of range";
-  1.0 /. ((float_of_int (k + 1) ** t.exponent) *. t.norm)
+let pmf ~n ~exponent =
+  if n <= 0 then invalid_arg "Zipf.pmf: n must be positive";
+  let w = Array.init n (fun k -> 1.0 /. (float_of_int (k + 1) ** exponent)) in
+  let norm = Array.fold_left ( +. ) 0.0 w in
+  Array.map (fun x -> x /. norm) w

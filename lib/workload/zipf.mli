@@ -11,7 +11,9 @@ type t
 
 val create : n:int -> exponent:float -> t
 (** Distribution over ranks [0 .. n-1] where rank [k] has probability
-    proportional to [1 / (k+1)^exponent].
+    proportional to [1 / (k+1)^exponent].  O(1): [t] holds a few
+    constants, is never mutated, and so is safe to share across
+    domains.
     @raise Invalid_argument when [n <= 0] or [exponent <= 0]. *)
 
 val n : t -> int
@@ -21,7 +23,8 @@ val exponent : t -> float
 val sample : t -> Engine.Rng.t -> int
 (** A rank in [0, n), 0 being the hottest. *)
 
-val probability : t -> int -> float
-(** Exact probability of a rank.  The O(n) normalization is computed
-    once in {!create}, so [t] is immutable and safe to share across
-    domains. *)
+val pmf : n:int -> exponent:float -> float array
+(** The exact distribution {!create} samples from: element [k] is the
+    probability of rank [k].  O(n); a reference for tests, never needed
+    to sample.
+    @raise Invalid_argument when [n <= 0]. *)

@@ -1,7 +1,7 @@
 (* Thread-driver unit tests against a toy segment hook: barrier release,
    kills at a barrier, and kernel threads that sleep until woken.  The
-   hook touches nothing; it only records which thread ran a segment of
-   which chunk, and when. *)
+   hook touches nothing; it records which thread ran a segment of which
+   chunk, and when, and may block the segment for a set time. *)
 
 module D = Workload.Driver
 module C = Workload.Chunk
@@ -29,7 +29,9 @@ type run = {
   seen : (int * int * int) list ref; (* (time, tid, page), newest first *)
 }
 
-let make ?barrier_groups ?(low_memory = fun () -> false) steps =
+(* [io_ns p]: how long the segment of page [p] blocks (the hook
+   advances the cursor that far). *)
+let make ?barrier_groups ?(low_memory = fun () -> false) ?(io_ns = fun _ -> 0) steps =
   let sim = Engine.Sim.create () in
   let drv =
     D.create ~sim
@@ -41,9 +43,10 @@ let make ?barrier_groups ?(low_memory = fun () -> false) steps =
   let hooks =
     {
       D.segment =
-        (fun ~tid c ~first ~last:_ ~cursor:_ ~cpu_acc:_ ->
-          seen :=
-            (Engine.Sim.now sim, tid, C.page_at c.C.pages first) :: !seen);
+        (fun ~tid c ~first ~last:_ ~cursor ~cpu_acc:_ ->
+          let p = C.page_at c.C.pages first in
+          seen := (Engine.Sim.now sim, tid, p) :: !seen;
+          cursor := !cursor + io_ns p);
       low_memory;
       request_done = (fun ~tid:_ _ ~latency_ns:_ -> ());
       thread_exit = (fun ~tid:_ -> ());
@@ -122,6 +125,22 @@ let test_kill_parked_thread () =
     Alcotest.(check int) "survivors released together" b c
   | _ -> Alcotest.fail "each survivor runs its post-barrier step once"
 
+(* A segment that did not block releases the CPU and continues in one
+   event; one that blocked needs two (the release, then the wakeup). *)
+let test_one_event_per_fault_free_segment () =
+  let n = 8 in
+  let events io_ns =
+    let r = start (make ~io_ns [| Array.init n (fun p -> step p) |]) in
+    Engine.Sim.run r.sim;
+    Alcotest.(check bool) "ran to the end" true (D.stopped r.drv);
+    Engine.Sim.events r.sim
+  in
+  (* Plus one start event for the lone thread. *)
+  Alcotest.(check int) "fault-free chunks" (1 + n) (events (fun _ -> 0));
+  Alcotest.(check int) "one blocked chunk" (1 + n + 1)
+    (events (fun p -> if p = 3 then 10_000 else 0));
+  Alcotest.(check int) "every chunk blocked" (1 + (2 * n)) (events (fun _ -> 10_000))
+
 (* A kthread that records when it stepped and always sleeps until woken. *)
 let sleeper sim =
   let times = ref [] in
@@ -175,5 +194,7 @@ let () =
         [
           Alcotest.test_case "sleep until woken" `Quick test_sleep_until_woken;
           Alcotest.test_case "low memory wakes" `Quick test_low_memory_wakes;
+          Alcotest.test_case "one event per fault-free segment" `Quick
+            test_one_event_per_fault_free_segment;
         ] );
     ]

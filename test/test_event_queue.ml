@@ -130,6 +130,39 @@ let prop_size_tracks =
       (ignore (Q.pop q);
        Q.size q = max 0 (n - 1)))
 
+(* Random interleavings of adds ([Some time], few distinct times so
+   ties abound) and pops ([None]), then a full drain, against a model
+   that keeps pending events as a list sorted by (time, insertion). *)
+let prop_matches_sorted_model =
+  QCheck.Test.make ~name:"pops follow (time, insertion) order" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 300) (option (int_bound 4)))
+    (fun ops ->
+      let q = Q.create () in
+      let model = ref [] and next = ref 0 and ok = ref true in
+      (* A new event goes after every pending one at its time. *)
+      let rec insert ((time, _) as e) = function
+        | ((t, _) as x) :: rest when t <= time -> x :: insert e rest
+        | rest -> e :: rest
+      in
+      let pop () =
+        match (Q.pop q, !model) with
+        | None, [] -> ()
+        | Some got, want :: rest ->
+          if got <> want then ok := false;
+          model := rest
+        | _ -> ok := false
+      in
+      List.iter
+        (function
+          | Some time ->
+            Q.add q ~time !next;
+            model := insert (time, !next) !model;
+            incr next
+          | None -> pop ())
+        ops;
+      while !model <> [] do pop () done;
+      !ok && Q.is_empty q)
+
 let () =
   Alcotest.run "event_queue"
     [
@@ -147,5 +180,6 @@ let () =
             test_clear_releases_capacity;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_pops_sorted; prop_size_tracks ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_pops_sorted; prop_size_tracks; prop_matches_sorted_model ] );
     ]

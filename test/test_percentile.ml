@@ -81,6 +81,22 @@ let prop_within_range =
       let mx = Array.fold_left max xs.(0) xs in
       v >= mn -. 1e-9 && v <= mx +. 1e-9)
 
+(* [quantiles] sorts with its own float heap sort; the reference sorts
+   with [Array.sort Float.compare].  Few distinct values, so ties are
+   the common case.  One quantile per rank reads every sorted slot. *)
+let prop_matches_stdlib_sort =
+  QCheck.Test.make ~name:"quantiles match an Array.sort reference" ~count:300
+    QCheck.(list_of_size Gen.(1 -- 300) (map float_of_int (int_range (-20) 20)))
+    (fun xs ->
+      let xs = Array.of_list xs in
+      let n = Array.length xs in
+      let qs =
+        List.init n (fun k -> if n = 1 then 0.0 else float_of_int k /. float_of_int (n - 1))
+      in
+      let reference = Array.copy xs in
+      Array.sort Float.compare reference;
+      P.quantiles xs qs = List.map (P.quantile_sorted reference) qs)
+
 let () =
   Alcotest.run "percentile"
     [
@@ -98,5 +114,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_monotone_in_q; prop_nan_free; prop_within_range ] );
+          [
+            prop_monotone_in_q;
+            prop_nan_free;
+            prop_within_range;
+            prop_matches_stdlib_sort;
+          ] );
     ]

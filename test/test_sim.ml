@@ -15,18 +15,23 @@ let test_nested_scheduling () =
   let fired = ref 0 in
   S.schedule sim ~delay:5 (fun sim ->
       S.schedule sim ~delay:5 (fun _ -> fired := S.now sim));
+  Alcotest.(check int) "nothing run yet" 0 (S.events sim);
   S.run sim;
-  Alcotest.(check int) "nested event time" 10 !fired
+  Alcotest.(check int) "nested event time" 10 !fired;
+  Alcotest.(check int) "both events counted" 2 (S.events sim)
 
 let test_until_bound () =
   let sim = S.create () in
   let fired = ref false in
+  S.schedule sim ~delay:50 ignore;
   S.schedule sim ~delay:100 (fun _ -> fired := true);
   S.run ~until:50 sim;
   Alcotest.(check bool) "not fired" false !fired;
   Alcotest.(check int) "pending" 1 (S.pending sim);
+  Alcotest.(check int) "only the event at the bound counted" 1 (S.events sim);
   S.run sim;
-  Alcotest.(check bool) "fired on resume" true !fired
+  Alcotest.(check bool) "fired on resume" true !fired;
+  Alcotest.(check int) "counts across runs" 2 (S.events sim)
 
 let test_stop () =
   let sim = S.create () in
@@ -36,8 +41,11 @@ let test_stop () =
     if !count = 3 then S.stop sim else S.schedule sim ~delay:1 tick
   in
   S.schedule sim ~delay:1 tick;
+  S.schedule sim ~delay:10 ignore;
   S.run sim;
-  Alcotest.(check int) "stopped after 3" 3 !count
+  Alcotest.(check int) "stopped after 3" 3 !count;
+  Alcotest.(check int) "the stopping event counted, not the pending one" 3
+    (S.events sim)
 
 let test_negative_delay_clamped () =
   let sim = S.create () in

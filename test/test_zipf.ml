@@ -22,24 +22,22 @@ let test_n1_degenerate () =
     Alcotest.(check int) "always 0" 0 (Z.sample z rng)
   done
 
-let test_probability_sums_to_one () =
-  let z = Z.create ~n:500 ~exponent:0.8 in
-  let sum = ref 0.0 in
-  for k = 0 to 499 do
-    sum := !sum +. Z.probability z k
-  done;
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 !sum
+let test_pmf_sums_to_one () =
+  let p = Z.pmf ~n:500 ~exponent:0.8 in
+  Alcotest.(check int) "one entry per rank" 500 (Array.length p);
+  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 p)
 
-let test_probability_decreasing () =
-  let z = Z.create ~n:100 ~exponent:1.2 in
+let test_pmf_decreasing () =
+  let p = Z.pmf ~n:100 ~exponent:1.2 in
   for k = 0 to 98 do
-    Alcotest.(check bool) "monotone" true (Z.probability z k > Z.probability z (k + 1))
+    Alcotest.(check bool) "monotone" true (p.(k) > p.(k + 1))
   done
 
 let test_empirical_matches_exact () =
   (* Hörmann's rejection-inversion should match the exact pmf. *)
   let n = 50 in
   let z = Z.create ~n ~exponent:0.99 in
+  let p = Z.pmf ~n ~exponent:0.99 in
   let rng = Engine.Rng.create 21 in
   let draws = 200_000 in
   let counts = Array.make n 0 in
@@ -48,7 +46,7 @@ let test_empirical_matches_exact () =
     counts.(s) <- counts.(s) + 1
   done;
   for k = 0 to 9 do
-    let expected = Z.probability z k *. float_of_int draws in
+    let expected = p.(k) *. float_of_int draws in
     let got = float_of_int counts.(k) in
     let rel = Float.abs (got -. expected) /. expected in
     Alcotest.(check bool)
@@ -65,7 +63,7 @@ let test_exponent_one_special_case () =
   for _ = 1 to draws do
     if Z.sample z rng = 0 then incr zero_hits
   done;
-  let expected = Z.probability z 0 *. float_of_int draws in
+  let expected = (Z.pmf ~n:1000 ~exponent:1.0).(0) *. float_of_int draws in
   Alcotest.(check bool) "head frequency" true
     (Float.abs (float_of_int !zero_hits -. expected) /. expected < 0.1)
 
@@ -83,29 +81,22 @@ let test_skew_increases_with_exponent () =
   Alcotest.(check bool) "higher exponent concentrates" true (high > 2 * low)
 
 let test_shared_plan_across_domains () =
-  (* The normalization constant is computed eagerly in [create], so a
-     plan built in one domain can be read from pool workers with no
-     lazy-initialization race.  Every domain must see the same pmf. *)
+  (* A PageRank plan built in one domain is read from pool workers, so
+     one [t] samples in many domains at once.  It holds only constants
+     fixed by [create]: every worker must draw what a lone domain draws
+     from the same seed. *)
   let z = Z.create ~n:2000 ~exponent:0.9 in
-  let expected =
-    let s = ref 0.0 in
-    for k = 0 to 1999 do s := !s +. Z.probability z k done;
-    !s
+  let draws seed =
+    let rng = Engine.Rng.create seed in
+    Array.init 1000 (fun _ -> Z.sample z rng)
   in
+  let expected = Array.init 16 draws in
   Engine.Pool.with_pool ~jobs:4 (fun pool ->
-      let sums =
-        Engine.Pool.map pool
-          (fun _ ->
-            let s = ref 0.0 in
-            for k = 0 to 1999 do s := !s +. Z.probability z k done;
-            !s)
-          (Array.init 16 (fun i -> i))
-      in
-      Array.iter
-        (fun s ->
-          Alcotest.(check (float 1e-12)) "same sum from every worker" expected s)
-        sums);
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 expected
+      let got = Engine.Pool.map pool draws (Array.init 16 (fun i -> i)) in
+      Array.iteri
+        (fun i d ->
+          Alcotest.(check (array int)) "same draws in every worker" expected.(i) d)
+        got)
 
 let prop_sample_in_range =
   QCheck.Test.make ~name:"samples always in range" ~count:100
@@ -128,8 +119,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_create_validation;
           Alcotest.test_case "range" `Quick test_range;
           Alcotest.test_case "n=1" `Quick test_n1_degenerate;
-          Alcotest.test_case "pmf sums to 1" `Quick test_probability_sums_to_one;
-          Alcotest.test_case "pmf decreasing" `Quick test_probability_decreasing;
+          Alcotest.test_case "pmf sums to 1" `Quick test_pmf_sums_to_one;
+          Alcotest.test_case "pmf decreasing" `Quick test_pmf_decreasing;
           Alcotest.test_case "empirical matches exact" `Quick test_empirical_matches_exact;
           Alcotest.test_case "exponent = 1" `Quick test_exponent_one_special_case;
           Alcotest.test_case "skew grows with exponent" `Quick test_skew_increases_with_exponent;
