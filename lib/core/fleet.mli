@@ -6,10 +6,6 @@
     latency tail (p50/p99/p999), throttle and scoped-OOM counters, and
     PSI some/full as shares of total simulated time. *)
 
-val tenant_name : hot:int -> int -> string
-(** ["hot"] for the hot tenant, ["tenant<i>"] otherwise — the cgroup
-    names {!default_spec} assigns. *)
-
 val default_spec : tenants:int -> hot:int -> Mem.Memcg.spec
 (** The auto spec used when the context carries none: one cgroup per
     tenant (threads [2i, 2i+1]); the hot tenant throttled from 30% and

@@ -1,33 +1,20 @@
 module Prof = Obs.Prof
 module Driver = Workload.Driver
 
-type swap_kind =
-  | Ssd_swap of Swapdev.Ssd.config
-  | Zram_swap of Swapdev.Zram.config
-
-let ssd = Ssd_swap Swapdev.Ssd.default_config
-
-let zram = Zram_swap Swapdev.Zram.default_config
+type swap_kind = Ssd | Zram
 
 type config = {
-  hw_threads : int;
   capacity_frames : int;
   swap : swap_kind;
   costs : Mem.Costs.t;
   readahead : int;
-  direct_reclaim_batch : int;
-  segment_pages : int;
-  hit_cpu_ns : int;
-  minor_fault_ns : int;
   barrier_groups : int array option;
   kthread_jitter_ns : int;
       (** mean scheduling delay between kernel-thread steps; the
           OS-noise term the paper blames for scan-timing variance *)
-  max_runtime_ns : int;
   seed : int;
   fault_plan : Swapdev.Faulty_device.plan;
   io_max_retries : int;
-  io_retry_backoff_ns : int;
   audit_every_ns : int;
   obs : Obs.config;
       (** every telemetry channel (trace, samples, profiler, region
@@ -41,31 +28,32 @@ type config = {
           byte-identical to builds without the chaos layer) *)
 }
 
+(* The testbed's fixed values (paper §IV; DESIGN §4). *)
+let hw_threads = 12 (* i7-8700: 6 cores, 12 threads *)
+
+let direct_reclaim_batch = 8 (* pages a direct-reclaim call asks for *)
+
+let hit_cpu_ns = 20 (* per-page compute on a resident touch *)
+
+let minor_fault_ns = 1_000 (* zero-fill fault; also a chaos page copy *)
+
+(* Base of the exponential transient-I/O retry backoff; the memcg
+   memory.high throttle grows from the same base. *)
+let io_retry_backoff_ns = 100_000
+
+let max_runtime_ns = 50_000_000_000_000 (* safety stop *)
+
 let default_config ~capacity_frames ~seed =
   {
-    hw_threads = 12;
     capacity_frames;
-    (* Footprints are scaled 1/256 from the paper's 12-16 GB: page-table
-       regions shrink from 512 to 64 PTEs to keep region granularity
-       comparable, and per-page management costs inflate by the same
-       factor so scanning overhead keeps its real share of runtime
-       (see DESIGN.md, "Scaling"). *)
-    costs =
-      Mem.Costs.scaled
-        { Mem.Costs.default with region_size = 64; spatial_scan_max = 64 };
-    swap = ssd;
+    costs = Mem.Costs.experiment ~scale:1;
+    swap = Ssd;
     readahead = 8;
-    direct_reclaim_batch = 8;
-    segment_pages = 32;
-    hit_cpu_ns = 20;
-    minor_fault_ns = 1_000;
     barrier_groups = None;
     kthread_jitter_ns = 50_000;
-    max_runtime_ns = 50_000_000_000_000;
     seed;
     fault_plan = Swapdev.Faulty_device.none;
     io_max_retries = 4;
-    io_retry_backoff_ns = 100_000;
     audit_every_ns = 0;
     obs = Obs.off;
     cancel = Engine.Cancel.never;
@@ -94,6 +82,20 @@ type result = {
 
 let count r i = Obs.Vmstat.count r.counters i
 
+(* Per-request latencies in a flat float array, doubled when full.  The
+   int-to-float conversion happens at the store, so no boxed float
+   crosses a call. *)
+type latencies = { mutable lat : float array; mutable n : int }
+
+let push_latency l ns =
+  if l.n = Array.length l.lat then begin
+    let bigger = Array.make (2 * l.n) 0.0 in
+    Array.blit l.lat 0 bigger 0 l.n;
+    l.lat <- bigger
+  end;
+  l.lat.(l.n) <- float_of_int ns;
+  l.n <- l.n + 1
+
 type t = {
   cfg : config;
   obs : Obs.t;
@@ -113,8 +115,8 @@ type t = {
   workload : Workload.Chunk.packed;
   mutable policy : Policy.Policy_intf.packed option;
   retained_slot : int array; (* vpn -> clean swap-cache slot, or -1 *)
-  read_lat : float Structures.Vec.t;
-  write_lat : float Structures.Vec.t;
+  read_lat : latencies;
+  write_lat : latencies;
   (* Direct-reclaim context: reclaim_page behaves differently when the
      eviction runs synchronously on a faulting thread, at the thread's
      [direct_now] rather than the event's time. *)
@@ -469,7 +471,7 @@ let alloc_frame t ~tid ~(cursor : int ref) =
       else begin
         if t.mcg <> None then t.mcg_breach_low <- t.mcg_unproductive >= 2;
         let before = !cursor in
-        let want = t.cfg.direct_reclaim_batch in
+        let want = direct_reclaim_batch in
         let stats = direct_reclaim t ~tid ~want ~cursor in
         if Obs.enabled t.obs then
           Obs.emit t.obs ~t_ns:before
@@ -536,7 +538,7 @@ let memcg_enforce_max t ~tid ~(cursor : int ref) =
         end
         else begin
           let want =
-            Mem.Memcg.max_overage mg cg ~extra:1 + t.cfg.direct_reclaim_batch
+            Mem.Memcg.max_overage mg cg ~extra:1 + direct_reclaim_batch
           in
           let usage_before = Mem.Memcg.usage mg cg in
           ignore (memcg_direct_reclaim t ~tid ~cg ~want ~cursor);
@@ -562,12 +564,12 @@ let memcg_after_charge t ~tid ~(cursor : int ref) =
     let cg = Mem.Memcg.cg_of_thread mg tid in
     if Mem.Memcg.over_high mg cg then begin
       let want =
-        Int.min (Mem.Memcg.high_overage mg cg) t.cfg.direct_reclaim_batch
+        Int.min (Mem.Memcg.high_overage mg cg) direct_reclaim_batch
       in
       if want > 0 then
         ignore (memcg_direct_reclaim t ~tid ~cg ~want ~cursor)
     end;
-    let d = Mem.Memcg.throttle_ns mg ~tid ~base_ns:t.cfg.io_retry_backoff_ns in
+    let d = Mem.Memcg.throttle_ns mg ~tid ~base_ns:io_retry_backoff_ns in
     if d > 0 then begin
       let t0 = !cursor in
       cursor := !cursor + d;
@@ -592,9 +594,9 @@ let memcg_background_reclaim t ~cg ~want ~now =
   t.mcg_target <- Some cg;
   let stats = P.direct_reclaim p ~want in
   t.mcg_target <- None;
-  Engine.Cpu.charge
+  Engine.Cpu.charge_tagged t.cpu
     ~phase:(Prof.phase_index Prof.Evict_scan)
-    t.cpu stats.Policy.Policy_intf.cpu_ns;
+    stats.Policy.Policy_intf.cpu_ns;
   (match t.mcg with
   | Some mg ->
     Obs.emit t.obs ~t_ns:now
@@ -750,8 +752,8 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
     end
     else begin
       Obs.Vmstat.incr t.vm Obs.Vmstat.minor_faults;
-      cpu_acc := !cpu_acc + t.cfg.minor_fault_ns;
-      Prof.charge_phase t.prof Prof.Fault_handling t.cfg.minor_fault_ns;
+      cpu_acc := !cpu_acc + minor_fault_ns;
+      Prof.charge_phase t.prof Prof.Fault_handling minor_fault_ns;
       map_page t ~tid ~pfn ~vpn ~refault:false ~write ~demand:true
     end;
     memcg_after_charge t ~tid ~cursor
@@ -766,7 +768,7 @@ let touch t ~tid ~cursor ~cpu_acc ~vpn ~write =
     let pte = Mem.Pte.set_accessed pte in
     let pte = if write then Mem.Pte.set_dirty pte else pte in
     Mem.Page_table.set t.pt vpn pte;
-    cpu_acc := !cpu_acc + t.cfg.hit_cpu_ns;
+    cpu_acc := !cpu_acc + hit_cpu_ns;
     ra_note_hit t vpn;
     on_touched t ~pfn:(Mem.Pte.pfn pte) ~write
   end
@@ -774,10 +776,8 @@ let touch t ~tid ~cursor ~cpu_acc ~vpn ~write =
 
 let record_latency t ~tid (c : Workload.Chunk.t) ns =
   let cls = c.Workload.Chunk.latency_class in
-  if cls = Workload.Chunk.read_class then
-    Structures.Vec.push t.read_lat (float_of_int ns)
-  else if cls = Workload.Chunk.write_class then
-    Structures.Vec.push t.write_lat (float_of_int ns);
+  if cls = Workload.Chunk.read_class then push_latency t.read_lat ns
+  else if cls = Workload.Chunk.write_class then push_latency t.write_lat ns;
   match t.mcg with
   | Some mg -> Mem.Memcg.note_latency mg ~tid ~cls (float_of_int ns)
   | None -> ()
@@ -823,7 +823,7 @@ let chaos_migrate t ~src ~vpn =
     (* Page-copy cost, charged like kswapd work. *)
     Engine.Cpu.charge_tagged t.cpu
       ~phase:(Prof.phase_index Prof.Evict_scan)
-      t.cfg.minor_fault_ns;
+      minor_fault_ns;
     on_mapped t ~pfn:dst ~vpn ~refault:true ~file_backed ~speculative:false;
     true
   end
@@ -993,8 +993,8 @@ let run cfg ~policy ~workload =
   let rng = Engine.Rng.create cfg.seed in
   let base_device =
     match cfg.swap with
-    | Ssd_swap c -> Swapdev.Ssd.create ~config:c ~rng:(Engine.Rng.split rng) ()
-    | Zram_swap c -> Swapdev.Zram.create ~config:c ~rng:(Engine.Rng.split rng) ()
+    | Ssd -> Swapdev.Ssd.create ~rng:(Engine.Rng.split rng) ()
+    | Zram -> Swapdev.Zram.create ~rng:(Engine.Rng.split rng) ()
   in
   (* A disabled plan must not even split the RNG, so fault-free runs are
      bit-identical to builds that predate the fault layer. *)
@@ -1018,10 +1018,9 @@ let run cfg ~policy ~workload =
     match chaos_knobs with
     | None -> device
     | Some knobs ->
-      fst
-        (Swapdev.Degraded_device.wrap ~knobs
-           ~rng:(Engine.Rng.create (cfg.seed lxor 0x5EED0C4A))
-           device)
+      Swapdev.Degraded_device.wrap ~knobs
+        ~rng:(Engine.Rng.create (cfg.seed lxor 0x5EED0C4A))
+        device
   in
   let mcg =
     Option.map
@@ -1050,10 +1049,9 @@ let run cfg ~policy ~workload =
                cgn))
       (Chaos.churn_cgs spec));
   let sim = Engine.Sim.create () in
-  let cpu = Engine.Cpu.create ~hw_threads:cfg.hw_threads in
+  let cpu = Engine.Cpu.create ~hw_threads in
   let drv =
-    Driver.create ~sim ~cpu ~rng ~prof ~segment_pages:cfg.segment_pages
-      ~barrier_ns:cfg.costs.Mem.Costs.barrier_ns
+    Driver.create ~sim ~cpu ~rng ~prof ~barrier_ns:cfg.costs.Mem.Costs.barrier_ns
       ~kthread_jitter_ns:cfg.kthread_jitter_ns ~barrier_groups:cfg.barrier_groups
       workload
   in
@@ -1074,13 +1072,13 @@ let run cfg ~policy ~workload =
       mem = Mem.Phys_mem.create ~frames:cfg.capacity_frames ();
       swap =
         Swapdev.Swap_manager.create ~max_retries:cfg.io_max_retries
-          ~backoff_ns:cfg.io_retry_backoff_ns ~obs ~vmstat:vm ~device
+          ~backoff_ns:io_retry_backoff_ns ~obs ~vmstat:vm ~device
           ~seed:(Engine.Rng.int rng (1 lsl 30)) ();
       workload;
       policy = None;
       retained_slot = Array.make footprint (-1);
-      read_lat = Structures.Vec.create ~capacity:1024 ~dummy:0.0 ();
-      write_lat = Structures.Vec.create ~capacity:1024 ~dummy:0.0 ();
+      read_lat = { lat = Array.make 1024 0.0; n = 0 };
+      write_lat = { lat = Array.make 1024 0.0; n = 0 };
       in_direct = false;
       direct_now = 0;
       direct_stall_until = 0;
@@ -1262,7 +1260,7 @@ let run cfg ~policy ~workload =
     in
     every t sample_every sample
   end;
-  Engine.Sim.run ~until:cfg.max_runtime_ns ~cancel:cfg.cancel t.sim;
+  Engine.Sim.run ~until:max_runtime_ns ~cancel:cfg.cancel t.sim;
   Obs.Vmstat.add vm Obs.Vmstat.invariant_violations (List.length (audit t));
   let runtime = Driver.runtime_ns drv in
   let counters = Obs.Vmstat.capture vm in
@@ -1270,8 +1268,8 @@ let run cfg ~policy ~workload =
     runtime_ns = runtime;
     major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
     minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
-    read_latencies = Structures.Vec.to_array t.read_lat;
-    write_latencies = Structures.Vec.to_array t.write_lat;
+    read_latencies = Array.sub t.read_lat.lat 0 t.read_lat.n;
+    write_latencies = Array.sub t.write_lat.lat 0 t.write_lat.n;
     per_thread_finish = Driver.per_thread_finish drv;
     cpu_busy_ns = Engine.Cpu.busy_ns t.cpu;
     policy_stats = P.stats p;

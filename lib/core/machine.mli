@@ -19,38 +19,32 @@
     after every run and optionally on a cadence. *)
 
 type swap_kind =
-  | Ssd_swap of Swapdev.Ssd.config
-  | Zram_swap of Swapdev.Zram.config
+  | Ssd   (** ~7.5 ms per 4 KB operation ({!Swapdev.Ssd.default_config}) *)
+  | Zram  (** 20 µs reads / 35 µs writes, CPU-coupled
+              ({!Swapdev.Zram.default_config}) *)
 
-val ssd : swap_kind
-(** Paper defaults: ~7.5 ms per 4 KB operation. *)
-
-val zram : swap_kind
-(** Paper defaults: 20 µs reads / 35 µs writes, CPU-coupled. *)
-
+(** The testbed is fixed: 12 hardware threads, direct reclaim in
+    batches of 8 pages, 20 ns of compute per resident touch, 1 µs per
+    zero-fill fault, a 100 µs base for the transient-I/O retry backoff
+    (and the memcg throttle), the thread driver's 32-page segments and
+    a 50,000 s simulated-time safety stop.  The fields below are the
+    values callers vary. *)
 type config = {
-  hw_threads : int;
   capacity_frames : int;
   swap : swap_kind;
   costs : Mem.Costs.t;
   readahead : int;           (** swap-in cluster size; 0 disables *)
-  direct_reclaim_batch : int;
-  segment_pages : int;       (** max pages processed per scheduler event *)
-  hit_cpu_ns : int;          (** per-page compute on a resident touch *)
-  minor_fault_ns : int;      (** zero-fill fault cost *)
   barrier_groups : int array option;
       (** thread -> rendezvous group; default: all threads in group 0 *)
   kthread_jitter_ns : int;
       (** mean run-queue latency added between kernel-thread steps,
           scaled by CPU load — the OS scheduling noise the paper blames
           for scan-timing variance (§VI-A); 0 disables *)
-  max_runtime_ns : int;      (** safety stop *)
   seed : int;
   fault_plan : Swapdev.Faulty_device.plan;
       (** swap I/O fault injection; {!Swapdev.Faulty_device.none} keeps
           runs bit-identical to a build without the fault layer *)
   io_max_retries : int;      (** per-op retry budget on transient errors *)
-  io_retry_backoff_ns : int; (** base of the exponential retry backoff *)
   audit_every_ns : int;
       (** run {!Invariants.audit} every this many simulated ns; 0 =
           end-of-run only *)
@@ -92,9 +86,9 @@ type config = {
 }
 
 val default_config : capacity_frames:int -> seed:int -> config
-(** SSD swap, 12 hardware threads, experiment-scaled cost model
-    (64-PTE page-table regions; see DESIGN.md on footprint scaling).
-    Fault injection disabled. *)
+(** SSD swap, the experiment-scaled cost model
+    ({!Mem.Costs.experiment} at scale 1: 64-PTE page-table regions; see
+    DESIGN.md on footprint scaling).  Fault injection disabled. *)
 
 type result = {
   runtime_ns : int;

@@ -80,10 +80,6 @@ let reference_trace (w : Workload.Chunk.packed) =
   done;
   Array.sub !buf 0 !len
 
-(* Same formula the runner uses to size the machine for a cell. *)
-let capacity_for ~footprint ~ratio =
-  max 64 (int_of_float (float_of_int footprint *. ratio))
-
 (* ------------------------------------------------------------------ *)
 (* Scoreboard                                                          *)
 
@@ -125,7 +121,7 @@ let compute ctx ~workloads ~policies ~ratios ~swap =
     | None ->
       let trace, footprint = trace_for workload ~trial in
       let r =
-        Policy.Belady.simulate ~capacity:(capacity_for ~footprint ~ratio) ~trace
+        Policy.Belady.simulate ~capacity:(Runner.capacity_for ~footprint ~ratio) ~trace
       in
       let v = float_of_int (r.Policy.Belady.faults - r.Policy.Belady.cold_faults) in
       Hashtbl.add belady key v;

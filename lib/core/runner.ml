@@ -4,7 +4,7 @@ type workload_kind =
   | Ycsb of Workload.Ycsb.variant
   | Fleet of { fl_tenants : int; fl_hot : int }
 
-type swap_medium = Ssd | Zram
+type swap_medium = Machine.swap_kind = Ssd | Zram
 
 type exp = {
   workload : workload_kind;
@@ -412,9 +412,8 @@ let make_workload ctx kind ~trial =
     Workload.Chunk.Packed
       ((module Workload.Multi), make_fleet ctx ~tenants:fl_tenants ~hot:fl_hot ~trial)
 
-let machine_swap = function
-  | Ssd -> Machine.ssd
-  | Zram -> Machine.zram
+let capacity_for ~footprint ~ratio =
+  max 64 (int_of_float (float_of_int footprint *. ratio))
 
 (* Per-trial wall-clock deadline as a cooperative cancellation token.
    The probe runs between simulation events, so it rate-limits the
@@ -447,14 +446,21 @@ let compute_exp ctx e =
         Some (Workload.Multi.barrier_groups m) )
     | _ -> (make_workload ctx e.workload ~trial:e.trial, None)
   in
-  let footprint = Workload.Chunk.packed_footprint workload in
-  let capacity = max 64 (int_of_float (float_of_int footprint *. e.ratio)) in
+  let capacity =
+    capacity_for ~footprint:(Workload.Chunk.packed_footprint workload)
+      ~ratio:e.ratio
+  in
+  (* Under --scale N the per-page cost factor shrinks as the footprint
+     grows (see [scale_tpch]): region granularity coarsens toward the
+     paper's 512-PTE leaves and the 256x seed-scale compression unwinds
+     proportionally ({!Mem.Costs.experiment}). *)
   let cfg =
     {
       (Machine.default_config ~capacity_frames:capacity
          ~seed:(workload_seed e.workload ~trial:e.trial + 17))
       with
-      Machine.swap = machine_swap e.swap;
+      Machine.swap = e.swap;
+      costs = Mem.Costs.experiment ~scale:ctx.profile.scale;
       barrier_groups;
       fault_plan = ctx.fault_plan;
       audit_every_ns = ctx.audit_every_ns;
@@ -463,26 +469,6 @@ let compute_exp ctx e =
       cgroups = ctx.cgroups;
       chaos = ctx.chaos;
     }
-  in
-  (* Under --scale N the per-page cost factor shrinks as the footprint
-     grows (see [scale_tpch]): region granularity coarsens toward the
-     paper's 512-PTE leaves and the 256x seed-scale compression unwinds
-     proportionally.  N = 1 leaves the machine config untouched. *)
-  let cfg =
-    let s = ctx.profile.scale in
-    if s = 1 then cfg
-    else
-      {
-        cfg with
-        Machine.costs =
-          Mem.Costs.scaled
-            ~factor:(max 1 (256 / s))
-            {
-              Mem.Costs.default with
-              Mem.Costs.region_size = min 512 (64 * s);
-              spatial_scan_max = min 512 (64 * s);
-            };
-      }
   in
   Machine.run cfg ~policy:(Policy.Registry.create e.policy) ~workload
 

@@ -35,7 +35,7 @@ type workload_kind =
           runaway (zipf 1.1, double the requests), the rest are lukewarm
           (zipf 0.8).  The containment workload of [repro fleet]. *)
 
-type swap_medium = Ssd | Zram
+type swap_medium = Machine.swap_kind = Ssd | Zram
 
 type exp = {
   workload : workload_kind;
@@ -193,6 +193,11 @@ val warm_start : ctx -> Journal.record list -> int
 val trials_for : ctx -> workload_kind -> int
 
 val make_workload : ctx -> workload_kind -> trial:int -> Workload.Chunk.packed
+
+val capacity_for : footprint:int -> ratio:float -> int
+(** Memory frames of a cell's machine: [ratio] of the workload's
+    [footprint] pages, at least 64.  Belady's bound and the tier study
+    size against the same formula. *)
 
 val run_exp : ctx -> exp -> Machine.result
 (** Run (or fetch from this context's cache) one trial.  Raises

@@ -1,7 +1,9 @@
+(* One trial: the fast tier holds [fast_frac] of the footprint (sized
+   like a cell's machine), the slow tier the rest plus 10 % slack. *)
 let run_one ctx ~workload ~policy ~fast_frac ~trial =
   let w = Runner.make_workload ctx workload ~trial in
   let footprint = Workload.Chunk.packed_footprint w in
-  let fast = max 64 (int_of_float (float_of_int footprint *. fast_frac)) in
+  let fast = Runner.capacity_for ~footprint ~ratio:fast_frac in
   let slow = footprint - fast + (footprint / 10) in
   let cfg =
     Tiering.Tier_machine.default_config ~fast_frames:fast ~slow_frames:slow

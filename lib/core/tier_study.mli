@@ -13,16 +13,6 @@
     workload and machine, and results are aggregated in input order, so
     the printed tables do not depend on the parallelism. *)
 
-val run_one :
-  Runner.ctx ->
-  workload:Runner.workload_kind ->
-  policy:Tiering.Tier_registry.spec ->
-  fast_frac:float ->
-  trial:int ->
-  Tiering.Tier_machine.result
-(** One trial: fast tier sized at [fast_frac] of the footprint, the slow
-    tier holding the rest (plus slack). *)
-
 val study : ?fast_frac:float -> ?trials:int -> Runner.ctx -> unit -> Report.figure
 (** The full comparison, one table per workload (TPC-H, PageRank,
     YCSB-B), at [fast_frac] (default 0.5) of the footprint in the fast

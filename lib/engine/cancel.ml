@@ -10,8 +10,6 @@ let never = { probe = (fun () -> false); reason = "cancelled"; fired = false }
 
 let of_probe ?(reason = "cancelled") probe = { probe; reason; fired = false }
 
-let cancel t = t.fired <- true
-
 let cancelled t =
   t.fired
   ||

@@ -31,9 +31,6 @@ val of_probe : ?reason:string -> (unit -> bool) -> t
     returns true.  [reason] (default ["cancelled"]) is carried by
     {!Cancelled}. *)
 
-val cancel : t -> unit
-(** Latch the token manually, regardless of its probe. *)
-
 val cancelled : t -> bool
 (** Whether the token has fired (probe returned true once, or
     {!cancel} was called). *)

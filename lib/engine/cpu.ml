@@ -9,8 +9,6 @@ let create ~hw_threads =
   if hw_threads <= 0 then invalid_arg "Cpu.create: hw_threads must be positive";
   { hw_threads; runnable = 0; busy_ns = 0; hook = None }
 
-let hw_threads t = t.hw_threads
-
 let runnable t = t.runnable
 
 let run_begin t = t.runnable <- t.runnable + 1
@@ -31,14 +29,10 @@ let busy_ns t = t.busy_ns
 
 let set_hook t f = t.hook <- Some f
 
-let no_phase = -1
-
-(* Allocation-free tagged charge: the optional-argument form boxes a
-   [Some phase] at every call site that passes [~phase]. *)
 let charge_tagged t ~phase work =
   if work > 0 then begin
     t.busy_ns <- t.busy_ns + work;
     match t.hook with None -> () | Some f -> f phase work
   end
 
-let charge ?(phase = no_phase) t work = charge_tagged t ~phase work
+let charge t work = charge_tagged t ~phase:(-1) work

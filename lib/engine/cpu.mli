@@ -14,8 +14,6 @@ type t
 val create : hw_threads:int -> t
 (** @raise Invalid_argument if [hw_threads <= 0]. *)
 
-val hw_threads : t -> int
-
 val runnable : t -> int
 (** Entities currently executing or waiting for a hardware thread. *)
 
@@ -37,22 +35,17 @@ val load : t -> float
 val busy_ns : t -> int
 (** Total compute-nanoseconds charged so far (for utilization metrics). *)
 
-val no_phase : int
-(** The phase tag of an untagged {!charge} ([-1]). *)
-
 val set_hook : t -> (int -> int -> unit) -> unit
 (** Install an observation hook called as [f phase work] on every
-    positive {!charge}.  [phase] is the caller's opaque tag
-    ({!no_phase} when the charge was untagged).  The engine knows
+    positive charge.  [phase] is the caller's opaque tag ([-1] for
+    an untagged {!charge}).  The engine knows
     nothing about tags — the profiler layer above assigns meaning — and
     no hook is installed by default, so uninstrumented machines pay one
     branch per charge. *)
 
-val charge : ?phase:int -> t -> int -> unit
-(** Account [work] nanoseconds of compute against [busy_ns].  [phase]
-    is forwarded verbatim to the hook, if any; it never affects timing
-    or accounting. *)
+val charge : t -> int -> unit
+(** Account [work] nanoseconds of compute against [busy_ns], untagged. *)
 
 val charge_tagged : t -> phase:int -> int -> unit
-(** Allocation-free [charge ~phase]: a non-optional tag, so hot call
-    sites do not box a [Some phase] per charge. *)
+(** [charge], with [phase] forwarded verbatim to the hook, if any; it
+    never affects timing or accounting. *)

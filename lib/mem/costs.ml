@@ -43,9 +43,7 @@ let scaled ?(factor = 256) t =
     hook_dispatch_ns = t.hook_dispatch_ns * factor;
   }
 
-let pp fmt t =
-  Format.fprintf fmt
-    "pte_scan=%dns rmap=%dns bloom=%d/%dns list=%dns trap=%dns region=%d \
-     spatial<=%d hook=%dns"
-    t.pte_scan_ns t.rmap_walk_ns t.bloom_query_ns t.bloom_update_ns t.list_op_ns
-    t.fault_trap_ns t.region_size t.spatial_scan_max t.hook_dispatch_ns
+let experiment ~scale =
+  let leaf = min 512 (64 * scale) in
+  scaled ~factor:(max 1 (256 / scale))
+    { default with region_size = leaf; spatial_scan_max = leaf }

@@ -35,4 +35,11 @@ val scaled : ?factor:int -> t -> t
     scales only 20x: trap overhead is partially per-fault-event real
     time. *)
 
-val pp : Format.formatter -> t -> unit
+val experiment : scale:int -> t
+(** The cost table both simulated machines run: {!default} {!scaled}
+    by [max 1 (256 / scale)], with page-table regions (and the spatial
+    scan bound) of [min 512 (64 * scale)] PTEs.  [scale] is the
+    harness's [--scale] footprint multiplier: at 1 the footprints are
+    1/256 of the paper's and regions shrink from 512 to 64 PTEs to keep
+    region granularity comparable; at 256 regions are the paper's 512
+    PTEs and per-page costs are unscaled (DESIGN.md, "Scaling"). *)

@@ -1,8 +1,8 @@
 (** Physical frame metadata.
 
     One record per physical frame: which (address space, virtual page)
-    owns it.  This doubles as the reverse map's ground truth — see
-    {!Rmap} for the cost model of walking it. *)
+    owns it.  This doubles as the reverse map; a policy that resolves a
+    frame through it charges [Costs.rmap_walk_ns] per lookup. *)
 
 type t
 

@@ -437,8 +437,6 @@ let find t cg_name =
   in
   go 0
 
-let capacity t = t.capacity
-
 (* Rewrite memory.{low,high,max} on a live group — the chaos limit-churn
    injector.  [None] leaves a limit untouched; [Some] values are resolved
    frame counts ([max_int] = unlimited for high/max).  The new limits
@@ -457,7 +455,6 @@ let cg_of_page t vpn = t.page_cg.(vpn)
 let usage t cg = t.cgs.(cg).cg_usage
 let low t cg = t.cgs.(cg).cg_low
 let high t cg = t.cgs.(cg).cg_high
-let max_limit t cg = t.cgs.(cg).cg_max
 let eff_limit t cg = t.cgs.(cg).cg_eff
 
 let charge t ~tid ~vpn =
@@ -620,8 +617,6 @@ let note_oom t cg =
   let st = t.cgs.(cg).cg_stats in
   st.st_ooms <- st.st_ooms + 1
 
-let oom_kills t cg = t.cgs.(cg).cg_stats.st_ooms
-let throttles t cg = t.cgs.(cg).cg_stats.st_throttles
 let throttled_ns t cg = t.cgs.(cg).cg_stats.st_throttled_ns
 
 let note_latency t ~tid ~cls ns =

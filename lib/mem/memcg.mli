@@ -85,10 +85,6 @@ val name : t -> int -> string
 val find : t -> string -> int option
 (** Cgroup index by name ([Some 0] for ["root"]). *)
 
-val capacity : t -> int
-(** The [capacity_frames] the spec's percentage limits were resolved
-    against. *)
-
 val set_limits :
   t -> int -> ?low:int -> ?high:int -> ?max_limit:int -> unit -> unit
 (** Rewrite [memory.{low,high,max}] on a live cgroup (the chaos
@@ -106,9 +102,6 @@ val usage : t -> int -> int
 val low : t -> int -> int
 
 val high : t -> int -> int
-(** [max_int] when unlimited. *)
-
-val max_limit : t -> int -> int
 (** [max_int] when unlimited. *)
 
 val eff_limit : t -> int -> int
@@ -178,8 +171,6 @@ val proactive_step : t -> int -> int * int
 (** {1 Counters and reports} *)
 
 val note_oom : t -> int -> unit
-val oom_kills : t -> int -> int
-val throttles : t -> int -> int
 val throttled_ns : t -> int -> int
 val note_latency : t -> tid:int -> cls:int -> float -> unit
 (** Request latency attributed to [tid]'s cgroup; [cls] 0 = read,

@@ -6,7 +6,6 @@ let flag_dirty = 4
 let flag_file = 8
 let flag_swapped = 16
 let payload_shift = 8
-let flags_mask = (1 lsl payload_shift) - 1
 
 let empty = 0
 
@@ -46,13 +45,3 @@ let to_swapped t ~slot =
 
 let to_mapped t ~pfn =
   (pfn lsl payload_shift) lor flag_present lor (t land flag_file)
-
-let pp fmt t =
-  if present t then
-    Format.fprintf fmt "pfn=%d%s%s%s" (pfn t)
-      (if accessed t then " A" else "")
-      (if dirty t then " D" else "")
-      (if file_backed t then " F" else "")
-  else if swapped t then Format.fprintf fmt "swap=%d" (swap_slot t)
-  else Format.fprintf fmt "empty";
-  ignore flags_mask

@@ -28,9 +28,6 @@ val file_backed : t -> bool
 
 val swapped : t -> bool
 
-val payload : t -> int
-(** Frame number or swap slot, depending on state. *)
-
 val pfn : t -> int
 (** @raise Invalid_argument when not present. *)
 
@@ -55,5 +52,3 @@ val to_swapped : t -> slot:int -> t
 val to_mapped : t -> pfn:int -> t
 (** Map a swapped (or empty) entry to a frame.  Keeps the file-backed
     flag; accessed/dirty start clear. *)
-
-val pp : Format.formatter -> t -> unit

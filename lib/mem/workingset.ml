@@ -22,10 +22,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Workingset.create: capacity must be positive";
   { capacity; evictions = 0 }
 
-let capacity t = t.capacity
-
-let evictions t = t.evictions
-
 (* Shadow tokens are packed, non-zero ints so they fit Page_table's
    shadow array (0 = no shadow): bit 0 marks presence, bit 1 the
    was-active flag, the rest the clock snapshot. *)

@@ -20,11 +20,6 @@ val create : capacity:int -> t
 (** [capacity] is the machine's memory size in frames — the activation
     threshold.  @raise Invalid_argument when non-positive. *)
 
-val capacity : t -> int
-
-val evictions : t -> int
-(** Current eviction-clock value (total {!note_eviction} calls). *)
-
 (** {1 Shadow tokens} *)
 
 val no_shadow : int

@@ -228,28 +228,6 @@ let end_phase t ~now =
               if s.record_spans then
                 s.spans <- (s.cur, i, t0, max t0 now) :: s.spans))
 
-let charge t ?phase ns =
-  match t with
-  | None -> ()
-  | Some s ->
-      if ns > 0 then
-        match thread s s.cur with
-        | None -> ()
-        | Some ti -> (
-            match phase with
-            | None -> add s ti.t_class ti.t_path ns
-            | Some p ->
-                add s ti.t_class (tag_path ti (phase_index p)) ns;
-                (* The caller accrues this same work into a counter the
-                   machine later pushes through an untagged
-                   [Cpu.charge]; remember how much is already
-                   attributed so the aggregate only contributes its
-                   unattributed remainder. *)
-                s.pending <- s.pending + ns)
-
-(* Allocation-free [charge ~phase]: scan loops call this per scanned
-   page, and the optional argument would box a [Some phase] at the call
-   site even when profiling is off. *)
 let charge_phase t phase ns =
   match t with
   | None -> ()
@@ -259,6 +237,10 @@ let charge_phase t phase ns =
         | None -> ()
         | Some ti ->
             add s ti.t_class (tag_path ti (phase_index phase)) ns;
+            (* The caller accrues this same work into a counter the
+               machine later pushes through an untagged [Cpu.charge];
+               remember how much is already attributed so the
+               aggregate only contributes its unattributed remainder. *)
             s.pending <- s.pending + ns
 
 (* Scoping for nested flush points: a direct-reclaim episode runs in

@@ -11,7 +11,7 @@
     Attribution has three sources which together must count each
     nanosecond exactly once:
 
-    - {!charge}: a policy or the machine attributes work at the point
+    - {!charge_phase}: a policy or the machine attributes work at the point
       of accrual, tagging it with a phase.  Because the same work is
       also accumulated into a counter that the machine later pushes
       through an untagged [Cpu.charge], the sink remembers the
@@ -20,7 +20,7 @@
       with [Engine.Cpu.set_hook].  Pending attribution is subtracted
       first; only the unattributed remainder lands in the enclosing
       phase span (or the thread's default phase).
-    - tagged [Cpu.charge ?phase]: work charged nowhere else; the full
+    - [Cpu.charge_tagged]: work charged nowhere else; the full
       amount is attributed to the given phase and pending is left
       alone.
 
@@ -129,14 +129,9 @@ val end_phase : t -> now:int -> unit
 
 (** {1 Attribution} *)
 
-val charge : t -> ?phase:phase -> int -> unit
-(** Attribute [ns] to the current thread.  With [?phase], the work is
-    credited to that phase {e and} remembered as pending (see the
-    module preamble); without, it lands in the enclosing span. *)
-
 val charge_phase : t -> phase -> int -> unit
-(** Exactly [charge t ~phase ns] but with a non-optional phase, so hot
-    scan loops do not box a [Some phase] per scanned page. *)
+(** Attribute [ns] of the current thread's work to [phase] {e and}
+    remember it as pending (see the module preamble). *)
 
 val suspend_pending : t -> int
 (** Save and zero the pending-attribution counter.  Brackets a nested
@@ -149,8 +144,8 @@ val resume_pending : t -> int -> unit
 
 val on_cpu_charge : t -> int -> int -> unit
 (** [on_cpu_charge t phase_idx ns] is the [Engine.Cpu.set_hook]
-    target: [phase_idx] is a {!phase_index} or [Engine.Cpu.no_phase]
-    for untagged charges, whose pending-covered portion is dropped. *)
+    target: [phase_idx] is a {!phase_index}, or [-1] for untagged
+    charges, whose pending-covered portion is dropped. *)
 
 val wait : t -> tid:int -> now:int -> phase -> int -> unit
 (** Attribute [ns] of stall ending at [now] to [phase] on thread

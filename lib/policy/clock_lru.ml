@@ -1,21 +1,14 @@
 module Prof = Obs.Prof
 
-type config = {
-  scan_batch : int;
-  inactive_ratio : int;
-  new_page_active : bool;
-}
+let scan_batch = 32 (* pages examined per kswapd step *)
 
-(* The classic kernel adds newly mapped anonymous pages to the active
-   list; speculative readahead pages start inactive regardless. *)
-let default_config = { scan_batch = 32; inactive_ratio = 2; new_page_active = true }
+let inactive_ratio = 2 (* keep inactive >= active / ratio *)
 
 let active = 0
 let inactive = 1
 
 type t = {
   env : Policy_intf.env;
-  config : config;
   lists : Structures.Dlist.t;
   mutable refaults : int;
   mutable evictions : int;
@@ -26,10 +19,9 @@ type t = {
 
 let policy_name = "clock"
 
-let create_with ?(config = default_config) env =
+let create env =
   {
     env;
-    config;
     lists = Structures.Dlist.create ~nodes:env.Policy_intf.total_frames ~lists:2;
     refaults = 0;
     evictions = 0;
@@ -38,17 +30,15 @@ let create_with ?(config = default_config) env =
     rotations = 0;
   }
 
-let create env = create_with env
-
 let active_size t = Structures.Dlist.size t.lists active
 
 let inactive_size t = Structures.Dlist.size t.lists inactive
 
 let on_page_mapped t ~pfn ~asid:_ ~vpn:_ ~refault ~file_backed:_ ~speculative =
   if refault then t.refaults <- t.refaults + 1;
-  let list =
-    if speculative || not t.config.new_page_active then inactive else active
-  in
+  (* The classic kernel adds newly mapped anonymous pages to the active
+     list; speculative readahead pages start inactive. *)
+  let list = if speculative then inactive else active in
   Structures.Dlist.move_head t.lists ~list ~node:pfn
 
 let on_page_touched _t ~pfn:_ ~write:_ = ()
@@ -106,7 +96,7 @@ let rebalance t stats =
   while
     !continue_
     && active_size t > 0
-    && inactive_size t * t.config.inactive_ratio < active_size t
+    && inactive_size t * inactive_ratio < active_size t
   do
     continue_ := deactivate_one t stats
   done
@@ -168,7 +158,7 @@ let evict_one t ~force (stats : Policy_intf.reclaim_stats) =
 
 let shrink t ~want ~force stats =
   rebalance t stats;
-  let budget = ref (max (2 * t.config.scan_batch) (4 * want)) in
+  let budget = ref (max (2 * scan_batch) (4 * want)) in
   while stats.Policy_intf.freed < want && !budget > 0 do
     (match evict_one t ~force stats with
     | `Empty ->
@@ -198,7 +188,7 @@ let kswapd t () =
     Policy_intf.Sleep_until_woken
   else begin
     let stats = Policy_intf.fresh_stats () in
-    shrink t ~want:t.config.scan_batch ~force:false stats;
+    shrink t ~want:scan_batch ~force:false stats;
     Obs.Vmstat.add (vm t) Obs.Vmstat.pgscan_kswapd stats.Policy_intf.scanned;
     if stats.Policy_intf.freed = 0 && stats.Policy_intf.scanned = 0 then
       Policy_intf.Sleep_until_woken

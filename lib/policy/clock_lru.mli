@@ -6,19 +6,11 @@
     each physical frame to its PTE through a reverse-map walk, the cost the
     paper identifies as Clock's fundamental handicap — and reclaim scans the
     inactive tail, giving accessed pages a second chance on the active
-    list. *)
-
-type config = {
-  scan_batch : int;       (** pages examined per kswapd step *)
-  inactive_ratio : int;   (** keep inactive >= active / ratio *)
-  new_page_active : bool; (** map new pages to the active list *)
-}
-
-val default_config : config
+    list.  kswapd examines 32 pages per step and keeps the inactive
+    list at least half the active list's size; new pages start active,
+    readahead pages inactive. *)
 
 include Policy_intf.S
-
-val create_with : ?config:config -> Policy_intf.env -> t
 
 val active_size : t -> int
 

@@ -123,7 +123,7 @@ module Host (G : V1.GUEST) = struct
 
   let add t (stats : Policy_intf.reclaim_stats) ~phase ns =
     stats.Policy_intf.cpu_ns <- stats.Policy_intf.cpu_ns + ns;
-    Obs.Prof.charge t.env.Policy_intf.prof ~phase ns
+    Obs.Prof.charge_phase t.env.Policy_intf.prof phase ns
 
   let flush_deferred t stats =
     if t.deferred_fault_ns > 0 then begin

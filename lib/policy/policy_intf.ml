@@ -43,7 +43,7 @@ type env = {
   prof : Obs.Prof.t;
       (** CPU profiler sink (often {!Obs.Prof.disabled}).  Observation
           only, like [obs]: a policy attributes the work it accrues into
-          {!reclaim_stats.cpu_ns} by phase ([Obs.Prof.charge ~phase])
+          {!reclaim_stats.cpu_ns} by phase ([Obs.Prof.charge_phase])
           but must never branch on it. *)
   vmstat : Obs.Vmstat.t;
       (** The machine's vmstat counter registry.  Observation only, like

@@ -44,7 +44,7 @@ let evict_one t ~force (stats : Policy_intf.reclaim_stats) =
   | Some pfn ->
     stats.scanned <- stats.scanned + 1;
     stats.cpu_ns <- stats.cpu_ns + 100;
-    Obs.Prof.charge t.env.Policy_intf.prof ~phase:Obs.Prof.Evict_scan 100;
+    Obs.Prof.charge_phase t.env.Policy_intf.prof Obs.Prof.Evict_scan 100;
     t.env.Policy_intf.reclaim_page ~pfn;
     t.evictions <- t.evictions + 1;
     stats.freed <- stats.freed + 1;

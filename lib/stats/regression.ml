@@ -35,7 +35,3 @@ let fit ~x ~y =
   end
 
 let predict f x = f.intercept +. (f.slope *. x)
-
-let pp fmt f =
-  Format.fprintf fmt "y = %.4g + %.4g x (r2=%.4f, n=%d)" f.intercept f.slope
-    f.r2 f.n

@@ -18,5 +18,3 @@ val fit : x:float array -> y:float array -> fit
     r² is 0. *)
 
 val predict : fit -> float -> float
-
-val pp : Format.formatter -> fit -> unit

@@ -30,7 +30,3 @@ let of_ints xs = of_array (Array.map float_of_int xs)
 let cv t = if t.mean = 0.0 then 0.0 else t.stddev /. t.mean
 
 let spread t = if t.min = 0.0 then infinity else t.max /. t.min
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n t.mean
-    t.stddev t.min t.max

@@ -23,5 +23,3 @@ val cv : t -> float
 val spread : t -> float
 (** [max / min]: the paper's "factor between fastest and slowest
     execution" (infinite when [min = 0]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,34 +27,18 @@ type knobs = {
 
 let neutral () = { latency_mult = 1.0; error_prob = 0.0; wear_prob = 0.0 }
 
-type counters = {
-  mutable slow_ops : int;
-  mutable degraded_transient : int;
-  mutable degraded_permanent : int;
-}
-
-let fresh_counters () =
-  { slow_ops = 0; degraded_transient = 0; degraded_permanent = 0 }
-
 let wrap ~knobs ~rng inner =
-  let counters = fresh_counters () in
   let submit ~now ~op ~size_fraction =
     let busy0 = inner.Device.busy_until () in
     let c = inner.Device.submit ~now ~op ~size_fraction in
     (* Wear (permanent) is drawn before transient errors so the two
        probabilities consume a stable number of RNG draws per op while
        their window is open. *)
-    if knobs.wear_prob > 0.0 && Engine.Rng.bool rng knobs.wear_prob then begin
-      counters.degraded_permanent <- counters.degraded_permanent + 1;
+    if knobs.wear_prob > 0.0 && Engine.Rng.bool rng knobs.wear_prob then
       { c with Device.status = Device.Failed Device.Permanent }
-    end
     else if knobs.error_prob > 0.0 && Engine.Rng.bool rng knobs.error_prob
-    then begin
-      counters.degraded_transient <- counters.degraded_transient + 1;
-      { c with Device.status = Device.Failed Device.Transient }
-    end
+    then { c with Device.status = Device.Failed Device.Transient }
     else if knobs.latency_mult <> 1.0 then begin
-      counters.slow_ops <- counters.slow_ops + 1;
       (* Stretch only the service portion — the completion minus the
          device's pre-submit busy floor — never the queueing delta.
          Thread-local cursors legitimately run ahead of simulated time
@@ -72,11 +56,10 @@ let wrap ~knobs ~rng inner =
     end
     else c
   in
-  ( {
-      Device.name = inner.Device.name ^ "+degrade";
-      submit;
-      reads = inner.Device.reads;
-      writes = inner.Device.writes;
-      busy_until = inner.Device.busy_until;
-    },
-    counters )
+  {
+    Device.name = inner.Device.name ^ "+degrade";
+    submit;
+    reads = inner.Device.reads;
+    writes = inner.Device.writes;
+    busy_until = inner.Device.busy_until;
+  }

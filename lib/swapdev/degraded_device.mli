@@ -17,13 +17,7 @@ type knobs = {
 val neutral : unit -> knobs
 (** Fresh identity knobs: [latency_mult = 1.0], both probabilities 0. *)
 
-type counters = {
-  mutable slow_ops : int;            (** completions stretched by latency *)
-  mutable degraded_transient : int;  (** transient failures injected *)
-  mutable degraded_permanent : int;  (** permanent failures injected *)
-}
-
-val wrap : knobs:knobs -> rng:Engine.Rng.t -> Device.t -> Device.t * counters
+val wrap : knobs:knobs -> rng:Engine.Rng.t -> Device.t -> Device.t
 (** Decorate a device.  [rng] must be dedicated to this wrapper (the
     machine derives it from the seed rather than splitting the main
     stream), and is only consulted while an error or wear window is

@@ -46,8 +46,6 @@ let create ?(max_retries = 4) ?(backoff_ns = 100_000) ?(obs = Obs.disabled)
     last_remapped = false;
   }
 
-let device t = t.device
-
 let grow t =
   let n = Array.length t.ratios in
   let ratios = Array.make (2 * n) nan in

@@ -30,8 +30,6 @@ val create :
     [io_retries] per resubmission and [io_remaps] per write moved off a
     bad slot. *)
 
-val device : t -> Device.t
-
 val swap_out_slot : t -> now:int -> klass:Compress.klass -> page_key:int -> int
 (** Allocate a slot and write the page, returning the slot.  [-1] means
     the write failed permanently even after retries and remapping — no

@@ -7,16 +7,12 @@
     {e has no demotion path}: once the fast tier fills, promotions fail
     and the placement freezes wherever it happens to be. *)
 
-type config = {
-  scan_chunk : int;     (** pages poisoned per scan step *)
-  scan_period_ns : int;
-}
+let scan_chunk = 256 (* pages poisoned per scan step *)
 
-let default_config = { scan_chunk = 256; scan_period_ns = 20_000_000 }
+let scan_period_ns = 20_000_000
 
 type t = {
   env : Migration_intf.env;
-  config : config;
   mutable cursor : int;
   mutable just_worked : bool;
   mutable hint_promotions : int;
@@ -26,11 +22,9 @@ type t = {
 
 let policy_name = "autonuma"
 
-let create_with ?(config = default_config) env =
-  { env; config; cursor = 0; just_worked = false; hint_promotions = 0;
+let create env =
+  { env; cursor = 0; just_worked = false; hint_promotions = 0;
     failed = 0; scan_steps = 0 }
-
-let create env = create_with env
 
 let initial_tier t ~vpn:_ =
   if t.env.Migration_intf.fast_free () > 0 then Migration_intf.Fast
@@ -49,13 +43,13 @@ let on_hint_fault t ~vpn tier ~write:_ =
 let kthread t () =
   if t.just_worked then begin
     t.just_worked <- false;
-    Migration_intf.Sleep t.config.scan_period_ns
+    Migration_intf.Sleep scan_period_ns
   end
   else begin
     let pages = Mem.Page_table.pages t.env.Migration_intf.pt in
     let c = t.env.Migration_intf.costs in
     let work = ref 1_000 in
-    for _ = 1 to t.config.scan_chunk do
+    for _ = 1 to scan_chunk do
       let vpn = t.cursor in
       t.cursor <- (t.cursor + 1) mod pages;
       work := !work + c.Mem.Costs.pte_scan_ns;

@@ -10,16 +10,13 @@
     "sampled page poisoning + hotness thresholds" recipe the paper
     attributes to Thermostat and MTM. *)
 
-type config = {
-  sample_frac : float;      (** fraction of each region sampled per epoch *)
-  epoch_ns : int;
-  promote_budget : int;     (** max regions promoted per epoch *)
-  demote_headroom : float;  (** keep this fraction of fast frames free *)
-}
+let sample_frac = 0.05 (* fraction of each region sampled per epoch *)
 
-let default_config =
-  { sample_frac = 0.05; epoch_ns = 50_000_000; promote_budget = 16;
-    demote_headroom = 0.02 }
+let epoch_ns = 50_000_000
+
+let promote_budget = 16 (* max regions promoted per epoch *)
+
+let demote_headroom = 0.02 (* keep this fraction of fast frames free *)
 
 (* Arm samples -> let an epoch of traffic hit them -> classify and
    migrate -> repeat. *)
@@ -27,7 +24,6 @@ type phase = Arm | Wait | Apply
 
 type t = {
   env : Migration_intf.env;
-  config : config;
   region_faults : int array;  (* hint faults per region this epoch *)
   region_sampled : int array; (* samples armed per region this epoch *)
   mutable phase : phase;
@@ -39,11 +35,10 @@ type t = {
 
 let policy_name = "thermostat"
 
-let create_with ?(config = default_config) (env : Migration_intf.env) =
+let create (env : Migration_intf.env) =
   let regions = Mem.Page_table.regions env.Migration_intf.pt in
   {
     env;
-    config;
     region_faults = Array.make regions 0;
     region_sampled = Array.make regions 0;
     phase = Arm;
@@ -52,8 +47,6 @@ let create_with ?(config = default_config) (env : Migration_intf.env) =
     demoted_regions = 0;
     samples_armed = 0;
   }
-
-let create env = create_with env
 
 let initial_tier t ~vpn:_ =
   if t.env.Migration_intf.fast_free () > 0 then Migration_intf.Fast
@@ -77,7 +70,7 @@ let arm_samples t (work : int ref) =
     Mem.Page_table.iter_region pt r (fun vpn _pte ->
         if
           t.env.Migration_intf.tier_of vpn <> None
-          && Engine.Rng.bool t.env.Migration_intf.rng t.config.sample_frac
+          && Engine.Rng.bool t.env.Migration_intf.rng sample_frac
         then begin
           t.env.Migration_intf.poison ~vpn;
           work := !work + c.Mem.Costs.pte_scan_ns;
@@ -125,11 +118,11 @@ let apply_epoch t (work : int ref) =
      ones (plus the standing headroom). *)
   let region_size = Mem.Page_table.region_size pt in
   let wanted =
-    min t.config.promote_budget (List.length hot) * region_size
+    min promote_budget (List.length hot) * region_size
     + max 1
         (int_of_float
            (float_of_int t.env.Migration_intf.fast_capacity
-           *. t.config.demote_headroom))
+           *. demote_headroom))
   in
   let r = ref 0 in
   while t.env.Migration_intf.fast_free () < wanted && !r < regions do
@@ -145,7 +138,7 @@ let apply_epoch t (work : int ref) =
   (* Now promote the hottest regions into the freed space. *)
   List.iteri
     (fun i r ->
-      if i < t.config.promote_budget && t.env.Migration_intf.fast_free () > 0 then
+      if i < promote_budget && t.env.Migration_intf.fast_free () > 0 then
         if migrate_region r ~promote:true then
           t.promoted_regions <- t.promoted_regions + 1)
     hot
@@ -159,7 +152,7 @@ let kthread t () =
     Migration_intf.Work !work
   | Wait ->
     t.phase <- Apply;
-    Migration_intf.Sleep t.config.epoch_ns
+    Migration_intf.Sleep epoch_ns
   | Apply ->
     t.epochs <- t.epochs + 1;
     let work = ref 1_000 in

@@ -1,36 +1,28 @@
 type config = {
-  hw_threads : int;
   fast_frames : int;
   slow_frames : int;
-  costs : Mem.Costs.t;
-  slow_extra_ns : int;
-  hint_fault_ns : int;
-  migrate_page_ns : int;
-  segment_pages : int;
-  hit_cpu_ns : int;
-  barrier_groups : int array option;
   kthread_jitter_ns : int;
-  max_runtime_ns : int;
   seed : int;
 }
 
+(* Fixed like Repro_core.Machine's testbed; the penalties are
+   experiment-scaled (DESIGN.md "Scaling"). *)
+let hw_threads = 12
+
+let costs = Mem.Costs.experiment ~scale:1
+
+let slow_extra_ns = 3_000_000 (* added to every slow-tier page touch *)
+
+let hint_fault_ns = 50_000 (* cost of touching a poisoned page *)
+
+let migrate_page_ns = 400_000 (* copy cost per migrated page *)
+
+let hit_cpu_ns = 20
+
+let max_runtime_ns = 50_000_000_000_000
+
 let default_config ~fast_frames ~slow_frames ~seed =
-  {
-    hw_threads = 12;
-    fast_frames;
-    slow_frames;
-    costs =
-      Mem.Costs.scaled { Mem.Costs.default with region_size = 64; spatial_scan_max = 64 };
-    slow_extra_ns = 3_000_000;
-    hint_fault_ns = 50_000;
-    migrate_page_ns = 400_000;
-    segment_pages = 32;
-    hit_cpu_ns = 20;
-    barrier_groups = None;
-    kthread_jitter_ns = 50_000;
-    max_runtime_ns = 50_000_000_000_000;
-    seed;
-  }
+  { fast_frames; slow_frames; kthread_jitter_ns = 50_000; seed }
 
 type result = {
   runtime_ns : int;
@@ -112,18 +104,18 @@ let touch t ~(cpu_acc : int ref) ~vpn ~write =
   (match t.tier_of.(vpn) with
   | -1 ->
     t.cold_touches <- t.cold_touches + 1;
-    cpu_acc := !cpu_acc + t.cfg.costs.Mem.Costs.fault_trap_ns;
+    cpu_acc := !cpu_acc + costs.Mem.Costs.fault_trap_ns;
     place_cold t vpn
   | 0 ->
     t.fast_touches <- t.fast_touches + 1;
-    cpu_acc := !cpu_acc + t.cfg.hit_cpu_ns
+    cpu_acc := !cpu_acc + hit_cpu_ns
   | _ ->
     t.slow_touches <- t.slow_touches + 1;
-    cpu_acc := !cpu_acc + t.cfg.hit_cpu_ns + t.cfg.slow_extra_ns);
+    cpu_acc := !cpu_acc + hit_cpu_ns + slow_extra_ns);
   if is_poisoned t vpn then begin
     set_poisoned t vpn false;
     t.hint_faults <- t.hint_faults + 1;
-    cpu_acc := !cpu_acc + t.cfg.hint_fault_ns;
+    cpu_acc := !cpu_acc + hint_fault_ns;
     let (Migration_intf.Packed ((module P), p)) = policy_of t in
     let tier = if t.tier_of.(vpn) = 0 then Migration_intf.Fast else Migration_intf.Slow in
     P.on_hint_fault p ~vpn tier ~write
@@ -148,10 +140,9 @@ let run cfg ~policy ~workload =
   let sim = Engine.Sim.create () in
   let drv =
     Workload.Driver.create ~sim
-      ~cpu:(Engine.Cpu.create ~hw_threads:cfg.hw_threads)
-      ~rng ~segment_pages:cfg.segment_pages
-      ~barrier_ns:cfg.costs.Mem.Costs.barrier_ns
-      ~kthread_jitter_ns:cfg.kthread_jitter_ns ~barrier_groups:cfg.barrier_groups
+      ~cpu:(Engine.Cpu.create ~hw_threads)
+      ~rng ~barrier_ns:costs.Mem.Costs.barrier_ns
+      ~kthread_jitter_ns:cfg.kthread_jitter_ns ~barrier_groups:None
       workload
   in
   let t =
@@ -160,7 +151,7 @@ let run cfg ~policy ~workload =
       sim;
       drv;
       pt =
-        Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size ~asid:0
+        Mem.Page_table.create ~region_size:costs.Mem.Costs.region_size ~asid:0
           ~pages:footprint ();
       tier_of = Array.make footprint (-1);
       poisoned = Bytes.make footprint '\000';
@@ -201,7 +192,7 @@ let run cfg ~policy ~workload =
   in
   let env =
     {
-      Migration_intf.costs = cfg.costs;
+      Migration_intf.costs;
       pt = t.pt;
       rng = Engine.Rng.split rng;
       now = (fun () -> Engine.Sim.now t.sim);
@@ -214,7 +205,7 @@ let run cfg ~policy ~workload =
       fast_free = (fun () -> cfg.fast_frames - t.fast_used);
       slow_free = (fun () -> cfg.slow_frames - t.slow_used);
       fast_capacity = cfg.fast_frames;
-      migrate_cost_ns = cfg.migrate_page_ns;
+      migrate_cost_ns = migrate_page_ns;
       promote;
       demote;
       poison = (fun ~vpn -> set_poisoned t vpn true);
@@ -234,7 +225,7 @@ let run cfg ~policy ~workload =
       thread_exit = (fun ~tid:_ -> ());
     }
     (P.kthreads p);
-  Engine.Sim.run ~until:cfg.max_runtime_ns t.sim;
+  Engine.Sim.run ~until:max_runtime_ns t.sim;
   {
     runtime_ns = Workload.Driver.runtime_ns drv;
     fast_touches = t.fast_touches;

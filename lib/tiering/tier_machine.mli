@@ -9,25 +9,22 @@
     application.  The quantity under study is how close a policy gets
     the hot working set to an all-fast placement. *)
 
+(** Only the tiers' sizes, the seed and the kernel-thread jitter vary.
+    The rest is fixed: 12 hardware threads, the experiment-scaled cost
+    table ({!Mem.Costs.experiment} at scale 1), a 3 ms slow-tier
+    penalty per touch, 50 µs hint faults, 400 µs per migrated page and
+    20 ns per fast-tier touch. *)
 type config = {
-  hw_threads : int;
   fast_frames : int;
   slow_frames : int;
-  costs : Mem.Costs.t;
-  slow_extra_ns : int;   (** added to every slow-tier page touch *)
-  hint_fault_ns : int;   (** cost of touching a poisoned page *)
-  migrate_page_ns : int; (** copy cost per migrated page *)
-  segment_pages : int;
-  hit_cpu_ns : int;
-  barrier_groups : int array option;
   kthread_jitter_ns : int;
-  max_runtime_ns : int;
+      (** mean run-queue latency between kernel-thread steps; 0
+          disables *)
   seed : int;
 }
 
 val default_config : fast_frames:int -> slow_frames:int -> seed:int -> config
-(** Experiment-scaled costs (DESIGN.md "Scaling"): 3 ms slow-tier
-    penalty per touch, 50 µs hint faults, 400 µs per migrated page. *)
+(** 50 µs kernel-thread jitter, as on {!Repro_core.Machine}. *)
 
 type result = {
   runtime_ns : int;

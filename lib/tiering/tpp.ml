@@ -13,29 +13,21 @@
     A headroom of free fast-tier frames is maintained so promotions
     never stall waiting for demotions. *)
 
-type config = {
-  headroom_frac : float;   (** keep this fraction of fast frames free *)
-  scan_batch : int;
-  promotion_window_ns : int;
-  poison_batch : int;      (** slow pages poisoned per step *)
-  wakeup_ns : int;
-}
+let headroom_frac = 0.02 (* keep this fraction of fast frames free *)
 
-let default_config =
-  {
-    headroom_frac = 0.02;
-    scan_batch = 32;
-    promotion_window_ns = 2_000_000_000;
-    poison_batch = 64;
-    wakeup_ns = 10_000_000;
-  }
+let scan_batch = 32
+
+let promotion_window_ns = 2_000_000_000
+
+let poison_batch = 64 (* slow pages poisoned per step *)
+
+let wakeup_ns = 10_000_000
 
 let active = 0
 let inactive = 1
 
 type t = {
   env : Migration_intf.env;
-  config : config;
   lists : Structures.Dlist.t; (* fast-tier pages, keyed by vpn *)
   last_hint_ns : int array;   (* vpn -> last hint-fault time, -1 none *)
   mutable poison_cursor : int;
@@ -48,11 +40,10 @@ type t = {
 
 let policy_name = "tpp"
 
-let create_with ?(config = default_config) (env : Migration_intf.env) =
+let create (env : Migration_intf.env) =
   let pages = Mem.Page_table.pages env.Migration_intf.pt in
   {
     env;
-    config;
     lists = Structures.Dlist.create ~nodes:pages ~lists:2;
     last_hint_ns = Array.make pages (-1);
     poison_cursor = 0;
@@ -63,11 +54,9 @@ let create_with ?(config = default_config) (env : Migration_intf.env) =
     hint_promotions = 0;
   }
 
-let create env = create_with env
-
 let headroom t =
   max 1 (int_of_float (float_of_int t.env.Migration_intf.fast_capacity
-                       *. t.config.headroom_frac))
+                       *. headroom_frac))
 
 let initial_tier t ~vpn:_ =
   if t.env.Migration_intf.fast_free () > headroom t then Migration_intf.Fast
@@ -104,7 +93,7 @@ let scan_one t ~list ~on_idle (work : int ref) =
 
 let demote_for_headroom t (work : int ref) =
   let needed = ref (headroom t - t.env.Migration_intf.fast_free ()) in
-  let budget = ref (4 * t.config.scan_batch) in
+  let budget = ref (4 * scan_batch) in
   while !needed > 0 && !budget > 0 do
     (* Rebalance: keep the inactive list populated. *)
     if
@@ -144,7 +133,7 @@ let arm_hints t (work : int ref) =
   let pages = Mem.Page_table.pages t.env.Migration_intf.pt in
   let c = t.env.Migration_intf.costs in
   let armed = ref 0 and scanned = ref 0 in
-  while !armed < t.config.poison_batch && !scanned < 4 * t.config.poison_batch do
+  while !armed < poison_batch && !scanned < 4 * poison_batch do
     let vpn = t.poison_cursor in
     t.poison_cursor <- (t.poison_cursor + 1) mod pages;
     incr scanned;
@@ -163,7 +152,7 @@ let on_hint_fault t ~vpn tier ~write:_ =
     let last = t.last_hint_ns.(vpn) in
     t.last_hint_ns.(vpn) <- now;
     (* Second touch within the window: working set, promote. *)
-    if last >= 0 && now - last <= t.config.promotion_window_ns then begin
+    if last >= 0 && now - last <= promotion_window_ns then begin
       if t.env.Migration_intf.promote ~vpn then begin
         t.hint_promotions <- t.hint_promotions + 1;
         Structures.Dlist.move_head t.lists ~list:active ~node:vpn
@@ -177,7 +166,7 @@ let on_hint_fault t ~vpn tier ~write:_ =
 let kthread t () =
   if t.just_worked then begin
     t.just_worked <- false;
-    Migration_intf.Sleep t.config.wakeup_ns
+    Migration_intf.Sleep wakeup_ns
   end
   else begin
     let work = ref 1_000 in

@@ -2,6 +2,10 @@ module Prof = Obs.Prof
 module Sim = Engine.Sim
 module Cpu = Engine.Cpu
 
+(* The most pages a thread touches per scheduler event, on both
+   machines (DESIGN §4). *)
+let segment_pages = 32
+
 type hooks = {
   segment :
     tid:int -> Chunk.t -> first:int -> last:int -> cursor:int ref -> cpu_acc:int ref ->
@@ -25,7 +29,6 @@ type t = {
   rng : Engine.Rng.t;
   prof : Prof.t;
   workload : Chunk.packed;
-  segment_pages : int;
   barrier_ns : int;
   kthread_jitter_ns : int;
   mutable hooks : hooks;
@@ -110,7 +113,7 @@ let rec run_thread d tid =
 and process_segment d tid ~index =
   let c = d.chunk.(tid) in
   let total = Chunk.page_count c.Chunk.pages in
-  let seg_len = Int.min d.segment_pages (total - index) in
+  let seg_len = Int.min segment_pages (total - index) in
   let t0 = Sim.now d.sim in
   Cpu.run_begin d.cpu;
   Prof.enter_thread d.prof ~tid;
@@ -215,7 +218,7 @@ let make_driver d ks =
   and sleep_cont _ = drive () in
   drive
 
-let create ~sim ~cpu ~rng ?(prof = Prof.disabled) ~segment_pages ~barrier_ns
+let create ~sim ~cpu ~rng ?(prof = Prof.disabled) ~barrier_ns
     ~kthread_jitter_ns ~barrier_groups workload =
   let n = Chunk.packed_threads workload in
   let groups = Option.value barrier_groups ~default:(Array.make n 0) in
@@ -230,7 +233,6 @@ let create ~sim ~cpu ~rng ?(prof = Prof.disabled) ~segment_pages ~barrier_ns
       rng;
       prof;
       workload;
-      segment_pages;
       barrier_ns;
       kthread_jitter_ns;
       hooks =

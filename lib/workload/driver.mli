@@ -1,5 +1,5 @@
 (** The thread driver shared by both simulated machines: it steps a
-    workload's threads in segments of at most [segment_pages] pages,
+    workload's threads in segments of at most 32 pages,
     rendezvouses them at barriers, and runs a policy's kernel threads
     with a load-dependent run-queue delay, all through one CPU
     contention model.  This interleaving is the source of run-to-run
@@ -32,7 +32,6 @@ val create :
   cpu:Engine.Cpu.t ->
   rng:Engine.Rng.t ->
   ?prof:Obs.Prof.t ->
-  segment_pages:int ->
   barrier_ns:int ->
   kthread_jitter_ns:int ->
   barrier_groups:int array option ->

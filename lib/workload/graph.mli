@@ -22,8 +22,6 @@ type config = {
       (** zipf exponent used when sampling neighbour endpoints *)
 }
 
-val default_config : config
-
 val generate : ?config:config -> seed:int -> unit -> t
 
 val n : t -> int

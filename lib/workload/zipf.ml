@@ -36,10 +36,6 @@ let create ~n ~exponent =
   let s = 2.0 -. h_integral_inverse ~e (h_integral ~e 2.5 -. h ~e 2.0) in
   { n; exponent; h_integral_x1; h_integral_n; s }
 
-let n t = t.n
-
-let exponent t = t.exponent
-
 let sample t rng =
   let e = t.exponent in
   let n = float_of_int t.n in

@@ -16,10 +16,6 @@ val create : n:int -> exponent:float -> t
     domains.
     @raise Invalid_argument when [n <= 0] or [exponent <= 0]. *)
 
-val n : t -> int
-
-val exponent : t -> float
-
 val sample : t -> Engine.Rng.t -> int
 (** A rank in [0, n), 0 being the hottest. *)
 

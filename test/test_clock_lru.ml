@@ -3,7 +3,7 @@ module PI = Policy.Policy_intf
 
 let make ?(frames = 16) ?(pages = 64) () =
   let world = Testsupport.Harness.make_world ~frames ~pages () in
-  let policy = CL.create_with world.Testsupport.Harness.env in
+  let policy = CL.create world.Testsupport.Harness.env in
   let packed = PI.Packed ((module CL), policy) in
   (world, policy, packed)
 

@@ -36,7 +36,7 @@ let make ?barrier_groups ?(low_memory = fun () -> false) ?(io_ns = fun _ -> 0) s
   let drv =
     D.create ~sim
       ~cpu:(Engine.Cpu.create ~hw_threads:12)
-      ~rng:(Engine.Rng.create 7) ~segment_pages:32 ~barrier_ns
+      ~rng:(Engine.Rng.create 7) ~barrier_ns
       ~kthread_jitter_ns:0 ~barrier_groups (workload steps)
   in
   let seen = ref [] in

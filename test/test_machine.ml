@@ -8,7 +8,7 @@ let trace_workload ?(footprint = 64) lists =
   let w = Workload.Trace.of_page_lists ~footprint lists in
   C.Packed ((module Workload.Trace), w)
 
-let config ?(capacity = 16) ?(swap = M.ssd) ?(readahead = 0) () =
+let config ?(capacity = 16) ?(swap = M.Ssd) ?(readahead = 0) () =
   {
     (M.default_config ~capacity_frames:capacity ~seed:7) with
     M.swap;
@@ -49,8 +49,8 @@ let test_determinism () =
 
 let test_zram_faster_than_ssd () =
   let pass = Array.init 32 (fun i -> i) in
-  let r_ssd = run ~capacity:16 ~swap:M.ssd ~policy:Policy.Registry.Clock [ pass; pass ] in
-  let r_zram = run ~capacity:16 ~swap:M.zram ~policy:Policy.Registry.Clock [ pass; pass ] in
+  let r_ssd = run ~capacity:16 ~swap:M.Ssd ~policy:Policy.Registry.Clock [ pass; pass ] in
+  let r_zram = run ~capacity:16 ~swap:M.Zram ~policy:Policy.Registry.Clock [ pass; pass ] in
   Alcotest.(check bool) "zram much faster" true
     (r_zram.M.runtime_ns * 5 < r_ssd.M.runtime_ns)
 
@@ -291,6 +291,37 @@ let test_heavy_plan_deterministic () =
     (M.count r1 V.injected_transient + M.count r1 V.injected_permanent > 0);
   Alcotest.(check int) "invariants hold" 0 (M.count r1 V.invariant_violations)
 
+(* ---- Cost tables ------------------------------------------------ *)
+
+let test_costs_scaled () =
+  let c = Mem.Costs.scaled ~factor:10 Mem.Costs.default in
+  Alcotest.(check int) "pte scan x10"
+    (10 * Mem.Costs.default.Mem.Costs.pte_scan_ns)
+    c.Mem.Costs.pte_scan_ns;
+  Alcotest.(check int) "rmap x5"
+    (10 * Mem.Costs.default.Mem.Costs.rmap_walk_ns / 2)
+    c.Mem.Costs.rmap_walk_ns;
+  Alcotest.(check int) "region size untouched"
+    Mem.Costs.default.Mem.Costs.region_size c.Mem.Costs.region_size
+
+let test_rmap_much_more_expensive_than_scan () =
+  (* The asymmetry the paper's §III-B is built on. *)
+  let c = Mem.Costs.default in
+  Alcotest.(check bool) "rmap >> pte scan" true
+    (c.Mem.Costs.rmap_walk_ns > 100 * c.Mem.Costs.pte_scan_ns)
+
+let test_experiment_costs () =
+  let leaf n = { Mem.Costs.default with region_size = n; spatial_scan_max = n } in
+  Alcotest.(check bool) "scale 1: x256, 64-PTE regions" true
+    (Mem.Costs.experiment ~scale:1 = Mem.Costs.scaled (leaf 64));
+  Alcotest.(check bool) "scale 4: x64, 256-PTE regions" true
+    (Mem.Costs.experiment ~scale:4 = Mem.Costs.scaled ~factor:64 (leaf 256));
+  Alcotest.(check bool) "scale 256: 512-PTE regions, x1" true
+    (Mem.Costs.experiment ~scale:256 = Mem.Costs.scaled ~factor:1 (leaf 512));
+  Alcotest.(check bool) "the machine's default" true
+    ((M.default_config ~capacity_frames:64 ~seed:1).M.costs
+    = Mem.Costs.experiment ~scale:1)
+
 let () =
   Alcotest.run "machine"
     [
@@ -317,5 +348,12 @@ let () =
           Alcotest.test_case "oom spares survivors" `Quick test_oom_spares_survivors;
           Alcotest.test_case "heavy plan deterministic" `Quick
             test_heavy_plan_deterministic;
+        ] );
+      ( "costs",
+        [
+          Alcotest.test_case "costs scaled" `Quick test_costs_scaled;
+          Alcotest.test_case "cost asymmetry" `Quick
+            test_rmap_much_more_expensive_than_scan;
+          Alcotest.test_case "experiment table" `Quick test_experiment_costs;
         ] );
     ]

@@ -352,7 +352,7 @@ let test_proactive_tightens () =
   in
   let cfg =
     { (config ~capacity:64 ()) with
-      M.swap = M.zram;
+      M.swap = M.Zram;
       cgroups = Some spec;
       obs = { Obs.off with trace = true; sample_every_ns = 0 } }
   in

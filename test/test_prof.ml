@@ -91,7 +91,7 @@ let test_disabled_noops () =
   P.register_thread t ~tid:0 ~name:"app0" ~klass:P.App ~default:P.App_compute;
   P.enter_thread t ~tid:0;
   P.begin_phase t ~now:0 P.Fault_handling;
-  P.charge t ~phase:P.Pte_scan 100;
+  P.charge_phase t P.Pte_scan 100;
   P.on_cpu_charge t (-1) 50;
   P.wait t ~tid:0 ~now:10 P.Swap_wait 10;
   P.end_phase t ~now:1;
@@ -118,7 +118,7 @@ let test_tagged_charge_consumed_by_untagged_flush () =
      not double-count: only the 50 ns remainder lands on the path. *)
   let t = app_sink () in
   P.begin_phase t ~now:0 P.Fault_handling;
-  P.charge t ~phase:P.Pte_scan 100;
+  P.charge_phase t P.Pte_scan 100;
   P.on_cpu_charge t (-1) 150;
   P.end_phase t ~now:1;
   let cap = Option.get (P.capture t) in
@@ -131,7 +131,7 @@ let test_tagged_charge_consumed_by_untagged_flush () =
 
 let test_explicitly_tagged_cpu_charge_skips_pending () =
   let t = app_sink () in
-  P.charge t ~phase:P.Rmap_walk 30;
+  P.charge_phase t P.Rmap_walk 30;
   (* A tagged Cpu.charge is work charged nowhere else: full amount. *)
   P.on_cpu_charge t (P.phase_index P.Fault_handling) 25;
   (* Pending is still 30, consumed by this untagged flush. *)
@@ -151,10 +151,10 @@ let test_suspend_resume_pending () =
      flush; the episode must not consume the handler's pending. *)
   let t = app_sink () in
   P.begin_phase t ~now:0 P.Fault_handling;
-  P.charge t ~phase:P.Fault_handling 100;
+  P.charge_phase t P.Fault_handling 100;
   let saved = P.suspend_pending t in
   P.begin_phase t ~now:0 P.Evict_scan;
-  P.charge t ~phase:P.Rmap_walk 30;
+  P.charge_phase t P.Rmap_walk 30;
   P.on_cpu_charge t (-1) 40 (* episode flush: 30 covered, 10 remain *);
   P.end_phase t ~now:1;
   P.resume_pending t saved;
@@ -175,7 +175,7 @@ let test_enter_thread_resets_pending () =
   P.register_thread t ~tid:0 ~name:"app0" ~klass:P.App ~default:P.App_compute;
   P.register_thread t ~tid:1 ~name:"app1" ~klass:P.App ~default:P.App_compute;
   P.enter_thread t ~tid:0;
-  P.charge t ~phase:P.Rmap_walk 50;
+  P.charge_phase t P.Rmap_walk 50;
   (* The flush never arrives: the scheduler switches threads. *)
   P.enter_thread t ~tid:1;
   P.on_cpu_charge t (-1) 80;
@@ -186,7 +186,7 @@ let test_enter_thread_resets_pending () =
 
 let test_waits_flat_and_pending_free () =
   let t = app_sink () in
-  P.charge t ~phase:P.Pte_scan 60;
+  P.charge_phase t P.Pte_scan 60;
   P.wait t ~tid:0 ~now:1000 P.Swap_wait 500;
   P.on_cpu_charge t (-1) 60;
   let cap = Option.get (P.capture t) in
