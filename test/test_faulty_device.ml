@@ -126,6 +126,68 @@ let test_plan_of_name () =
   Alcotest.(check bool) "heavy" true (F.plan_of_name "heavy" = Some F.heavy);
   Alcotest.(check bool) "unknown" true (F.plan_of_name "broken" = None)
 
+(* ---- Degraded_device: the chaos degrade injector ------------------ *)
+
+module G = Swapdev.Degraded_device
+
+let degraded ?(seed = 5) knobs = G.wrap ~knobs ~rng:(Engine.Rng.create seed) (inner ())
+
+(* Submissions spaced far enough apart that the device is idle at each. *)
+let drive_idle dev n =
+  List.init n (fun i ->
+      let now = i * 1_000_000 in
+      (now, dev.D.submit ~now ~op:(if i mod 2 = 0 then D.Write else D.Read)
+              ~size_fraction:0.5))
+
+let test_degrade_neutral_identity () =
+  let dev = degraded (G.neutral ()) in
+  Alcotest.(check string) "name" "zram+degrade" dev.D.name;
+  List.iter2
+    (fun (_, c) (_, p) ->
+      Alcotest.(check bool) "status ok" true (D.ok c);
+      Alcotest.(check int) "timing untouched" p.D.finish_ns c.D.finish_ns;
+      Alcotest.(check int) "cpu untouched" p.D.cpu_ns c.D.cpu_ns)
+    (drive_idle dev 100) (drive_idle (inner ()) 100)
+
+let test_degrade_stretches_service () =
+  let knobs = { (G.neutral ()) with G.latency_mult = 3.0 } in
+  List.iter2
+    (fun (now, c) (_, p) ->
+      Alcotest.(check bool) "status ok" true (D.ok c);
+      Alcotest.(check int) "service x3"
+        (3 * (p.D.finish_ns - now)) (c.D.finish_ns - now))
+    (drive_idle (degraded knobs) 50) (drive_idle (inner ()) 50)
+
+let test_degrade_error_window () =
+  let knobs = { (G.neutral ()) with G.error_prob = 1.0 } in
+  let dev = degraded knobs in
+  List.iter
+    (fun (_, c) ->
+      Alcotest.(check bool) "transient" true (c.D.status = D.Failed D.Transient))
+    (drive_idle dev 20);
+  (* The knobs are read on every submit: closing the window heals. *)
+  knobs.G.error_prob <- 0.0;
+  List.iter
+    (fun (_, c) -> Alcotest.(check bool) "healed" true (D.ok c))
+    (drive_idle dev 20)
+
+let test_degrade_wear_wins () =
+  let knobs = { (G.neutral ()) with G.error_prob = 1.0; wear_prob = 1.0 } in
+  List.iter
+    (fun (_, c) ->
+      Alcotest.(check bool) "permanent" true (c.D.status = D.Failed D.Permanent))
+    (drive_idle (degraded knobs) 20)
+
+let test_degrade_deterministic () =
+  let statuses seed =
+    let knobs = { (G.neutral ()) with G.error_prob = 0.5 } in
+    List.map (fun (_, c) -> D.ok c) (drive_idle (degraded ~seed knobs) 200)
+  in
+  let a = statuses 11 in
+  Alcotest.(check (list bool)) "same seed, same statuses" a (statuses 11);
+  Alcotest.(check bool) "some fail" true (List.mem false a);
+  Alcotest.(check bool) "some succeed" true (List.mem true a)
+
 let () =
   Alcotest.run "faulty_device"
     [
@@ -140,5 +202,15 @@ let () =
           Alcotest.test_case "failed ops occupy channel" `Quick
             test_failed_ops_occupy_channel;
           Alcotest.test_case "plan names" `Quick test_plan_of_name;
+        ] );
+      ( "degrade",
+        [
+          Alcotest.test_case "neutral is identity" `Quick
+            test_degrade_neutral_identity;
+          Alcotest.test_case "latency stretches service" `Quick
+            test_degrade_stretches_service;
+          Alcotest.test_case "error window" `Quick test_degrade_error_window;
+          Alcotest.test_case "wear wins" `Quick test_degrade_wear_wins;
+          Alcotest.test_case "deterministic" `Quick test_degrade_deterministic;
         ] );
     ]

@@ -322,6 +322,62 @@ let test_experiment_costs () =
     ((M.default_config ~capacity_frames:64 ~seed:1).M.costs
     = Mem.Costs.experiment ~scale:1)
 
+(* ---- Latency buffers ----------------------------------------------- *)
+
+(* [n] read requests, one page each, cycling over four resident pages. *)
+let read_requests n =
+  let steps =
+    [|
+      Array.init n (fun i ->
+          C.Chunk (C.chunk ~latency_class:C.read_class (C.Single (i mod 4))));
+    |]
+  in
+  let w =
+    Workload.Trace.create
+      {
+        Workload.Trace.steps = steps;
+        footprint = 16;
+        klass = (fun _ -> Swapdev.Compress.Numeric);
+        file_backed_pages = (fun _ -> false);
+      }
+  in
+  M.run (config ~capacity:8 ())
+    ~policy:(Policy.Registry.create Policy.Registry.Clock)
+    ~workload:(C.Packed ((module Workload.Trace), w))
+
+let test_latency_buffer_grows () =
+  (* Past the buffer's first size (1024), growth must keep what was
+     stored: the first 1000 latencies of a 3000-request run are those of
+     the 1000-request run of the same trace prefix. *)
+  let long = read_requests 3000 and short = read_requests 1000 in
+  Alcotest.(check int) "every read kept" 3000 (Array.length long.M.read_latencies);
+  Alcotest.(check int) "no writes" 0 (Array.length long.M.write_latencies);
+  Alcotest.(check (array (float 0.0))) "prefix survives growth"
+    short.M.read_latencies
+    (Array.sub long.M.read_latencies 0 1000);
+  Array.iter
+    (fun l ->
+      Alcotest.(check bool) "positive whole nanoseconds" true
+        (l > 0.0 && Float.is_integer l))
+    long.M.read_latencies
+
+let test_latencies_in_request_order () =
+  (* Requests 0-3 zero-fill their page; every later one hits. *)
+  let r = read_requests 8 in
+  let lat = r.M.read_latencies in
+  for i = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "first touch %d slower than rehit" i)
+      true
+      (lat.(i) > lat.(i + 4))
+  done
+
+let test_unclassed_not_recorded () =
+  (* Chunks without a latency class are work, not requests. *)
+  let r = run ~capacity:16 ~policy:Policy.Registry.Clock [ Array.init 32 (fun i -> i) ] in
+  Alcotest.(check int) "no reads" 0 (Array.length r.M.read_latencies);
+  Alcotest.(check int) "no writes" 0 (Array.length r.M.write_latencies)
+
 let () =
   Alcotest.run "machine"
     [
@@ -355,5 +411,13 @@ let () =
           Alcotest.test_case "cost asymmetry" `Quick
             test_rmap_much_more_expensive_than_scan;
           Alcotest.test_case "experiment table" `Quick test_experiment_costs;
+        ] );
+      ( "latencies",
+        [
+          Alcotest.test_case "buffer grows" `Quick test_latency_buffer_grows;
+          Alcotest.test_case "request order" `Quick
+            test_latencies_in_request_order;
+          Alcotest.test_case "unclassed not recorded" `Quick
+            test_unclassed_not_recorded;
         ] );
     ]

@@ -178,6 +178,33 @@ let test_pooled_latencies () =
   Alcotest.(check bool) "writes recorded" true (Array.length writes > 100);
   Alcotest.(check bool) "mean read positive" true (R.mean_read_latency_ns results > 0.0)
 
+let test_capacity_floor () =
+  List.iter
+    (fun (footprint, ratio) ->
+      Alcotest.(check int)
+        (Printf.sprintf "footprint %d at %g" footprint ratio)
+        64 (R.capacity_for ~footprint ~ratio))
+    [ (0, 0.5); (10, 0.9); (127, 0.5); (64, 1.0) ]
+
+let test_capacity_proportional () =
+  Alcotest.(check int) "half" 500 (R.capacity_for ~footprint:1000 ~ratio:0.5);
+  Alcotest.(check int) "ninety percent" 900
+    (R.capacity_for ~footprint:1000 ~ratio:0.9);
+  Alcotest.(check int) "truncated" 333
+    (R.capacity_for ~footprint:1000 ~ratio:0.3337);
+  Alcotest.(check int) "all of it" 4096
+    (R.capacity_for ~footprint:4096 ~ratio:1.0)
+
+let prop_capacity_monotone =
+  QCheck.Test.make ~name:"capacity >= 64 and monotone in ratio" ~count:300
+    QCheck.(triple (int_bound 1_000_000) (float_bound_inclusive 1.0)
+              (float_bound_inclusive 1.0))
+    (fun (footprint, a, b) ->
+      let lo = Float.min a b and hi = Float.max a b in
+      let c_lo = R.capacity_for ~footprint ~ratio:lo in
+      let c_hi = R.capacity_for ~footprint ~ratio:hi in
+      c_lo >= 64 && c_lo <= c_hi && c_hi <= max 64 footprint)
+
 let () =
   Alcotest.run "runner"
     [
@@ -197,5 +224,12 @@ let () =
           Alcotest.test_case "prefetch dedupes" `Quick test_prefetch_dedupes;
           Alcotest.test_case "ratio scaling" `Quick test_capacity_scales_with_ratio;
           Alcotest.test_case "pooled latencies" `Quick test_pooled_latencies;
+        ] );
+      ( "capacity",
+        [
+          Alcotest.test_case "floor of 64 frames" `Quick test_capacity_floor;
+          Alcotest.test_case "proportional to footprint" `Quick
+            test_capacity_proportional;
+          QCheck_alcotest.to_alcotest prop_capacity_monotone;
         ] );
     ]
