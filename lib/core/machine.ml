@@ -82,20 +82,6 @@ type result = {
 
 let count r i = Obs.Vmstat.count r.counters i
 
-(* Per-request latencies in a flat float array, doubled when full.  The
-   int-to-float conversion happens at the store, so no boxed float
-   crosses a call. *)
-type latencies = { mutable lat : float array; mutable n : int }
-
-let push_latency l ns =
-  if l.n = Array.length l.lat then begin
-    let bigger = Array.make (2 * l.n) 0.0 in
-    Array.blit l.lat 0 bigger 0 l.n;
-    l.lat <- bigger
-  end;
-  l.lat.(l.n) <- float_of_int ns;
-  l.n <- l.n + 1
-
 type t = {
   cfg : config;
   obs : Obs.t;
@@ -115,8 +101,8 @@ type t = {
   workload : Workload.Chunk.packed;
   mutable policy : Policy.Policy_intf.packed option;
   retained_slot : int array; (* vpn -> clean swap-cache slot, or -1 *)
-  read_lat : latencies;
-  write_lat : latencies;
+  read_lat : Structures.Latencies.t;
+  write_lat : Structures.Latencies.t;
   (* Direct-reclaim context: reclaim_page behaves differently when the
      eviction runs synchronously on a faulting thread, at the thread's
      [direct_now] rather than the event's time. *)
@@ -776,10 +762,10 @@ let touch t ~tid ~cursor ~cpu_acc ~vpn ~write =
 
 let record_latency t ~tid (c : Workload.Chunk.t) ns =
   let cls = c.Workload.Chunk.latency_class in
-  if cls = Workload.Chunk.read_class then push_latency t.read_lat ns
-  else if cls = Workload.Chunk.write_class then push_latency t.write_lat ns;
+  if cls = Workload.Chunk.read_class then Structures.Latencies.push t.read_lat ns
+  else if cls = Workload.Chunk.write_class then Structures.Latencies.push t.write_lat ns;
   match t.mcg with
-  | Some mg -> Mem.Memcg.note_latency mg ~tid ~cls (float_of_int ns)
+  | Some mg -> Mem.Memcg.note_latency mg ~tid ~cls ns
   | None -> ()
 
 (* The driver's per-segment hook: touch pages [first .. last - 1] until
@@ -1077,8 +1063,8 @@ let run cfg ~policy ~workload =
       workload;
       policy = None;
       retained_slot = Array.make footprint (-1);
-      read_lat = { lat = Array.make 1024 0.0; n = 0 };
-      write_lat = { lat = Array.make 1024 0.0; n = 0 };
+      read_lat = Structures.Latencies.create ();
+      write_lat = Structures.Latencies.create ();
       in_direct = false;
       direct_now = 0;
       direct_stall_until = 0;
@@ -1268,8 +1254,8 @@ let run cfg ~policy ~workload =
     runtime_ns = runtime;
     major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
     minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
-    read_latencies = Array.sub t.read_lat.lat 0 t.read_lat.n;
-    write_latencies = Array.sub t.write_lat.lat 0 t.write_lat.n;
+    read_latencies = Structures.Latencies.to_array t.read_lat;
+    write_latencies = Structures.Latencies.to_array t.write_lat;
     per_thread_finish = Driver.per_thread_finish drv;
     cpu_busy_ns = Engine.Cpu.busy_ns t.cpu;
     policy_stats = P.stats p;

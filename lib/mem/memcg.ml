@@ -301,8 +301,8 @@ type stats = {
   mutable st_ooms : int;
   mutable st_probe_some : int; (* some_ns at the last proactive tick *)
   st_psi : psi_tracker;
-  mutable st_read_lat : float list; (* newest first *)
-  mutable st_write_lat : float list;
+  st_read_lat : Structures.Latencies.t;
+  st_write_lat : Structures.Latencies.t;
   st_vm : int array; (* memory.stat counters, [nr_stats] long *)
 }
 
@@ -313,8 +313,8 @@ let fresh_stats () =
     st_ooms = 0;
     st_probe_some = 0;
     st_psi = fresh_tracker ();
-    st_read_lat = [];
-    st_write_lat = [];
+    st_read_lat = Structures.Latencies.create ();
+    st_write_lat = Structures.Latencies.create ();
     st_vm = Array.make nr_stats 0;
   }
 
@@ -621,8 +621,8 @@ let throttled_ns t cg = t.cgs.(cg).cg_stats.st_throttled_ns
 
 let note_latency t ~tid ~cls ns =
   let st = t.cgs.(cg_of_thread t tid).cg_stats in
-  if cls = 0 then st.st_read_lat <- ns :: st.st_read_lat
-  else if cls = 1 then st.st_write_lat <- ns :: st.st_write_lat
+  if cls = 0 then Structures.Latencies.push st.st_read_lat ns
+  else if cls = 1 then Structures.Latencies.push st.st_write_lat ns
 
 (* memory.stat bumps: the owning group and, hierarchically, the root.
    Root's own events (cg = 0) land once. *)
@@ -677,8 +677,8 @@ let summary t ~now =
              r_oom_kills = g.cg_stats.st_ooms;
              r_psi_some_ns = g.cg_stats.st_psi.some_ns;
              r_psi_full_ns = g.cg_stats.st_psi.full_ns;
-             r_read_latencies = Array.of_list (List.rev g.cg_stats.st_read_lat);
-             r_write_latencies = Array.of_list (List.rev g.cg_stats.st_write_lat);
+             r_read_latencies = Structures.Latencies.to_array g.cg_stats.st_read_lat;
+             r_write_latencies = Structures.Latencies.to_array g.cg_stats.st_write_lat;
              r_vm = Array.copy g.cg_stats.st_vm;
            })
          t.cgs)

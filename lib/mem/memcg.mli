@@ -172,8 +172,8 @@ val proactive_step : t -> int -> int * int
 
 val note_oom : t -> int -> unit
 val throttled_ns : t -> int -> int
-val note_latency : t -> tid:int -> cls:int -> float -> unit
-(** Request latency attributed to [tid]'s cgroup; [cls] 0 = read,
+val note_latency : t -> tid:int -> cls:int -> int -> unit
+(** Request latency in ns attributed to [tid]'s cgroup; [cls] 0 = read,
     1 = write (see {!Workload.Chunk.read_class}). *)
 
 (** {2 memory.stat}

@@ -158,7 +158,7 @@ let evict_one t ~force (stats : Policy_intf.reclaim_stats) =
 
 let shrink t ~want ~force stats =
   rebalance t stats;
-  let budget = ref (max (2 * scan_batch) (4 * want)) in
+  let budget = ref (Int.max (2 * scan_batch) (4 * want)) in
   while stats.Policy_intf.freed < want && !budget > 0 do
     (match evict_one t ~force stats with
     | `Empty ->
@@ -192,7 +192,7 @@ let kswapd t () =
     Obs.Vmstat.add (vm t) Obs.Vmstat.pgscan_kswapd stats.Policy_intf.scanned;
     if stats.Policy_intf.freed = 0 && stats.Policy_intf.scanned = 0 then
       Policy_intf.Sleep_until_woken
-    else Policy_intf.Work (max stats.Policy_intf.cpu_ns 1_000)
+    else Policy_intf.Work (Int.max stats.Policy_intf.cpu_ns 1_000)
   end
 
 let kthreads t = [ { Policy_intf.kname = "kswapd"; kstep = kswapd t } ]

@@ -206,7 +206,7 @@ let on_page_mapped t ~pfn ~asid ~vpn ~refault ~file_backed ~speculative =
      — start one generation above the eviction generation, so one-hit
      and long-idle pages cannot flood the young generations (file pages
      then climb by tier, paper §III-D). *)
-  let old_seq = min (t.min_seq + 1) t.max_seq in
+  let old_seq = Int.min (t.min_seq + 1) t.max_seq in
   let seq =
     if file_backed || speculative then old_seq
     else if token <> 0 && t.max_seq - token_seq t token > t.config.max_gens then old_seq
@@ -264,7 +264,7 @@ let scan_region t pt region (work : int ref) =
   Prof.charge_phase prof Prof.Pte_scan (!entries * c.Mem.Costs.pte_scan_ns);
   Prof.charge_phase prof Prof.Aging_walk
     (!accessed_here * c.Mem.Costs.list_op_ns);
-  let threshold = max 1 (!entries lsr t.config.bloom_density_shift) in
+  let threshold = Int.max 1 (!entries lsr t.config.bloom_density_shift) in
   if !accessed_here >= threshold then begin
     Structures.Bloom.add t.bloom_next region;
     work := !work + c.Mem.Costs.bloom_update_ns;
@@ -369,7 +369,7 @@ let aging_step t ~budget:step_budget =
   Prof.charge_phase t.env.Policy_intf.prof Prof.Aging_walk
     ((step_budget - !budget) * c.Mem.Costs.bloom_query_ns);
   if t.walk_pos >= t.walk_len then finish_aging_pass t;
-  max !work 200
+  Int.max !work 200
 
 (* ------------------------------------------------------------------ *)
 (* Eviction: scan the oldest generation through the reverse map.       *)
@@ -478,7 +478,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
           && tier <= t.protected_tiers
         then begin
           (* Shielded tier: give it one more generation instead. *)
-          place t ~pfn ~seq:(min (t.min_seq + 1) t.max_seq) ~tier;
+          place t ~pfn ~seq:(Int.min (t.min_seq + 1) t.max_seq) ~tier;
           t.tier_protected_saves <- t.tier_protected_saves + 1;
           Obs.Vmstat.incr (vm t) Obs.Vmstat.mglru_tier_protected;
           stats.cpu_ns <- stats.cpu_ns + c.Mem.Costs.list_op_ns;
@@ -490,7 +490,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
           (* Cgroup gate: outside the targeted group or shielded by
              memory.low — park it one generation up, like a protected
              tier, and keep scanning. *)
-          place t ~pfn ~seq:(min (t.min_seq + 1) t.max_seq) ~tier;
+          place t ~pfn ~seq:(Int.min (t.min_seq + 1) t.max_seq) ~tier;
           stats.cpu_ns <- stats.cpu_ns + c.Mem.Costs.list_op_ns;
           Prof.charge_phase t.env.Policy_intf.prof Prof.Evict_scan
             c.Mem.Costs.list_op_ns;
@@ -512,7 +512,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
   end
 
 let shrink t ~want ~force stats =
-  let budget = ref (max (4 * t.config.evict_batch) (8 * want)) in
+  let budget = ref (Int.max (4 * t.config.evict_batch) (8 * want)) in
   let progress = ref true in
   while stats.Policy_intf.freed < want && !budget > 0 && !progress do
     (match evict_candidate t ~force stats with
@@ -567,7 +567,7 @@ let kswapd t () =
         request_aging t;
         Policy_intf.Sleep 50_000
       end
-    else Policy_intf.Work (max stats.Policy_intf.cpu_ns 1_000)
+    else Policy_intf.Work (Int.max stats.Policy_intf.cpu_ns 1_000)
   end
 
 let aging_thread t () =

@@ -38,14 +38,14 @@ let generate ?(config = default_config) ~seed () =
   let c = float_of_int m_target /. !harmonic in
   let degree = Array.make n 0 in
   for r = 0 to n - 1 do
-    let d = max 1 (int_of_float (c /. (float_of_int (r + 1) ** theta))) in
+    let d = Int.max 1 (int_of_float (c /. (float_of_int (r + 1) ** theta))) in
     degree.(perm.(r)) <- d
   done;
   let offsets = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     offsets.(v + 1) <- offsets.(v) + degree.(v)
   done;
-  let max_degree = Array.fold_left max 0 degree in
+  let max_degree = Array.fold_left Int.max 0 degree in
   {
     config;
     degree;

@@ -42,8 +42,9 @@ type block_plan = {
   dst_len : int;
 }
 
+(* What the step streams read.  The graph itself is a temporary of
+   [build_plan]: caching it would pin three int arrays of [n] per seed. *)
 type plan = {
-  graph : Graph.t;
   blocks : block_plan array;
   offsets_pages : int;
   neighbor_pages : int;
@@ -115,7 +116,7 @@ let build_plan (config : config) seed =
           dst_len = (v_hi / ranks_per_page) - (v_lo / ranks_per_page) + 1;
         })
   in
-  { graph; blocks; offsets_pages; neighbor_pages; rank_pages }
+  { blocks; offsets_pages; neighbor_pages; rank_pages }
 
 let plan_for config seed =
   let cached =
@@ -208,7 +209,5 @@ let page_klass t page =
 let file_backed _t _page = false
 
 let next t ~tid = Script.next t.script ~tid
-
-let graph_of t = t.plan.graph
 
 let rank_pages t = t.plan.rank_pages

@@ -303,6 +303,42 @@ let test_machine_wide_oom_releases_slots () =
 
 (* ---------------- PSI ---------------- *)
 
+(* ---------------- per-tenant latencies ---------------- *)
+
+let test_latencies_match_machine () =
+  (* One group holds both threads, so it sees every request the machine
+     records, in the same order.  1500 reads and 1500 writes per thread
+     over 64 pages in 16 frames: both of the group's buffers grow past
+     their first 1024 slots, and faults spread the latencies. *)
+  let requests tid =
+    Array.init 3000 (fun i ->
+        let page = ((i * 7) + (tid * 13)) mod 64 in
+        if i mod 2 = 0 then C.Chunk (C.chunk ~latency_class:C.read_class (C.Single page))
+        else
+          C.Chunk (C.chunk ~write:true ~latency_class:C.write_class (C.Single page)))
+  in
+  let workload =
+    C.Packed
+      ((module Workload.Trace),
+       Workload.Trace.create
+         {
+           Workload.Trace.steps = [| requests 0; requests 1 |];
+           footprint = 64;
+           klass = (fun _ -> Swapdev.Compress.Numeric);
+           file_backed_pages = (fun _ -> false);
+         })
+  in
+  let cfg = { (config ()) with M.cgroups = Some (spec_of [ group "all" [ (0, 1) ] () ]) } in
+  let r = M.run cfg ~policy:(Policy.Registry.create Policy.Registry.Clock) ~workload in
+  let all = report_of r "all" in
+  let bits a = Array.map Int64.bits_of_float a in
+  Alcotest.(check int) "every read recorded" 3000 (Array.length r.M.read_latencies);
+  Alcotest.(check (array int64)) "reads bit for bit" (bits r.M.read_latencies)
+    (bits all.Mcg.r_read_latencies);
+  Alcotest.(check (array int64)) "writes bit for bit" (bits r.M.write_latencies)
+    (bits all.Mcg.r_write_latencies);
+  Alcotest.(check bool) "faults spread the latencies" true (r.M.major_faults > 0)
+
 let test_psi_accounting () =
   let pages = Array.init 48 (fun i -> i) in
   let spec = spec_of [ group "app" [ (0, 0) ] () ] in
@@ -535,6 +571,8 @@ let () =
           Alcotest.test_case "machine-wide oom releases slots" `Quick
             test_machine_wide_oom_releases_slots;
         ] );
+      ( "latencies",
+        [ Alcotest.test_case "one group = machine" `Quick test_latencies_match_machine ] );
       ( "psi",
         [
           Alcotest.test_case "psi accounting" `Quick test_psi_accounting;

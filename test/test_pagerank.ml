@@ -18,7 +18,13 @@ let test_geometry () =
   Alcotest.(check int) "threads" 4 (P.threads w);
   Alcotest.(check bool) "footprint positive" true (P.footprint_pages w > 0);
   Alcotest.(check bool) "rank pages sized" true (P.rank_pages w >= 16);
-  Alcotest.(check int) "graph n" 8192 (Workload.Graph.n (P.graph_of w))
+  (* [offsets | neighbours | rank A | rank B], each rounded up a page:
+     8 B per offset and rank, 4 B per edge, 4 KB pages. *)
+  let g = Workload.Graph.generate ~config:small_config.P.graph ~seed:1 () in
+  Alcotest.(check int) "footprint" ((((8192 + 1) * 8 / 4096) + 1)
+     + ((Workload.Graph.m g * 4 / 4096) + 1)
+     + (2 * P.rank_pages w))
+    (P.footprint_pages w)
 
 let drain w tid =
   let chunks = ref 0 and barriers = ref 0 and writes = ref 0 in
@@ -59,11 +65,59 @@ let test_pages_in_footprint () =
     go ()
   done
 
+(* Every thread's full step stream (pages, cpu_ns, write flags and
+   barriers) for two seeds, hashed.  The literal was recorded from the
+   plan that still cached the whole graph; a plan change that moves any
+   step fails here. *)
+let stream_digest seeds =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun seed ->
+      let w = make seed in
+      Buffer.add_string b (Printf.sprintf "seed %d fp %d\n" seed (P.footprint_pages w));
+      for tid = 0 to P.threads w - 1 do
+        let rec go () =
+          match P.next w ~tid with
+          | C.Finished -> Buffer.add_string b "F\n"
+          | C.Barrier ->
+            Buffer.add_string b "B\n";
+            go ()
+          | C.Chunk c ->
+            Buffer.add_string b
+              (Printf.sprintf "C %b %d %d %d:" c.C.write c.C.read_prefix c.C.cpu_ns
+                 c.C.latency_class);
+            C.iter_pages (fun p -> Buffer.add_string b (Printf.sprintf " %d" p)) c.C.pages;
+            Buffer.add_char b '\n';
+            go ()
+        in
+        go ()
+      done)
+    seeds;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_stream_digest () =
+  Alcotest.(check string) "step streams of seeds 11 and 12" "d9815ccfa834e0b465681f57ae555bf0"
+    (stream_digest [ 11; 12 ])
+
 let test_plan_cache_reused () =
-  let w1 = make 5 in
-  let w2 = make 5 in
-  (* Same seed gives physically equal cached plans. *)
-  Alcotest.(check bool) "same graph object" true (P.graph_of w1 == P.graph_of w2)
+  (* One iteration over a wider graph, so the block plan is a large share
+     of a workload and the script (one copy per [create]) a small one. *)
+  let config =
+    {
+      small_config with
+      P.graph = { small_config.P.graph with Workload.Graph.n = 65_536 };
+      iterations = 1;
+    }
+  in
+  let make seed = P.create ~config ~seed () in
+  let w1 = make 5 and w2 = make 5 and w3 = make 6 in
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let one = words w1 in
+  (* Words a second workload adds to the first: its own script only when
+     the seed's plan is shared, a whole workload when it is not. *)
+  let same_seed = words (w1, w2) - one and other_seed = words (w1, w3) - one in
+  Alcotest.(check bool) "same seed shares its plan" true (4 * same_seed < 3 * one);
+  Alcotest.(check bool) "other seed shares none" true (10 * other_seed > 9 * one)
 
 let test_work_imbalance_varies_by_seed () =
   (* Thread edge loads vary across seeds via the degree permutation. *)
@@ -123,5 +177,6 @@ let () =
           Alcotest.test_case "plan cache" `Quick test_plan_cache_reused;
           Alcotest.test_case "imbalance varies" `Quick test_work_imbalance_varies_by_seed;
           Alcotest.test_case "rank regions alternate" `Quick test_rank_region_alternates;
+          Alcotest.test_case "step stream digest" `Quick test_stream_digest;
         ] );
     ]
