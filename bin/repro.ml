@@ -73,8 +73,10 @@ let faults_arg =
   Arg.(value & opt fault_plan_conv Swapdev.Faulty_device.none
        & info [ "faults" ] ~docv:"PLAN"
            ~doc:
-             "Swap I/O fault-injection plan: none | light | heavy. Deterministic \
-              per seed; $(b,none) leaves results bit-identical.")
+             ("Swap I/O fault-injection plan: "
+             ^ String.concat " | " Swapdev.Faulty_device.plan_names
+             ^ ". Deterministic per seed; $(b,none) leaves results \
+                bit-identical."))
 
 let audit_every_arg =
   Arg.(value & opt int 0
@@ -174,7 +176,16 @@ let cgroups_arg =
   Arg.(value & opt (some cgroups_conv) None
        & info [ "cgroups" ] ~docv:"SPEC"
            ~doc:
-             "Partition threads into memory cgroups with Linux-style limits,               e.g. $(b,hot:threads=0-1,max=40%;bg:threads=2-5,low=15%).               Fields per group: $(b,threads=LO-HI) (ranges joined with +),               $(b,low=), $(b,high=), $(b,max=) (pages or % of capacity).               Reserved group $(b,proactive) (interval=, threshold=, step=)               enables the proactive-reclaim probe; $(b,psi) (interval=)               retunes PSI sampling. Without this flag, output is               byte-identical to builds without the controller.")
+             "Partition threads into memory cgroups with Linux-style limits, \
+              e.g. $(b,hot:threads=0-1,max=40%;bg:threads=2-5,low=15%). \
+              Fields per group: $(b,threads=) (thread ranges), $(b,low=), \
+              $(b,high=), $(b,max=) (amounts).  Reserved group \
+              $(b,proactive) (interval=, threshold=, step=) enables the \
+              proactive-reclaim probe; $(b,psi) (interval=) retunes PSI \
+              sampling.  Times, amounts, thread ranges and the 1:COL: errors \
+              are the syntax shared with $(b,--chaos): README, \"Spec \
+              syntax\".  Without this flag, output is byte-identical to \
+              builds without the controller.")
 
 let chaos_conv =
   let parse s =
@@ -196,7 +207,18 @@ let chaos_arg =
   Arg.(value & opt (some chaos_conv) None
        & info [ "chaos" ] ~docv:"SPEC"
            ~doc:
-             "Inject deterministic runtime transients, e.g.               $(b,hotplug:at=5s,shrink=40%,restore=15s;degrade:at=20s,for=8s,latency=8x).               Segments: $(b,hotplug:) (offline/online capacity),               $(b,degrade:) (swap-device latency/error/wear windows),               $(b,churn:) (rewrite a cgroup's low/high/max; needs               $(b,--cgroups)), $(b,burst:) (thread stall pulses), and the               test-only $(b,corrupt:).  Times take ns/us/ms/s suffixes,               amounts are pages or % of capacity.  Every injection forces an               invariant audit and lands in the $(b,--trace) stream.  With               $(b,none) (or unset) output is byte-identical to builds without               the chaos layer.")
+             "Inject deterministic runtime transients, e.g. \
+              $(b,hotplug:at=5s,shrink=40%,restore=15s;degrade:at=20s,for=8s,latency=8x). \
+              Segments: $(b,hotplug:) (offline/online capacity), \
+              $(b,degrade:) (swap-device latency/error/wear windows), \
+              $(b,churn:) (rewrite a cgroup's low/high/max; needs \
+              $(b,--cgroups)), $(b,burst:) (thread stall pulses), and the \
+              test-only $(b,corrupt:).  Times, amounts, thread ranges and \
+              the 1:COL: errors are the syntax shared with $(b,--cgroups): \
+              README, \"Spec syntax\".  Every injection forces an invariant \
+              audit and lands in the $(b,--trace) stream.  With $(b,none) (or \
+              unset) output is byte-identical to builds without the chaos \
+              layer.")
 
 (* One requested output file: where it goes, what its count counts, the
    writer that fills it from the experiment log after the run, and the
@@ -338,13 +360,9 @@ let setup_term ?(profile = false) () =
 
 let workload_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "tpch" -> Ok Repro_core.Runner.Tpch
-    | "pagerank" -> Ok Repro_core.Runner.Pagerank
-    | "ycsb-a" -> Ok (Repro_core.Runner.Ycsb Workload.Ycsb.A)
-    | "ycsb-b" -> Ok (Repro_core.Runner.Ycsb Workload.Ycsb.B)
-    | "ycsb-c" -> Ok (Repro_core.Runner.Ycsb Workload.Ycsb.C)
-    | _ -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
+    match Repro_core.Runner.workload_of_name (String.lowercase_ascii s) with
+    | Some w -> Ok w
+    | None -> Error (`Msg (Printf.sprintf "unknown workload %S" s))
   in
   Arg.conv
     (parse, fun fmt w -> Format.pp_print_string fmt (Repro_core.Runner.workload_kind_name w))
@@ -369,10 +387,9 @@ let policy_conv =
 
 let swap_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "ssd" -> Ok Repro_core.Runner.Ssd
-    | "zram" -> Ok Repro_core.Runner.Zram
-    | _ -> Error (`Msg (Printf.sprintf "unknown swap medium %S" s))
+    match Repro_core.Runner.swap_of_name (String.lowercase_ascii s) with
+    | Some m -> Ok m
+    | None -> Error (`Msg (Printf.sprintf "unknown swap medium %S" s))
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Repro_core.Runner.swap_name s))
 

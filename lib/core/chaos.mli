@@ -11,25 +11,20 @@
               | churn:at=T,cg=NAME[,low=A][,high=A][,max=A]
               | burst:at=T,for=D[,threads=RANGES]
               | corrupt:at=T
-    T, D     := ns integer, or float with us/ms/s suffix
-    A        := page count, or percentage of capacity ('30%')
     P        := probability in 0..1
-    RANGES   := LO-HI ('+'-joined, as in --cgroups threads=)
     v}
 
-    Parsing rejects malformed fields, negative times, and overlapping
-    same-class windows, with [1:COL:] positions (specs are single-line).
+    Times [T], [D], amounts [A], thread [RANGES], the field syntax and
+    the [1:COL:] error positions are shared with [--cgroups]: see
+    {!Mem.Spec_syntax} and the README's "Spec syntax".  Parsing also
+    rejects overlapping same-class windows.
     This module is pure data — {!Machine} applies compiled {!action}s at
     their virtual times, so a (seed, config, spec) triple replays
     identically at any [--jobs]. *)
 
-type amount =
-  | Pages of int
-  | Frac of float  (** fraction of capacity *)
-
 type hotplug = {
   h_at : int;
-  h_shrink : amount;
+  h_shrink : Mem.Spec_syntax.amount;
   h_restore : int option;  (** re-online time; [None] = never *)
 }
 
@@ -44,9 +39,9 @@ type degrade = {
 type churn = {
   c_at : int;
   c_cg : string;
-  c_low : amount option;
-  c_high : amount option;
-  c_max : amount option;
+  c_low : Mem.Spec_syntax.amount option;
+  c_high : Mem.Spec_syntax.amount option;
+  c_max : Mem.Spec_syntax.amount option;
 }
 
 type burst = {

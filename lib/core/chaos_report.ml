@@ -40,7 +40,7 @@ let spec_for ~klass ~w_start ~w_end : Chaos.spec =
       Chaos.injectors =
         [
           Chaos.Hotplug
-            { h_at = w_start; h_shrink = Chaos.Frac 0.4; h_restore = Some w_end };
+            { h_at = w_start; h_shrink = Mem.Spec_syntax.Frac 0.4; h_restore = Some w_end };
         ];
     }
   | "degrade" ->
@@ -67,7 +67,7 @@ let spec_for ~klass ~w_start ~w_end : Chaos.spec =
               c_cg = "app";
               c_low = None;
               c_high = None;
-              c_max = Some (Chaos.Frac 0.5);
+              c_max = Some (Mem.Spec_syntax.Frac 0.5);
             };
           Chaos.Churn
             {
@@ -75,7 +75,7 @@ let spec_for ~klass ~w_start ~w_end : Chaos.spec =
               c_cg = "app";
               c_low = None;
               c_high = None;
-              c_max = Some (Chaos.Frac 1.0);
+              c_max = Some (Mem.Spec_syntax.Frac 1.0);
             };
         ];
     }

@@ -29,16 +29,16 @@ let default_spec ~tenants ~hot =
           if i = hot then
             {
               base with
-              Mem.Memcg.g_high = Some (Mem.Memcg.Frac 0.30);
-              g_max = Some (Mem.Memcg.Frac 0.40);
+              Mem.Memcg.g_high = Some (Mem.Spec_syntax.Frac 0.30);
+              g_max = Some (Mem.Spec_syntax.Frac 0.40);
             }
-          else { base with Mem.Memcg.g_low = Some (Mem.Memcg.Frac 0.15) });
+          else { base with Mem.Memcg.g_low = Some (Mem.Spec_syntax.Frac 0.15) });
     proactive =
       Some
         {
           Mem.Memcg.p_interval_ns = 100_000_000;
           p_threshold = 0.10;
-          p_step = Mem.Memcg.Frac 0.01;
+          p_step = Mem.Spec_syntax.Frac 0.01;
         };
     psi_interval_ns = 100_000_000;
   }

@@ -33,14 +33,6 @@ let config_to_string c =
     @ (match c.fz_cgroups with Some s -> [ "cg=" ^ s ] | None -> [])
     @ (match c.fz_chaos with Some s -> [ "ch=" ^ s ] | None -> []))
 
-let workload_of_name = function
-  | "tpch" -> Some Runner.Tpch
-  | "pagerank" -> Some Runner.Pagerank
-  | "ycsb-a" -> Some (Runner.Ycsb Workload.Ycsb.A)
-  | "ycsb-b" -> Some (Runner.Ycsb Workload.Ycsb.B)
-  | "ycsb-c" -> Some (Runner.Ycsb Workload.Ycsb.C)
-  | _ -> None
-
 let config_of_string line =
   let default =
     {
@@ -67,7 +59,7 @@ let config_of_string line =
         let v = String.sub tok (i + 1) (String.length tok - i - 1) in
         match k with
         | "w" -> (
-          match workload_of_name v with
+          match Runner.workload_of_name v with
           | Some w -> go { cfg with fz_workload = w } rest
           | None -> err "unknown workload %S" v)
         | "p" -> (
@@ -79,10 +71,9 @@ let config_of_string line =
           | Some r when r > 0.0 && r <= 1.5 -> go { cfg with fz_ratio = r } rest
           | _ -> err "bad ratio %S" v)
         | "s" -> (
-          match v with
-          | "ssd" -> go { cfg with fz_swap = Runner.Ssd } rest
-          | "zram" -> go { cfg with fz_swap = Runner.Zram } rest
-          | _ -> err "unknown swap medium %S" v)
+          match Runner.swap_of_name v with
+          | Some s -> go { cfg with fz_swap = s } rest
+          | None -> err "unknown swap medium %S" v)
         | "f" -> (
           match Swapdev.Faulty_device.plan_of_name v with
           | Some _ -> go { cfg with fz_faults = v } rest

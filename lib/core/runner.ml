@@ -23,7 +23,13 @@ let workload_kind_name = function
 let all_workloads =
   [ Tpch; Pagerank; Ycsb Workload.Ycsb.A; Ycsb Workload.Ycsb.B; Ycsb Workload.Ycsb.C ]
 
+let workload_of_name s = List.find_opt (fun w -> workload_kind_name w = s) all_workloads
+
 let swap_name = function Ssd -> "ssd" | Zram -> "zram"
+
+let all_swaps = [ Ssd; Zram ]
+
+let swap_of_name s = List.find_opt (fun m -> swap_name m = s) all_swaps
 
 let exp_name e =
   Printf.sprintf "%s/%s/%.0f%%/%s/t%d"
@@ -133,7 +139,7 @@ let fingerprint ctx =
     match
       List.find_opt
         (fun n -> Swapdev.Faulty_device.plan_of_name n = Some p)
-        [ "none"; "light"; "heavy" ]
+        Swapdev.Faulty_device.plan_names
     with
     | Some name -> name
     | None -> "custom-" ^ Digest.to_hex (Digest.string (Marshal.to_string p []))

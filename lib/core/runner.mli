@@ -50,7 +50,15 @@ val workload_kind_name : workload_kind -> string
 val all_workloads : workload_kind list
 (** The paper's five, in figure order: TPC-H, PageRank, YCSB A/B/C. *)
 
+val workload_of_name : string -> workload_kind option
+(** The inverse of {!workload_kind_name} over {!all_workloads}. *)
+
 val swap_name : swap_medium -> string
+
+val all_swaps : swap_medium list
+
+val swap_of_name : string -> swap_medium option
+(** The inverse of {!swap_name}. *)
 
 val exp_name : exp -> string
 (** Human-readable cell name (display only; not injective for

@@ -1,19 +1,17 @@
-type amount =
-  | Pages of int
-  | Frac of float
+module S = Spec_syntax
 
 type group_spec = {
   g_name : string;
   g_threads : (int * int) list;
-  g_low : amount option;
-  g_high : amount option;
-  g_max : amount option;
+  g_low : S.amount option;
+  g_high : S.amount option;
+  g_max : S.amount option;
 }
 
 type proactive_spec = {
   p_interval_ns : int;
   p_threshold : float;
-  p_step : amount;
+  p_step : S.amount;
 }
 
 type spec = {
@@ -23,236 +21,106 @@ type spec = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Spec parsing                                                        *)
+(* Spec parsing: the classes and keys; the lexing is {!Spec_syntax}'s  *)
 
 let default_psi_interval_ns = 100_000_000 (* 100 ms simulated *)
 
-let name_ok s =
-  s <> ""
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z')
-         || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9')
-         || c = '_' || c = '-')
-       s
-
-let split_on sep s =
-  String.split_on_char sep s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-
-let parse_amount s =
-  let n = String.length s in
-  if n = 0 then Error "empty amount"
-  else if s.[n - 1] = '%' then
-    match float_of_string_opt (String.sub s 0 (n - 1)) with
-    | Some f when f >= 0.0 -> Ok (Frac (f /. 100.0))
-    | _ -> Error (Printf.sprintf "bad percentage %S" s)
-  else
-    match int_of_string_opt s with
-    | Some p when p >= 0 -> Ok (Pages p)
-    | _ -> Error (Printf.sprintf "bad page count %S" s)
-
-(* Durations: a plain integer is nanoseconds; us/ms/s suffixes scale. *)
-let parse_duration s =
-  let scaled suffix mult =
-    let n = String.length s and m = String.length suffix in
-    if n > m && String.sub s (n - m) m = suffix then
-      match float_of_string_opt (String.sub s 0 (n - m)) with
-      | Some f when f > 0.0 -> Some (int_of_float (f *. mult))
-      | _ -> None
-    else None
-  in
-  match scaled "us" 1e3 with
-  | Some v -> Ok v
-  | None ->
-    (match scaled "ms" 1e6 with
-     | Some v -> Ok v
-     | None ->
-       (match scaled "s" 1e9 with
-        | Some v -> Ok v
-        | None ->
-          (match int_of_string_opt s with
-           | Some v when v > 0 -> Ok v
-           | _ -> Error (Printf.sprintf "bad duration %S" s))))
-
-let parse_threads s =
-  let parse_range r =
-    match String.index_opt r '-' with
-    | None ->
-      (match int_of_string_opt r with
-       | Some t when t >= 0 -> Ok (t, t)
-       | _ -> Error (Printf.sprintf "bad thread id %S" r))
-    | Some i ->
-      let lo = String.sub r 0 i
-      and hi = String.sub r (i + 1) (String.length r - i - 1) in
-      (match (int_of_string_opt lo, int_of_string_opt hi) with
-       | Some lo, Some hi when 0 <= lo && lo <= hi -> Ok (lo, hi)
-       | _ -> Error (Printf.sprintf "bad thread range %S" r))
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | r :: rest ->
-      (match parse_range r with
-       | Ok rg -> go (rg :: acc) rest
-       | Error e -> Error e)
-  in
-  match split_on '+' s with
-  | [] -> Error "empty thread list"
-  | rs -> go [] rs
-
-let parse_fields s =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | f :: rest ->
-      (match String.index_opt f '=' with
-       | None -> Error (Printf.sprintf "field %S is not key=value" f)
-       | Some i ->
-         let k = String.trim (String.sub f 0 i)
-         and v = String.trim (String.sub f (i + 1) (String.length f - i - 1)) in
-         if k = "" || v = "" then
-           Error (Printf.sprintf "field %S is not key=value" f)
-         else go ((k, v) :: acc) rest)
-  in
-  go [] (split_on ',' s)
-
 let ( let* ) = Result.bind
 
-let parse_group name fields =
-  let threads = ref [] and low = ref None and high = ref None and max_ = ref None in
-  let rec go = function
-    | [] -> Ok ()
-    | (k, v) :: rest ->
-      let* () =
-        match k with
-        | "threads" ->
-          let* t = parse_threads v in
-          threads := t;
-          Ok ()
-        | "low" ->
-          let* a = parse_amount v in
-          low := Some a;
-          Ok ()
-        | "high" ->
-          let* a = parse_amount v in
-          high := Some a;
-          Ok ()
-        | "max" ->
-          let* a = parse_amount v in
-          max_ := Some a;
-          Ok ()
-        | _ -> Error (Printf.sprintf "cgroup %s: unknown key %S" name k)
-      in
-      go rest
-  in
-  let* () = go fields in
-  if !threads = [] then
-    Error (Printf.sprintf "cgroup %s: missing threads=" name)
-  else
-    Ok { g_name = name; g_threads = !threads; g_low = !low; g_high = !high;
-         g_max = !max_ }
+let parse_group (seg : S.segment) =
+  let cls = "cgroup " ^ seg.cls in
+  let* () = S.reject_unknown ~cls ~known:[ "threads"; "low"; "high"; "max" ] seg in
+  let* threads = S.require ~cls seg "threads" in
+  let* threads = S.threads threads in
+  let* low = S.optional seg "low" S.amount in
+  let* high = S.optional seg "high" S.amount in
+  let* max_ = S.optional seg "max" S.amount in
+  Ok { g_name = seg.cls; g_threads = threads; g_low = low; g_high = high; g_max = max_ }
 
-let parse_proactive fields =
-  let interval = ref 100_000_000 and threshold = ref 0.10 and step = ref (Frac 0.01) in
-  let rec go = function
-    | [] -> Ok ()
-    | (k, v) :: rest ->
-      let* () =
-        match k with
-        | "interval" ->
-          let* d = parse_duration v in
-          interval := d;
-          Ok ()
-        | "threshold" ->
-          (match float_of_string_opt v with
-           | Some f when f >= 0.0 && f <= 1.0 ->
-             threshold := f;
-             Ok ()
-           | _ -> Error (Printf.sprintf "proactive: bad threshold %S" v))
-        | "step" ->
-          let* a = parse_amount v in
-          step := a;
-          Ok ()
-        | _ -> Error (Printf.sprintf "proactive: unknown key %S" k)
-      in
-      go rest
+let parse_threshold (v : S.value) =
+  match float_of_string_opt v.text with
+  | Some f when f >= 0.0 && f <= 1.0 -> Ok f
+  | _ -> S.err v.col (Printf.sprintf "threshold: bad fraction %S (want 0..1)" v.text)
+
+let parse_proactive (seg : S.segment) =
+  let* () =
+    S.reject_unknown ~cls:"proactive" ~known:[ "interval"; "threshold"; "step" ] seg
   in
-  let* () = go fields in
-  Ok { p_interval_ns = !interval; p_threshold = !threshold; p_step = !step }
+  let* interval = S.optional seg "interval" (S.time ~zero_ok:false) in
+  let* threshold = S.optional seg "threshold" parse_threshold in
+  let* step = S.optional seg "step" S.amount in
+  Ok
+    {
+      p_interval_ns = Option.value interval ~default:100_000_000;
+      p_threshold = Option.value threshold ~default:0.10;
+      p_step = Option.value step ~default:(S.Frac 0.01);
+    }
+
+let parse_psi (seg : S.segment) =
+  let* () = S.reject_unknown ~cls:"psi" ~known:[ "interval" ] seg in
+  let* interval = S.require ~cls:"psi" seg "interval" in
+  S.time ~zero_ok:false interval
 
 let parse_spec s =
+  let* segs = S.segments s in
   let rec go groups proactive psi = function
     | [] ->
-      if groups = [] && proactive = None then
-        Error "empty --cgroups spec"
+      if groups = [] && proactive = None then S.err 0 "empty --cgroups spec"
       else
-        Ok { groups = List.rev groups; proactive;
-             psi_interval_ns = (match psi with Some p -> p | None -> default_psi_interval_ns) }
-    | seg :: rest ->
-      let name, fields_s =
-        match String.index_opt seg ':' with
-        | None -> (String.trim seg, "")
-        | Some i ->
-          (String.trim (String.sub seg 0 i),
-           String.sub seg (i + 1) (String.length seg - i - 1))
+        Ok
+          {
+            groups = List.rev groups;
+            proactive;
+            psi_interval_ns = Option.value psi ~default:default_psi_interval_ns;
+          }
+    | (seg : S.segment) :: rest -> (
+      let twice =
+        match seg.cls with
+        | "proactive" -> proactive <> None
+        | "psi" -> psi <> None
+        | name -> List.exists (fun g -> g.g_name = name) groups
       in
-      (match name with
-       | "proactive" ->
-         let* fields = parse_fields fields_s in
-         let* p = parse_proactive fields in
-         go groups (Some p) psi rest
-       | "psi" ->
-         let* fields = parse_fields fields_s in
-         (match fields with
-          | [ ("interval", v) ] ->
-            let* d = parse_duration v in
-            go groups proactive (Some d) rest
-          | _ -> Error "psi: takes exactly interval=")
-       | _ ->
-         if not (name_ok name) then
-           Error (Printf.sprintf "bad cgroup name %S" name)
-         else if name = "root" then Error "cgroup name 'root' is reserved"
-         else if List.exists (fun g -> g.g_name = name) groups then
-           Error (Printf.sprintf "duplicate cgroup %S" name)
-         else
-           let* fields = parse_fields fields_s in
-           let* g = parse_group name fields in
-           go (g :: groups) proactive psi rest)
+      if twice then S.err seg.start (Printf.sprintf "duplicate segment %S" seg.cls)
+      else
+        match seg.cls with
+        | "proactive" ->
+          let* p = parse_proactive seg in
+          go groups (Some p) psi rest
+        | "psi" ->
+          let* d = parse_psi seg in
+          go groups proactive (Some d) rest
+        | "root" -> S.err seg.start "cgroup name 'root' is reserved"
+        | name when not (S.name_ok name) ->
+          S.err seg.start (Printf.sprintf "bad cgroup name %S" name)
+        | _ ->
+          let* g = parse_group seg in
+          go (g :: groups) proactive psi rest)
   in
-  go [] None None (split_on ';' s)
-
-let amount_to_string = function
-  | Pages p -> string_of_int p
-  | Frac f -> Printf.sprintf "%g%%" (f *. 100.0)
+  go [] None None segs
 
 let spec_to_string spec =
-  let buf = Buffer.create 128 in
-  let seg s = if Buffer.length buf > 0 then Buffer.add_char buf ';'; Buffer.add_string buf s in
-  List.iter
-    (fun g ->
-      let fields =
-        [ Printf.sprintf "threads=%s"
-            (String.concat "+"
-               (List.map
-                  (fun (lo, hi) ->
-                    if lo = hi then string_of_int lo
-                    else Printf.sprintf "%d-%d" lo hi)
-                  g.g_threads)) ]
-        @ (match g.g_low with None -> [] | Some a -> [ "low=" ^ amount_to_string a ])
-        @ (match g.g_high with None -> [] | Some a -> [ "high=" ^ amount_to_string a ])
-        @ (match g.g_max with None -> [] | Some a -> [ "max=" ^ amount_to_string a ])
-      in
-      seg (g.g_name ^ ":" ^ String.concat "," fields))
-    spec.groups;
-  (match spec.proactive with
-   | None -> ()
-   | Some p ->
-     seg
-       (Printf.sprintf "proactive:interval=%d,threshold=%g,step=%s" p.p_interval_ns
-          p.p_threshold (amount_to_string p.p_step)));
-  if spec.psi_interval_ns <> default_psi_interval_ns then
-    seg (Printf.sprintf "psi:interval=%d" spec.psi_interval_ns);
-  Buffer.contents buf
+  let group g =
+    let limit k = Option.map (fun a -> k ^ "=" ^ S.amount_to_string a) in
+    g.g_name ^ ":"
+    ^ String.concat ","
+        (("threads=" ^ S.threads_to_string g.g_threads)
+        :: List.filter_map Fun.id
+             [ limit "low" g.g_low; limit "high" g.g_high; limit "max" g.g_max ])
+  in
+  (* Intervals print as raw ns: these bytes are cache and journal keys. *)
+  String.concat ";"
+    (List.map group spec.groups
+    @ (match spec.proactive with
+      | None -> []
+      | Some p ->
+        [
+          Printf.sprintf "proactive:interval=%d,threshold=%g,step=%s" p.p_interval_ns
+            p.p_threshold (S.amount_to_string p.p_step);
+        ])
+    @
+    if spec.psi_interval_ns <> default_psi_interval_ns then
+      [ Printf.sprintf "psi:interval=%d" spec.psi_interval_ns ]
+    else [])
 
 (* ------------------------------------------------------------------ *)
 (* Runtime state                                                       *)
@@ -350,19 +218,22 @@ type t = {
   psi_every : int;
 }
 
-let resolve_amount capacity = function
-  | Pages p -> p
-  | Frac f -> int_of_float (f *. float_of_int capacity)
-
 let create spec ~capacity_frames ~nthreads ~footprint_pages =
+  (* A zero tick would repeat at the same instant forever. *)
+  if spec.psi_interval_ns <= 0 then
+    invalid_arg "Memcg.create: psi_interval_ns must be positive";
+  (match spec.proactive with
+   | Some p when p.p_interval_ns <= 0 ->
+     invalid_arg "Memcg.create: p_interval_ns must be positive"
+   | _ -> ());
   let limit capacity = function
     | None -> max_int
-    | Some a -> resolve_amount capacity a
+    | Some a -> S.resolve ~capacity a
   in
   let mk_group g live =
     {
       cg_name = g.g_name;
-      cg_low = (match g.g_low with None -> 0 | Some a -> resolve_amount capacity_frames a);
+      cg_low = (match g.g_low with None -> 0 | Some a -> S.resolve ~capacity:capacity_frames a);
       cg_high = limit capacity_frames g.g_high;
       cg_max = limit capacity_frames g.g_max;
       cg_eff = max_int;
@@ -417,7 +288,7 @@ let create spec ~capacity_frames ~nthreads ~footprint_pages =
       Option.map
         (fun p ->
           { rp_threshold = p.p_threshold;
-            rp_step = max 1 (resolve_amount capacity_frames p.p_step) })
+            rp_step = max 1 (S.resolve ~capacity:capacity_frames p.p_step) })
         spec.proactive;
     psi_every =
       (match spec.proactive with

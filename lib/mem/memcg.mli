@@ -22,22 +22,18 @@
 
 (** {1 Spec} *)
 
-type amount =
-  | Pages of int        (** absolute page count *)
-  | Frac of float       (** fraction of [capacity_frames] *)
-
 type group_spec = {
   g_name : string;                (** [A-Za-z0-9_-]+ *)
   g_threads : (int * int) list;   (** inclusive tid ranges *)
-  g_low : amount option;
-  g_high : amount option;
-  g_max : amount option;
+  g_low : Spec_syntax.amount option;
+  g_high : Spec_syntax.amount option;
+  g_max : Spec_syntax.amount option;
 }
 
 type proactive_spec = {
   p_interval_ns : int;  (** probe period in simulated ns *)
   p_threshold : float;  (** PSI [some] fraction that stops tightening *)
-  p_step : amount;      (** limit adjustment per probe tick *)
+  p_step : Spec_syntax.amount;  (** limit adjustment per probe tick *)
 }
 
 type spec = {
@@ -47,7 +43,8 @@ type spec = {
 }
 
 val parse_spec : string -> (spec, string) result
-(** Grammar (documented in README):
+(** Grammar, in the syntax shared with [--chaos] ({!Spec_syntax}; README,
+    "Spec syntax"):
 
     {v
     SPEC      := group (';' group)*
@@ -55,16 +52,16 @@ val parse_spec : string -> (spec, string) result
     field     := KEY '=' VALUE
     v}
 
-    Ordinary groups take [threads=LO-HI] (or [threads=N], or several
-    ranges joined with [+]) plus optional [low=], [high=], [max=] — each
-    either a page count ([4096]) or a percentage of physical capacity
-    ([35%]).  The reserved group name [proactive] enables the probe
-    controller and takes [interval=] (ns; [us]/[ms]/[s] suffixes
-    accepted), [threshold=] (PSI fraction) and [step=] (pages or %).
-    The reserved name [psi] takes [interval=] to retune the PSI tick. *)
+    Ordinary groups take [threads=] (thread ranges) plus optional
+    [low=], [high=], [max=] (amounts).  The reserved group name
+    [proactive] enables the probe controller and takes [interval=]
+    (a time), [threshold=] (PSI fraction, 0..1) and [step=] (an amount).
+    The reserved name [psi] takes [interval=] to retune the PSI tick.
+    Errors read ["1:COL: message"]. *)
 
 val spec_to_string : spec -> string
-(** Canonical round-trippable rendering (used for cache keys). *)
+(** Canonical round-trippable rendering (used for cache keys, so its
+    bytes never change; intervals print as raw ns). *)
 
 (** {1 Runtime state} *)
 
@@ -75,7 +72,8 @@ val create :
 (** Resolves percentage limits against [capacity_frames] and assigns
     threads; tids not named by any group (and kthreads) charge the
     root.  @raise Invalid_argument on overlapping or out-of-range
-    thread assignments. *)
+    thread assignments, or a [psi_interval_ns] or [p_interval_ns] that
+    is not positive (specs built in code skip the parser's checks). *)
 
 val ncgroups : t -> int
 (** Including the root at index 0. *)

@@ -61,11 +61,11 @@ let heavy =
     tail_multiplier = 20.0;
   }
 
-let plan_of_name = function
-  | "none" -> Some none
-  | "light" -> Some light
-  | "heavy" -> Some heavy
-  | _ -> None
+let plans = [ ("none", none); ("light", light); ("heavy", heavy) ]
+
+let plan_names = List.map fst plans
+
+let plan_of_name name = List.assoc_opt name plans
 
 let wrap ~plan ~rng ~vmstat inner =
   let ops = ref 0 in

@@ -45,8 +45,10 @@ val heavy : plan
 (** Dense permanent error bursts, frequent stalls, heavy tail — a dying
     device. *)
 
+val plan_names : string list
+(** ["none"; "light"; "heavy"]: the plans {!plan_of_name} knows. *)
+
 val plan_of_name : string -> plan option
-(** ["none" | "light" | "heavy"]. *)
 
 val wrap :
   plan:plan -> rng:Engine.Rng.t -> vmstat:Obs.Vmstat.t -> Device.t -> Device.t

@@ -167,24 +167,25 @@ let create ?(config = default_config) ~seed () =
   let rank_b_base = rank_a_base + plan.rank_pages in
   let footprint = rank_b_base + plan.rank_pages in
   let threads = config.threads in
+  (* A block's steps depend only on which rank array the iteration reads:
+     build both variants once and share them across iterations. *)
+  let variant ~src ~dst =
+    Array.init nblocks (block_steps config plan ~rank_src_base:src ~rank_dst_base:dst)
+  in
+  let even = variant ~src:rank_a_base ~dst:rank_b_base in
+  let odd = variant ~src:rank_b_base ~dst:rank_a_base in
   let steps =
     Array.init threads (fun tid ->
         let acc = ref [] in
         for iter = 0 to config.iterations - 1 do
-          let src, dst =
-            if iter mod 2 = 0 then (rank_a_base, rank_b_base)
-            else (rank_b_base, rank_a_base)
-          in
+          let block = if iter mod 2 = 0 then even else odd in
           (* Static contiguous block ranges, like an OpenMP static
              schedule: whichever thread drew the permuted hubs carries
              visibly more edges this trial. *)
           let lo = tid * nblocks / threads in
           let hi = ((tid + 1) * nblocks / threads) - 1 in
           for b = lo to hi do
-            acc :=
-              List.rev_append
-                (block_steps config plan ~rank_src_base:src ~rank_dst_base:dst b)
-                !acc
+            acc := List.rev_append block.(b) !acc
           done;
           acc := Chunk.Barrier :: !acc
         done;

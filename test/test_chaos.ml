@@ -18,8 +18,8 @@ let gen_amount =
   QCheck.Gen.(
     oneof
       [
-        map (fun p -> C.Pages p) (1 -- 500);
-        map (fun k -> C.Frac (float_of_int k /. 100.0)) (1 -- 99);
+        map (fun p -> Mem.Spec_syntax.Pages p) (1 -- 500);
+        map (fun k -> Mem.Spec_syntax.Frac (float_of_int k /. 100.0)) (1 -- 99);
       ])
 
 let gen_prob = QCheck.Gen.(map (fun k -> float_of_int k /. 100.0) (1 -- 99))
@@ -136,6 +136,18 @@ let rejection_cases =
       "1:35: burst: window overlaps an earlier burst window" );
     ( "churn:at=1ms,cg=app,max=50%;churn:at=1ms,cg=app,max=10",
       "1:29: churn: duplicate update of the same cgroup at the same time" );
+  ]
+
+(* Times under 1 ns or past max_int ns: refused, not read as 0. *)
+let time_range_cases =
+  [
+    ("hotplug:at=0.0001us,shrink=10", "1:12: at: time \"0.0001us\" is under 1ns");
+    ("hotplug:at=1e300s,shrink=10", "1:12: at: time \"1e300s\" out of range");
+    ( "degrade:at=1ms,for=0.0001us,latency=2x",
+      "1:20: for: time \"0.0001us\" is under 1ns" );
+    ("degrade:at=1ms,for=1e300s,latency=2x", "1:20: for: time \"1e300s\" out of range");
+    ("burst:at=1e300s,for=1ms", "1:10: at: time \"1e300s\" out of range");
+    ("burst:at=1ms,for=0.0001us", "1:18: for: time \"0.0001us\" is under 1ns");
   ]
 
 let test_accepts_disjoint_bursts () =
@@ -274,7 +286,7 @@ let test_machine_hotplug () =
   let at, dur = window () in
   let spec =
     { C.injectors =
-        [ C.Hotplug { h_at = at; h_shrink = C.Frac 0.4; h_restore = Some (at + dur) } ] }
+        [ C.Hotplug { h_at = at; h_shrink = Mem.Spec_syntax.Frac 0.4; h_restore = Some (at + dur) } ] }
   in
   let r = run_cfg (base_cfg ~chaos:spec ()) in
   let s = summary_of r in
@@ -313,9 +325,9 @@ let test_machine_churn () =
   let spec =
     { C.injectors =
         [ C.Churn { c_at = at; c_cg = "app"; c_low = None; c_high = None;
-                    c_max = Some (C.Frac 0.5) };
+                    c_max = Some (Mem.Spec_syntax.Frac 0.5) };
           C.Churn { c_at = at + dur; c_cg = "app"; c_low = None; c_high = None;
-                    c_max = Some (C.Frac 1.0) } ] }
+                    c_max = Some (Mem.Spec_syntax.Frac 1.0) } ] }
   in
   let r = run_cfg (base_cfg ~cgroups ~chaos:spec ()) in
   let s = summary_of r in
@@ -347,7 +359,7 @@ let test_machine_chaos_traced () =
   let at, dur = window () in
   let spec =
     { C.injectors =
-        [ C.Hotplug { h_at = at; h_shrink = C.Frac 0.3; h_restore = Some (at + dur) } ] }
+        [ C.Hotplug { h_at = at; h_shrink = Mem.Spec_syntax.Frac 0.3; h_restore = Some (at + dur) } ] }
   in
   let obs = { Obs.off with trace = true; sample_every_ns = 0 } in
   let r = run_cfg (base_cfg ~obs ~chaos:spec ()) in
@@ -462,7 +474,7 @@ let () =
                Alcotest.test_case
                  (if spec = "" then "<empty>" else spec)
                  `Quick (rejects spec want))
-             rejection_cases );
+             (rejection_cases @ time_range_cases) );
       ( "invariants",
         [
           Alcotest.test_case "offline free frame clean" `Quick

@@ -22,13 +22,13 @@ let test_parse_basic () =
     Alcotest.(check string) "name" "hot" hot.Mcg.g_name;
     Alcotest.(check bool) "hot threads" true (hot.Mcg.g_threads = [ (0, 1) ]);
     Alcotest.(check bool) "hot max is 40%" true
-      (match hot.Mcg.g_max with Some (Mcg.Frac f) -> abs_float (f -. 0.40) < 1e-9 | _ -> false);
+      (match hot.Mcg.g_max with Some (Mem.Spec_syntax.Frac f) -> abs_float (f -. 0.40) < 1e-9 | _ -> false);
     Alcotest.(check bool) "hot has no low" true (hot.Mcg.g_low = None);
     let bg = List.nth spec.Mcg.groups 1 in
     Alcotest.(check bool) "bg ranges joined with +" true
       (bg.Mcg.g_threads = [ (2, 2); (4, 5) ]);
     Alcotest.(check bool) "bg high in pages" true
-      (bg.Mcg.g_high = Some (Mcg.Pages 200));
+      (bg.Mcg.g_high = Some (Mem.Spec_syntax.Pages 200));
     Alcotest.(check bool) "no proactive" true (spec.Mcg.proactive = None)
 
 let test_parse_reserved_groups () =
@@ -46,21 +46,42 @@ let test_parse_reserved_groups () =
       Alcotest.(check bool) "threshold" true (abs_float (p.Mcg.p_threshold -. 0.2) < 1e-9));
     Alcotest.(check int) "psi interval" 10_000_000 spec.Mcg.psi_interval_ns
 
+(* Errors carry 1:COL: positions, like the --chaos ones: the column of
+   the segment, or of the offending value. *)
+let parse_error_cases =
+  [
+    ("", "1:1: empty --cgroups spec");
+    ("a:low=5", "1:1: cgroup a: missing threads=");
+    ("a:threads=0,zug=5", "1:1: cgroup a: unknown key \"zug\"");
+    ("a:threads=5-2", "1:11: threads: bad thread range \"5-2\"");
+    ("a:threads=0;a:threads=1", "1:13: duplicate segment \"a\"");
+    ("a:threads=0,threads=1", "1:13: duplicate key \"threads\"");
+    ("root:threads=0", "1:1: cgroup name 'root' is reserved");
+    ("a:threads=0;a b:threads=0", "1:13: bad cgroup name \"a b\"");
+    ("a:threads=0,max=abc", "1:17: max: bad page count \"abc\"");
+    ("psi:threshold=0.5", "1:1: psi: unknown key \"threshold\"");
+    ("a:threads=0;psi:interval=-5ms", "1:26: interval: negative time \"-5ms\"");
+    ("a:threads=0;psi:interval=0", "1:26: interval: must be positive");
+    ( "a:threads=0;proactive:threshold=2",
+      "1:33: threshold: bad fraction \"2\" (want 0..1)" );
+    (* A tick under 1 ns, or one past max_int ns, would be a 0 ns tick:
+       the PSI and probe timers would repeat at t=0 forever. *)
+    ( "a:threads=0-1;psi:interval=0.0001us",
+      "1:28: interval: time \"0.0001us\" is under 1ns" );
+    ("a:threads=0-1;psi:interval=1e300s", "1:28: interval: time \"1e300s\" out of range");
+    ( "a:threads=0-1;proactive:interval=0.0001us",
+      "1:34: interval: time \"0.0001us\" is under 1ns" );
+    ( "a:threads=0-1;proactive:interval=1e300s",
+      "1:34: interval: time \"1e300s\" out of range" );
+  ]
+
 let test_parse_errors () =
-  let bad s =
-    match Mcg.parse_spec s with
-    | Ok _ -> Alcotest.failf "accepted %S" s
-    | Error _ -> ()
-  in
-  bad "";
-  bad "a:low=5";              (* ordinary group without threads *)
-  bad "a:threads=0,zug=5";    (* unknown key *)
-  bad "a:threads=5-2";        (* inverted range *)
-  bad "a:threads=0;a:threads=1"; (* duplicate name *)
-  bad "root:threads=0";       (* reserved name *)
-  bad "a b:threads=0";        (* bad name chars *)
-  bad "a:threads=0,max=abc";  (* bad amount *)
-  bad "psi:threshold=0.5"     (* psi takes exactly interval= *)
+  List.iter
+    (fun (s, want) ->
+      match Mcg.parse_spec s with
+      | Ok spec -> Alcotest.failf "%S accepted as %S" s (Mcg.spec_to_string spec)
+      | Error got -> Alcotest.(check string) s want got)
+    parse_error_cases
 
 let test_spec_round_trip () =
   let s = "hot:threads=0-1,max=40%;bg:threads=2-5,low=15%;proactive:interval=50ms,threshold=0.2,step=2%" in
@@ -89,6 +110,24 @@ let test_create_rejects_overlap () =
     (Invalid_argument "cgroup b: thread 2 already assigned")
     (fun () ->
       ignore (Mcg.create spec ~capacity_frames:64 ~nthreads:4 ~footprint_pages:64))
+
+(* Specs built in code (fleet, the chaos report) skip the parser, so
+   create checks the intervals itself. *)
+let test_create_rejects_zero_intervals () =
+  let base = Result.get_ok (Mcg.parse_spec "a:threads=0;proactive:interval=1ms") in
+  let create spec =
+    ignore (Mcg.create spec ~capacity_frames:64 ~nthreads:1 ~footprint_pages:64)
+  in
+  Alcotest.check_raises "psi"
+    (Invalid_argument "Memcg.create: psi_interval_ns must be positive")
+    (fun () -> create { base with Mcg.psi_interval_ns = 0 });
+  Alcotest.check_raises "proactive"
+    (Invalid_argument "Memcg.create: p_interval_ns must be positive")
+    (fun () ->
+      create
+        { base with
+          Mcg.proactive =
+            Option.map (fun p -> { p with Mcg.p_interval_ns = 0 }) base.Mcg.proactive })
 
 (* ---------------- machine-level helpers ---------------- *)
 
@@ -156,7 +195,7 @@ let test_low_protects () =
   in
   let spec =
     spec_of
-      [ group "quiet" [ (0, 0) ] ~low:(Mcg.Pages 8) ();
+      [ group "quiet" [ (0, 0) ] ~low:(Mem.Spec_syntax.Pages 8) ();
         group "noisy" [ (1, 1) ] () ]
   in
   let cfg = { (config ~capacity:24 ()) with M.cgroups = Some spec;
@@ -178,7 +217,7 @@ let test_low_protects () =
    thread with the exponential backoff. *)
 let throttled_run () =
   let pages = Array.init 32 (fun i -> i) in
-  let spec = spec_of [ group "app" [ (0, 0) ] ~high:(Mcg.Pages 8) () ] in
+  let spec = spec_of [ group "app" [ (0, 0) ] ~high:(Mem.Spec_syntax.Pages 8) () ] in
   let plan =
     { Swapdev.Faulty_device.none with
       Swapdev.Faulty_device.write_error_prob = 1.0; permanent_fraction = 1.0 }
@@ -234,7 +273,7 @@ let scoped_oom_run () =
   in
   let spec =
     spec_of
-      [ group "hot" [ (0, 0) ] ~max:(Mcg.Pages 16) ();
+      [ group "hot" [ (0, 0) ] ~max:(Mem.Spec_syntax.Pages 16) ();
         group "bg" [ (1, 1) ] () ]
   in
   let plan =
@@ -383,7 +422,7 @@ let test_proactive_tightens () =
     { (spec_of [ group "app" [ (0, 0) ] () ]) with
       Mcg.proactive =
         Some { Mcg.p_interval_ns = 100_000; p_threshold = 1.0;
-               p_step = Mcg.Pages 1 };
+               p_step = Mem.Spec_syntax.Pages 1 };
       psi_interval_ns = 50_000 }
   in
   let cfg =
@@ -560,6 +599,8 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "round trip" `Quick test_spec_round_trip;
           Alcotest.test_case "create rejects overlap" `Quick test_create_rejects_overlap;
+          Alcotest.test_case "create rejects zero intervals" `Quick
+            test_create_rejects_zero_intervals;
         ] );
       ( "containment",
         [

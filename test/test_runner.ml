@@ -42,6 +42,31 @@ let test_names () =
   Alcotest.(check string) "swap" "zram" (R.swap_name R.Zram);
   Alcotest.(check int) "five workloads" 5 (List.length R.all_workloads)
 
+(* The CLI, the fuzzer and the fingerprint read names through these
+   inverses, so every printed name must parse back to its value. *)
+let test_names_round_trip () =
+  List.iter
+    (fun w ->
+      let n = R.workload_kind_name w in
+      Alcotest.(check bool) n true (R.workload_of_name n = Some w))
+    R.all_workloads;
+  List.iter
+    (fun m ->
+      let n = R.swap_name m in
+      Alcotest.(check bool) n true (R.swap_of_name n = Some m))
+    R.all_swaps;
+  Alcotest.(check (list string)) "fault plans" [ "none"; "light"; "heavy" ]
+    Swapdev.Faulty_device.plan_names;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) n true (Swapdev.Faulty_device.plan_of_name n <> None))
+    Swapdev.Faulty_device.plan_names;
+  Alcotest.(check bool) "fleet is not a named workload" true
+    (R.workload_of_name "fleet3-h1" = None);
+  Alcotest.(check bool) "unknown swap" true (R.swap_of_name "nvme" = None);
+  Alcotest.(check bool) "unknown plan" true
+    (Swapdev.Faulty_device.plan_of_name "medium" = None)
+
 let test_exp_key_injective () =
   let exp policy =
     { R.workload = R.Tpch; policy; ratio = 0.5; swap = R.Ssd; trial = 0 }
@@ -214,6 +239,7 @@ let () =
           Alcotest.test_case "make_ctx clamps" `Quick test_make_ctx_clamps;
           Alcotest.test_case "profile defaults" `Quick test_profile_defaults;
           Alcotest.test_case "names" `Quick test_names;
+          Alcotest.test_case "names round-trip" `Quick test_names_round_trip;
           Alcotest.test_case "exp_key injective" `Quick test_exp_key_injective;
           Alcotest.test_case "paired seeds" `Quick test_workload_seeds_paired;
           Alcotest.test_case "cache" `Quick test_run_exp_cached;

@@ -1,21 +1,19 @@
-(* The --cgroups and --chaos spec syntax: a corpus of specs taken from
-   the README, CI, the golden rules, the perfbench harness and the other
-   tests, each pinned to its parsed value and its canonical rendering.
-   The rendering feeds Runner.fingerprint, so a change to any printed
-   byte here orphans cached results and journals. *)
+(* The --cgroups and --chaos spec syntax: the shared lexical layer
+   (Mem.Spec_syntax), and a corpus of specs taken from the README, CI,
+   the golden rules, the perfbench harness and the other tests, each
+   pinned to its parsed value and its canonical rendering.  The
+   rendering feeds Runner.fingerprint, so a change to any printed byte
+   here orphans cached results and journals. *)
 
 module Mcg = Mem.Memcg
 module C = Repro_core.Chaos
+module S = Mem.Spec_syntax
 
 (* Every field of a parsed spec, floats to 17 digits, so two values
    print alike only if they are equal. *)
 let show_amount = function
-  | Mcg.Pages p -> Printf.sprintf "P%d" p
-  | Mcg.Frac f -> Printf.sprintf "F%.17g" f
-
-let show_chaos_amount = function
-  | C.Pages p -> Printf.sprintf "P%d" p
-  | C.Frac f -> Printf.sprintf "F%.17g" f
+  | S.Pages p -> Printf.sprintf "P%d" p
+  | S.Frac f -> Printf.sprintf "F%.17g" f
 
 let show_opt f = function None -> "-" | Some x -> f x
 
@@ -43,14 +41,14 @@ let show_memcg (s : Mcg.spec) =
 let show_injector = function
   | C.Hotplug h ->
     Printf.sprintf "[hotplug at=%d shrink=%s restore=%s]" h.h_at
-      (show_chaos_amount h.h_shrink) (show_opt string_of_int h.h_restore)
+      (show_amount h.h_shrink) (show_opt string_of_int h.h_restore)
   | C.Degrade d ->
     Printf.sprintf "[degrade at=%d for=%d latency=%.17g errors=%.17g wear=%.17g]"
       d.d_at d.d_for d.d_latency d.d_errors d.d_wear
   | C.Churn c ->
     Printf.sprintf "[churn at=%d cg=%s low=%s high=%s max=%s]" c.c_at c.c_cg
-      (show_opt show_chaos_amount c.c_low) (show_opt show_chaos_amount c.c_high)
-      (show_opt show_chaos_amount c.c_max)
+      (show_opt show_amount c.c_low) (show_opt show_amount c.c_high)
+      (show_opt show_amount c.c_max)
   | C.Burst b ->
     Printf.sprintf "[burst at=%d for=%d threads=%s]" b.b_at b.b_for
       (show_threads b.b_threads)
@@ -180,9 +178,69 @@ let corpus_cases name ~parse ~show ~print corpus =
         (pinned ~parse ~show ~print case))
     corpus
 
+(* ------------------------------------------------------------------ *)
+(* The shared lexical layer itself                                     *)
+
+let value ?(col = 0) text = { S.key = "k"; col; text }
+
+let result = Alcotest.(result int string)
+
+let test_columns () =
+  match S.segments "  a : k = v ,, ; ;b" with
+  | Error e -> Alcotest.failf "rejected: %s" e
+  | Ok [ a; b ] ->
+    Alcotest.(check (pair int string)) "first segment" (2, "a") (a.S.start, a.S.cls);
+    (match a.S.fields with
+    | [ v ] -> Alcotest.(check (triple string int string)) "field" ("k", 10, "v") (v.S.key, v.S.col, v.S.text)
+    | _ -> Alcotest.fail "want one field");
+    Alcotest.(check (pair int string)) "second segment" (18, "b") (b.S.start, b.S.cls);
+    Alcotest.(check int) "no fields" 0 (List.length b.S.fields)
+  | Ok segs -> Alcotest.failf "want two segments, got %d" (List.length segs)
+
+let test_times () =
+  let t ?(zero_ok = false) text = S.time ~zero_ok (value text) in
+  Alcotest.check result "plain ns" (Ok 1500) (t "1500");
+  Alcotest.check result "float us" (Ok 1500) (t "1.5us");
+  Alcotest.check result "truncated" (Ok 1) (t "0.0015us");
+  Alcotest.check result "zero where allowed" (Ok 0) (t ~zero_ok:true "0ms");
+  Alcotest.check result "zero" (Error "1:1: k: must be positive") (t "0");
+  Alcotest.check result "under 1ns even where 0 is allowed"
+    (Error "1:1: k: time \"0.0005us\" is under 1ns")
+    (t ~zero_ok:true "0.0005us");
+  Alcotest.check result "past max_int" (Error "1:1: k: time \"1e300s\" out of range") (t "1e300s");
+  Alcotest.check result "infinite" (Error "1:1: k: time \"infs\" out of range") (t "infs");
+  Alcotest.check result "nan" (Error "1:1: k: bad time \"nanms\"") (t "nanms");
+  Alcotest.(check (list string)) "printed in the largest exact unit"
+    [ "0"; "999"; "1us"; "1500us"; "2ms"; "3s" ]
+    (List.map S.time_to_string [ 0; 999; 1_000; 1_500_000; 2_000_000; 3_000_000_000 ])
+
+let test_amounts () =
+  let amount text = Result.map show_amount (S.amount (value text)) in
+  let r = Alcotest.(result string string) in
+  Alcotest.check r "pages" (Ok "P64") (amount "64");
+  Alcotest.check r "percent" (Ok "F0.25") (amount "25%");
+  Alcotest.check r "infinite percent" (Error "1:1: k: bad percentage \"inf%\"") (amount "inf%");
+  Alcotest.check r "negative" (Error "1:1: k: negative amount \"-1\"") (amount "-1");
+  Alcotest.(check int) "fraction of capacity" 250 (S.resolve ~capacity:1000 (S.Frac 0.25));
+  Alcotest.(check int) "saturates" max_int (S.resolve ~capacity:1000 (S.Frac 1e300))
+
+let test_threads () =
+  let r = Alcotest.(result string string) in
+  let threads text = Result.map S.threads_to_string (S.threads (value ~col:4 text)) in
+  Alcotest.check r "ranges" (Ok "0-1+4+6-7") (threads "0-1 + 4-4 +6-7");
+  Alcotest.check r "inverted" (Error "1:8: k: bad thread range \"3-1\"") (threads "0+ 3-1");
+  Alcotest.check r "empty" (Error "1:5: k: empty thread list") (threads "+")
+
 let () =
   Alcotest.run "spec_syntax"
     [
+      ( "lexical layer",
+        [
+          Alcotest.test_case "columns" `Quick test_columns;
+          Alcotest.test_case "times" `Quick test_times;
+          Alcotest.test_case "amounts" `Quick test_amounts;
+          Alcotest.test_case "threads" `Quick test_threads;
+        ] );
       ( "cgroups corpus",
         corpus_cases "cgroups" ~parse:Mcg.parse_spec ~show:show_memcg
           ~print:Mcg.spec_to_string cgroups_corpus );
