@@ -93,6 +93,14 @@ let parse_segment (seg : S.segment) =
     let* v = S.require ~cls seg k in
     S.time ~zero_ok v
   in
+  (* The window's end must fit an int too, or the overlap checks and the
+     schedule would see it wrap to a negative time. *)
+  let duration ~at =
+    let* v = S.require ~cls seg "for" in
+    let* d = S.time ~zero_ok:false v in
+    if d > max_int - at then S.err v.col "for: window ends past the largest time"
+    else Ok d
+  in
   let default d = Option.value ~default:d in
   match cls with
   | "hotplug" ->
@@ -116,7 +124,7 @@ let parse_segment (seg : S.segment) =
   | "degrade" ->
     let* () = known [ "at"; "for"; "latency"; "errors"; "wear" ] in
     let* at = time ~zero_ok:true "at" in
-    let* dur = time ~zero_ok:false "for" in
+    let* dur = duration ~at in
     let* latency = S.optional seg "latency" parse_mult in
     let* errors = S.optional seg "errors" parse_prob in
     let* wear = S.optional seg "wear" parse_prob in
@@ -148,7 +156,7 @@ let parse_segment (seg : S.segment) =
   | "burst" ->
     let* () = known [ "at"; "for"; "threads" ] in
     let* at = time ~zero_ok:true "at" in
-    let* dur = time ~zero_ok:false "for" in
+    let* dur = duration ~at in
     let* threads = S.optional seg "threads" S.threads in
     Ok (Burst { b_at = at; b_for = dur; b_threads = default [] threads })
   | "corrupt" ->

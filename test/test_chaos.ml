@@ -138,7 +138,8 @@ let rejection_cases =
       "1:29: churn: duplicate update of the same cgroup at the same time" );
   ]
 
-(* Times under 1 ns or past max_int ns: refused, not read as 0. *)
+(* Times under 1 ns or past max_int ns, and windows that end past it:
+   refused, not read as 0 or wrapped to a negative time. *)
 let time_range_cases =
   [
     ("hotplug:at=0.0001us,shrink=10", "1:12: at: time \"0.0001us\" is under 1ns");
@@ -148,6 +149,8 @@ let time_range_cases =
     ("degrade:at=1ms,for=1e300s,latency=2x", "1:20: for: time \"1e300s\" out of range");
     ("burst:at=1e300s,for=1ms", "1:10: at: time \"1e300s\" out of range");
     ("burst:at=1ms,for=0.0001us", "1:18: for: time \"0.0001us\" is under 1ns");
+    ( "degrade:at=3000000000s,for=3000000000s,latency=2x",
+      "1:28: for: window ends past the largest time" );
   ]
 
 let test_accepts_disjoint_bursts () =
