@@ -23,6 +23,8 @@ let[@inline] of_seed64 seed =
 
 let create seed = of_seed64 (Int64.of_int seed)
 
+let reseed t seed = Bytes.blit (create seed) 0 t 0 32
+
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 

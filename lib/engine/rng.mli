@@ -16,6 +16,10 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. *)
 
+val reseed : t -> int -> unit
+(** [reseed t seed] overwrites [t] with the state [create seed] builds,
+    so [t] then draws exactly the stream a fresh [create seed] would. *)
+
 val split : t -> t
 (** Derive an independent child generator.  Advances the parent. *)
 

@@ -70,6 +70,44 @@ let test_seeds_give_different_graphs () =
   done;
   Alcotest.(check bool) "degree placement differs" true !differs
 
+(* The --fast PageRank graph: every offset, then the in-neighbours of the
+   first block of 4096 vertices and of the top hub, hashed.  The
+   literals were recorded before the degree pass learned to stop early
+   and before neighbour streams reused one generator. *)
+let fast_config =
+  { G.n = 393_216; avg_degree = 3; deg_exponent = 0.9; target_exponent = 1.2 }
+
+let offsets_digest g =
+  let b = Buffer.create (8 * (G.n g + 1)) in
+  for v = 0 to G.n g do
+    Buffer.add_int64_le b (Int64.of_int (G.offset g v))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let neighbors_digest g =
+  let b = Buffer.create 65536 in
+  let hub = ref 0 in
+  for v = 0 to G.n g - 1 do
+    if G.degree g v > G.degree g !hub then hub := v
+  done;
+  List.iter
+    (fun v -> G.iter_in_neighbors g v (fun u -> Buffer.add_int32_le b (Int32.of_int u)))
+    (!hub :: List.init 4096 Fun.id);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_fast_graph () =
+  List.iter
+    (fun (seed, offsets, neighbors) ->
+      let g = G.generate ~config:fast_config ~seed () in
+      Alcotest.(check string) (Printf.sprintf "offsets of seed %d" seed) offsets
+        (offsets_digest g);
+      Alcotest.(check string) (Printf.sprintf "neighbours of seed %d" seed) neighbors
+        (neighbors_digest g))
+    [
+      (11, "3b92d125b1acb41331d8dc03d0ddabba", "193e62b83c8f92247d1e6fbf2d3a4a06");
+      (12, "e6ee3a5070302e8ede9dbc01d2c91f49", "8e8c17c88bdd2b023491ac96251d69bf");
+    ]
+
 let prop_offsets_monotone =
   QCheck.Test.make ~name:"offsets monotone" ~count:20
     QCheck.(pair (int_range 10 500) small_int)
@@ -93,6 +131,7 @@ let () =
           Alcotest.test_case "neighbours in range" `Quick test_neighbors_in_range;
           Alcotest.test_case "hubs at low ids" `Quick test_hubs_at_low_ids;
           Alcotest.test_case "seeds differ" `Quick test_seeds_give_different_graphs;
+          Alcotest.test_case "pinned --fast graph" `Quick test_pinned_fast_graph;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_offsets_monotone ]);
     ]

@@ -195,6 +195,22 @@ let test_pinned_zipf () =
     [ 4629; 4; 162; 17974; 24; 112; 0; 5; 16; 3; 492; 182; 6755; 1081; 1280; 22 ]
     (draws 16 (fun () -> Workload.Zipf.sample z rng))
 
+(* [reseed] must leave exactly the state [create] builds, whatever the
+   generator held before: equal bytes, then equal streams. *)
+let test_reseed_matches_create () =
+  let t = R.create 5 in
+  List.iter
+    (fun seed ->
+      ignore (R.bits64 t);
+      R.reseed t seed;
+      let fresh = R.create seed in
+      Alcotest.(check bool) (Printf.sprintf "state of seed %d" seed) true (t = fresh);
+      Alcotest.(check (list int64))
+        (Printf.sprintf "stream of seed %d" seed)
+        (draws 64 (fun () -> R.bits64 fresh))
+        (draws 64 (fun () -> R.bits64 t)))
+    [ 0; 1; -1; 42; 0x5DEECE66D; max_int; min_int ]
+
 let prop_int_nonnegative =
   QCheck.Test.make ~name:"int is in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -221,6 +237,7 @@ let () =
           Alcotest.test_case "jitter bounds" `Quick test_jitter_bounds;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "split independent" `Quick test_split_independent;
+          Alcotest.test_case "reseed matches create" `Quick test_reseed_matches_create;
         ] );
       ( "pinned stream",
         [

@@ -155,6 +155,55 @@ let test_request_pages_reused () =
   let a2 = request () in
   Alcotest.(check bool) "one array per thread" true (a1 == a2)
 
+(* Every thread's full step stream, hashed: the --fast shape (28,000
+   items, 220,000 requests) under each variant, and an odd shape whose
+   load batches straddle item pages and whose slices are uneven.  The
+   literals were recorded with load batches sorted by [Array.sort]. *)
+let stream_digest config variant =
+  let w = Y.create ~config ~variant ~rng:(Engine.Rng.create 0x5EED) () in
+  let b = Buffer.create 65536 in
+  for tid = 0 to Y.threads w - 1 do
+    let rec go () =
+      match Y.next w ~tid with
+      | C.Finished -> Buffer.add_string b "F\n"
+      | C.Barrier ->
+        Buffer.add_string b "B\n";
+        go ()
+      | C.Chunk c ->
+        Buffer.add_string b
+          (Printf.sprintf "C %b %d %d %d:" c.C.write c.C.read_prefix c.C.cpu_ns
+             c.C.latency_class);
+        C.iter_pages (fun p -> Buffer.add_string b (Printf.sprintf " %d" p)) c.C.pages;
+        Buffer.add_char b '\n';
+        go ()
+    in
+    go ()
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let fast_config = { Y.default_config with Y.items = 28_000; requests = 220_000 }
+
+let odd_config =
+  {
+    Y.default_config with
+    Y.items = 1_003;
+    requests = 3_000;
+    threads = 3;
+    items_per_page = 3;
+    load_batch = 7;
+  }
+
+let test_pinned_streams () =
+  List.iter
+    (fun (name, config, variant, expected) ->
+      Alcotest.(check string) name expected (stream_digest config variant))
+    [
+      ("fast ycsb-a", fast_config, Y.A, "15755a2727d8d0ee6cf9960d5a2f01f4");
+      ("fast ycsb-b", fast_config, Y.B, "4f34d715e4220d85c6d9609ca799e018");
+      ("fast ycsb-c", fast_config, Y.C, "d646d7840af7190e67c2d0643ad5c2bf");
+      ("odd ycsb-a", odd_config, Y.A, "d5b7abc6d39b0783a9a5dd79f0bc5d61");
+    ]
+
 let () =
   Alcotest.run "ycsb"
     [
@@ -168,5 +217,6 @@ let () =
           Alcotest.test_case "pages in footprint" `Quick test_all_pages_in_footprint;
           Alcotest.test_case "load batches" `Quick test_load_batches_sorted_distinct;
           Alcotest.test_case "request pages reused" `Quick test_request_pages_reused;
+          Alcotest.test_case "pinned step streams" `Quick test_pinned_streams;
         ] );
     ]
