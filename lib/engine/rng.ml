@@ -1,7 +1,12 @@
 (* xoshiro256++ state: four 64-bit words at byte offsets 0, 8, 16, 24.
    Bytes rather than [mutable int64] fields, so that reading and writing
-   the state boxes nothing. *)
+   the state boxes nothing.  Every access is at a fixed offset inside the
+   32 bytes each constructor allocates, so the unchecked primitives are
+   safe; they use the native byte order, which no caller can observe. *)
 type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64's output function; SplitMix64 is used only to expand
    seeds into xoshiro state. *)
@@ -13,17 +18,20 @@ let[@inline] mix64 z =
 
 (* The SplitMix64 state advances by the golden gamma before each of the
    four outputs, so output [i] mixes [seed + (i + 1) * gamma]. *)
-let[@inline] of_seed64 seed =
-  let t = Bytes.create 32 in
+let[@inline] fill t seed =
   for i = 0 to 3 do
     let z = Int64.add seed (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) in
-    Bytes.set_int64_le t (8 * i) (mix64 z)
-  done;
+    set64 t (8 * i) (mix64 z)
+  done
+
+let[@inline] of_seed64 seed =
+  let t = Bytes.create 32 in
+  fill t seed;
   t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let reseed t seed = Bytes.blit (create seed) 0 t 0 32
+let reseed t seed = fill t (Int64.of_int seed)
 
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
@@ -31,18 +39,18 @@ let[@inline] rotl x k =
 (* xoshiro256++ *)
 let[@inline] bits64 t =
   let open Int64 in
-  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
-  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
   let result = add (rotl (add s0 s3) 23) s0 in
   let tt = shift_left s1 17 in
   let s2 = logxor s2 s0 in
   let s3 = logxor s3 s1 in
   let s1 = logxor s1 s2 in
   let s0 = logxor s0 s3 in
-  Bytes.set_int64_le t 0 s0;
-  Bytes.set_int64_le t 8 s1;
-  Bytes.set_int64_le t 16 (logxor s2 tt);
-  Bytes.set_int64_le t 24 (rotl s3 45);
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (logxor s2 tt);
+  set64 t 24 (rotl s3 45);
   result
 
 let split t = of_seed64 (bits64 t)

@@ -22,6 +22,9 @@ type t = {
 let generate ?(config = default_config) ~seed () =
   if config.n <= 0 then invalid_arg "Graph.generate: n must be positive";
   if config.avg_degree <= 0 then invalid_arg "Graph.generate: avg_degree";
+  let theta = config.deg_exponent in
+  if not (theta > 0.0 && Float.is_finite theta) then
+    invalid_arg "Graph.generate: deg_exponent must be positive and finite";
   let rng = Engine.Rng.create seed in
   let n = config.n in
   (* Random permutation: which vertex ids are the hubs. *)
@@ -29,18 +32,25 @@ let generate ?(config = default_config) ~seed () =
   Engine.Rng.shuffle rng perm;
   (* In-degree of the vertex at zipf rank r: c / (r+1)^theta, with c set
      so the total lands on n * avg_degree. *)
-  let theta = config.deg_exponent in
   let harmonic = ref 0.0 in
   for r = 1 to n do
     harmonic := !harmonic +. (1.0 /. (float_of_int r ** theta))
   done;
   let m_target = n * config.avg_degree in
   let c = float_of_int m_target /. !harmonic in
-  let degree = Array.make n 0 in
-  for r = 0 to n - 1 do
-    let d = Int.max 1 (int_of_float (c /. (float_of_int (r + 1) ** theta))) in
-    degree.(perm.(r)) <- d
-  done;
+  (* The term strictly decreases in r (theta > 0), so once it drops
+     below 2 every later degree truncates to 1. *)
+  let degree = Array.make n 1 in
+  let rec place r =
+    if r < n then begin
+      let term = c /. (float_of_int (r + 1) ** theta) in
+      if term >= 2.0 then begin
+        degree.(perm.(r)) <- int_of_float term;
+        place (r + 1)
+      end
+    end
+  in
+  place 0;
   let offsets = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     offsets.(v + 1) <- offsets.(v) + degree.(v)
@@ -76,9 +86,9 @@ let max_degree t = t.max_degree
    gives the rank array a hot head and a long lukewarm tail — the pages
    whose eviction timing drives PageRank's runtime variance.  (In-degree
    hubs, i.e. where the *work* lands, are permuted per trial.) *)
-let iter_in_neighbors t v f =
+let iter_in_neighbors t ~rng v f =
   let d = degree t v in
-  let rng = Engine.Rng.create (t.seed lxor ((v + 1) * 0x5DEECE66D)) in
+  Engine.Rng.reseed rng (t.seed lxor ((v + 1) * 0x5DEECE66D));
   for _ = 1 to d do
     f (Zipf.sample t.target_zipf rng)
   done

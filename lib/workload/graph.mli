@@ -23,6 +23,10 @@ type config = {
 }
 
 val generate : ?config:config -> seed:int -> unit -> t
+(** @raise Invalid_argument when [n] or [avg_degree] is not positive, or
+    [deg_exponent] is not positive and finite (the degree pass stops
+    evaluating the power law once its strictly decreasing term makes
+    every later degree 1). *)
 
 val n : t -> int
 
@@ -37,6 +41,8 @@ val offset : t -> int -> int
 
 val max_degree : t -> int
 
-val iter_in_neighbors : t -> int -> (int -> unit) -> unit
-(** Stream vertex [v]'s in-neighbours; deterministic for a given
-    [(seed, v)]. *)
+val iter_in_neighbors : t -> rng:Engine.Rng.t -> int -> (int -> unit) -> unit
+(** [iter_in_neighbors t ~rng v f] streams vertex [v]'s in-neighbours;
+    deterministic for a given [(seed, v)].  [rng] is caller-owned
+    scratch: it is reseeded to [v]'s stream on entry, so one generator
+    serves every vertex and whatever it held before is discarded. *)

@@ -84,6 +84,7 @@ let build_plan (config : config) seed =
   let nblocks = (n + bv - 1) / bv in
   let ranks_per_page = pb / config.rank_bytes in
   let edges_per_page = pb / config.edge_bytes in
+  let rng = Engine.Rng.create 0 in
   let blocks =
     Array.init nblocks (fun b ->
         let v_lo = b * bv in
@@ -91,8 +92,9 @@ let build_plan (config : config) seed =
         let e_lo = Graph.offset graph v_lo in
         let e_hi = Graph.offset graph (v_hi + 1) in
         let touched = Array.make rank_pages false in
+        let touch u = touched.(u / ranks_per_page) <- true in
         for v = v_lo to v_hi do
-          Graph.iter_in_neighbors graph v (fun u -> touched.(u / ranks_per_page) <- true)
+          Graph.iter_in_neighbors graph ~rng v touch
         done;
         let count = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 touched in
         let rank_reads = Array.make count 0 in

@@ -93,15 +93,23 @@ let page_klass t page =
 let file_backed _t _page = false
 
 (* One load chunk: insert a batch of consecutive items (slab append) and
-   touch their metadata and item pages, each once, in page order. *)
+   touch their metadata and item pages, each once, in page order.  The
+   store lays every metadata page before every item page, and
+   consecutive items have non-decreasing item pages, so only the hashed
+   metadata pages need sorting: a short insertion sort. *)
 let load_chunk t st next_item =
   let batch = min t.config.load_batch (st.slice_hi - next_item) in
   let pages = Array.make (2 * batch) 0 in
   for j = 0 to batch - 1 do
-    pages.(2 * j) <- Kv_store.item_page t.store (next_item + j);
-    pages.((2 * j) + 1) <- Kv_store.meta_page t.store ~key:(next_item + j)
+    let p = Kv_store.meta_page t.store ~key:(next_item + j) in
+    let i = ref j in
+    while !i > 0 && pages.(!i - 1) > p do
+      pages.(!i) <- pages.(!i - 1);
+      decr i
+    done;
+    pages.(!i) <- p;
+    pages.(batch + j) <- Kv_store.item_page t.store (next_item + j)
   done;
-  Array.sort Int.compare pages;
   let distinct = ref 1 in
   for i = 1 to Array.length pages - 1 do
     if pages.(i) <> pages.(!distinct - 1) then begin

@@ -4,6 +4,9 @@ type t = {
   h_integral_x1 : float;
   h_integral_n : float;
   s : float;
+  guide : int array;
+      (* Per bucket of the uniform draw: the rank every draw in it
+         returns, or -1 if the bucket needs the rejection step. *)
 }
 
 (* H(x) = integral of 1/t^e from 1 to x, shifted per Hörmann's paper. *)
@@ -27,30 +30,66 @@ let[@inline] h_integral_inverse ~e x =
     exp (Float.log1p t /. (1.0 -. e))
   end
 
+(* [Rng.float rng 1.0] is [r / 2^53] for 53 uniform bits [r]; bucket [j]
+   holds the draws whose top [guide_bits] bits are [j]. *)
+let guide_bits = 14
+
+let draw_scale = 9007199254740992.0 (* 2^53 *)
+
+let bucket_scale = Float.of_int (1 lsl guide_bits)
+
+(* The candidate [x] that [sample] computes from the uniform draw [f]. *)
+let[@inline] candidate ~e ~h_integral_x1 ~h_integral_n f =
+  h_integral_inverse ~e (h_integral_n +. (f *. (h_integral_x1 -. h_integral_n)))
+
+(* Bucket [j] stores rank [k - 1] only when the candidates at both of its
+   end draws round to [k] in [1, n] and pass the squeeze [k - x <= s],
+   each by a relative margin.  [u] is monotone in the draw (a product and
+   a sum of correctly rounded operations), and [h_integral_inverse] is
+   increasing to within a few ulps, far inside the margin, so every
+   candidate between the ends rounds to the same [k] and is accepted on
+   the squeeze: [sample]'s first candidate in that bucket is [k]. *)
+let build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s =
+  let margin = 1e-9 in
+  let nf = float_of_int n in
+  let span = 1 lsl (53 - guide_bits) in
+  let x_at r = candidate ~e ~h_integral_x1 ~h_integral_n (float_of_int r /. draw_scale) in
+  let below = Float.min s 0.5 in
+  let settled x k =
+    let slack = margin *. Float.max 1.0 k in
+    x >= k -. below +. slack && x <= k +. 0.5 -. slack
+  in
+  Array.init (1 lsl guide_bits) (fun j ->
+      let x_lo = x_at (j * span) and x_hi = x_at (((j + 1) * span) - 1) in
+      let k = Float.round x_lo in
+      if k >= 1.0 && k <= nf && settled x_lo k && settled x_hi k then int_of_float k - 1
+      else -1)
+
 let create ~n ~exponent =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
-  if exponent <= 0.0 then invalid_arg "Zipf.create: exponent must be positive";
+  if not (exponent > 0.0 && Float.is_finite exponent) then
+    invalid_arg "Zipf.create: exponent must be positive and finite";
   let e = exponent in
   let h_integral_x1 = h_integral ~e 1.5 -. 1.0 in
   let h_integral_n = h_integral ~e (float_of_int n +. 0.5) in
   let s = 2.0 -. h_integral_inverse ~e (h_integral ~e 2.5 -. h ~e 2.0) in
-  { n; exponent; h_integral_x1; h_integral_n; s }
+  let guide = build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s in
+  { n; exponent; h_integral_x1; h_integral_n; s; guide }
 
-let sample t rng =
-  let e = t.exponent in
-  let n = float_of_int t.n in
-  (* Rejection loop: draw until a candidate rank [k] is accepted. *)
-  let k = ref 0.0 and accepted = ref false in
-  while not !accepted do
-    let u =
-      t.h_integral_n
-      +. (Engine.Rng.float rng 1.0 *. (t.h_integral_x1 -. t.h_integral_n))
-    in
+(* One candidate per call: a guided bucket answers at once; otherwise
+   Hörmann's rejection-inversion step, drawing again on rejection. *)
+let rec sample t rng =
+  let f = Engine.Rng.float rng 1.0 in
+  let rank = Array.unsafe_get t.guide (int_of_float (f *. bucket_scale)) in
+  if rank >= 0 then rank
+  else begin
+    let e = t.exponent in
+    let u = t.h_integral_n +. (f *. (t.h_integral_x1 -. t.h_integral_n)) in
     let x = h_integral_inverse ~e u in
-    k := Float.max 1.0 (Float.min n (Float.round x));
-    accepted := !k -. x <= t.s || u >= h_integral ~e (!k +. 0.5) -. h ~e !k
-  done;
-  int_of_float !k - 1
+    let k = Float.max 1.0 (Float.min (float_of_int t.n) (Float.round x)) in
+    if k -. x <= t.s || u >= h_integral ~e (k +. 0.5) -. h ~e k then int_of_float k - 1
+    else sample t rng
+  end
 
 let pmf ~n ~exponent =
   if n <= 0 then invalid_arg "Zipf.pmf: n must be positive";

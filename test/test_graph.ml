@@ -3,6 +3,9 @@ module G = Workload.Graph
 let small_config =
   { G.n = 2_000; avg_degree = 4; deg_exponent = 0.9; target_exponent = 1.2 }
 
+(* Scratch generator for [iter_in_neighbors]; reseeded on every call. *)
+let rng = Engine.Rng.create 0
+
 let test_basic_counts () =
   let g = G.generate ~config:small_config ~seed:1 () in
   Alcotest.(check int) "n" 2000 (G.n g);
@@ -32,18 +35,22 @@ let test_power_law_skew () =
 
 let test_neighbors_deterministic () =
   let g = G.generate ~config:small_config ~seed:4 () in
-  let collect v =
+  let collect ~rng v =
     let acc = ref [] in
-    G.iter_in_neighbors g v (fun u -> acc := u :: !acc);
+    G.iter_in_neighbors g ~rng v (fun u -> acc := u :: !acc);
     !acc
   in
-  Alcotest.(check (list int)) "same every call" (collect 17) (collect 17);
-  Alcotest.(check int) "count = degree" (G.degree g 17) (List.length (collect 17))
+  let used = Engine.Rng.create 99 in
+  ignore (Engine.Rng.bits64 used);
+  Alcotest.(check (list int)) "same every call" (collect ~rng 17) (collect ~rng 17);
+  Alcotest.(check (list int)) "scratch state is discarded" (collect ~rng 17)
+    (collect ~rng:used 17);
+  Alcotest.(check int) "count = degree" (G.degree g 17) (List.length (collect ~rng 17))
 
 let test_neighbors_in_range () =
   let g = G.generate ~config:small_config ~seed:5 () in
   for v = 0 to 99 do
-    G.iter_in_neighbors g v (fun u ->
+    G.iter_in_neighbors g ~rng v (fun u ->
         if u < 0 || u >= G.n g then Alcotest.fail "neighbour out of range")
   done
 
@@ -53,7 +60,7 @@ let test_hubs_at_low_ids () =
   let g = G.generate ~config:small_config ~seed:6 () in
   let low = ref 0 and high = ref 0 in
   for v = 0 to 499 do
-    G.iter_in_neighbors g v (fun u ->
+    G.iter_in_neighbors g ~rng v (fun u ->
         if u < G.n g / 10 then incr low
         else if u >= G.n g / 2 then incr high)
   done;
@@ -91,7 +98,7 @@ let neighbors_digest g =
     if G.degree g v > G.degree g !hub then hub := v
   done;
   List.iter
-    (fun v -> G.iter_in_neighbors g v (fun u -> Buffer.add_int32_le b (Int32.of_int u)))
+    (fun v -> G.iter_in_neighbors g ~rng v (fun u -> Buffer.add_int32_le b (Int32.of_int u)))
     (!hub :: List.init 4096 Fun.id);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -107,6 +114,14 @@ let test_pinned_fast_graph () =
       (11, "3b92d125b1acb41331d8dc03d0ddabba", "193e62b83c8f92247d1e6fbf2d3a4a06");
       (12, "e6ee3a5070302e8ede9dbc01d2c91f49", "8e8c17c88bdd2b023491ac96251d69bf");
     ]
+
+let test_rejects_bad_deg_exponent () =
+  List.iter
+    (fun deg_exponent ->
+      Alcotest.check_raises (Printf.sprintf "deg_exponent %g" deg_exponent)
+        (Invalid_argument "Graph.generate: deg_exponent must be positive and finite")
+        (fun () -> ignore (G.generate ~config:{ small_config with G.deg_exponent } ~seed:1 ())))
+    [ 0.0; -0.9; Float.nan; Float.infinity; Float.neg_infinity ]
 
 let prop_offsets_monotone =
   QCheck.Test.make ~name:"offsets monotone" ~count:20
@@ -132,6 +147,7 @@ let () =
           Alcotest.test_case "hubs at low ids" `Quick test_hubs_at_low_ids;
           Alcotest.test_case "seeds differ" `Quick test_seeds_give_different_graphs;
           Alcotest.test_case "pinned --fast graph" `Quick test_pinned_fast_graph;
+          Alcotest.test_case "rejects bad deg_exponent" `Quick test_rejects_bad_deg_exponent;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_offsets_monotone ]);
     ]

@@ -3,9 +3,12 @@ module Z = Workload.Zipf
 let test_create_validation () =
   Alcotest.check_raises "n" (Invalid_argument "Zipf.create: n must be positive")
     (fun () -> ignore (Z.create ~n:0 ~exponent:1.0));
-  Alcotest.check_raises "exponent"
-    (Invalid_argument "Zipf.create: exponent must be positive") (fun () ->
-      ignore (Z.create ~n:10 ~exponent:0.0))
+  List.iter
+    (fun exponent ->
+      Alcotest.check_raises (Printf.sprintf "exponent %g" exponent)
+        (Invalid_argument "Zipf.create: exponent must be positive and finite") (fun () ->
+          ignore (Z.create ~n:10 ~exponent)))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let test_range () =
   let z = Z.create ~n:100 ~exponent:0.99 in
