@@ -257,10 +257,10 @@ let injector_to_string = function
   | Degrade d ->
     Printf.sprintf "degrade:at=%s,for=%s%s%s%s" (S.time_to_string d.d_at)
       (S.time_to_string d.d_for)
-      (if d.d_latency <> 1.0 then Printf.sprintf ",latency=%gx" d.d_latency
+      (if d.d_latency <> 1.0 then ",latency=" ^ S.float_to_string d.d_latency ^ "x"
        else "")
-      (if d.d_errors <> 0.0 then Printf.sprintf ",errors=%g" d.d_errors else "")
-      (if d.d_wear <> 0.0 then Printf.sprintf ",wear=%g" d.d_wear else "")
+      (if d.d_errors <> 0.0 then ",errors=" ^ S.float_to_string d.d_errors else "")
+      (if d.d_wear <> 0.0 then ",wear=" ^ S.float_to_string d.d_wear else "")
   | Churn c ->
     let opt k = function
       | None -> ""

@@ -114,8 +114,8 @@ let spec_to_string spec =
       | None -> []
       | Some p ->
         [
-          Printf.sprintf "proactive:interval=%d,threshold=%g,step=%s" p.p_interval_ns
-            p.p_threshold (S.amount_to_string p.p_step);
+          Printf.sprintf "proactive:interval=%d,threshold=%s,step=%s" p.p_interval_ns
+            (S.float_to_string p.p_threshold) (S.amount_to_string p.p_step);
         ])
     @
     if spec.psi_interval_ns <> default_psi_interval_ns then

@@ -123,9 +123,20 @@ let amount v =
     | Some p when p >= 0 -> Ok (Pages p)
     | _ -> bad v "bad page count %S" s
 
+(* [%g]'s six significant digits, or as many more as it takes for
+   [back] to accept the parse of the printed text. *)
+let shortest_g ~back x =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits x in
+    if digits >= 17 || back (float_of_string s) then s else go (digits + 1)
+  in
+  go 6
+
+let float_to_string x = shortest_g ~back:(fun y -> y = x) x
+
 let amount_to_string = function
   | Pages p -> string_of_int p
-  | Frac f -> Printf.sprintf "%g%%" (f *. 100.0)
+  | Frac f -> shortest_g ~back:(fun y -> y /. 100.0 = f) (f *. 100.0) ^ "%"
 
 (* 2^62: the least float above [max_int]. *)
 let int_limit = 0x1p62

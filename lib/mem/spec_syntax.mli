@@ -57,6 +57,15 @@ val amount : value -> (amount, string) result
     percentage must be finite. *)
 
 val amount_to_string : amount -> string
+(** Pages as an integer; a fraction as a percentage with
+    {!float_to_string}'s digits, so that {!amount} reads back the stored
+    fraction. *)
+
+val float_to_string : float -> string
+(** [%g] with the fewest significant digits, six or more, that
+    [float_of_string] maps back to the value; a value that [%g] already
+    prints exactly keeps those bytes.  Spec printers use it so that two
+    specs print alike only when they parse alike. *)
 
 val resolve : capacity:int -> amount -> int
 (** Pages as given; a fraction of [capacity] truncated to whole pages,

@@ -462,6 +462,30 @@ let test_header_mismatch_refused () =
       Alcotest.(check int) "matching resume keeps the record" 1
         (List.length records))
 
+(* Two cgroup specs that differ only past the sixth significant digit
+   once printed alike, so they shared a fingerprint and a journal of one
+   was warm-started under the other. *)
+let test_close_floats_refused () =
+  let cgroups spec =
+    R.derive
+      ~cgroups:(Some (Result.get_ok (Mem.Memcg.parse_spec spec)))
+      (R.make_ctx ~profile:fast_profile ())
+  in
+  let written =
+    R.fingerprint
+      (cgroups "a:threads=0-1,max=12.345671%;proactive:threshold=0.1234567")
+  and resumed =
+    R.fingerprint
+      (cgroups "a:threads=0-1,max=12.345671%;proactive:threshold=0.1234568")
+  in
+  Alcotest.(check bool) "fingerprints differ" true (written <> resumed);
+  with_temp_journal (fun path ->
+      let t, _ = J.open_ ~path ~resume:false ~fingerprint:written in
+      J.append t (ok_record ());
+      J.close t;
+      let msg = refused ~fingerprint:resumed path in
+      Alcotest.(check bool) "names cgroups" true (contains msg "cgroups ("))
+
 let test_fingerprint_covers_inputs () =
   let base = R.make_ctx ~profile:fast_profile () in
   let differs name ctx =
@@ -1003,6 +1027,7 @@ let () =
       ( "header",
         [
           Alcotest.test_case "mismatch refused" `Quick test_header_mismatch_refused;
+          Alcotest.test_case "close floats refused" `Quick test_close_floats_refused;
           Alcotest.test_case "fingerprint covers inputs" `Quick
             test_fingerprint_covers_inputs;
           Alcotest.test_case "missing or empty starts fresh" `Quick

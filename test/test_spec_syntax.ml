@@ -224,6 +224,26 @@ let test_amounts () =
   Alcotest.(check int) "fraction of capacity" 250 (S.resolve ~capacity:1000 (S.Frac 0.25));
   Alcotest.(check int) "saturates" max_int (S.resolve ~capacity:1000 (S.Frac 1e300))
 
+(* Floats print with %g's six digits unless more are needed to read the
+   same value back: specs that parse apart must print apart. *)
+let test_floats () =
+  let amount text = S.amount_to_string (Result.get_ok (S.amount (value text))) in
+  Alcotest.(check (list string)) "six digits when they read back"
+    [ "45%"; "0.5%"; "12.3457%"; "100%"; "1e+06%" ]
+    (List.map amount [ "45%"; "0.5%"; "12.3457%"; "100%"; "1e6%" ]);
+  Alcotest.(check (list string)) "more digits when they do not"
+    [ "12.345671%"; "33.333333333333336%" ]
+    (List.map amount [ "12.345671%"; "33.333333333333336%" ]);
+  Alcotest.(check (list string)) "plain floats"
+    [ "0.1"; "0.1234567"; "0.1234568"; "8"; "1e-07"; "0.30000000000000004" ]
+    (List.map S.float_to_string [ 0.1; 0.1234567; 0.1234568; 8.0; 1e-7; 0.1 +. 0.2 ]);
+  List.iter
+    (fun text ->
+      let parsed = S.amount (value text) in
+      let printed = S.amount_to_string (Result.get_ok parsed) in
+      Alcotest.(check bool) (text ^ " reads back") true (S.amount (value printed) = parsed))
+    [ "45%"; "7%"; "12.345671%"; "33.333333333333336%"; "0.0123456789012345%" ]
+
 let test_threads () =
   let r = Alcotest.(result string string) in
   let threads text = Result.map S.threads_to_string (S.threads (value ~col:4 text)) in
@@ -239,6 +259,7 @@ let () =
           Alcotest.test_case "columns" `Quick test_columns;
           Alcotest.test_case "times" `Quick test_times;
           Alcotest.test_case "amounts" `Quick test_amounts;
+          Alcotest.test_case "floats" `Quick test_floats;
           Alcotest.test_case "threads" `Quick test_threads;
         ] );
       ( "cgroups corpus",
