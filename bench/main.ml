@@ -1,8 +1,9 @@
 (* Benchmark harness.
 
    Bechamel microbenchmarks for the hot data structures (zipf sampling,
-   bloom filter, generation lists, event queue, PTEs, RNG), the
-   policy-SDK hook dispatch costs (BENCH_policy_sdk.json), and the
+   bloom filter, generation lists, event queue, PTEs, RNG) and for step
+   generation (YCSB load batches; a cold PageRank build, timed directly),
+   the policy-SDK hook dispatch costs (BENCH_policy_sdk.json), and the
    engine wall-clock harness (BENCH_engine.json).  The per-workload
    simulation layers are timed by perfbench/layers; the figures
    themselves are produced by `repro fig`. *)
@@ -18,6 +19,30 @@ let bench_zipf =
   let z = Workload.Zipf.create ~n:100_000 ~exponent:0.99 in
   let rng = Engine.Rng.create 1 in
   Test.make ~name:"zipf-sample" (Staged.stage (fun () -> Workload.Zipf.sample z rng))
+
+(* The neighbour-endpoint shape of a --fast PageRank graph build. *)
+let bench_zipf_pagerank =
+  let z = Workload.Zipf.create ~n:393_216 ~exponent:1.2 in
+  let rng = Engine.Rng.create 1 in
+  Test.make ~name:"zipf-sample-e1.2" (Staged.stage (fun () -> Workload.Zipf.sample z rng))
+
+(* One YCSB load chunk (a 64-item batch, --fast item shape) per run.  One
+   thread over 2^26 items loads for 2^20 chunks before a rebuild. *)
+let bench_ycsb_load =
+  let config =
+    { Workload.Ycsb.default_config with Workload.Ycsb.items = 1 lsl 26; threads = 1 }
+  in
+  let make () =
+    Workload.Ycsb.create ~config ~variant:Workload.Ycsb.A ~rng:(Engine.Rng.create 3) ()
+  in
+  let w = ref (make ()) in
+  Test.make ~name:"ycsb-load-batch"
+    (Staged.stage (fun () ->
+         match Workload.Ycsb.next !w ~tid:0 with
+         | Workload.Chunk.Chunk c -> c
+         | _ ->
+           w := make ();
+           Workload.Chunk.chunk (Workload.Chunk.Pages [||])))
 
 let bench_bloom =
   let b = Structures.Bloom.create ~bits:(1 lsl 15) ~seed:1 () in
@@ -421,6 +446,24 @@ let run_engine_harness () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A cold --fast PageRank [make_workload]: every run takes a trial no
+   earlier run built, so the plan cache misses and the graph, its
+   1.22 M neighbour draws and the block plans are built afresh.  Too slow
+   for Bechamel's quota; timed directly, best of [runs]. *)
+let cold_pagerank_build_s ~runs =
+  let ctx =
+    Repro_core.Runner.make_ctx
+      ~profile:{ Repro_core.Runner.default_profile with Repro_core.Runner.fast = true }
+      ()
+  in
+  let best = ref infinity in
+  for trial = 1_000 to 1_000 + runs - 1 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (Repro_core.Runner.make_workload ctx Pagerank ~trial));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
 let run_benchmarks () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -431,7 +474,16 @@ let run_benchmarks () =
   in
   let tests =
     Test.make_grouped ~name:"pagerepl"
-      [ bench_zipf; bench_bloom; bench_dlist; bench_event_queue; bench_pte; bench_rng ]
+      [
+        bench_zipf;
+        bench_zipf_pagerank;
+        bench_ycsb_load;
+        bench_bloom;
+        bench_dlist;
+        bench_event_queue;
+        bench_pte;
+        bench_rng;
+      ]
   in
   let raw = Benchmark.all cfg [ instance ] tests in
   let results = Analyze.all ols instance raw in
@@ -448,7 +500,9 @@ let run_benchmarks () =
     results;
   List.iter
     (fun (name, est) -> Printf.printf "%-40s %s ns/run\n" name est)
-    (List.sort compare !rows)
+    (List.sort compare !rows);
+  Printf.printf "%-40s %12.1f ms/run (best of 5)\n" "pagerank-cold-build"
+    (1e3 *. cold_pagerank_build_s ~runs:5)
 
 let () =
   (* `bench/main.exe engine` runs only the engine harness (CI's bench

@@ -1,8 +1,8 @@
 (* Allocation budgets for the fault/reclaim hot path and the request
    path (tier-1).
 
-   Three groups assert minor-heap words under a stated ceiling,
-   measured via Gc.minor_words, and a fourth bounds retained words:
+   Four groups assert minor-heap words under a stated ceiling, measured
+   via Gc.minor_words, and one bounds retained words:
 
    - allocs-per-fault: a dense, deterministic fault burst under each
      builtin policy, per (major + minor) fault, around Machine.run
@@ -23,6 +23,9 @@
    - retained-words: heap words one --fast PageRank workload keeps
      reachable (Obj.reachable_words), so a plan cache that pins more per
      seed than the step streams read fails here.
+   - allocs-per-build: minor words of one cold --fast PageRank build
+     (graph, neighbour draws, block plans), ceiling ~1.2x, so per-vertex
+     allocation in the plan build fails here.
 
    All numbers are for the dev profile `dune runtest` builds, whose
    [-opaque] stops cross-module inlining; a release build allocates
@@ -112,12 +115,16 @@ let words_per_call f =
 let draw_cases =
   let rng = Engine.Rng.create 42 in
   let zipf = Workload.Zipf.create ~n:28_000 ~exponent:0.99 in
+  let pagerank_zipf = Workload.Zipf.create ~n:393_216 ~exponent:1.2 in
   [
     ("Rng.bits64", 3., fun () -> words_per_call (fun () -> Engine.Rng.bits64 rng));
     ("Rng.int", 0., fun () -> words_per_call (fun () -> Engine.Rng.int rng 1_000_003));
     ("Rng.float", 2., fun () -> words_per_call (fun () -> Engine.Rng.float rng 1.0));
     ("Rng.create", 6., fun () -> words_per_call (fun () -> Engine.Rng.create 7));
     ("Zipf.sample", 3., fun () -> words_per_call (fun () -> Workload.Zipf.sample zipf rng));
+    ( "Zipf.sample e1.2",
+      3.,
+      fun () -> words_per_call (fun () -> Workload.Zipf.sample pagerank_zipf rng) );
   ]
 
 (* Real workloads: one --fast trial at half capacity on SSD, the cell
@@ -191,6 +198,24 @@ let retained_pagerank_words () =
 
 let retained_cases = [ ("pagerank", "workload", 160_000., retained_pagerank_words) ]
 
+(* Cold build: minor words of one --fast PageRank [Runner.make_workload]
+   on a seed no other case builds, so the plan cache misses and the
+   graph and block plans are built.  Measured ~2.60 M, nearly all of it
+   the 1.22 M boxed [Rng.float] returns of the neighbour draws; a fresh
+   generator (6 words) and callback closure per vertex, as the build
+   had before, add ~3.9 M more. *)
+let cold_pagerank_words () =
+  let ctx =
+    Runner.make_ctx
+      ~profile:{ Runner.default_profile with Runner.fast = true; trials = 1 }
+      ()
+  in
+  let mw0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Runner.make_workload ctx Runner.Pagerank ~trial:1));
+  Gc.minor_words () -. mw0
+
+let build_cases = [ ("pagerank cold", "build", 3_100_000., cold_pagerank_words) ]
+
 let () =
   let case (name, unit, ceiling, measure) =
     Alcotest.test_case name `Quick (fun () ->
@@ -207,4 +232,5 @@ let () =
         List.map (fun (name, ceiling, f) -> case (name, "call", ceiling, f)) draw_cases );
       ("allocs-per-workload", List.map case workload_cases);
       ("retained-words", List.map case retained_cases);
+      ("allocs-per-build", List.map case build_cases);
     ]
