@@ -84,6 +84,7 @@ let build_plan (config : config) seed =
   let nblocks = (n + bv - 1) / bv in
   let ranks_per_page = pb / config.rank_bytes in
   let edges_per_page = pb / config.edge_bytes in
+  (* One scratch generator: [iter_in_neighbors] reseeds it per vertex. *)
   let rng = Engine.Rng.create 0 in
   let blocks =
     Array.init nblocks (fun b ->

@@ -38,31 +38,36 @@ let draw_scale = 9007199254740992.0 (* 2^53 *)
 
 let bucket_scale = Float.of_int (1 lsl guide_bits)
 
-(* The candidate [x] that [sample] computes from the uniform draw [f]. *)
-let[@inline] candidate ~e ~h_integral_x1 ~h_integral_n f =
-  h_integral_inverse ~e (h_integral_n +. (f *. (h_integral_x1 -. h_integral_n)))
-
-(* Bucket [j] stores rank [k - 1] only when the candidates at both of its
-   end draws round to [k] in [1, n] and pass the squeeze [k - x <= s],
-   each by a relative margin.  [u] is monotone in the draw (a product and
-   a sum of correctly rounded operations), and [h_integral_inverse] is
-   increasing to within a few ulps, far inside the margin, so every
-   candidate between the ends rounds to the same [k] and is accepted on
-   the squeeze: [sample]'s first candidate in that bucket is [k]. *)
+(* Bucket [j] holds the draws [r] in [j * span, (j + 1) * span).  It
+   stores rank [k - 1] only when the candidates at [r = j * span] and at
+   the next bucket's first draw both round to [k] in [1, n] and pass the
+   squeeze [k - x <= s], each by a relative margin.  [u] is monotone in
+   the draw (a product and a sum of correctly rounded operations), and
+   [h_integral_inverse] is increasing to within a few ulps, far inside
+   the margin, so every candidate of the bucket lies between those two,
+   rounds to the same [k] and is accepted on the squeeze: [sample]'s
+   first candidate there is [k]. *)
 let build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s =
   let margin = 1e-9 in
   let nf = float_of_int n in
+  let buckets = 1 lsl guide_bits in
   let span = 1 lsl (53 - guide_bits) in
-  let x_at r = candidate ~e ~h_integral_x1 ~h_integral_n (float_of_int r /. draw_scale) in
+  (* The candidate [sample] computes from the draw [r / 2^53]. *)
+  let x_at r =
+    let f = float_of_int r /. draw_scale in
+    h_integral_inverse ~e (h_integral_n +. (f *. (h_integral_x1 -. h_integral_n)))
+  in
+  let bounds = Array.init (buckets + 1) (fun j -> x_at (j * span)) in
+  (* Above [k - s] (the squeeze) and [k - 1/2], below [k + 1/2]. *)
   let below = Float.min s 0.5 in
   let settled x k =
     let slack = margin *. Float.max 1.0 k in
     x >= k -. below +. slack && x <= k +. 0.5 -. slack
   in
-  Array.init (1 lsl guide_bits) (fun j ->
-      let x_lo = x_at (j * span) and x_hi = x_at (((j + 1) * span) - 1) in
-      let k = Float.round x_lo in
-      if k >= 1.0 && k <= nf && settled x_lo k && settled x_hi k then int_of_float k - 1
+  Array.init buckets (fun j ->
+      let k = Float.round bounds.(j) in
+      if k >= 1.0 && k <= nf && settled bounds.(j) k && settled bounds.(j + 1) k then
+        int_of_float k - 1
       else -1)
 
 let create ~n ~exponent =
