@@ -4,10 +4,14 @@ type t = {
   h_integral_x1 : float;
   h_integral_n : float;
   s : float;
-  guide : int array;
-      (* Per bucket of the uniform draw: the rank every draw in it
-         returns, or -1 if the bucket needs the rejection step. *)
+  guide : Bytes.t;
+      (* Per bucket of the uniform draw, a native-endian int32: the rank
+         every draw in it returns, or -1 if it needs the rejection step.
+         Every access is at [4 * j] for a bucket [j]. *)
 }
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 (* H(x) = integral of 1/t^e from 1 to x, shifted per Hörmann's paper. *)
 let[@inline] h_integral ~e x =
@@ -49,7 +53,8 @@ let bucket_scale = Float.of_int (1 lsl guide_bits)
    first candidate there is [k]. *)
 let build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s =
   let margin = 1e-9 in
-  let nf = float_of_int n in
+  (* Ranks past the int32 range are left to the rejection step. *)
+  let k_max = float_of_int (min n (Int32.to_int Int32.max_int)) in
   let buckets = 1 lsl guide_bits in
   let span = 1 lsl (53 - guide_bits) in
   (* The candidate [sample] computes from the draw [r / 2^53]. *)
@@ -57,18 +62,25 @@ let build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s =
     let f = float_of_int r /. draw_scale in
     h_integral_inverse ~e (h_integral_n +. (f *. (h_integral_x1 -. h_integral_n)))
   in
-  let bounds = Array.init (buckets + 1) (fun j -> x_at (j * span)) in
   (* Above [k - s] (the squeeze) and [k - 1/2], below [k + 1/2]. *)
   let below = Float.min s 0.5 in
   let settled x k =
     let slack = margin *. Float.max 1.0 k in
     x >= k -. below +. slack && x <= k +. 0.5 -. slack
   in
-  Array.init buckets (fun j ->
-      let k = Float.round bounds.(j) in
-      if k >= 1.0 && k <= nf && settled bounds.(j) k && settled bounds.(j + 1) k then
-        int_of_float k - 1
-      else -1)
+  let guide = Bytes.create (4 * buckets) in
+  let x = ref (x_at 0) in
+  for j = 0 to buckets - 1 do
+    let x_next = x_at ((j + 1) * span) in
+    let k = Float.round !x in
+    let rank =
+      if k >= 1.0 && k <= k_max && settled !x k && settled x_next k then int_of_float k - 1
+      else -1
+    in
+    set32 guide (4 * j) (Int32.of_int rank);
+    x := x_next
+  done;
+  guide
 
 let create ~n ~exponent =
   if n <= 0 then invalid_arg "Zipf.create: n must be positive";
@@ -85,7 +97,7 @@ let create ~n ~exponent =
    Hörmann's rejection-inversion step, drawing again on rejection. *)
 let rec sample t rng =
   let f = Engine.Rng.float rng 1.0 in
-  let rank = Array.unsafe_get t.guide (int_of_float (f *. bucket_scale)) in
+  let rank = Int32.to_int (get32 t.guide (4 * int_of_float (f *. bucket_scale))) in
   if rank >= 0 then rank
   else begin
     let e = t.exponent in
