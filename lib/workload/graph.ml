@@ -12,7 +12,6 @@ type t = {
   config : config;
   degree : int array;
   offsets : int array; (* length n+1 *)
-  perm : int array;    (* zipf rank -> vertex id *)
   target_zipf : Zipf.t;
   seed : int;
   m : int;
@@ -60,7 +59,6 @@ let generate ?(config = default_config) ~seed () =
     config;
     degree;
     offsets;
-    perm;
     target_zipf = Zipf.create ~n ~exponent:config.target_exponent;
     seed;
     m = offsets.(n);
