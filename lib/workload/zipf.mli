@@ -16,15 +16,16 @@ val create : n:int -> exponent:float -> t
     O(2^14), independent of [n]: [create] builds a guide table of 2^14
     buckets over the 53-bit uniform draw [sample] takes (bucket [j]
     holds the draws whose top 14 bits are [j]).  A bucket stores rank
-    [k - 1] only when the rejection-inversion candidates [x] at both of
-    its end draws round to [k] within [1, n] (no clamping) and pass the
-    squeeze test [k - x <= s], each by a relative margin of [1e-9] from
-    the [k - 1/2], [k + 1/2] and [k - s] boundaries.  Exactness: the
-    draw-to-[u] map is a product and a sum of correctly rounded
-    operations, so it is monotone; the inverse integral is monotone to
-    within a few ulps, far inside the margin; so every draw between the
-    ends yields a candidate that rounds to [k] and is accepted on the
-    squeeze, which is what the plain sampler returns for it.  Other
+    [k - 1] only when the rejection-inversion candidates [x] at its
+    first draw and at the next bucket's first draw both round to [k]
+    within [1, n] (no clamping) and pass the squeeze test [k - x <= s],
+    each by a relative margin of [1e-9] from the [k - 1/2], [k + 1/2]
+    and [k - s] boundaries.  Exactness: the draw-to-[u] map is a
+    product and a sum of correctly rounded operations, so it is
+    monotone; the inverse integral is monotone to within a few ulps, far
+    inside the margin; so every draw of the bucket yields a candidate
+    between those two that rounds to [k] and is accepted on the squeeze,
+    which is what the plain sampler returns for it.  Other
     buckets fall back to the rejection step.  Hit rates (share of draws
     answered by the table) run from ~40 % (e 0.8, n 28 K) through 53-62 %
     (e 0.99) to 76 % (e 1.2, n 393 K).
