@@ -164,10 +164,10 @@ let per_fault (r, words) =
   Alcotest.(check bool) "trial faulted" true (faults > 0);
   words /. float_of_int faults
 
-(* Measured: ~8.4 words/request, ~20.1 words/fault under Clock and
-   ~25.7 under MG-LRU.  The request ceiling is the ROADMAP's 10-word
-   target; boxing each request's latency into a polymorphic buffer
-   cost 10.4. *)
+(* Measured: ~7.3 words/request (8.4 while load batches were sorted
+   with Array.sort), ~20.1 words/fault under Clock and ~25.7 under
+   MG-LRU.  The request ceiling is the ROADMAP's 10-word target; boxing
+   each request's latency into a polymorphic buffer cost 10.4. *)
 let workload_cases =
   [
     ( "ycsb-a clock",
@@ -203,7 +203,7 @@ let retained_cases = [ ("pagerank", "workload", 160_000., retained_pagerank_word
    graph and block plans are built.  Measured ~2.60 M, nearly all of it
    the 1.22 M boxed [Rng.float] returns of the neighbour draws; a fresh
    generator (6 words) and callback closure per vertex, as the build
-   had before, add ~3.9 M more. *)
+   had before, add ~4.2 M more. *)
 let cold_pagerank_words () =
   let ctx =
     Runner.make_ctx
