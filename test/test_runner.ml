@@ -160,6 +160,27 @@ let test_derived_share_store () =
     (R.run_exp stripped e == r_parent);
   Alcotest.(check int) "nothing recomputed" 2 (R.cached_results parent)
 
+(* Two derivations with the root's inputs share its key: requesting
+   through both logs the key once, so its counters and its failure are
+   read back once. *)
+let test_shared_key_logged_once () =
+  let root = R.make_ctx ~profile:fast_profile () in
+  let d1 = R.derive ~chaos:None root in
+  let d2 = R.derive ~cgroups:None root in
+  let ok = { R.workload = R.Tpch; policy = Policy.Registry.Clock; ratio = 0.5;
+             swap = R.Ssd; trial = 0 } in
+  let bad = { ok with R.policy = Policy.Registry.Crash_test } in
+  let r = R.run_exp d1 ok in
+  Alcotest.(check bool) "second context hits" true (R.run_exp d2 ok == r);
+  ignore (R.try_exp d1 bad);
+  ignore (R.try_exp d2 bad);
+  Alcotest.(check int) "two outcomes stored" 2 (R.cached_results root);
+  (match R.vmstat_cells root with
+  | [ (_, c) ] ->
+    Alcotest.(check bool) "counters read once" true (c = r.M.counters)
+  | l -> Alcotest.failf "expected one cell, got %d" (List.length l));
+  Alcotest.(check int) "failure read once" 1 (List.length (R.failures root))
+
 let test_run_cell () =
   let results =
     R.run_cell ctx ~workload:R.Tpch ~policy:Policy.Registry.Clock ~ratio:0.5
@@ -246,6 +267,8 @@ let () =
           Alcotest.test_case "ctx caches isolated" `Quick test_ctx_caches_isolated;
           Alcotest.test_case "derived contexts share one store" `Quick
             test_derived_share_store;
+          Alcotest.test_case "shared key logged once" `Quick
+            test_shared_key_logged_once;
           Alcotest.test_case "run_cell" `Quick test_run_cell;
           Alcotest.test_case "prefetch dedupes" `Quick test_prefetch_dedupes;
           Alcotest.test_case "ratio scaling" `Quick test_capacity_scales_with_ratio;

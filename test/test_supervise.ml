@@ -231,6 +231,46 @@ let test_traced_resume_recomputes () =
       Alcotest.(check int) "same simulated runtime" first.M.runtime_ns
         r.M.runtime_ns)
 
+(* A batch run fresh and the same batch with its middle trial
+   warm-started from a journal must read back identically: the
+   installed record takes its request position, not its install
+   position, so the per-cell counters and the failure summary keep
+   their order at every [jobs] value. *)
+let test_warm_start_matches_fresh () =
+  with_temp_path (fun path ->
+      let batch =
+        List.map exp_of
+          Policy.Registry.[ Clock; Mglru_default; Crash_test ]
+      in
+      let middle = List.nth batch 1 in
+      let read_back ctx =
+        R.prefetch ctx batch;
+        ( List.map (fun (e, c) -> (R.exp_key e, c)) (R.vmstat_cells ctx),
+          List.map (fun (e, reason, t) -> (R.exp_key e, reason, t))
+            (R.failures ctx) )
+      in
+      let journal, _ = J.open_ ~path ~resume:false ~fingerprint in
+      let fresh =
+        read_back (R.make_ctx ~profile:fast_profile ~journal ())
+      in
+      J.close journal;
+      let key = R.record_key (R.make_ctx ~profile:fast_profile ()) middle in
+      let records = List.filter (fun r -> r.J.key = key) (J.load ~path) in
+      Alcotest.(check int) "middle trial journaled" 1 (List.length records);
+      Alcotest.(check int) "two cells" 2 (List.length (fst fresh));
+      Alcotest.(check int) "one failure" 1 (List.length (snd fresh));
+      List.iter
+        (fun jobs ->
+          let label what = Printf.sprintf "%s at --jobs %d" what jobs in
+          Alcotest.(check bool) (label "fresh") true
+            (read_back (R.make_ctx ~profile:fast_profile ~jobs ()) = fresh);
+          let ctx = R.make_ctx ~profile:fast_profile ~jobs () in
+          Alcotest.(check int) "middle installed" 1 (R.warm_start ctx records);
+          let warm = read_back ctx in
+          Alcotest.(check bool) (label "warm vmstat cells") true (fst warm = fst fresh);
+          Alcotest.(check bool) (label "warm failures") true (snd warm = snd fresh))
+        [ 1; 4 ])
+
 let () =
   Alcotest.run "supervise"
     [
@@ -259,5 +299,7 @@ let () =
           Alcotest.test_case "warm start resumes" `Quick test_warm_start_resumes;
           Alcotest.test_case "traced resume recomputes" `Quick
             test_traced_resume_recomputes;
+          Alcotest.test_case "warm start matches fresh" `Quick
+            test_warm_start_matches_fresh;
         ] );
     ]
