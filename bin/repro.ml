@@ -14,10 +14,8 @@
 
    Every subcommand builds one explicit Repro_core.Runner.ctx from its
    flags (scaling profile, fault plan, audit cadence, --jobs, telemetry,
-   durability) and threads it through the drivers; the REPRO_TRIALS /
-   REPRO_YCSB_TRIALS / REPRO_FAST environment variables remain as
-   documented fallbacks, read in exactly one place
-   (Runner.profile_from_env).  --trace / --sample-every write their
+   durability) and threads it through the drivers; no environment
+   variable changes a run.  --trace / --sample-every write their
    files after the experiment output, from the deterministic trace log,
    so traced runs stay byte-identical across --jobs values.
 
@@ -35,11 +33,11 @@ open Cmdliner
 
 let trials_arg =
   Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N"
-         ~doc:"Trials per TPC-H/PageRank cell (default 25, or \\$REPRO_TRIALS).")
+         ~doc:"Trials per TPC-H/PageRank cell (default 25).")
 
 let ycsb_trials_arg =
   Arg.(value & opt (some int) None & info [ "ycsb-trials" ] ~docv:"N"
-         ~doc:"Trials per YCSB cell (default 2, or \\$REPRO_YCSB_TRIALS).")
+         ~doc:"Trials per YCSB cell (default 2).")
 
 let fast_arg =
   Arg.(value & flag & info [ "fast" ] ~doc:"Shrink workloads ~4x for a quick look.")
@@ -51,7 +49,7 @@ let scale_arg =
             page counts (the default experiments run at 1/256 scale; \
             $(b,--scale 256) reaches 3-4M-page footprints).  Per-page \
             simulated costs shrink by the same factor; $(b,--scale 1) is \
-            byte-identical to the default profile.  Also \\$REPRO_SCALE.")
+            byte-identical to the default profile.")
 
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
@@ -221,7 +219,7 @@ let chaos_arg =
               layer.")
 
 (* One requested output file: where it goes, what its count counts, the
-   writer that fills it from the experiment log after the run, and the
+   writer that fills it from the result store after the run, and the
    capture it needs recorded. *)
 type output = {
   path : string;
@@ -239,17 +237,16 @@ type setup = {
   keep_going : bool;
 }
 
-(* Flags override the environment fallbacks; the fast flag is sticky in
-   the or-direction so REPRO_FAST=1 keeps working under any flags.
-   [profile_default] is true only for the profile subcommand, which
-   collects phase totals even without --folded/--perfetto. *)
+(* Flags override the default profile.  [profile_default] is true only
+   for the profile subcommand, which collects phase totals even without
+   --folded/--perfetto. *)
 let profile_of_flags ?trials ?ycsb_trials ~fast ~scale () =
-  let base = Repro_core.Runner.profile_from_env () in
+  let base = Repro_core.Runner.default_profile in
   let flag v default = match v with Some n -> max 1 n | None -> default in
   {
     Repro_core.Runner.trials = flag trials base.Repro_core.Runner.trials;
     ycsb_trials = flag ycsb_trials base.Repro_core.Runner.ycsb_trials;
-    fast = fast || base.Repro_core.Runner.fast;
+    fast;
     scale = flag scale base.Repro_core.Runner.scale;
   }
 
@@ -853,19 +850,18 @@ let heatmap_cmd =
          region snapshot at its band's midpoint, coloured by access
          count.  Filter the CSV by policy first when plotting a
          multi-policy run. *)
-      let oc = open_out script in
-      Printf.fprintf oc
-        "# Heatmap of %s — columns: %s\n\
-         set datafile separator ','\n\
-         set key off\n\
-         set xlabel 'simulated time (s)'\n\
-         set ylabel 'virtual page number'\n\
-         set cblabel 'accesses / window'\n\
-         set palette defined (0 'black', 1 'dark-blue', 2 'red', 3 'yellow')\n\
-         plot '%s' skip 1 using ($6/1e9):($8+$9/2):10 with points pt 5 ps \
-         0.5 palette\n"
-        out Repro_core.Runner.heatmap_csv_header out;
-      close_out oc;
+      Repro_core.Atomic_io.replace ~path:script (fun oc ->
+          Printf.fprintf oc
+            "# Heatmap of %s — columns: %s\n\
+             set datafile separator ','\n\
+             set key off\n\
+             set xlabel 'simulated time (s)'\n\
+             set ylabel 'virtual page number'\n\
+             set cblabel 'accesses / window'\n\
+             set palette defined (0 'black', 1 'dark-blue', 2 'red', 3 'yellow')\n\
+             plot '%s' skip 1 using ($6/1e9):($8+$9/2):10 with points pt 5 ps \
+             0.5 palette\n"
+            out Repro_core.Runner.heatmap_csv_header out);
       Printf.printf "wrote gnuplot script to %s\n" script);
     finalize setup
   in

@@ -89,7 +89,7 @@ let readahead ctx =
     let cfg =
       {
         (Machine.default_config
-           ~capacity_frames:(footprint / 2)
+           ~capacity_frames:(Runner.capacity_for ~footprint ~ratio:0.5)
            ~seed:4242)
         with
         Machine.readahead = window;

@@ -55,35 +55,10 @@ type profile = {
 
 let default_profile = { trials = 25; ycsb_trials = 2; fast = false; scale = 1 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some n -> max 1 n
-    | None ->
-      Printf.eprintf "warning: ignoring %s=%S (not an integer); using %d\n%!"
-        name v default;
-      default)
-
-(* The single place the REPRO_* fallback variables are read. *)
-let profile_from_env () =
-  {
-    trials = env_int "REPRO_TRIALS" default_profile.trials;
-    ycsb_trials = env_int "REPRO_YCSB_TRIALS" default_profile.ycsb_trials;
-    fast = Sys.getenv_opt "REPRO_FAST" <> None;
-    scale = env_int "REPRO_SCALE" default_profile.scale;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Run context: everything that shapes a trial's result, as one        *)
 (* explicit value instead of process-global mutation.                  *)
 (* ------------------------------------------------------------------ *)
-
-(* The result cache is sharded so parallel trials can publish results
-   without serializing on one lock.  Shard count is a power of two well
-   above any sane [jobs]. *)
-let cache_shards = 32
 
 (* What became of one trial.  Failures are first-class cache entries:
    a raising or deadline-hit trial is computed once, rendered as an
@@ -92,25 +67,27 @@ type trial_outcome =
   | Done of Machine.result
   | Failed of { reason : string; timed_out : bool }
 
-type shard = {
-  lock : Mutex.t;
-  tbl : (string, trial_outcome) Hashtbl.t;
+(* One result key's entry.  [request] is its position in first-request
+   order and the experiment that first asked for it; a journal-installed
+   entry has none until it is first requested.  [outcome] is the first
+   outcome published under the key. *)
+type entry = {
+  mutable request : (int * exp) option;
+  mutable outcome : trial_outcome option;
 }
 
 (* One store per root context, shared by every context derived from it.
    Keys carry the tag of the configuration that produced the outcome,
-   so derived contexts cannot alias each other's results. *)
+   so derived contexts cannot alias each other's results.  Requests are
+   made only from the dispatching domain ([prefetch] requests its whole
+   batch before any worker starts; direct [run_exp] misses happen in the
+   callers' serial read-back), so request order — and hence the trace
+   files and the end-of-run failure summary — is identical for every
+   [jobs] value. *)
 type store = {
-  cache : shard array;
-  (* Bookkeeping: every requested (experiment, cache key), once, in
-     first-request program order.  Appended only from the dispatching
-     domain (prefetch logs its whole batch before any worker starts;
-     direct [run_exp] misses happen in the callers' serial read-back),
-     so the order — and hence the trace files and the end-of-run
-     failure summary — is identical for every [jobs] value. *)
-  logged : (string, unit) Hashtbl.t;
-  log : (exp * string) list ref;
-  log_lock : Mutex.t;
+  lock : Mutex.t;
+  entries : (string, entry) Hashtbl.t;
+  mutable next_request : int;
 }
 
 type ctx = {
@@ -174,12 +151,9 @@ let with_tags ctx =
     record_tag = digest_tag (fp @ Obs.config_key (Obs.kept ctx.obs));
   }
 
-let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
-    ?(audit_every_ns = 0) ?(jobs = 1) ?(obs = Obs.off)
-    ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos () =
-  let profile =
-    match profile with Some p -> p | None -> profile_from_env ()
-  in
+let make_ctx ?(profile = default_profile)
+    ?(fault_plan = Swapdev.Faulty_device.none) ?(audit_every_ns = 0) ?(jobs = 1)
+    ?(obs = Obs.off) ?(trial_timeout_s = 0.0) ?journal ?cgroups ?chaos () =
   with_tags
     {
       profile;
@@ -194,14 +168,7 @@ let make_ctx ?profile ?(fault_plan = Swapdev.Faulty_device.none)
       tag = "";
       record_tag = "";
       store =
-        {
-          cache =
-            Array.init cache_shards (fun _ ->
-                { lock = Mutex.create (); tbl = Hashtbl.create 32 });
-          logged = Hashtbl.create 64;
-          log = ref [];
-          log_lock = Mutex.create ();
-        };
+        { lock = Mutex.create (); entries = Hashtbl.create 64; next_request = 0 };
     }
 
 let derive ?obs ?cgroups ?chaos ctx =
@@ -229,61 +196,59 @@ let cache_key ctx e = exp_key e ^ "@" ^ ctx.tag
 
 let record_key ctx e = exp_key e ^ "@" ^ ctx.record_tag
 
-let log_exp ctx e key =
-  let s = ctx.store in
-  Mutex.lock s.log_lock;
-  if not (Hashtbl.mem s.logged key) then begin
-    Hashtbl.add s.logged key ();
-    s.log := (e, key) :: !(s.log)
-  end;
-  Mutex.unlock s.log_lock
+let locked ctx f = Mutex.protect ctx.store.lock (fun () -> f ctx.store)
 
-let shard_of ctx key =
-  ctx.store.cache.(Hashtbl.hash key land (cache_shards - 1))
+let entry s key =
+  match Hashtbl.find_opt s.entries key with
+  | Some en -> en
+  | None ->
+    let en = { request = None; outcome = None } in
+    Hashtbl.add s.entries key en;
+    en
 
-let cache_find ctx key =
-  let s = shard_of ctx key in
-  Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.tbl key in
-  Mutex.unlock s.lock;
-  r
+(* Request [e] under [key]: give the entry its request position if it
+   has none, and return whether the key was new to the store and its
+   outcome so far. *)
+let request ctx e key =
+  locked ctx (fun s ->
+      let fresh = not (Hashtbl.mem s.entries key) in
+      let en = entry s key in
+      if Option.is_none en.request then begin
+        en.request <- Some (s.next_request, e);
+        s.next_request <- s.next_request + 1
+      end;
+      (fresh, en.outcome))
 
-(* First insert wins, so concurrent duplicate computations (which are
+(* First outcome wins, so concurrent duplicate computations (which are
    deterministic and identical anyway) keep physical equality stable for
    later lookups. *)
-let cache_store ctx key result =
-  let s = shard_of ctx key in
-  Mutex.lock s.lock;
-  let kept =
-    match Hashtbl.find_opt s.tbl key with
-    | Some existing -> existing
-    | None ->
-      Hashtbl.add s.tbl key result;
-      result
-  in
-  Mutex.unlock s.lock;
-  kept
+let publish ctx key outcome =
+  locked ctx (fun s ->
+      let en = entry s key in
+      match en.outcome with
+      | Some kept -> kept
+      | None ->
+        en.outcome <- Some outcome;
+        outcome)
 
 let cached_results ctx =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = acc + Hashtbl.length s.tbl in
-      Mutex.unlock s.lock;
-      n)
-    0 ctx.store.cache
+  locked ctx (fun s ->
+      Hashtbl.fold
+        (fun _ en n -> if Option.is_some en.outcome then n + 1 else n)
+        s.entries 0)
 
-(* The one walk of the experiment log: every logged experiment with its
-   cache key and outcome, in log order.  Shared by the failure summary
-   and every capture reader. *)
+(* Every requested experiment with its key and outcome, in request
+   order.  Shared by the failure summary and every capture reader. *)
 let outcomes ctx =
-  let s = ctx.store in
-  Mutex.lock s.log_lock;
-  let log = List.rev !(s.log) in
-  Mutex.unlock s.log_lock;
-  List.filter_map
-    (fun (e, key) -> Option.map (fun o -> (e, key, o)) (cache_find ctx key))
-    log
+  locked ctx (fun s ->
+      Hashtbl.fold
+        (fun key en acc ->
+          match (en.request, en.outcome) with
+          | Some (seq, e), Some o -> (seq, (e, key, o)) :: acc
+          | _ -> acc)
+        s.entries [])
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 (* ------------------------------------------------------------------ *)
 
@@ -497,13 +462,12 @@ let journal_outcome ctx e outcome =
 
 let try_exp ctx e =
   let key = cache_key ctx e in
-  (* Log before the cache probe: a warm-started (journal-installed)
-     record is a hit that was never computed here, and the telemetry
-     and profile writers replay the log. *)
-  log_exp ctx e key;
-  match cache_find ctx key with
-  | Some o -> o
-  | None ->
+  (* Request before computing: a warm-started (journal-installed) record
+     is a hit that was never computed here, and the telemetry and
+     profile writers read request order. *)
+  match request ctx e key with
+  | _, Some o -> o
+  | _, None ->
     let outcome =
       match compute_exp ctx e with
       | r -> Done r
@@ -512,9 +476,9 @@ let try_exp ctx e =
       | exception exn ->
         Failed { reason = Printexc.to_string exn; timed_out = false }
     in
-    let kept = cache_store ctx key outcome in
+    let kept = publish ctx key outcome in
     (* Journal only the outcome that won the (theoretical) publication
-       race, so the segment mirrors the cache. *)
+       race, so the segment mirrors the store. *)
     if kept == outcome then journal_outcome ctx e kept;
     kept
 
@@ -535,7 +499,7 @@ let warm_start ctx records =
     (fun n (r : Journal.record) ->
       match (r.status, r.result) with
       | Journal.Trial_ok, Some res ->
-        ignore (cache_store ctx r.key (Done res));
+        ignore (publish ctx r.key (Done res));
         n + 1
       | _ -> n)
     0 records
@@ -553,23 +517,15 @@ let failures ctx =
    exactly what a serial run would have computed.  [jobs = 1] runs them
    in the calling domain. *)
 let prefetch ctx exps =
-  (* Log the whole batch here, in list order, before any domain starts:
-     workers then find every key already logged, so the trace order and
-     the failure summary never depend on completion order.  Cache hits
-     are logged too — a warm-started record was never computed in this
-     process, yet must appear in the log, in the same position as in an
-     uninterrupted run, for the writers that replay it. *)
-  List.iter (fun e -> log_exp ctx e (cache_key ctx e)) exps;
-  (* The uncached experiments, deduplicated. *)
-  let seen = Hashtbl.create 64 in
+  (* Request the whole batch here, in list order, before any domain
+     starts: workers then find every entry already requested, so the
+     trace order and the failure summary never depend on completion
+     order.  Hits are requested too — a warm-started record was never
+     computed in this process, yet must take the same position as in an
+     uninterrupted run.  Only a key new to the store is computed, once:
+     a repeat in the batch finds the entry its first request made. *)
   let todo =
-    List.filter
-      (fun e ->
-        let key = cache_key ctx e in
-        let fresh = (not (Hashtbl.mem seen key)) && cache_find ctx key = None in
-        Hashtbl.replace seen key ();
-        fresh)
-      exps
+    List.filter (fun e -> fst (request ctx e (cache_key ctx e))) exps
   in
   match todo with
   | [] -> ()
@@ -593,7 +549,7 @@ let prefetch ctx exps =
               | Engine.Pool.Ok () -> ()
               | Engine.Pool.Error { exn; _ } ->
                 ignore
-                  (cache_store ctx
+                  (publish ctx
                      (cache_key ctx todo.(i))
                      (Failed
                         { reason = Printexc.to_string exn; timed_out = false })))
@@ -636,11 +592,11 @@ let mean_read_latency_ns results = mean (pooled_read_latencies results)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry writers: serialize the captures of every traced            *)
-(* experiment, in the deterministic log order.                          *)
+(* experiment, in the deterministic request order.                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The logged experiments whose result carries the capture [pick]
-   selects, with their keys, in log order. *)
+(* The requested experiments whose result carries the capture [pick]
+   selects, with their keys, in request order. *)
 let with_capture pick ctx =
   List.filter_map
     (function
@@ -730,7 +686,7 @@ let merged_reclaim_hists ctx =
 
 (* ------------------------------------------------------------------ *)
 (* Profiling: per-cell merges of the per-trial phase captures, in the  *)
-(* same deterministic log order as the telemetry writers.              *)
+(* same deterministic request order as the telemetry writers.          *)
 (* ------------------------------------------------------------------ *)
 
 let profiled = with_capture (fun r -> r.Machine.profile)
@@ -738,7 +694,7 @@ let profiled = with_capture (fun r -> r.Machine.profile)
 (* Per-cell merge of per-trial captures, cells in first-appearance
    order, each merged in trial order.  Cell identity is the experiment
    minus its trial index, under one configuration tag: derived contexts
-   sharing the log never pool their trials. *)
+   sharing the store never pool their trials. *)
 let by_cell merge picked =
   let cell_of (e, key, _) =
     let at = String.rindex key '@' in
@@ -784,7 +740,7 @@ let write_folded ctx ~path =
 
 (* ------------------------------------------------------------------ *)
 (* Vmstat: per-cell merges of the per-trial counter captures, and the  *)
-(* heatmap CSV writer — both in the deterministic log order.           *)
+(* heatmap CSV writer — both in the deterministic request order.       *)
 (* ------------------------------------------------------------------ *)
 
 let vmstat_cells ctx =

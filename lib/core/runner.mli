@@ -10,8 +10,9 @@
     Every run happens under an explicit {!ctx}: the scaling profile,
     fault-injection plan, invariant-audit cadence and parallelism are
     fields of a value threaded through the drivers, not process-global
-    state.  Results live in a store (sharded and mutex-protected) that a
-    root context shares with every context {!derive}d from it.  A result
+    state.  Results live in a store (one keyed table of entries under
+    one mutex) that a root context shares with every context {!derive}d
+    from it.  A result
     is keyed by its {!exp_key} plus a tag of everything else that
     produced it: the {!fingerprint} and the capture set (trace, sample
     cadence, profiler mode, region monitor).  Figures that share cells
@@ -90,12 +91,6 @@ val default_profile : profile
 (** The paper's trial counts: 25 trials, 2 YCSB trials, full-size
     workloads, scale 1. *)
 
-val profile_from_env : unit -> profile
-(** {!default_profile} overridden by the documented fallback variables
-    [REPRO_TRIALS], [REPRO_YCSB_TRIALS], [REPRO_FAST] (any value) and
-    [REPRO_SCALE].  This is the only place those variables are read;
-    CLI flags build a {!ctx} on top of this. *)
-
 (** {1 Run contexts} *)
 
 type ctx
@@ -123,7 +118,7 @@ val make_ctx :
   ?chaos:Chaos.spec ->
   unit ->
   ctx
-(** Defaults: [profile_from_env ()], no fault injection, end-of-run
+(** Defaults: {!default_profile}, no fault injection, end-of-run
     audits only, [jobs = 1] (serial), every capture off ({!Obs.off}
     keeps runs bit-identical to a build without the telemetry layers),
     no per-trial deadline, no journal.  [jobs] is clamped to at least
@@ -164,7 +159,7 @@ val derive :
   ctx ->
   ctx
 (** [ctx] with the given fields replaced ([obs] is the whole capture
-    set; [Some None] strips a spec), sharing [ctx]'s result store, experiment log and journal:
+    set; [Some None] strips a spec), sharing [ctx]'s result store and journal:
     its outcomes reach {!failures} and the writers called on [ctx].
     Results are keyed by their inputs, so two contexts share a result
     only when their inputs and capture sets are identical. *)
@@ -270,13 +265,14 @@ val pooled_write_latencies : Machine.result list -> float array
 
     When the context's capture set enables tracing or sampling, every
     computed trial's capture is kept (attached to its cached result).
-    Every requested experiment is appended, with its result key, to an
-    ordered log shared by the store's contexts.  The log is written
-    only from the dispatching domain — {!prefetch} records its whole
-    deduplicated batch in list order before any worker starts, and
-    direct {!run_exp} misses occur in the drivers' serial read-back — so
-    the files these writers produce are byte-identical for every
-    [jobs] value.  The writers and {!failures} read the whole log, so
+    Each result key's store entry takes a request position when the key
+    is first requested; a journal-installed entry takes its position
+    then, not when it is installed.  Requests are made only from the
+    dispatching domain — {!prefetch} requests its whole batch in list
+    order before any worker starts, and direct {!run_exp} misses occur
+    in the drivers' serial read-back — so the files these writers
+    produce are byte-identical for every [jobs] value.  The writers and
+    {!failures} read every entry of the store in request order, so
     called on a root context they cover its derived contexts too. *)
 
 val write_trace : ctx -> path:string -> int
@@ -298,7 +294,7 @@ val merged_reclaim_hists : ctx -> (string * Stats.Histogram.t) list
 
     When the context's capture set turns the profiler on, every computed
     trial carries a phase-attribution capture.  Like the telemetry
-    writers, everything below reads the deterministic experiment log,
+    writers, everything below reads the store in request order,
     so outputs are byte-identical for every [jobs] value. *)
 
 val profile_cells : ctx -> (exp * Obs.Prof.merged) list
@@ -321,9 +317,8 @@ val write_perfetto : ctx -> path:string -> int
 
 (** {1 Vmstat and heatmaps}
 
-    Like the profiling readers: everything reads the deterministic
-    experiment log, so outputs are byte-identical for every [jobs]
-    value. *)
+    Like the profiling readers: everything reads the store in request
+    order, so outputs are byte-identical for every [jobs] value. *)
 
 val vmstat_cells : ctx -> (exp * Obs.Vmstat.capture) list
 (** Per-cell counter totals: captures grouped like {!profile_cells} and
@@ -335,5 +330,5 @@ val heatmap_csv_header : string
 val write_heatmap : ctx -> path:string -> int
 (** Write every cached heatmap capture as CSV rows under
     {!heatmap_csv_header} (one line per region snapshot, trials in
-    deterministic log order, rows in tick order); returns the number of
+    request order, rows in tick order); returns the number of
     data rows.  Atomic like {!write_trace}. *)

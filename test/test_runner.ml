@@ -26,15 +26,12 @@ let test_make_ctx_clamps () =
   Alcotest.(check int) "audit clamped to 0" 0 (R.audit_every_ns c)
 
 let test_profile_defaults () =
-  (* Environment fallbacks untouched in the test runner, so this is the
-     paper's scale unless the caller exported REPRO_* - in which case the
-     parse must still produce positive values. *)
-  let p = R.profile_from_env () in
-  Alcotest.(check bool) "trials positive" true (p.R.trials >= 1);
-  Alcotest.(check bool) "ycsb trials positive" true (p.R.ycsb_trials >= 1);
   Alcotest.(check int) "default trials" 25 R.default_profile.R.trials;
   Alcotest.(check int) "default ycsb trials" 2 R.default_profile.R.ycsb_trials;
-  Alcotest.(check bool) "default full-size" false R.default_profile.R.fast
+  Alcotest.(check bool) "default full-size" false R.default_profile.R.fast;
+  Alcotest.(check int) "default scale" 1 R.default_profile.R.scale;
+  Alcotest.(check bool) "make_ctx defaults to it" true
+    (R.profile (R.make_ctx ()) = R.default_profile)
 
 let test_names () =
   Alcotest.(check string) "tpch" "tpch" (R.workload_kind_name R.Tpch);
