@@ -378,6 +378,84 @@ let test_unclassed_not_recorded () =
   Alcotest.(check int) "no reads" 0 (Array.length r.M.read_latencies);
   Alcotest.(check int) "no writes" 0 (Array.length r.M.write_latencies)
 
+(* ---- pinned --fast YCSB latencies ---- *)
+
+(* Exact digests of real --fast trials: the goldens print tails rounded
+   to four digits, these pin every latency and every landmark bit. *)
+module R = Repro_core.Runner
+
+let fast_ctx ?cgroups () =
+  R.make_ctx ~profile:{ R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 }
+    ?cgroups ()
+
+let ycsb_trial ?cgroups variant =
+  R.run_exp (fast_ctx ?cgroups ())
+    { R.workload = R.Ycsb variant; policy = Policy.Registry.Clock; ratio = 0.5;
+      swap = R.Ssd; trial = 0 }
+
+(* The latencies as ascending ints, whatever order they are stored in. *)
+let ascending lat =
+  let a = Array.map int_of_float lat in
+  Array.sort Int.compare a;
+  a
+
+let digest lat =
+  Digest.to_hex
+    (Digest.string
+       (String.concat " " (List.map string_of_int (Array.to_list (ascending lat)))))
+
+let landmarks lat =
+  let t = Stats.Percentile.tail_of lat in
+  String.concat " "
+    (List.map (Printf.sprintf "%h")
+       Stats.Percentile.[ t.p50; t.p90; t.p99; t.p999; t.p9999; t.max ])
+
+let test_pinned_ycsb_digests () =
+  List.iter
+    (fun (variant, reads, writes) ->
+      let r = ycsb_trial variant in
+      let name = Workload.Ycsb.variant_name variant in
+      Alcotest.(check string) (name ^ " reads") reads (digest r.M.read_latencies);
+      Alcotest.(check string) (name ^ " writes") writes (digest r.M.write_latencies))
+    [
+      (Workload.Ycsb.A, "989c597e0a0b7efe67d976c321538b19", "dbe7d19d4bf42a67124019f8c02b4700");
+      (Workload.Ycsb.B, "6a1bf66a7ef5d1ff10aea5f05eb4beab", "588251a277f9d8a55608cd61b71ade3e");
+      (Workload.Ycsb.C, "84ecf5b06713f45c075c67daeff67ae5", (* no updates *) "d41d8cd98f00b204e9800998ecf8427e");
+    ]
+
+let test_pinned_ycsb_landmarks () =
+  let r = ycsb_trial Workload.Ycsb.A in
+  Alcotest.(check string) "ycsb-a read landmarks"
+    "0x1.8796p+18 0x1.d2baf0ccccccep+22 0x1.1f6b653333349p+24 0x1.bfb36d9fbe766p+24 0x1.b7b97e4e21b46p+25 0x1.3ad387cp+26"
+    (landmarks r.M.read_latencies);
+  Alcotest.(check string) "ycsb-a write landmarks"
+    "0x1.87a24p+18 0x1.d3b62cp+22 0x1.276cf67ae147cp+24 0x1.bcd2ea4106245p+24 0x1.b052348e50166p+25 0x1.b2a865p+27"
+    (landmarks r.M.write_latencies)
+
+let test_pinned_cgroup_reads () =
+  let cgroups =
+    match Mem.Memcg.parse_spec "front:threads=0;back:threads=1" with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  let r = ycsb_trial ~cgroups Workload.Ycsb.A in
+  let groups = (Option.get r.M.memcg).Mem.Memcg.s_groups in
+  List.iter
+    (fun (name, want_digest, want_landmarks) ->
+      let g = List.find (fun g -> g.Mem.Memcg.r_name = name) groups in
+      Alcotest.(check string) (name ^ " reads") want_digest
+        (digest g.Mem.Memcg.r_read_latencies);
+      Alcotest.(check string) (name ^ " read landmarks") want_landmarks
+        (landmarks g.Mem.Memcg.r_read_latencies))
+    [
+      ( "front",
+        "f39e8784bc9c74689bdd034c991f81a7",
+        "0x1.879b2p+18 0x1.d406ba6666667p+22 0x1.2632588a3d706p+24 0x1.bed6ddd74bc51p+24 0x1.a08c78117f3b9p+25 0x1.3ad387cp+26" );
+      ( "back",
+        "879cc8cad6011ba876125d7c21eb8e78",
+        "0x1.8798p+18 0x1.d38fd0ccccccdp+22 0x1.2032bcccccccbp+24 0x1.bcc4db841893dp+24 0x1.a076aafb71bccp+25 0x1.18136b4p+26" );
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -419,5 +497,11 @@ let () =
             test_latencies_in_request_order;
           Alcotest.test_case "unclassed not recorded" `Quick
             test_unclassed_not_recorded;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "ycsb digests" `Quick test_pinned_ycsb_digests;
+          Alcotest.test_case "ycsb-a landmarks" `Quick test_pinned_ycsb_landmarks;
+          Alcotest.test_case "cgroup reads" `Quick test_pinned_cgroup_reads;
         ] );
     ]
