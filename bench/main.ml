@@ -465,6 +465,56 @@ let cold_pagerank_build_s ~runs =
   done;
   !best
 
+(* Sealing one --fast YCSB-A trial's latency buffers, as [Machine.run]
+   does at the end of every trial: the trial's reads and writes, pushed
+   in an order shuffled with a fixed seed, timed over both seals; best of
+   [runs], in ns per latency. *)
+let latency_seal_ns ~runs =
+  let r =
+    Repro_core.Runner.run_exp
+      (Repro_core.Runner.make_ctx
+         ~profile:{ Repro_core.Runner.default_profile with Repro_core.Runner.fast = true }
+         ())
+      {
+        Repro_core.Runner.workload = Repro_core.Runner.Ycsb Workload.Ycsb.A;
+        policy = Policy.Registry.Clock;
+        ratio = 0.5;
+        swap = Repro_core.Runner.Ssd;
+        trial = 0;
+      }
+  in
+  let rng = Engine.Rng.create 42 in
+  let shuffled lat =
+    let a = Array.copy lat in
+    for i = Array.length a - 1 downto 1 do
+      let j = Engine.Rng.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  let pushes =
+    [ shuffled r.Repro_core.Machine.read_latencies;
+      shuffled r.Repro_core.Machine.write_latencies ]
+  in
+  let n = List.fold_left (fun n a -> n + Array.length a) 0 pushes in
+  let best = ref infinity in
+  for _ = 1 to runs do
+    let bufs =
+      List.map
+        (fun a ->
+          let l = Structures.Latencies.create () in
+          Array.iter (Structures.Latencies.push l) a;
+          l)
+        pushes
+    in
+    let t0 = Unix.gettimeofday () in
+    List.iter (fun l -> ignore (Sys.opaque_identity (Structures.Latencies.seal l))) bufs;
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  1e9 *. !best /. float_of_int n
+
 let run_benchmarks () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -503,7 +553,9 @@ let run_benchmarks () =
     (fun (name, est) -> Printf.printf "%-40s %s ns/run\n" name est)
     (List.sort compare !rows);
   Printf.printf "%-40s %12.1f ms/run (best of 5)\n" "pagerank-cold-build"
-    (1e3 *. cold_pagerank_build_s ~runs:5)
+    (1e3 *. cold_pagerank_build_s ~runs:5);
+  Printf.printf "%-40s %12.1f ns/latency (best of 5)\n" "latency-seal"
+    (latency_seal_ns ~runs:5)
 
 let () =
   (* `bench/main.exe engine` runs only the engine harness (CI's bench

@@ -584,20 +584,14 @@ let run_cmd =
     end;
     (* Pooled latency tails would silently cover only the surviving
        trials, so they print for clean cells only. *)
-    let reads =
-      if clean then Repro_core.Runner.pooled_read_latencies results else [||]
-    in
-    if Array.length reads > 0 then
-      Format.printf "  read latency: %a@."
-        Stats.Percentile.pp_tail
-        (Stats.Percentile.tail_of reads);
-    let writes =
-      if clean then Repro_core.Runner.pooled_write_latencies results else [||]
-    in
-    if Array.length writes > 0 then
-      Format.printf "  write latency: %a@."
-        Stats.Percentile.pp_tail
-        (Stats.Percentile.tail_of writes);
+    if clean then
+      List.iter
+        (fun (op, lat) ->
+          if Array.length lat > 0 then
+            Format.printf "  %s latency: %a@." op Stats.Percentile.pp_tail
+              (Stats.Percentile.tail_of lat))
+        [ ("read", Repro_core.Runner.pooled_read_latencies results);
+          ("write", Repro_core.Runner.pooled_write_latencies results) ];
     (* Telemetry-only digest: only traced or sampled trials carry a
        histogram, so untraced output stays byte-identical to
        pre-telemetry builds. *)

@@ -70,7 +70,7 @@ let () =
         in
         let reads = r.Repro_core.Machine.read_latencies in
         let p999 =
-          if Array.length reads = 0 then 0.0 else Stats.Percentile.quantile reads 0.999
+          if Array.length reads = 0 then 0.0 else Stats.Percentile.quantile_ns reads 0.999
         in
         Repro_core.Report.
           [

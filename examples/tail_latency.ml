@@ -19,19 +19,13 @@ let () =
         in
         let row kind lat =
           if Array.length lat = 0 then []
-          else begin
+          else
             let t = Stats.Percentile.tail_of lat in
-            Repro_core.Report.
-              [
-                [
-                  Text (Policy.Registry.name policy ^ " " ^ kind);
-                  Ns t.Stats.Percentile.p50;
-                  Ns t.Stats.Percentile.p99;
-                  Ns t.Stats.Percentile.p999;
-                  Ns t.Stats.Percentile.p9999;
-                ];
-              ]
-          end
+            [
+              Repro_core.Report.Text (Policy.Registry.name policy ^ " " ^ kind)
+              :: List.map (fun ns -> Repro_core.Report.Ns ns)
+                   Stats.Percentile.[ t.p50; t.p99; t.p999; t.p9999 ];
+            ]
         in
         row "read" (Repro_core.Runner.pooled_read_latencies results)
         @ row "write" (Repro_core.Runner.pooled_write_latencies results))

@@ -91,28 +91,21 @@ let fault_events (r : Machine.result) =
     Array.iter
       (fun (t, ev) ->
         match ev with
-        | Obs.Swap_read { latency_ns; failed = false; _ } ->
-          out := (t, float_of_int latency_ns) :: !out
+        | Obs.Swap_read { latency_ns; failed = false; _ } -> out := (t, latency_ns) :: !out
         | _ -> ())
       cap.Obs.events;
     Array.of_list (List.rev !out)
 
-let latencies_in events ~lo ~hi =
-  Array.of_list
-    (List.filter_map
-       (fun (t, l) -> if t >= lo && t < hi then Some l else None)
-       (Array.to_list events))
-
-let p events ~lo ~hi q =
-  let xs = latencies_in events ~lo ~hi in
-  if Array.length xs = 0 then Float.nan else Stats.Percentile.quantile xs q
+(* The latencies of the faults completed in [lo, hi), sealed. *)
+let window events ~lo ~hi =
+  let lat = Structures.Latencies.create () in
+  Array.iter (fun (t, ns) -> if t >= lo && t < hi then Structures.Latencies.push lat ns) events;
+  Structures.Latencies.seal lat
 
 (* Events per second over [lo, hi). *)
 let rate events ~lo ~hi =
-  if hi <= lo then 0.0
-  else
-    float_of_int (Array.length (latencies_in events ~lo ~hi))
-    /. (float_of_int (hi - lo) /. 1e9)
+  let n = Array.fold_left (fun n (t, _) -> if t >= lo && t < hi then n + 1 else n) 0 events in
+  if hi <= lo then 0.0 else float_of_int n /. (float_of_int (hi - lo) /. 1e9)
 
 (* Time from the end of the window until the first slice whose fault
    rate is back within 25% of the pre-window steady state; NaN if the
@@ -186,17 +179,20 @@ let run ctx ~classes ~workloads ~policies ~ratio ~swap =
         let ev = fault_events r in
         let pre_rate = rate ev ~lo:0 ~hi:w_start in
         let slice = max ms (runtime / 64) in
-        let q ~lo ~hi x = Report.Ns (p ev ~lo ~hi x) in
+        let q lats x =
+          Report.Ns (if lats = [||] then Float.nan else Stats.Percentile.quantile_ns lats x)
+        in
+        let during = window ev ~lo:w_start ~hi:w_end in
         ( Printf.sprintf "%s: --chaos '%s'%s" name (Chaos.spec_to_string spec)
             (match r.Machine.chaos with
             | Some s -> Printf.sprintf "  (%s)" (Chaos.summary_to_string s)
             | None -> ""),
           [
             Report.Text name;
-            q ~lo:0 ~hi:w_start 0.99;
-            q ~lo:w_start ~hi:w_end 0.99;
-            q ~lo:w_start ~hi:w_end 0.999;
-            q ~lo:w_end ~hi:r.Machine.runtime_ns 0.99;
+            q (window ev ~lo:0 ~hi:w_start) 0.99;
+            q during 0.99;
+            q during 0.999;
+            q (window ev ~lo:w_end ~hi:r.Machine.runtime_ns) 0.99;
             fms (recovery_ns ev ~w_end ~runtime:r.Machine.runtime_ns ~slice ~pre_rate);
             Report.Int (Machine.count r Obs.Vmstat.oom_kill);
             Report.Int (Machine.count r Obs.Vmstat.poisoned_reads);

@@ -11,18 +11,16 @@ type cell = {
 }
 
 (* The figure-1 performance metric: total runtime for the batch
-   workloads, mean request latency for YCSB (paper Fig. 1 caption). *)
+   workloads, mean request latency for YCSB (paper Fig. 1 caption).  The
+   latency sum is an exact int; see DESIGN §4 on sums past 2^53. *)
 let perf_of workload results =
   match workload with
   | Runner.Tpch | Runner.Pagerank -> Runner.mean_runtime_s results
   | Runner.Ycsb _ | Runner.Fleet _ ->
-    let reads = Runner.pooled_read_latencies results in
-    let writes = Runner.pooled_write_latencies results in
-    let n = Array.length reads + Array.length writes in
+    let lats = List.concat_map (fun r -> Machine.[ r.read_latencies; r.write_latencies ]) results in
+    let n = List.fold_left (fun n a -> n + Array.length a) 0 lats in
     if n = 0 then 0.0
-    else
-      (Array.fold_left ( +. ) 0.0 reads +. Array.fold_left ( +. ) 0.0 writes)
-      /. float_of_int n
+    else float_of_int (List.fold_left (Array.fold_left ( + )) 0 lats) /. float_of_int n
 
 (* A cell with any failed trial carries NaN aggregates: arithmetic on
    them stays NaN, and the formatters render NaN as "failed", so a
@@ -203,21 +201,12 @@ let fig2 get =
 
 let tail_rows label lat =
   if Array.length lat = 0 then [ Report.Text label :: List.init 6 (fun _ -> Report.Dash) ]
-  else begin
+  else
     let t = Stats.Percentile.tail_of lat in
-    Report.
-      [
-        [
-          Text label;
-          Ns t.Stats.Percentile.p50;
-          Ns t.Stats.Percentile.p90;
-          Ns t.Stats.Percentile.p99;
-          Ns t.Stats.Percentile.p999;
-          Ns t.Stats.Percentile.p9999;
-          Ns t.Stats.Percentile.max;
-        ];
-      ]
-  end
+    [
+      Report.Text label
+      :: List.map (fun ns -> Report.Ns ns) Stats.Percentile.[ t.p50; t.p90; t.p99; t.p999; t.p9999; t.max ];
+    ]
 
 let tail_tables (get : lookup) ?(caption = []) ~stem ~swap ~ratio () =
   List.map

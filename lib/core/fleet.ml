@@ -53,7 +53,7 @@ type tenant_agg = {
   mutable a_ooms : int;
   mutable a_some_ns : int;
   mutable a_full_ns : int;
-  mutable a_reads : float array list;
+  mutable a_reads : int array list;
 }
 
 let aggregate results =
@@ -115,21 +115,21 @@ let run ctx ~tenants ~hot ~policy ~ratio ~swap =
     if runtime_ns <= 0 then Report.Dash
     else Report.Percent (100.0 *. float_of_int stall /. float_of_int runtime_ns)
   in
-  let q reads p =
-    let pooled = Array.concat reads in
-    if Array.length pooled = 0 then Report.Dash
-    else Report.Ns (Stats.Percentile.quantile pooled p)
-  in
   let rows =
     List.map
       (fun a ->
+        let reads = Structures.Latencies.merge a.a_reads in
+        let q p =
+          if Array.length reads = 0 then Report.Dash
+          else Report.Ns (Stats.Percentile.quantile_ns reads p)
+        in
         Report.
           [
             Text a.a_name;
             Int (a.a_usage / max 1 (List.length results));
-            q a.a_reads 0.5;
-            q a.a_reads 0.99;
-            q a.a_reads 0.999;
+            q 0.5;
+            q 0.99;
+            q 0.999;
             Int a.a_throttles;
             Ns (float_of_int a.a_throttled_ns);
             Int a.a_ooms;

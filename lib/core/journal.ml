@@ -24,9 +24,9 @@ let status_of_name = function
 (*                                                                     *)
 (*   counters           v1:<counter;...>|<bucket;...>  in index order, *)
 (*                      exactly this build's counters and buckets      *)
-(*   read_latencies,    %h floats joined by ' ', so latencies round-   *)
-(*   write_latencies    trip bit-exactly and a resumed sweep stays     *)
-(*                      byte-identical to an uninterrupted one         *)
+(*   read_latencies,    ascending value:count runs joined by ' ', one  *)
+(*   write_latencies    run per distinct value, counts >= 1; "" when   *)
+(*                      there are none                                 *)
 (*   per_thread_finish  ints joined by ' '                             *)
 (*   policy_stats       k=v;k=v                                        *)
 (*   profile            classes joined by ',' | tid:name:class;... |   *)
@@ -53,21 +53,32 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Decode msg)) fmt
 
 let join sep enc a = String.concat sep (List.map enc (Array.to_list a))
 let ints_s = join " " string_of_int
-let floats_s = join " " (Printf.sprintf "%h")
+
+(* A sealed latency array as its runs of equal values. *)
+let runs_s lat =
+  let b = Buffer.create 4096 and start = ref 0 in
+  Array.iteri
+    (fun i v ->
+      if i + 1 = Array.length lat || lat.(i + 1) <> v then begin
+        Printf.bprintf b (if !start = 0 then "%d:%d" else " %d:%d") v (i + 1 - !start);
+        start := i + 1
+      end)
+    lat;
+  Buffer.contents b
 
 let pairs_s sep kvs =
   String.concat sep (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
 
-(* Decoding: five strict primitives, raising only [Decode].  Integers
-   take [string_of_int]'s shape only ([int_of_string] alone would also
-   read "0x10", "1_0" or "+1"). *)
+(* Decoding: strict primitives, raising only [Decode].  Integers take
+   [string_of_int]'s shape only ([int_of_string] alone would also read
+   "0x10", "1_0" or "+1"). *)
 
 let int_of s =
   let n = String.length s in
   let digits = if n > 0 && s.[0] = '-' then String.sub s 1 (n - 1) else s in
   let digit c = c >= '0' && c <= '9' in
   match int_of_string_opt s with
-  | Some v when digits <> "" && String.for_all digit digits -> v
+  | Some v when digits <> "" && String.for_all digit digits && s <> "-0" -> v
   | _ -> fail "malformed integer %S" s
 
 let hex_of s =
@@ -75,11 +86,6 @@ let hex_of s =
   match int_of_string_opt ("0x" ^ s) with
   | Some n when s <> "" && String.for_all hex_digit s -> n
   | _ -> fail "malformed hex integer %S" s
-
-(* Latencies are the bulk of every record and resume decodes them all,
-   so floats get no shape check beyond [float_of_string]'s own. *)
-let float_of s =
-  try float_of_string s with Failure _ -> fail "malformed float %S" s
 
 let list sep dec s =
   if s = "" then [] else List.map dec (String.split_on_char sep s)
@@ -100,7 +106,23 @@ let fields_of sep keys s =
 
 let array sep dec s = Array.of_list (list sep dec s)
 let ints_of = array ' ' int_of
-let floats_of = array ' ' float_of
+
+(* The inverse of [runs_s]: values strictly ascending from 0 up, every
+   count at least 1. *)
+let runs_of s =
+  let runs, total, _ =
+    List.fold_left
+      (fun (runs, total, prev) run ->
+        match List.map int_of (String.split_on_char ':' run) with
+        | [ v; c ] when v > prev && c > 0 && c <= Sys.max_array_length - total ->
+          ((v, c) :: runs, total + c, v)
+        | _ -> fail "latency run %S out of shape or order" run)
+      ([], 0, -1)
+      (if s = "" then [] else String.split_on_char ' ' s)
+  in
+  let lat = Array.make total 0 in
+  ignore (List.fold_left (fun i (v, c) -> Array.fill lat (i - c) c v; i - c) total runs);
+  lat
 
 let exactly what n a =
   if Array.length a <> n then
@@ -184,7 +206,7 @@ let cgroups_s (s : Mem.Memcg.summary) =
                [ r.r_usage; r.r_low; r.r_high; r.r_max; r.r_limit;
                  r.r_throttles; r.r_throttled_ns; r.r_oom_kills;
                  r.r_psi_some_ns; r.r_psi_full_ns ])
-         @ [ floats_s r.r_read_latencies; floats_s r.r_write_latencies;
+         @ [ runs_s r.r_read_latencies; runs_s r.r_write_latencies;
              ints_s r.r_vm ]))
   in
   String.concat "|"
@@ -210,8 +232,8 @@ let cgroups_of s : Mem.Memcg.summary =
         r_oom_kills = int_of ooms;
         r_psi_some_ns = int_of some;
         r_psi_full_ns = int_of full;
-        r_read_latencies = floats_of rlat;
-        r_write_latencies = floats_of wlat;
+        r_read_latencies = runs_of rlat;
+        r_write_latencies = runs_of wlat;
         r_vm = exactly "memory.stat counters" Mem.Memcg.nr_stats (ints_of vm);
       }
     | _ -> fail "malformed cgroup"
@@ -261,8 +283,8 @@ let result_fields (r : Machine.result) =
   [
     ("runtime_ns", Obs.Int r.runtime_ns);
     ("counters", Obs.Str (counters_s r.counters));
-    ("read_latencies", Obs.Str (floats_s r.read_latencies));
-    ("write_latencies", Obs.Str (floats_s r.write_latencies));
+    ("read_latencies", Obs.Str (runs_s r.read_latencies));
+    ("write_latencies", Obs.Str (runs_s r.write_latencies));
     ("per_thread_finish", Obs.Str (ints_s r.per_thread_finish));
     ("cpu_busy_ns", Obs.Int r.cpu_busy_ns);
     ( "policy_stats",
@@ -294,8 +316,8 @@ let result_of_fields fields : Machine.result =
     runtime_ns = int "runtime_ns";
     major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
     minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
-    read_latencies = floats_of (str "read_latencies");
-    write_latencies = floats_of (str "write_latencies");
+    read_latencies = runs_of (str "read_latencies");
+    write_latencies = runs_of (str "write_latencies");
     per_thread_finish = ints_of (str "per_thread_finish");
     cpu_busy_ns = int "cpu_busy_ns";
     policy_stats =

@@ -9,6 +9,10 @@
     the result cache from the journal and recomputes only what is
     missing, producing output byte-identical to an uninterrupted run.
 
+    Records are appended in completion order, which differs between
+    [--jobs] settings and runs; resume reads them as a set (keyed, the
+    last occurrence of a key winning), never by position.
+
     {b Record framing.}  Each line is one flat JSON object whose first
     field is an MD5 checksum of the rest of the line:
 
@@ -38,16 +42,18 @@
     {b Record format.}  This module owns every byte of a record: no
     other module encodes or decodes a payload.  Scalars are JSON ints;
     the counters ([v1:] then counters and refault buckets), latencies
-    ([%h] floats, so they round-trip bit-exactly), per-thread finish
-    times, policy stats ([k=v;k=v]), profile totals, cgroup summary and
-    chaos tallies are JSON strings, the last three written only when
-    present.  Decoding is strict and total: an array of the wrong
-    length (another build's counter or [memory.stat] set), a missing,
-    extra or reordered key in the cgroup or chaos [k=v] lists, or a
-    malformed number makes the record invalid, so it is skipped and its
-    trial reruns.  Nothing is
-    zero-filled, and no input line makes {!load}, {!open_} or
-    {!record_of_line} raise.
+    (the sealed ascending array as [value:count] runs, e.g.
+    ["3:1 7:2"]; [""] when empty), per-thread finish times, policy
+    stats ([k=v;k=v]), profile totals, cgroup summary and chaos tallies
+    are JSON strings, the last three written only when present.
+    Decoding is strict and total: an array of the wrong length (another
+    build's counter or [memory.stat] set), a missing, extra or
+    reordered key in the cgroup or chaos [k=v] lists, a malformed
+    number, or latency runs that are not strictly ascending unsigned
+    [value:count] pairs with counts of at least 1 (the [%h] floats an
+    older build wrote have no colon) makes the record invalid, so it is
+    skipped and its trial reruns.  Nothing is zero-filled, and no input
+    line makes {!load}, {!open_} or {!record_of_line} raise.
 
     {b What is journaled.}  One rule, {!Obs.kept}: a record keeps the
     counters and, when the profiler was on, its phase totals.  Telemetry

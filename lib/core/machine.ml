@@ -65,8 +65,8 @@ type result = {
   runtime_ns : int;
   major_faults : int;
   minor_faults : int;
-  read_latencies : float array;
-  write_latencies : float array;
+  read_latencies : int array;
+  write_latencies : int array;
   per_thread_finish : int array;
   cpu_busy_ns : int;
   policy_stats : (string * int) list;
@@ -1254,8 +1254,8 @@ let run cfg ~policy ~workload =
     runtime_ns = runtime;
     major_faults = Obs.Vmstat.count counters Obs.Vmstat.pgmajfault;
     minor_faults = Obs.Vmstat.count counters Obs.Vmstat.minor_faults;
-    read_latencies = Structures.Latencies.to_array t.read_lat;
-    write_latencies = Structures.Latencies.to_array t.write_lat;
+    read_latencies = Structures.Latencies.seal t.read_lat;
+    write_latencies = Structures.Latencies.seal t.write_lat;
     per_thread_finish = Driver.per_thread_finish drv;
     cpu_busy_ns = Engine.Cpu.busy_ns t.cpu;
     policy_stats = P.stats p;

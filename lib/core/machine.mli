@@ -97,8 +97,8 @@ type result = {
           [pgmajfault] *)
   minor_faults : int;
       (** zero-fill first touches; [counters]' [minor_faults] *)
-  read_latencies : float array;  (** per-request ns, latency class 0 *)
-  write_latencies : float array; (** latency class 1 *)
+  read_latencies : int array;  (** per-request ns, latency class 0, ascending *)
+  write_latencies : int array; (** latency class 1, ascending *)
   per_thread_finish : int array;
   cpu_busy_ns : int;
   policy_stats : (string * int) list;

@@ -608,7 +608,7 @@ let memcg_summary ~runtime_ns (s : Mem.Memcg.summary) =
   in
   let lim v = if v < 0 then Dash else Int v in
   let p99 lats =
-    if Array.length lats = 0 then Dash else Ns (Stats.Percentile.quantile lats 0.99)
+    if Array.length lats = 0 then Dash else Ns (Stats.Percentile.quantile_ns lats 0.99)
   in
   subsection "cgroups";
   print_table

@@ -581,14 +581,11 @@ let mean_runtime_s results = mean (runtimes_s results)
 
 let mean_faults results = mean (faults results)
 
-let pooled pick results = Array.concat (List.map pick results)
-
-let pooled_read_latencies results = pooled (fun r -> r.Machine.read_latencies) results
+let pooled_read_latencies results =
+  Structures.Latencies.merge (List.map (fun r -> r.Machine.read_latencies) results)
 
 let pooled_write_latencies results =
-  pooled (fun r -> r.Machine.write_latencies) results
-
-let mean_read_latency_ns results = mean (pooled_read_latencies results)
+  Structures.Latencies.merge (List.map (fun r -> r.Machine.write_latencies) results)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry writers: serialize the captures of every traced            *)

@@ -254,12 +254,10 @@ val mean_runtime_s : Machine.result list -> float
 
 val mean_faults : Machine.result list -> float
 
-val mean_read_latency_ns : Machine.result list -> float
-(** Mean read-request latency pooled over trials (YCSB). *)
+val pooled_read_latencies : Machine.result list -> int array
+(** Every trial's read latencies merged into one ascending array. *)
 
-val pooled_read_latencies : Machine.result list -> float array
-
-val pooled_write_latencies : Machine.result list -> float array
+val pooled_write_latencies : Machine.result list -> int array
 
 (** {1 Telemetry}
 

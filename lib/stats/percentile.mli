@@ -2,24 +2,22 @@
 
     The paper reports request latency distributions up to the 99.99th
     percentile (Figures 3, 8, 12); these helpers compute them with linear
-    interpolation between order statistics. *)
+    interpolation between order statistics of an ascending array, one
+    formula for floats and integer latencies alike. *)
 
 val quantile_sorted : float array -> float -> float
 (** [quantile_sorted xs q] with [xs] already ascending and [q] in
     [0, 1].  @raise Invalid_argument on an empty array or [q] outside
     [0, 1]. *)
 
-val quantile : float array -> float -> float
-(** Copies and sorts, then {!quantile_sorted}. *)
-
-val quantiles : float array -> float list -> float list
-(** One sort amortized over many quantiles. *)
+val quantile_ns : int array -> float -> float
+(** {!quantile_sorted} over ascending integer nanoseconds (a sealed
+    {!Structures.Latencies} array); exact while values stay below
+    2^53. *)
 
 val quartiles : float array -> float * float * float
-(** [(q1, median, q3)]. *)
-
-val iqr : float array -> float
-(** Interquartile range [q3 - q1]. *)
+(** [(q1, median, q3)] of a small unsorted sample (a cell's trials):
+    sorts a copy with [Array.sort Float.compare]. *)
 
 type tail = {
   p50 : float;
@@ -31,6 +29,7 @@ type tail = {
 }
 (** The latency landmarks plotted in the paper's tail figures. *)
 
-val tail_of : float array -> tail
+val tail_of : int array -> tail
+(** The landmarks of an ascending, non-empty latency array. *)
 
 val pp_tail : Format.formatter -> tail -> unit

@@ -59,16 +59,16 @@ let test_ok_round_trip () =
     Alcotest.(check int) "runtime_ns" want.M.runtime_ns got.M.runtime_ns;
     Alcotest.(check int) "major_faults" want.M.major_faults got.M.major_faults;
     Alcotest.(check string) "policy_name" want.M.policy_name got.M.policy_name;
-    Alcotest.(check bool) "read latencies bit-exact" true
-      (want.M.read_latencies = got.M.read_latencies);
-    Alcotest.(check bool) "write latencies bit-exact" true
-      (want.M.write_latencies = got.M.write_latencies);
+    Alcotest.(check (array int)) "read latencies" want.M.read_latencies
+      got.M.read_latencies;
+    Alcotest.(check (array int)) "write latencies" want.M.write_latencies
+      got.M.write_latencies;
     Alcotest.(check bool) "policy stats equal" true
       (want.M.policy_stats = got.M.policy_stats);
     Alcotest.(check bool) "trace never journaled" true (got.M.trace = None)
 
-let test_awkward_floats_round_trip () =
-  (* %h framing must survive values that decimal printing mangles. *)
+let test_awkward_latencies_round_trip () =
+  (* Runs of one value, zero, and values no float holds exactly. *)
   let r = Lazy.force sample_result in
   let rec_ =
     {
@@ -79,7 +79,8 @@ let test_awkward_floats_round_trip () =
         Some
           {
             r with
-            M.read_latencies = [| 0.1; 1e-300; 1.5e300; 0.0; -0.0; 1.0 /. 3.0 |];
+            M.read_latencies =
+              [| 0; 0; 0; 1; 1_000_000_000; (1 lsl 53) + 1; max_int - 1; max_int; max_int |];
             write_latencies = [||];
             trace = None;
           };
@@ -88,14 +89,8 @@ let test_awkward_floats_round_trip () =
   match J.record_of_line (J.record_to_line rec_) with
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok { J.result = Some got; _ } ->
-    Array.iteri
-      (fun i want ->
-        Alcotest.(check bool)
-          (Printf.sprintf "lat[%d] bit-exact" i)
-          true
-          (Int64.equal (Int64.bits_of_float want)
-             (Int64.bits_of_float got.M.read_latencies.(i))))
-      (Option.get rec_.J.result).M.read_latencies;
+    Alcotest.(check (array int)) "every latency back"
+      (Option.get rec_.J.result).M.read_latencies got.M.read_latencies;
     Alcotest.(check int) "empty array survives" 0
       (Array.length got.M.write_latencies)
   | Ok _ -> Alcotest.fail "result lost"
@@ -180,9 +175,8 @@ let pinned_record =
           M.runtime_ns = 77_831_637_081;
           major_faults = V.count counters V.pgmajfault;
           minor_faults = V.count counters V.minor_faults;
-          read_latencies =
-            [| 1.5; Float.nan; Float.infinity; -0.0; Int64.float_of_bits 1L; 0.1 |];
-          write_latencies = [| Float.neg_infinity; 2.5e9 |];
+          read_latencies = [| 0; 7; 7; 7; 250; 123_456_789 |];
+          write_latencies = [| 2_500_000_000; 2_500_000_000 |];
           per_thread_finish = [| 77_831_637_081; 5; 0 |];
           cpu_busy_ns = 295_029_579_632;
           policy_stats = [ ("evictions", 18_771); ("refaults", 17_066) ];
@@ -194,8 +188,8 @@ let pinned_record =
               {
                 Mem.Memcg.s_groups =
                   [
-                    group "app" ~rlat:[| 250.0; 1e-300 |] ~wlat:[| 3.0 |];
-                    group "bg" ~rlat:[| Float.nan |] ~wlat:[| 0.5; -0.0 |];
+                    group "app" ~rlat:[| 3; 250 |] ~wlat:[| 3 |];
+                    group "bg" ~rlat:[||] ~wlat:[| 1; 1; max_int |];
                   ];
                 s_some_ns = 69_889_748_818;
                 s_full_ns = 1_018_743_621;
@@ -217,7 +211,7 @@ let pinned_record =
 let pinned_line =
   String.concat ""
     [
-      {|{"sum":"1c8b147481d28badf496b867206dcf3c"|};
+      {|{"sum":"b950b4f41a8dde40f2d3eaca95ab48ec"|};
       {|,"key":"tpch/mglru/0.5/ssd/t0@0123456789abcdef"|};
       {|,"status":"ok"|};
       {|,"reason":""|};
@@ -226,9 +220,8 @@ let pinned_line =
       {|;112;119;126;133;140;147;154;161;168;175;182;189;196;203|0;1;4;9|};
       {|;16;25;36;49;64;81;100;121;144;169;196;225;256;289;324;361;400|};
       {|;441;484;529"|};
-      {|,"read_latencies":"0x1.8p+0 nan infinity -0x0p+0|};
-      {| 0x0.0000000000001p-1022 0x1.999999999999ap-4"|};
-      {|,"write_latencies":"-infinity 0x1.2a05f2p+31"|};
+      {|,"read_latencies":"0:1 7:3 250:1 123456789:1"|};
+      {|,"write_latencies":"2500000000:2"|};
       {|,"per_thread_finish":"77831637081 5 0"|};
       {|,"cpu_busy_ns":295029579632|};
       {|,"policy_stats":"evictions=18771;refaults=17066"|};
@@ -239,11 +232,11 @@ let pinned_line =
       {|,"cgroups":"some=69889748818,full=1018743621|name=app;usage=254|};
       {|;low=0;high=421;max=-1;limit=-1;throttles=3;throttled_ns=12345|};
       {|;oom_kills=1;psi_some_ns=61948191879;psi_full_ns=33013171182|};
-      {|;rlat=0x1.f4p+7 0x1.56e1fc2f8f359p-997;wlat=0x1.8p+1;vm=1000 1001|};
-      {| 1002 1003 1004 1005 1006 1007|name=bg;usage=254;low=0;high=421|};
-      {|;max=-1;limit=-1;throttles=3;throttled_ns=12345;oom_kills=1|};
-      {|;psi_some_ns=61948191879;psi_full_ns=33013171182;rlat=nan|};
-      {|;wlat=0x1p-1 -0x0p+0;vm=1000 1001 1002 1003 1004 1005 1006 1007"|};
+      {|;rlat=3:1 250:1;wlat=3:1;vm=1000 1001 1002 1003 1004 1005 1006|};
+      {| 1007|name=bg;usage=254;low=0;high=421;max=-1;limit=-1;throttles=3|};
+      {|;throttled_ns=12345;oom_kills=1;psi_some_ns=61948191879|};
+      {|;psi_full_ns=33013171182;rlat=;wlat=1:2 4611686018427387903:1|};
+      {|;vm=1000 1001 1002 1003 1004 1005 1006 1007"|};
       {|,"chaos":"ev=2,off=168,on=168,mig=5,evi=0,skip=0,lim=0,dev=0,stall|};
       {|=0,corr=1"}|};
     ]
@@ -559,7 +552,7 @@ let test_cgroups_summary_strict () =
             r_oom_kills = 0;
             r_psi_some_ns = 3;
             r_psi_full_ns = 4;
-            r_read_latencies = [| 1.5 |];
+            r_read_latencies = [| 15 |];
             r_write_latencies = [||];
             r_vm = Array.init Mem.Memcg.nr_stats Fun.id;
           };
@@ -586,7 +579,8 @@ let test_cgroups_summary_strict () =
           ("no vm", replace_first ~sub:vm_field ~by:"");
           ("long vm", replace_first ~sub:vm_field ~by:(vm_field ^ " 8"));
           ("non-integer vm", replace_first ~sub:";vm=0 " ~by:";vm=x ");
-          ("no rlat", replace_first ~sub:";rlat=0x1.8p+0" ~by:"");
+          ("no rlat", replace_first ~sub:";rlat=15:1" ~by:"");
+          ("parent-layout rlat", replace_first ~sub:";rlat=15:1" ~by:";rlat=0x1.ep+3");
           ("no wlat", replace_first ~sub:";wlat=;" ~by:";");
         ];
       match J.load ~path with
@@ -742,7 +736,7 @@ let with_stderr f =
 
 (* A checksummed record whose array does not parse is one invalid
    record: loading and resuming skip it with a note and keep the rest. *)
-let test_malformed_record_skipped () =
+let check_skipped cases =
   let keys records = List.map (fun r -> r.J.key) records in
   let noted err =
     Alcotest.(check bool) "stderr notes the skipped line" true
@@ -772,11 +766,85 @@ let test_malformed_record_skipped () =
             [ "a"; "b" ] (keys resumed);
           noted err;
           Alcotest.(check int) (name ^ ": compacted") 3 (count_lines path)))
+    cases
+
+let test_malformed_record_skipped () =
+  check_skipped
     [
       ("per_thread_finish", "7 x");
       ("policy_stats", "evictions");
       ("read_latencies", "zz");
     ]
+
+(* Latency runs a sealed array never encodes to. *)
+let test_latency_runs_refused () =
+  check_skipped
+    (List.concat_map
+       (fun value -> [ ("read_latencies", value); ("write_latencies", value) ])
+       [
+         (* descending values *)
+         "7:1 3:1";
+         (* a repeated value *)
+         "3:1 3:2";
+         "3:0";
+         "-3:1";
+         "3:-1";
+         "-0:1";
+         "0x10:1";
+         "1:+2";
+         "1:2:3";
+         (* no colon: every token of the parent's %h layout *)
+         "17";
+         "0x1.8p+0";
+         "3:1  4:1";
+       ])
+
+(* A YCSB record as the parent build journaled it, latencies as %h
+   floats, under this build's own record key and header: refused, so
+   the trial reruns, never misread. *)
+let test_parent_layout_rerun () =
+  let fresh = Lazy.force sample_result in
+  let key = R.record_key (R.make_ctx ~profile:fast_profile ()) sample_exp in
+  let record = { J.key; status = J.Trial_ok; reason = ""; result = Some fresh } in
+  let line layout =
+    match Obs.parse_line (J.record_to_line record) with
+    | Ok (_sum :: fields) ->
+      let obj =
+        Obs.json_object
+          (List.map
+             (fun (k, v) ->
+               match k with
+               | "read_latencies" -> (k, Obs.Str (layout fresh.M.read_latencies))
+               | "write_latencies" -> (k, Obs.Str (layout fresh.M.write_latencies))
+               | _ -> (k, v))
+             fields)
+      in
+      frame (String.sub obj 1 (String.length obj - 1))
+    | _ -> Alcotest.fail "record does not parse"
+  in
+  let hex lat =
+    String.concat " " (List.map (fun ns -> Printf.sprintf "%h" (float_of_int ns)) (Array.to_list lat))
+  in
+  Alcotest.(check bool) "the YCSB trial has latencies" true
+    (Array.length fresh.M.read_latencies > 0);
+  (match J.record_of_line (J.record_to_line record) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "this build's layout refused: %s" e);
+  with_temp_journal (fun path ->
+      J.close (fst (J.open_ ~path ~resume:false ~fingerprint));
+      append_raw path (line hex ^ "\n");
+      let (t, records), err =
+        with_stderr (fun () -> J.open_ ~path ~resume:true ~fingerprint)
+      in
+      Alcotest.(check bool) "stderr notes the skipped line" true
+        (contains err "skipping invalid record at line 2");
+      Alcotest.(check int) "nothing to warm-start" 0 (List.length records);
+      let ctx = R.make_ctx ~profile:fast_profile ~journal:t () in
+      Alcotest.(check int) "nothing installed" 0 (R.warm_start ctx records);
+      let rerun = R.run_exp ctx sample_exp in
+      J.close t;
+      Alcotest.(check bool) "rerun equals a fresh run" true (rerun = fresh);
+      Alcotest.(check int) "header and the rerun's record" 2 (count_lines path))
 
 (* The captures a record never holds, from one trial with all of them
    on. *)
@@ -798,18 +866,16 @@ let gen_result =
   let open QCheck.Gen in
   let module V = Obs.Vmstat in
   let name = string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '0'; '7'; '_' ]) (int_range 1 6) in
-  let latency =
-    frequency
-      [
-        ( 1,
-          oneofl
-            [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
-              Int64.float_of_bits 1L ] );
-        (3, map Int64.float_of_bits ui64);
-        (2, float);
-      ]
+  (* Sealed latencies: ascending, non-negative, often repeated. *)
+  let latencies =
+    map
+      (fun a ->
+        Array.sort Int.compare a;
+        a)
+      (array_size (int_bound 6)
+         (frequency
+            [ (2, int_bound 3); (1, pure max_int); (3, map (fun v -> v land max_int) int) ]))
   in
-  let latencies = array_size (int_bound 4) latency in
   let counters =
     let+ counters = array_repeat V.nr_counters int
     and+ refault_dist = array_repeat V.dist_buckets int in
@@ -986,8 +1052,8 @@ let () =
       ( "framing",
         [
           Alcotest.test_case "ok round trip" `Quick test_ok_round_trip;
-          Alcotest.test_case "awkward floats" `Quick
-            test_awkward_floats_round_trip;
+          Alcotest.test_case "awkward latencies" `Quick
+            test_awkward_latencies_round_trip;
           Alcotest.test_case "failure round trips" `Quick
             test_failure_round_trips;
           Alcotest.test_case "checksum detects corruption" `Quick
@@ -1019,6 +1085,9 @@ let () =
         [
           Alcotest.test_case "malformed payloads rejected" `Quick
             test_malformed_rejected;
+          Alcotest.test_case "latency runs refused" `Quick test_latency_runs_refused;
+          Alcotest.test_case "parent-layout latencies rerun" `Quick
+            test_parent_layout_rerun;
           Alcotest.test_case "malformed record skipped" `Quick
             test_malformed_record_skipped;
           QCheck_alcotest.to_alcotest round_trip_prop;

@@ -162,7 +162,7 @@ let test_latency_recording () =
   Alcotest.(check int) "two reads" 2 (Array.length r.M.read_latencies);
   Alcotest.(check int) "one write" 1 (Array.length r.M.write_latencies);
   Array.iter
-    (fun l -> Alcotest.(check bool) "latency positive" true (l > 0.0))
+    (fun l -> Alcotest.(check bool) "latency positive" true (l > 0))
     r.M.read_latencies
 
 let test_policy_stats_surface () =
@@ -345,32 +345,65 @@ let read_requests n =
     ~policy:(Policy.Registry.create Policy.Registry.Clock)
     ~workload:(C.Packed ((module Workload.Trace), w))
 
-let test_latency_buffer_grows () =
-  (* Past the buffer's first size (1024), growth must keep what was
-     stored: the first 1000 latencies of a 3000-request run are those of
-     the 1000-request run of the same trace prefix. *)
-  let long = read_requests 3000 and short = read_requests 1000 in
-  Alcotest.(check int) "every read kept" 3000 (Array.length long.M.read_latencies);
-  Alcotest.(check int) "no writes" 0 (Array.length long.M.write_latencies);
-  Alcotest.(check (array (float 0.0))) "prefix survives growth"
-    short.M.read_latencies
-    (Array.sub long.M.read_latencies 0 1000);
-  Array.iter
-    (fun l ->
-      Alcotest.(check bool) "positive whole nanoseconds" true
-        (l > 0.0 && Float.is_integer l))
-    long.M.read_latencies
+module L = Structures.Latencies
 
-let test_latencies_in_request_order () =
-  (* Requests 0-3 zero-fill their page; every later one hits. *)
-  let r = read_requests 8 in
-  let lat = r.M.read_latencies in
-  for i = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "first touch %d slower than rehit" i)
-      true
-      (lat.(i) > lat.(i + 4))
-  done
+let sealed pushes =
+  let l = L.create () in
+  Array.iter (L.push l) pushes;
+  L.seal l
+
+let sorted a =
+  let a = Array.copy a in
+  Array.sort Int.compare a;
+  a
+
+let test_sealed_is_sorted_pushes () =
+  (* Past the buffer's first size (1024), over the whole int range:
+     ties, zero, and values that need every radix digit. *)
+  let rng = Engine.Rng.create 5 in
+  let pushes =
+    Array.init 5000 (fun i ->
+        match i mod 4 with
+        | 0 -> Engine.Rng.int rng 16
+        | 1 -> Engine.Rng.int rng 1_000_000_000
+        | 2 -> max_int - Engine.Rng.int rng 1_000
+        | _ -> Engine.Rng.int rng max_int)
+  in
+  let l = L.create () in
+  Array.iter (L.push l) pushes;
+  Alcotest.(check (array int)) "sealed = sorted pushes" (sorted pushes) (L.seal l);
+  Alcotest.(check (array int)) "the buffer is left empty" [||] (L.seal l);
+  L.push l 7;
+  Alcotest.(check (array int)) "and takes pushes again" [| 7 |] (L.seal l);
+  Alcotest.check_raises "negative refused"
+    (Invalid_argument "Latencies.push: negative latency") (fun () -> L.push l (-1))
+
+let prop_seal_and_merge =
+  QCheck.Test.make ~name:"seal sorts, merge = sorted concatenation" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 5) (array_of_size Gen.(0 -- 300) (int_bound 5000)))
+    (fun arrays ->
+      let parts = List.map sealed arrays in
+      List.for_all2 (fun a p -> p = sorted a) arrays parts
+      && L.merge parts = sorted (Array.concat arrays))
+
+let test_every_push_kept () =
+  (* A 3000-request run's first 1000 requests are the 1000-request run:
+     across growth, its latencies stay a sub-multiset of the long run's. *)
+  let long = read_requests 3000 and short = read_requests 1000 in
+  let lat = long.M.read_latencies in
+  Alcotest.(check int) "every read kept" 3000 (Array.length lat);
+  Alcotest.(check int) "no writes" 0 (Array.length long.M.write_latencies);
+  Alcotest.(check (array int)) "ascending" (sorted lat) lat;
+  Alcotest.(check bool) "positive" true (lat.(0) > 0);
+  let j = ref 0 in
+  Array.iter
+    (fun v ->
+      while !j < 3000 && lat.(!j) < v do
+        incr j
+      done;
+      Alcotest.(check bool) "short run's latency kept" true (!j < 3000 && lat.(!j) = v);
+      incr j)
+    short.M.read_latencies
 
 let test_unclassed_not_recorded () =
   (* Chunks without a latency class are work, not requests. *)
@@ -393,16 +426,10 @@ let ycsb_trial ?cgroups variant =
     { R.workload = R.Ycsb variant; policy = Policy.Registry.Clock; ratio = 0.5;
       swap = R.Ssd; trial = 0 }
 
-(* The latencies as ascending ints, whatever order they are stored in. *)
-let ascending lat =
-  let a = Array.map int_of_float lat in
-  Array.sort Int.compare a;
-  a
-
+(* Sealed latencies are ascending, so the digest also pins the order. *)
 let digest lat =
   Digest.to_hex
-    (Digest.string
-       (String.concat " " (List.map string_of_int (Array.to_list (ascending lat)))))
+    (Digest.string (String.concat " " (List.map string_of_int (Array.to_list lat))))
 
 let landmarks lat =
   let t = Stats.Percentile.tail_of lat in
@@ -492,9 +519,11 @@ let () =
         ] );
       ( "latencies",
         [
-          Alcotest.test_case "buffer grows" `Quick test_latency_buffer_grows;
-          Alcotest.test_case "request order" `Quick
-            test_latencies_in_request_order;
+          Alcotest.test_case "sealed = sorted pushes" `Quick
+            test_sealed_is_sorted_pushes;
+          Alcotest.test_case "every push kept across growth" `Quick
+            test_every_push_kept;
+          QCheck_alcotest.to_alcotest prop_seal_and_merge;
           Alcotest.test_case "unclassed not recorded" `Quick
             test_unclassed_not_recorded;
         ] );

@@ -219,7 +219,16 @@ let test_pooled_latencies () =
   let writes = R.pooled_write_latencies results in
   Alcotest.(check bool) "reads recorded" true (Array.length reads > 1000);
   Alcotest.(check bool) "writes recorded" true (Array.length writes > 100);
-  Alcotest.(check bool) "mean read positive" true (R.mean_read_latency_ns results > 0.0)
+  (* Pooling merges the sealed trials: the sorted concatenation. *)
+  let concat pick =
+    let a = Array.concat (List.map pick results) in
+    Array.sort Int.compare a;
+    a
+  in
+  Alcotest.(check (array int)) "reads merged"
+    (concat (fun r -> r.Repro_core.Machine.read_latencies)) reads;
+  Alcotest.(check (array int)) "writes merged"
+    (concat (fun r -> r.Repro_core.Machine.write_latencies)) writes
 
 let test_capacity_floor () =
   List.iter
