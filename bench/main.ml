@@ -1,8 +1,9 @@
 (* Benchmark harness.
 
    Bechamel microbenchmarks for the hot data structures (zipf sampling,
-   bloom filter, generation lists, event queue, PTEs, RNG) and for step
-   generation (YCSB load batches; a cold PageRank build, timed directly),
+   bloom filter, generation lists in and out of cache, event queue, PTEs,
+   RNG) and for step generation (YCSB load batches; a cold PageRank
+   build, timed directly), one scaled MG-LRU trial (timed directly),
    the policy-SDK hook dispatch costs (BENCH_policy_sdk.json), and the
    engine wall-clock harness (BENCH_engine.json).  The per-workload
    simulation layers are timed by perfbench/layers; the figures
@@ -63,6 +64,24 @@ let bench_dlist =
     (Staged.stage (fun () ->
          i := (!i + 1) land 4095;
          Structures.Dlist.move_head d ~list:(!i mod 4) ~node:!i))
+
+(* Random moves over 2^20 nodes: the list nodes no longer fit in cache,
+   as at a scaled run's frame counts, so each move pays for the lines it
+   touches.  The node order is drawn up front, and only when the micro
+   rows run. *)
+let bench_dlist_1m () =
+  let n = 1 lsl 20 in
+  let d = Structures.Dlist.create ~nodes:n ~lists:4 in
+  for node = 0 to n - 1 do
+    Structures.Dlist.push_head d ~list:(node land 3) ~node
+  done;
+  let rng = Engine.Rng.create 5 in
+  let order = Array.init n (fun _ -> Engine.Rng.int rng n) in
+  let i = ref 0 in
+  Test.make ~name:"dlist-move-1M"
+    (Staged.stage (fun () ->
+         i := (!i + 1) land (n - 1);
+         Structures.Dlist.move_head d ~list:(!i land 3) ~node:order.(!i)))
 
 let bench_event_queue =
   let q = Engine.Event_queue.create () in
@@ -465,6 +484,39 @@ let cold_pagerank_build_s ~runs =
   done;
   !best
 
+(* One --fast --scale 64 TPC-H trial under MG-LRU, end to end (workload
+   build and simulation): the fault, reclaim and swap path on a scaled
+   footprint.  Each run uses a fresh context, so no result is cached;
+   best of [runs]. *)
+let fault_path_scale64_s ~runs =
+  let best = ref infinity in
+  for _ = 1 to runs do
+    let ctx =
+      Repro_core.Runner.make_ctx
+        ~profile:
+          {
+            Repro_core.Runner.default_profile with
+            Repro_core.Runner.fast = true;
+            scale = 64;
+          }
+        ()
+    in
+    let t0 = Unix.gettimeofday () in
+    let r =
+      Repro_core.Runner.run_exp ctx
+        {
+          Repro_core.Runner.workload = Repro_core.Runner.Tpch;
+          policy = Policy.Registry.Mglru_default;
+          ratio = 0.5;
+          swap = Repro_core.Runner.Ssd;
+          trial = 0;
+        }
+    in
+    ignore (Sys.opaque_identity r);
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
 (* Sealing one --fast YCSB-A trial's latency buffers, as [Machine.run]
    does at the end of every trial: the trial's reads and writes, pushed
    in an order shuffled with a fixed seed, timed over both seals; best of
@@ -531,6 +583,7 @@ let run_benchmarks () =
         bench_ycsb_load;
         bench_bloom;
         bench_dlist;
+        bench_dlist_1m ();
         bench_event_queue;
         bench_pte;
         bench_rng;
@@ -555,7 +608,9 @@ let run_benchmarks () =
   Printf.printf "%-40s %12.1f ms/run (best of 5)\n" "pagerank-cold-build"
     (1e3 *. cold_pagerank_build_s ~runs:5);
   Printf.printf "%-40s %12.1f ns/latency (best of 5)\n" "latency-seal"
-    (latency_seal_ns ~runs:5)
+    (latency_seal_ns ~runs:5);
+  Printf.printf "%-40s %12.1f ms/run (best of 3)\n" "fault-path-scale64"
+    (1e3 *. fault_path_scale64_s ~runs:3)
 
 let () =
   (* `bench/main.exe engine` runs only the engine harness (CI's bench

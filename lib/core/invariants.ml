@@ -6,7 +6,7 @@ type violation = {
 
 let v check subject fmt = Printf.ksprintf (fun detail -> { check; subject; detail }) fmt
 
-let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
+let audit ~last_chaos ~memcg ~killed ~pt ~frames ~mem ~swap ~pages =
   let out = ref [] in
   let add x = out := x :: !out in
   let nswapped = ref 0 and nretained = ref 0 in
@@ -69,7 +69,7 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
       if not (Swapdev.Swap_manager.slot_in_use swap slot) then
         add (v "pte-dead-slot" vpn "swapped PTE names freed slot %d" slot)
     end;
-    let retained = retained_slot.(vpn) in
+    let retained = Page_state.retained pages vpn in
     if retained >= 0 then begin
       incr nretained;
       if not (Mem.Pte.present pte) then
@@ -81,10 +81,10 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
     (* Ownership: a page (resident or swapped out) must never belong to
        a killed thread — the OOM killer tears down the victim's whole
        address space, swap slots and rmap entries included. *)
-    (match owners with
+    (match killed with
     | None -> ()
-    | Some (owner_tid, killed) ->
-      let o = owner_tid.(vpn) in
+    | Some killed ->
+      let o = Page_state.owner pages vpn in
       if o >= 0 && o < Array.length killed && killed.(o) then
         add (v "owner-killed" vpn "page still owned by killed thread %d" o);
       if Mem.Pte.present pte && o < 0 then
@@ -175,9 +175,9 @@ let audit ~last_chaos ~memcg ~owners ~pt ~frames ~mem ~swap ~retained_slot =
       add
         (v "memcg-total" !total "per-cgroup charges sum to %d <> %d resident"
            !total resident);
-    (match owners with
+    (match killed with
     | None -> ()
-    | Some (_, killed) ->
+    | Some killed ->
       for cg = 1 to n - 1 do
         let members = ref 0 and live = ref 0 in
         Array.iteri

@@ -3,7 +3,8 @@
     Cross-checks the four structures that must agree at every event
     boundary: the frame table (reverse map ground truth), the page
     table, the physical-memory allocator, and the swap-slot manager —
-    plus the machine's swap-cache array ([retained_slot]).  The audit is
+    plus the machine's per-page state ({!Page_state}: swap-cache slots
+    and owning threads).  The audit is
     read-only and draws no randomness, so wiring it into a run at any
     cadence never perturbs simulated behaviour.
 
@@ -19,21 +20,22 @@ type violation = {
 val audit :
   last_chaos:string option ->
   memcg:Mem.Memcg.t option ->
-  owners:(int array * bool array) option ->
+  killed:bool array option ->
   pt:Mem.Page_table.t ->
   frames:Mem.Frame_table.t ->
   mem:Mem.Phys_mem.t ->
   swap:Swapdev.Swap_manager.t ->
-  retained_slot:int array ->
+  pages:Page_state.t ->
   violation list
-(** Empty list = consistent.  [retained_slot.(vpn)] is the machine's
-    clean swap-cache slot for a resident page, or [-1].
+(** Empty list = consistent.  [pages] is read in place, never copied:
+    its retained slot is the machine's clean swap-cache slot for a
+    resident page, or [-1], and every live swap slot must be accounted
+    for by exactly one swapped PTE or swap-cache entry.
 
-    [owners] is [(owner_tid, killed)]: per-vpn owning thread (surviving
-    swap-out) and the per-thread killed flags; enables the OOM-teardown
-    checks — no page, resident or swapped, may still belong to a killed
-    thread, and every live swap slot must be accounted for by exactly
-    one swapped PTE or swap-cache entry.
+    [killed] is the per-thread killed flags; it enables the ownership
+    checks against [pages]' owning threads (which survive swap-out): no
+    page, resident or swapped, may still belong to a killed thread, and
+    every resident page has an owner.
 
     [memcg] enables the cgroup audits: per-cgroup charged-page counts
     are recomputed from the page table and must match the controller

@@ -100,7 +100,9 @@ type t = {
   swap : Swapdev.Swap_manager.t;
   workload : Workload.Chunk.packed;
   mutable policy : Policy.Policy_intf.packed option;
-  retained_slot : int array; (* vpn -> clean swap-cache slot, or -1 *)
+  (* Per vpn: clean swap-cache slot, faulting and owning threads, and
+     the pinned and readahead-pending flags (see Page_state). *)
+  pages : Page_state.t;
   read_lat : Structures.Latencies.t;
   write_lat : Structures.Latencies.t;
   (* Direct-reclaim context: reclaim_page behaves differently when the
@@ -113,17 +115,10 @@ type t = {
   (* Success-adaptive swap readahead, like the kernel's per-VMA scheme:
      each address-space zone keeps its own window, shrunk when its
      speculatively-read pages get evicted untouched. *)
-  ra_pending : bool array;
   ra_window : int array; (* per zone *)
   ra_hits : int array;
   ra_misses : int array;
-  (* Degradation state: pages whose writeback permanently failed cannot
-     leave memory; per-thread residency feeds OOM victim selection. *)
-  pinned : bool array;     (* vpn -> unreclaimable *)
-  faulted_by : int array;  (* vpn -> tid that faulted the page in, or -1 *)
-  owner_tid : int array;   (* like faulted_by, but survives swap-out so
-                              the OOM killer can release the victim's
-                              swap slots, not just its resident frames *)
+  (* Per-thread residency feeds OOM victim selection. *)
   thread_rss : int array;  (* tid -> resident pages it faulted in *)
   (* Memory cgroups; None = no containment, zero behavioural change. *)
   mcg : Mem.Memcg.t option;
@@ -156,16 +151,16 @@ let ra_adapt t z =
   end
 
 let ra_note_hit t vpn =
-  if t.ra_pending.(vpn) then begin
-    t.ra_pending.(vpn) <- false;
+  if Page_state.ra_pending t.pages vpn then begin
+    Page_state.set_ra_pending t.pages vpn false;
     let z = ra_zone vpn in
     t.ra_hits.(z) <- t.ra_hits.(z) + 1;
     ra_adapt t z
   end
 
 let ra_note_evicted t vpn =
-  if t.ra_pending.(vpn) then begin
-    t.ra_pending.(vpn) <- false;
+  if Page_state.ra_pending t.pages vpn then begin
+    Page_state.set_ra_pending t.pages vpn false;
     let z = ra_zone vpn in
     t.ra_misses.(z) <- t.ra_misses.(z) + 1;
     ra_adapt t z
@@ -189,18 +184,18 @@ let wake_kthreads t = Driver.wake_kthreads t.drv
 let killed t tid = Driver.killed t.drv tid
 
 let rss_page_mapped t ~tid ~vpn =
-  t.faulted_by.(vpn) <- tid;
-  t.owner_tid.(vpn) <- tid;
+  Page_state.set_faulted_by t.pages vpn tid;
+  Page_state.set_owner t.pages vpn tid;
   t.thread_rss.(tid) <- t.thread_rss.(tid) + 1;
   match t.mcg with
   | Some mg -> Mem.Memcg.charge mg ~tid ~vpn
   | None -> ()
 
 let rss_page_unmapped t ~vpn =
-  let tid = t.faulted_by.(vpn) in
+  let tid = Page_state.faulted_by t.pages vpn in
   if tid >= 0 then begin
     t.thread_rss.(tid) <- t.thread_rss.(tid) - 1;
-    t.faulted_by.(vpn) <- -1
+    Page_state.set_faulted_by t.pages vpn (-1)
   end;
   match t.mcg with
   | Some mg -> Mem.Memcg.uncharge mg ~vpn
@@ -256,15 +251,15 @@ let reclaim_page t ~pfn =
   let vpn = Mem.Frame_table.owner_vpn t.frames pfn in
   if vpn >= 0 then begin
     let pte = Mem.Page_table.get t.pt vpn in
-    if Mem.Pte.present pte && not t.pinned.(vpn) then begin
-      let retained = t.retained_slot.(vpn) in
+    if Mem.Pte.present pte && not (Page_state.pinned t.pages vpn) then begin
+      let retained = Page_state.retained t.pages vpn in
       let now = if t.in_direct then t.direct_now else Engine.Sim.now t.sim in
       let needs_writeback = Mem.Pte.dirty pte || retained < 0 in
       let slot =
         if needs_writeback then begin
           if retained >= 0 then begin
             Swapdev.Swap_manager.release t.swap ~slot:retained;
-            t.retained_slot.(vpn) <- -1
+            Page_state.set_retained t.pages vpn (-1)
           end;
           let klass = Workload.Chunk.packed_klass t.workload vpn in
           let slot =
@@ -288,7 +283,7 @@ let reclaim_page t ~pfn =
       if slot < 0 then begin
         (* Writeback failed for good: the page stays resident and
            becomes unreclaimable. *)
-        t.pinned.(vpn) <- true;
+        Page_state.set_pinned t.pages vpn true;
         Obs.Vmstat.incr t.vm Obs.Vmstat.writeback_failures
       end
       else begin
@@ -302,7 +297,7 @@ let reclaim_page t ~pfn =
           (Mem.Workingset.note_eviction t.ws
              ~was_active:(Mem.Pte.accessed pte));
         Mem.Page_table.set t.pt vpn (Mem.Pte.to_swapped pte ~slot);
-        t.retained_slot.(vpn) <- -1;
+        Page_state.set_retained t.pages vpn (-1);
         ra_note_evicted t vpn;
         rss_page_unmapped t ~vpn;
         Mem.Frame_table.clear_owner t.frames ~pfn;
@@ -349,19 +344,20 @@ let oom_kill ?cg t =
     Obs.Vmstat.incr t.vm Obs.Vmstat.oom_kill;
     let discarded = ref 0 in
     for vpn = 0 to Mem.Page_table.pages t.pt - 1 do
-      if t.owner_tid.(vpn) = v then begin
+      if Page_state.owner t.pages vpn = v then begin
         let pte = Mem.Page_table.get t.pt vpn in
         if Mem.Pte.present pte then begin
           let pfn = Mem.Pte.pfn pte in
-          if t.retained_slot.(vpn) >= 0 then begin
-            Swapdev.Swap_manager.release t.swap ~slot:t.retained_slot.(vpn);
-            t.retained_slot.(vpn) <- -1
+          let retained = Page_state.retained t.pages vpn in
+          if retained >= 0 then begin
+            Swapdev.Swap_manager.release t.swap ~slot:retained;
+            Page_state.set_retained t.pages vpn (-1)
           end;
           Mem.Page_table.set t.pt vpn Mem.Pte.empty;
           Mem.Frame_table.clear_owner t.frames ~pfn;
           Mem.Phys_mem.free t.mem pfn;
-          t.pinned.(vpn) <- false;
-          t.ra_pending.(vpn) <- false;
+          Page_state.set_pinned t.pages vpn false;
+          Page_state.set_ra_pending t.pages vpn false;
           (match t.mcg with
           | Some mg -> Mem.Memcg.uncharge mg ~vpn
           | None -> ());
@@ -380,8 +376,8 @@ let oom_kill ?cg t =
           Mem.Page_table.clear_shadow t.pt vpn;
           incr discarded
         end;
-        t.faulted_by.(vpn) <- -1;
-        t.owner_tid.(vpn) <- -1
+        Page_state.set_faulted_by t.pages vpn (-1);
+        Page_state.set_owner t.pages vpn (-1)
       end
     done;
     t.thread_rss.(v) <- 0;
@@ -677,8 +673,8 @@ let readahead t ~tid ~(cursor : int ref) vpn =
             else begin
               note_refault t ~tid ~vpn:v ~now:!cursor;
               mcg_vm t ~tid Mem.Memcg.st_pswpin;
-              t.retained_slot.(v) <- slot;
-              t.ra_pending.(v) <- true;
+              Page_state.set_retained t.pages v slot;
+              Page_state.set_ra_pending t.pages v true;
               map_page t ~tid ~pfn ~vpn:v ~refault:true ~write:false ~demand:false
             end
           end
@@ -731,7 +727,7 @@ let handle_fault t ~tid ~(cursor : int ref) ~(cpu_acc : int ref) ~vpn ~write =
       end
       else begin
         mcg_vm t ~tid Mem.Memcg.st_pswpin;
-        t.retained_slot.(vpn) <- slot;
+        Page_state.set_retained t.pages vpn slot;
         map_page t ~tid ~pfn ~vpn ~refault:true ~write ~demand:true;
         readahead t ~tid ~cursor vpn
       end
@@ -783,9 +779,8 @@ let segment t ~tid (c : Workload.Chunk.t) ~first ~last ~cursor ~cpu_acc =
 let audit t =
   Invariants.audit ~memcg:t.mcg
     ~last_chaos:(if t.chaos_last = "" then None else Some t.chaos_last)
-    ~owners:(Some (t.owner_tid, Driver.killed_threads t.drv))
-    ~pt:t.pt ~frames:t.frames ~mem:t.mem ~swap:t.swap
-    ~retained_slot:t.retained_slot
+    ~killed:(Some (Driver.killed_threads t.drv))
+    ~pt:t.pt ~frames:t.frames ~mem:t.mem ~swap:t.swap ~pages:t.pages
 
 (* ---- Chaos injection --------------------------------------------- *)
 
@@ -831,7 +826,7 @@ let chaos_offline t ~want ~(cs : Chaos.summary) =
       end
       else begin
         let vpn = Mem.Frame_table.owner_vpn t.frames p in
-        if vpn >= 0 && not t.pinned.(vpn) then begin
+        if vpn >= 0 && not (Page_state.pinned t.pages vpn) then begin
           if chaos_migrate t ~src:p ~vpn then begin
             Mem.Phys_mem.offline_used t.mem p;
             t.chaos_offlined <- p :: t.chaos_offlined;
@@ -1062,20 +1057,16 @@ let run cfg ~policy ~workload =
           ~seed:(Engine.Rng.int rng (1 lsl 30)) ();
       workload;
       policy = None;
-      retained_slot = Array.make footprint (-1);
+      pages = Page_state.create ~pages:footprint;
       read_lat = Structures.Latencies.create ();
       write_lat = Structures.Latencies.create ();
       in_direct = false;
       direct_now = 0;
       direct_stall_until = 0;
       direct_cpu_extra = 0;
-      ra_pending = Array.make footprint false;
       ra_window = Array.make ((footprint / ra_zone_pages) + 1) (max 1 cfg.readahead);
       ra_hits = Array.make ((footprint / ra_zone_pages) + 1) 0;
       ra_misses = Array.make ((footprint / ra_zone_pages) + 1) 0;
-      pinned = Array.make footprint false;
-      faulted_by = Array.make footprint (-1);
-      owner_tid = Array.make footprint (-1);
       thread_rss = Array.make nthreads 0;
       mcg;
       mcg_target = None;

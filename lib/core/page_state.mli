@@ -1,0 +1,36 @@
+(** The machine's per-page state, four words per virtual page in one
+    array: the clean swap-cache slot a resident page keeps ([-1] for
+    none), the thread that faulted it in ([-1] once unmapped), the
+    thread that owns it (which survives swap-out, so the OOM killer can
+    release a victim's swap slots too; [-1] for none), and two flags:
+    pinned (writeback failed for good, so the page cannot leave memory)
+    and readahead-pending (speculatively read and not touched yet).
+
+    A fault or an eviction reads and writes several of these for one
+    page; keeping them in one 32-byte slot costs one cache line where
+    one array per field cost one each. *)
+
+type t
+
+val create : pages:int -> t
+(** Every page starts with no slot, no threads and no flags. *)
+
+val retained : t -> int -> int
+
+val set_retained : t -> int -> int -> unit
+
+val faulted_by : t -> int -> int
+
+val set_faulted_by : t -> int -> int -> unit
+
+val owner : t -> int -> int
+
+val set_owner : t -> int -> int -> unit
+
+val pinned : t -> int -> bool
+
+val set_pinned : t -> int -> bool -> unit
+
+val ra_pending : t -> int -> bool
+
+val set_ra_pending : t -> int -> bool -> unit

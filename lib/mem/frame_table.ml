@@ -1,48 +1,60 @@
+(* A frame's owner is one word, [asid lsl vpn_bits lor vpn], or -1 when
+   unmapped: a reverse-map lookup reads one word of one array. *)
+let vpn_bits = 40
+
+let vpn_mask = (1 lsl vpn_bits) - 1
+
+let max_asid = max_int lsr vpn_bits
+
+let unmapped = -1
+
 type t = {
-  owner_asid : int array; (* -1 = unmapped *)
-  owner_vpn : int array;
+  owner : int array;
   mutable mapped : int;
 }
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Frame_table.create: frames must be positive";
-  { owner_asid = Array.make frames (-1); owner_vpn = Array.make frames (-1); mapped = 0 }
+  { owner = Array.make frames unmapped; mapped = 0 }
 
-let frames t = Array.length t.owner_asid
+let frames t = Array.length t.owner
 
-let check t pfn =
+let[@inline] check t pfn =
   if pfn < 0 || pfn >= frames t then invalid_arg "Frame_table: pfn out of range"
 
 let set_owner t ~pfn ~asid ~vpn =
   check t pfn;
-  if t.owner_asid.(pfn) = -1 then t.mapped <- t.mapped + 1;
-  t.owner_asid.(pfn) <- asid;
-  t.owner_vpn.(pfn) <- vpn
+  if asid < 0 || asid > max_asid then invalid_arg "Frame_table: asid out of range";
+  if vpn < 0 || vpn > vpn_mask then invalid_arg "Frame_table: vpn out of range";
+  if t.owner.(pfn) = unmapped then t.mapped <- t.mapped + 1;
+  t.owner.(pfn) <- (asid lsl vpn_bits) lor vpn
 
 let clear_owner t ~pfn =
   check t pfn;
-  if t.owner_asid.(pfn) <> -1 then begin
+  if t.owner.(pfn) <> unmapped then begin
     t.mapped <- t.mapped - 1;
-    t.owner_asid.(pfn) <- -1;
-    t.owner_vpn.(pfn) <- -1
+    t.owner.(pfn) <- unmapped
   end
 
 let owner t pfn =
   check t pfn;
-  if t.owner_asid.(pfn) = -1 then None else Some (t.owner_asid.(pfn), t.owner_vpn.(pfn))
+  let w = t.owner.(pfn) in
+  if w = unmapped then None else Some (w lsr vpn_bits, w land vpn_mask)
 
 (* Unboxed owner lookups for reclaim loops: -1 = unmapped, no option or
    tuple allocated. *)
-let owner_asid t pfn =
+let[@inline] owner_asid t pfn =
   check t pfn;
-  t.owner_asid.(pfn)
+  let w = t.owner.(pfn) in
+  if w = unmapped then -1 else w lsr vpn_bits
 
-let owner_vpn t pfn =
+let[@inline] owner_vpn t pfn =
   check t pfn;
-  t.owner_vpn.(pfn)
+  let w = t.owner.(pfn) in
+  if w = unmapped then -1 else w land vpn_mask
 
 let is_mapped t pfn =
   check t pfn;
-  t.owner_asid.(pfn) <> -1
+  t.owner.(pfn) <> unmapped
 
 let mapped_count t = t.mapped

@@ -1,7 +1,7 @@
 (** Physical frame metadata.
 
-    One record per physical frame: which (address space, virtual page)
-    owns it.  This doubles as the reverse map; a policy that resolves a
+    One word per physical frame: which (address space, virtual page)
+    owns it, packed so a reverse-map lookup reads one word.  This doubles as the reverse map; a policy that resolves a
     frame through it charges [Costs.rmap_walk_ns] per lookup. *)
 
 type t
@@ -11,6 +11,8 @@ val create : frames:int -> t
 val frames : t -> int
 
 val set_owner : t -> pfn:int -> asid:int -> vpn:int -> unit
+(** @raise Invalid_argument unless [0 <= vpn < 2^40] and
+    [0 <= asid < 2^22]. *)
 
 val clear_owner : t -> pfn:int -> unit
 

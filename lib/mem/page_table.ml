@@ -24,10 +24,10 @@ let region_size t = t.region_size
 
 let regions t = (pages t + t.region_size - 1) / t.region_size
 
-let check t vpn =
+let[@inline] check t vpn =
   if vpn < 0 || vpn >= pages t then invalid_arg "Page_table: vpn out of range"
 
-let get t vpn =
+let[@inline] get t vpn =
   check t vpn;
   t.ptes.(vpn)
 

@@ -1,8 +1,12 @@
+(* A frame's free and online flags share one byte of [flags]. *)
+let free_bit = 1
+
+let online_bit = 2
+
 type t = {
   total : int;
   stack : int array;
-  free_flag : bool array;
-  online : bool array;
+  flags : Bytes.t;
   mutable top : int; (* number of free frames on the stack *)
   mutable online_count : int;
   low_watermark : int;
@@ -29,8 +33,7 @@ let create ?low_watermark ?high_watermark ~frames () =
   {
     total = frames;
     stack;
-    free_flag = Array.make frames true;
-    online = Array.make frames true;
+    flags = Bytes.make frames (Char.chr (free_bit lor online_bit));
     top = frames;
     online_count = frames;
     low_watermark = low;
@@ -38,6 +41,14 @@ let create ?low_watermark ?high_watermark ~frames () =
   }
 
 let frames t = t.total
+
+let[@inline] flags t pfn = Char.code (Bytes.get t.flags pfn)
+
+let[@inline] set_flags t pfn v = Bytes.set t.flags pfn (Char.unsafe_chr v)
+
+let[@inline] free_flag t pfn = flags t pfn land free_bit <> 0
+
+let[@inline] online_flag t pfn = flags t pfn land online_bit <> 0
 
 let free_count t = t.top
 
@@ -57,7 +68,7 @@ let alloc_pfn t =
   else begin
     t.top <- t.top - 1;
     let pfn = t.stack.(t.top) in
-    t.free_flag.(pfn) <- false;
+    set_flags t pfn online_bit;
     pfn
   end
 
@@ -67,20 +78,21 @@ let alloc t =
 
 let free t pfn =
   if pfn < 0 || pfn >= t.total then invalid_arg "Phys_mem.free: pfn out of range";
-  if t.free_flag.(pfn) then invalid_arg "Phys_mem.free: double free";
-  if not t.online.(pfn) then invalid_arg "Phys_mem.free: frame is offline";
-  t.free_flag.(pfn) <- true;
+  let f = flags t pfn in
+  if f land free_bit <> 0 then invalid_arg "Phys_mem.free: double free";
+  if f land online_bit = 0 then invalid_arg "Phys_mem.free: frame is offline";
+  set_flags t pfn (free_bit lor online_bit);
   t.stack.(t.top) <- pfn;
   t.top <- t.top + 1
 
 let is_free t pfn =
   if pfn < 0 || pfn >= t.total then invalid_arg "Phys_mem.is_free: pfn out of range";
-  t.free_flag.(pfn)
+  free_flag t pfn
 
 let is_online t pfn =
   if pfn < 0 || pfn >= t.total then
     invalid_arg "Phys_mem.is_online: pfn out of range";
-  t.online.(pfn)
+  online_flag t pfn
 
 (* Memory hotplug (chaos injectors).  Offlining a free frame pulls it
    off the free stack (swap-remove: the stack is unordered between
@@ -91,8 +103,8 @@ let is_online t pfn =
 let offline_free t pfn =
   if pfn < 0 || pfn >= t.total then
     invalid_arg "Phys_mem.offline_free: pfn out of range";
-  if not t.online.(pfn) then invalid_arg "Phys_mem.offline_free: already offline";
-  if not t.free_flag.(pfn) then invalid_arg "Phys_mem.offline_free: frame in use";
+  if not (online_flag t pfn) then invalid_arg "Phys_mem.offline_free: already offline";
+  if not (free_flag t pfn) then invalid_arg "Phys_mem.offline_free: frame in use";
   let i = ref (-1) in
   for k = 0 to t.top - 1 do
     if t.stack.(k) = pfn then i := k
@@ -100,25 +112,23 @@ let offline_free t pfn =
   if !i < 0 then invalid_arg "Phys_mem.offline_free: frame not on free stack";
   t.top <- t.top - 1;
   t.stack.(!i) <- t.stack.(t.top);
-  t.free_flag.(pfn) <- false;
-  t.online.(pfn) <- false;
+  set_flags t pfn 0;
   t.online_count <- t.online_count - 1
 
 let offline_used t pfn =
   if pfn < 0 || pfn >= t.total then
     invalid_arg "Phys_mem.offline_used: pfn out of range";
-  if not t.online.(pfn) then invalid_arg "Phys_mem.offline_used: already offline";
-  if t.free_flag.(pfn) then invalid_arg "Phys_mem.offline_used: frame is free";
-  t.online.(pfn) <- false;
+  if not (online_flag t pfn) then invalid_arg "Phys_mem.offline_used: already offline";
+  if free_flag t pfn then invalid_arg "Phys_mem.offline_used: frame is free";
+  set_flags t pfn 0;
   t.online_count <- t.online_count - 1
 
 let online t pfn =
   if pfn < 0 || pfn >= t.total then
     invalid_arg "Phys_mem.online: pfn out of range";
-  if t.online.(pfn) then invalid_arg "Phys_mem.online: already online";
-  t.online.(pfn) <- true;
+  if online_flag t pfn then invalid_arg "Phys_mem.online: already online";
+  set_flags t pfn (free_bit lor online_bit);
   t.online_count <- t.online_count + 1;
-  t.free_flag.(pfn) <- true;
   t.stack.(t.top) <- pfn;
   t.top <- t.top + 1
 

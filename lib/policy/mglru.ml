@@ -42,9 +42,9 @@ let with_mode scan_mode config = { config with scan_mode }
 type t = {
   env : Policy_intf.env;
   config : config;
-  lists : Structures.Dlist.t; (* slot = seq mod max_gens *)
-  gen_of : int array;         (* pfn -> generation seq; -1 detached *)
-  tier_of : int array;        (* pfn -> access tier *)
+  (* slot = seq mod max_gens.  Each frame's node tag holds its
+     generation and access tier (see [pack]), next to its links. *)
+  lists : Structures.Dlist.t;
   mutable max_seq : int;
   mutable min_seq : int;
   mutable bloom_cur : Structures.Bloom.t;
@@ -90,10 +90,28 @@ type t = {
 
 let policy_name = "mglru"
 
+(* A frame's node tag: [(seq + 1) lsl tier_bits lor tier], so the tag 0
+   every node starts with reads as detached (seq -1), tier 0.  Detaching
+   keeps the tier, as a folio's flags keep its tier bits off the LRU. *)
+let tier_bits = 16
+
+let tier_mask = (1 lsl tier_bits) - 1
+
+let pack ~seq ~tier = ((seq + 1) lsl tier_bits) lor tier
+
+let frame_seq t pfn = (Structures.Dlist.tag t.lists pfn lsr tier_bits) - 1
+
+let frame_tier t pfn = Structures.Dlist.tag t.lists pfn land tier_mask
+
+let detach t ~pfn =
+  Structures.Dlist.remove t.lists ~node:pfn;
+  Structures.Dlist.set_tag t.lists pfn (frame_tier t pfn)
+
 let create_with ?(config = default_config) (env : Policy_intf.env) =
   if config.max_gens < config.min_gens then invalid_arg "Mglru: max_gens < min_gens";
   if config.min_gens < 1 then invalid_arg "Mglru: min_gens < 1";
   if config.tiers < 1 then invalid_arg "Mglru: tiers < 1";
+  if config.tiers > 1 lsl tier_bits then invalid_arg "Mglru: tiers > 65536";
   let nodes = env.Policy_intf.total_frames in
   let mk_bloom () =
     Structures.Bloom.create ~hashes:config.bloom_hashes ~bits:config.bloom_bits
@@ -104,8 +122,6 @@ let create_with ?(config = default_config) (env : Policy_intf.env) =
     env;
     config;
     lists = Structures.Dlist.create ~nodes ~lists:config.max_gens;
-    gen_of = Array.make nodes (-1);
-    tier_of = Array.make nodes 0;
     max_seq = config.min_gens - 1;
     min_seq = 0;
     bloom_cur = mk_bloom ();
@@ -179,12 +195,11 @@ let take_token t ~asid ~vpn =
 
 (* Attach a frame to a generation list (detaching it first if needed). *)
 let place t ~pfn ~seq ~tier =
-  t.gen_of.(pfn) <- seq;
-  t.tier_of.(pfn) <- tier;
+  Structures.Dlist.set_tag t.lists pfn (pack ~seq ~tier);
   Structures.Dlist.move_head t.lists ~list:(slot t seq) ~node:pfn
 
 let promote_to_youngest t ~pfn =
-  if t.gen_of.(pfn) <> t.max_seq then place t ~pfn ~seq:t.max_seq ~tier:t.tier_of.(pfn)
+  if frame_seq t pfn <> t.max_seq then place t ~pfn ~seq:t.max_seq ~tier:(frame_tier t pfn)
   else Structures.Dlist.move_head t.lists ~list:(slot t t.max_seq) ~node:pfn
 
 let on_page_mapped t ~pfn ~asid ~vpn ~refault ~file_backed ~speculative =
@@ -242,29 +257,31 @@ let scan_region t pt region (work : int ref) =
   let c = costs t in
   let prof = t.env.Policy_intf.prof in
   let accessed_here = ref 0 in
-  let entries = ref 0 in
-  Mem.Page_table.iter_region pt region (fun vpn pte ->
-      incr entries;
-      work := !work + c.Mem.Costs.pte_scan_ns;
-      t.ptes_scanned <- t.ptes_scanned + 1;
-      if Mem.Pte.present pte && Mem.Pte.accessed pte then begin
-        incr accessed_here;
-        Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed pte);
-        let pfn = Mem.Pte.pfn pte in
-        promote_to_youngest t ~pfn;
-        t.aging_promotions <- t.aging_promotions + 1;
-        (* Generational promotion, not a Clock-style pgactivate: the
-           paper's "fewer ping-pongs" claim is exactly this split. *)
-        Obs.Vmstat.incr (vm t) Obs.Vmstat.mglru_promoted;
-        if Obs.enabled t.env.Policy_intf.obs then
-          Obs.emit t.env.Policy_intf.obs ~t_ns:(t.env.Policy_intf.now ())
-            (Obs.Promote { pfn; reason = Obs.Aging });
-        work := !work + c.Mem.Costs.list_op_ns
-      end);
-  Prof.charge_phase prof Prof.Pte_scan (!entries * c.Mem.Costs.pte_scan_ns);
+  let first, last = Mem.Page_table.region_bounds pt region in
+  let entries = last - first + 1 in
+  t.ptes_scanned <- t.ptes_scanned + entries;
+  work := !work + (entries * c.Mem.Costs.pte_scan_ns);
+  for vpn = first to last do
+    let pte = Mem.Page_table.get pt vpn in
+    if Mem.Pte.present pte && Mem.Pte.accessed pte then begin
+      incr accessed_here;
+      Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed pte);
+      let pfn = Mem.Pte.pfn pte in
+      promote_to_youngest t ~pfn;
+      t.aging_promotions <- t.aging_promotions + 1;
+      (* Generational promotion, not a Clock-style pgactivate: the
+         paper's "fewer ping-pongs" claim is exactly this split. *)
+      Obs.Vmstat.incr (vm t) Obs.Vmstat.mglru_promoted;
+      if Obs.enabled t.env.Policy_intf.obs then
+        Obs.emit t.env.Policy_intf.obs ~t_ns:(t.env.Policy_intf.now ())
+          (Obs.Promote { pfn; reason = Obs.Aging })
+    end
+  done;
+  work := !work + (!accessed_here * c.Mem.Costs.list_op_ns);
+  Prof.charge_phase prof Prof.Pte_scan (entries * c.Mem.Costs.pte_scan_ns);
   Prof.charge_phase prof Prof.Aging_walk
     (!accessed_here * c.Mem.Costs.list_op_ns);
-  let threshold = Int.max 1 (!entries lsr t.config.bloom_density_shift) in
+  let threshold = Int.max 1 (entries lsr t.config.bloom_density_shift) in
   if !accessed_here >= threshold then begin
     Structures.Bloom.add t.bloom_next region;
     work := !work + c.Mem.Costs.bloom_update_ns;
@@ -388,31 +405,34 @@ let refresh_min_seq t =
     t.min_seq <- t.min_seq + 1
   done
 
+(* Scans at most [spatial_scan_max] PTEs from the start of the region. *)
 let spatial_scan_region t pt region (stats : Policy_intf.reclaim_stats) =
   let c = costs t in
   let prof = t.env.Policy_intf.prof in
-  let scanned = ref 0 in
   let promoted = ref 0 in
-  Mem.Page_table.iter_region pt region (fun vpn pte ->
-      if !scanned < c.Mem.Costs.spatial_scan_max then begin
-        incr scanned;
-        stats.pte_scans <- stats.pte_scans + 1;
-        stats.cpu_ns <- stats.cpu_ns + c.Mem.Costs.pte_scan_ns;
-        t.ptes_scanned <- t.ptes_scanned + 1;
-        if Mem.Pte.present pte && Mem.Pte.accessed pte then begin
-          Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed pte);
-          let pfn = Mem.Pte.pfn pte in
-          promote_to_youngest t ~pfn;
-          incr promoted;
-          t.spatial_promotions <- t.spatial_promotions + 1;
-          Obs.Vmstat.incr (vm t) Obs.Vmstat.mglru_promoted;
-          if Obs.enabled t.env.Policy_intf.obs then
-            Obs.emit t.env.Policy_intf.obs ~t_ns:(t.env.Policy_intf.now ())
-              (Obs.Promote { pfn; reason = Obs.Spatial });
-          stats.cpu_ns <- stats.cpu_ns + c.Mem.Costs.list_op_ns
-        end
-      end);
-  Prof.charge_phase prof Prof.Pte_scan (!scanned * c.Mem.Costs.pte_scan_ns);
+  let first, last = Mem.Page_table.region_bounds pt region in
+  let scanned = Int.max 0 (Int.min (last - first + 1) c.Mem.Costs.spatial_scan_max) in
+  stats.pte_scans <- stats.pte_scans + scanned;
+  t.ptes_scanned <- t.ptes_scanned + scanned;
+  for vpn = first to first + scanned - 1 do
+    let pte = Mem.Page_table.get pt vpn in
+    if Mem.Pte.present pte && Mem.Pte.accessed pte then begin
+      Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed pte);
+      let pfn = Mem.Pte.pfn pte in
+      promote_to_youngest t ~pfn;
+      incr promoted;
+      t.spatial_promotions <- t.spatial_promotions + 1;
+      Obs.Vmstat.incr (vm t) Obs.Vmstat.mglru_promoted;
+      if Obs.enabled t.env.Policy_intf.obs then
+        Obs.emit t.env.Policy_intf.obs ~t_ns:(t.env.Policy_intf.now ())
+          (Obs.Promote { pfn; reason = Obs.Spatial })
+    end
+  done;
+  stats.cpu_ns <-
+    stats.cpu_ns
+    + (scanned * c.Mem.Costs.pte_scan_ns)
+    + (!promoted * c.Mem.Costs.list_op_ns);
+  Prof.charge_phase prof Prof.Pte_scan (scanned * c.Mem.Costs.pte_scan_ns);
   Prof.charge_phase prof Prof.Evict_scan (!promoted * c.Mem.Costs.list_op_ns);
   Structures.Bloom.add t.bloom_next region;
   stats.cpu_ns <- stats.cpu_ns + c.Mem.Costs.bloom_update_ns;
@@ -444,8 +464,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
     let frames = t.env.Policy_intf.frames in
     let vpn = Mem.Frame_table.owner_vpn frames pfn in
     if vpn < 0 then begin
-      Structures.Dlist.remove t.lists ~node:pfn;
-      t.gen_of.(pfn) <- -1;
+      detach t ~pfn;
       `Scanned
     end
     else begin
@@ -471,7 +490,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
         `Scanned
       end
       else begin
-        let tier = t.tier_of.(pfn) in
+        let tier = frame_tier t pfn in
         if
           (not force) && t.config.tier_protection && Mem.Pte.file_backed pte
           && tier > 0
@@ -497,8 +516,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
           `Scanned
         end
         else begin
-          Structures.Dlist.remove t.lists ~node:pfn;
-          t.gen_of.(pfn) <- -1;
+          detach t ~pfn;
           t.tier_evictions.(tier) <- t.tier_evictions.(tier) + 1;
           (tokens_of t ~asid pt).(vpn) <- pack_token t ~seq:t.max_seq ~tier;
           t.env.Policy_intf.reclaim_page ~pfn;
@@ -633,12 +651,12 @@ let check_invariants t =
   Structures.Dlist.check_invariants t.lists;
   if t.min_seq > t.max_seq then failwith "Mglru: min_seq > max_seq";
   if nr_gens t > t.config.max_gens then failwith "Mglru: window exceeds max_gens";
-  Array.iteri
-    (fun pfn seq ->
-      match Structures.Dlist.list_of t.lists pfn with
-      | None -> if seq <> -1 then failwith "Mglru: detached frame has a generation"
-      | Some l ->
-        if seq < t.min_seq || seq > t.max_seq then
-          failwith "Mglru: generation outside window";
-        if l <> slot t seq then failwith "Mglru: frame on wrong generation list")
-    t.gen_of
+  for pfn = 0 to Structures.Dlist.nodes t.lists - 1 do
+    let seq = frame_seq t pfn in
+    match Structures.Dlist.list_of t.lists pfn with
+    | None -> if seq <> -1 then failwith "Mglru: detached frame has a generation"
+    | Some l ->
+      if seq < t.min_seq || seq > t.max_seq then
+        failwith "Mglru: generation outside window";
+      if l <> slot t seq then failwith "Mglru: frame on wrong generation list"
+  done

@@ -6,8 +6,11 @@
     except iteration.
 
     This mirrors how the Linux kernel threads page frames onto LRU lists:
-    the link fields live in per-frame arrays, so moving a page between
-    generations or between the active and inactive lists never allocates. *)
+    the link fields live in the frame's own slot, so moving a page between
+    generations or between the active and inactive lists never allocates.
+    A node's links, its list and a policy-owned {!tag} word share one
+    4-word slot of one array, as a folio keeps its LRU links next to its
+    flags: moving a page touches one cache line, not one per field. *)
 
 type t
 
@@ -62,9 +65,16 @@ val iter_from_tail : t -> list:int -> (int -> unit) -> unit
 (** Iterate tail-to-head.  The callback must not mutate the list. *)
 
 val splice_all : t -> src:int -> dst:int -> unit
-(** Move every node of [src] onto the tail side of [dst], preserving
-    relative order (head of [src] ends nearer [dst]'s head side than the
-    tail of [src]).  O(length of [src]). *)
+(** Move every node of [src] onto the tail side of [dst], tail first:
+    [src]'s tail ends nearest [dst]'s old tail and [src]'s head becomes
+    [dst]'s tail, so [src]'s order is reversed.  O(length of [src]). *)
+
+val tag : t -> int -> int
+(** The node's tag: one word the owning policy keeps with the node's
+    links (MG-LRU stores its generation and tier there).  [0] at
+    {!create}; no list operation reads or changes it. *)
+
+val set_tag : t -> int -> int -> unit
 
 val check_invariants : t -> unit
 (** Walk every list verifying link symmetry and size accounting.

@@ -18,6 +18,18 @@ type t = {
   max_degree : int;
 }
 
+(* The degree normaliser, sum over r = 1..n of 1 / r^theta: n [**]
+   calls, the same for every seed, so computed once per (n, theta). *)
+let harmonics : (int * float, float) Memo.t = Memo.create ~bound:64
+
+let harmonic ~n ~theta =
+  Memo.find_or_build harmonics (n, theta) (fun () ->
+      let sum = ref 0.0 in
+      for r = 1 to n do
+        sum := !sum +. (1.0 /. (float_of_int r ** theta))
+      done;
+      !sum)
+
 let generate ?(config = default_config) ~seed () =
   if config.n <= 0 then invalid_arg "Graph.generate: n must be positive";
   if config.avg_degree <= 0 then invalid_arg "Graph.generate: avg_degree";
@@ -31,12 +43,8 @@ let generate ?(config = default_config) ~seed () =
   Engine.Rng.shuffle rng perm;
   (* In-degree of the vertex at zipf rank r: c / (r+1)^theta, with c set
      so the total lands on n * avg_degree. *)
-  let harmonic = ref 0.0 in
-  for r = 1 to n do
-    harmonic := !harmonic +. (1.0 /. (float_of_int r ** theta))
-  done;
   let m_target = n * config.avg_degree in
-  let c = float_of_int m_target /. !harmonic in
+  let c = float_of_int m_target /. harmonic ~n ~theta in
   (* The term strictly decreases in r (theta > 0), so once it drops
      below 2 every later degree truncates to 1. *)
   let degree = Array.make n 1 in

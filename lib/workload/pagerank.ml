@@ -62,14 +62,9 @@ type t = {
 
 let workload_name = "pagerank"
 
-(* The plan cache is shared across the parallel trial engine's domains:
-   plans are immutable once built, so only the table itself needs the
-   lock.  A missed plan is built outside the lock — two domains may
-   build the same plan once each, but the build is deterministic and the
-   first insert wins. *)
-let plan_cache : (config * int, plan) Hashtbl.t = Hashtbl.create 8
-
-let plan_cache_mu = Mutex.create ()
+(* Plans are immutable once built, so every domain shares them.  Trials
+   reuse a small set of seeds. *)
+let plan_cache : (config * int, plan) Memo.t = Memo.create ~bound:65
 
 let build_plan (config : config) seed =
   let graph = Graph.generate ~config:config.graph ~seed () in
@@ -122,28 +117,7 @@ let build_plan (config : config) seed =
   { blocks; offsets_pages; neighbor_pages; rank_pages }
 
 let plan_for config seed =
-  let cached =
-    Mutex.lock plan_cache_mu;
-    let p = Hashtbl.find_opt plan_cache (config, seed) in
-    Mutex.unlock plan_cache_mu;
-    p
-  in
-  match cached with
-  | Some plan -> plan
-  | None ->
-    let plan = build_plan config seed in
-    Mutex.lock plan_cache_mu;
-    let plan =
-      match Hashtbl.find_opt plan_cache (config, seed) with
-      | Some winner -> winner
-      | None ->
-        (* Keep the cache bounded: trials reuse a small set of seeds. *)
-        if Hashtbl.length plan_cache > 64 then Hashtbl.reset plan_cache;
-        Hashtbl.add plan_cache (config, seed) plan;
-        plan
-    in
-    Mutex.unlock plan_cache_mu;
-    plan
+  Memo.find_or_build plan_cache (config, seed) (fun () -> build_plan config seed)
 
 let block_steps config plan ~rank_src_base ~rank_dst_base b =
   let bp = plan.blocks.(b) in

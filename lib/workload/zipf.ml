@@ -82,16 +82,24 @@ let build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s =
   done;
   guide
 
-let create ~n ~exponent =
-  if n <= 0 then invalid_arg "Zipf.create: n must be positive";
-  if not (exponent > 0.0 && Float.is_finite exponent) then
-    invalid_arg "Zipf.create: exponent must be positive and finite";
+let build ~n ~exponent =
   let e = exponent in
   let h_integral_x1 = h_integral ~e 1.5 -. 1.0 in
   let h_integral_n = h_integral ~e (float_of_int n +. 0.5) in
   let s = 2.0 -. h_integral_inverse ~e (h_integral ~e 2.5 -. h ~e 2.0) in
   let guide = build_guide ~n ~e ~h_integral_x1 ~h_integral_n ~s in
   { n; exponent; h_integral_x1; h_integral_n; s; guide }
+
+(* A sampler is immutable once built (nothing writes [guide] again), so
+   every caller with the same shape shares one: a figure builds the same
+   few (n, exponent) pairs for every trial. *)
+let shared : (int * float, t) Memo.t = Memo.create ~bound:64
+
+let create ~n ~exponent =
+  if n <= 0 then invalid_arg "Zipf.create: n must be positive";
+  if not (exponent > 0.0 && Float.is_finite exponent) then
+    invalid_arg "Zipf.create: exponent must be positive and finite";
+  Memo.find_or_build shared (n, exponent) (fun () -> build ~n ~exponent)
 
 (* One candidate per call: a guided bucket answers at once; otherwise
    Hörmann's rejection-inversion step, drawing again on rejection. *)

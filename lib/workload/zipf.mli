@@ -31,7 +31,8 @@ val create : n:int -> exponent:float -> t
     (e 0.99) to 76 % (e 1.2, n 393 K).
 
     [t] is never mutated after [create], so it is safe to share across
-    domains.
+    domains, and it is shared: every [create] with the same [(n,
+    exponent)] returns one [t], built once (at most 64 shapes are kept).
     @raise Invalid_argument when [n <= 0] or [exponent] is not positive
     and finite. *)
 

@@ -168,7 +168,7 @@ type world = {
   frames : Mem.Frame_table.t;
   mem : Mem.Phys_mem.t;
   swap : SM.t;
-  retained : int array;
+  page_state : Repro_core.Page_state.t;
 }
 
 let pages = 32
@@ -180,12 +180,12 @@ let make_world () =
     frames = Mem.Frame_table.create ~frames:8;
     mem = Mem.Phys_mem.create ~frames:8 ();
     swap = SM.create ~device:dev ~seed:5 ();
-    retained = Array.make pages (-1);
+    page_state = Repro_core.Page_state.create ~pages;
   }
 
 let audit ?last_chaos w =
-  I.audit ~last_chaos ~memcg:None ~owners:None ~pt:w.pt ~frames:w.frames
-    ~mem:w.mem ~swap:w.swap ~retained_slot:w.retained
+  I.audit ~last_chaos ~memcg:None ~killed:None ~pt:w.pt ~frames:w.frames
+    ~mem:w.mem ~swap:w.swap ~pages:w.page_state
 
 let map w ~vpn =
   match Mem.Phys_mem.alloc w.mem with

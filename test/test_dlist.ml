@@ -73,28 +73,121 @@ let test_splice () =
   Alcotest.(check int) "dst grew" 5 (D.size d 1);
   D.check_invariants d
 
-(* Random operation sequences keep the structure consistent. *)
-let prop_random_ops =
-  QCheck.Test.make ~name:"random ops preserve invariants" ~count:100
-    QCheck.(list (pair (int_bound 3) (pair (int_bound 15) (int_bound 3))))
-    (fun ops ->
-      let d = D.create ~nodes:16 ~lists:4 in
-      List.iter
-        (fun (op, (node, list)) ->
-          match op with
-          | 0 -> D.move_head d ~list ~node
-          | 1 -> D.move_tail d ~list ~node
-          | 2 -> D.remove d ~node
-          | _ -> ignore (D.pop_tail d list))
-        ops;
-      D.check_invariants d;
-      (* Total population equals nodes attached to some list. *)
-      let total = List.init 4 (D.size d) |> List.fold_left ( + ) 0 in
-      let attached = ref 0 in
-      for n = 0 to 15 do
-        if D.list_of d n <> None then incr attached
-      done;
-      total = !attached)
+(* Model-based: every operation is replayed on a reference model (each
+   list as an OCaml list, head first, and each node's tag), and after
+   each one every list's head-to-tail order, its size, every node's list
+   and every node's tag must agree: no list operation touches a tag. *)
+let nodes = 16
+let lists = 4
+
+type op =
+  | Move_head of int * int (* list, node *)
+  | Move_tail of int * int
+  | Remove of int
+  | Pop_tail of int
+  | Splice_all of int * int (* src, dst *)
+  | Set_tag of int * int (* node, tag *)
+
+let show_op = function
+  | Move_head (l, n) -> Printf.sprintf "move_head %d %d" l n
+  | Move_tail (l, n) -> Printf.sprintf "move_tail %d %d" l n
+  | Remove n -> Printf.sprintf "remove %d" n
+  | Pop_tail l -> Printf.sprintf "pop_tail %d" l
+  | Splice_all (s, d) -> Printf.sprintf "splice_all %d %d" s d
+  | Set_tag (n, v) -> Printf.sprintf "set_tag %d %d" n v
+
+let gen_op =
+  QCheck.Gen.(
+    let node = int_bound (nodes - 1) and list = int_bound (lists - 1) in
+    frequency
+      [
+        (3, map2 (fun l n -> Move_head (l, n)) list node);
+        (3, map2 (fun l n -> Move_tail (l, n)) list node);
+        (2, map (fun n -> Remove n) node);
+        (2, map (fun l -> Pop_tail l) list);
+        (1, map2 (fun s d -> Splice_all (s, d)) list list);
+        (1, map2 (fun n v -> Set_tag (n, v)) node (int_range (-1000) 1000));
+      ])
+
+let arb_ops =
+  QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (0 -- 60) gen_op)
+
+type model = { members : int list array; tags : int array }
+
+let model_remove members node =
+  Array.iteri (fun l xs -> members.(l) <- List.filter (( <> ) node) xs) members
+
+(* Apply [op] to the model; returns what [pop_tail] must return. *)
+let model_apply { members; tags } = function
+  | Move_head (l, n) ->
+    model_remove members n;
+    members.(l) <- n :: members.(l);
+    None
+  | Move_tail (l, n) ->
+    model_remove members n;
+    members.(l) <- members.(l) @ [ n ];
+    None
+  | Remove n ->
+    model_remove members n;
+    None
+  | Pop_tail l -> (
+    match List.rev members.(l) with
+    | [] -> None
+    | last :: rest ->
+      members.(l) <- List.rev rest;
+      Some last)
+  | Splice_all (s, d) ->
+    (* Tail of [src] first: [src] lands on [dst]'s tail reversed. *)
+    if s <> d then begin
+      members.(d) <- members.(d) @ List.rev members.(s);
+      members.(s) <- []
+    end;
+    None
+  | Set_tag (n, v) ->
+    tags.(n) <- v;
+    None
+
+let apply d = function
+  | Move_head (list, node) -> D.move_head d ~list ~node; None
+  | Move_tail (list, node) -> D.move_tail d ~list ~node; None
+  | Remove node -> D.remove d ~node; None
+  | Pop_tail l -> D.pop_tail d l
+  | Splice_all (src, dst) -> D.splice_all d ~src ~dst; None
+  | Set_tag (n, v) -> D.set_tag d n v; None
+
+let head_to_tail d l =
+  let xs = ref [] in
+  D.iter_from_tail d ~list:l (fun n -> xs := n :: !xs);
+  !xs
+
+let agrees d { members; tags } =
+  D.check_invariants d;
+  let ok = ref true in
+  for l = 0 to lists - 1 do
+    if head_to_tail d l <> members.(l) || D.size d l <> List.length members.(l) then
+      ok := false
+  done;
+  for n = 0 to nodes - 1 do
+    let expected = ref None in
+    Array.iteri (fun l xs -> if List.mem n xs then expected := Some l) members;
+    if D.list_of d n <> !expected || D.tag d n <> tags.(n) then ok := false
+  done;
+  !ok
+
+let prop_model =
+  QCheck.Test.make ~name:"order, sizes and tags match a reference model" ~count:300
+    arb_ops (fun ops ->
+      let d = D.create ~nodes ~lists in
+      (* Distinct starting tags, so a tag copied between nodes shows. *)
+      let tags = Array.init nodes (fun n -> 100 + n) in
+      Array.iteri (D.set_tag d) tags;
+      let model = { members = Array.make lists []; tags } in
+      List.for_all
+        (fun op ->
+          let got = apply d op in
+          let want = model_apply model op in
+          got = want && agrees d model)
+        ops)
 
 let () =
   Alcotest.run "dlist"
@@ -110,5 +203,5 @@ let () =
           Alcotest.test_case "next towards head" `Quick test_next_towards_head;
           Alcotest.test_case "splice" `Quick test_splice;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_random_ops ]);
+      ("properties", [ QCheck_alcotest.to_alcotest prop_model ]);
     ]

@@ -8,7 +8,7 @@ type world = {
   frames : Mem.Frame_table.t;
   mem : Mem.Phys_mem.t;
   swap : SM.t;
-  retained : int array;
+  page_state : Repro_core.Page_state.t;
 }
 
 let pages = 32
@@ -20,12 +20,12 @@ let make_world () =
     frames = Mem.Frame_table.create ~frames:8;
     mem = Mem.Phys_mem.create ~frames:8 ();
     swap = SM.create ~device:dev ~seed:5 ();
-    retained = Array.make pages (-1);
+    page_state = Repro_core.Page_state.create ~pages;
   }
 
 let audit w =
-  I.audit ~last_chaos:None ~memcg:None ~owners:None ~pt:w.pt ~frames:w.frames
-    ~mem:w.mem ~swap:w.swap ~retained_slot:w.retained
+  I.audit ~last_chaos:None ~memcg:None ~killed:None ~pt:w.pt ~frames:w.frames
+    ~mem:w.mem ~swap:w.swap ~pages:w.page_state
 
 let map w ~vpn =
   match Mem.Phys_mem.alloc w.mem with
@@ -60,7 +60,7 @@ let test_populated_world_clean () =
     SM.swap_out_slot w.swap ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:5
   in
   if slot5 < 0 then Alcotest.fail "swap_out_slot failed";
-  w.retained.(5) <- slot5;
+  Repro_core.Page_state.set_retained w.page_state 5 slot5;
   ignore pfn5;
   Alcotest.(check (list string)) "no violations" [] (checks (audit w))
 
@@ -90,7 +90,7 @@ let test_detects_dead_slot () =
 
 let test_detects_stale_swap_cache () =
   let w = make_world () in
-  w.retained.(11) <- 0;
+  Repro_core.Page_state.set_retained w.page_state 11 0;
   let cs = checks (audit w) in
   Alcotest.(check bool) "non-resident swap cache seen" true
     (List.mem "swap-cache-nonresident" cs);
@@ -106,7 +106,7 @@ let test_detects_leaked_frame () =
 let test_report_readable () =
   Alcotest.(check string) "clean" "invariants: ok" (I.report []);
   let w = make_world () in
-  w.retained.(1) <- 0;
+  Repro_core.Page_state.set_retained w.page_state 1 0;
   let s = I.report (audit w) in
   Alcotest.(check bool) "mentions violation count" true
     (String.length s > 0 && s.[String.length s - 1] = '\n')

@@ -2,7 +2,7 @@
    path (tier-1).
 
    Four groups assert minor-heap words under a stated ceiling, measured
-   via Gc.minor_words, and one bounds retained words:
+   via Gc.minor_words, and two bound retained words:
 
    - allocs-per-fault: a dense, deterministic fault burst under each
      builtin policy, per (major + minor) fault, around Machine.run
@@ -26,6 +26,9 @@
    - allocs-per-build: minor words of one cold --fast PageRank build
      (graph, neighbour draws, block plans), ceiling ~1.2x, so per-vertex
      allocation in the plan build fails here.
+   - state-words: heap words per frame (frame table, allocator, MG-LRU
+     lists) and per page (the machine's page state), exact ceilings, so
+     a new per-frame or per-page array fails here.
 
    All numbers are for the dev profile `dune runtest` builds, whose
    [-opaque] stops cross-module inlining; a release build allocates
@@ -216,6 +219,67 @@ let cold_pagerank_words () =
 
 let build_cases = [ ("pagerank cold", "build", 3_100_000., cold_pagerank_words) ]
 
+(* State words: heap words per frame or per page that the fault and
+   reclaim path keeps, measured as the growth of Obj.reachable_words
+   from [n] to [2n] units so fixed parts cancel.  Counts are exact, and
+   so are the ceilings.  Before frame and page state were packed, a
+   frame cost 10 words under MG-LRU (Frame_table's asid and vpn arrays
+   2, Phys_mem's stack and two bool arrays 3, the generation lists'
+   next/prev/owner 3 and MG-LRU's generation and tier arrays 2) and a
+   page 5 (the machine's retained-slot, faulted-by and owner-tid arrays
+   and two bool arrays).  Now a frame is 1 + 1 + 1/8 + 4 = 6.125 words:
+   one packed owner word, the free stack plus one flag byte, and one
+   4-word list node whose tag holds generation and tier.  A page is the
+   4 words of its Page_state slot. *)
+let state_units = 8192
+
+let words_per_unit make =
+  let words k = Obj.reachable_words (Obj.repr (make k)) in
+  float_of_int (words (2 * state_units) - words state_units)
+  /. float_of_int state_units
+
+let frame_table_words () = words_per_unit (fun frames -> Mem.Frame_table.create ~frames)
+
+let phys_mem_words () = words_per_unit (fun frames -> Mem.Phys_mem.create ~frames ())
+
+(* MG-LRU alone: the env's frame table is one frame whatever
+   [total_frames] says, so only the policy's own per-frame state grows. *)
+let mglru_words () =
+  let pt = Mem.Page_table.create ~asid:0 ~pages:1 () in
+  words_per_unit (fun total_frames ->
+      Policy.Mglru.create
+        {
+          Policy.Policy_intf.costs = Mem.Costs.default;
+          frames = Mem.Frame_table.create ~frames:1;
+          page_table_of = (fun _ -> pt);
+          address_spaces = (fun () -> [ pt ]);
+          rng = Engine.Rng.create 1;
+          now = (fun () -> 0);
+          reclaim_page = (fun ~pfn:_ -> ());
+          evictable = (fun ~pfn:_ ~force:_ -> true);
+          free_count = (fun () -> 0);
+          total_frames;
+          low_watermark = 0;
+          high_watermark = 0;
+          obs = Obs.disabled;
+          prof = Obs.Prof.disabled;
+          vmstat = Obs.Vmstat.create ();
+        })
+
+let page_state_words () = words_per_unit (fun pages -> Repro_core.Page_state.create ~pages)
+
+let state_cases =
+  [
+    ("Frame_table", "frame", 1., frame_table_words);
+    ("Phys_mem", "frame", 1.125, phys_mem_words);
+    ("Mglru lists", "frame", 4., mglru_words);
+    ( "mglru frame side",
+      "frame",
+      6.125,
+      fun () -> frame_table_words () +. phys_mem_words () +. mglru_words () );
+    ("machine pages", "page", 4., page_state_words);
+  ]
+
 let () =
   let case (name, unit, ceiling, measure) =
     Alcotest.test_case name `Quick (fun () ->
@@ -233,4 +297,5 @@ let () =
       ("allocs-per-workload", List.map case workload_cases);
       ("retained-words", List.map case retained_cases);
       ("allocs-per-build", List.map case build_cases);
+      ("state-words", List.map case state_cases);
     ]

@@ -84,6 +84,96 @@ let prop_alloc_unique =
       done;
       !ok)
 
+(* Model-based: a set model (free / allocated / offline) replays
+   [alloc_pfn], [free], [offline_free], [offline_used] and [online],
+   out-of-range frames and every rejected transition included, and after
+   each operation the counters and per-frame flags must agree with it. *)
+let frames = 8
+
+type state = Free | Used | Offline
+
+type op = Alloc | Free_op of int | Offline_free of int | Offline_used of int | Online of int
+
+let show_op = function
+  | Alloc -> "alloc_pfn"
+  | Free_op p -> Printf.sprintf "free %d" p
+  | Offline_free p -> Printf.sprintf "offline_free %d" p
+  | Offline_used p -> Printf.sprintf "offline_used %d" p
+  | Online p -> Printf.sprintf "online %d" p
+
+let arb_ops =
+  let pfn = QCheck.Gen.int_range (-1) frames in
+  QCheck.make ~print:QCheck.Print.(list show_op)
+    QCheck.Gen.(
+      list_size (0 -- 80)
+        (frequency
+           [
+             (4, return Alloc);
+             (3, map (fun p -> Free_op p) pfn);
+             (1, map (fun p -> Offline_free p) pfn);
+             (1, map (fun p -> Offline_used p) pfn);
+             (1, map (fun p -> Online p) pfn);
+           ]))
+
+(* The error the model expects, or [None] when the transition is legal. *)
+let model_error model = function
+  | Alloc -> None
+  | Free_op p | Offline_free p | Offline_used p | Online p as op -> (
+    let name, rule =
+      match op with
+      | Free_op _ ->
+        ("free", function Free -> Some "double free" | Offline -> Some "frame is offline" | Used -> None)
+      | Offline_free _ ->
+        ( "offline_free",
+          function Offline -> Some "already offline" | Used -> Some "frame in use" | Free -> None )
+      | Offline_used _ ->
+        ( "offline_used",
+          function Offline -> Some "already offline" | Free -> Some "frame is free" | Used -> None )
+      | _ -> ("online", function Offline -> None | Free | Used -> Some "already online")
+    in
+    if p < 0 || p >= frames then Some (Printf.sprintf "Phys_mem.%s: pfn out of range" name)
+    else Option.map (Printf.sprintf "Phys_mem.%s: %s" name) (rule model.(p)))
+
+let run_op m = function
+  | Alloc -> M.alloc_pfn m
+  | Free_op p -> M.free m p; p
+  | Offline_free p -> M.offline_free m p; p
+  | Offline_used p -> M.offline_used m p; p
+  | Online p -> M.online m p; p
+
+let count model s = Array.fold_left (fun acc x -> if x = s then acc + 1 else acc) 0 model
+
+let step m model op =
+  match (model_error model op, run_op m op) with
+  | Some _, _ -> false (* the model expected a rejection *)
+  | None, pfn ->
+    (match op with
+    | Alloc ->
+      if pfn >= 0 then (
+        assert (model.(pfn) = Free);
+        model.(pfn) <- Used)
+      else assert (count model Free = 0)
+    | Free_op p | Online p -> model.(p) <- Free
+    | Offline_free p | Offline_used p -> model.(p) <- Offline);
+    true
+  | exception Invalid_argument msg -> model_error model op = Some msg
+
+let agrees m model =
+  M.free_count m = count model Free
+  && M.used_count m = count model Used
+  && M.online_count m = frames - count model Offline
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun p s -> M.is_free m p = (s = Free) && M.is_online m p = (s <> Offline))
+          model)
+
+let prop_model =
+  QCheck.Test.make ~name:"hotplug and allocation match a set model" ~count:300 arb_ops
+    (fun ops ->
+      let m = M.create ~frames () in
+      let model = Array.make frames Free in
+      List.for_all (fun op -> step m model op && agrees m model) ops)
+
 let () =
   Alcotest.run "phys_mem"
     [
@@ -97,5 +187,6 @@ let () =
           Alcotest.test_case "bad watermarks" `Quick test_bad_watermarks;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_conservation; prop_alloc_unique ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_conservation; prop_alloc_unique; prop_model ] );
     ]
