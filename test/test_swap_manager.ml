@@ -129,6 +129,48 @@ let prop_used_never_negative =
         ops;
       SM.used_slots m = List.length !live)
 
+(* Model: slots come from a LIFO free list, then from a bump counter.
+   Each op swaps a page out (k > 0, so sequences drift past the slot
+   array's first 1024 entries) or releases the [i mod live]th live slot;
+   the manager must hand out exactly the model's slot numbers. *)
+let prop_slots_match_model =
+  QCheck.Test.make ~name:"slot numbers match a LIFO free-list model"
+    ~count:30
+    QCheck.(list_of_size Gen.(0 -- 3000) (pair (int_bound 3) small_nat))
+    (fun ops ->
+      let m = make () in
+      let live = ref [] and free = ref [] and next = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun (k, i) ->
+          if k > 0 || !live = [] then begin
+            let expected =
+              match !free with
+              | s :: rest ->
+                free := rest;
+                s
+              | [] ->
+                incr next;
+                !next - 1
+            in
+            let slot =
+              out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i
+            in
+            if slot <> expected then ok := false;
+            live := slot :: !live
+          end
+          else begin
+            let slot = List.nth !live (i mod List.length !live) in
+            SM.release m ~slot;
+            live := List.filter (( <> ) slot) !live;
+            free := slot :: !free
+          end)
+        ops;
+      !ok
+      && SM.used_slots m = List.length !live
+      && List.for_all (SM.slot_in_use m) !live
+      && not (List.exists (SM.slot_in_use m) !free))
+
 let () =
   Alcotest.run "swap_manager"
     [
@@ -143,5 +185,9 @@ let () =
           Alcotest.test_case "many slots" `Quick test_many_slots_grow;
           Alcotest.test_case "grow at 1024 boundary" `Quick test_grow_boundary;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_used_never_negative ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_used_never_negative;
+          QCheck_alcotest.to_alcotest prop_slots_match_model;
+        ] );
     ]

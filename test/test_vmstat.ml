@@ -250,6 +250,29 @@ let test_runner_jobs_identity () =
     (V.refaults (snd (List.hd serial)) > 0);
   Alcotest.(check bool) "jobs=1 == jobs=4" true (serial = parallel)
 
+(* The bytes of [repro heatmap --fast --trials 1 -w tpch --interval 500]
+   (Clock and MG-LRU, SSD, 50 %): a change to the region monitor, the
+   CSV writer or the runs underneath that moves one row fails here. *)
+let test_heatmap_pinned () =
+  let ctx =
+    R.make_ctx ~profile:{ fast_profile with R.trials = 1 } ~jobs:1 ()
+  in
+  let damon =
+    { Mem.Damon.default_config with Mem.Damon.aggregate_every_ns = 500_000_000 }
+  in
+  let ctx = R.derive ~obs:{ (R.obs ctx) with Obs.damon = Some damon } ctx in
+  R.prefetch ctx
+    (List.concat_map
+       (fun policy ->
+         R.cell_exps ctx ~workload:R.Tpch ~policy ~ratio:0.5 ~swap:R.Ssd)
+       Policy.Registry.[ Clock; Mglru_default ]);
+  let path = Filename.temp_file "heatmap" ".csv" in
+  let rows = R.write_heatmap ctx ~path in
+  let digest = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  Alcotest.(check bool) "rows written" true (rows > 0);
+  Alcotest.(check string) "csv md5" "f534f99b2fb00552c7f3ca5c8b68c5b3" digest
+
 let () =
   Alcotest.run "vmstat"
     [
@@ -278,5 +301,6 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "jobs identity" `Slow test_runner_jobs_identity;
+          Alcotest.test_case "heatmap pinned" `Quick test_heatmap_pinned;
         ] );
     ]
