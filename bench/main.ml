@@ -93,7 +93,7 @@ let bench_event_queue =
          if !i land 1 = 0 then ignore (Engine.Event_queue.pop q)))
 
 let bench_pte =
-  let pt = Mem.Page_table.create ~asid:0 ~pages:4096 () in
+  let pt = Mem.Page_table.create ~pages:4096 () in
   let i = ref 0 in
   Test.make ~name:"pte-touch"
     (Staged.stage (fun () ->
@@ -135,14 +135,13 @@ module Null_host = Policy.Guest_host.Host (Null_guest)
 
 let sdk_env () =
   let frames = 256 in
-  let pt = Mem.Page_table.create ~asid:0 ~pages:1024 () in
+  let pt = Mem.Page_table.create ~pages:1024 () in
   let ft = Mem.Frame_table.create ~frames in
   let mem = Mem.Phys_mem.create ~frames () in
   {
     Policy.Policy_intf.costs = Mem.Costs.default;
     frames = ft;
-    page_table_of = (fun _ -> pt);
-    address_spaces = (fun () -> [ pt ]);
+    pt;
     rng = Engine.Rng.create 11;
     now = (fun () -> 0);
     reclaim_page = (fun ~pfn:_ -> ());
@@ -162,7 +161,7 @@ let bench_dispatch_overhead =
   Test.make ~name:"host-dispatch-overhead"
     (Staged.stage (fun () ->
          incr i;
-         Null_host.on_page_mapped p ~pfn:(!i land 255) ~asid:0
+         Null_host.on_page_mapped p ~pfn:(!i land 255)
            ~vpn:(!i land 255) ~refault:false ~file_backed:false
            ~speculative:false))
 

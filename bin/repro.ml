@@ -807,7 +807,7 @@ let heatmap_cmd =
   let max_regions =
     Arg.(value & opt int Mem.Damon.default_config.Mem.Damon.max_regions
          & info [ "max-regions" ] ~docv:"N"
-             ~doc:"Adaptive region cap per address space.")
+             ~doc:"Adaptive region cap.")
   in
   let out =
     Arg.(value & opt string "heatmap.csv"

@@ -73,6 +73,18 @@ let spatial_scan get =
       "Clock cost structure the paper says MG-LRU amortizes (SIII-C).";
     ]
 
+(* The run's own machine (scaled costs, faults, audits, cgroups, chaos)
+   with only the readahead window changed.  Captures stay off: these
+   trials never enter the result store, so nothing could write them. *)
+let readahead_config ctx ~footprint ~window =
+  {
+    (Runner.machine_config ctx
+       ~capacity_frames:(Runner.capacity_for ~footprint ~ratio:0.5)
+       ~seed:4242)
+    with
+    Machine.readahead = window;
+  }
+
 let readahead ctx =
   (* Readahead is a machine knob, so bypass the cached runner.  The
      (window, workload) grid still runs through the domain pool: results
@@ -85,15 +97,9 @@ let readahead ctx =
   in
   let run_one (window, kind) =
     let workload = Runner.make_workload ctx kind ~trial:0 in
-    let footprint = Workload.Chunk.packed_footprint workload in
     let cfg =
-      {
-        (Machine.default_config
-           ~capacity_frames:(Runner.capacity_for ~footprint ~ratio:0.5)
-           ~seed:4242)
-        with
-        Machine.readahead = window;
-      }
+      readahead_config ctx ~footprint:(Workload.Chunk.packed_footprint workload)
+        ~window
     in
     let r =
       Machine.run cfg

@@ -28,3 +28,8 @@ val build : Runner.ctx -> string list -> Report.figure list
     every cached study's grid.
     @raise Invalid_argument on a name outside {!names}, before any
     trial runs. *)
+
+val readahead_config : Runner.ctx -> footprint:int -> window:int -> Machine.config
+(** The machine one [readahead] trial runs: {!Runner.machine_config}
+    sized at 50 % of [footprint], seed 4242, with only the readahead
+    window set to [window]. *)

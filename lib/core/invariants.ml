@@ -23,15 +23,13 @@ let audit ~last_chaos ~memcg ~killed ~pt ~frames ~mem ~swap ~pages =
   (* Frame side: every mapped frame points at a present PTE that points
      back, and an allocated (non-free) physical frame. *)
   for pfn = 0 to Mem.Frame_table.frames frames - 1 do
-    match Mem.Frame_table.owner frames pfn with
-    | None -> ()
-    | Some (asid, vpn) ->
-      if asid <> 0 then add (v "frame-asid" pfn "unknown asid %d" asid);
+    let vpn = Mem.Frame_table.owner_vpn frames pfn in
+    if vpn >= 0 then begin
       if Mem.Phys_mem.is_free mem pfn then
         add (v "frame-free" pfn "mapped frame is on the free list");
       if not (Mem.Phys_mem.is_online mem pfn) then
         add (v "frame-offline" pfn "mapped frame is offline");
-      if vpn < 0 || vpn >= Mem.Page_table.pages pt then
+      if vpn >= Mem.Page_table.pages pt then
         add (v "frame-vpn-range" pfn "owner vpn %d out of range" vpn)
       else begin
         let pte = Mem.Page_table.get pt vpn in
@@ -41,6 +39,7 @@ let audit ~last_chaos ~memcg ~killed ~pt ~frames ~mem ~swap ~pages =
           add (v "frame-pte-mismatch" pfn "owner vpn %d maps pfn %d" vpn
                  (Mem.Pte.pfn pte))
       end
+    end
   done;
   (* Page-table side: present PTEs own their frame; swapped PTEs name a
      live slot; the swap cache only covers resident pages. *)
@@ -54,14 +53,13 @@ let audit ~last_chaos ~memcg ~killed ~pt ~frames ~mem ~swap ~pages =
         add
           (v "pte-offline-frame" vpn "present PTE maps offline pfn %d%s" pfn
              (owning_cg vpn));
-      match Mem.Frame_table.owner frames pfn with
-      | None ->
+      let owner_vpn = Mem.Frame_table.owner_vpn frames pfn in
+      if owner_vpn < 0 then
         add
           (v "pte-unowned-frame" vpn "present PTE maps unowned pfn %d%s" pfn
              (owning_cg vpn))
-      | Some (_, owner_vpn) ->
-        if owner_vpn <> vpn then
-          add (v "pte-rmap-mismatch" vpn "pfn %d owned by vpn %d" pfn owner_vpn)
+      else if owner_vpn <> vpn then
+        add (v "pte-rmap-mismatch" vpn "pfn %d owned by vpn %d" pfn owner_vpn)
     end;
     if Mem.Pte.swapped pte then begin
       incr nswapped;

@@ -173,7 +173,7 @@ let policy_of t =
 
 let on_mapped t ~pfn ~vpn ~refault ~file_backed ~speculative =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
-  P.on_page_mapped p ~pfn ~asid:0 ~vpn ~refault ~file_backed ~speculative
+  P.on_page_mapped p ~pfn ~vpn ~refault ~file_backed ~speculative
 
 let on_touched t ~pfn ~write =
   let (Policy.Policy_intf.Packed ((module P), p)) = policy_of t in
@@ -310,7 +310,7 @@ let reclaim_page t ~pfn =
 
 let map_page t ~tid ~pfn ~vpn ~refault ~write ~demand =
   let file_backed = Workload.Chunk.packed_file_backed t.workload vpn in
-  Mem.Frame_table.set_owner t.frames ~pfn ~asid:0 ~vpn;
+  Mem.Frame_table.set_owner t.frames ~pfn ~vpn;
   let pte = Mem.Pte.mapped ~pfn ~file_backed in
   let pte = if demand then Mem.Pte.set_accessed pte else pte in
   let pte = if write then Mem.Pte.set_dirty pte else pte in
@@ -800,7 +800,7 @@ let chaos_migrate t ~src ~vpn =
     let npte = if Mem.Pte.dirty pte then Mem.Pte.set_dirty npte else npte in
     Mem.Page_table.set t.pt vpn npte;
     Mem.Frame_table.clear_owner t.frames ~pfn:src;
-    Mem.Frame_table.set_owner t.frames ~pfn:dst ~asid:0 ~vpn;
+    Mem.Frame_table.set_owner t.frames ~pfn:dst ~vpn;
     (* Page-copy cost, charged like kswapd work. *)
     Engine.Cpu.charge_tagged t.cpu
       ~phase:(Prof.phase_index Prof.Evict_scan)
@@ -1047,7 +1047,7 @@ let run cfg ~policy ~workload =
       cpu;
       drv;
       pt =
-        Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size ~asid:0
+        Mem.Page_table.create ~region_size:cfg.costs.Mem.Costs.region_size
           ~pages:footprint ();
       frames = Mem.Frame_table.create ~frames:cfg.capacity_frames;
       mem = Mem.Phys_mem.create ~frames:cfg.capacity_frames ();
@@ -1081,11 +1081,7 @@ let run cfg ~policy ~workload =
     {
       Policy.Policy_intf.costs = cfg.costs;
       frames = t.frames;
-      page_table_of =
-        (fun asid ->
-          if asid <> 0 then invalid_arg "Machine: unknown address space";
-          t.pt);
-      address_spaces = (fun () -> [ t.pt ]);
+      pt = t.pt;
       rng = Engine.Rng.split rng;
       now = (fun () -> Engine.Sim.now t.sim);
       reclaim_page = (fun ~pfn -> reclaim_page t ~pfn);
@@ -1182,9 +1178,8 @@ let run cfg ~policy ~workload =
     | None -> None
     | Some dcfg ->
       let d = Mem.Damon.create dcfg in
-      let tables = [| t.pt |] in
       every t (Mem.Damon.aggregate_every_ns d) (fun () ->
-          Mem.Damon.tick d ~now:(Engine.Sim.now t.sim) ~tables);
+          Mem.Damon.tick d ~now:(Engine.Sim.now t.sim) ~pt:t.pt);
       Some d
   in
   let sample_every = Obs.sample_every_ns obs in

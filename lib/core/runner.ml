@@ -403,6 +403,23 @@ let deadline_cancel timeout_s =
         !calls land 255 = 0 && Unix.gettimeofday () > deadline)
   end
 
+(* The machine configuration every trial of [ctx] shares.  Under
+   --scale N the per-page cost factor shrinks as the footprint grows
+   (see [scale_tpch]): region granularity coarsens toward the paper's
+   512-PTE leaves and the 256x seed-scale compression unwinds
+   proportionally ({!Mem.Costs.experiment}).  Captures, the trial
+   deadline, the swap medium and barrier groups are per experiment and
+   left at their defaults. *)
+let machine_config ctx ~capacity_frames ~seed =
+  {
+    (Machine.default_config ~capacity_frames ~seed) with
+    Machine.costs = Mem.Costs.experiment ~scale:ctx.profile.scale;
+    fault_plan = ctx.fault_plan;
+    audit_every_ns = ctx.audit_every_ns;
+    cgroups = ctx.cgroups;
+    chaos = ctx.chaos;
+  }
+
 (* One trial, computed from scratch: deterministic in (ctx, e) — the
    workload, machine and policy all seed from (kind, trial). *)
 let compute_exp ctx e =
@@ -421,24 +438,15 @@ let compute_exp ctx e =
     capacity_for ~footprint:(Workload.Chunk.packed_footprint workload)
       ~ratio:e.ratio
   in
-  (* Under --scale N the per-page cost factor shrinks as the footprint
-     grows (see [scale_tpch]): region granularity coarsens toward the
-     paper's 512-PTE leaves and the 256x seed-scale compression unwinds
-     proportionally ({!Mem.Costs.experiment}). *)
   let cfg =
     {
-      (Machine.default_config ~capacity_frames:capacity
+      (machine_config ctx ~capacity_frames:capacity
          ~seed:(workload_seed e.workload ~trial:e.trial + 17))
       with
       Machine.swap = e.swap;
-      costs = Mem.Costs.experiment ~scale:ctx.profile.scale;
       barrier_groups;
-      fault_plan = ctx.fault_plan;
-      audit_every_ns = ctx.audit_every_ns;
       obs = ctx.obs;
       cancel = deadline_cancel ctx.trial_timeout_s;
-      cgroups = ctx.cgroups;
-      chaos = ctx.chaos;
     }
   in
   Machine.run cfg ~policy:(Policy.Registry.create e.policy) ~workload
@@ -758,10 +766,11 @@ let write_heatmap ctx ~path =
           Array.iter
             (fun (row : Mem.Damon.row) ->
               output_string oc prefix;
+              (* The asid column is the constant 0. *)
               output_string oc
-                (Printf.sprintf "%d,%d,%d,%d,%d\n" row.Mem.Damon.w_t_ns
-                   row.Mem.Damon.w_asid row.Mem.Damon.w_start
-                   row.Mem.Damon.w_pages row.Mem.Damon.w_accessed);
+                (Printf.sprintf "%d,0,%d,%d,%d\n" row.Mem.Damon.w_t_ns
+                   row.Mem.Damon.w_start row.Mem.Damon.w_pages
+                   row.Mem.Damon.w_accessed);
               incr written)
             cap.Mem.Damon.rows)
         (with_capture (fun r -> r.Machine.heatmap) ctx);

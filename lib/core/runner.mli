@@ -202,6 +202,13 @@ val capacity_for : footprint:int -> ratio:float -> int
     [footprint] pages, at least 64.  Belady's bound and the tier study
     size against the same formula. *)
 
+val machine_config : ctx -> capacity_frames:int -> seed:int -> Machine.config
+(** The machine every trial of [ctx] runs on: {!Machine.default_config}
+    with the context's scaled costs ([--scale]), fault plan, audit
+    cadence, cgroups and chaos schedule.  Captures stay off and there is
+    no deadline; {!run_exp} adds those, the swap medium and barrier
+    groups per experiment. *)
+
 val run_exp : ctx -> exp -> Machine.result
 (** Run (or fetch from this context's cache) one trial.  Raises
     [Failure] if the trial's outcome is [Failed] — use {!try_exp} where
@@ -323,7 +330,9 @@ val vmstat_cells : ctx -> (exp * Obs.Vmstat.capture) list
     summed across trials, cells in first-appearance order. *)
 
 val heatmap_csv_header : string
-(** [workload,policy,ratio,swap,trial,t_ns,asid,start_vpn,pages,accessed] *)
+(** [workload,policy,ratio,swap,trial,t_ns,asid,start_vpn,pages,accessed].
+    A machine has one address space, so [asid] is always 0; the column
+    keeps the layout existing readers parse. *)
 
 val write_heatmap : ctx -> path:string -> int
 (** Write every cached heatmap capture as CSV rows under

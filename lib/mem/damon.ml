@@ -1,6 +1,6 @@
 (* DAMON-style adaptive region access monitor.
 
-   Like the kernel's data-access monitor, each address space is covered
+   Like the kernel's data-access monitor, the address space is covered
    by a small set of contiguous regions that split where access is
    non-uniform and merge back where neighbours look alike, so the
    row count per snapshot stays bounded however large the footprint is.
@@ -36,7 +36,6 @@ type region = {
 
 type row = {
   w_t_ns : int;
-  w_asid : int;
   w_start : int;
   w_pages : int;
   w_accessed : int;
@@ -44,7 +43,7 @@ type row = {
 
 type t = {
   config : config;
-  spaces : (int, region list ref) Hashtbl.t;
+  mutable regions : region list; (* [] until the first tick *)
   mutable rows_rev : row list;
   mutable nr_rows : int;
 }
@@ -54,7 +53,7 @@ let create config =
     invalid_arg "Damon.create: aggregate_every_ns must be positive";
   if config.min_regions <= 0 || config.max_regions < config.min_regions then
     invalid_arg "Damon.create: need 0 < min_regions <= max_regions";
-  { config; spaces = Hashtbl.create 8; rows_rev = []; nr_rows = 0 }
+  { config; regions = []; rows_rev = []; nr_rows = 0 }
 
 let aggregate_every_ns t = t.config.aggregate_every_ns
 
@@ -72,15 +71,6 @@ let initial_regions config ~pages =
         ({ r_start = start; r_end = start + len } :: acc)
   in
   build 0 0 []
-
-let regions_of t pt =
-  let asid = Page_table.asid pt in
-  match Hashtbl.find_opt t.spaces asid with
-  | Some r -> r
-  | None ->
-    let r = ref (initial_regions t.config ~pages:(Page_table.pages pt)) in
-    Hashtbl.add t.spaces asid r;
-    r
 
 let count_accessed pt ~start ~stop =
   let a = ref 0 in
@@ -137,40 +127,35 @@ let split_pass config pt regions =
   in
   go regions
 
-let tick t ~now ~tables =
-  Array.iter
-    (fun pt ->
-      let asid = Page_table.asid pt in
-      let cell = regions_of t pt in
-      (* Count, snapshot, then adapt the layout for the next tick. *)
-      let counts = Hashtbl.create 16 in
-      List.iter
-        (fun r ->
-          let a = count_accessed pt ~start:r.r_start ~stop:r.r_end in
-          Hashtbl.replace counts r.r_start a;
-          t.rows_rev <-
-            {
-              w_t_ns = now;
-              w_asid = asid;
-              w_start = r.r_start;
-              w_pages = r.r_end - r.r_start;
-              w_accessed = a;
-            }
-            :: t.rows_rev;
-          t.nr_rows <- t.nr_rows + 1)
-        !cell;
-      let access r = try Hashtbl.find counts r.r_start with Not_found -> 0 in
-      let merged = merge_pass t.config !cell access in
-      cell := split_pass t.config pt merged)
-    tables
+let tick t ~now ~pt =
+  if t.regions = [] then
+    t.regions <- initial_regions t.config ~pages:(Page_table.pages pt);
+  (* Count, snapshot, then adapt the layout for the next tick. *)
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      let a = count_accessed pt ~start:r.r_start ~stop:r.r_end in
+      Hashtbl.replace counts r.r_start a;
+      t.rows_rev <-
+        {
+          w_t_ns = now;
+          w_start = r.r_start;
+          w_pages = r.r_end - r.r_start;
+          w_accessed = a;
+        }
+        :: t.rows_rev;
+      t.nr_rows <- t.nr_rows + 1)
+    t.regions;
+  let access r = try Hashtbl.find counts r.r_start with Not_found -> 0 in
+  t.regions <- split_pass t.config pt (merge_pass t.config t.regions access)
 
 type capture = {
-  rows : row array; (* tick order, address spaces in table order *)
+  rows : row array; (* tick order *)
 }
 
 let capture t =
-  let rows = Array.make t.nr_rows
-      { w_t_ns = 0; w_asid = 0; w_start = 0; w_pages = 0; w_accessed = 0 }
+  let rows =
+    Array.make t.nr_rows { w_t_ns = 0; w_start = 0; w_pages = 0; w_accessed = 0 }
   in
   List.iteri (fun i r -> rows.(t.nr_rows - 1 - i) <- r) t.rows_rev;
   { rows }

@@ -1,11 +1,5 @@
-(* A frame's owner is one word, [asid lsl vpn_bits lor vpn], or -1 when
-   unmapped: a reverse-map lookup reads one word of one array. *)
-let vpn_bits = 40
-
-let vpn_mask = (1 lsl vpn_bits) - 1
-
-let max_asid = max_int lsr vpn_bits
-
+(* A frame's owner is its vpn, or -1 when unmapped: a reverse-map lookup
+   reads one word of one array. *)
 let unmapped = -1
 
 type t = {
@@ -22,12 +16,11 @@ let frames t = Array.length t.owner
 let[@inline] check t pfn =
   if pfn < 0 || pfn >= frames t then invalid_arg "Frame_table: pfn out of range"
 
-let set_owner t ~pfn ~asid ~vpn =
+let set_owner t ~pfn ~vpn =
   check t pfn;
-  if asid < 0 || asid > max_asid then invalid_arg "Frame_table: asid out of range";
-  if vpn < 0 || vpn > vpn_mask then invalid_arg "Frame_table: vpn out of range";
+  if vpn < 0 then invalid_arg "Frame_table: vpn out of range";
   if t.owner.(pfn) = unmapped then t.mapped <- t.mapped + 1;
-  t.owner.(pfn) <- (asid lsl vpn_bits) lor vpn
+  t.owner.(pfn) <- vpn
 
 let clear_owner t ~pfn =
   check t pfn;
@@ -36,22 +29,9 @@ let clear_owner t ~pfn =
     t.owner.(pfn) <- unmapped
   end
 
-let owner t pfn =
-  check t pfn;
-  let w = t.owner.(pfn) in
-  if w = unmapped then None else Some (w lsr vpn_bits, w land vpn_mask)
-
-(* Unboxed owner lookups for reclaim loops: -1 = unmapped, no option or
-   tuple allocated. *)
-let[@inline] owner_asid t pfn =
-  check t pfn;
-  let w = t.owner.(pfn) in
-  if w = unmapped then -1 else w lsr vpn_bits
-
 let[@inline] owner_vpn t pfn =
   check t pfn;
-  let w = t.owner.(pfn) in
-  if w = unmapped then -1 else w land vpn_mask
+  t.owner.(pfn)
 
 let is_mapped t pfn =
   check t pfn;

@@ -1,8 +1,8 @@
 (** Physical frame metadata.
 
-    One word per physical frame: which (address space, virtual page)
-    owns it, packed so a reverse-map lookup reads one word.  This doubles as the reverse map; a policy that resolves a
-    frame through it charges [Costs.rmap_walk_ns] per lookup. *)
+    One word per physical frame: the virtual page that owns it.  This
+    doubles as the reverse map; a policy that resolves a frame through
+    it charges [Costs.rmap_walk_ns] per lookup. *)
 
 type t
 
@@ -10,17 +10,10 @@ val create : frames:int -> t
 
 val frames : t -> int
 
-val set_owner : t -> pfn:int -> asid:int -> vpn:int -> unit
-(** @raise Invalid_argument unless [0 <= vpn < 2^40] and
-    [0 <= asid < 2^22]. *)
+val set_owner : t -> pfn:int -> vpn:int -> unit
+(** @raise Invalid_argument unless [vpn >= 0]. *)
 
 val clear_owner : t -> pfn:int -> unit
-
-val owner : t -> int -> (int * int) option
-(** [(asid, vpn)] of the owning mapping, if mapped. *)
-
-val owner_asid : t -> int -> int
-(** Owning address-space id, or [-1] when unmapped (allocation-free). *)
 
 val owner_vpn : t -> int -> int
 (** Owning virtual page, or [-1] when unmapped (allocation-free). *)

@@ -1,5 +1,4 @@
 type t = {
-  asid : int;
   ptes : int array;
   (* Workingset shadow tokens (see Workingset), parallel to [ptes]
      because a swapped PTE's payload already holds its swap slot.
@@ -10,13 +9,11 @@ type t = {
   mutable resident : int; (* pages with Pte.present, maintained by [set] *)
 }
 
-let create ?(region_size = 512) ~asid ~pages () =
+let create ?(region_size = 512) ~pages () =
   if pages <= 0 then invalid_arg "Page_table.create: pages must be positive";
   if region_size <= 0 then invalid_arg "Page_table.create: region_size must be positive";
-  { asid; ptes = Array.make pages Pte.empty; shadows = [||]; region_size;
+  { ptes = Array.make pages Pte.empty; shadows = [||]; region_size;
     resident = 0 }
-
-let asid t = t.asid
 
 let pages t = Array.length t.ptes
 

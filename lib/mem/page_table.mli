@@ -1,4 +1,6 @@
-(** Per-process page tables with leaf-region structure.
+(** The page table of a machine's one address space, with leaf-region
+    structure.  Fleet tenants share it through [Workload.Multi]'s page
+    offsets.
 
     The virtual address space is a flat array of PTEs grouped into
     regions of [region_size] entries (512 by default — one x86-64 leaf
@@ -8,10 +10,8 @@
 
 type t
 
-val create : ?region_size:int -> asid:int -> pages:int -> unit -> t
+val create : ?region_size:int -> pages:int -> unit -> t
 (** [pages] virtual pages, all initially empty. *)
-
-val asid : t -> int
 
 val pages : t -> int
 
@@ -33,7 +33,7 @@ val shadow : t -> int -> int
 val set_shadow : t -> int -> int -> unit
 (** Store a shadow token for a vpn (see {!Workingset.note_eviction}).
     The shadow array is allocated lazily on the first non-empty store,
-    so address spaces that never evict pay nothing. *)
+    so runs that never evict pay nothing. *)
 
 val clear_shadow : t -> int -> unit
 (** [set_shadow t vpn Workingset.no_shadow]. *)

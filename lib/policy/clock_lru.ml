@@ -34,7 +34,7 @@ let active_size t = Structures.Dlist.size t.lists active
 
 let inactive_size t = Structures.Dlist.size t.lists inactive
 
-let on_page_mapped t ~pfn ~asid:_ ~vpn:_ ~refault ~file_backed:_ ~speculative =
+let on_page_mapped t ~pfn ~vpn:_ ~refault ~file_backed:_ ~speculative =
   if refault then t.refaults <- t.refaults + 1;
   (* The classic kernel adds newly mapped anonymous pages to the active
      list; speculative readahead pages start inactive. *)
@@ -68,9 +68,7 @@ let deactivate_one t (stats : Policy_intf.reclaim_stats) =
       true
     end
     else begin
-      let pt =
-        t.env.Policy_intf.page_table_of (Mem.Frame_table.owner_asid frames pfn)
-      in
+      let pt = t.env.Policy_intf.pt in
       let pte = Mem.Page_table.get pt vpn in
       stats.cpu_ns <- stats.cpu_ns + (costs t).Mem.Costs.list_op_ns;
       Prof.charge_phase t.env.Policy_intf.prof Prof.Evict_scan
@@ -119,9 +117,7 @@ let evict_one t ~force (stats : Policy_intf.reclaim_stats) =
       `Scanned
     end
     else begin
-      let pt =
-        t.env.Policy_intf.page_table_of (Mem.Frame_table.owner_asid frames pfn)
-      in
+      let pt = t.env.Policy_intf.pt in
       let pte = Mem.Page_table.get pt vpn in
       stats.cpu_ns <- stats.cpu_ns + (costs t).Mem.Costs.list_op_ns;
       Prof.charge_phase t.env.Policy_intf.prof Prof.Evict_scan

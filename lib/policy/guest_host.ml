@@ -22,8 +22,6 @@ let h_evict = 3
    cadence of a kswapd-style walker rather than a hot loop. *)
 let scan_interval_ns = 2_000_000
 
-let page_key ~asid ~vpn = (asid lsl 40) lor vpn
-
 module Host (G : V1.GUEST) = struct
   type t = {
     env : Policy_intf.env;
@@ -55,20 +53,20 @@ module Host (G : V1.GUEST) = struct
     let n = env.Policy_intf.total_frames in
     let page ~pfn =
       meter.V1.page_queries <- meter.V1.page_queries + 1;
-      if pfn < 0 || pfn >= n then None
+      let vpn =
+        if pfn < 0 || pfn >= n then -1 else Mem.Frame_table.owner_vpn frames pfn
+      in
+      if vpn < 0 then None
       else
-        match Mem.Frame_table.owner frames pfn with
-        | None -> None
-        | Some (asid, vpn) ->
-          let pte = Mem.Page_table.get (env.Policy_intf.page_table_of asid) vpn in
-          if not (Mem.Pte.present pte) then None
-          else
-            Some
-              {
-                V1.accessed = Mem.Pte.accessed pte;
-                dirty = Mem.Pte.dirty pte;
-                file_backed = Mem.Pte.file_backed pte;
-              }
+        let pte = Mem.Page_table.get env.Policy_intf.pt vpn in
+        if not (Mem.Pte.present pte) then None
+        else
+          Some
+            {
+              V1.accessed = Mem.Pte.accessed pte;
+              dirty = Mem.Pte.dirty pte;
+              file_backed = Mem.Pte.file_backed pte;
+            }
     in
     let evictable_hint ~pfn =
       meter.V1.evictable_queries <- meter.V1.evictable_queries + 1;
@@ -139,26 +137,26 @@ module Host (G : V1.GUEST) = struct
     in
     ns
 
-  let on_page_mapped t ~pfn ~asid ~vpn ~refault ~file_backed ~speculative =
+  let on_page_mapped t ~pfn ~vpn ~refault ~file_backed ~speculative =
     let ns =
-      fault_hook t ~pfn ~key:(page_key ~asid ~vpn) ~refault ~file_backed
-        ~speculative ~reinserted:false
+      fault_hook t ~pfn ~key:vpn ~refault ~file_backed ~speculative
+        ~reinserted:false
     in
     t.deferred_fault_ns <- t.deferred_fault_ns + ns
 
   let on_page_touched _t ~pfn:_ ~write:_ = ()
 
   let reinject t stats pfn =
-    match Mem.Frame_table.owner t.env.Policy_intf.frames pfn with
-    | None -> ()
-    | Some (asid, vpn) ->
-      let pte = Mem.Page_table.get (t.env.Policy_intf.page_table_of asid) vpn in
+    let vpn = Mem.Frame_table.owner_vpn t.env.Policy_intf.frames pfn in
+    if vpn >= 0 then begin
+      let pte = Mem.Page_table.get t.env.Policy_intf.pt vpn in
       let ns =
-        fault_hook t ~pfn ~key:(page_key ~asid ~vpn) ~refault:false
+        fault_hook t ~pfn ~key:vpn ~refault:false
           ~file_backed:(Mem.Pte.file_backed pte) ~speculative:false
           ~reinserted:true
       in
       add t stats ~phase:Obs.Prof.Hook_fault ns
+    end
 
   let evict_round t ~want ~force (stats : Policy_intf.reclaim_stats) =
     let cands, ns = dispatched t h_evict (fun () -> G.evict_request t.guest ~want) in
@@ -241,10 +239,9 @@ module Host (G : V1.GUEST) = struct
         stats.Policy_intf.pte_scans <- stats.Policy_intf.pte_scans + 1;
         add t stats ~phase:Obs.Prof.Pte_scan
           env.Policy_intf.costs.Mem.Costs.pte_scan_ns;
-        match Mem.Frame_table.owner env.Policy_intf.frames pfn with
-        | None -> ()
-        | Some (asid, vpn) ->
-          let pt = env.Policy_intf.page_table_of asid in
+        let vpn = Mem.Frame_table.owner_vpn env.Policy_intf.frames pfn in
+        if vpn >= 0 then begin
+          let pt = env.Policy_intf.pt in
           let pte = Mem.Page_table.get pt vpn in
           if Mem.Pte.present pte && Mem.Pte.accessed pte then begin
             Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed pte);
@@ -256,6 +253,7 @@ module Host (G : V1.GUEST) = struct
             in
             add t stats ~phase:Obs.Prof.Hook_access ns
           end
+        end
       done
     end;
     t.ticks <- t.ticks + 1;

@@ -15,7 +15,7 @@ let create env =
     refaults = 0;
   }
 
-let on_page_mapped t ~pfn ~asid:_ ~vpn:_ ~refault ~file_backed:_ ~speculative:_ =
+let on_page_mapped t ~pfn ~vpn:_ ~refault ~file_backed:_ ~speculative:_ =
   if refault then t.refaults <- t.refaults + 1;
   Structures.Dlist.move_head t.order ~list:0 ~node:pfn
 

@@ -50,25 +50,21 @@ type t = {
   mutable bloom_cur : Structures.Bloom.t;
   mutable bloom_next : Structures.Bloom.t;
   mutable bloom_primed : bool; (* first pass scans everything *)
-  (* Aging walker state: a pass walks this region list.  A pass is
-     requested only when eviction hits the bottom of the generation
-     window (try_to_inc_max_seq), and eviction that fully drains the
-     oldest generation before the pass completes must wait for it — the
-     serialization behind MG-LRU's reclaim stalls (paper §VI-A).
-     The list is flattened into parallel arrays (page table / region
-     index) rebuilt only when the region count changes, so starting a
-     pass does not rebuild a tuple list every time. *)
-  mutable walk_pts : Mem.Page_table.t array;
-  mutable walk_regions : int array;
+  (* Aging walker state: a pass walks regions [walk_pos .. walk_len - 1]
+     of the page table in order.  A pass is requested only when eviction
+     hits the bottom of the generation window (try_to_inc_max_seq), and
+     eviction that fully drains the oldest generation before the pass
+     completes must wait for it — the serialization behind MG-LRU's
+     reclaim stalls (paper §VI-A). *)
   mutable walk_len : int;
   mutable walk_pos : int;
   mutable aging_active : bool;
   mutable aging_requested : bool;
-  (* Refault tokens, asid -> vpn -> token: 0 for none, otherwise
+  (* Refault tokens, vpn -> token: 0 for none, otherwise
      [evict_seq * tiers + tier + 1] left by the page's last eviction.
-     A space's array is allocated on its first eviction ([||] before);
-     a refault consumes its token, a re-eviction overwrites it. *)
-  mutable tokens : int array array;
+     Allocated on the first eviction ([||] before); a refault consumes
+     its token, a re-eviction overwrites it. *)
+  mutable tokens : int array;
   pid : Structures.Pid.t;
   mutable protected_tiers : int;
   tier_evictions : int array;
@@ -127,8 +123,6 @@ let create_with ?(config = default_config) (env : Policy_intf.env) =
     bloom_cur = mk_bloom ();
     bloom_next = mk_bloom ();
     bloom_primed = false;
-    walk_pts = [||];
-    walk_regions = [||];
     walk_len = 0;
     walk_pos = 0;
     aging_active = false;
@@ -168,30 +162,24 @@ let costs t = t.env.Policy_intf.costs
 
 let vm t = t.env.Policy_intf.vmstat
 
-(* The token array of [pt]'s address space, allocated on first use. *)
-let tokens_of t ~asid pt =
-  if asid >= Array.length t.tokens then begin
-    let grown = Array.make (asid + 1) [||] in
-    Array.blit t.tokens 0 grown 0 (Array.length t.tokens);
-    t.tokens <- grown
-  end;
-  if Array.length t.tokens.(asid) = 0 then
-    t.tokens.(asid) <- Array.make (Mem.Page_table.pages pt) 0;
-  t.tokens.(asid)
-
 let pack_token t ~seq ~tier = (seq * t.config.tiers) + tier + 1
 let token_seq t token = (token - 1) / t.config.tiers
 let token_tier t token = (token - 1) mod t.config.tiers
 
 (* Read and clear a page's token; 0 when it has none. *)
-let take_token t ~asid ~vpn =
-  if asid >= Array.length t.tokens || vpn >= Array.length t.tokens.(asid) then 0
+let take_token t ~vpn =
+  if vpn >= Array.length t.tokens then 0
   else begin
-    let tokens = t.tokens.(asid) in
-    let token = tokens.(vpn) in
-    tokens.(vpn) <- 0;
+    let token = t.tokens.(vpn) in
+    t.tokens.(vpn) <- 0;
     token
   end
+
+(* Leave an evicted page's token, allocating the array on first use. *)
+let set_token t ~vpn token =
+  if Array.length t.tokens = 0 then
+    t.tokens <- Array.make (Mem.Page_table.pages t.env.Policy_intf.pt) 0;
+  t.tokens.(vpn) <- token
 
 (* Attach a frame to a generation list (detaching it first if needed). *)
 let place t ~pfn ~seq ~tier =
@@ -202,12 +190,12 @@ let promote_to_youngest t ~pfn =
   if frame_seq t pfn <> t.max_seq then place t ~pfn ~seq:t.max_seq ~tier:(frame_tier t pfn)
   else Structures.Dlist.move_head t.lists ~list:(slot t t.max_seq) ~node:pfn
 
-let on_page_mapped t ~pfn ~asid ~vpn ~refault ~file_backed ~speculative =
+let on_page_mapped t ~pfn ~vpn ~refault ~file_backed ~speculative =
   let token =
     if not refault then 0
     else begin
       t.refaults <- t.refaults + 1;
-      take_token t ~asid ~vpn
+      take_token t ~vpn
     end
   in
   let tier =
@@ -253,7 +241,8 @@ let should_scan_region t region =
   | Bloom_filtered ->
     (not t.bloom_primed) || Structures.Bloom.mem t.bloom_cur region
 
-let scan_region t pt region (work : int ref) =
+let scan_region t region (work : int ref) =
+  let pt = t.env.Policy_intf.pt in
   let c = costs t in
   let prof = t.env.Policy_intf.prof in
   let accessed_here = ref 0 in
@@ -315,36 +304,11 @@ let update_tier_protection t =
   end
 
 let start_aging_pass t =
-  (match t.config.scan_mode with
-  | Scan_none -> t.walk_len <- 0 (* pure generation rotation, no walk *)
-  | Bloom_filtered | Scan_all | Scan_rand _ ->
-    let spaces = t.env.Policy_intf.address_spaces () in
-    let total =
-      List.fold_left (fun acc pt -> acc + Mem.Page_table.regions pt) 0 spaces
-    in
-    (* Address spaces are fixed for a machine's lifetime, so the region
-       count changing is the only rebuild trigger in practice. *)
-    if total <> Array.length t.walk_regions then begin
-      match spaces with
-      | [] ->
-        t.walk_pts <- [||];
-        t.walk_regions <- [||]
-      | pt0 :: _ ->
-        let pts = Array.make total pt0 in
-        let regs = Array.make total 0 in
-        let i = ref 0 in
-        List.iter
-          (fun pt ->
-            for r = 0 to Mem.Page_table.regions pt - 1 do
-              pts.(!i) <- pt;
-              regs.(!i) <- r;
-              incr i
-            done)
-          spaces;
-        t.walk_pts <- pts;
-        t.walk_regions <- regs
-    end;
-    t.walk_len <- total);
+  t.walk_len <-
+    (match t.config.scan_mode with
+    | Scan_none -> 0 (* pure generation rotation, no walk *)
+    | Bloom_filtered | Scan_all | Scan_rand _ ->
+      Mem.Page_table.regions t.env.Policy_intf.pt);
   t.walk_pos <- 0;
   t.aging_active <- true
 
@@ -372,13 +336,12 @@ let aging_step t ~budget:step_budget =
   let work = ref 0 in
   let budget = ref step_budget in
   while !budget > 0 && t.walk_pos < t.walk_len do
-    let pt = t.walk_pts.(t.walk_pos) in
-    let region = t.walk_regions.(t.walk_pos) in
+    let region = t.walk_pos in
     t.walk_pos <- t.walk_pos + 1;
     work := !work + c.Mem.Costs.bloom_query_ns;
     if should_scan_region t region then begin
       t.regions_scanned <- t.regions_scanned + 1;
-      scan_region t pt region work
+      scan_region t region work
     end
     else t.regions_skipped <- t.regions_skipped + 1;
     decr budget
@@ -468,8 +431,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
       `Scanned
     end
     else begin
-      let asid = Mem.Frame_table.owner_asid frames pfn in
-      let pt = t.env.Policy_intf.page_table_of asid in
+      let pt = t.env.Policy_intf.pt in
       let pte = Mem.Page_table.get pt vpn in
       if Mem.Pte.accessed pte && not force then begin
         Mem.Page_table.set pt vpn (Mem.Pte.clear_accessed pte);
@@ -518,7 +480,7 @@ let evict_candidate t ~force (stats : Policy_intf.reclaim_stats) =
         else begin
           detach t ~pfn;
           t.tier_evictions.(tier) <- t.tier_evictions.(tier) + 1;
-          (tokens_of t ~asid pt).(vpn) <- pack_token t ~seq:t.max_seq ~tier;
+          set_token t ~vpn (pack_token t ~seq:t.max_seq ~tier);
           t.env.Policy_intf.reclaim_page ~pfn;
           t.evictions <- t.evictions + 1;
           if force then t.forced_evictions <- t.forced_evictions + 1;

@@ -1,7 +1,7 @@
 (** The contract between the simulated machine and a replacement policy.
 
-    A policy sees the world the way the kernel's reclaim code does: page
-    tables with accessed/dirty bits, the frame table / reverse map, and
+    A policy sees the world the way the kernel's reclaim code does: the
+    page table with accessed/dirty bits, the frame table / reverse map, and
     memory-pressure watermarks.  It acts through [reclaim_page] (unmap +
     write back + free, performed by the machine) and reports the CPU it
     burned so the machine can charge contention and fault latency.
@@ -13,10 +13,8 @@
 type env = {
   costs : Mem.Costs.t;
   frames : Mem.Frame_table.t;
-  page_table_of : int -> Mem.Page_table.t;
-      (** resolve an address-space id *)
-  address_spaces : unit -> Mem.Page_table.t list;
-      (** every address space, for full page-table walks *)
+  pt : Mem.Page_table.t;
+      (** the machine's one page table; frame owners are its vpns *)
   rng : Engine.Rng.t;
   now : unit -> int;
   reclaim_page : pfn:int -> unit;
@@ -85,7 +83,7 @@ module type S = sig
   val create : env -> t
 
   val on_page_mapped :
-    t -> pfn:int -> asid:int -> vpn:int -> refault:bool -> file_backed:bool ->
+    t -> pfn:int -> vpn:int -> refault:bool -> file_backed:bool ->
     speculative:bool -> unit
   (** A page was just faulted in and mapped to [pfn].  [refault] means it
       had been evicted before (its contents came from swap);

@@ -8,7 +8,7 @@ let policy_name = "random"
 
 let create env = { env; evictions = 0; refaults = 0 }
 
-let on_page_mapped t ~pfn:_ ~asid:_ ~vpn:_ ~refault ~file_backed:_ ~speculative:_ =
+let on_page_mapped t ~pfn:_ ~vpn:_ ~refault ~file_backed:_ ~speculative:_ =
   if refault then t.refaults <- t.refaults + 1
 
 let on_page_touched _t ~pfn:_ ~write:_ = ()

@@ -8,7 +8,9 @@ type t = {
      pswpin/pswpout, io_retries and io_remaps count here. *)
   vmstat : Obs.Vmstat.t;
   mutable ratios : float array; (* slot -> size fraction; nan = free *)
-  mutable free : int list;
+  (* Released slots, a LIFO stack in [free.(0 .. nfree - 1)]. *)
+  mutable free : int array;
+  mutable nfree : int;
   mutable next_slot : int;
   mutable used : int;
   mutable peak : int;
@@ -34,7 +36,8 @@ let create ?(max_retries = 4) ?(backoff_ns = 100_000) ?(obs = Obs.disabled)
     vmstat =
       (match vmstat with Some v -> v | None -> Obs.Vmstat.create ());
     ratios = Array.make 1024 nan;
-    free = [];
+    free = Array.make 1024 0;
+    nfree = 0;
     next_slot = 0;
     used = 0;
     peak = 0;
@@ -53,15 +56,16 @@ let grow t =
   t.ratios <- ratios
 
 let alloc_slot t =
-  match t.free with
-  | slot :: rest ->
-    t.free <- rest;
-    slot
-  | [] ->
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
     let slot = t.next_slot in
     t.next_slot <- slot + 1;
     if slot >= Array.length t.ratios then grow t;
     slot
+  end
 
 let slot_in_use t slot =
   slot >= 0 && slot < Array.length t.ratios && not (Float.is_nan t.ratios.(slot))
@@ -70,7 +74,13 @@ let release t ~slot =
   if not (slot_in_use t slot) then invalid_arg "Swap_manager.release: slot not in use";
   let ratio = t.ratios.(slot) in
   t.ratios.(slot) <- nan;
-  t.free <- slot :: t.free;
+  if t.nfree = Array.length t.free then begin
+    let free = Array.make (2 * t.nfree) 0 in
+    Array.blit t.free 0 free 0 t.nfree;
+    t.free <- free
+  end;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
   t.used <- t.used - 1;
   t.compressed <- t.compressed -. ratio
 

@@ -151,7 +151,7 @@ let run cfg ~policy ~workload =
       sim;
       drv;
       pt =
-        Mem.Page_table.create ~region_size:costs.Mem.Costs.region_size ~asid:0
+        Mem.Page_table.create ~region_size:costs.Mem.Costs.region_size
           ~pages:footprint ();
       tier_of = Array.make footprint (-1);
       poisoned = Bytes.make footprint '\000';

@@ -21,10 +21,9 @@
     array). *)
 
 type pages =
-  | Range of { start : int; len : int; stride : int }
-      (** [len] pages starting at [start], [stride] pages apart *)
+  | Range of { start : int; len : int }
+      (** the [len] contiguous pages from [start] *)
   | Pages of int array  (** explicit page list, touched in order *)
-  | Single of int
 
 type t = {
   pages : pages;
@@ -52,22 +51,19 @@ let chunk ?(write = false) ?(read_prefix = 0) ?(cpu_ns = 0) ?(latency_class = -1
 let page_count = function
   | Range { len; _ } -> len
   | Pages a -> Array.length a
-  | Single _ -> 1
 
 (* The [i]th page of a chunk's page set. *)
 let page_at pages i =
   match pages with
-  | Range { start; stride; _ } -> start + (i * stride)
+  | Range { start; _ } -> start + i
   | Pages a -> a.(i)
-  | Single p -> p
 
 let iter_pages f = function
-  | Range { start; len; stride } ->
-    for i = 0 to len - 1 do
-      f (start + (i * stride))
+  | Range { start; len } ->
+    for p = start to start + len - 1 do
+      f p
     done
   | Pages a -> Array.iter f a
-  | Single p -> f p
 
 (** A workload drives [threads] concurrent streams over a virtual
     address space of [footprint_pages] pages. *)

@@ -251,7 +251,7 @@ let create ~sim ~cpu ~rng ?(prof = Prof.disabled) ~barrier_ns
       finish_ns = Array.make n (-1);
       killed = Array.make n false;
       stall_until = Array.make n 0;
-      chunk = Array.make n (Chunk.chunk (Chunk.Single 0));
+      chunk = Array.make n (Chunk.chunk (Chunk.Pages [||]));
       next_index = Array.make n 0;
       chunk_start = Array.make n 0;
       step_k = Array.make n no_k;

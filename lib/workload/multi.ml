@@ -61,9 +61,8 @@ let file_backed t page =
   Chunk.packed_file_backed t.parts.(i) (page - t.page_base.(i))
 
 let shift_pages base = function
-  | Chunk.Range { start; len; stride } -> Chunk.Range { start = start + base; len; stride }
+  | Chunk.Range { start; len } -> Chunk.Range { start = start + base; len }
   | Chunk.Pages a -> Chunk.Pages (Array.map (fun p -> p + base) a)
-  | Chunk.Single p -> Chunk.Single (p + base)
 
 let next t ~tid =
   let tenant, local = t.thread_map.(tid) in

@@ -129,12 +129,11 @@ let block_steps config plan ~rank_src_base ~rank_dst_base b =
   [
     Chunk.Chunk
       (Chunk.chunk ~cpu_ns:cpu_half
-         (Chunk.Range { start = bp.csr_start; len = bp.csr_len; stride = 1 }));
+         (Chunk.Range { start = bp.csr_start; len = bp.csr_len }));
     Chunk.Chunk (Chunk.chunk ~cpu_ns:cpu_half (Chunk.Pages gather));
     Chunk.Chunk
       (Chunk.chunk ~write:true ~cpu_ns:(max 1 (cpu_half / 8))
-         (Chunk.Range
-            { start = rank_dst_base + bp.dst_start; len = bp.dst_len; stride = 1 }));
+         (Chunk.Range { start = rank_dst_base + bp.dst_start; len = bp.dst_len }));
   ]
 
 let create ?(config = default_config) ~seed () =

@@ -99,7 +99,7 @@ let sequential_pass config ~push ~base ~modulus ~lo ~len ~write ?(between = fun 
       (Chunk.Chunk
          (Chunk.chunk ~write
             ~cpu_ns:(chunk_len * config.cpu_per_page_ns)
-            (Chunk.Range { start; len = chunk_len; stride = 1 })));
+            (Chunk.Range { start; len = chunk_len })));
     between ();
     pos := !pos + chunk_len;
     remaining := !remaining - chunk_len

@@ -15,7 +15,7 @@ type world = {
 
 let make_world ?(frames = 64) ?(pages = 256) ?(region_size = 16)
     ?(file_backed = fun _ -> false) ?(seed = 42) () =
-  let pt = Mem.Page_table.create ~region_size ~asid:0 ~pages () in
+  let pt = Mem.Page_table.create ~region_size ~pages () in
   let ft = Mem.Frame_table.create ~frames in
   let mem = Mem.Phys_mem.create ~frames () in
   (* A throwaway env fills the field until the real one (whose closures
@@ -24,8 +24,7 @@ let make_world ?(frames = 64) ?(pages = 256) ?(region_size = 16)
     {
       Policy.Policy_intf.costs = Mem.Costs.default;
       frames = ft;
-      page_table_of = (fun _ -> pt);
-      address_spaces = (fun () -> [ pt ]);
+      pt;
       rng = Engine.Rng.create seed;
       now = (fun () -> 0);
       reclaim_page = (fun ~pfn:_ -> ());
@@ -52,9 +51,8 @@ let make_world ?(frames = 64) ?(pages = 256) ?(region_size = 16)
     }
   in
   let reclaim_page ~pfn =
-    match Mem.Frame_table.owner ft pfn with
-    | None -> ()
-    | Some (_asid, vpn) ->
+    let vpn = Mem.Frame_table.owner_vpn ft pfn in
+    if vpn >= 0 then begin
       let pte = Mem.Page_table.get pt vpn in
       if Mem.Pte.present pte then begin
         let slot = world.next_slot in
@@ -65,17 +63,14 @@ let make_world ?(frames = 64) ?(pages = 256) ?(region_size = 16)
         world.reclaimed <- pfn :: world.reclaimed;
         world.reclaimed_vpns <- vpn :: world.reclaimed_vpns
       end
+    end
   in
   let env =
     {
       Policy.Policy_intf.costs =
         { Mem.Costs.default with region_size; spatial_scan_max = region_size };
       frames = ft;
-      page_table_of =
-        (fun asid ->
-          if asid <> 0 then invalid_arg "harness: unknown asid";
-          pt);
-      address_spaces = (fun () -> [ pt ]);
+      pt;
       rng = Engine.Rng.create seed;
       now = (fun () -> world.now_ns);
       reclaim_page;
@@ -109,12 +104,12 @@ let map_page world (Policy.Policy_intf.Packed ((module P), p)) ?(write = false)
   in
   let old = Mem.Page_table.get world.pt vpn in
   let refault = Mem.Pte.swapped old in
-  Mem.Frame_table.set_owner world.frames ~pfn ~asid:0 ~vpn;
+  Mem.Frame_table.set_owner world.frames ~pfn ~vpn;
   let pte = Mem.Pte.mapped ~pfn ~file_backed in
   let pte = if speculative then pte else Mem.Pte.set_accessed pte in
   let pte = if write then Mem.Pte.set_dirty pte else pte in
   Mem.Page_table.set world.pt vpn pte;
-  P.on_page_mapped p ~pfn ~asid:0 ~vpn ~refault ~file_backed ~speculative;
+  P.on_page_mapped p ~pfn ~vpn ~refault ~file_backed ~speculative;
   if not speculative then P.on_page_touched p ~pfn ~write;
   pfn
 

@@ -176,7 +176,7 @@ let pages = 32
 let make_world () =
   let dev = Swapdev.Zram.create ~rng:(Engine.Rng.create 1) () in
   {
-    pt = Mem.Page_table.create ~region_size:8 ~asid:0 ~pages ();
+    pt = Mem.Page_table.create ~region_size:8 ~pages ();
     frames = Mem.Frame_table.create ~frames:8;
     mem = Mem.Phys_mem.create ~frames:8 ();
     swap = SM.create ~device:dev ~seed:5 ();
@@ -191,7 +191,7 @@ let map w ~vpn =
   match Mem.Phys_mem.alloc w.mem with
   | None -> Alcotest.fail "out of frames in test setup"
   | Some pfn ->
-    Mem.Frame_table.set_owner w.frames ~pfn ~asid:0 ~vpn;
+    Mem.Frame_table.set_owner w.frames ~pfn ~vpn;
     Mem.Page_table.set w.pt vpn (Mem.Pte.mapped ~pfn ~file_backed:false);
     pfn
 

@@ -8,7 +8,8 @@ module C = Workload.Chunk
 module K = Engine.Kthread
 
 (* One chunk per page: page [p] stands for a step the test can name. *)
-let step ?(cpu_ns = 1_000) p = C.Chunk (C.chunk ~cpu_ns (C.Single p))
+let step ?(cpu_ns = 1_000) p =
+  C.Chunk (C.chunk ~cpu_ns (C.Range { start = p; len = 1 }))
 
 let workload steps =
   C.Packed
@@ -168,7 +169,7 @@ let test_sleep_until_woken () =
 let test_low_memory_wakes () =
   (* [low_memory] is checked after every segment: a 64-page chunk runs
      as two 32-page segments, each waking the sleeper. *)
-  let pages = C.Range { start = 0; len = 64; stride = 1 } in
+  let pages = C.Range { start = 0; len = 64 } in
   let ((r, _) as m) =
     make ~low_memory:(fun () -> true) [| [| C.Chunk (C.chunk ~cpu_ns:1_000 pages) |] |]
   in

@@ -247,6 +247,29 @@ let test_write_figure () =
   List.iter Sys.remove paths;
   Sys.rmdir dir
 
+(* The readahead study runs its own machines, outside the cached
+   runner; they must still be the run's machines (scaled costs, fault
+   plan, audits), with only the window changed and captures off. *)
+let test_readahead_config () =
+  let ctx =
+    R.make_ctx
+      ~profile:{ R.trials = 1; ycsb_trials = 1; fast = true; scale = 4 }
+      ~fault_plan:Swapdev.Faulty_device.light ~audit_every_ns:5_000_000 ()
+  in
+  let cfg =
+    Repro_core.Ablation.readahead_config ctx ~footprint:1000 ~window:8
+  in
+  let module M = Repro_core.Machine in
+  Alcotest.(check bool) "scaled costs" true
+    (cfg.M.costs = Mem.Costs.experiment ~scale:4);
+  Alcotest.(check bool) "light fault plan" true
+    (cfg.M.fault_plan = Swapdev.Faulty_device.light);
+  Alcotest.(check int) "audit cadence" 5_000_000 cfg.M.audit_every_ns;
+  Alcotest.(check int) "window" 8 cfg.M.readahead;
+  Alcotest.(check int) "half the footprint" 500 cfg.M.capacity_frames;
+  Alcotest.(check int) "seed" 4242 cfg.M.seed;
+  Alcotest.(check bool) "captures off" true (cfg.M.obs = Obs.off)
+
 let () =
   Alcotest.run "figures"
     [
@@ -265,5 +288,6 @@ let () =
           Alcotest.test_case "build bounds" `Quick test_build_bounds;
           Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
           Alcotest.test_case "csv figure rule" `Quick test_write_figure;
+          Alcotest.test_case "readahead config" `Quick test_readahead_config;
         ] );
     ]

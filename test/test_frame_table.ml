@@ -4,24 +4,24 @@ let test_basic () =
   let f = F.create ~frames:8 in
   Alcotest.(check int) "frames" 8 (F.frames f);
   Alcotest.(check int) "mapped" 0 (F.mapped_count f);
-  Alcotest.(check (option (pair int int))) "owner" None (F.owner f 3);
-  F.set_owner f ~pfn:3 ~asid:1 ~vpn:42;
-  Alcotest.(check (option (pair int int))) "owner set" (Some (1, 42)) (F.owner f 3);
+  Alcotest.(check int) "owner" (-1) (F.owner_vpn f 3);
+  F.set_owner f ~pfn:3 ~vpn:42;
+  Alcotest.(check int) "owner set" 42 (F.owner_vpn f 3);
   Alcotest.(check bool) "is_mapped" true (F.is_mapped f 3);
   Alcotest.(check int) "mapped count" 1 (F.mapped_count f)
 
 let test_remap_does_not_double_count () =
   let f = F.create ~frames:4 in
-  F.set_owner f ~pfn:0 ~asid:0 ~vpn:1;
-  F.set_owner f ~pfn:0 ~asid:0 ~vpn:2;
+  F.set_owner f ~pfn:0 ~vpn:1;
+  F.set_owner f ~pfn:0 ~vpn:2;
   Alcotest.(check int) "still one" 1 (F.mapped_count f);
-  Alcotest.(check (option (pair int int))) "latest owner" (Some (0, 2)) (F.owner f 0)
+  Alcotest.(check int) "latest owner" 2 (F.owner_vpn f 0)
 
 let test_clear () =
   let f = F.create ~frames:4 in
-  F.set_owner f ~pfn:2 ~asid:0 ~vpn:9;
+  F.set_owner f ~pfn:2 ~vpn:9;
   F.clear_owner f ~pfn:2;
-  Alcotest.(check (option (pair int int))) "cleared" None (F.owner f 2);
+  Alcotest.(check int) "cleared" (-1) (F.owner_vpn f 2);
   Alcotest.(check int) "count back to zero" 0 (F.mapped_count f);
   (* double clear is a no-op *)
   F.clear_owner f ~pfn:2;
@@ -30,7 +30,7 @@ let test_clear () =
 let test_bounds () =
   let f = F.create ~frames:4 in
   Alcotest.check_raises "out of range" (Invalid_argument "Frame_table: pfn out of range")
-    (fun () -> ignore (F.owner f 4))
+    (fun () -> ignore (F.owner_vpn f 4))
 
 let prop_count_matches_scan =
   QCheck.Test.make ~name:"mapped_count matches a full scan" ~count:200
@@ -39,7 +39,7 @@ let prop_count_matches_scan =
       let f = F.create ~frames:16 in
       List.iter
         (fun (pfn, set) ->
-          if set then F.set_owner f ~pfn ~asid:0 ~vpn:pfn
+          if set then F.set_owner f ~pfn ~vpn:pfn
           else F.clear_owner f ~pfn)
         ops;
       let scan = ref 0 in

@@ -62,9 +62,8 @@ let test_guest_cannot_free_protected_frame () =
       world.H.env with
       PI.evictable =
         (fun ~pfn ~force:_ ->
-          match Mem.Frame_table.owner world.H.frames pfn with
-          | Some (_, vpn) -> vpn <> protected_vpn
-          | None -> false);
+          let vpn = Mem.Frame_table.owner_vpn world.H.frames pfn in
+          vpn >= 0 && vpn <> protected_vpn);
     };
   let packed = Policy.Registry.create Policy.Registry.Sieve world.H.env in
   for vpn = 0 to frames - 1 do

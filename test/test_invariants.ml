@@ -16,7 +16,7 @@ let pages = 32
 let make_world () =
   let dev = Swapdev.Zram.create ~rng:(Engine.Rng.create 1) () in
   {
-    pt = Mem.Page_table.create ~region_size:8 ~asid:0 ~pages ();
+    pt = Mem.Page_table.create ~region_size:8 ~pages ();
     frames = Mem.Frame_table.create ~frames:8;
     mem = Mem.Phys_mem.create ~frames:8 ();
     swap = SM.create ~device:dev ~seed:5 ();
@@ -31,7 +31,7 @@ let map w ~vpn =
   match Mem.Phys_mem.alloc w.mem with
   | None -> Alcotest.fail "out of frames in test setup"
   | Some pfn ->
-    Mem.Frame_table.set_owner w.frames ~pfn ~asid:0 ~vpn;
+    Mem.Frame_table.set_owner w.frames ~pfn ~vpn;
     Mem.Page_table.set w.pt vpn (Mem.Pte.mapped ~pfn ~file_backed:false);
     pfn
 
@@ -68,7 +68,7 @@ let test_detects_rmap_mismatch () =
   let w = make_world () in
   let pfn = map w ~vpn:3 in
   (* frame claims vpn 4, PTE 3 still points at the frame *)
-  Mem.Frame_table.set_owner w.frames ~pfn ~asid:0 ~vpn:4;
+  Mem.Frame_table.set_owner w.frames ~pfn ~vpn:4;
   let cs = checks (audit w) in
   Alcotest.(check bool) "frame->pte mismatch seen" true
     (List.mem "frame-pte-absent" cs || List.mem "frame-pte-mismatch" cs);

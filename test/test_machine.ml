@@ -2,6 +2,8 @@ module M = Repro_core.Machine
 module C = Workload.Chunk
 module V = Obs.Vmstat
 
+let one_page p = C.Range { start = p; len = 1 }
+
 (* A tiny deterministic workload: one thread touching an explicit page
    sequence. *)
 let trace_workload ?(footprint = 64) lists =
@@ -113,9 +115,9 @@ let test_barrier_synchronizes () =
      barrier until thread 0's slow chunk completes. *)
   let steps =
     [|
-      [| C.Chunk (C.chunk ~cpu_ns:1_000_000 (C.Single 0)); C.Barrier;
-         C.Chunk (C.chunk (C.Single 1)) |];
-      [| C.Barrier; C.Chunk (C.chunk (C.Single 2)) |];
+      [| C.Chunk (C.chunk ~cpu_ns:1_000_000 (one_page 0)); C.Barrier;
+         C.Chunk (C.chunk (one_page 1)) |];
+      [| C.Barrier; C.Chunk (C.chunk (one_page 2)) |];
     |]
   in
   let w =
@@ -139,9 +141,9 @@ let test_latency_recording () =
   let steps =
     [|
       [|
-        C.Chunk (C.chunk ~latency_class:C.read_class (C.Single 0));
-        C.Chunk (C.chunk ~latency_class:C.write_class ~write:true (C.Single 1));
-        C.Chunk (C.chunk ~latency_class:C.read_class (C.Single 2));
+        C.Chunk (C.chunk ~latency_class:C.read_class (one_page 0));
+        C.Chunk (C.chunk ~latency_class:C.write_class ~write:true (one_page 1));
+        C.Chunk (C.chunk ~latency_class:C.read_class (one_page 2));
       |];
     |]
   in
@@ -329,7 +331,7 @@ let read_requests n =
   let steps =
     [|
       Array.init n (fun i ->
-          C.Chunk (C.chunk ~latency_class:C.read_class (C.Single (i mod 4))));
+          C.Chunk (C.chunk ~latency_class:C.read_class (one_page (i mod 4))));
     |]
   in
   let w =

@@ -8,6 +8,8 @@ module R = Repro_core.Runner
 module C = Workload.Chunk
 module V = Obs.Vmstat
 
+let one_page p = C.Range { start = p; len = 1 }
+
 (* ---------------- spec parsing ---------------- *)
 
 let test_parse_basic () =
@@ -352,9 +354,9 @@ let test_latencies_match_machine () =
   let requests tid =
     Array.init 3000 (fun i ->
         let page = ((i * 7) + (tid * 13)) mod 64 in
-        if i mod 2 = 0 then C.Chunk (C.chunk ~latency_class:C.read_class (C.Single page))
+        if i mod 2 = 0 then C.Chunk (C.chunk ~latency_class:C.read_class (one_page page))
         else
-          C.Chunk (C.chunk ~write:true ~latency_class:C.write_class (C.Single page)))
+          C.Chunk (C.chunk ~write:true ~latency_class:C.write_class (one_page page)))
   in
   let workload =
     C.Packed

@@ -271,10 +271,10 @@ let test_token_consumed () =
   let dst = Option.get (Mem.Phys_mem.alloc w.Testsupport.Harness.mem) in
   Mem.Page_table.set w.Testsupport.Harness.pt 0 (Mem.Pte.to_mapped pte ~pfn:dst);
   Mem.Frame_table.clear_owner w.Testsupport.Harness.frames ~pfn:(Mem.Pte.pfn pte);
-  Mem.Frame_table.set_owner w.Testsupport.Harness.frames ~pfn:dst ~asid:0 ~vpn:0;
+  Mem.Frame_table.set_owner w.Testsupport.Harness.frames ~pfn:dst ~vpn:0;
   Alcotest.(check bool) "second refault is cold" true
     (placed_young h (fun () ->
-         M.on_page_mapped h.policy ~pfn:dst ~asid:0 ~vpn:0 ~refault:true
+         M.on_page_mapped h.policy ~pfn:dst ~vpn:0 ~refault:true
            ~file_backed:false ~speculative:false));
   Alcotest.(check int) "both counted as refaults" 2
     (List.assoc "refaults" (M.stats h.policy))

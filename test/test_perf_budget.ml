@@ -228,7 +228,7 @@ let build_cases = [ ("pagerank cold", "build", 3_100_000., cold_pagerank_words) 
    next/prev/owner 3 and MG-LRU's generation and tier arrays 2) and a
    page 5 (the machine's retained-slot, faulted-by and owner-tid arrays
    and two bool arrays).  Now a frame is 1 + 1 + 1/8 + 4 = 6.125 words:
-   one packed owner word, the free stack plus one flag byte, and one
+   one owner-vpn word, the free stack plus one flag byte, and one
    4-word list node whose tag holds generation and tier.  A page is the
    4 words of its Page_state slot. *)
 let state_units = 8192
@@ -245,14 +245,13 @@ let phys_mem_words () = words_per_unit (fun frames -> Mem.Phys_mem.create ~frame
 (* MG-LRU alone: the env's frame table is one frame whatever
    [total_frames] says, so only the policy's own per-frame state grows. *)
 let mglru_words () =
-  let pt = Mem.Page_table.create ~asid:0 ~pages:1 () in
+  let pt = Mem.Page_table.create ~pages:1 () in
   words_per_unit (fun total_frames ->
       Policy.Mglru.create
         {
           Policy.Policy_intf.costs = Mem.Costs.default;
           frames = Mem.Frame_table.create ~frames:1;
-          page_table_of = (fun _ -> pt);
-          address_spaces = (fun () -> [ pt ]);
+          pt;
           rng = Engine.Rng.create 1;
           now = (fun () -> 0);
           reclaim_page = (fun ~pfn:_ -> ());

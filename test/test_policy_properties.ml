@@ -74,11 +74,12 @@ let prop_pfn_owner_agrees spec =
       let ok = ref true in
       for vpn = 0 to Mem.Page_table.pages pt - 1 do
         let pte = Mem.Page_table.get pt vpn in
-        if Mem.Pte.present pte then begin
-          match Mem.Frame_table.owner world.Testsupport.Harness.frames (Mem.Pte.pfn pte) with
-          | Some (0, v) when v = vpn -> ()
-          | _ -> ok := false
-        end
+        if
+          Mem.Pte.present pte
+          && Mem.Frame_table.owner_vpn world.Testsupport.Harness.frames
+               (Mem.Pte.pfn pte)
+             <> vpn
+        then ok := false
       done;
       !ok)
 

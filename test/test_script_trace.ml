@@ -5,8 +5,8 @@ module T = Workload.Trace
 let test_script_replay () =
   let steps =
     [|
-      [| C.Chunk (C.chunk (C.Single 1)); C.Barrier |];
-      [| C.Barrier; C.Chunk (C.chunk (C.Single 2)) |];
+      [| C.Chunk (C.chunk (C.Range { start = 1; len = 1 })); C.Barrier |];
+      [| C.Barrier; C.Chunk (C.chunk (C.Range { start = 2; len = 1 })) |];
     |]
   in
   let s = S.create steps in
@@ -26,16 +26,20 @@ let test_script_bad_tid () =
     (fun () -> ignore (S.next s ~tid:1))
 
 let test_chunk_helpers () =
-  let r = C.Range { start = 10; len = 4; stride = 2 } in
+  let r = C.Range { start = 10; len = 4 } in
   Alcotest.(check int) "range count" 4 (C.page_count r);
   let acc = ref [] in
   C.iter_pages (fun p -> acc := p :: !acc) r;
-  Alcotest.(check (list int)) "stride expansion" [ 16; 14; 12; 10 ] !acc;
-  Alcotest.(check int) "single count" 1 (C.page_count (C.Single 5));
-  Alcotest.(check int) "pages count" 3 (C.page_count (C.Pages [| 1; 2; 3 |]))
+  Alcotest.(check (list int)) "range expansion" [ 13; 12; 11; 10 ] !acc;
+  Alcotest.(check (list int)) "page_at" [ 10; 11; 12; 13 ]
+    (List.init 4 (C.page_at r));
+  Alcotest.(check int) "one-page range" 1
+    (C.page_count (C.Range { start = 5; len = 1 }));
+  Alcotest.(check int) "pages count" 3 (C.page_count (C.Pages [| 1; 2; 3 |]));
+  Alcotest.(check int) "pages page_at" 2 (C.page_at (C.Pages [| 1; 2; 3 |]) 1)
 
 let test_chunk_defaults () =
-  let c = C.chunk (C.Single 0) in
+  let c = C.chunk (C.Range { start = 0; len = 1 }) in
   Alcotest.(check bool) "read by default" false c.C.write;
   Alcotest.(check int) "not a request" (-1) c.C.latency_class;
   Alcotest.(check int) "no read prefix" 0 c.C.read_prefix

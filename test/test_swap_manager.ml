@@ -108,6 +108,22 @@ let test_grow_boundary () =
   Alcotest.(check bool) "freed boundary slots reused" true
     (List.sort compare [ s1; s2 ] = List.sort compare [ slots.(1023); slots.(1024) ])
 
+(* More than 1024 releases in a row: the free slots must come back
+   newest first, every one of them, before a fresh slot is handed out. *)
+let test_many_releases () =
+  let m = make () in
+  let slots =
+    List.init 3000 (fun i ->
+        out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i)
+  in
+  List.iter (fun slot -> SM.release m ~slot) slots;
+  let again =
+    List.init 3001 (fun i ->
+        out_exn m ~now:0 ~klass:Swapdev.Compress.Numeric ~page_key:i)
+  in
+  Alcotest.(check (list int)) "LIFO reuse, then a fresh slot"
+    (List.rev slots @ [ 3000 ]) again
+
 let prop_used_never_negative =
   QCheck.Test.make ~name:"slot accounting stays consistent" ~count:100
     QCheck.(list bool)
@@ -184,6 +200,7 @@ let () =
           Alcotest.test_case "compressed accounting" `Quick test_compressed_accounting;
           Alcotest.test_case "many slots" `Quick test_many_slots_grow;
           Alcotest.test_case "grow at 1024 boundary" `Quick test_grow_boundary;
+          Alcotest.test_case "3000 releases" `Quick test_many_releases;
         ] );
       ( "properties",
         [

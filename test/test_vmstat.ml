@@ -122,7 +122,7 @@ let workingset_distance_prop =
       && r.W.restored)
 
 let test_page_table_shadows () =
-  let pt = Mem.Page_table.create ~region_size:16 ~asid:0 ~pages:64 () in
+  let pt = Mem.Page_table.create ~region_size:16 ~pages:64 () in
   Alcotest.(check int) "fresh slot has no shadow" W.no_shadow
     (Mem.Page_table.shadow pt 5);
   (* Clearing before any store must not allocate or fail. *)
