@@ -99,6 +99,42 @@ let test_stream_digest () =
   Alcotest.(check string) "step streams of seeds 11 and 12" "d9815ccfa834e0b465681f57ae555bf0"
     (stream_digest [ 11; 12 ])
 
+(* The block plan of the trial-0 workload the runner builds at [--fast
+   --scale 4], hashed.  Iteration 0 visits every block once, reading rank
+   array A, so each thread's steps up to its first barrier are its blocks'
+   CSR range, gather (offset pages, then rank pages) and destination
+   range.  A plan build that moves any block's pages fails here. *)
+let plan_digest () =
+  let ctx =
+    Repro_core.Runner.make_ctx
+      ~profile:
+        { Repro_core.Runner.default_profile with fast = true; trials = 1; scale = 4 }
+      ()
+  in
+  let (C.Packed ((module W), w)) =
+    Repro_core.Runner.make_workload ctx Repro_core.Runner.Pagerank ~trial:0
+  in
+  let b = Buffer.create (1 lsl 20) in
+  Printf.bprintf b "fp %d\n" (W.footprint_pages w);
+  for tid = 0 to W.threads w - 1 do
+    let rec go () =
+      match W.next w ~tid with
+      | C.Finished | C.Barrier -> Buffer.add_string b "B\n"
+      | C.Chunk c ->
+        Printf.bprintf b "C %b %d:" c.C.write c.C.cpu_ns;
+        (match c.C.pages with
+        | C.Range { start; len } -> Printf.bprintf b " %d+%d" start len
+        | C.Pages a -> Array.iter (Printf.bprintf b " %d") a);
+        Buffer.add_char b '\n';
+        go ()
+    in
+    go ()
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_scaled_plan () =
+  Alcotest.(check string) "--fast --scale 4 plan" "1ebeead9b599b3de30352e642b0eee4c" (plan_digest ())
+
 let test_plan_cache_reused () =
   (* One iteration over a wider graph, so the block plan is a large share
      of a workload and the script (one copy per [create]) a small one. *)
@@ -179,4 +215,5 @@ let () =
           Alcotest.test_case "rank regions alternate" `Quick test_rank_region_alternates;
           Alcotest.test_case "step stream digest" `Quick test_stream_digest;
         ] );
+      ("pinned", [ Alcotest.test_case "scaled plan" `Quick test_pinned_scaled_plan ]);
     ]

@@ -128,6 +128,48 @@ let test_klass () =
   Alcotest.(check bool) "hash is numeric" true
     (T.page_klass w (T.hash_base w) = Swapdev.Compress.Numeric)
 
+(* Every thread's complete step stream of the trial-0 TPC-H workload the
+   runner builds, hashed: each chunk's page set (a range as its bounds, a
+   page list page by page), write flag, read prefix, compute and latency
+   class, and every barrier.  A change to how steps are drawn or stored
+   that moves any step fails here. *)
+let runner_stream_digest ~scale =
+  let ctx =
+    Repro_core.Runner.make_ctx
+      ~profile:{ Repro_core.Runner.default_profile with fast = true; trials = 1; scale }
+      ()
+  in
+  let (C.Packed ((module W), w)) =
+    Repro_core.Runner.make_workload ctx Repro_core.Runner.Tpch ~trial:0
+  in
+  let b = Buffer.create (1 lsl 16) in
+  let thread_digests =
+    List.init (W.threads w) (fun tid ->
+        Buffer.clear b;
+        let rec go () =
+          match W.next w ~tid with
+          | C.Finished -> Buffer.add_string b "F\n"
+          | C.Barrier ->
+            Buffer.add_string b "B\n";
+            go ()
+          | C.Chunk c ->
+            Printf.bprintf b "C %b %d %d %d:" c.C.write c.C.read_prefix c.C.cpu_ns
+              c.C.latency_class;
+            (match c.C.pages with
+            | C.Range { start; len } -> Printf.bprintf b " %d+%d" start len
+            | C.Pages a -> Array.iter (Printf.bprintf b " %d") a);
+            Buffer.add_char b '\n';
+            go ()
+        in
+        go ();
+        Digest.to_hex (Digest.string (Buffer.contents b)))
+  in
+  Digest.to_hex (Digest.string (String.concat "," thread_digests))
+
+let test_pinned_streams () =
+  Alcotest.(check string) "--fast" "1252f2e921fce0e90a48dc01e982d8ec" (runner_stream_digest ~scale:1);
+  Alcotest.(check string) "--fast --scale 4" "35e0d8653bb255bb78f8bf1116a8d7e6" (runner_stream_digest ~scale:4)
+
 let () =
   Alcotest.run "tpch"
     [
@@ -141,4 +183,5 @@ let () =
           Alcotest.test_case "seeds vary plans" `Quick test_seeds_vary_plans;
           Alcotest.test_case "compressibility classes" `Quick test_klass;
         ] );
+      ("pinned", [ Alcotest.test_case "runner step streams" `Quick test_pinned_streams ]);
     ]
