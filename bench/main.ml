@@ -3,7 +3,9 @@
    Bechamel microbenchmarks for the hot data structures (zipf sampling,
    bloom filter, generation lists in and out of cache, event queue, PTEs,
    RNG) and for step generation (YCSB load batches; a cold PageRank
-   build, timed directly), one scaled MG-LRU trial (timed directly),
+   build, timed directly), one scaled MG-LRU trial (timed directly), two
+   scaled builds (a cold PageRank build at --scale 4, a TPC-H build and
+   step drain at --fast --scale 64: time, allocated and retained words),
    the policy-SDK hook dispatch costs (BENCH_policy_sdk.json), and the
    engine wall-clock harness (BENCH_engine.json).  The per-workload
    simulation layers are timed by perfbench/layers; the figures
@@ -516,6 +518,68 @@ let fault_path_scale64_s ~runs =
   done;
   !best
 
+(* A scaled workload build, the first thing a trial at --scale N pays:
+   host seconds (best of [runs]), words allocated (minor plus major,
+   less promoted, so arrays allocated straight into the major heap
+   count) and words the workload keeps reachable once built.  [make]
+   gets the run's index, so a cached plan can be kept out of the timing
+   by using it as a fresh trial number.  Allocated and retained words
+   are from the last run; they are deterministic. *)
+let scaled_build ~runs make =
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let best = ref infinity and words = ref 0. and retained = ref 0 in
+  for run = 1 to runs do
+    let w0 = allocated () in
+    let t0 = Unix.gettimeofday () in
+    let w = make run in
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    words := allocated () -. w0;
+    retained := Obj.reachable_words (Obj.repr w)
+  done;
+  (!best, !words, !retained)
+
+let scaled_ctx ~fast ~scale =
+  Repro_core.Runner.make_ctx
+    ~profile:{ Repro_core.Runner.default_profile with Repro_core.Runner.fast; scale }
+    ()
+
+(* A cold PageRank [make_workload] at --scale 4: 6.3 M vertices, so the
+   graph and the plan build dominate, and a build that grows faster than
+   the graph shows here first. *)
+let pagerank_build_scale4 ~runs =
+  let ctx = scaled_ctx ~fast:false ~scale:4 in
+  scaled_build ~runs (fun run ->
+      Repro_core.Runner.make_workload ctx Repro_core.Runner.Pagerank ~trial:(2_000 + run))
+
+(* TPC-H's [make_workload] at --fast --scale 64 and a drain of every
+   thread's steps to [Finished]: step generation without simulation.
+   Retained words are the workload's before the drain, what a trial
+   holds while it runs. *)
+let tpch_drain_scale64 ~runs =
+  let ctx = scaled_ctx ~fast:true ~scale:64 in
+  let retained = ref 0 in
+  let time, words, _ =
+    scaled_build ~runs (fun _ ->
+        let (Workload.Chunk.Packed ((module W), w)) as packed =
+          Repro_core.Runner.make_workload ctx Repro_core.Runner.Tpch ~trial:0
+        in
+        retained := Obj.reachable_words (Obj.repr packed);
+        for tid = 0 to W.threads w - 1 do
+          while W.next w ~tid <> Workload.Chunk.Finished do
+            ()
+          done
+        done;
+        packed)
+  in
+  (time, words, !retained)
+
+let print_scaled_build name (time_s, words, retained) =
+  Printf.printf "%-40s %12.1f ms/run (best of 3) %8.2f Mwords alloc %8.2f Mwords kept\n%!"
+    name (1e3 *. time_s) (words /. 1e6) (float_of_int retained /. 1e6)
+
 (* Sealing one --fast YCSB-A trial's latency buffers, as [Machine.run]
    does at the end of every trial: the trial's reads and writes, pushed
    in an order shuffled with a fixed seed, timed over both seals; best of
@@ -609,7 +673,9 @@ let run_benchmarks () =
   Printf.printf "%-40s %12.1f ns/latency (best of 5)\n" "latency-seal"
     (latency_seal_ns ~runs:5);
   Printf.printf "%-40s %12.1f ms/run (best of 3)\n" "fault-path-scale64"
-    (1e3 *. fault_path_scale64_s ~runs:3)
+    (1e3 *. fault_path_scale64_s ~runs:3);
+  print_scaled_build "pagerank-build-scale4" (pagerank_build_scale4 ~runs:3);
+  print_scaled_build "tpch-drain-scale64" (tpch_drain_scale64 ~runs:3)
 
 let () =
   (* `bench/main.exe engine` runs only the engine harness (CI's bench

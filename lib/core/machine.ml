@@ -968,6 +968,10 @@ let run cfg ~policy ~workload =
   if cfg.capacity_frames <= 0 then invalid_arg "Machine.run: capacity_frames";
   let footprint = Workload.Chunk.packed_footprint workload in
   let nthreads = Workload.Chunk.packed_threads workload in
+  if nthreads > Page_state.max_tid + 1 then
+    invalid_arg
+      (Printf.sprintf "Machine.run: workload has %d threads; at most %d are supported"
+         nthreads (Page_state.max_tid + 1));
   let obs = Obs.create cfg.obs in
   let prof = Prof.create cfg.obs.prof in
   let vm = Obs.Vmstat.create () in

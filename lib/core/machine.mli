@@ -137,4 +137,6 @@ val run :
   workload:Workload.Chunk.packed ->
   result
 (** Execute one trial to completion (every workload thread [Finished] or
-    OOM-killed) and collect the metrics the paper reports. *)
+    OOM-killed) and collect the metrics the paper reports.  A workload
+    with more than [Page_state.max_tid + 1] (65 535) threads is refused
+    with [Invalid_argument] before anything runs. *)

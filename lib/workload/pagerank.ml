@@ -66,6 +66,31 @@ let workload_name = "pagerank"
    reuse a small set of seeds. *)
 let plan_cache : (config * int, plan) Memo.t = Memo.create ~bound:65
 
+(* Sort [a.(0 .. len - 1)] ascending in place: a heapsort that, unlike
+   [Array.sort], allocates no exception per sift. *)
+let sort_prefix (a : int array) len =
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c n
+      end
+    end
+  in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for n = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(n);
+    a.(n) <- x;
+    sift 0 n
+  done
+
 let build_plan (config : config) seed =
   let graph = Graph.generate ~config:config.graph ~seed () in
   let n = Graph.n graph in
@@ -81,27 +106,39 @@ let build_plan (config : config) seed =
   let edges_per_page = pb / config.edge_bytes in
   (* One scratch generator: [iter_in_neighbors] reseeds it per vertex. *)
   let rng = Engine.Rng.create 0 in
+  (* A block's gathered rank pages, deduplicated with one stamp per rank
+     page (the index of the last block that touched it) and collected in
+     one buffer that every block reuses: O(n) words in all, where a
+     fresh [rank_pages]-long array per block cost O(n^2 / block). *)
+  let stamp = Array.make rank_pages (-1) in
+  let buf = ref (Array.make 256 0) and len = ref 0 in
+  let block = ref 0 in
+  let touch u =
+    let p = u / ranks_per_page in
+    if stamp.(p) <> !block then begin
+      stamp.(p) <- !block;
+      if !len = Array.length !buf then begin
+        let grown = Array.make (2 * !len) 0 in
+        Array.blit !buf 0 grown 0 !len;
+        buf := grown
+      end;
+      !buf.(!len) <- p;
+      incr len
+    end
+  in
   let blocks =
     Array.init nblocks (fun b ->
         let v_lo = b * bv in
         let v_hi = min n (v_lo + bv) - 1 in
         let e_lo = Graph.offset graph v_lo in
         let e_hi = Graph.offset graph (v_hi + 1) in
-        let touched = Array.make rank_pages false in
-        let touch u = touched.(u / ranks_per_page) <- true in
+        block := b;
+        len := 0;
         for v = v_lo to v_hi do
           Graph.iter_in_neighbors graph ~rng v touch
         done;
-        let count = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 touched in
-        let rank_reads = Array.make count 0 in
-        let k = ref 0 in
-        Array.iteri
-          (fun p yes ->
-            if yes then begin
-              rank_reads.(!k) <- p;
-              incr k
-            end)
-          touched;
+        sort_prefix !buf !len;
+        let rank_reads = Array.sub !buf 0 !len in
         let meta_lo = offsets_base + (v_lo / ranks_per_page) in
         let meta_hi = offsets_base + (v_hi / ranks_per_page) in
         {

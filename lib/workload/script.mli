@@ -1,8 +1,9 @@
 (** Precomputed per-thread step sequences.
 
-    TPC-H and PageRank unfold into a fixed per-trial schedule of chunks
-    and barriers at creation time; this cursor structure replays one
-    sequence per thread. *)
+    PageRank and [Trace] unfold into a fixed per-trial schedule of
+    chunks and barriers at creation time; this cursor structure replays
+    one sequence per thread.  (TPC-H draws its steps one stage at a time
+    instead, as its threads reach them.) *)
 
 type t
 

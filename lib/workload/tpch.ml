@@ -32,14 +32,6 @@ let default_config =
     dimension_pages = 1_200;
   }
 
-type t = {
-  config : config;
-  script : Script.t;
-  shuffle_base : int;
-  hash_base : int;
-  footprint : int;
-}
-
 let workload_name = "tpch"
 
 (* Spark-SQL-style query plan: a scan stage streams the columnar table
@@ -54,31 +46,63 @@ let workload_name = "tpch"
 type stage_kind = Scan_shuffle | Sort_build | Probe | Aggregate
 
 let stages_of_query qi =
-  if qi mod 3 = 1 then [ Scan_shuffle; Sort_build; Probe; Aggregate ]
-  else if qi mod 3 = 2 then [ Scan_shuffle; Probe ]
-  else [ Scan_shuffle; Sort_build; Probe ]
+  if qi mod 3 = 1 then [| Scan_shuffle; Sort_build; Probe; Aggregate |]
+  else if qi mod 3 = 2 then [| Scan_shuffle; Probe |]
+  else [| Scan_shuffle; Sort_build; Probe |]
 
 type query_plan = {
   window_lo : int;
   window_len : int;
   shuffle_lo : int;   (* relative to the shuffle region *)
   shuffle_len : int;
-  stages : stage_kind list;
+  stages : stage_kind array;
 }
+
+(* One thread's cursor: the steps of its current stage, [steps.(0 ..
+   len - 1)], of which [pos] have been handed out, and the next
+   [(query, stage)] pair to unfold.  [steps] is reused across stages. *)
+type thread = {
+  rng : Engine.Rng.t;
+  mutable steps : Chunk.step array;
+  mutable len : int;
+  mutable pos : int;
+  mutable query : int;
+  mutable stage : int;
+}
+
+type t = {
+  config : config;
+  zipfs : Zipf.t * Zipf.t;  (* hash-table and dimension-table probes *)
+  queries : query_plan array;
+  threads : thread array;
+  shuffle_base : int;
+  hash_base : int;
+  footprint : int;
+}
+
+let push th step =
+  if th.len = Array.length th.steps then begin
+    let grown = Array.make (max 16 (2 * th.len)) Chunk.Barrier in
+    Array.blit th.steps 0 grown 0 th.len;
+    th.steps <- grown
+  end;
+  th.steps.(th.len) <- step;
+  th.len <- th.len + 1
 
 (* Probe traffic interleaved with a scan chunk: half hash-table lookups,
    a quarter dimension-table lookups, a quarter revisits of this query's
    shuffle partition.  The zipf skews give these regions a continuous
    spectrum of reuse distances for the policies to discriminate. *)
-let probe_chunk config rng ~zipfs ~shuffle_base ~hash_base ~plan ~write =
-  let hash_zipf, dim_zipf = zipfs in
+let probe_chunk t rng ~plan ~write =
+  let config = t.config in
+  let hash_zipf, dim_zipf = t.zipfs in
   let q = config.probe_batch / 4 in
   let pages =
     Array.init config.probe_batch (fun i ->
-        if i < 2 * q then hash_base + Zipf.sample hash_zipf rng
+        if i < 2 * q then t.hash_base + Zipf.sample hash_zipf rng
         else if i < 3 * q then Zipf.sample dim_zipf rng
         else
-          shuffle_base
+          t.shuffle_base
           + ((plan.shuffle_lo + Engine.Rng.int rng plan.shuffle_len)
             mod config.shuffle_pages))
   in
@@ -105,18 +129,19 @@ let sequential_pass config ~push ~base ~modulus ~lo ~len ~write ?(between = fun 
     remaining := !remaining - chunk_len
   done
 
-let stage_steps config rng ~zipfs ~shuffle_base ~hash_base ~plan ~tid kind =
-  let acc = ref [] in
-  let push s = acc := s :: !acc in
+(* Unfold one stage of [plan] for thread [th] into its step buffer, drawing
+   from the thread's own generator. *)
+let stage_steps t th ~plan ~tid kind =
+  let config = t.config in
+  let shuffle_base = t.shuffle_base in
+  let push = push th in
+  th.len <- 0;
+  th.pos <- 0;
   let table_slice = plan.window_len / config.threads in
   let table_lo = plan.window_lo + (tid * table_slice) in
   let shuffle_slice = max 1 (plan.shuffle_len / config.threads) in
   let shuffle_lo = plan.shuffle_lo + (tid * shuffle_slice) in
-  let probes ~write () =
-    push
-      (Chunk.Chunk
-         (probe_chunk config rng ~zipfs ~shuffle_base ~hash_base ~plan ~write))
-  in
+  let probes ~write () = push (Chunk.Chunk (probe_chunk t th.rng ~plan ~write)) in
   (match kind with
   | Scan_shuffle ->
     (* Stream the table slice with dimension/hash probes, then
@@ -142,9 +167,12 @@ let stage_steps config rng ~zipfs ~shuffle_base ~hash_base ~plan ~tid kind =
   | Aggregate ->
     sequential_pass config ~push ~base:shuffle_base ~modulus:config.shuffle_pages
       ~lo:shuffle_lo ~len:shuffle_slice ~write:true ~between:(probes ~write:false) ());
-  push Chunk.Barrier;
-  List.rev !acc
+  push Chunk.Barrier
 
+(* [create] draws the query plans and one generator per thread; a
+   thread's steps are drawn from its generator one stage at a time, as
+   [next] reaches them, in the order a whole script built up front would
+   draw them. *)
 let create ?(config = default_config) ~rng () =
   let shuffle_base = config.table_pages in
   let hash_base = shuffle_base + config.shuffle_pages in
@@ -170,24 +198,18 @@ let create ?(config = default_config) ~rng () =
           stages = stages_of_query qi;
         })
   in
-  let thread_rngs = Array.init config.threads (fun _ -> Engine.Rng.split rng) in
-  let steps =
-    Array.init config.threads (fun tid ->
-        let acc = ref [] in
-        Array.iter
-          (fun plan ->
-            List.iter
-              (fun kind ->
-                acc :=
-                  List.rev_append
-                    (stage_steps config thread_rngs.(tid) ~zipfs ~shuffle_base
-                       ~hash_base ~plan ~tid kind)
-                    !acc)
-              plan.stages)
-          queries;
-        Array.of_list (List.rev !acc))
+  let threads =
+    Array.init config.threads (fun _ ->
+        {
+          rng = Engine.Rng.split rng;
+          steps = Array.make 16 Chunk.Barrier;
+          len = 0;
+          pos = 0;
+          query = 0;
+          stage = 0;
+        })
   in
-  { config; script = Script.create steps; shuffle_base; hash_base; footprint }
+  { config; zipfs; queries; threads; shuffle_base; hash_base; footprint }
 
 let threads t = t.config.threads
 
@@ -200,7 +222,29 @@ let page_klass t page =
 
 let file_backed _t _page = false
 
-let next t ~tid = Script.next t.script ~tid
+let rec next t ~tid =
+  if tid < 0 || tid >= Array.length t.threads then invalid_arg "Tpch.next: bad thread id";
+  let th = t.threads.(tid) in
+  if th.pos < th.len then begin
+    let step = th.steps.(th.pos) in
+    th.pos <- th.pos + 1;
+    step
+  end
+  else if th.query = Array.length t.queries then begin
+    th.steps <- [||];
+    th.len <- 0;
+    Chunk.Finished
+  end
+  else begin
+    let plan = t.queries.(th.query) in
+    stage_steps t th ~plan ~tid plan.stages.(th.stage);
+    if th.stage + 1 < Array.length plan.stages then th.stage <- th.stage + 1
+    else begin
+      th.query <- th.query + 1;
+      th.stage <- 0
+    end;
+    next t ~tid
+  end
 
 let hash_base t = t.hash_base
 

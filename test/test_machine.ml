@@ -485,6 +485,28 @@ let test_pinned_cgroup_reads () =
         "0x1.8798p+18 0x1.d38fd0ccccccdp+22 0x1.2032bcccccccbp+24 0x1.bcc4db841893dp+24 0x1.a076aafb71bccp+25 0x1.18136b4p+26" );
     ]
 
+(* Page_state holds thread ids up to [max_tid], so a workload with more
+   threads than that plus one is refused up front, naming the limit.  The
+   threads are simulated ones with empty streams. *)
+let test_too_many_threads_refused () =
+  let threads = Repro_core.Page_state.max_tid + 2 in
+  let w =
+    Workload.Trace.create
+      {
+        Workload.Trace.steps = Array.make threads [||];
+        footprint = 1;
+        klass = (fun _ -> Swapdev.Compress.Random);
+        file_backed_pages = (fun _ -> false);
+      }
+  in
+  Alcotest.check_raises "refused"
+    (Invalid_argument
+       "Machine.run: workload has 65536 threads; at most 65535 are supported")
+    (fun () ->
+      ignore
+        (M.run (config ()) ~policy:(Policy.Registry.create Policy.Registry.Clock)
+           ~workload:(C.Packed ((module Workload.Trace), w))))
+
 let () =
   Alcotest.run "machine"
     [
@@ -500,6 +522,7 @@ let () =
           Alcotest.test_case "barrier" `Quick test_barrier_synchronizes;
           Alcotest.test_case "latency recording" `Quick test_latency_recording;
           Alcotest.test_case "policy stats" `Quick test_policy_stats_surface;
+          Alcotest.test_case "too many threads" `Quick test_too_many_threads_refused;
         ] );
       ( "faults",
         [

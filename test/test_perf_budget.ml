@@ -17,15 +17,18 @@
    - allocs-per-draw: words per call of the RNG and Zipf draws every
      request makes.  Counts are deterministic; ceilings are exact.
    - allocs-per-workload: one --fast YCSB-A trial (per request, ceiling
-     ~1.2x) and one --fast TPC-H trial (per fault, ~1.5x) under Clock, and one
-     --fast TPC-H trial under MG-LRU, whose ceiling (~1.3x) is below
+     ~1.4x) and one --fast TPC-H trial (per fault, ~1.3x) under Clock, and one
+     --fast TPC-H trial under MG-LRU, whose ceiling (~1.25x) is below
      what the boxed refault map it replaced cost (39.4 words/fault).
-   - retained-words: heap words one --fast PageRank workload keeps
-     reachable (Obj.reachable_words), so a plan cache that pins more per
-     seed than the step streams read fails here.
-   - allocs-per-build: minor words of one cold --fast PageRank build
-     (graph, neighbour draws, block plans), ceiling ~1.2x, so per-vertex
-     allocation in the plan build fails here.
+   - retained-words: heap words a --fast PageRank workload and a --fast
+     --scale 4 TPC-H workload keep reachable (Obj.reachable_words), so a
+     plan cache that pins more per seed than the step streams read, or
+     a TPC-H workload that draws its whole script up front, fails here.
+   - allocs-per-build: words of one cold --fast PageRank build (graph,
+     neighbour draws, block plans), ceiling ~1.2x, so per-vertex
+     allocation in the plan build fails here; and of a build with many
+     small blocks, where a plan build whose scratch grows with blocks x
+     rank pages fails.
    - state-words: heap words per frame (frame table, allocator, MG-LRU
      lists) and per page (the machine's page state), exact ceilings, so
      a new per-frame or per-page array fails here.
@@ -84,8 +87,8 @@ let words_per_fault policy =
    before); random samples candidate sets (~40).  The SDK guests (s3-fifo,
    sieve, perceptron) funnel through the Guest_host trampoline whose V1
    hook API returns eviction batches as lists by design, so they get a
-   wider — but still bounded — budget (~1190 measured).  Every ceiling
-   is ~3x the measured number. *)
+   wider — but still bounded — budget (113.5-118.5 measured).  Every
+   ceiling is ~3x the measured number. *)
 let budgets =
   [
     (Policy.Registry.Clock, 70.);
@@ -96,9 +99,9 @@ let budgets =
     (Policy.Registry.Gen14, 70.);
     (Policy.Registry.Scan_all, 70.);
     (Policy.Registry.Scan_none, 70.);
-    (Policy.Registry.S3_fifo, 3600.);
-    (Policy.Registry.Sieve, 3600.);
-    (Policy.Registry.Perceptron, 3600.);
+    (Policy.Registry.S3_fifo, 360.);
+    (Policy.Registry.Sieve, 360.);
+    (Policy.Registry.Perceptron, 360.);
   ]
 
 (* Minor words per call over 100k calls.  [Sys.opaque_identity] keeps
@@ -167,10 +170,13 @@ let per_fault (r, words) =
   Alcotest.(check bool) "trial faulted" true (faults > 0);
   words /. float_of_int faults
 
-(* Measured: ~7.3 words/request (8.4 while load batches were sorted
-   with Array.sort), ~20.1 words/fault under Clock and ~25.7 under
-   MG-LRU.  The request ceiling is the ROADMAP's 10-word target; boxing
-   each request's latency into a polymorphic buffer cost 10.4. *)
+(* Measured: ~7.0 words/request (8.4 while load batches were sorted
+   with Array.sort), ~22.3 words/fault under Clock and ~26.5 under
+   MG-LRU.  TPC-H draws its steps as the threads reach them, so these
+   include its step generation (~3.9 and ~4.3 words/fault), which ran
+   before the counted window while the whole script was built up front.
+   The request ceiling is the ROADMAP's 10-word target; boxing each
+   request's latency into a polymorphic buffer cost 10.4. *)
 let workload_cases =
   [
     ( "ycsb-a clock",
@@ -199,11 +205,28 @@ let retained_pagerank_words () =
   let workload = Runner.make_workload ctx Runner.Pagerank ~trial:0 in
   float_of_int (Obj.reachable_words (Obj.repr workload))
 
-let retained_cases = [ ("pagerank", "workload", 160_000., retained_pagerank_words) ]
+(* Retained words of one --fast --scale 4 TPC-H workload as the runner
+   builds it: the query plans, the probe Zipf tables and one generator
+   and empty step buffer per thread.  Measured ~16.9 K; drawing every
+   thread's whole script up front kept 113.6 K. *)
+let retained_tpch_words () =
+  let ctx =
+    Runner.make_ctx
+      ~profile:{ Runner.default_profile with Runner.fast = true; trials = 1; scale = 4 }
+      ()
+  in
+  let workload = Runner.make_workload ctx Runner.Tpch ~trial:0 in
+  float_of_int (Obj.reachable_words (Obj.repr workload))
+
+let retained_cases =
+  [
+    ("pagerank", "workload", 160_000., retained_pagerank_words);
+    ("tpch --scale 4", "workload", 20_000., retained_tpch_words);
+  ]
 
 (* Cold build: minor words of one --fast PageRank [Runner.make_workload]
    on a seed no other case builds, so the plan cache misses and the
-   graph and block plans are built.  Measured ~2.60 M, nearly all of it
+   graph and block plans are built.  Measured ~2.47 M, nearly all of it
    the 1.22 M boxed [Rng.float] returns of the neighbour draws; a fresh
    generator (6 words) and callback closure per vertex, as the build
    had before, add ~4.2 M more. *)
@@ -217,7 +240,36 @@ let cold_pagerank_words () =
   ignore (Sys.opaque_identity (Runner.make_workload ctx Runner.Pagerank ~trial:1));
   Gc.minor_words () -. mw0
 
-let build_cases = [ ("pagerank cold", "build", 3_100_000., cold_pagerank_words) ]
+(* A cold build of a 131 072-vertex graph in 4-vertex blocks: 32 768
+   blocks over 257 rank pages.  Counted with Gc.counters, so arrays
+   allocated straight into the major heap count too.  Measured ~6.82 M:
+   the graph, the neighbour draws, each block's plan and the two
+   parities' steps; a fresh rank-page array per block to find the pages
+   it gathers cost 15.5 M, and sorting each block's pages with
+   [Array.sort] (an exception per sift) ~0.9 M more. *)
+let small_block_words () =
+  let config =
+    {
+      Workload.Pagerank.default_config with
+      Workload.Pagerank.graph =
+        { Workload.Pagerank.default_config.Workload.Pagerank.graph with Workload.Graph.n = 131_072 };
+      block_vertices = 4;
+      iterations = 1;
+    }
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (Workload.Pagerank.create ~config ~seed:3 ()));
+  words () -. w0
+
+let build_cases =
+  [
+    ("pagerank cold", "build", 3_100_000., cold_pagerank_words);
+    ("pagerank small blocks", "build", 8_200_000., small_block_words);
+  ]
 
 (* State words: heap words per frame or per page that the fault and
    reclaim path keeps, measured as the growth of Obj.reachable_words
@@ -229,8 +281,9 @@ let build_cases = [ ("pagerank cold", "build", 3_100_000., cold_pagerank_words) 
    page 5 (the machine's retained-slot, faulted-by and owner-tid arrays
    and two bool arrays).  Now a frame is 1 + 1 + 1/8 + 4 = 6.125 words:
    one owner-vpn word, the free stack plus one flag byte, and one
-   4-word list node whose tag holds generation and tier.  A page is the
-   4 words of its Page_state slot. *)
+   4-word list node whose tag holds generation and tier.  A page is one
+   Page_state word, its five fields packed (4 words while each field had
+   a word of its own). *)
 let state_units = 8192
 
 let words_per_unit make =
@@ -276,7 +329,7 @@ let state_cases =
       "frame",
       6.125,
       fun () -> frame_table_words () +. phys_mem_words () +. mglru_words () );
-    ("machine pages", "page", 4., page_state_words);
+    ("machine pages", "page", 1., page_state_words);
   ]
 
 let () =
