@@ -108,21 +108,16 @@ let build_plan (config : config) seed =
   let rng = Engine.Rng.create 0 in
   (* A block's gathered rank pages, deduplicated with one stamp per rank
      page (the index of the last block that touched it) and collected in
-     one buffer that every block reuses: O(n) words in all, where a
-     fresh [rank_pages]-long array per block cost O(n^2 / block). *)
+     one buffer that every block reuses, so the scratch is 2 * rank_pages
+     words; a [rank_pages]-long array per block would be quadratic in n. *)
   let stamp = Array.make rank_pages (-1) in
-  let buf = ref (Array.make 256 0) and len = ref 0 in
+  let buf = Array.make rank_pages 0 and len = ref 0 in
   let block = ref 0 in
   let touch u =
     let p = u / ranks_per_page in
     if stamp.(p) <> !block then begin
       stamp.(p) <- !block;
-      if !len = Array.length !buf then begin
-        let grown = Array.make (2 * !len) 0 in
-        Array.blit !buf 0 grown 0 !len;
-        buf := grown
-      end;
-      !buf.(!len) <- p;
+      buf.(!len) <- p;
       incr len
     end
   in
@@ -137,8 +132,8 @@ let build_plan (config : config) seed =
         for v = v_lo to v_hi do
           Graph.iter_in_neighbors graph ~rng v touch
         done;
-        sort_prefix !buf !len;
-        let rank_reads = Array.sub !buf 0 !len in
+        sort_prefix buf !len;
+        let rank_reads = Array.sub buf 0 !len in
         let meta_lo = offsets_base + (v_lo / ranks_per_page) in
         let meta_hi = offsets_base + (v_hi / ranks_per_page) in
         {

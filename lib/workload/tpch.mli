@@ -11,6 +11,11 @@
     hash region partition, {e probe} stages re-scan while reading hashed
     pages, and a short {e aggregate} stage touches scratch.
 
+    Each thread's steps are drawn one stage at a time, as the thread
+    reaches the stage, from the thread's own generator: the draws are
+    the ones a whole script built up front would make, and a workload
+    holds one stage's steps per thread.
+
     Scaled 1/256 from the paper's 12–16 GB footprint. *)
 
 type config = {

@@ -242,11 +242,11 @@ let cold_pagerank_words () =
 
 (* A cold build of a 131 072-vertex graph in 4-vertex blocks: 32 768
    blocks over 257 rank pages.  Counted with Gc.counters, so arrays
-   allocated straight into the major heap count too.  Measured ~6.82 M:
-   the graph, the neighbour draws, each block's plan and the two
-   parities' steps; a fresh rank-page array per block to find the pages
-   it gathers cost 15.5 M, and sorting each block's pages with
-   [Array.sort] (an exception per sift) ~0.9 M more. *)
+   allocated straight into the major heap count too.  Measured ~6.82 M
+   for the graph, the neighbour draws, the block plans and the steps; a
+   fresh rank-page array per block to find the pages it gathers cost
+   15.5 M, and sorting each block's pages with [Array.sort] (an
+   exception per sift) ~0.9 M more. *)
 let small_block_words () =
   let config =
     {
