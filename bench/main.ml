@@ -519,27 +519,26 @@ let fault_path_scale64_s ~runs =
   !best
 
 (* A scaled workload build, the first thing a trial at --scale N pays:
-   host seconds (best of [runs]), words allocated (minor plus major,
-   less promoted, so arrays allocated straight into the major heap
-   count) and words the workload keeps reachable once built.  [make]
-   gets the run's index, so a cached plan can be kept out of the timing
-   by using it as a fresh trial number.  Allocated and retained words
-   are from the last run; they are deterministic. *)
-let scaled_build ~runs make =
+   host seconds of [work run] (best of [runs]), the words it allocates
+   (minor plus major, less promoted, so arrays allocated straight into
+   the major heap count; from the last run, they are deterministic) and
+   the words the workload [kept ()] returns keeps reachable, measured
+   after the timed runs.  [work] gets the run's index, so a cached plan
+   can be kept out of the timing by using it as a fresh trial number. *)
+let scaled_build ~runs ~kept work =
   let allocated () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
-  let best = ref infinity and words = ref 0. and retained = ref 0 in
+  let best = ref infinity and words = ref 0. in
   for run = 1 to runs do
     let w0 = allocated () in
     let t0 = Unix.gettimeofday () in
-    let w = make run in
+    work run;
     best := Float.min !best (Unix.gettimeofday () -. t0);
-    words := allocated () -. w0;
-    retained := Obj.reachable_words (Obj.repr w)
+    words := allocated () -. w0
   done;
-  (!best, !words, !retained)
+  (!best, !words, Obj.reachable_words (Obj.repr (kept ())))
 
 let scaled_ctx ~fast ~scale =
   Repro_core.Runner.make_ctx
@@ -551,30 +550,27 @@ let scaled_ctx ~fast ~scale =
    the graph shows here first. *)
 let pagerank_build_scale4 ~runs =
   let ctx = scaled_ctx ~fast:false ~scale:4 in
-  scaled_build ~runs (fun run ->
-      Repro_core.Runner.make_workload ctx Repro_core.Runner.Pagerank ~trial:(2_000 + run))
+  let make run =
+    Repro_core.Runner.make_workload ctx Repro_core.Runner.Pagerank ~trial:(2_000 + run)
+  in
+  scaled_build ~runs
+    ~kept:(fun () -> make 1)
+    (fun run -> ignore (Sys.opaque_identity (make run)))
 
 (* TPC-H's [make_workload] at --fast --scale 64 and a drain of every
    thread's steps to [Finished]: step generation without simulation.
-   Retained words are the workload's before the drain, what a trial
-   holds while it runs. *)
+   Kept words are a workload's before its drain, what a trial holds
+   while it runs. *)
 let tpch_drain_scale64 ~runs =
   let ctx = scaled_ctx ~fast:true ~scale:64 in
-  let retained = ref 0 in
-  let time, words, _ =
-    scaled_build ~runs (fun _ ->
-        let (Workload.Chunk.Packed ((module W), w)) as packed =
-          Repro_core.Runner.make_workload ctx Repro_core.Runner.Tpch ~trial:0
-        in
-        retained := Obj.reachable_words (Obj.repr packed);
-        for tid = 0 to W.threads w - 1 do
-          while W.next w ~tid <> Workload.Chunk.Finished do
-            ()
-          done
-        done;
-        packed)
-  in
-  (time, words, !retained)
+  let make () = Repro_core.Runner.make_workload ctx Repro_core.Runner.Tpch ~trial:0 in
+  scaled_build ~runs ~kept:make (fun _ ->
+      let (Workload.Chunk.Packed ((module W), w)) = make () in
+      for tid = 0 to W.threads w - 1 do
+        while W.next w ~tid <> Workload.Chunk.Finished do
+          ()
+        done
+      done)
 
 let print_scaled_build name (time_s, words, retained) =
   Printf.printf "%-40s %12.1f ms/run (best of 3) %8.2f Mwords alloc %8.2f Mwords kept\n%!"

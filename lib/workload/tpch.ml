@@ -82,7 +82,7 @@ type t = {
 
 let push th step =
   if th.len = Array.length th.steps then begin
-    let grown = Array.make (max 16 (2 * th.len)) Chunk.Barrier in
+    let grown = Array.make (2 * th.len) Chunk.Barrier in
     Array.blit th.steps 0 grown 0 th.len;
     th.steps <- grown
   end;
