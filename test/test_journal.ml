@@ -257,6 +257,25 @@ let with_temp_journal f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
+(* The journal `repro run -w ycsb-a -p mglru --fast --ycsb-trials 2
+   --jobs 1 --journal FILE` writes: a header and two records whose
+   latency fields are long value:count runs.  The golden journal is
+   TPC-H only, so these are the pinned bytes of the latency layout. *)
+let test_pinned_ycsb_journal () =
+  with_temp_journal (fun path ->
+      let profile = { R.default_profile with R.ycsb_trials = 2; fast = true } in
+      let fingerprint = R.fingerprint (R.make_ctx ~profile ()) in
+      let j, _ = J.open_ ~path ~resume:false ~fingerprint in
+      let ctx = R.make_ctx ~profile ~jobs:1 ~journal:j () in
+      ignore
+        (R.try_cell ctx ~workload:(R.Ycsb Workload.Ycsb.A)
+           ~policy:Policy.Registry.Mglru_default ~ratio:0.5 ~swap:R.Ssd);
+      J.close j;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check int) "journal size" 1_078_571 (String.length bytes);
+      Alcotest.(check string) "journal md5" "626f49c7ddd49e693306f6c10a981e03"
+        (Digest.to_hex (Digest.string bytes)))
+
 let append_raw path s =
   let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
   output_string oc s;
@@ -1059,6 +1078,7 @@ let () =
           Alcotest.test_case "checksum detects corruption" `Quick
             test_checksum_detects_corruption;
           Alcotest.test_case "pinned line" `Quick test_pinned_line;
+          Alcotest.test_case "pinned ycsb journal" `Quick test_pinned_ycsb_journal;
         ] );
       ( "segments",
         [
