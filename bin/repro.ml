@@ -587,9 +587,9 @@ let run_cmd =
     if clean then
       List.iter
         (fun (op, lat) ->
-          if Array.length lat > 0 then
+          if Structures.Latencies.count lat > 0 then
             Format.printf "  %s latency: %a@." op Stats.Percentile.pp_tail
-              (Stats.Percentile.tail_of lat))
+              (Stats.Percentile.tail_of_runs lat))
         [ ("read", Repro_core.Runner.pooled_read_latencies results);
           ("write", Repro_core.Runner.pooled_write_latencies results) ];
     (* Telemetry-only digest: only traced or sampled trials carry a

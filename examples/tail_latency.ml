@@ -18,9 +18,9 @@ let () =
             ~policy ~ratio:0.5 ~swap:Repro_core.Runner.Ssd
         in
         let row kind lat =
-          if Array.length lat = 0 then []
+          if Structures.Latencies.count lat = 0 then []
           else
-            let t = Stats.Percentile.tail_of lat in
+            let t = Stats.Percentile.tail_of_runs lat in
             [
               Repro_core.Report.Text (Policy.Registry.name policy ^ " " ^ kind)
               :: List.map (fun ns -> Repro_core.Report.Ns ns)

@@ -83,7 +83,7 @@ let spec_for ~klass ~w_start ~w_end : Chaos.spec =
 
 (* Demand-fault (swap read) completions from the traced event stream:
    (t_ns, latency_ns) in emit order. *)
-let fault_events (r : Machine.result) =
+let fault_events (r : Machine.stored) =
   match r.Machine.trace with
   | None -> [||]
   | Some cap ->

@@ -4,7 +4,7 @@ type cell = {
   ratio : float;
   swap : Runner.swap_medium;
   outcomes : Runner.trial_outcome list;
-  results : Machine.result list;  (** the [Done] outcomes, in trial order *)
+  results : Machine.stored list;  (** the [Done] outcomes, in trial order *)
   failed : int;
   perf : float;
   mean_faults : float;
@@ -18,9 +18,10 @@ let perf_of workload results =
   | Runner.Tpch | Runner.Pagerank -> Runner.mean_runtime_s results
   | Runner.Ycsb _ | Runner.Fleet _ ->
     let lats = List.concat_map (fun r -> Machine.[ r.read_latencies; r.write_latencies ]) results in
-    let n = List.fold_left (fun n a -> n + Array.length a) 0 lats in
+    let total f = List.fold_left (fun n l -> n + f l) 0 lats in
+    let n = total Structures.Latencies.count in
     if n = 0 then 0.0
-    else float_of_int (List.fold_left (Array.fold_left ( + )) 0 lats) /. float_of_int n
+    else float_of_int (total Structures.Latencies.sum) /. float_of_int n
 
 (* A cell with any failed trial carries NaN aggregates: arithmetic on
    them stays NaN, and the formatters render NaN as "failed", so a
@@ -200,9 +201,10 @@ let fig2 get =
 (* ------------------------------------------------------------------ *)
 
 let tail_rows label lat =
-  if Array.length lat = 0 then [ Report.Text label :: List.init 6 (fun _ -> Report.Dash) ]
+  if Structures.Latencies.count lat = 0 then
+    [ Report.Text label :: List.init 6 (fun _ -> Report.Dash) ]
   else
-    let t = Stats.Percentile.tail_of lat in
+    let t = Stats.Percentile.tail_of_runs lat in
     [
       Report.Text label
       :: List.map (fun ns -> Report.Ns ns) Stats.Percentile.[ t.p50; t.p90; t.p99; t.p999; t.p9999; t.max ];

@@ -23,7 +23,7 @@ type cell = {
   swap : Runner.swap_medium;
   outcomes : Runner.trial_outcome list;
       (** every trial's outcome, in trial order *)
-  results : Machine.result list;
+  results : Machine.stored list;
       (** the successful ([Done]) results only, in trial order *)
   failed : int;  (** how many trials raised or timed out *)
   perf : float;

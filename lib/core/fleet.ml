@@ -53,7 +53,7 @@ type tenant_agg = {
   mutable a_ooms : int;
   mutable a_some_ns : int;
   mutable a_full_ns : int;
-  mutable a_reads : int array list;
+  mutable a_reads : Structures.Latencies.runs list;
 }
 
 let aggregate results =
@@ -61,7 +61,7 @@ let aggregate results =
   let order = ref [] in
   let runtime = ref 0 in
   List.iter
-    (fun (r : Machine.result) ->
+    (fun (r : Machine.stored) ->
       runtime := !runtime + r.Machine.runtime_ns;
       match r.Machine.memcg with
       | None -> ()
@@ -120,8 +120,8 @@ let run ctx ~tenants ~hot ~policy ~ratio ~swap =
       (fun a ->
         let reads = Structures.Latencies.merge a.a_reads in
         let q p =
-          if Array.length reads = 0 then Report.Dash
-          else Report.Ns (Stats.Percentile.quantile_ns reads p)
+          if Structures.Latencies.count reads = 0 then Report.Dash
+          else Report.Ns (Stats.Percentile.quantile_runs reads p)
         in
         Report.
           [

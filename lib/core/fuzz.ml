@@ -130,7 +130,7 @@ let exps_of cfg =
       })
     [ 0; 1 ]
 
-let record_line ctx e (r : Machine.result) =
+let record_line ctx e (r : Machine.stored) =
   Journal.record_to_line
     {
       Journal.key = Runner.record_key ctx e;

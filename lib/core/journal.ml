@@ -4,7 +4,7 @@ type record = {
   key : string;
   status : status;
   reason : string;
-  result : Machine.result option;
+  result : Machine.stored option;
 }
 
 let status_name = function
@@ -54,16 +54,15 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Decode msg)) fmt
 let join sep enc a = String.concat sep (List.map enc (Array.to_list a))
 let ints_s = join " " string_of_int
 
-(* A sealed latency array as its runs of equal values. *)
+(* Latency runs as [value:count] text, ascending. *)
 let runs_s lat =
-  let b = Buffer.create 4096 and start = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if i + 1 = Array.length lat || lat.(i + 1) <> v then begin
-        Printf.bprintf b (if !start = 0 then "%d:%d" else " %d:%d") v (i + 1 - !start);
-        start := i + 1
-      end)
-    lat;
+  let b = Buffer.create 4096 in
+  Structures.Latencies.fold
+    (fun first v c ->
+      Printf.bprintf b (if first then "%d:%d" else " %d:%d") v c;
+      false)
+    true lat
+  |> ignore;
   Buffer.contents b
 
 let pairs_s sep kvs =
@@ -108,9 +107,9 @@ let array sep dec s = Array.of_list (list sep dec s)
 let ints_of = array ' ' int_of
 
 (* The inverse of [runs_s]: values strictly ascending from 0 up, every
-   count at least 1. *)
+   count at least 1, read straight into runs, never expanded. *)
 let runs_of s =
-  let runs, total, _ =
+  let runs, _, _ =
     List.fold_left
       (fun (runs, total, prev) run ->
         match List.map int_of (String.split_on_char ':' run) with
@@ -120,9 +119,7 @@ let runs_of s =
       ([], 0, -1)
       (if s = "" then [] else String.split_on_char ' ' s)
   in
-  let lat = Array.make total 0 in
-  ignore (List.fold_left (fun i (v, c) -> Array.fill lat (i - c) c v; i - c) total runs);
-  lat
+  Structures.Latencies.of_runs (List.rev runs)
 
 let exactly what n a =
   if Array.length a <> n then
@@ -276,7 +273,7 @@ let chaos_of s : Chaos.summary =
 
 (* Only what [Obs.kept] keeps is written: the counters and the phase
    totals.  No trace, samples, spans or heatmap. *)
-let result_fields (r : Machine.result) =
+let result_fields (r : Machine.stored) =
   let opt name enc v =
     Option.to_list (Option.map (fun v -> (name, Obs.Str (enc v))) v)
   in
@@ -308,7 +305,7 @@ let req_str fields name =
   | Some s -> s
   | None -> fail "missing string field %S" name
 
-let result_of_fields fields : Machine.result =
+let result_of_fields fields : Machine.stored =
   let int = req_int fields and str = req_str fields in
   let opt name dec = Option.map dec (Obs.field_string fields name) in
   let counters = counters_of (str "counters") in

@@ -1,7 +1,7 @@
 (** Durable, resumable result store for experiment sweeps.
 
     A journal is an append-only JSONL file holding one record per
-    {e completed} trial — the full {!Machine.result} for successes, or
+    {e completed} trial — the full {!Machine.stored} for successes, or
     the failure reason for trials that raised or hit their wall-clock
     deadline.  Because every record is appended (and fsynced) the moment
     its trial finishes, a sweep killed at any point loses at most the
@@ -42,8 +42,9 @@
     {b Record format.}  This module owns every byte of a record: no
     other module encodes or decodes a payload.  Scalars are JSON ints;
     the counters ([v1:] then counters and refault buckets), latencies
-    (the sealed ascending array as [value:count] runs, e.g.
-    ["3:1 7:2"]; [""] when empty), per-thread finish times, policy
+    (the stored {!Structures.Latencies.runs} as [value:count] text,
+    e.g. ["3:1 7:2"]; [""] when empty; decoded straight back into
+    runs, never into one element per request), per-thread finish times, policy
     stats ([k=v;k=v]), profile totals, cgroup summary and chaos tallies
     are JSON strings, the last three written only when present.
     Decoding is strict and total: an array of the wrong length (another
@@ -72,7 +73,7 @@ type record = {
   key : string;  (** injective trial and configuration key ({!Runner.record_key}) *)
   status : status;
   reason : string;  (** empty for [Trial_ok] *)
-  result : Machine.result option;
+  result : Machine.stored option;
       (** [Some] exactly for [Trial_ok].  Encoding writes only what
           {!Obs.kept} keeps, so a decoded result has no [trace] or
           [heatmap] and no profiler spans *)

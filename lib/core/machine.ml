@@ -61,12 +61,12 @@ let default_config ~capacity_frames ~seed =
     chaos = None;
   }
 
-type result = {
+type 'lat trial = {
   runtime_ns : int;
   major_faults : int;
   minor_faults : int;
-  read_latencies : int array;
-  write_latencies : int array;
+  read_latencies : 'lat;
+  write_latencies : 'lat;
   per_thread_finish : int array;
   cpu_busy_ns : int;
   policy_stats : (string * int) list;
@@ -79,6 +79,10 @@ type result = {
   profile : Obs.Prof.capture option;
   heatmap : Mem.Damon.capture option;
 }
+
+type result = int array trial
+
+type stored = Structures.Latencies.runs trial
 
 let count r i = Obs.Vmstat.count r.counters i
 

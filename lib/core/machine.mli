@@ -16,7 +16,12 @@
     errors pin the page in memory, and when reclaim can no longer free
     anything an OOM killer terminates the fattest thread instead of
     aborting the trial.  {!Invariants.audit} cross-checks machine state
-    after every run and optionally on a cadence. *)
+    after every run and optionally on a cadence.
+
+    Every request's latency is kept exactly: {!run} returns each
+    latency class as a sealed array with one element per request
+    ({!result}), and what outlives the run keeps it as runs of distinct
+    values ({!stored}). *)
 
 type swap_kind =
   | Ssd   (** ~7.5 ms per 4 KB operation ({!Swapdev.Ssd.default_config}) *)
@@ -90,15 +95,19 @@ val default_config : capacity_frames:int -> seed:int -> config
     ({!Mem.Costs.experiment} at scale 1: 64-PTE page-table regions; see
     DESIGN.md on footprint scaling).  Fault injection disabled. *)
 
-type result = {
+(** One trial's metrics.  ['lat] is the form of its request latencies:
+    {!run} returns them as sealed arrays ({!result}), and everything
+    that keeps a trial past the run (the runner's store, the journal,
+    every table) holds them as runs ({!stored}). *)
+type 'lat trial = {
   runtime_ns : int;
   major_faults : int;
       (** demand faults that required device reads; [counters]'
           [pgmajfault] *)
   minor_faults : int;
       (** zero-fill first touches; [counters]' [minor_faults] *)
-  read_latencies : int array;  (** per-request ns, latency class 0, ascending *)
-  write_latencies : int array; (** latency class 1, ascending *)
+  read_latencies : 'lat;  (** per-request ns, latency class 0 *)
+  write_latencies : 'lat; (** latency class 1 *)
   per_thread_finish : int array;
   cpu_busy_ns : int;
   policy_stats : (string * int) list;
@@ -128,7 +137,16 @@ type result = {
           when [config.obs.damon] was [None] *)
 }
 
-val count : result -> int -> int
+type result = int array trial
+(** What {!run} returns: each latency class as a sealed
+    {!Structures.Latencies} array, ascending, one element per request. *)
+
+type stored = Structures.Latencies.runs trial
+(** A kept trial: each latency class as {!Structures.Latencies.runs},
+    its distinct values with their counts.  The runner builds it once,
+    when the trial completes, and never expands it again. *)
+
+val count : 'lat trial -> int -> int
 (** [count r i]: counter [i] (an {!Obs.Vmstat} index) of [r.counters]. *)
 
 val run :

@@ -11,7 +11,7 @@
 
    The denominator is Belady's refetch count (faults minus cold misses):
    cold misses are zero-fill minor faults in the machine and cost no
-   device read, while [Machine.result.major_faults] — the numerator —
+   device read, while [Machine.trial.major_faults] — the numerator —
    counts demand device reads only.  Regret ~1.0 is optimal; readahead
    can push a policy slightly below the bound since OPT here models pure
    demand paging. *)

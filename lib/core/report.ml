@@ -608,7 +608,8 @@ let memcg_summary ~runtime_ns (s : Mem.Memcg.summary) =
   in
   let lim v = if v < 0 then Dash else Int v in
   let p99 lats =
-    if Array.length lats = 0 then Dash else Ns (Stats.Percentile.quantile_ns lats 0.99)
+    if Structures.Latencies.count lats = 0 then Dash
+    else Ns (Stats.Percentile.quantile_runs lats 0.99)
   in
   subsection "cgroups";
   print_table
@@ -662,7 +663,7 @@ let memcg_summary ~runtime_ns (s : Mem.Memcg.summary) =
                    s.Mem.Memcg.s_groups)))
   end
 
-let fault_summary (r : Machine.result) =
+let fault_summary (r : _ Machine.trial) =
   let n = Machine.count r in
   let transient = n Obs.Vmstat.injected_transient
   and permanent = n Obs.Vmstat.injected_permanent

@@ -123,7 +123,7 @@ val memcg_summary : runtime_ns:int -> Mem.Memcg.summary -> unit
     [memory.stat] table (stat names as rows, one column per cgroup;
     root's column is the hierarchical total). *)
 
-val fault_summary : Machine.result -> unit
+val fault_summary : _ Machine.trial -> unit
 (** Per-trial fault-injection block: injected faults by kind, recovery
     actions (retries / remaps / poisons / pins), OOM kills, and the
     invariant-audit verdict. *)

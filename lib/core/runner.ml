@@ -64,7 +64,7 @@ let default_profile = { trials = 25; ycsb_trials = 2; fast = false; scale = 1 }
    a raising or deadline-hit trial is computed once, rendered as an
    explicit "failed" cell, and never silently retried within a run. *)
 type trial_outcome =
-  | Done of Machine.result
+  | Done of Machine.stored
   | Failed of { reason : string; timed_out : bool }
 
 (* One result key's entry.  [request] is its position in first-request
@@ -449,7 +449,14 @@ let compute_exp ctx e =
       cancel = deadline_cancel ctx.trial_timeout_s;
     }
   in
-  Machine.run cfg ~policy:(Policy.Registry.create e.policy) ~workload
+  let r = Machine.run cfg ~policy:(Policy.Registry.create e.policy) ~workload in
+  (* The one conversion: the store keeps runs, and the sealed arrays die
+     with this frame. *)
+  {
+    r with
+    Machine.read_latencies = Structures.Latencies.of_sorted r.read_latencies;
+    write_latencies = Structures.Latencies.of_sorted r.write_latencies;
+  }
 
 let journal_outcome ctx e outcome =
   let key = record_key ctx e in
@@ -589,10 +596,10 @@ let mean_runtime_s results = mean (runtimes_s results)
 
 let mean_faults results = mean (faults results)
 
-let pooled_read_latencies results =
+let pooled_read_latencies (results : Machine.stored list) =
   Structures.Latencies.merge (List.map (fun r -> r.Machine.read_latencies) results)
 
-let pooled_write_latencies results =
+let pooled_write_latencies (results : Machine.stored list) =
   Structures.Latencies.merge (List.map (fun r -> r.Machine.write_latencies) results)
 
 (* ------------------------------------------------------------------ *)

@@ -19,6 +19,12 @@
     (1 and 2, 4 and 5, 9-11) do not recompute them, and no context is
     ever served a result computed under other inputs.
 
+    The store keeps each trial as a {!Machine.stored}: its request
+    latencies become {!Structures.Latencies.runs} once, when the trial
+    completes, and every reader (the figures, the per-cgroup tables,
+    the journal, {!pooled_read_latencies}) reads the runs as they are,
+    so no per-request array outlives its trial.
+
     {b Parallelism and determinism.}  Trials are embarrassingly
     parallel: each owns its seeded RNG, workload instance and simulated
     machine.  {!prefetch} shards uncached trials across a domain pool
@@ -103,7 +109,7 @@ type ctx
     as an explicit "failed" cell, while the other trials of the sweep
     run to completion. *)
 type trial_outcome =
-  | Done of Machine.result
+  | Done of Machine.stored
   | Failed of { reason : string; timed_out : bool }
 
 val make_ctx :
@@ -209,7 +215,7 @@ val machine_config : ctx -> capacity_frames:int -> seed:int -> Machine.config
     no deadline; {!run_exp} adds those, the swap medium and barrier
     groups per experiment. *)
 
-val run_exp : ctx -> exp -> Machine.result
+val run_exp : ctx -> exp -> Machine.stored
 (** Run (or fetch from this context's cache) one trial.  Raises
     [Failure] if the trial's outcome is [Failed] — use {!try_exp} where
     failures must not abort the caller. *)
@@ -234,7 +240,7 @@ val prefetch : ctx -> exp list -> unit
 
 val run_cell :
   ctx -> workload:workload_kind -> policy:Policy.Registry.spec -> ratio:float ->
-  swap:swap_medium -> Machine.result list
+  swap:swap_medium -> Machine.stored list
 (** All trials of one grid cell, prefetched in parallel per the ctx.
     Raises on the first failed trial, like {!run_exp}. *)
 
@@ -252,19 +258,19 @@ val failures : ctx -> (exp * string * bool) list
 
 (** {1 Aggregation helpers} *)
 
-val runtimes_s : Machine.result list -> float array
+val runtimes_s : _ Machine.trial list -> float array
 
-val faults : Machine.result list -> float array
+val faults : _ Machine.trial list -> float array
 (** Major (demand) fault counts. *)
 
-val mean_runtime_s : Machine.result list -> float
+val mean_runtime_s : _ Machine.trial list -> float
 
-val mean_faults : Machine.result list -> float
+val mean_faults : _ Machine.trial list -> float
 
-val pooled_read_latencies : Machine.result list -> int array
-(** Every trial's read latencies merged into one ascending array. *)
+val pooled_read_latencies : Machine.stored list -> Structures.Latencies.runs
+(** Every trial's read latencies merged into one set of runs. *)
 
-val pooled_write_latencies : Machine.result list -> int array
+val pooled_write_latencies : Machine.stored list -> Structures.Latencies.runs
 
 (** {1 Telemetry}
 

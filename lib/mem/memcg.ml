@@ -519,8 +519,8 @@ type report = {
   r_oom_kills : int;
   r_psi_some_ns : int;
   r_psi_full_ns : int;
-  r_read_latencies : int array;
-  r_write_latencies : int array;
+  r_read_latencies : Structures.Latencies.runs;
+  r_write_latencies : Structures.Latencies.runs;
   r_vm : int array; (* memory.stat counters, [nr_stats] long *)
 }
 
@@ -548,8 +548,8 @@ let summary t ~now =
              r_oom_kills = g.cg_stats.st_ooms;
              r_psi_some_ns = g.cg_stats.st_psi.some_ns;
              r_psi_full_ns = g.cg_stats.st_psi.full_ns;
-             r_read_latencies = Structures.Latencies.seal g.cg_stats.st_read_lat;
-             r_write_latencies = Structures.Latencies.seal g.cg_stats.st_write_lat;
+             r_read_latencies = Structures.Latencies.seal_runs g.cg_stats.st_read_lat;
+             r_write_latencies = Structures.Latencies.seal_runs g.cg_stats.st_write_lat;
              r_vm = Array.copy g.cg_stats.st_vm;
            })
          t.cgs)

@@ -213,8 +213,8 @@ type report = {
   r_oom_kills : int;
   r_psi_some_ns : int;
   r_psi_full_ns : int;
-  r_read_latencies : int array;  (** per-request ns, ascending *)
-  r_write_latencies : int array;
+  r_read_latencies : Structures.Latencies.runs;  (** per-request ns *)
+  r_write_latencies : Structures.Latencies.runs;
   r_vm : int array;  (** [memory.stat] counters, [nr_stats] long *)
 }
 
@@ -225,4 +225,5 @@ type summary = {
 }
 
 val summary : t -> now:int -> summary
-(** Advances PSI to [now], then seals every group's latencies: call once. *)
+(** Advances PSI to [now], then seals every group's latencies into
+    runs: call once. *)

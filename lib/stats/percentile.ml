@@ -18,6 +18,11 @@ let quantile_sorted xs = interpolate (Array.length xs) (Array.get xs)
    result is bit-identical to the same formula over floats. *)
 let quantile_ns xs = interpolate (Array.length xs) (fun i -> float_of_int xs.(i))
 
+(* The same reads by rank over runs, so the two forms agree bit for bit. *)
+let quantile_runs r =
+  let nth = Structures.Latencies.rank_reader r in
+  interpolate (Structures.Latencies.count r) (fun i -> float_of_int (nth i))
+
 let quartiles xs =
   let ys = Array.copy xs in
   Array.sort Float.compare ys;
@@ -32,8 +37,7 @@ type tail = {
   max : float;
 }
 
-let tail_of xs =
-  let q = quantile_ns xs in
+let tail q =
   {
     p50 = q 0.5;
     p90 = q 0.9;
@@ -42,6 +46,10 @@ let tail_of xs =
     p9999 = q 0.9999;
     max = q 1.0;
   }
+
+let tail_of xs = tail (quantile_ns xs)
+
+let tail_of_runs r = tail (quantile_runs r)
 
 let pp_tail fmt t =
   Format.fprintf fmt "p50=%.4g p90=%.4g p99=%.4g p99.9=%.4g p99.99=%.4g max=%.4g"

@@ -15,6 +15,10 @@ val quantile_ns : int array -> float -> float
     {!Structures.Latencies} array); exact while values stay below
     2^53. *)
 
+val quantile_runs : Structures.Latencies.runs -> float -> float
+(** {!quantile_ns} over latency runs, read by rank without expanding
+    them: bit-identical to [quantile_ns] on the array the runs hold. *)
+
 val quartiles : float array -> float * float * float
 (** [(q1, median, q3)] of a small unsorted sample (a cell's trials):
     sorts a copy with [Array.sort Float.compare]. *)
@@ -31,5 +35,8 @@ type tail = {
 
 val tail_of : int array -> tail
 (** The landmarks of an ascending, non-empty latency array. *)
+
+val tail_of_runs : Structures.Latencies.runs -> tail
+(** {!tail_of} over non-empty latency runs, bit for bit. *)
 
 val pp_tail : Format.formatter -> tail -> unit

@@ -46,15 +46,140 @@ let seal l =
   done;
   out
 
-let merge2 a b =
-  let na = Array.length a and nb = Array.length b in
-  let i = ref 0 and j = ref 0 in
-  Array.init (na + nb) (fun _ ->
-      if !j = nb || (!i < na && a.(!i) <= b.(!j)) then (incr i; a.(!i - 1))
-      else (incr j; b.(!j - 1)))
+(* Runs: LEB128 (delta, count) pairs, each value the delta above the
+   previous run's (the first above 0), seven bits a byte, low bits
+   first.  Every constructor goes through [encode], which refuses
+   anything but strictly ascending non-negative values with counts of
+   at least 1, so equal multisets encode to equal bytes. *)
+type runs = { count : int; data : string }
 
-(* Merged pairs go to the back of the queue: log2 k rounds for k arrays. *)
+let empty = { count = 0; data = "" }
+
+let rec varint_length v = if v < 0x80 then 1 else 1 + varint_length (v lsr 7)
+
+let rec put_varint b pos v =
+  if v < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put_varint b (pos + 1) (v lsr 7)
+  end
+
+(* [iter f] calls [f value count] once per run, ascending.  It runs
+   twice: once to check the runs and size the bytes, once to fill them,
+   so the encoding is one allocation of its exact size. *)
+let encode iter =
+  let size = ref 0 and prev = ref (-1) and total = ref 0 in
+  iter (fun v c ->
+      if v <= !prev || c < 1 || c > Sys.max_array_length - !total then
+        invalid_arg "Latencies: runs out of order, empty or too long";
+      size := !size + varint_length (v - Int.max !prev 0) + varint_length c;
+      prev := v;
+      total := !total + c);
+  let b = Bytes.create !size and pos = ref 0 and prev = ref 0 in
+  iter (fun v c ->
+      pos := put_varint b (put_varint b !pos (v - !prev)) c;
+      prev := v);
+  { count = !total; data = Bytes.unsafe_to_string b }
+
+(* A reader positioned on one run: [value] occurring [run] times, the
+   first of them at rank [start]; [run = 0] before the first. *)
+type cursor = {
+  r : runs;
+  mutable pos : int;
+  mutable value : int;
+  mutable run : int;
+  mutable start : int;
+}
+
+let cursor r = { r; pos = 0; value = 0; run = 0; start = 0 }
+
+let varint c =
+  let rec go v shift =
+    let byte = Char.code (String.unsafe_get c.r.data c.pos) in
+    c.pos <- c.pos + 1;
+    let v = v lor ((byte land 0x7f) lsl shift) in
+    if byte < 0x80 then v else go v (shift + 7)
+  in
+  go 0 0
+
+(* Step to the next run; false past the last. *)
+let next c =
+  c.pos < String.length c.r.data
+  && begin
+       c.start <- c.start + c.run;
+       c.value <- c.value + varint c;
+       c.run <- varint c;
+       true
+     end
+
+let fold f init r =
+  let c = cursor r in
+  let acc = ref init in
+  while next c do acc := f !acc c.value c.run done;
+  !acc
+
+let of_sorted a =
+  let n = Array.length a in
+  encode (fun f ->
+      let start = ref 0 in
+      for i = 0 to n - 1 do
+        if i + 1 = n || a.(i + 1) <> a.(i) then begin
+          f a.(i) (i + 1 - !start);
+          start := i + 1
+        end
+      done)
+
+let of_runs runs = encode (fun f -> List.iter (fun (v, c) -> f v c) runs)
+
+let seal_runs l = of_sorted (seal l)
+
+let count r = r.count
+
+let sum r = fold (fun s v c -> s + (v * c)) 0 r
+
+let rank_reader r =
+  let c = cursor r in
+  fun i ->
+    if i < 0 || i >= r.count then invalid_arg "Latencies.rank_reader: rank out of range";
+    if i < c.start then begin
+      c.pos <- 0;
+      c.value <- 0;
+      c.run <- 0;
+      c.start <- 0
+    end;
+    while i >= c.start + c.run do ignore (next c) done;
+    c.value
+
+let merge2 a b =
+  encode (fun f ->
+      let ca = cursor a and cb = cursor b in
+      let more_a = ref (next ca) and more_b = ref (next cb) in
+      while !more_a || !more_b do
+        if !more_a && ((not !more_b) || ca.value < cb.value) then begin
+          f ca.value ca.run;
+          more_a := next ca
+        end
+        else if !more_b && ((not !more_a) || cb.value < ca.value) then begin
+          f cb.value cb.run;
+          more_b := next cb
+        end
+        else begin
+          f ca.value (ca.run + cb.run);
+          more_a := next ca;
+          more_b := next cb
+        end
+      done)
+
+(* Merged pairs go to the back of the queue: log2 k rounds for k runs. *)
 let rec merge = function
-  | [] -> [||]
+  | [] -> empty
   | [ a ] -> a
   | a :: b :: rest -> merge (rest @ [ merge2 a b ])
+
+let to_array r =
+  let a = Array.make r.count 0 in
+  ignore (fold (fun i v c -> Array.fill a i c v; i + c) 0 r);
+  a

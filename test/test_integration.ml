@@ -56,8 +56,8 @@ let test_zram_shifts_bottleneck () =
 
 let test_ycsb_latency_capture () =
   let r = run (R.Ycsb Workload.Ycsb.A) Policy.Registry.Clock ~ratio:0.5 ~swap:R.Ssd in
-  let reads = Array.length r.M.read_latencies in
-  let writes = Array.length r.M.write_latencies in
+  let reads = Structures.Latencies.count r.M.read_latencies in
+  let writes = Structures.Latencies.count r.M.write_latencies in
   let total = reads + writes in
   Alcotest.(check bool) "every request recorded" true (total >= 200_000);
   let frac = float_of_int writes /. float_of_int total in
@@ -66,7 +66,7 @@ let test_ycsb_latency_capture () =
     true
     (Float.abs (frac -. 0.5) < 0.02);
   (* Tails are far above the median under SSD thrash. *)
-  let t = Stats.Percentile.tail_of r.M.read_latencies in
+  let t = Stats.Percentile.tail_of_runs r.M.read_latencies in
   Alcotest.(check bool) "p99.99 >> p50" true
     (t.Stats.Percentile.p9999 > 4.0 *. t.Stats.Percentile.p50)
 

@@ -6,6 +6,7 @@ module J = Repro_core.Journal
 module R = Repro_core.Runner
 module M = Repro_core.Machine
 module A = Repro_core.Atomic_io
+module L = Structures.Latencies
 
 let fast_profile = { R.trials = 1; ycsb_trials = 1; fast = true; scale = 1 }
 
@@ -59,10 +60,10 @@ let test_ok_round_trip () =
     Alcotest.(check int) "runtime_ns" want.M.runtime_ns got.M.runtime_ns;
     Alcotest.(check int) "major_faults" want.M.major_faults got.M.major_faults;
     Alcotest.(check string) "policy_name" want.M.policy_name got.M.policy_name;
-    Alcotest.(check (array int)) "read latencies" want.M.read_latencies
-      got.M.read_latencies;
-    Alcotest.(check (array int)) "write latencies" want.M.write_latencies
-      got.M.write_latencies;
+    Alcotest.(check (array int)) "read latencies" (L.to_array want.M.read_latencies)
+      (L.to_array got.M.read_latencies);
+    Alcotest.(check (array int)) "write latencies" (L.to_array want.M.write_latencies)
+      (L.to_array got.M.write_latencies);
     Alcotest.(check bool) "policy stats equal" true
       (want.M.policy_stats = got.M.policy_stats);
     Alcotest.(check bool) "trace never journaled" true (got.M.trace = None)
@@ -80,8 +81,9 @@ let test_awkward_latencies_round_trip () =
           {
             r with
             M.read_latencies =
-              [| 0; 0; 0; 1; 1_000_000_000; (1 lsl 53) + 1; max_int - 1; max_int; max_int |];
-            write_latencies = [||];
+              L.of_sorted
+                [| 0; 0; 0; 1; 1_000_000_000; (1 lsl 53) + 1; max_int - 1; max_int; max_int |];
+            write_latencies = L.empty;
             trace = None;
           };
     }
@@ -90,9 +92,9 @@ let test_awkward_latencies_round_trip () =
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok { J.result = Some got; _ } ->
     Alcotest.(check (array int)) "every latency back"
-      (Option.get rec_.J.result).M.read_latencies got.M.read_latencies;
-    Alcotest.(check int) "empty array survives" 0
-      (Array.length got.M.write_latencies)
+      (L.to_array (Option.get rec_.J.result).M.read_latencies)
+      (L.to_array got.M.read_latencies);
+    Alcotest.(check int) "empty runs survive" 0 (L.count got.M.write_latencies)
   | Ok _ -> Alcotest.fail "result lost"
 
 let test_failure_round_trips () =
@@ -154,8 +156,8 @@ let pinned_record =
       r_oom_kills = 1;
       r_psi_some_ns = 61_948_191_879;
       r_psi_full_ns = 33_013_171_182;
-      r_read_latencies = rlat;
-      r_write_latencies = wlat;
+      r_read_latencies = L.of_sorted rlat;
+      r_write_latencies = L.of_sorted wlat;
       r_vm = Array.init Mem.Memcg.nr_stats (fun i -> 1000 + i);
     }
   in
@@ -175,8 +177,8 @@ let pinned_record =
           M.runtime_ns = 77_831_637_081;
           major_faults = V.count counters V.pgmajfault;
           minor_faults = V.count counters V.minor_faults;
-          read_latencies = [| 0; 7; 7; 7; 250; 123_456_789 |];
-          write_latencies = [| 2_500_000_000; 2_500_000_000 |];
+          read_latencies = L.of_sorted [| 0; 7; 7; 7; 250; 123_456_789 |];
+          write_latencies = L.of_sorted [| 2_500_000_000; 2_500_000_000 |];
           per_thread_finish = [| 77_831_637_081; 5; 0 |];
           cpu_busy_ns = 295_029_579_632;
           policy_stats = [ ("evictions", 18_771); ("refaults", 17_066) ];
@@ -571,8 +573,8 @@ let test_cgroups_summary_strict () =
             r_oom_kills = 0;
             r_psi_some_ns = 3;
             r_psi_full_ns = 4;
-            r_read_latencies = [| 15 |];
-            r_write_latencies = [||];
+            r_read_latencies = L.of_sorted [| 15 |];
+            r_write_latencies = L.empty;
             r_vm = Array.init Mem.Memcg.nr_stats Fun.id;
           };
         ];
@@ -842,10 +844,11 @@ let test_parent_layout_rerun () =
     | _ -> Alcotest.fail "record does not parse"
   in
   let hex lat =
-    String.concat " " (List.map (fun ns -> Printf.sprintf "%h" (float_of_int ns)) (Array.to_list lat))
+    String.concat " "
+      (List.map (fun ns -> Printf.sprintf "%h" (float_of_int ns)) (Array.to_list (L.to_array lat)))
   in
   Alcotest.(check bool) "the YCSB trial has latencies" true
-    (Array.length fresh.M.read_latencies > 0);
+    (L.count fresh.M.read_latencies > 0);
   (match J.record_of_line (J.record_to_line record) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "this build's layout refused: %s" e);
@@ -885,12 +888,12 @@ let gen_result =
   let open QCheck.Gen in
   let module V = Obs.Vmstat in
   let name = string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '0'; '7'; '_' ]) (int_range 1 6) in
-  (* Sealed latencies: ascending, non-negative, often repeated. *)
+  (* Latency runs of non-negative values, often repeated. *)
   let latencies =
     map
       (fun a ->
         Array.sort Int.compare a;
-        a)
+        L.of_sorted a)
       (array_size (int_bound 6)
          (frequency
             [ (2, int_bound 3); (1, pure max_int); (3, map (fun v -> v land max_int) int) ]))

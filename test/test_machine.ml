@@ -386,7 +386,7 @@ let prop_seal_and_merge =
     (fun arrays ->
       let parts = List.map sealed arrays in
       List.for_all2 (fun a p -> p = sorted a) arrays parts
-      && L.merge parts = sorted (Array.concat arrays))
+      && L.to_array (L.merge (List.map L.of_sorted parts)) = sorted (Array.concat arrays))
 
 let test_every_push_kept () =
   (* A 3000-request run's first 1000 requests are the 1000-request run:
@@ -428,13 +428,15 @@ let ycsb_trial ?cgroups variant =
     { R.workload = R.Ycsb variant; policy = Policy.Registry.Clock; ratio = 0.5;
       swap = R.Ssd; trial = 0 }
 
-(* Sealed latencies are ascending, so the digest also pins the order. *)
+(* Stored latency runs expand ascending, so the digest also pins the
+   order. *)
 let digest lat =
   Digest.to_hex
-    (Digest.string (String.concat " " (List.map string_of_int (Array.to_list lat))))
+    (Digest.string
+       (String.concat " " (List.map string_of_int (Array.to_list (L.to_array lat)))))
 
 let landmarks lat =
-  let t = Stats.Percentile.tail_of lat in
+  let t = Stats.Percentile.tail_of_runs lat in
   String.concat " "
     (List.map (Printf.sprintf "%h")
        Stats.Percentile.[ t.p50; t.p90; t.p99; t.p999; t.p9999; t.max ])

@@ -373,9 +373,10 @@ let test_latencies_match_machine () =
   let r = M.run cfg ~policy:(Policy.Registry.create Policy.Registry.Clock) ~workload in
   let all = report_of r "all" in
   Alcotest.(check int) "every read recorded" 3000 (Array.length r.M.read_latencies);
-  Alcotest.(check (array int)) "same reads" r.M.read_latencies all.Mcg.r_read_latencies;
+  Alcotest.(check (array int)) "same reads" r.M.read_latencies
+    (Structures.Latencies.to_array all.Mcg.r_read_latencies);
   Alcotest.(check (array int)) "same writes" r.M.write_latencies
-    all.Mcg.r_write_latencies;
+    (Structures.Latencies.to_array all.Mcg.r_write_latencies);
   Alcotest.(check bool) "faults spread the latencies" true (r.M.major_faults > 0)
 
 let test_psi_accounting () =
@@ -502,7 +503,7 @@ let test_parallel_identical () =
   let r1, t1, s1 = run 1 in
   let r4, t4, s4 = run 4 in
   List.iter2
-    (fun (a : M.result) (b : M.result) ->
+    (fun (a : M.stored) (b : M.stored) ->
       Alcotest.(check int) "same runtime" a.M.runtime_ns b.M.runtime_ns;
       Alcotest.(check bool) "same memcg summary" true
         (summary_of a = summary_of b))
@@ -523,9 +524,15 @@ let test_parallel_identical () =
 let test_summary_round_trip () =
   let module J = Repro_core.Journal in
   let r = throttled_run () in
-  let record =
-    { J.key = "k"; status = J.Trial_ok; reason = ""; result = Some { r with M.trace = None } }
+  let stored =
+    {
+      r with
+      M.trace = None;
+      read_latencies = Structures.Latencies.of_sorted r.M.read_latencies;
+      write_latencies = Structures.Latencies.of_sorted r.M.write_latencies;
+    }
   in
+  let record = { J.key = "k"; status = J.Trial_ok; reason = ""; result = Some stored } in
   match J.record_of_line (J.record_to_line record) with
   | Ok { J.result = Some got; _ } ->
     Alcotest.(check bool) "summary survives the journal" true
@@ -575,9 +582,9 @@ let test_fleet_confines_runaway () =
   Alcotest.(check bool) "neighbour threads finished" true
     (r.M.per_thread_finish.(2) >= 0 && r.M.per_thread_finish.(3) >= 0);
   Alcotest.(check bool) "neighbour latencies recorded" true
-    (Array.length bg.Mcg.r_read_latencies > 0);
+    (Structures.Latencies.count bg.Mcg.r_read_latencies > 0);
   Alcotest.(check bool) "neighbour p99 bounded by device latency" true
-    (Stats.Percentile.quantile_ns bg.Mcg.r_read_latencies 0.99 < 1e9);
+    (Stats.Percentile.quantile_runs bg.Mcg.r_read_latencies 0.99 < 1e9);
   Alcotest.(check int) "invariants hold" 0 (M.count r V.invariant_violations)
 
 let test_fleet_workload_shape () =

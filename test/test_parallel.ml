@@ -13,7 +13,7 @@ let serial_ctx () = R.make_ctx ~profile:fast_profile ~jobs:1 ()
 
 let parallel_ctx () = R.make_ctx ~profile:fast_profile ~jobs:4 ()
 
-let result_fingerprint (r : Repro_core.Machine.result) =
+let result_fingerprint (r : Repro_core.Machine.stored) =
   ( r.Repro_core.Machine.runtime_ns,
     r.Repro_core.Machine.major_faults,
     r.Repro_core.Machine.minor_faults,

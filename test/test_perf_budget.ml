@@ -23,7 +23,9 @@
    - retained-words: heap words a --fast PageRank workload and a --fast
      --scale 4 TPC-H workload keep reachable (Obj.reachable_words), so a
      plan cache that pins more per seed than the step streams read, or
-     a TPC-H workload that draws its whole script up front, fails here.
+     a TPC-H workload that draws its whole script up front, fails here;
+     and what the runner's store keeps of one --fast YCSB-A trial, so a
+     store that keeps one int per request again fails here.
    - allocs-per-build: words of one cold --fast PageRank build (graph,
      neighbour draws, block plans), ceiling ~1.2x, so per-vertex
      allocation in the plan build fails here; and of a build with many
@@ -218,10 +220,34 @@ let retained_tpch_words () =
   let workload = Runner.make_workload ctx Runner.Tpch ~trial:0 in
   float_of_int (Obj.reachable_words (Obj.repr workload))
 
+(* Retained words of one --fast YCSB-A trial's result as the runner's
+   store keeps it, read back through [Runner.run_exp].  Measured
+   ~15.1 K, nearly all of it the two latency classes as runs; one int
+   per request, as the store kept before latencies were stored as runs,
+   kept 220.1 K. *)
+let retained_ycsb_result_words () =
+  let ctx =
+    Runner.make_ctx
+      ~profile:{ Runner.default_profile with Runner.fast = true; ycsb_trials = 1 }
+      ()
+  in
+  let r =
+    Runner.run_exp ctx
+      {
+        Runner.workload = Runner.Ycsb Workload.Ycsb.A;
+        policy = Policy.Registry.Clock;
+        ratio = 0.5;
+        swap = Runner.Ssd;
+        trial = 0;
+      }
+  in
+  float_of_int (Obj.reachable_words (Obj.repr r))
+
 let retained_cases =
   [
     ("pagerank", "workload", 160_000., retained_pagerank_words);
     ("tpch --scale 4", "workload", 20_000., retained_tpch_words);
+    ("ycsb-a stored result", "trial", 30_000., retained_ycsb_result_words);
   ]
 
 (* Cold build: minor words of one --fast PageRank [Runner.make_workload]

@@ -215,13 +215,15 @@ let test_pooled_latencies () =
     R.run_cell ctx ~workload:(R.Ycsb Workload.Ycsb.A)
       ~policy:Policy.Registry.Clock ~ratio:0.5 ~swap:R.Zram
   in
-  let reads = R.pooled_read_latencies results in
-  let writes = R.pooled_write_latencies results in
+  let reads = Structures.Latencies.to_array (R.pooled_read_latencies results) in
+  let writes = Structures.Latencies.to_array (R.pooled_write_latencies results) in
   Alcotest.(check bool) "reads recorded" true (Array.length reads > 1000);
   Alcotest.(check bool) "writes recorded" true (Array.length writes > 100);
-  (* Pooling merges the sealed trials: the sorted concatenation. *)
+  (* Pooling merges the stored trials: the sorted concatenation. *)
   let concat pick =
-    let a = Array.concat (List.map pick results) in
+    let a =
+      Array.concat (List.map (fun r -> Structures.Latencies.to_array (pick r)) results)
+    in
     Array.sort Int.compare a;
     a
   in
