@@ -58,11 +58,10 @@ let ints_s = join " " string_of_int
 let runs_s lat =
   let b = Buffer.create 4096 in
   Structures.Latencies.fold
-    (fun first v c ->
-      Printf.bprintf b (if first then "%d:%d" else " %d:%d") v c;
-      false)
-    true lat
-  |> ignore;
+    (fun () v c ->
+      if Buffer.length b > 0 then Buffer.add_char b ' ';
+      Printf.bprintf b "%d:%d" v c)
+    () lat;
   Buffer.contents b
 
 let pairs_s sep kvs =

@@ -9,7 +9,8 @@ let interpolate n get q =
     let lo = int_of_float (floor pos) in
     let hi = min (lo + 1) (n - 1) in
     let frac = pos -. float_of_int lo in
-    get lo +. (frac *. (get hi -. get lo))
+    let at_lo = get lo in
+    at_lo +. (frac *. (get hi -. at_lo))
   end
 
 let quantile_sorted xs = interpolate (Array.length xs) (Array.get xs)
@@ -37,15 +38,14 @@ type tail = {
   max : float;
 }
 
+(* Landmarks in ascending order, so a runs reader moves forward only. *)
 let tail q =
-  {
-    p50 = q 0.5;
-    p90 = q 0.9;
-    p99 = q 0.99;
-    p999 = q 0.999;
-    p9999 = q 0.9999;
-    max = q 1.0;
-  }
+  let p50 = q 0.5 in
+  let p90 = q 0.9 in
+  let p99 = q 0.99 in
+  let p999 = q 0.999 in
+  let p9999 = q 0.9999 in
+  { p50; p90; p99; p999; p9999; max = q 1.0 }
 
 let tail_of xs = tail (quantile_ns xs)
 

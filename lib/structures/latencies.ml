@@ -67,22 +67,38 @@ let rec put_varint b pos v =
     put_varint b (pos + 1) (v lsr 7)
   end
 
-(* [iter f] calls [f value count] once per run, ascending.  It runs
-   twice: once to check the runs and size the bytes, once to fill them,
-   so the encoding is one allocation of its exact size. *)
-let encode iter =
-  let size = ref 0 and prev = ref (-1) and total = ref 0 in
-  iter (fun v c ->
-      if v <= !prev || c < 1 || c > Sys.max_array_length - !total then
-        invalid_arg "Latencies: runs out of order, empty or too long";
-      size := !size + varint_length (v - Int.max !prev 0) + varint_length c;
-      prev := v;
-      total := !total + c);
-  let b = Bytes.create !size and pos = ref 0 and prev = ref 0 in
-  iter (fun v c ->
-      pos := put_varint b (put_varint b !pos (v - !prev)) c;
-      prev := v);
-  { count = !total; data = Bytes.unsafe_to_string b }
+(* Where [encode] puts runs.  A fill runs twice: first [sizing], when
+   [put] checks each run and counts its bytes into [pos], then into
+   [b], allocated at exactly that size. *)
+type sink = {
+  mutable b : Bytes.t;
+  mutable sizing : bool;
+  mutable pos : int;
+  mutable prev : int;  (* the last value put; -1 before the first *)
+  mutable total : int;
+}
+
+let put s v c =
+  let delta = v - Int.max s.prev 0 in
+  if s.sizing then begin
+    if v <= s.prev || c < 1 || c > Sys.max_array_length - s.total then
+      invalid_arg "Latencies: runs out of order, empty or too long";
+    s.pos <- s.pos + varint_length delta + varint_length c;
+    s.total <- s.total + c
+  end
+  else s.pos <- put_varint s.b (put_varint s.b s.pos delta) c;
+  s.prev <- v
+
+(* [fill s] puts every run into [s], ascending. *)
+let encode fill =
+  let s = { b = Bytes.empty; sizing = true; pos = 0; prev = -1; total = 0 } in
+  fill s;
+  s.b <- Bytes.create s.pos;
+  s.sizing <- false;
+  s.pos <- 0;
+  s.prev <- -1;
+  fill s;
+  { count = s.total; data = Bytes.unsafe_to_string s.b }
 
 (* A reader positioned on one run: [value] occurring [run] times, the
    first of them at rank [start]; [run = 0] before the first. *)
@@ -97,13 +113,16 @@ type cursor = {
 let cursor r = { r; pos = 0; value = 0; run = 0; start = 0 }
 
 let varint c =
-  let rec go v shift =
-    let byte = Char.code (String.unsafe_get c.r.data c.pos) in
+  let data = c.r.data in
+  let v = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    let byte = Char.code (String.unsafe_get data c.pos) in
     c.pos <- c.pos + 1;
-    let v = v lor ((byte land 0x7f) lsl shift) in
-    if byte < 0x80 then v else go v (shift + 7)
-  in
-  go 0 0
+    v := !v lor ((byte land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := byte >= 0x80
+  done;
+  !v
 
 (* Step to the next run; false past the last. *)
 let next c =
@@ -121,18 +140,20 @@ let fold f init r =
   while next c do acc := f !acc c.value c.run done;
   !acc
 
-let of_sorted a =
+(* A descent starts a run whose value is below the last one's, which
+   [put] refuses. *)
+let of_sorted (a : int array) =
   let n = Array.length a in
-  encode (fun f ->
+  encode (fun s ->
       let start = ref 0 in
       for i = 0 to n - 1 do
         if i + 1 = n || a.(i + 1) <> a.(i) then begin
-          f a.(i) (i + 1 - !start);
+          put s a.(i) (i + 1 - !start);
           start := i + 1
         end
       done)
 
-let of_runs runs = encode (fun f -> List.iter (fun (v, c) -> f v c) runs)
+let of_runs runs = encode (fun s -> List.iter (fun (v, c) -> put s v c) runs)
 
 let seal_runs l = of_sorted (seal l)
 
@@ -154,20 +175,20 @@ let rank_reader r =
     c.value
 
 let merge2 a b =
-  encode (fun f ->
+  encode (fun s ->
       let ca = cursor a and cb = cursor b in
       let more_a = ref (next ca) and more_b = ref (next cb) in
       while !more_a || !more_b do
         if !more_a && ((not !more_b) || ca.value < cb.value) then begin
-          f ca.value ca.run;
+          put s ca.value ca.run;
           more_a := next ca
         end
         else if !more_b && ((not !more_a) || cb.value < ca.value) then begin
-          f cb.value cb.run;
+          put s cb.value cb.run;
           more_b := next cb
         end
         else begin
-          f ca.value (ca.run + cb.run);
+          put s ca.value (ca.run + cb.run);
           more_a := next ca;
           more_b := next cb
         end
